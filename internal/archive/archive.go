@@ -347,11 +347,12 @@ func (a *Archive) append(c core.Commit) error {
 		}
 		return a.writeSnapshot(c.Version())
 	}
-	payload, err := appendTxn(nil, c.Seq, c.Tx)
+	// The record is framed straight into the batch buffer: with group
+	// commit it stays there until the flush, without it the buffer is
+	// scratch for this one write. payload aliases the buffer, which the
+	// tail subscribers below may read but not retain.
+	buf, payload, err := appendTxnFrame(a.buf, c.Seq, c.Tx)
 	if err != nil {
-		return err
-	}
-	if err := checkRecordLen(payload); err != nil {
 		return err
 	}
 	tr := c.Tx.Trace
@@ -361,10 +362,10 @@ func (a *Archive) append(c core.Commit) error {
 		}
 	}
 	if a.cfg.group > 0 {
-		// Group commit: frame into the batch buffer; the window timer, a
-		// full hinted batch (ExpectBatch), or an explicit Flush/Sync/Close
-		// issues the write+fsync. Bytes are counted at flush.
-		a.buf = appendRecord(a.buf, recTxn, payload)
+		// Group commit: the window timer, a full hinted batch
+		// (ExpectBatch), or an explicit Flush/Sync/Close issues the
+		// write+fsync. Bytes are counted at flush.
+		a.buf = buf
 		a.bufRecs++
 		a.cfg.metrics.Buffered()
 		if tr != nil {
@@ -375,8 +376,8 @@ func (a *Archive) append(c core.Commit) error {
 		if tr != nil {
 			t0 = time.Now()
 		}
-		rec := appendRecord(nil, recTxn, payload)
-		if _, err := a.log.Write(rec); err != nil {
+		a.buf = buf[:0]
+		if _, err := a.log.Write(buf); err != nil {
 			return fmt.Errorf("archive: append: %w", err)
 		}
 		if a.cfg.fsync {
@@ -389,7 +390,7 @@ func (a *Archive) append(c core.Commit) error {
 			// durability interval is the write (+fsync) just issued.
 			tr.Span(reqtrace.StageGroupCommitFsync, t0, time.Now())
 		}
-		a.cfg.metrics.Appended(len(rec))
+		a.cfg.metrics.Appended(len(buf))
 	}
 	// Log-shipping tail: subscribers see the record payload the moment it
 	// is accepted (possibly before its durable flush — a replica can never

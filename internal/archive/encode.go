@@ -3,6 +3,7 @@ package archive
 import (
 	"encoding/binary"
 	"fmt"
+	"strings"
 
 	"funcdb/internal/core"
 	"funcdb/internal/query"
@@ -110,6 +111,24 @@ func appendTxn(dst []byte, seq int64, tx core.Transaction) ([]byte, error) {
 	}
 }
 
+// appendTxnFrame appends tx's framed recTxn record to dst, encoding the
+// payload in place — the length field is patched once it is known — so a
+// log append builds no intermediate slice. It returns the extended buffer
+// and the payload's bytes within it; on error dst comes back unextended.
+func appendTxnFrame(dst []byte, seq int64, tx core.Transaction) (out, payload []byte, err error) {
+	start := len(dst)
+	out = append(dst, recTxn, 0, 0, 0, 0)
+	if out, err = appendTxn(out, seq, tx); err != nil {
+		return dst, nil, err
+	}
+	if err := checkRecordLen(out[start+frameHeader:]); err != nil {
+		return dst, nil, err
+	}
+	binary.LittleEndian.PutUint32(out[start+1:], uint32(len(out)-start-frameHeader))
+	out = binary.LittleEndian.AppendUint32(out, recordCRC(recTxn, out[start+frameHeader:]))
+	return out, out[start+frameHeader : len(out)-4], nil
+}
+
 // decodeTxn decodes one transaction payload, rejecting trailing bytes.
 func decodeTxn(payload []byte) (loggedTxn, error) {
 	lt, rest, err := decodeTxnTail(payload)
@@ -193,7 +212,10 @@ func decodeTxnTail(payload []byte) (loggedTxn, []byte, error) {
 	// The symbolic source, when present, is the authoritative form: replay
 	// it through the paper's translate. The structural fields above remain
 	// the fallback (and the validation that the record is well-formed).
-	if src != "" {
+	// A prepared write's text is its '?' template, which Translate can only
+	// refuse: skip the parse and keep the structural fields — the same
+	// transaction.
+	if src != "" && strings.IndexByte(src, '?') < 0 {
 		if ttx, terr := query.Translate(src); terr == nil {
 			tx = ttx
 		}

@@ -1,6 +1,7 @@
 package archive
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -228,5 +229,42 @@ func TestGroupCommitVersionAtFlushes(t *testing.T) {
 	}
 	if db.TotalTuples() != 5 {
 		t.Fatalf("VersionAt(5) sees %d tuples, want 5", db.TotalTuples())
+	}
+}
+
+// TestAppendAllocGate: a log append frames its record straight into the
+// batch buffer, so once that buffer has grown a buffered append allocates
+// nothing — with or without a log-tail subscriber, who reads the same
+// bytes.
+func TestAppendAllocGate(t *testing.T) {
+	a, err := Create(t.TempDir(), initialDB("R"), GroupCommit(time.Hour), Fsync(false))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	var tailed int
+	cancel, err := a.SubscribeTxns(0, func(_ int64, payload []byte) { tailed += len(payload) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cancel()
+
+	tx := core.Insert("R", value.NewTuple(value.Int(1), value.Str(strings.Repeat("v", 64))))
+	tx.Query = `insert (1, "…") into R`
+	seq := int64(0)
+	appendOne := func() {
+		seq++
+		if err := a.Append(core.NewCommit(seq, tx, core.Response{}, nil)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 2*maxGroupRecords; i++ { // grow the buffer to its cap and flush it once
+		appendOne()
+	}
+	if allocs := testing.AllocsPerRun(1000, appendOne); allocs > 0 {
+		t.Errorf("buffered Append = %.1f allocs, want 0", allocs)
+	}
+	if tailed == 0 {
+		t.Error("tail subscriber saw no payload bytes")
 	}
 }

@@ -53,8 +53,10 @@ const (
 	// maxRecordLen caps a single record's payload (a full snapshot of a
 	// very large database is the biggest record we write).
 	maxRecordLen = 1 << 30
-	// frameOverhead is the framing cost per record: type + length + CRC.
-	frameOverhead = 1 + 4 + 4
+	// frameHeader is what precedes a record's payload: type + length.
+	frameHeader = 1 + 4
+	// frameOverhead is the framing cost per record: header + CRC.
+	frameOverhead = frameHeader + 4
 )
 
 // ErrCorrupt reports an undecodable archive (distinct from a clean
@@ -82,10 +84,16 @@ func appendRecord(dst []byte, typ byte, payload []byte) []byte {
 	dst = append(dst, typ)
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(payload)))
 	dst = append(dst, payload...)
-	crc := crc32.NewIEEE()
-	crc.Write([]byte{typ})
-	crc.Write(payload)
-	return binary.LittleEndian.AppendUint32(dst, crc.Sum32())
+	return binary.LittleEndian.AppendUint32(dst, recordCRC(typ, payload))
+}
+
+// recordCRC is the frame checksum over the type byte and the payload. The
+// type byte is folded in by one table step written out here: handing
+// crc32.Update a one-byte slice would put that slice on the heap, once per
+// record.
+func recordCRC(typ byte, payload []byte) uint32 {
+	seed := ^(crc32.IEEETable[0xff^typ] ^ 0x00ffffff)
+	return crc32.Update(seed, crc32.IEEETable, payload)
 }
 
 // record is one decoded frame.
@@ -136,10 +144,7 @@ func (rd *reader) next() (record, error) {
 	}
 	body := bodyBuf.Bytes()
 	payload, sum := body[:length], binary.LittleEndian.Uint32(body[length:])
-	crc := crc32.NewIEEE()
-	crc.Write([]byte{typ})
-	crc.Write(payload)
-	if crc.Sum32() != sum {
+	if recordCRC(typ, payload) != sum {
 		return record{}, fmt.Errorf("%w: checksum mismatch", ErrCorrupt)
 	}
 	rd.off += int64(len(payload)) + frameOverhead

@@ -3,8 +3,10 @@ package archive
 import (
 	"bytes"
 	"errors"
+	"hash/crc32"
 	"io"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -238,4 +240,83 @@ func FuzzReadRecord(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestTxnFrameMatchesRecord: framing a transaction in place writes the
+// bytes appendRecord(appendTxn) writes — the log format did not move — and
+// a transaction with no wire form leaves the buffer as it was.
+func TestTxnFrameMatchesRecord(t *testing.T) {
+	for _, typ := range []byte{recHeader, recSnapshot, recTxn, 0, 255} {
+		body := []byte("payload bytes")
+		if got, want := recordCRC(typ, body), crc32.ChecksumIEEE(append([]byte{typ}, body...)); got != want {
+			t.Fatalf("recordCRC(%d) = %08x, IEEE over type+payload = %08x", typ, got, want)
+		}
+	}
+	prefix := []byte("earlier records")
+	for i, tx := range []core.Transaction{
+		core.Insert("R", value.NewTuple(value.Int(1), value.Str(strings.Repeat("w", 300)))),
+		core.Delete("R", value.Int(1)),
+		core.Create("S", 2),
+		{Kind: core.KindInsert, Rel: "R", Tuple: value.NewTuple(value.Int(7)), Origin: "repl", Seq: 3, Query: `insert 7 into R`},
+	} {
+		payload, err := appendTxn(nil, int64(i+1), tx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := appendRecord(append([]byte(nil), prefix...), recTxn, payload)
+		got, gotPayload, err := appendTxnFrame(append([]byte(nil), prefix...), int64(i+1), tx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("txn %d: framed in place\n%x\nwant\n%x", i, got, want)
+		}
+		if !bytes.Equal(gotPayload, payload) {
+			t.Errorf("txn %d: payload view %x, want %x", i, gotPayload, payload)
+		}
+	}
+	got, _, err := appendTxnFrame(prefix, 1, core.Custom(nil, nil, []string{"R"}))
+	if err == nil || !bytes.Equal(got, prefix) {
+		t.Errorf("custom transaction: err %v, buffer %q", err, got)
+	}
+}
+
+// TestDecodePreparedRecordAllocGate: a prepared write is logged with its
+// '?' template as source text, which Translate can only refuse. Decoding
+// must give the structural transaction without paying for the refusal — a
+// lex, a SyntaxError and a formatted message per replicated record.
+func TestDecodePreparedRecordAllocGate(t *testing.T) {
+	tx := core.Insert("R", value.NewTuple(value.Int(7), value.Str("widget")))
+	tx.Origin, tx.Seq = "client-3", 41
+	bare, err := AppendTxnRecord(nil, 9, tx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tx.Query = "insert (?, ?) into R"
+	prepared, err := AppendTxnRecord(nil, 9, tx)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	seq, got, err := DecodeTxnRecord(prepared)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if seq != 9 || got.Kind != tx.Kind || got.Rel != tx.Rel || !got.Tuple.Equal(tx.Tuple) ||
+		got.Origin != tx.Origin || got.Seq != tx.Seq || got.Query != tx.Query {
+		t.Fatalf("decoded %+v, want %+v", got, tx)
+	}
+
+	decode := func(payload []byte) func() {
+		return func() {
+			if _, _, err := DecodeTxnRecord(payload); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	base := testing.AllocsPerRun(200, decode(bare))
+	// The template string itself is the one allocation the text adds.
+	if allocs := testing.AllocsPerRun(200, decode(prepared)); allocs > base+1 {
+		t.Errorf("decoding a prepared record = %.1f allocs, %.1f without source text: the template was parsed", allocs, base)
+	}
 }

@@ -16,10 +16,16 @@ import (
 	"funcdb/internal/value"
 )
 
-// Engine is the runtime (goroutine-backed) form of apply-stream: the
-// database is a directory of per-relation lenient cells, and every
-// submitted transaction becomes a spawned future over exactly the cells it
-// touches.
+// Engine is the runtime form of apply-stream: the database is a directory
+// of per-relation lenient cells, and every submitted transaction is a
+// function of exactly the cells it touches.
+//
+// A transaction body is pure, so who evaluates it is unobservable; the
+// engine spawns a goroutine only when there is something to wait for. A
+// built-in transaction whose input relation is already a value runs on its
+// submitter and installs ready cells; one whose input is still under
+// computation — it queued behind a custom body, say — and every custom
+// become spawned futures, so Submit never waits on a predecessor.
 //
 // Admission is a two-stage pipeline. Planning resolves a transaction's
 // access set — the cells it reads, the names it replaces — against the
@@ -30,8 +36,8 @@ import (
 // from which concurrent operations are extracted" (Section 2.4). After that
 // moment there are no locks: transactions on different relations run
 // concurrently because they share unchanged cells; transactions on the same
-// relation pipeline because the later one's future forces the earlier one's
-// output cell.
+// relation pipeline because the later one reads — or, when it is not there
+// yet, its future forces — the earlier one's output cell.
 //
 // Read-only transactions never install anything, so they skip the merge
 // entirely: Submit loads the published snapshot and runs the read against
@@ -58,7 +64,7 @@ type Engine struct {
 
 	stats   *eval.Stats
 	evalCtx *eval.Ctx // shared transaction-body context (nil when untraced)
-	wg      sync.WaitGroup
+	bodies  inflight  // spawned transaction bodies still running
 
 	// metrics, when non-nil, observes the admission path: commit latency,
 	// CAS retries, cross-lane acquisitions, batch run lengths, per-lane
@@ -73,15 +79,19 @@ type Engine struct {
 	serializedReads bool
 
 	// Post-commit observation (observer.go): observers are notified of
-	// every committed write in version order on a chained goroutine, so
-	// durability and history ride the pipeline instead of serializing it.
-	// The sequencer fields re-serialize lane commits into that one total
-	// order.
-	observers  []CommitObserver
-	notifyTail *lenient.Cell[struct{}]
-	seqMu      sync.Mutex
-	seqNext    int64                   // next version to hand to observers
-	parked     map[int64]pendingCommit // commits published ahead of seqNext
+	// every committed write in version order by one notifier goroutine, so
+	// durability and history ride behind the pipeline instead of
+	// serializing it. The sequencer re-serializes lane commits into that
+	// one total order; everything below observers is guarded by seqMu.
+	observers []CommitObserver
+	seqMu     sync.Mutex
+	seqNext   int64                   // next version to hand to the notifier
+	parked    map[int64]pendingCommit // commits published ahead of seqNext
+	queue     []pendingCommit         // version-ordered, awaiting the notifier
+	spare     []pendingCommit         // the notifier's drained batch, for reuse
+	notifying bool                    // a notifier goroutine is running
+	notified  int64                   // observers have run for every version <= this
+	caughtUp  sync.Cond               // on seqMu: notified advanced
 }
 
 // EngineOption configures NewEngine.
@@ -127,6 +137,8 @@ func NewEngine(initial *database.Database, opts ...EngineOption) *Engine {
 		version: initial.Version(),
 	})
 	e.seqNext = initial.Version() + 1
+	e.notified = initial.Version()
+	e.caughtUp.L = &e.seqMu
 	return e
 }
 
@@ -156,12 +168,14 @@ func (e *Engine) Plan(tx Transaction) Plan {
 }
 
 // Submit admits tx into the merged stream and returns its response future.
-// The call itself is brief (the merge arbitration); the transaction body
-// runs in its own goroutine, demand-synchronized with its neighbors through
-// the relation cells. Read-only transactions skip the merge: they are
-// planned against the published snapshot and launched lock-free. Writes
-// lock only the admission lanes their access set hashes into, so writes on
-// disjoint lanes admit concurrently.
+// The call is brief: the merge arbitration plus, for a built-in whose input
+// relation is already a value, the body itself (a few microseconds on a
+// tree). Any other body runs in its own goroutine, demand-synchronized with
+// its neighbors through the relation cells, so Submit never waits on a
+// predecessor. Read-only transactions skip the merge: they are planned
+// against the published snapshot and launched lock-free. Writes lock only
+// the admission lanes their access set hashes into, so writes on disjoint
+// lanes admit concurrently.
 func (e *Engine) Submit(tx Transaction) *lenient.Cell[Response] {
 	if !e.serializedReads && tx.IsReadOnly() {
 		e.metrics.Read()
@@ -314,16 +328,29 @@ func (e *Engine) admitLocked(p Plan) *lenient.Cell[Response] {
 	if p.writeOne {
 		// Built-in single-relation write: no index/cell slices, no map
 		// lookup in the output projection.
-		out := e.spawnBuiltin(p)
 		i, _ := s.dir.Index(p.tx.Rel)
-		in := s.cells[i]
-		wcell := lenient.Map(out, func(o txnOut) relation.Relation {
+		var wcell *lenient.Cell[relation.Relation]
+		var resp *lenient.Cell[Response]
+		if rel, ok := p.in.Poll(); ok {
+			// The input is a value, so there is nothing to be lenient
+			// about: evaluate here. The body is pure — the cells hold what
+			// a spawned future would have produced.
+			o := applyToRelation(e.ctx(), p.tx, rel)
+			wcell = p.in // miss (e.g. delete of absent key): old value
 			if o.hasNewRel {
-				return o.newRel
+				wcell = lenient.Ready(o.newRel)
 			}
-			return in.Force() // miss (e.g. delete of absent key): old value
-		})
-		resp := lenient.Map(out, func(o txnOut) Response { return o.resp })
+			resp = lenient.Ready(o.resp)
+		} else {
+			out, in := e.spawnBuiltin(p), p.in
+			wcell = lenient.Map(out, func(o txnOut) relation.Relation {
+				if o.hasNewRel {
+					return o.newRel
+				}
+				return in.Force()
+			})
+			resp = lenient.Map(out, func(o txnOut) Response { return o.resp })
+		}
 		ns := e.publish(func(cur *snapshot) *snapshot {
 			cells := make([]*lenient.Cell[relation.Relation], len(cur.cells))
 			copy(cells, cur.cells)
@@ -381,7 +408,7 @@ func (e *Engine) publish(build func(cur *snapshot) *snapshot) *snapshot {
 }
 
 // launchRead runs a read-only plan: no cells are installed, so no lock is
-// needed. A point read whose input cell has already resolved is answered
+// needed. A built-in read whose input cell has already resolved is answered
 // inline — no goroutine, no future machinery, just the lookup.
 func (e *Engine) launchRead(p Plan) *lenient.Cell[Response] {
 	if p.err != nil {
@@ -391,22 +418,21 @@ func (e *Engine) launchRead(p Plan) *lenient.Cell[Response] {
 		out := e.spawnCustom(p)
 		return lenient.Map(out, func(o txnOut) Response { return o.resp })
 	}
-	if p.tx.Kind == KindFind {
-		if rel, ok := p.in.Poll(); ok {
-			return lenient.Ready(applyToRelation(e.ctx(), p.tx, rel).resp)
-		}
+	if rel, ok := p.in.Poll(); ok {
+		return lenient.Ready(applyToRelation(e.ctx(), p.tx, rel).resp)
 	}
 	out := e.spawnBuiltin(p)
 	return lenient.Map(out, func(o txnOut) Response { return o.resp })
 }
 
-// spawnBuiltin starts the future for a single-relation built-in body.
+// spawnBuiltin starts the future for a single-relation built-in body whose
+// input is still under computation.
 func (e *Engine) spawnBuiltin(p Plan) *lenient.Cell[txnOut] {
 	ctx := e.ctx()
 	in, tx := p.in, p.tx
-	e.wg.Add(1)
+	gen := e.bodies.join()
 	return lenient.Spawn(func() txnOut {
-		defer e.wg.Done()
+		defer gen.Done()
 		return applyToRelation(ctx, tx, in.Force())
 	})
 }
@@ -439,15 +465,25 @@ func applyToRelation(ctx *eval.Ctx, tx Transaction, rel relation.Relation) txnOu
 		resp.Count = rel.Len()
 		return txnOut{resp: resp}
 	case KindRange:
-		rel.Range(ctx, tx.Lo, tx.Hi, trace.None, func(tu value.Tuple) {
-			resp.Tuples = append(resp.Tuples, tu)
-		})
+		resp.Tuples = rangeTuples(ctx, tx, rel)
 		resp.Count = len(resp.Tuples)
 		return txnOut{resp: resp}
 	default:
 		resp.Err = fmt.Errorf("core: engine cannot interpret kind %v", tx.Kind)
 		return txnOut{resp: resp}
 	}
+}
+
+// rangeTuples collects a range transaction's matches. It is its own
+// function so that the visitor closure captures a local here rather than
+// applyToRelation's response, which would then escape on every call —
+// point reads and writes included.
+func rangeTuples(ctx *eval.Ctx, tx Transaction, rel relation.Relation) []value.Tuple {
+	var out []value.Tuple
+	rel.Range(ctx, tx.Lo, tx.Hi, trace.None, func(tu value.Tuple) {
+		out = append(out, tu)
+	})
+	return out
 }
 
 // spawnCustom starts the future for a custom body with declared read and
@@ -461,9 +497,9 @@ func applyToRelation(ctx *eval.Ctx, tx Transaction, rel relation.Relation) txnOu
 func (e *Engine) spawnCustom(p Plan) *lenient.Cell[txnOut] {
 	ctx := e.ctx()
 	tx, touched, ins, version := p.tx, p.touched, p.ins, p.snap.version
-	e.wg.Add(1)
+	gen := e.bodies.join()
 	return lenient.Spawn(func() (o txnOut) {
-		defer e.wg.Done()
+		defer gen.Done()
 		defer func() {
 			if r := recover(); r != nil {
 				o = txnOut{resp: Response{
@@ -492,9 +528,58 @@ func (e *Engine) spawnCustom(p Plan) *lenient.Cell[txnOut] {
 	})
 }
 
-// Barrier blocks until every submitted transaction body has finished,
-// including any pending post-commit observer notifications.
-func (e *Engine) Barrier() { e.wg.Wait() }
+// Barrier blocks until every transaction submitted before the call has
+// finished, including its post-commit observer notifications. It is safe
+// to call while other goroutines submit; their transactions may or may not
+// be covered, and they cannot hold it up.
+func (e *Engine) Barrier() {
+	// Every Submit that has returned published a version at or below this
+	// one, and observers run in version order.
+	published := e.snap.Load().version
+	e.bodies.wait()
+	if len(e.observers) > 0 {
+		e.seqMu.Lock()
+		for e.notified < published {
+			e.caughtUp.Wait()
+		}
+		e.seqMu.Unlock()
+	}
+}
+
+// inflight tracks spawned transaction bodies by generation: a body joins
+// the current generation, and wait closes that generation before waiting
+// for it, so Barrier on one goroutine never races Submit on another over
+// one WaitGroup (whose Add from zero may not overlap Wait) and never waits
+// on bodies spawned after it was called.
+type inflight struct {
+	waitMu sync.Mutex      // one wait at a time, so earlier generations are empty
+	mu     sync.Mutex      // guards cur
+	cur    *sync.WaitGroup // the generation a new body joins
+}
+
+// join counts one body into the current generation; the body calls Done on
+// the result when it finishes.
+func (f *inflight) join() *sync.WaitGroup {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if f.cur == nil {
+		f.cur = new(sync.WaitGroup)
+	}
+	f.cur.Add(1)
+	return f.cur
+}
+
+func (f *inflight) wait() {
+	f.waitMu.Lock()
+	defer f.waitMu.Unlock()
+	f.mu.Lock()
+	gen := f.cur
+	f.cur = nil
+	f.mu.Unlock()
+	if gen != nil {
+		gen.Wait()
+	}
+}
 
 // Current materializes the present database version, forcing every
 // relation cell (a full barrier on the version stream). It is lock-free:

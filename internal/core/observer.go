@@ -7,9 +7,9 @@ import (
 
 // Commit describes one committed write transaction: the transaction, its
 // response, and the database version it produced. Observers receive commits
-// in engine sequence order, after the write's own future has resolved, on a
-// notification chain that rides the lenient pipeline — unlike a Force in
-// Submit, an observer never delays the merge or the transactions behind it.
+// in engine sequence order, after the write's own response has resolved, on
+// the engine's notifier goroutine — unlike a Force in Submit, an observer
+// never delays the merge or the transactions behind it.
 type Commit struct {
 	// Seq is the engine's version number after this commit (the value
 	// Database.Version() reports for the resulting version).
@@ -19,27 +19,35 @@ type Commit struct {
 	// Resp is the transaction's response.
 	Resp Response
 
-	version *lenient.Cell[*database.Database]
+	// The version this commit produced: the engine's published snapshot,
+	// or the thunk NewCommit was given.
+	snap    *snapshot
+	version func() *database.Database
 }
 
 // Version materializes the database version this commit produced. The
 // version is captured structurally at merge time (a snapshot of the
 // per-relation cells), so it is exact even if later transactions have
-// already been merged behind this one; forcing it blocks only on the cells
-// this version depends on.
-func (c Commit) Version() *database.Database { return c.version.Force() }
+// already been merged behind this one; materializing it blocks only on the
+// cells this version depends on. Nothing is built until an observer asks.
+func (c Commit) Version() *database.Database {
+	if c.snap != nil {
+		return c.snap.materialize()
+	}
+	return c.version()
+}
 
 // NewCommit assembles a Commit from explicit parts: for tests, and for
 // feeding commit consumers (an archive, a history) outside an engine —
 // e.g. bulk imports that bypass transaction processing.
 func NewCommit(seq int64, tx Transaction, resp Response, version func() *database.Database) Commit {
-	return Commit{Seq: seq, Tx: tx, Resp: resp, version: lenient.Lazy(version)}
+	return Commit{Seq: seq, Tx: tx, Resp: resp, version: version}
 }
 
 // CommitObserver is a post-commit hook. Observers run sequentially (in
-// commit order) on the engine's notification goroutine chain; a slow
-// observer delays later notifications, never the transaction pipeline
-// itself. Barrier waits for all pending notifications.
+// commit order) on the engine's notifier goroutine; a slow observer delays
+// later notifications, never the transaction pipeline itself. Barrier
+// waits for all pending notifications.
 type CommitObserver func(Commit)
 
 // WithCommitObserver registers a post-commit observer on the engine. It is
@@ -49,10 +57,9 @@ func WithCommitObserver(fn CommitObserver) EngineOption {
 	return func(e *Engine) { e.observers = append(e.observers, fn) }
 }
 
-// pendingCommit is one published write waiting its turn in the observer
-// sequence: lanes publish versions in CAS order, but the goroutines racing
-// through notifyCommit may arrive out of order, so commits park here until
-// every earlier version has been chained.
+// pendingCommit is one published write waiting for its observers: parked
+// while an earlier version has not reached the sequencer yet, then queued
+// for the notifier.
 type pendingCommit struct {
 	tx   Transaction
 	resp *lenient.Cell[Response]
@@ -65,55 +72,81 @@ type pendingCommit struct {
 // a capture of cell pointers, O(relations) regardless of size — even if
 // later transactions are published behind it before the notification runs.
 //
-// Lane commits are re-serialized here: versions are dense (publish hands
-// out cur.version+1 on every successful CAS), so the sequencer releases
-// version v to the notification chain only once versions up to v-1 have
-// been chained. Observers therefore see the one total version order no
-// matter how many lanes produced it — the archive's group commit and the
-// store's history depend on that.
+// Lane commits are re-serialized here: lanes publish versions in CAS
+// order, but the goroutines racing through this function may arrive out of
+// order. Versions are dense (publish hands out cur.version+1 on every
+// successful CAS), so the sequencer queues version v only once versions up
+// to v-1 have been queued. Observers therefore see the one total version
+// order no matter how many lanes produced it — the archive's group commit
+// and the store's history depend on that.
+//
+// The queue is drained by at most one notifier goroutine, started here when
+// the queue goes non-empty with none running. Enqueueing and the notifier's
+// decision to exit happen under seqMu, so a commit is never left queued
+// with nobody to deliver it, and an idle engine has no goroutine at all.
 func (e *Engine) notifyCommit(tx Transaction, resp *lenient.Cell[Response], s *snapshot) {
 	if len(e.observers) == 0 {
 		return
 	}
-	// Account for this commit's notification before Submit returns, so a
-	// Barrier after the submitting call covers it even while the commit is
-	// parked behind a neighbor lane's in-flight publication.
-	e.wg.Add(1)
-
+	pc := pendingCommit{tx: tx, resp: resp, snap: s}
 	e.seqMu.Lock()
 	defer e.seqMu.Unlock()
-	if e.parked == nil {
-		e.parked = make(map[int64]pendingCommit)
+	if s.version != e.seqNext {
+		if e.parked == nil {
+			e.parked = make(map[int64]pendingCommit)
+		}
+		e.parked[s.version] = pc
+		return
 	}
-	e.parked[s.version] = pendingCommit{tx: tx, resp: resp, snap: s}
+	e.queue = append(e.queue, pc)
+	e.seqNext++
 	for {
-		pc, ok := e.parked[e.seqNext]
+		next, ok := e.parked[e.seqNext]
 		if !ok {
-			return
+			break
 		}
 		delete(e.parked, e.seqNext)
+		e.queue = append(e.queue, next)
 		e.seqNext++
-		e.chainNotifyLocked(pc)
+	}
+	if !e.notifying {
+		e.notifying = true
+		go e.notifyLoop()
 	}
 }
 
-// chainNotifyLocked appends one commit to the notification chain. Must
-// hold e.seqMu; called in version order by the sequencer loop above. The
-// chain rides the lenient pipeline: each link forces its predecessor, then
-// the commit's own response, then runs the observers — a slow observer
-// delays later notifications, never the transaction pipeline.
-func (e *Engine) chainNotifyLocked(pc pendingCommit) {
-	version := lenient.Lazy(pc.snap.materialize)
-	prev := e.notifyTail
-	e.notifyTail = lenient.Spawn(func() struct{} {
-		defer e.wg.Done()
-		if prev != nil {
-			prev.Force()
+// maxSpareCommits bounds the drained batch the notifier keeps for reuse, so
+// a burst queued behind a stalled observer does not pin its buffer forever.
+const maxSpareCommits = 1024
+
+// notifyLoop is the notifier: it takes the whole queue, runs the observers
+// over it in order outside the lock — forcing each commit's response first,
+// which is where it waits for a spawned body — and exits when it finds the
+// queue empty.
+func (e *Engine) notifyLoop() {
+	e.seqMu.Lock()
+	for len(e.queue) > 0 {
+		batch := e.queue
+		e.queue, e.spare = e.spare[:0], nil
+		e.seqMu.Unlock()
+
+		for i := range batch {
+			pc := &batch[i]
+			c := Commit{Seq: pc.snap.version, Tx: pc.tx, Resp: pc.resp.Force(), snap: pc.snap}
+			for _, ob := range e.observers {
+				ob(c)
+			}
 		}
-		c := Commit{Seq: pc.snap.version, Tx: pc.tx, Resp: pc.resp.Force(), version: version}
-		for _, ob := range e.observers {
-			ob(c)
+		last := batch[len(batch)-1].snap.version
+		clear(batch) // drop the versions and tuples the batch pinned
+
+		e.seqMu.Lock()
+		if cap(batch) <= maxSpareCommits {
+			e.spare = batch
 		}
-		return struct{}{}
-	})
+		e.notified = last
+		e.caughtUp.Broadcast()
+	}
+	e.notifying = false
+	e.seqMu.Unlock()
 }

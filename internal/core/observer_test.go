@@ -194,13 +194,13 @@ func TestObserverDoesNotBlockPipeline(t *testing.T) {
 	}
 }
 
-// TestNoObserverNoOverhead: without observers the engine must not spawn
-// notification goroutines (notifyTail stays nil).
+// TestNoObserverNoOverhead: without observers the engine must not queue
+// commits or start a notifier.
 func TestNoObserverNoOverhead(t *testing.T) {
 	e := NewEngine(database.New(relation.RepList, "R"))
 	e.Submit(Insert("R", value.NewTuple(value.Int(1))))
 	e.Barrier()
-	if e.notifyTail != nil {
-		t.Error("notification chain grew without observers")
+	if !notifierIdle(e) {
+		t.Error("notification state grew without observers")
 	}
 }

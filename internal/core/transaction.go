@@ -17,10 +17,11 @@
 //   - ApplyStreamTraced interprets it while recording the unit-task
 //     dataflow DAG (internal/trace), reproducing the paper's Rediflow
 //     simulations (Tables I-III).
-//   - Engine executes it with real goroutine-backed lenient cells
-//     (internal/lenient): each transaction is a spawned future over
-//     per-relation futures, so independent transactions genuinely run in
-//     parallel and conflicting ones pipeline — with no locks in user code,
+//   - Engine executes it over real lenient cells (internal/lenient): each
+//     transaction is a function of per-relation cells — evaluated by its
+//     submitter when its inputs are already values, a spawned future
+//     otherwise — so independent transactions genuinely run in parallel
+//     and conflicting ones pipeline — with no locks in user code,
 //     Section 2.3's claim made operational.
 package core
 

@@ -132,7 +132,10 @@ func (o *avlOp) mk(tu value.Tuple, l, r *avlNode) *avlNode {
 	if hr := height(r); hr > h {
 		h = hr
 	}
-	deps := []trace.TaskID{o.step}
+	// A fixed array keeps the dependency list on the stack: one is built
+	// per node, and an untraced update must not pay a heap slice for it.
+	var buf [3]trace.TaskID
+	deps := append(buf[:0], o.step)
 	if l != nil {
 		deps = append(deps, l.task)
 	}

@@ -153,13 +153,17 @@ func (o *pagedOp) visit(p *page) {
 }
 
 func (o *pagedOp) build(p *page) *page {
-	deps := []trace.TaskID{o.step}
-	for _, k := range p.kids {
-		if k != nil && k.task != trace.None {
-			deps = append(deps, k.task)
+	// A page has as many children as its capacity allows, so the
+	// dependency list is a heap slice: build it only for a tracer.
+	if o.ctx != nil && o.ctx.Graph != nil {
+		deps := []trace.TaskID{o.step}
+		for _, k := range p.kids {
+			if k != nil && k.task != trace.None {
+				deps = append(deps, k.task)
+			}
 		}
+		p.task = o.ctx.Task(trace.KindConstruct, deps...)
 	}
-	p.task = o.ctx.Task(trace.KindConstruct, deps...)
 	o.step = p.task
 	o.created++
 	o.ctx.Created(1)

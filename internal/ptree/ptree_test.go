@@ -645,3 +645,32 @@ func TestPropertyTreePersistenceUnderRandomOps(t *testing.T) {
 		})
 	}
 }
+
+// TestAVLInsertAllocGate: an untraced insert allocates the nodes it
+// path-copies (plus at most the update's own bookkeeping), not a
+// trace-dependency slice per node for a tracer that is not there.
+func TestAVLInsertAllocGate(t *testing.T) {
+	tuples := make([]value.Tuple, 2000)
+	for i := range tuples {
+		tuples[i] = tup(int64(i))
+	}
+	tree := AVLFromTuples(tuples)
+	stats := &eval.Stats{}
+	counting := &eval.Ctx{Stats: stats}
+	key := 0
+	for _, ctx := range []*eval.Ctx{nil, counting} {
+		const runs = 500
+		before := stats.Created.Load()
+		allocs := testing.AllocsPerRun(runs, func() {
+			key = (key + 617) % len(tuples)
+			tree.Insert(ctx, tuples[key], trace.None)
+		})
+		nodes := float64(stats.Created.Load()-before) / (runs + 1) // + AllocsPerRun's warm-up call
+		if ctx == nil {
+			nodes = float64(tree.Height()) // an upsert copies at most the search path
+		}
+		if allocs > nodes+1 {
+			t.Errorf("AVL.Insert = %.1f allocs for %.1f nodes created, want <= nodes+1", allocs, nodes)
+		}
+	}
+}

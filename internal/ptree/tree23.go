@@ -83,7 +83,8 @@ func (o *t23op) mk3(tu1, tu2 value.Tuple, l, m, r *t23) *t23 {
 }
 
 func (o *t23op) build(n *t23) *t23 {
-	deps := []trace.TaskID{o.step}
+	var buf [4]trace.TaskID // on the stack: see avlOp.mk
+	deps := append(buf[:0], o.step)
 	for _, k := range n.kids {
 		if k != nil {
 			deps = append(deps, k.task)

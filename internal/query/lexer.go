@@ -92,9 +92,10 @@ func (e *SyntaxError) Error() string {
 	return fmt.Sprintf("query: %s at position %d in %q", e.Msg, e.Pos, e.Query)
 }
 
-// lex tokenizes a query string.
-func lex(src string) ([]token, error) {
-	var toks []token
+// lex tokenizes a query string, appending the tokens to toks: the caller
+// hands in a buffer sized for a typical statement so that lexing one does
+// not grow a slice token by token.
+func lex(src string, toks []token) ([]token, error) {
 	i := 0
 	for i < len(src) {
 		c := src[i]
@@ -114,24 +115,29 @@ func lex(src string) ([]token, error) {
 			toks = append(toks, token{kind: tokParam, pos: i})
 			i++
 		case c == '"':
+			// A literal without escapes is a slice of the source; the
+			// first backslash switches to building the unescaped text.
 			j := i + 1
-			var b strings.Builder
-			for {
-				if j >= len(src) {
-					return nil, &SyntaxError{Query: src, Pos: i, Msg: "unterminated string literal"}
-				}
-				if src[j] == '\\' && j+1 < len(src) {
-					b.WriteByte(src[j+1])
-					j += 2
-					continue
-				}
-				if src[j] == '"' {
-					break
-				}
-				b.WriteByte(src[j])
+			for j < len(src) && src[j] != '"' && src[j] != '\\' {
 				j++
 			}
-			toks = append(toks, token{kind: tokString, text: b.String(), pos: i})
+			text := src[i+1 : j]
+			if j < len(src) && src[j] == '\\' {
+				var b strings.Builder
+				b.WriteString(text)
+				for j < len(src) && src[j] != '"' {
+					if src[j] == '\\' && j+1 < len(src) {
+						j++
+					}
+					b.WriteByte(src[j])
+					j++
+				}
+				text = b.String()
+			}
+			if j >= len(src) {
+				return nil, &SyntaxError{Query: src, Pos: i, Msg: "unterminated string literal"}
+			}
+			toks = append(toks, token{kind: tokString, text: text, pos: i})
 			i = j + 1
 		case c == '-' || (c >= '0' && c <= '9'):
 			j := i

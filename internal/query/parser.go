@@ -154,7 +154,8 @@ func Translate(src string) (core.Transaction, error) {
 // translate is the shared parse: with prep nil it is the plain Translate;
 // with prep non-nil it builds a prepared statement, recording '?' slots.
 func translate(src string, prep *Prepared) (core.Transaction, error) {
-	toks, err := lex(src)
+	var buf [16]token // on the stack; a longer statement grows onto the heap
+	toks, err := lex(src, buf[:0])
 	if err != nil {
 		return core.Transaction{}, err
 	}

@@ -192,9 +192,45 @@ func TestMoreParseErrors(t *testing.T) {
 }
 
 func TestStringEscapes(t *testing.T) {
-	tx := MustTranslate(`insert (1, "a\"b\\c") into R`)
-	if got := tx.Tuple.Field(1).AsString(); got != `a"b\c` {
-		t.Errorf("escaped string = %q", got)
+	for src, want := range map[string]string{
+		`insert (1, "a\"b\\c") into R`: `a"b\c`,
+		`insert (1, "plain") into R`:   `plain`, // no escape: a slice of the source
+		`insert (1, "") into R`:        ``,
+		`insert (1, "\"") into R`:      `"`,
+		`insert (1, "tail\\") into R`:  `tail\`,
+		`insert (1, "\a\b") into R`:    `ab`, // a backslash quotes any byte
+	} {
+		tx, err := Translate(src)
+		if err != nil {
+			t.Errorf("%s: %v", src, err)
+			continue
+		}
+		if got := tx.Tuple.Field(1).AsString(); got != want {
+			t.Errorf("%s: string = %q, want %q", src, got, want)
+		}
+	}
+	// A backslash as the last byte quotes nothing and leaves the literal
+	// open; so does an escaped closing quote.
+	for _, src := range []string{`insert "x\`, `insert "x\" into R`} {
+		var syn *SyntaxError
+		if _, err := Translate(src); !errors.As(err, &syn) || syn.Pos != 7 || syn.Msg != "unterminated string literal" {
+			t.Errorf("%s: err = %v, want unterminated string literal at 7", src, err)
+		}
+	}
+}
+
+// TestTranslateAllocGate: parsing a statement allocates for what the
+// transaction keeps — the item slice, the tuple — not per token or per
+// literal byte.
+func TestTranslateAllocGate(t *testing.T) {
+	src := `insert (123, "` + strings.Repeat("x", 64) + `") into r3`
+	allocs := testing.AllocsPerRun(1000, func() {
+		if _, err := Translate(src); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 8 {
+		t.Errorf("Translate(%q) = %.1f allocs, want <= 8", src, allocs)
 	}
 }
 
