@@ -548,6 +548,11 @@ func (st *Stmt) ExecBatch(argSets ...[]Item) ([]Response, error) {
 // Current materializes the store's present database version.
 func (s *Store) Current() *Database { return s.engine.Current() }
 
+// Version reads the present version number without materializing the
+// database: one lock-free load, for callers (the cluster's ack gate and
+// heartbeats) that only need to know how far the store has got.
+func (s *Store) Version() int64 { return s.engine.Version() }
+
 // Lanes returns the number of admission lanes the store's engine shards
 // its merge point into (see WithLanes).
 func (s *Store) Lanes() int { return s.engine.Lanes() }
@@ -820,6 +825,10 @@ func OpenClusterNode(cfg ClusterNodeConfig) (*ClusterNode, error) {
 	owned := cluster.OwnedRelations(cfg.Relations, cfg.ID, len(cfg.Nodes))
 	opts := []Option{
 		WithRelations(owned...),
+		// A fresh node's relations are trees, so a replicated write copies
+		// one O(log n) path per copy. An existing archive overrides this:
+		// relations reopen in the representation they were written with.
+		WithRepresentation(RepAVL),
 		WithOrigin(fmt.Sprintf("node%d", cfg.ID)),
 		WithDurability(cfg.Dir, cfg.Durability...),
 	}

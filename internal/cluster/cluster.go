@@ -65,6 +65,9 @@ type LocalStore interface {
 	Barrier()
 	// DurabilityErr reports the sticky durability failure, if any.
 	DurabilityErr() error
+	// Version reads the store's present version number: one atomic load,
+	// where Current builds a whole database to be asked the same thing.
+	Version() int64
 	// Current materializes the store's present version.
 	Current() *database.Database
 	// SubscribeLog streams the committed-transaction log (the archive's

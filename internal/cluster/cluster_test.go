@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"errors"
+	"sync/atomic"
 	"testing"
 
 	"funcdb/internal/core"
@@ -11,14 +12,18 @@ import (
 	"funcdb/internal/value"
 )
 
-// fakeStore is a minimal LocalStore: a bare engine, recording batches.
+// fakeStore is a minimal LocalStore: a bare engine, recording batches and
+// counting materializations.
 type fakeStore struct {
-	eng     *core.Engine
-	batches [][]core.Transaction
+	eng      *core.Engine
+	batches  [][]core.Transaction
+	currents atomic.Int64 // Current() calls
 }
 
+// newFakeStore holds its relations as a fresh node's store does (AVL), so
+// the unit tests run on what production runs on.
 func newFakeStore(rels ...string) *fakeStore {
-	return &fakeStore{eng: core.NewEngine(database.New(relation.RepList, rels...))}
+	return &fakeStore{eng: core.NewEngine(database.New(relation.RepAVL, rels...))}
 }
 
 func (f *fakeStore) SubmitTagged(txs []core.Transaction) []*session.Future {
@@ -27,11 +32,15 @@ func (f *fakeStore) SubmitTagged(txs []core.Transaction) []*session.Future {
 	f.batches = append(f.batches, cp)
 	return f.eng.SubmitBatch(txs)
 }
-func (f *fakeStore) Lanes() int                  { return 1 }
-func (f *fakeStore) Durable() bool               { return false }
-func (f *fakeStore) Barrier()                    { f.eng.Barrier() }
-func (f *fakeStore) DurabilityErr() error        { return nil }
-func (f *fakeStore) Current() *database.Database { return f.eng.Current() }
+func (f *fakeStore) Lanes() int           { return 1 }
+func (f *fakeStore) Durable() bool        { return false }
+func (f *fakeStore) Barrier()             { f.eng.Barrier() }
+func (f *fakeStore) DurabilityErr() error { return nil }
+func (f *fakeStore) Version() int64       { return f.eng.Version() }
+func (f *fakeStore) Current() *database.Database {
+	f.currents.Add(1)
+	return f.eng.Current()
+}
 func (f *fakeStore) SubscribeLog(int64, func(int64, []byte)) (func(), error) {
 	return nil, errors.New("fake store has no log")
 }

@@ -25,11 +25,45 @@ type testCluster struct {
 	nodes []*funcdb.ClusterNode
 }
 
-// startCluster binds n listeners first (so every node knows the full
-// membership), then opens and serves the nodes. Each node's archive
-// lives in its own temp directory.
+// startCluster is startClusterIn on n fresh temp directories.
 func startCluster(t testing.TB, n int, relations []string) *testCluster {
 	t.Helper()
+	dirs := make([]string, n)
+	for i := range dirs {
+		dirs[i] = t.TempDir()
+	}
+	return startClusterIn(t, dirs, relations)
+}
+
+// listArchives returns n archive directories, each already holding node
+// i's owned relations empty and list-backed at version 0. A node opened
+// on one serves lists: the representation is the archive's, not the
+// node's.
+func listArchives(t testing.TB, n int, relations []string) []string {
+	t.Helper()
+	dirs := make([]string, n)
+	for i := range dirs {
+		dirs[i] = t.TempDir()
+		st, err := funcdb.Open(
+			funcdb.WithRelations(cluster.OwnedRelations(relations, i, n)...),
+			funcdb.WithRepresentation(funcdb.RepList),
+			funcdb.WithDurability(dirs[i]))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := st.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return dirs
+}
+
+// startClusterIn binds one listener per directory first (so every node
+// knows the full membership), then opens and serves the nodes, node i on
+// the archive in dirs[i] (created if the directory is empty).
+func startClusterIn(t testing.TB, dirs []string, relations []string) *testCluster {
+	t.Helper()
+	n := len(dirs)
 	lns := make([]net.Listener, n)
 	addrs := make([]string, n)
 	for i := range lns {
@@ -46,7 +80,7 @@ func startCluster(t testing.TB, n int, relations []string) *testCluster {
 			ID:        i,
 			Nodes:     addrs,
 			Listener:  lns[i],
-			Dir:       t.TempDir(),
+			Dir:       dirs[i],
 			Relations: relations,
 			Durability: []funcdb.DurabilityOption{
 				funcdb.GroupCommit(2 * time.Millisecond),
@@ -239,7 +273,21 @@ func compareRuns(t *testing.T, queries, want, got []string) {
 // real-TCP cluster — responses must render byte-identically and the
 // merged final databases must be equal. The cluster client is given the
 // full membership, so it routes every statement straight to its owner.
+//
+// The cluster run happens twice: on fresh nodes (AVL primaries), and on
+// nodes opened over list-written archives — the one list-backed cell, the
+// shape the paper's own experiments ran on, mirrored into AVL trees.
+// Placement, replication and the log know nothing of the shape, so beyond
+// both matching the oracle the two clusters must end on the same log
+// sequence number node by node.
 func TestClusterEquivalence(t *testing.T) {
+	cells := []struct {
+		name string
+		want funcdb.Rep // what the primaries' schema relations must report
+	}{
+		{"avl", funcdb.RepAVL},
+		{"list", funcdb.RepList},
+	}
 	for seed := int64(1); seed <= 4; seed++ {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
@@ -247,21 +295,45 @@ func TestClusterEquivalence(t *testing.T) {
 			queries := seededQueries(r, 120+r.Intn(60), clusterRels, true)
 			want, wantState := referenceRun(t, queries, seed*7)
 
-			tc := startCluster(t, 3, clusterRels)
-			cc, err := client.DialCluster(tc.addrs, client.WithClusterOrigin("c0"))
-			if err != nil {
-				t.Fatal(err)
+			var seqs [][]int64 // per cell, per node
+			for _, cell := range cells {
+				var tc *testCluster
+				if cell.want == funcdb.RepList {
+					tc = startClusterIn(t, listArchives(t, 3, clusterRels), clusterRels)
+				} else {
+					tc = startCluster(t, 3, clusterRels)
+				}
+				cc, err := client.DialCluster(tc.addrs, client.WithClusterOrigin("c0"))
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := runChunked(cc, queries, seed*7)
+				cc.Close()
+				if err != nil {
+					t.Fatalf("%s: %v", cell.name, err)
+				}
+				compareRuns(t, queries, want, got)
+				nodeSeqs := make([]int64, len(tc.nodes))
+				for i, n := range tc.nodes {
+					n.Store().Barrier()
+					nodeSeqs[i] = n.Store().Version()
+					cur := n.Store().Current()
+					for _, name := range clusterRels {
+						if rel, ok := cur.RelationFast(name); ok && rel.Rep() != cell.want {
+							t.Fatalf("%s: node %d holds %q as %v, want %v", cell.name, i, name, rel.Rep(), cell.want)
+						}
+					}
+				}
+				seqs = append(seqs, nodeSeqs)
+				diffContents(t, wantState, tc.merged(t))
+				tc.shutdown()
 			}
-			defer cc.Close()
-			got, err := runChunked(cc, queries, seed*7)
-			if err != nil {
-				t.Fatal(err)
+			for i := range seqs[0] {
+				if seqs[0][i] != seqs[1][i] {
+					t.Fatalf("node %d ended at log sequence %d on %s but %d on %s",
+						i, seqs[0][i], cells[0].name, seqs[1][i], cells[1].name)
+				}
 			}
-			compareRuns(t, queries, want, got)
-			for _, n := range tc.nodes {
-				n.Store().Barrier()
-			}
-			diffContents(t, wantState, tc.merged(t))
 		})
 	}
 }

@@ -234,10 +234,10 @@ func (f *failover) viewLocked() wire.Heartbeat {
 	for s := 0; s < size; s++ {
 		switch {
 		case s == n.id && !f.demoted:
-			hb.Applied[s] = n.store.Current().Version()
+			hb.Applied[s] = n.store.Version()
 		case f.owners[s] == n.id && s != n.id:
 			if st := f.takeovers[s]; st != nil {
-				hb.Applied[s] = st.Current().Version()
+				hb.Applied[s] = st.Version()
 			}
 		default:
 			if m := n.mirrorRef(s); m != nil {
@@ -532,7 +532,7 @@ func (f *failover) gated(slot int, st LocalStore, fut *session.Future) *session.
 		}
 		// The store's current version bounds this write's commit sequence
 		// from above: waiting for it is conservative and monotone.
-		v := st.Current().Version()
+		v := st.Version()
 		if err := f.waitReplicated(slot, v); err != nil {
 			r.Err = err
 		}
@@ -830,7 +830,7 @@ func (n *Node) heartbeatAge(peerIdx int) (ageMs float64, lag int64) {
 	if f.haveView[peerIdx] {
 		v := f.views[peerIdx]
 		if n.id < len(v.Applied) {
-			own := n.store.Current().Version()
+			own := n.store.Version()
 			if l := own - v.Applied[n.id]; l >= 0 {
 				lag = l
 			}

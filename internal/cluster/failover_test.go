@@ -11,6 +11,7 @@ import (
 	"net"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"strings"
 	"syscall"
 	"testing"
@@ -18,6 +19,7 @@ import (
 
 	"funcdb"
 	"funcdb/client"
+	"funcdb/internal/archive"
 	"funcdb/internal/cluster"
 )
 
@@ -25,8 +27,9 @@ import (
 type foOpts struct {
 	n     int
 	lanes int
-	hb    time.Duration          // heartbeat (lease = 4x); 0 = 40ms
+	hb    time.Duration           // heartbeat (lease = 4x); 0 = 40ms
 	ft    *cluster.FaultTransport // optional fault injector on peer links
+	dirs  []string                // archive directory per node; nil = fresh temp dirs
 }
 
 // startFailoverCluster is startCluster with leases, promotion, and epoch
@@ -47,10 +50,16 @@ func startFailoverCluster(t testing.TB, o foOpts) *testCluster {
 		lns[i] = ln
 		addrs[i] = ln.Addr().String()
 	}
+	if o.dirs == nil {
+		o.dirs = make([]string, o.n)
+		for i := range o.dirs {
+			o.dirs[i] = t.TempDir()
+		}
+	}
 	tc := &testCluster{addrs: addrs, nodes: make([]*funcdb.ClusterNode, o.n)}
 	for i := range lns {
 		cfg := funcdb.ClusterNodeConfig{
-			ID: i, Nodes: addrs, Listener: lns[i], Dir: t.TempDir(),
+			ID: i, Nodes: addrs, Listener: lns[i], Dir: o.dirs[i],
 			Relations: clusterRels, Lanes: o.lanes,
 			Failover: &cluster.FailoverConfig{Heartbeat: o.hb},
 			Durability: []funcdb.DurabilityOption{
@@ -126,6 +135,22 @@ func servingCount(tc *testCluster, ids []int, slot int) int {
 	return n
 }
 
+// takeoverRep reads the representation a takeover store holds rel in,
+// from the snapshot its archive was created with (the promoted mirror's
+// database): nodeDir is the winner's archive directory.
+func takeoverRep(t *testing.T, nodeDir string, slot int, epoch uint64, rel string) funcdb.Rep {
+	t.Helper()
+	db, err := archive.Recover(filepath.Join(nodeDir, fmt.Sprintf("takeover-%d-e%d", slot, epoch)))
+	if err != nil {
+		t.Fatalf("takeover archive for slot %d epoch %d: %v", slot, epoch, err)
+	}
+	r, ok := db.RelationFast(rel)
+	if !ok {
+		t.Fatalf("takeover store for slot %d has no relation %q", slot, rel)
+	}
+	return r.Rep()
+}
+
 // TestFailoverKillPrimary is the headline: a real subprocess primary is
 // SIGKILLed mid-workload. The cluster must resume acking that
 // relation's writes (a mirror self-promotes), zero acked commits may be
@@ -148,9 +173,10 @@ func TestFailoverKillPrimary(t *testing.T) {
 	lns[2].Close() // the subprocess rebinds this port
 
 	tc := &testCluster{addrs: addrs, nodes: make([]*funcdb.ClusterNode, 3)}
+	dirs := []string{t.TempDir(), t.TempDir()}
 	for i := 0; i < 2; i++ {
 		node, err := funcdb.OpenClusterNode(funcdb.ClusterNodeConfig{
-			ID: i, Nodes: addrs, Listener: lns[i], Dir: t.TempDir(),
+			ID: i, Nodes: addrs, Listener: lns[i], Dir: dirs[i],
 			Relations: clusterRels,
 			Failover:  &cluster.FailoverConfig{Heartbeat: 50 * time.Millisecond},
 			Durability: []funcdb.DurabilityOption{
@@ -233,6 +259,11 @@ func TestFailoverKillPrimary(t *testing.T) {
 		t.Fatalf("promotion left epoch 0")
 	}
 	t.Logf("slot %d promoted to node %d in epoch %d", slot, winner, epoch)
+	// The takeover store is the winner's mirror promoted, so it holds the
+	// relation in the mirror's shape: the default, AVL.
+	if rep := takeoverRep(t, dirs[winner], slot, epoch, rel); rep != funcdb.RepAVL {
+		t.Fatalf("takeover store holds %q as %v, want %v", rel, rep, funcdb.RepAVL)
+	}
 
 	// Zero acked commits lost: every insert is readable from the winner.
 	for i := 0; i < total; i++ {
@@ -278,6 +309,115 @@ func TestFailoverKillPrimary(t *testing.T) {
 			t.Fatalf("restarted primary never converged to the winner's contents (last err %v)", err)
 		}
 		time.Sleep(25 * time.Millisecond)
+	}
+}
+
+// TestMixedRepresentationRestart: the representation is data, not a mode
+// of the cluster. An archive written by a list-backed store is opened as
+// a cluster node beside two fresh peers: the node keeps serving lists
+// (the snapshot says so), its peers mirror the same log into AVL trees,
+// replica reads off those mirrors agree with the primary, and when the
+// list-backed node dies the promoted mirror — an AVL takeover store —
+// answers with exactly what it held.
+func TestMixedRepresentationRestart(t *testing.T) {
+	if testing.Short() {
+		t.Skip("lease-timing test")
+	}
+	const old = 2 // the node whose archive predates the cluster
+	owned := cluster.OwnedRelations(clusterRels, old, 3)
+	if len(owned) == 0 {
+		t.Fatalf("node %d owns none of %v", old, clusterRels)
+	}
+	rel := owned[0]
+	slot := cluster.OwnerIndex(rel, 3)
+
+	// Generation 1: a list-backed store writes the archive, then closes.
+	oldDir := t.TempDir()
+	gen1, err := funcdb.Open(
+		funcdb.WithRelations(owned...),
+		funcdb.WithRepresentation(funcdb.RepList),
+		funcdb.WithDurability(oldDir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 40; i++ {
+		if resp, err := gen1.Exec(fmt.Sprintf("insert (%d, \"g1-%d\") into %s", i, i, rel)); err != nil || resp.Err != nil {
+			t.Fatalf("generation 1 insert %d: %v / %v", i, err, resp.Err)
+		}
+	}
+	if err := gen1.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// Generation 2: the same archive under the default config, two fresh
+	// peers.
+	dirs := []string{t.TempDir(), t.TempDir(), oldDir}
+	tc := startFailoverCluster(t, foOpts{n: 3, dirs: dirs})
+	scan := func(cc *client.ClusterClient, replica bool) string {
+		t.Helper()
+		exec := cc.Exec
+		if replica {
+			exec = cc.ExecReplica
+		}
+		resp, err := exec("scan " + rel)
+		if err != nil || resp.Err != nil {
+			t.Fatalf("scan %s (replica=%v): %v / %v", rel, replica, err, resp.Err)
+		}
+		out := make([]string, len(resp.Tuples))
+		for i, tu := range resp.Tuples {
+			out[i] = tu.String()
+		}
+		return strings.Join(out, " ")
+	}
+	cc, err := client.DialCluster(tc.addrs,
+		client.WithClusterOrigin("gen2"),
+		client.WithFailoverRetry(15*time.Second))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cc.Close()
+	for i := 40; i < 60; i++ {
+		if resp, err := cc.Exec(fmt.Sprintf("insert (%d, \"g2-%d\") into %s", i, i, rel)); err != nil || resp.Err != nil {
+			t.Fatalf("generation 2 insert %d: %v / %v", i, err, resp.Err)
+		}
+	}
+	store := tc.nodes[old].Store()
+	store.Barrier()
+	if r, _ := store.Current().RelationFast(rel); r == nil || r.Rep() != funcdb.RepList {
+		t.Fatalf("reopened node holds %q as %v, want the archive's %v", rel, r, funcdb.RepList)
+	}
+	primary := scan(cc, false)
+	if n := strings.Count(primary, "("); n != 60 {
+		t.Fatalf("primary holds %d tuples, want 60: %s", n, primary)
+	}
+	// The peers' mirrors replayed the whole log from sequence 0; once
+	// caught up, a replica read off node 0's mirror is the primary's scan.
+	deadline := time.Now().Add(10 * time.Second)
+	for tc.nodes[0].ReplicaVersion(old) != store.Version() || tc.nodes[1].ReplicaVersion(old) != store.Version() {
+		if time.Now().After(deadline) {
+			t.Fatalf("mirrors stuck at %d/%d, primary at %d",
+				tc.nodes[0].ReplicaVersion(old), tc.nodes[1].ReplicaVersion(old), store.Version())
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	viaMirror, err := client.DialCluster(tc.addrs[:1], client.WithClusterOrigin("gen2-replica"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer viaMirror.Close()
+	if got := scan(viaMirror, true); got != primary {
+		t.Fatalf("AVL mirror diverged from its list-backed primary:\n  primary: %s\n  mirror:  %s", primary, got)
+	}
+
+	// Kill the list-backed primary: a mirror is promoted, and the takeover
+	// store it becomes is AVL — with the same contents.
+	tc.nodes[old].Kill()
+	winner, epoch := waitPromoted(t, tc, []int{0, 1}, slot, old, 0)
+	if got := scan(cc, false); got != primary {
+		t.Fatalf("promoted mirror diverged:\n  before: %s\n  after:  %s", primary, got)
+	}
+	if rep := takeoverRep(t, dirs[winner], slot, epoch, rel); rep != funcdb.RepAVL {
+		t.Fatalf("takeover store holds %q as %v, want %v", rel, rep, funcdb.RepAVL)
 	}
 }
 

@@ -26,6 +26,17 @@ import (
 // empty, version 0) and applies exactly the peer's committed writes — so
 // a read planned against the mirror carries the precise primary version
 // it reflects: the client's staleness bound.
+//
+// The relations a mirror starts with are AVL trees: the paper ran its
+// experiments on linked lists "for simplicity" (Section 4) but argues in
+// Section 2.2 that with trees "all but a proportion (log n)/n of a
+// relation can be shared during updating", and a replicated write pays
+// that update once per copy. Nothing else here knows the shape, and it is
+// not a mode of the cluster. Relations that arrive as data — a create
+// record from the peer, the database a rejoin rewinds to — keep the
+// representation they were written with, so a mirror may hold a different
+// shape than its primary (a primary reopened from an archive written
+// list-backed stays list-backed; its peers' mirrors need not be).
 type mirror struct {
 	peer     int
 	eng      *core.Engine
@@ -45,7 +56,7 @@ type mirror struct {
 func newMirror(peerIdx int, ownedRels []string) *mirror {
 	return &mirror{
 		peer: peerIdx,
-		eng:  core.NewEngine(database.New(relation.RepList, ownedRels...)),
+		eng:  core.NewEngine(database.New(relation.RepAVL, ownedRels...)),
 	}
 }
 
@@ -245,6 +256,7 @@ func (n *Node) streamFrom(peerIdx int, m *mirror) error {
 	}
 	m.connects.Inc()
 	trRec := n.TraceRecorder()
+	var ack []byte // one SubAck payload, rewritten per applied record
 	// The LogRecord loop reuses the Reader's body buffer across records:
 	// DecodeTxnRecordTail copies everything it extracts, so the payload's
 	// next-read invalidation never escapes this loop.
@@ -324,7 +336,8 @@ func (n *Node) streamFrom(peerIdx int, m *mirror) error {
 			n.cache.InvalidateRel(tx.Rel)
 		}
 		if n.fo != nil {
-			if err := wire.WriteFrame(bw, wire.FrameSubAck, wire.AppendSubAck(nil, seq)); err != nil {
+			ack = wire.AppendSubAck(ack[:0], seq)
+			if err := wire.WriteFrame(bw, wire.FrameSubAck, ack); err != nil {
 				return err
 			}
 			if err := bw.Flush(); err != nil {

@@ -187,6 +187,27 @@ func (n *Network) Send(m Message) error {
 	}
 }
 
+// sendOffLoop is Send for a site's inbox loop, which must never block on
+// the medium: the router may at that moment be blocked pushing into this
+// very site's full inbox, and only the loop drains that inbox. A message
+// that does not fit right now is handed to a goroutine that waits instead.
+//
+// What this gives up: replies from one site are no longer FIFO (a waiting
+// goroutine can lose the race to a later direct send; callers match
+// replies by Corr, so nothing depends on the order), and the number of
+// waiting goroutines is bounded only by the number of requests in flight.
+// It covers dispatch's reply only: a handler that calls Site.Call or
+// Network.Send inline still blocks its loop on the medium and can rebuild
+// the cycle, which is why primarycopy's exec handler sends off-loop itself.
+func (n *Network) sendOffLoop(m Message) {
+	select {
+	case <-n.done:
+	case n.medium <- m:
+	default:
+		go func() { _ = n.Send(m) }()
+	}
+}
+
 // Inbox returns the chosen substream for a site.
 func (n *Network) Inbox(s SiteID) <-chan Message {
 	return n.inboxes[s]
@@ -290,7 +311,7 @@ func (s *Site) dispatch(m Message) {
 	}
 	result := h(s, m)
 	if result != nil && m.Corr != 0 {
-		_ = s.net.Send(Message{
+		s.net.sendOffLoop(Message{
 			Src: s.id, Dst: m.Src, Kind: "reply", Corr: m.Corr, Payload: result,
 		})
 	}

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"funcdb/internal/lenient"
 	"funcdb/internal/topo"
 )
 
@@ -271,4 +272,38 @@ func TestConcurrentCallers(t *testing.T) {
 		}
 	}
 	wg.Wait()
+}
+
+// TestInlineRepliesUnderFlood: a site flooded with calls whose handler
+// replies inline must keep draining its inbox. The router blocks on a full
+// inbox, so a site loop that blocked on the full medium in turn would close
+// a cycle nobody breaks; here the callers' site is the flooded site, so the
+// replies compete with the requests for the same inbox.
+func TestInlineRepliesUnderFlood(t *testing.T) {
+	n := NewNetwork(2)
+	defer n.Close()
+	s := NewSite(n, 0)
+	s.RegisterFunc("id", func(arg any) any { return arg })
+	go s.Run()
+	defer s.Stop()
+
+	const calls = 1000
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		replies := make([]*lenient.Cell[any], calls)
+		for i := range replies {
+			replies[i] = s.Call(0, "eval:id", i)
+		}
+		for i, r := range replies {
+			if got := r.Force(); got != i {
+				t.Errorf("id(%d) = %v", i, got)
+			}
+		}
+	}()
+	select {
+	case <-done:
+	case <-time.After(20 * time.Second):
+		t.Fatal("site loop and router deadlocked on each other's full queues")
+	}
 }
