@@ -300,15 +300,18 @@ func (c *Client) await(id uint64) (funcdb.Response, error) {
 	return a.resp, nil
 }
 
-// recv reads frames under the receive lock until id's reply arrives.
+// recv reads frames under the receive lock until id's reply arrives. The
+// awaited reply is returned as it is decoded; only replies to other ids —
+// pipelined requests answered ahead of the one awaited — go through the
+// got map, which boxes each one it holds.
 func (c *Client) recv(id uint64) (arrived, error) {
 	c.rmu.Lock()
 	defer c.rmu.Unlock()
+	if a, ok := c.got[id]; ok {
+		delete(c.got, id)
+		return a, nil
+	}
 	for {
-		if a, ok := c.got[id]; ok {
-			delete(c.got, id)
-			return a, nil
-		}
 		if err := c.sticky(); err != nil {
 			return arrived{}, err
 		}
@@ -316,53 +319,46 @@ func (c *Client) recv(id uint64) (arrived, error) {
 		if err != nil {
 			return arrived{}, c.fail(fmt.Errorf("client: recv: %w", err))
 		}
+		var (
+			rid uint64
+			a   arrived
+		)
 		switch typ {
 		case wire.FrameResponse:
-			rid, resp, derr := wire.DecodeSingleResponse(payload)
-			if derr != nil {
-				return arrived{}, c.fail(derr)
-			}
-			c.got[rid] = arrived{resp: resp, index: -1}
+			a.index = -1
+			rid, a.resp, err = wire.DecodeSingleResponse(payload)
 		case wire.FrameBatchResponse:
-			rid, resps, derr := wire.DecodeResponses(payload)
-			if derr != nil {
-				return arrived{}, c.fail(derr)
-			}
-			c.got[rid] = arrived{resps: resps, batch: true, index: -1}
+			a.index, a.batch = -1, true
+			rid, a.resps, err = wire.DecodeResponses(payload)
 		case wire.FrameError:
-			rid, index, msg, derr := wire.DecodeErrorMsg(payload)
-			if derr != nil {
-				return arrived{}, c.fail(derr)
-			}
-			c.got[rid] = arrived{errMsg: msg, index: index, isErr: true}
+			a.isErr = true
+			rid, a.index, a.errMsg, err = wire.DecodeErrorMsg(payload)
 		case wire.FrameRedirect:
-			rid, addr, rel, epoch, derr := wire.DecodeRedirectE(payload)
-			if derr != nil {
-				return arrived{}, c.fail(derr)
-			}
-			c.got[rid] = arrived{redirect: addr, rel: rel, rdEpoch: epoch, index: -1}
+			a.index = -1
+			rid, a.redirect, a.rel, a.rdEpoch, err = wire.DecodeRedirectE(payload)
 		case wire.FramePrepared:
-			rid, stmtID, nparams, derr := wire.DecodePrepared(payload)
-			if derr != nil {
-				return arrived{}, c.fail(derr)
-			}
-			c.got[rid] = arrived{stmtID: stmtID, nparams: nparams, prepared: true, index: -1}
+			a.index, a.prepared = -1, true
+			rid, a.stmtID, a.nparams, err = wire.DecodePrepared(payload)
 		case wire.FrameStatsResponse:
-			rid, doc, derr := wire.DecodeStatsResponse(payload)
-			if derr != nil {
-				return arrived{}, c.fail(derr)
-			}
-			// doc aliases the frame's read buffer: copy before it is reused.
-			c.got[rid] = arrived{stats: append([]byte(nil), doc...), index: -1}
+			a.index = -1
+			rid, a.stats, err = wire.DecodeStatsResponse(payload)
+			// The document aliases the frame's read buffer: copy before it
+			// is reused.
+			a.stats = append([]byte(nil), a.stats...)
 		case wire.FrameTracesResponse:
-			rid, doc, derr := wire.DecodeTracesResponse(payload)
-			if derr != nil {
-				return arrived{}, c.fail(derr)
-			}
-			c.got[rid] = arrived{traces: append([]byte(nil), doc...), index: -1}
+			a.index = -1
+			rid, a.traces, err = wire.DecodeTracesResponse(payload)
+			a.traces = append([]byte(nil), a.traces...)
 		default:
-			return arrived{}, c.fail(fmt.Errorf("client: unexpected frame %#x", typ))
+			err = fmt.Errorf("client: unexpected frame %#x", typ)
 		}
+		if err != nil {
+			return arrived{}, c.fail(err)
+		}
+		if rid == id {
+			return a, nil
+		}
+		c.got[rid] = a
 	}
 }
 

@@ -169,3 +169,46 @@ func TestServerAssignedOrigin(t *testing.T) {
 		t.Errorf("response origin %q, client origin %q (%v)", resp.Origin, c.Origin(), err)
 	}
 }
+
+// TestPipelinedForcedInReverse: 64 pipelined statements forced last to
+// first — the first Force reads all 64 replies, keeps the one it awaits and
+// parks the rest — still pair every response with its request.
+func TestPipelinedForcedInReverse(t *testing.T) {
+	store := funcdb.MustOpen(funcdb.WithRelations("R"))
+	defer store.Close()
+	srv := server.New(store)
+	if err := srv.Listen("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	go srv.Serve()
+	defer srv.Shutdown()
+
+	c, err := client.Dial(srv.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	const n = 64
+	var pending [n]*client.Pending
+	for i := range pending {
+		q := fmt.Sprintf("insert (%d, \"v%d\") into R", i, i)
+		if i%2 == 1 {
+			q = fmt.Sprintf("find %d in R", i-1)
+		}
+		if pending[i], err = c.ExecAsync(q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := n - 1; i >= 0; i-- {
+		resp, err := pending[i].Force()
+		if err != nil || resp.Err != nil {
+			t.Fatalf("statement %d: %v / %v", i, err, resp.Err)
+		}
+		if resp.Seq != i {
+			t.Errorf("statement %d got the response tagged #%d", i, resp.Seq)
+		}
+		if i%2 == 1 && (!resp.Found || resp.Tuple.Key().AsInt() != int64(i-1)) {
+			t.Errorf("find %d answered %+v", i-1, resp)
+		}
+	}
+}

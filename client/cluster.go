@@ -225,11 +225,7 @@ func (c *ClusterClient) noteEpoch(rel string, epoch uint64) bool {
 // relation (for routing) and read-only-ness, plus translation errors
 // before anything is sent.
 func (c *ClusterClient) translate(q string) (core.Transaction, error) {
-	prep, err := c.cache.Get(q)
-	if err != nil {
-		return core.Transaction{}, err
-	}
-	return prep.Bind()
+	return c.cache.Translate(q)
 }
 
 // nextSeqs reserves n consecutive sequence numbers, returning the first.

@@ -1,0 +1,69 @@
+package client
+
+import (
+	"bufio"
+	"bytes"
+	"testing"
+
+	"funcdb/internal/core"
+	"funcdb/internal/wire"
+)
+
+// cannedClient is a Client whose connection is a buffer of n Response
+// frames, ids 0..n-1 in order — the receive side alone, no server.
+func cannedClient(t *testing.T, n int) *Client {
+	t.Helper()
+	var stream bytes.Buffer
+	for id := 0; id < n; id++ {
+		payload, err := wire.AppendSingleResponse(nil, uint64(id), core.Response{Origin: "c", Seq: id, Kind: core.KindCount, Count: id})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := wire.WriteFrame(&stream, wire.FrameResponse, payload); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return &Client{rd: wire.NewReader(bufio.NewReader(&stream)), got: make(map[uint64]arrived)}
+}
+
+// TestRecvInOrderAllocGate: the reply being awaited is returned as it is
+// decoded. Parking it in the reorder map first boxed every reply of every
+// request, to unbox it one loop iteration later.
+func TestRecvInOrderAllocGate(t *testing.T) {
+	const runs = 200
+	c := cannedClient(t, runs+1) // AllocsPerRun warms up with one extra call
+	id := uint64(0)
+	allocs := testing.AllocsPerRun(runs, func() {
+		a, err := c.recv(id)
+		if err != nil || a.resp.Count != int(id) {
+			t.Fatalf("recv(%d) = %+v, %v", id, a.resp, err)
+		}
+		id++
+	})
+	// A count response decodes to one string (its origin tag).
+	if allocs > 1 {
+		t.Errorf("recv of the awaited reply = %.1f allocs, want <= 1 (the decoded origin)", allocs)
+	}
+	if len(c.got) != 0 {
+		t.Errorf("%d replies parked in the reorder map by in-order receives", len(c.got))
+	}
+}
+
+// TestRecvOutOfOrderStillMatchesByID: replies to requests other than the
+// one awaited wait in the reorder map and are handed out by id.
+func TestRecvOutOfOrderStillMatchesByID(t *testing.T) {
+	const n = 64
+	c := cannedClient(t, n)
+	for id := n - 1; id >= 0; id-- {
+		a, err := c.recv(uint64(id))
+		if err != nil || a.resp.Count != id || a.resp.Seq != id {
+			t.Fatalf("recv(%d) = %+v, %v", id, a.resp, err)
+		}
+		if id > 0 && len(c.got) != id {
+			t.Fatalf("after awaiting %d the reorder map holds %d replies, want %d", id, len(c.got), id)
+		}
+	}
+	if len(c.got) != 0 {
+		t.Errorf("%d replies left in the reorder map", len(c.got))
+	}
+}

@@ -413,7 +413,9 @@ func (s *Store) SubmitBatch(txs []Transaction) []*Future {
 		}
 		batch[i].Seq = first + i
 	}
-	return s.SubmitTagged(batch)
+	futs := make([]*Future, len(batch))
+	s.SubmitTagged(batch, futs)
+	return futs
 }
 
 // SubmitTagged admits a slice of already-tagged transactions: the raw
@@ -424,9 +426,12 @@ func (s *Store) SubmitBatch(txs []Transaction) []*Future {
 // interleave. A single transaction takes the engine's one-off path, so a
 // lone read keeps the lock-free fast path; a batch hints the archive's
 // adaptive group-commit window with its write count before admission.
-func (s *Store) SubmitTagged(txs []Transaction) []*Future {
+// The future of txs[i] is stored into futs[i] — the caller's slice, as
+// long as txs — so a single-statement flush allocates no result slice.
+func (s *Store) SubmitTagged(txs []Transaction, futs []*Future) {
 	if len(txs) == 1 {
-		return []*Future{s.engine.Submit(txs[0])}
+		futs[0] = s.engine.Submit(txs[0])
+		return
 	}
 	if s.archive != nil {
 		writes := 0
@@ -437,7 +442,7 @@ func (s *Store) SubmitTagged(txs []Transaction) []*Future {
 		}
 		s.archive.ExpectBatch(writes)
 	}
-	return s.engine.SubmitBatch(txs)
+	copy(futs, s.engine.SubmitBatch(txs))
 }
 
 // ExecAsync translates and submits a symbolic query through the store's

@@ -3,10 +3,8 @@ package archive
 import (
 	"encoding/binary"
 	"fmt"
-	"strings"
 
 	"funcdb/internal/core"
-	"funcdb/internal/query"
 	"funcdb/internal/relation"
 	"funcdb/internal/value"
 )
@@ -22,10 +20,9 @@ import (
 //	       rel:string
 //	       kind-specific:    insert: tuple | delete: key | create: rep
 //
-// Replay prefers re-running the stored query text through query.Translate —
-// the paper's translate is the authoritative query → transaction function —
-// and falls back to the structural fields for transactions that never had
-// symbolic form.
+// Replay applies the structural fields: translate ran once, on the node
+// that admitted the query, and the record carries its result. The query
+// text is kept beside them for reports and forwards, not re-parsed.
 
 // AppendTxnRecord encodes one committed transaction as a recTxn payload:
 // the exact bytes a log record carries, exported so the cluster layer can
@@ -209,17 +206,10 @@ func decodeTxnTail(payload []byte) (loggedTxn, []byte, error) {
 		return fail("kind")
 	}
 
-	// The symbolic source, when present, is the authoritative form: replay
-	// it through the paper's translate. The structural fields above remain
-	// the fallback (and the validation that the record is well-formed).
-	// A prepared write's text is its '?' template, which Translate can only
-	// refuse: skip the parse and keep the structural fields — the same
-	// transaction.
-	if src != "" && strings.IndexByte(src, '?') < 0 {
-		if ttx, terr := query.Translate(src); terr == nil {
-			tx = ttx
-		}
-	}
+	// The structural fields are the authoritative form (ROADMAP item 3):
+	// they are what the committing node's translate produced from the
+	// text, so replay takes them as decoded and never parses again. The
+	// source text rides along for reports and forwards.
 	tx.Origin, tx.Seq, tx.Query = origin, int(oseq), src
 	return loggedTxn{Seq: seq, Tx: tx}, payload, nil
 }

@@ -6,11 +6,15 @@ import (
 	"hash/crc32"
 	"io"
 	"math/rand"
+	"os"
+	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 	"testing/quick"
 
 	"funcdb/internal/core"
+	"funcdb/internal/query"
 	"funcdb/internal/value"
 )
 
@@ -281,32 +285,18 @@ func TestTxnFrameMatchesRecord(t *testing.T) {
 	}
 }
 
-// TestDecodePreparedRecordAllocGate: a prepared write is logged with its
-// '?' template as source text, which Translate can only refuse. Decoding
-// must give the structural transaction without paying for the refusal — a
-// lex, a SyntaxError and a formatted message per replicated record.
-func TestDecodePreparedRecordAllocGate(t *testing.T) {
+// TestDecodeRecordAllocGate: a record's structural fields are what replay
+// applies; its source text — a statement as typed, or a prepared write's
+// '?' template — is carried, never parsed. Decoding pays one string for
+// the text and nothing else: no lex, no parse, and for a template no
+// SyntaxError and formatted message per replicated record.
+func TestDecodeRecordAllocGate(t *testing.T) {
 	tx := core.Insert("R", value.NewTuple(value.Int(7), value.Str("widget")))
 	tx.Origin, tx.Seq = "client-3", 41
 	bare, err := AppendTxnRecord(nil, 9, tx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tx.Query = "insert (?, ?) into R"
-	prepared, err := AppendTxnRecord(nil, 9, tx)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	seq, got, err := DecodeTxnRecord(prepared)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if seq != 9 || got.Kind != tx.Kind || got.Rel != tx.Rel || !got.Tuple.Equal(tx.Tuple) ||
-		got.Origin != tx.Origin || got.Seq != tx.Seq || got.Query != tx.Query {
-		t.Fatalf("decoded %+v, want %+v", got, tx)
-	}
-
 	decode := func(payload []byte) func() {
 		return func() {
 			if _, _, err := DecodeTxnRecord(payload); err != nil {
@@ -315,8 +305,86 @@ func TestDecodePreparedRecordAllocGate(t *testing.T) {
 		}
 	}
 	base := testing.AllocsPerRun(200, decode(bare))
-	// The template string itself is the one allocation the text adds.
-	if allocs := testing.AllocsPerRun(200, decode(prepared)); allocs > base+1 {
-		t.Errorf("decoding a prepared record = %.1f allocs, %.1f without source text: the template was parsed", allocs, base)
+
+	for _, src := range []string{"insert (?, ?) into R", `insert (7, "widget") into R`} {
+		tx.Query = src
+		payload, err := AppendTxnRecord(nil, 9, tx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		seq, got, err := DecodeTxnRecord(payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if seq != 9 || got.Kind != tx.Kind || got.Rel != tx.Rel || !got.Tuple.Equal(tx.Tuple) ||
+			got.Origin != tx.Origin || got.Seq != tx.Seq || got.Query != tx.Query {
+			t.Fatalf("decoded %+v, want %+v", got, tx)
+		}
+		if allocs := testing.AllocsPerRun(200, decode(payload)); allocs > base+1 {
+			t.Errorf("decoding a record with text %q = %.1f allocs, %.1f without source text: the text was parsed", src, allocs, base)
+		}
+	}
+}
+
+// TestStructuralReplayIsTextReplay: for every valid write in the query
+// fuzz corpora, the transaction a log record decodes to — its structural
+// fields, taken as stored — is the transaction translating its source
+// text gives, on every field replay applies. Not parsing on replay
+// replays the same thing.
+func TestStructuralReplayIsTextReplay(t *testing.T) {
+	var srcs []string
+	for _, dir := range []string{"FuzzPrepare", "FuzzTranslateCached"} {
+		root := filepath.Join("..", "query", "testdata", "fuzz", dir)
+		entries, err := os.ReadDir(root)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range entries {
+			data, err := os.ReadFile(filepath.Join(root, e.Name()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			// `go test fuzz v1` corpus file, one string argument.
+			lines := strings.Split(strings.TrimSpace(string(data)), "\n")
+			if len(lines) != 2 || !strings.HasPrefix(lines[1], "string(") {
+				t.Fatalf("%s/%s is not a one-string corpus entry", dir, e.Name())
+			}
+			src, err := strconv.Unquote(strings.TrimSuffix(strings.TrimPrefix(lines[1], "string("), ")"))
+			if err != nil {
+				t.Fatalf("%s/%s: %v", dir, e.Name(), err)
+			}
+			srcs = append(srcs, src)
+		}
+	}
+	srcs = append(srcs,
+		`insert (1, "widget", -3) into R`, `insert x into R`, `insert ("a\"b") into R`,
+		`delete 7 from R`, `delete "k" from R`, `delete k from R`,
+		`create R`, `create R using avl`, `create R using 2-3`, `create R using paged`)
+
+	writes := 0
+	for _, src := range srcs {
+		tx, err := query.Translate(src)
+		if err != nil || !Encodable(tx) {
+			continue
+		}
+		writes++
+		tx.Origin, tx.Seq = "c1", writes
+		payload, err := appendTxn(nil, int64(writes), tx)
+		if err != nil {
+			t.Fatalf("%q: %v", src, err)
+		}
+		lt, err := decodeTxn(payload)
+		if err != nil {
+			t.Fatalf("%q: %v", src, err)
+		}
+		got := lt.Tx
+		if lt.Seq != int64(writes) || got.Origin != tx.Origin || got.Seq != tx.Seq || got.Query != src ||
+			got.Kind != tx.Kind || got.Rel != tx.Rel || got.Rep != tx.Rep ||
+			got.Key.Kind() != tx.Key.Kind() || !got.Key.Equal(tx.Key) || !got.Tuple.Equal(tx.Tuple) {
+			t.Errorf("%q: record decodes to %+v, text translates to %+v", src, got, tx)
+		}
+	}
+	if writes < 12 {
+		t.Fatalf("only %d valid writes in the corpora: the test is not testing much", writes)
 	}
 }

@@ -54,8 +54,9 @@ import (
 // *funcdb.Store satisfies it (the public OpenClusterNode constructs one);
 // tests may substitute lighter implementations.
 type LocalStore interface {
-	// SubmitTagged admits pre-tagged transactions in one arbitration.
-	SubmitTagged(txs []core.Transaction) []*session.Future
+	// SubmitTagged admits pre-tagged transactions in one arbitration,
+	// storing the future of txs[i] into futs[i] (session.Submitter).
+	SubmitTagged(txs []core.Transaction, futs []*session.Future)
 	// Lanes reports the store's admission lane count.
 	Lanes() int
 	// Durable reports whether committed writes reach an archive.
@@ -383,11 +384,10 @@ func (n *Node) setMirror(i int, m *mirror) {
 // batch is split into maximal consecutive runs by owning node; local
 // runs are admitted into the store in one arbitration, remote runs ship
 // as one pre-tagged Forward frame each, and the response futures come
-// back in submission order. Routing needs only the transaction's
-// syntactic access set — the same property that makes lane placement
-// computable before any lock is held.
-func (n *Node) SubmitTagged(txs []core.Transaction) []*session.Future {
-	out := make([]*session.Future, len(txs))
+// back in submission order, in the caller's out. Routing needs only the
+// transaction's syntactic access set — the same property that makes lane
+// placement computable before any lock is held.
+func (n *Node) SubmitTagged(txs []core.Transaction, out []*session.Future) {
 	// Runs are split by owner inline — routeOf is a cheap hash of the
 	// relation name, so recomputing the boundary check beats allocating a
 	// per-batch owners slice (a measurable cost at thousands of
@@ -409,16 +409,13 @@ func (n *Node) SubmitTagged(txs []core.Transaction) []*session.Future {
 				out[k] = unroutable(txs[k])
 			}
 		case eff == n.id:
-			futs, err := n.localSubmit(slot, run)
-			if err != nil {
+			if err := n.localSubmit(slot, run, out[i:j]); err != nil {
 				for k := i; k < j; k++ {
 					out[k] = lenient.Ready(core.Response{
 						Origin: txs[k].Origin, Seq: txs[k].Seq, Kind: txs[k].Kind, Err: err,
 					})
 				}
-				break
 			}
-			copy(out[i:j], futs)
 		default:
 			n.m.Forwarded(len(run))
 			epoch, hasEpoch := n.slotEpoch(slot)
@@ -432,27 +429,27 @@ func (n *Node) SubmitTagged(txs []core.Transaction) []*session.Future {
 					break
 				}
 			}
-			copy(out[i:j], n.peers[eff].forwardTagged(run, epoch, hasEpoch, tr))
+			n.peers[eff].forwardTagged(run, out[i:j], epoch, hasEpoch, tr)
 		}
 		i = j
 	}
-	return out
 }
 
-// localSubmit admits a run this node serves. Under failover the serving
-// store is resolved per slot (the node's own store, or a takeover
-// store), and write futures are wrapped in the replication-ack gate so
-// an acknowledged commit is guaranteed to survive a subsequent crash of
-// this node.
-func (n *Node) localSubmit(slot int, run []core.Transaction) ([]*session.Future, error) {
+// localSubmit admits a run this node serves, filling futs. Under
+// failover the serving store is resolved per slot (the node's own store,
+// or a takeover store), and write futures are wrapped in the
+// replication-ack gate so an acknowledged commit is guaranteed to survive
+// a subsequent crash of this node.
+func (n *Node) localSubmit(slot int, run []core.Transaction, futs []*session.Future) error {
 	if n.fo == nil {
-		return n.store.SubmitTagged(run), nil
+		n.store.SubmitTagged(run, futs)
+		return nil
 	}
 	st, err := n.fo.localStore(slot)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	futs := st.SubmitTagged(run)
+	st.SubmitTagged(run, futs)
 	if n.fo.cfg.SyncReplicas > 0 {
 		for k := range futs {
 			if !run[k].IsReadOnly() {
@@ -460,7 +457,7 @@ func (n *Node) localSubmit(slot int, run []core.Transaction) ([]*session.Future,
 			}
 		}
 	}
-	return futs, nil
+	return nil
 }
 
 // slotEpoch returns the epoch to stamp into forwards for a slot, and

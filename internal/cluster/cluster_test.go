@@ -26,12 +26,13 @@ func newFakeStore(rels ...string) *fakeStore {
 	return &fakeStore{eng: core.NewEngine(database.New(relation.RepAVL, rels...))}
 }
 
-func (f *fakeStore) SubmitTagged(txs []core.Transaction) []*session.Future {
+func (f *fakeStore) SubmitTagged(txs []core.Transaction, futs []*session.Future) {
 	cp := make([]core.Transaction, len(txs))
 	copy(cp, txs)
 	f.batches = append(f.batches, cp)
-	return f.eng.SubmitBatch(txs)
+	copy(futs, f.eng.SubmitBatch(txs))
 }
+
 func (f *fakeStore) Lanes() int           { return 1 }
 func (f *fakeStore) Durable() bool        { return false }
 func (f *fakeStore) Barrier()             { f.eng.Barrier() }
@@ -127,8 +128,7 @@ func TestCustomTransactionRouting(t *testing.T) {
 		t.Fatalf("remote custom routed to %d, want -1 (closures have no wire form)", got)
 	}
 
-	futs := n.SubmitTagged([]core.Transaction{spanning})
-	if resp := futs[0].Force(); resp.Err == nil {
+	if resp := submitOne(n, spanning).Force(); resp.Err == nil {
 		t.Fatal("spanning custom transaction admitted")
 	}
 }
@@ -140,7 +140,7 @@ func TestForwardWithoutQueryText(t *testing.T) {
 	n, _ := threeNode(t, "S")
 	tx := core.Insert("R", value.NewTuple(value.Int(1), value.Str("a"))) // R is node 1's; no Query text
 	tx.Origin, tx.Seq = "c0", 0
-	resp := n.SubmitTagged([]core.Transaction{tx})[0].Force()
+	resp := submitOne(n, tx).Force()
 	if resp.Err == nil || resp.Origin != "c0" {
 		t.Fatalf("expected tagged no-wire-form error, got %+v", resp)
 	}

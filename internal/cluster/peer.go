@@ -211,8 +211,8 @@ func (p *peer) close() {
 }
 
 // forwardTagged ships a run of pre-tagged transactions — all owned by
-// this peer — as ONE Forward frame and returns their response futures in
-// order. The frame sets FwdNoForward: if the peer disagrees about
+// this peer — as ONE Forward frame and stores their response futures, in
+// order, into out. The frame sets FwdNoForward: if the peer disagrees about
 // ownership (it answered Redirect), or the link dies, every future
 // resolves with the error; forwarding never chains past one hop.
 // With hasEpoch the frame is additionally stamped with the slot's epoch
@@ -220,17 +220,17 @@ func (p *peer) close() {
 // A non-nil sampled trace rides the frame as a v5 trace-context suffix
 // (FwdTrace) so the owner's spans share the gateway's trace id, and the
 // gateway records the whole round trip as one forward-hop span.
-func (p *peer) forwardTagged(txs []core.Transaction, epoch uint64, hasEpoch bool, tr *reqtrace.T) []*session.Future {
+func (p *peer) forwardTagged(txs []core.Transaction, out []*session.Future, epoch uint64, hasEpoch bool, tr *reqtrace.T) {
 	for _, tx := range txs {
 		if tx.PrepHash != 0 {
 			// At least one transaction was bound from a prepared template:
 			// its Query is the '?' template, which the owner cannot re-bind
 			// from text, so the whole run ships as a ForwardPrepared frame
 			// (hash + args, text included for first-contact registration).
-			return p.forwardPrepared(txs, epoch, hasEpoch, tr)
+			p.forwardPrepared(txs, out, epoch, hasEpoch, tr)
+			return
 		}
 	}
-	out := make([]*session.Future, len(txs))
 	stmts := make([]wire.ForwardStmt, len(txs))
 	for i, tx := range txs {
 		if tx.Query == "" {
@@ -244,7 +244,7 @@ func (p *peer) forwardTagged(txs []core.Transaction, epoch uint64, hasEpoch bool
 					Err: errors.New("cluster: transaction has no symbolic form to forward"),
 				})
 			}
-			return out
+			return
 		}
 		stmts[i] = wire.ForwardStmt{Origin: tx.Origin, Seq: tx.Seq, Query: tx.Query}
 	}
@@ -265,7 +265,6 @@ func (p *peer) forwardTagged(txs []core.Transaction, epoch uint64, hasEpoch bool
 			return call.response(i, tx)
 		})
 	}
-	return out
 }
 
 // forwardPrepared is forwardTagged for runs carrying prepared-bound
@@ -274,8 +273,7 @@ func (p *peer) forwardTagged(txs []core.Transaction, epoch uint64, hasEpoch bool
 // text rides along (HasText) so first contact — or the owner's cache
 // having evicted the plan — registers it instead of failing; plain text
 // statements sharing the run ship as hash-0 text statements.
-func (p *peer) forwardPrepared(txs []core.Transaction, epoch uint64, hasEpoch bool, tr *reqtrace.T) []*session.Future {
-	out := make([]*session.Future, len(txs))
+func (p *peer) forwardPrepared(txs []core.Transaction, out []*session.Future, epoch uint64, hasEpoch bool, tr *reqtrace.T) {
 	stmts := make([]wire.PreparedFwdStmt, len(txs))
 	for i, tx := range txs {
 		if tx.Query == "" {
@@ -286,7 +284,7 @@ func (p *peer) forwardPrepared(txs []core.Transaction, epoch uint64, hasEpoch bo
 					Err: errors.New("cluster: transaction has no symbolic form to forward"),
 				})
 			}
-			return out
+			return
 		}
 		stmts[i] = wire.PreparedFwdStmt{
 			Origin: tx.Origin, Seq: tx.Seq,
@@ -311,7 +309,6 @@ func (p *peer) forwardPrepared(txs []core.Transaction, epoch uint64, hasEpoch bo
 			return call.response(i, tx)
 		})
 	}
-	return out
 }
 
 // sendForwardPrepared writes one ForwardPrepared frame and registers its

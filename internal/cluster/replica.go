@@ -120,16 +120,24 @@ func (n *Node) ReplicaRead(tx core.Transaction) (*session.Future, bool) {
 		// zero staleness; anything else falls to its mirror — including
 		// this node's own former slot after a demotion.
 		if st := n.fo.authorityStore(slot); st != nil {
-			return st.SubmitTagged([]core.Transaction{stampedRead(tx)})[0], true
+			return submitOne(st, stampedRead(tx)), true
 		}
 	} else if slot == n.id {
-		return n.store.SubmitTagged([]core.Transaction{stampedRead(tx)})[0], true
+		return submitOne(n.store, stampedRead(tx)), true
 	}
 	m := n.mirrorRef(slot)
 	if m == nil {
 		return nil, false
 	}
 	return m.eng.Submit(stampedRead(tx)), true
+}
+
+// submitOne admits a single pre-tagged transaction into sub (a store, or
+// in tests the node itself).
+func submitOne(sub session.Submitter, tx core.Transaction) *session.Future {
+	var fut [1]*session.Future
+	sub.SubmitTagged([]core.Transaction{tx}, fut[:])
+	return fut[0]
 }
 
 // ReplicaVersion reports the mirror's applied version for a peer, or -1

@@ -30,17 +30,44 @@ import (
 // its thunk at most once; Force is safe for concurrent use.
 type Cell[T any] struct {
 	once sync.Once
-	fn   func() T
+	done atomic.Bool // beside once, whose padding it fills
+	th   Thunk[T]
 	val  T
-	done atomic.Bool
 }
+
+// Thunk is a suspended computation of a T: what a lazy cell holds until
+// its first demand. A struct that already carries the computation's
+// inputs implements it directly and embeds its own Cell (see Suspend),
+// where a closure would be a second object.
+type Thunk[T any] interface {
+	Eval() T
+}
+
+// thunkFunc is the func() T form of a Thunk. A func value is a pointer,
+// so the conversion to the interface allocates nothing.
+type thunkFunc[T any] func() T
+
+func (f thunkFunc[T]) Eval() T { return f() }
 
 // Lazy returns a cell that computes fn on first demand (call-by-need).
 func Lazy[T any](fn func() T) *Cell[T] {
 	if fn == nil {
 		panic("lenient: Lazy with nil thunk")
 	}
-	return &Cell[T]{fn: fn}
+	return &Cell[T]{th: thunkFunc[T](fn)}
+}
+
+// Suspend makes the zero cell c lazy in place — th.Eval runs on first
+// demand — and returns c. It is Lazy for a cell embedded in another
+// object, typically th itself: the object is its own future, one
+// allocation instead of object, closure and cell. c must not have been
+// forced or handed out yet.
+func (c *Cell[T]) Suspend(th Thunk[T]) *Cell[T] {
+	if th == nil {
+		panic("lenient: Suspend with nil thunk")
+	}
+	c.th = th
+	return c
 }
 
 // Ready returns an already-computed cell holding v.
@@ -66,8 +93,8 @@ func Spawn[T any](fn func() T) *Cell[T] {
 // another goroutine is already computing it.
 func (c *Cell[T]) Force() T {
 	c.once.Do(func() {
-		c.val = c.fn()
-		c.fn = nil // release the closure and anything it captured
+		c.val = c.th.Eval()
+		c.th = nil // release the thunk and anything it captured
 		c.done.Store(true)
 	})
 	return c.val

@@ -37,6 +37,61 @@ func TestLazyNilThunkPanics(t *testing.T) {
 	Lazy[int](nil)
 }
 
+// selfThunk is an object that is its own future: it carries the inputs,
+// implements Thunk and embeds the cell.
+type selfThunk struct {
+	cell  Cell[int]
+	in    int
+	calls int
+}
+
+func (s *selfThunk) Eval() int {
+	s.calls++
+	return s.in * 2
+}
+
+func TestSuspendInPlace(t *testing.T) {
+	s := &selfThunk{in: 21}
+	c := s.cell.Suspend(s)
+	if c != &s.cell {
+		t.Fatal("Suspend returned a different cell")
+	}
+	if _, ok := c.Poll(); ok || s.calls != 0 {
+		t.Error("Suspend evaluated eagerly")
+	}
+	if got := c.Force(); got != 42 {
+		t.Errorf("Force = %d, want 42", got)
+	}
+	if got, ok := c.Poll(); !ok || got != 42 || c.Force() != 42 || s.calls != 1 {
+		t.Errorf("after Force: Poll = %d, %v; %d evaluations", got, ok, s.calls)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("Suspend(nil) did not panic")
+		}
+	}()
+	new(Cell[int]).Suspend(nil)
+}
+
+// TestThunkNoAlloc: a lazy cell costs the cell. A func() T becomes the
+// cell's Thunk without boxing, and a cell suspended in place inside its
+// thunk's own object costs nothing beyond that object.
+func TestThunkNoAlloc(t *testing.T) {
+	fn := func() int { return 1 }
+	if allocs := testing.AllocsPerRun(100, func() { Lazy(fn).Force() }); allocs > 1 {
+		t.Errorf("Lazy + Force = %.1f allocs, want the cell alone", allocs)
+	}
+	objs := make([]selfThunk, 101)
+	i := 0
+	if allocs := testing.AllocsPerRun(100, func() {
+		s := &objs[i]
+		i++
+		s.cell.Suspend(s).Force()
+	}); allocs != 0 {
+		t.Errorf("Suspend + Force = %.1f allocs, want 0", allocs)
+	}
+}
+
 func TestReady(t *testing.T) {
 	c := Ready("x")
 	if got := c.Force(); got != "x" {

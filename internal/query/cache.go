@@ -4,6 +4,9 @@ import (
 	"container/list"
 	"errors"
 	"sync"
+
+	"funcdb/internal/core"
+	"funcdb/internal/value"
 )
 
 // ErrUnknownStmt reports a statement-id (or text-hash) lookup that found
@@ -16,14 +19,25 @@ var ErrUnknownStmt = errors.New("query: unknown prepared statement")
 
 // StmtCache is a bounded, concurrency-safe LRU cache of prepared
 // statements keyed by source text: the per-session (and store-wide)
-// statement cache of the session layer. Preparing is pure parsing today,
-// so a hit only saves the lexer and parser — but the cache is also the
-// one place a statement's translation is retained across submissions, so
-// it owns the invalidation discipline: a committed `create` changes the
-// directory, the only global state a retained translation could ever
-// depend on, and InvalidateRel drops every cached statement touching the
-// created name before a representation- or directory-dependent prepare
-// step could go stale.
+// statement cache of the session layer, and the one place a statement's
+// translation is retained across submissions.
+//
+// Translate keys a statement that carries inline literals by its
+// template — the text with '?' in place of every integer and string
+// literal — so the parser runs once per template, not once per
+// statement: `insert (1, "a") into R` and `insert (2, "b") into R` are one
+// entry, the one a client registering `insert (?, ?) into R` gets too,
+// and each submission only lexes and binds. Text traffic therefore
+// occupies one entry per statement shape and cannot evict the ids of
+// registered statements. A bare word in an item position
+// (`insert x into R`) cannot be told from a keyword before parsing, so it
+// stays in the template verbatim and such texts still cache per text.
+//
+// Retaining translations makes the cache the owner of the invalidation
+// discipline: a committed `create` changes the directory, the only global
+// state a retained translation could ever depend on, and InvalidateRel
+// drops every cached statement touching the created name before a
+// representation- or directory-dependent prepare step could go stale.
 //
 // Translation errors are not cached: a failing statement pays the parse
 // again, which keeps the cache free of negative entries that a later
@@ -57,8 +71,9 @@ type cacheEntry struct {
 
 // DefaultStmtCacheSize bounds a statement cache when no explicit capacity
 // is given: large enough for any realistic working set of distinct
-// statement templates, small enough that a query-text-per-key workload
-// (no templates, unique literals) cannot grow without bound.
+// statement templates. Literal-bearing texts share their template's
+// entry, so only texts that differ in relation names or bare-word items
+// compete for the rest.
 const DefaultStmtCacheSize = 256
 
 // NewStmtCache returns a statement cache holding at most capacity
@@ -135,6 +150,105 @@ func (c *StmtCache) Get(src string) (*Prepared, error) {
 	}
 	c.insertLocked(src, prep)
 	return prep, nil
+}
+
+// Translate is the paper's translate behind the cache: the transaction
+// query.Translate(src) returns, field for field and with Query == src,
+// or the error it fails with. A statement with inline literals is lexed,
+// split into its template and its literals, and bound against the
+// template's cached plan; hits and misses count template lookups for
+// such texts. Everything else — `create`, a literal-free text, a text
+// that already holds a '?' (a prepared statement run without arguments,
+// which reports its arity), and any statement that fails anywhere along
+// the way — goes through Get(src) and an argument-less Bind, so errors
+// and their positions are those of the text as written.
+func (c *StmtCache) Translate(src string) (core.Transaction, error) {
+	if tx, ok := c.translateLiteral(src); ok {
+		return tx, nil
+	}
+	prep, err := c.Get(src)
+	if err != nil {
+		return core.Transaction{}, err
+	}
+	return prep.Bind()
+}
+
+// translateLiteral is Translate's template path; ok is false when src is
+// not its business (see Translate) or anything failed.
+func (c *StmtCache) translateLiteral(src string) (core.Transaction, bool) {
+	// All three buffers live on the stack; a longer statement grows onto
+	// the heap.
+	var (
+		tokBuf [16]token
+		keyBuf [96]byte
+		argBuf [8]value.Item
+	)
+	toks, err := lex(src, tokBuf[:0])
+	if err != nil {
+		return core.Transaction{}, false
+	}
+	key, args, ok := splitLiterals(toks, keyBuf[:0], argBuf[:0])
+	if !ok {
+		return core.Transaction{}, false
+	}
+	var prep *Prepared
+	c.mu.Lock()
+	if el, hit := c.m[string(key)]; hit { // no allocation: the conversion is only a map key
+		c.order.MoveToFront(el)
+		c.hits++
+		prep = el.Value.(*cacheEntry).prep
+	}
+	c.mu.Unlock()
+	if prep == nil {
+		if prep, err = c.Get(string(key)); err != nil {
+			return core.Transaction{}, false
+		}
+	}
+	tx, err := prep.Bind(args...)
+	if err != nil {
+		return core.Transaction{}, false
+	}
+	tx.Query = src // the text as written: log records and forwards carry it
+	return tx, true
+}
+
+// splitLiterals renders a token stream's canonical template into key —
+// '?' for every integer and string literal, words and punctuation
+// verbatim, one space between tokens except inside parentheses and before
+// a comma, as in `insert (?, ?) into R` — and collects the literals, in
+// order, into args. Two token streams render the same key only if they
+// differ in nothing but their literals: words are always separated, and a
+// string literal never contributes its bytes. ok is false for statements
+// the template path leaves alone: `create` (its "2-3" is integers that are
+// not data), a text that already holds a '?', and a text without literals.
+func splitLiterals(toks []token, key []byte, args []value.Item) (_ []byte, _ []value.Item, ok bool) {
+	if toks[0].kind == tokWord && toks[0].text == "create" {
+		return nil, nil, false
+	}
+	for i, t := range toks[:len(toks)-1] { // the last token is tokEOF
+		if i > 0 && t.kind != tokRParen && t.kind != tokComma && toks[i-1].kind != tokLParen {
+			key = append(key, ' ')
+		}
+		switch t.kind {
+		case tokWord:
+			key = append(key, t.text...)
+		case tokInt:
+			key = append(key, '?')
+			args = append(args, value.Int(t.i))
+		case tokString:
+			key = append(key, '?')
+			args = append(args, value.Str(t.text))
+		case tokLParen:
+			key = append(key, '(')
+		case tokRParen:
+			key = append(key, ')')
+		case tokComma:
+			key = append(key, ',')
+		default: // tokParam
+			return nil, nil, false
+		}
+	}
+	return key, args, len(args) > 0
 }
 
 // Register is Get plus a dense statement id: the wire server calls it on a

@@ -179,10 +179,13 @@ func translate(src string, prep *Prepared) (core.Transaction, error) {
 		if err != nil {
 			return core.Transaction{}, err
 		}
+		// The parser built items for this tuple, so the tuple owns it; a
+		// prepared statement keeps the same slice as its bind template,
+		// which Bind copies and never writes.
 		if prep != nil {
 			prep.items = items
 		}
-		tx = core.Insert(rel, value.NewTuple(items...))
+		tx = core.Insert(rel, value.TupleOf(items))
 
 	case "find":
 		key, err := p.paramItem(slotKey, 0)

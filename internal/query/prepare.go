@@ -96,6 +96,9 @@ func (p *Prepared) Bind(args ...value.Item) (core.Transaction, error) {
 			p.src, len(p.slots), len(args))
 	}
 	tx := p.tx
+	if len(p.slots) == 0 {
+		return tx, nil // nothing to substitute: the template is the transaction
+	}
 	var items []value.Item
 	if p.items != nil {
 		items = append([]value.Item(nil), p.items...)
@@ -116,7 +119,7 @@ func (p *Prepared) Bind(args ...value.Item) (core.Transaction, error) {
 		}
 	}
 	if items != nil {
-		tx.Tuple = value.NewTuple(items...)
+		tx.Tuple = value.TupleOf(items) // the copy above is the tuple's own
 	}
 	return tx, nil
 }

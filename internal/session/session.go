@@ -3,9 +3,10 @@
 // admission pipeline. One Session owns what used to be duplicated between
 // funcdb.Store's Exec methods and cmd/fdbrepl:
 //
-//   - a prepared-statement cache (query.StmtCache): each distinct query
-//     text is lexed and parsed once per session scope, and a committed
-//     `create` invalidates cached statements touching the new relation;
+//   - a prepared-statement cache (query.StmtCache): each distinct
+//     statement template — a query text modulo its literals — is parsed
+//     once per session scope, and a committed `create` invalidates cached
+//     statements touching the new relation;
 //   - origin/sequence tagging: every statement the session admits carries
 //     the session's origin and a dense per-session sequence number, so a
 //     connection's response stream is deterministic regardless of how
@@ -40,16 +41,17 @@ type Future = lenient.Cell[core.Response]
 
 // Submitter is the admission surface a session executes against: a batch
 // of fully tagged transactions admitted in one merge arbitration, with
-// response futures in submission order. funcdb.Store implements it over
-// the sharded-lane engine; tests implement it in-memory.
+// the response future of txs[i] stored into futs[i] (the caller passes
+// len(futs) == len(txs)). funcdb.Store implements it over the
+// sharded-lane engine; tests implement it in-memory.
 //
-// SubmitTagged must NOT retain the txs slice past its return: the
-// session reuses it for the next flush (transactions themselves are
-// values — copying an element is fine, keeping the slice is not). Every
-// in-tree implementation either consumes the batch synchronously or
-// copies what it defers.
+// SubmitTagged must NOT retain either slice past its return: the session
+// reuses both for the next flush (transactions themselves are values —
+// copying an element is fine, keeping the slice is not). Every in-tree
+// implementation either consumes the batch synchronously or copies what
+// it defers.
 type Submitter interface {
-	SubmitTagged(txs []core.Transaction) []*Future
+	SubmitTagged(txs []core.Transaction, futs []*Future)
 }
 
 // BatchError reports which statement of a batch failed to translate or
@@ -107,7 +109,14 @@ func WithCache(c *query.StmtCache) Option {
 // flush must submit it verbatim instead of drawing from this session's
 // tag space, so the response carries the tag the originating client
 // expects.
+//
+// A queued statement is its own future: queued is the cell Queue hands
+// out, suspended on the statement itself (Eval), so queueing allocates
+// the statement and nothing else. Statements admitted on the spot
+// (ExecAsync, ExecBatch) leave queued and s unused.
 type pendingStmt struct {
+	queued Future
+	s      *Session
 	tx     core.Transaction
 	fut    *Future
 	tagged bool
@@ -129,10 +138,14 @@ type Session struct {
 	mu      sync.Mutex
 	seq     int // default allocator state (when nextSeqs is private)
 	pending []*pendingStmt
-	// txScratch is the flush's reused submission slice — the load
-	// profile's top session-layer allocation site. Safe because
-	// Submitter.SubmitTagged must not retain it.
-	txScratch []core.Transaction
+	// txScratch and futScratch are the flush's reused submission and
+	// result slices — the load profile's top session-layer allocation
+	// sites. Safe because Submitter.SubmitTagged must not retain them.
+	txScratch  []core.Transaction
+	futScratch []*Future
+	// execStmt is ExecAsync's pending statement: it is queued and flushed
+	// within one critical section, so it never needs to outlive one.
+	execStmt pendingStmt
 	// createScratch collects relations created by a flush (almost always
 	// empty) without allocating.
 	createScratch []string
@@ -193,15 +206,11 @@ func (s *Session) PreparedByHash(h uint64) (*query.Prepared, bool) {
 }
 
 // Translate turns a symbolic query into an untagged transaction through
-// the statement cache: parse once per distinct text, bind zero
-// parameters. A query with '?' placeholders cannot execute directly and
-// reports its arity here.
+// the statement cache: parse once per template (the text with its
+// literals taken out), bind the literals. A query with '?' placeholders
+// cannot execute directly and reports its arity here.
 func (s *Session) Translate(src string) (core.Transaction, error) {
-	prep, err := s.cache.Get(src)
-	if err != nil {
-		return core.Transaction{}, err
-	}
-	return prep.Bind()
+	return s.cache.Translate(src)
 }
 
 // Queue translates q and enqueues it without admitting it, returning a
@@ -241,20 +250,26 @@ func (s *Session) QueueTagged(tx core.Transaction) *Future {
 // queueLocked appends tx to the pending pipeline and returns a future
 // that flushes the pipeline on demand. Must hold s.mu.
 func (s *Session) queueLocked(tx core.Transaction, tagged bool) *Future {
-	ps := &pendingStmt{tx: tx, tagged: tagged}
+	ps := &pendingStmt{s: s, tx: tx, tagged: tagged}
 	if tx.Trace != nil {
 		ps.at = time.Now()
 	}
 	s.pending = append(s.pending, ps)
-	return lenient.Lazy(func() core.Response {
-		s.mu.Lock()
-		if ps.fut == nil {
-			s.flushLocked()
-		}
-		fut := ps.fut
-		s.mu.Unlock()
-		return fut.Force()
-	})
+	return ps.queued.Suspend(ps)
+}
+
+// Eval implements lenient.Thunk for a queued statement's future: admit
+// the pipeline if this statement is still in it, then wait for the
+// engine's response.
+func (ps *pendingStmt) Eval() core.Response {
+	s := ps.s
+	s.mu.Lock()
+	if ps.fut == nil {
+		s.flushLocked()
+	}
+	fut := ps.fut
+	s.mu.Unlock()
+	return fut.Force()
 }
 
 // Pending returns the number of queued, not yet admitted statements.
@@ -324,10 +339,15 @@ func (s *Session) flushLocked() {
 		}
 		txs[i] = tx
 	}
-	futs := s.sub.SubmitTagged(txs)
+	if cap(s.futScratch) < len(txs) {
+		s.futScratch = make([]*Future, len(txs))
+	}
+	futs := s.futScratch[:len(txs)]
+	s.sub.SubmitTagged(txs, futs)
 	for i, ps := range s.pending {
 		ps.fut = futs[i]
 	}
+	clear(futs) // the statements own their futures now
 	s.pending = s.pending[:0]
 	s.createScratch = created[:0]
 	// A submitted create changes the directory: drop cached statements
@@ -347,14 +367,12 @@ func (s *Session) ExecAsync(q string) (*Future, error) {
 		return nil, err
 	}
 	s.mu.Lock()
-	ps := &pendingStmt{tx: tx}
-	if tx.Trace != nil {
-		ps.at = time.Now()
-	}
-	s.pending = append(s.pending, ps)
+	s.execStmt.tx = tx // fresh from Translate: no trace handle, so no enqueue instant
+	s.pending = append(s.pending, &s.execStmt)
 	s.flushLocked()
+	fut := s.execStmt.fut
 	s.mu.Unlock()
-	return ps.fut, nil
+	return fut, nil
 }
 
 // Exec translates, admits and waits.
@@ -380,21 +398,21 @@ func (s *Session) ExecBatch(queries []string) ([]core.Response, error) {
 		txs[i] = tx
 	}
 	s.mu.Lock()
-	stmts := make([]*pendingStmt, len(txs))
+	stmts := make([]pendingStmt, len(txs))
 	for i, tx := range txs {
-		ps := &pendingStmt{tx: tx}
+		ps := &stmts[i]
+		ps.tx = tx
 		if tx.Trace != nil {
 			ps.at = time.Now()
 		}
 		s.pending = append(s.pending, ps)
-		stmts[i] = ps
 	}
 	s.flushLocked()
 	s.mu.Unlock()
 
 	out := make([]core.Response, len(stmts))
-	for i, ps := range stmts {
-		out[i] = ps.fut.Force()
+	for i := range stmts {
+		out[i] = stmts[i].fut.Force()
 	}
 	return out, nil
 }

@@ -8,6 +8,7 @@ import (
 
 	"funcdb/internal/core"
 	"funcdb/internal/database"
+	"funcdb/internal/lenient"
 	"funcdb/internal/relation"
 	"funcdb/internal/value"
 )
@@ -20,13 +21,13 @@ type engineSubmitter struct {
 	batches [][]core.Transaction
 }
 
-func (es *engineSubmitter) SubmitTagged(txs []core.Transaction) []*Future {
+func (es *engineSubmitter) SubmitTagged(txs []core.Transaction, futs []*Future) {
 	es.mu.Lock()
 	cp := make([]core.Transaction, len(txs))
 	copy(cp, txs)
 	es.batches = append(es.batches, cp)
 	es.mu.Unlock()
-	return es.e.SubmitBatch(txs)
+	copy(futs, es.e.SubmitBatch(txs))
 }
 
 func newSession(t *testing.T, opts ...Option) (*Session, *engineSubmitter) {
@@ -306,4 +307,135 @@ func TestQueueTaggedCreateInvalidatesCache(t *testing.T) {
 
 func mustTuple(k int64, v string) value.Tuple {
 	return value.NewTuple(value.Int(k), value.Str(v))
+}
+
+// TestTextTrafficDoesNotEvictRegistered: text statements with distinct
+// literals share one cache entry per shape, so ten thousand of them leave
+// a registered statement's id alive and hit the cache almost every time.
+// Before templates each was its own entry: 256 of them evicted the
+// registration and every one missed.
+func TestTextTrafficDoesNotEvictRegistered(t *testing.T) {
+	es := &engineSubmitter{e: core.NewEngine(database.New(relation.RepAVL, "r0"))}
+	s := New(es)
+	id, _, err := s.Register("insert (?, ?) into r0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	hits0, misses0 := s.Cache().Stats()
+	const n = 10000
+	for i := 0; i < n; i++ {
+		var q string
+		switch i % 4 {
+		case 0:
+			q = `insert (` + itoa(int64(i)) + `, "v` + itoa(int64(i)) + `") into r0`
+		case 1:
+			q = `find ` + itoa(int64(i-1)) + ` in r0`
+		case 2:
+			q = `range ` + itoa(int64(i-2)) + ` ` + itoa(int64(i)) + ` in r0`
+		case 3:
+			q = `delete ` + itoa(int64(i-3)) + ` from r0`
+		}
+		resp, err := s.Exec(q)
+		if err != nil || resp.Err != nil {
+			t.Fatalf("%s: %v / %v", q, err, resp.Err)
+		}
+		if i%4 == 1 && !resp.Found {
+			t.Fatalf("%s missed the insert before it", q)
+		}
+	}
+	if _, ok := s.PreparedByID(id); !ok {
+		t.Error("text traffic evicted a registered statement")
+	}
+	const templates = 4
+	if got := s.Cache().Len(); got > templates+1 {
+		t.Errorf("cache holds %d entries after %d literal texts of %d shapes", got, n, templates)
+	}
+	hits, misses := s.Cache().Stats()
+	hits, misses = hits-hits0, misses-misses0
+	if ratio := float64(hits) / float64(hits+misses); ratio <= 0.99 {
+		t.Errorf("hit ratio %.4f (%d hits, %d misses), want > 0.99", ratio, hits, misses)
+	}
+}
+
+// TestCreateInvalidatesTemplateEntry: a literal insert into a relation
+// that does not exist yet caches its template; the create that introduces
+// the relation must drop that entry, so the next literal insert prepares
+// afresh instead of binding a plan that predates the directory change.
+func TestCreateInvalidatesTemplateEntry(t *testing.T) {
+	s, _ := newSession(t)
+	if resp, err := s.Exec(`insert (1, "a") into X`); err != nil || resp.Err == nil {
+		t.Fatalf("insert into absent relation: %v / %+v", err, resp)
+	}
+	stale, err := s.Prepare("insert (?, ?) into X")
+	if err != nil {
+		t.Fatal(err)
+	}
+	hits0, misses0 := s.Cache().Stats()
+	if _, err := s.Translate(`insert (2, "b") into X`); err != nil {
+		t.Fatal(err)
+	}
+	if hits, misses := s.Cache().Stats(); hits != hits0+1 || misses != misses0 {
+		t.Fatal("second literal insert did not hit the template entry")
+	}
+
+	if resp, err := s.Exec("create X using avl"); err != nil || resp.Err != nil {
+		t.Fatalf("create: %v / %v", err, resp.Err)
+	}
+	hits0, misses0 = s.Cache().Stats()
+	if resp, err := s.Exec(`insert (3, "c") into X`); err != nil || resp.Err != nil {
+		t.Fatalf("insert after create: %v / %+v", err, resp)
+	}
+	if hits, misses := s.Cache().Stats(); hits != hits0 || misses != misses0+1 {
+		t.Errorf("insert after create bound a stale template (hits %d->%d, misses %d->%d)", hits0, hits, misses0, misses)
+	}
+	if fresh, err := s.Prepare("insert (?, ?) into X"); err != nil || fresh == stale {
+		t.Errorf("template entry survived the create: %v", err)
+	}
+}
+
+// nopSubmitter resolves every transaction with one shared ready future:
+// what is left is the session's own cost.
+type nopSubmitter struct{ fut *Future }
+
+func (n nopSubmitter) SubmitTagged(txs []core.Transaction, futs []*Future) {
+	for i := range futs {
+		futs[i] = n.fut
+	}
+}
+
+// TestExecAsyncAllocGate: executing a statement costs its translation and
+// nothing else — no pending-statement object, no result slice.
+func TestExecAsyncAllocGate(t *testing.T) {
+	s := New(nopSubmitter{lenient.Ready(core.Response{})})
+	for _, tc := range []struct {
+		q   string
+		max float64
+	}{
+		{"find 7 in R", 0},
+		{`insert (7, "v") into R`, 1}, // the tuple's items
+	} {
+		allocs := testing.AllocsPerRun(1000, func() {
+			if _, err := s.ExecAsync(tc.q); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > tc.max {
+			t.Errorf("ExecAsync(%q) = %.1f allocs, want <= %.0f", tc.q, allocs, tc.max)
+		}
+	}
+}
+
+// TestQueueTxAllocGate: a queued statement is one object — the pending
+// statement, which is also its own future.
+func TestQueueTxAllocGate(t *testing.T) {
+	s := New(nopSubmitter{lenient.Ready(core.Response{})})
+	tx := core.Find("R", value.Int(7))
+	allocs := testing.AllocsPerRun(1000, func() {
+		fut := s.QueueTx(tx)
+		s.Flush()
+		fut.Force()
+	})
+	if allocs > 1 {
+		t.Errorf("QueueTx + Flush + Force = %.1f allocs, want <= 1", allocs)
+	}
 }

@@ -137,6 +137,11 @@ func NewTuple(items ...Item) Tuple {
 	return Tuple{fields: fields}
 }
 
+// TupleOf builds a tuple that takes ownership of fields: no copy is made, so
+// the caller must not modify the slice afterwards. For callers that have
+// just built the slice for this tuple and drop their reference to it.
+func TupleOf(fields []Item) Tuple { return Tuple{fields: fields} }
+
 // Arity returns the number of fields.
 func (t Tuple) Arity() int { return len(t.fields) }
 

@@ -252,3 +252,22 @@ func TestPropertyHashConsistentWithEqual(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestTupleOfNoAlloc: the owning constructor is the slice it is given —
+// no copy, so a caller that built the fields for this tuple pays for them
+// once — while NewTuple still isolates the tuple from its argument.
+func TestTupleOfNoAlloc(t *testing.T) {
+	fields := []Item{Int(1), Str("a")}
+	var tu Tuple
+	if allocs := testing.AllocsPerRun(100, func() { tu = TupleOf(fields) }); allocs != 0 {
+		t.Errorf("TupleOf = %.1f allocs, want 0", allocs)
+	}
+	if !tu.Equal(NewTuple(Int(1), Str("a"))) {
+		t.Errorf("TupleOf(%v) = %v", fields, tu)
+	}
+	copied := NewTuple(fields...)
+	fields[0] = Int(2)
+	if copied.Field(0).AsInt() != 1 {
+		t.Error("NewTuple aliases its argument")
+	}
+}
