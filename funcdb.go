@@ -830,10 +830,10 @@ func OpenClusterNode(cfg ClusterNodeConfig) (*ClusterNode, error) {
 	owned := cluster.OwnedRelations(cfg.Relations, cfg.ID, len(cfg.Nodes))
 	opts := []Option{
 		WithRelations(owned...),
-		// A fresh node's relations are trees, so a replicated write copies
-		// one O(log n) path per copy. An existing archive overrides this:
+		// A fresh node starts in the cluster's representation, like its
+		// peers' mirrors of it. An existing archive overrides this:
 		// relations reopen in the representation they were written with.
-		WithRepresentation(RepAVL),
+		WithRepresentation(cluster.FreshRep),
 		WithOrigin(fmt.Sprintf("node%d", cfg.ID)),
 		WithDurability(cfg.Dir, cfg.Durability...),
 	}

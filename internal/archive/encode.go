@@ -32,34 +32,46 @@ func AppendTxnRecord(dst []byte, seq int64, tx core.Transaction) ([]byte, error)
 	return appendTxn(dst, seq, tx)
 }
 
-// DecodeTxnRecord decodes a recTxn payload back into the engine sequence
-// it committed as and the replayable transaction: the receiving end of
-// the log-shipping stream. Trailing bytes beyond the record are corrupt;
-// a subscriber that negotiated protocol version 5 — where the primary may
-// stamp a trace-context suffix onto stream records — must use
-// DecodeTxnRecordTail instead.
+// DecodeTxnRecord decodes one recTxn payload back into the engine sequence
+// it committed as and the replayable transaction. Trailing bytes beyond
+// the record are corrupt. Whoever decodes a stream of records — a log
+// replay, a replication subscription — keeps a TxnDecoder instead.
 func DecodeTxnRecord(payload []byte) (seq int64, tx core.Transaction, err error) {
-	lt, rest, err := decodeTxnTail(payload)
-	if err != nil {
-		return 0, core.Transaction{}, err
-	}
-	if len(rest) != 0 {
-		return 0, core.Transaction{}, fmt.Errorf("%w: transaction record: trailing bytes", ErrCorrupt)
-	}
-	return lt.Seq, lt.Tx, nil
+	lt, err := (*TxnDecoder)(nil).decode(payload)
+	return lt.Seq, lt.Tx, err
 }
 
-// DecodeTxnRecordTail decodes a recTxn payload and returns any unconsumed
-// trailing bytes instead of rejecting them. The log records on disk never
-// have a tail; records on a version-5 replication stream may carry the
-// 10-byte wire trace-context suffix, which the subscriber splits off here
-// and interprets with wire.DecodeTraceCtx.
-func DecodeTxnRecordTail(payload []byte) (seq int64, tx core.Transaction, rest []byte, err error) {
-	lt, rest, err := decodeTxnTail(payload)
-	if err != nil {
-		return 0, core.Transaction{}, nil, err
+// TxnDecoder decodes the recTxn payloads of one stream: a replication
+// subscription, the replay of one log segment. A stream names a handful of
+// origins and relations over and over, so the decoder hands every record
+// the same string for the same name instead of a fresh copy each: two
+// allocations fewer per record once it has seen them. The zero value is
+// ready to use; a nil *TxnDecoder decodes without remembering anything. Not
+// safe for concurrent use.
+type TxnDecoder struct {
+	names map[string]string
+}
+
+// internedNames bounds a decoder's memory: a stream with more distinct
+// names than this (origins are client-chosen) decodes the rest by copying.
+const internedNames = 256
+
+// name returns b as a string, shared with earlier records that carried it.
+func (d *TxnDecoder) name(b []byte) string {
+	if d == nil {
+		return string(b)
 	}
-	return lt.Seq, lt.Tx, rest, nil
+	if s, ok := d.names[string(b)]; ok { // no allocation: the conversion is only a map key
+		return s
+	}
+	s := string(b)
+	if len(d.names) < internedNames {
+		if d.names == nil {
+			d.names = make(map[string]string)
+		}
+		d.names[s] = s
+	}
+	return s
 }
 
 // Encodable reports whether a committed transaction has a log-record wire
@@ -126,32 +138,35 @@ func appendTxnFrame(dst []byte, seq int64, tx core.Transaction) (out, payload []
 	return out, out[start+frameHeader : len(out)-4], nil
 }
 
-// decodeTxn decodes one transaction payload, rejecting trailing bytes.
-func decodeTxn(payload []byte) (loggedTxn, error) {
-	lt, rest, err := decodeTxnTail(payload)
+// decode decodes one transaction payload, rejecting trailing bytes: the log
+// files' decoder, where a tail is corruption.
+func (d *TxnDecoder) decode(payload []byte) (loggedTxn, error) {
+	seq, tx, rest, err := d.DecodeTail(payload)
 	if err != nil {
 		return loggedTxn{}, err
 	}
 	if len(rest) != 0 {
 		return loggedTxn{}, fmt.Errorf("%w: transaction record: trailing bytes", ErrCorrupt)
 	}
-	return lt, nil
+	return loggedTxn{Seq: seq, Tx: tx}, nil
 }
 
-// decodeTxnTail decodes one transaction payload and returns the
-// unconsumed tail: the shared core of the strict decoder (log files, where
-// a tail is corruption) and the suffix-tolerant stream decoder (where the
-// tail is a trace context).
-func decodeTxnTail(payload []byte) (loggedTxn, []byte, error) {
-	fail := func(what string) (loggedTxn, []byte, error) {
-		return loggedTxn{}, nil, fmt.Errorf("%w: transaction record: bad %s", ErrCorrupt, what)
+// DecodeTail decodes a recTxn payload and returns any unconsumed trailing
+// bytes instead of rejecting them. The log records on disk never have a
+// tail; records on a version-5 replication stream may carry the 10-byte
+// wire trace-context suffix, which the subscriber splits off here and
+// interprets with wire.DecodeTraceCtx. Everything returned but rest is
+// copied out of payload.
+func (d *TxnDecoder) DecodeTail(payload []byte) (seq int64, tx core.Transaction, rest []byte, err error) {
+	fail := func(what string) (int64, core.Transaction, []byte, error) {
+		return 0, core.Transaction{}, nil, fmt.Errorf("%w: transaction record: bad %s", ErrCorrupt, what)
 	}
 	seq, n := binary.Varint(payload)
 	if n <= 0 {
 		return fail("sequence")
 	}
 	payload = payload[n:]
-	origin, payload, err := value.DecodeString(payload)
+	origin, payload, err := value.DecodeStringBytes(payload)
 	if err != nil {
 		return fail("origin")
 	}
@@ -169,12 +184,12 @@ func decodeTxnTail(payload []byte) (loggedTxn, []byte, error) {
 	}
 	kind := core.Kind(payload[0])
 	payload = payload[1:]
-	rel, payload, err := value.DecodeString(payload)
+	rel, payload, err := value.DecodeStringBytes(payload)
 	if err != nil {
 		return fail("relation name")
 	}
 
-	tx := core.Transaction{Kind: kind, Rel: rel}
+	tx = core.Transaction{Kind: kind, Rel: d.name(rel)}
 	switch kind {
 	case core.KindInsert:
 		tu, rest, err := value.DecodeTuple(payload)
@@ -210,6 +225,6 @@ func decodeTxnTail(payload []byte) (loggedTxn, []byte, error) {
 	// they are what the committing node's translate produced from the
 	// text, so replay takes them as decoded and never parses again. The
 	// source text rides along for reports and forwards.
-	tx.Origin, tx.Seq, tx.Query = origin, int(oseq), src
-	return loggedTxn{Seq: seq, Tx: tx}, payload, nil
+	tx.Origin, tx.Seq, tx.Query = d.name(origin), int(oseq), src
+	return seq, tx, payload, nil
 }

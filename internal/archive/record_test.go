@@ -3,6 +3,7 @@ package archive
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"hash/crc32"
 	"io"
 	"math/rand"
@@ -126,12 +127,13 @@ func TestTxnRecordRoundTrip(t *testing.T) {
 		core.Create("S", 2),
 		{Kind: core.KindInsert, Rel: "R", Tuple: value.NewTuple(value.Int(7)), Origin: "repl", Seq: 3, Query: `insert 7 into R`},
 	}
+	var dec TxnDecoder // one stream: later records reuse earlier records' names
 	for i, tx := range txns {
 		payload, err := appendTxn(nil, int64(i+1), tx)
 		if err != nil {
 			t.Fatalf("txn %d: %v", i, err)
 		}
-		got, err := decodeTxn(payload)
+		got, err := dec.decode(payload)
 		if err != nil {
 			t.Fatalf("txn %d: %v", i, err)
 		}
@@ -167,7 +169,7 @@ func TestPropertyDecodersNeverPanic(t *testing.T) {
 				break
 			}
 		}
-		_, _ = decodeTxn(buf)
+		_, _, _ = DecodeTxnRecord(buf)
 		_, _, _ = decodeHeader(buf)
 		return true
 	}
@@ -211,7 +213,7 @@ func TestPropertyMutatedTxnStreamNeverPanics(t *testing.T) {
 				return true
 			}
 			if rec.typ == recTxn {
-				_, _ = decodeTxn(rec.payload)
+				_, _, _ = DecodeTxnRecord(rec.payload)
 			}
 		}
 	}
@@ -240,7 +242,7 @@ func FuzzReadRecord(f *testing.F) {
 				t.Fatalf("frame longer than consumed input")
 			}
 			if rec.typ == recTxn {
-				_, _ = decodeTxn(rec.payload)
+				_, _, _ = DecodeTxnRecord(rec.payload)
 			}
 		}
 	})
@@ -291,7 +293,7 @@ func TestTxnFrameMatchesRecord(t *testing.T) {
 // the text and nothing else: no lex, no parse, and for a template no
 // SyntaxError and formatted message per replicated record.
 func TestDecodeRecordAllocGate(t *testing.T) {
-	tx := core.Insert("R", value.NewTuple(value.Int(7), value.Str("widget")))
+	tx := core.Insert("parts", value.NewTuple(value.Int(7), value.Str("widget")))
 	tx.Origin, tx.Seq = "client-3", 41
 	bare, err := AppendTxnRecord(nil, 9, tx)
 	if err != nil {
@@ -306,7 +308,7 @@ func TestDecodeRecordAllocGate(t *testing.T) {
 	}
 	base := testing.AllocsPerRun(200, decode(bare))
 
-	for _, src := range []string{"insert (?, ?) into R", `insert (7, "widget") into R`} {
+	for _, src := range []string{"insert (?, ?) into parts", `insert (7, "widget") into parts`} {
 		tx.Query = src
 		payload, err := AppendTxnRecord(nil, 9, tx)
 		if err != nil {
@@ -322,6 +324,44 @@ func TestDecodeRecordAllocGate(t *testing.T) {
 		}
 		if allocs := testing.AllocsPerRun(200, decode(payload)); allocs > base+1 {
 			t.Errorf("decoding a record with text %q = %.1f allocs, %.1f without source text: the text was parsed", src, allocs, base)
+		}
+	}
+
+	// A stream's decoder has seen the record's origin and relation before:
+	// it hands out the strings it kept instead of two fresh ones.
+	var dec TxnDecoder
+	warm := testing.AllocsPerRun(200, func() {
+		if _, got, rest, err := dec.DecodeTail(bare); err != nil || len(rest) != 0 || got.Origin != tx.Origin || got.Rel != tx.Rel {
+			t.Fatalf("warm decode: %+v, %d trailing bytes, %v", got, len(rest), err)
+		}
+	})
+	if warm != base-2 {
+		t.Errorf("decoding on a warm decoder = %.1f allocs, %.1f on none: want exactly two fewer", warm, base)
+	}
+}
+
+// TestTxnDecoderBounded: a stream with more distinct names than the decoder
+// keeps still decodes every record exactly; the decoder just stops growing.
+func TestTxnDecoderBounded(t *testing.T) {
+	var dec TxnDecoder
+	for round := 0; round < 2; round++ {
+		for i := 0; i < 2*internedNames; i++ {
+			tx := core.Delete(fmt.Sprintf("R%d", i), value.Int(int64(i)))
+			tx.Origin, tx.Seq = fmt.Sprintf("client-%d", i), i
+			payload, err := AppendTxnRecord(nil, int64(i+1), tx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := dec.decode(payload)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.Seq != int64(i+1) || got.Tx.Rel != tx.Rel || got.Tx.Origin != tx.Origin || got.Tx.Seq != i || !got.Tx.Key.Equal(tx.Key) {
+				t.Fatalf("round %d record %d decodes to %+v, want %+v", round, i, got.Tx, tx)
+			}
+		}
+		if len(dec.names) != internedNames {
+			t.Fatalf("round %d: decoder keeps %d names, want its bound %d", round, len(dec.names), internedNames)
 		}
 	}
 }
@@ -373,12 +413,11 @@ func TestStructuralReplayIsTextReplay(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%q: %v", src, err)
 		}
-		lt, err := decodeTxn(payload)
+		seq, got, err := DecodeTxnRecord(payload)
 		if err != nil {
 			t.Fatalf("%q: %v", src, err)
 		}
-		got := lt.Tx
-		if lt.Seq != int64(writes) || got.Origin != tx.Origin || got.Seq != tx.Seq || got.Query != src ||
+		if seq != int64(writes) || got.Origin != tx.Origin || got.Seq != tx.Seq || got.Query != src ||
 			got.Kind != tx.Kind || got.Rel != tx.Rel || got.Rep != tx.Rep ||
 			got.Key.Kind() != tx.Key.Kind() || !got.Key.Equal(tx.Key) || !got.Tuple.Equal(tx.Tuple) {
 			t.Errorf("%q: record decodes to %+v, text translates to %+v", src, got, tx)

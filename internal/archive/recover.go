@@ -133,6 +133,7 @@ func readLog(dir string, seq int64) (logContents, error) {
 	}
 	out := logContents{validLen: rd.off}
 	next := seq + 1
+	var dec TxnDecoder
 	for {
 		rec, err := rd.next()
 		if errors.Is(err, io.EOF) {
@@ -148,7 +149,7 @@ func readLog(dir string, seq int64) (logContents, error) {
 		if rec.typ != recTxn {
 			return logContents{}, fmt.Errorf("%w: log %d: unexpected record type %d", ErrCorrupt, seq, rec.typ)
 		}
-		entry, err := decodeTxn(rec.payload)
+		entry, err := dec.decode(rec.payload)
 		if err != nil {
 			return logContents{}, fmt.Errorf("log %d: %w", seq, err)
 		}

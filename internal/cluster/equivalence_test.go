@@ -35,18 +35,18 @@ func startCluster(t testing.TB, n int, relations []string) *testCluster {
 	return startClusterIn(t, dirs, relations)
 }
 
-// listArchives returns n archive directories, each already holding node
-// i's owned relations empty and list-backed at version 0. A node opened
-// on one serves lists: the representation is the archive's, not the
+// repArchives returns n archive directories, each already holding node
+// i's owned relations empty and rep-backed at version 0. A node opened
+// on one serves rep: the representation is the archive's, not the
 // node's.
-func listArchives(t testing.TB, n int, relations []string) []string {
+func repArchives(t testing.TB, rep funcdb.Rep, n int, relations []string) []string {
 	t.Helper()
 	dirs := make([]string, n)
 	for i := range dirs {
 		dirs[i] = t.TempDir()
 		st, err := funcdb.Open(
 			funcdb.WithRelations(cluster.OwnedRelations(relations, i, n)...),
-			funcdb.WithRepresentation(funcdb.RepList),
+			funcdb.WithRepresentation(rep),
 			funcdb.WithDurability(dirs[i]))
 		if err != nil {
 			t.Fatal(err)
@@ -274,19 +274,23 @@ func compareRuns(t *testing.T, queries, want, got []string) {
 // merged final databases must be equal. The cluster client is given the
 // full membership, so it routes every statement straight to its owner.
 //
-// The cluster run happens twice: on fresh nodes (AVL primaries), and on
-// nodes opened over list-written archives — the one list-backed cell, the
-// shape the paper's own experiments ran on, mirrored into AVL trees.
+// The cluster run happens three times: on fresh nodes (paged primaries),
+// on nodes opened over list-written archives — the shape the paper's own
+// experiments ran on — and on nodes opened over AVL-written archives, what
+// every cluster node created between PR 16 and PR 20 left on disk. The
+// archive-backed primaries keep their shape and are mirrored into pages.
 // Placement, replication and the log know nothing of the shape, so beyond
-// both matching the oracle the two clusters must end on the same log
-// sequence number node by node.
+// all matching the oracle the clusters must end on the same log sequence
+// number node by node.
 func TestClusterEquivalence(t *testing.T) {
 	cells := []struct {
-		name string
-		want funcdb.Rep // what the primaries' schema relations must report
+		name    string
+		want    funcdb.Rep // what the primaries' schema relations must report
+		archive bool       // opened over archives written as want
 	}{
-		{"avl", funcdb.RepAVL},
-		{"list", funcdb.RepList},
+		{"fresh", cluster.FreshRep, false},
+		{"list", funcdb.RepList, true},
+		{"avl", funcdb.RepAVL, true},
 	}
 	for seed := int64(1); seed <= 4; seed++ {
 		seed := seed
@@ -298,8 +302,8 @@ func TestClusterEquivalence(t *testing.T) {
 			var seqs [][]int64 // per cell, per node
 			for _, cell := range cells {
 				var tc *testCluster
-				if cell.want == funcdb.RepList {
-					tc = startClusterIn(t, listArchives(t, 3, clusterRels), clusterRels)
+				if cell.archive {
+					tc = startClusterIn(t, repArchives(t, cell.want, 3, clusterRels), clusterRels)
 				} else {
 					tc = startCluster(t, 3, clusterRels)
 				}
@@ -328,10 +332,12 @@ func TestClusterEquivalence(t *testing.T) {
 				diffContents(t, wantState, tc.merged(t))
 				tc.shutdown()
 			}
-			for i := range seqs[0] {
-				if seqs[0][i] != seqs[1][i] {
-					t.Fatalf("node %d ended at log sequence %d on %s but %d on %s",
-						i, seqs[0][i], cells[0].name, seqs[1][i], cells[1].name)
+			for c := 1; c < len(cells); c++ {
+				for i := range seqs[0] {
+					if seqs[0][i] != seqs[c][i] {
+						t.Fatalf("node %d ended at log sequence %d on %s but %d on %s",
+							i, seqs[0][i], cells[0].name, seqs[c][i], cells[c].name)
+					}
 				}
 			}
 		})

@@ -11,7 +11,6 @@ import (
 	"funcdb/internal/archive"
 	"funcdb/internal/core"
 	"funcdb/internal/database"
-	"funcdb/internal/lenient"
 	"funcdb/internal/session"
 	"funcdb/internal/wire"
 )
@@ -518,6 +517,17 @@ func (f *failover) authorityStore(slot int) LocalStore {
 	return st
 }
 
+// gatedWrite is a write's response behind the replication-ack gate. It is
+// its own future — the cell gated hands out, suspended on the gate itself —
+// so gating a write allocates the gate and nothing else.
+type gatedWrite struct {
+	cell  session.Future
+	f     *failover
+	slot  int
+	st    LocalStore
+	inner *session.Future
+}
+
 // gated wraps a write future in the replication-ack gate: the response
 // is surfaced only after SyncReplicas live mirrors acked a sequence at
 // or beyond the write's commit. If the node loses its quorum while
@@ -525,19 +535,22 @@ func (f *failover) authorityStore(slot int) LocalStore {
 // but the winner's history will not contain it, and an un-acked write is
 // allowed to vanish.
 func (f *failover) gated(slot int, st LocalStore, fut *session.Future) *session.Future {
-	return lenient.Lazy(func() core.Response {
-		r := fut.Force()
-		if r.Err != nil {
-			return r
-		}
-		// The store's current version bounds this write's commit sequence
-		// from above: waiting for it is conservative and monotone.
-		v := st.Version()
-		if err := f.waitReplicated(slot, v); err != nil {
-			r.Err = err
-		}
+	g := &gatedWrite{f: f, slot: slot, st: st, inner: fut}
+	return g.cell.Suspend(g)
+}
+
+// Eval implements lenient.Thunk for the gated future.
+func (g *gatedWrite) Eval() core.Response {
+	r := g.inner.Force()
+	if r.Err != nil {
 		return r
-	})
+	}
+	// The store's current version bounds this write's commit sequence
+	// from above: waiting for it is conservative and monotone.
+	if err := g.f.waitReplicated(g.slot, g.st.Version()); err != nil {
+		r.Err = err
+	}
+	return r
 }
 
 // waitReplicated blocks until SyncReplicas live subscribers of the slot

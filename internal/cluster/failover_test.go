@@ -260,9 +260,9 @@ func TestFailoverKillPrimary(t *testing.T) {
 	}
 	t.Logf("slot %d promoted to node %d in epoch %d", slot, winner, epoch)
 	// The takeover store is the winner's mirror promoted, so it holds the
-	// relation in the mirror's shape: the default, AVL.
-	if rep := takeoverRep(t, dirs[winner], slot, epoch, rel); rep != funcdb.RepAVL {
-		t.Fatalf("takeover store holds %q as %v, want %v", rel, rep, funcdb.RepAVL)
+	// relation in the mirror's shape: the cluster's, pages.
+	if rep := takeoverRep(t, dirs[winner], slot, epoch, rel); rep != cluster.FreshRep {
+		t.Fatalf("takeover store holds %q as %v, want %v", rel, rep, cluster.FreshRep)
 	}
 
 	// Zero acked commits lost: every insert is readable from the winner.
@@ -313,16 +313,23 @@ func TestFailoverKillPrimary(t *testing.T) {
 }
 
 // TestMixedRepresentationRestart: the representation is data, not a mode
-// of the cluster. An archive written by a list-backed store is opened as
-// a cluster node beside two fresh peers: the node keeps serving lists
-// (the snapshot says so), its peers mirror the same log into AVL trees,
-// replica reads off those mirrors agree with the primary, and when the
-// list-backed node dies the promoted mirror — an AVL takeover store —
+// of the cluster. An archive written by a list-backed store — or by an
+// AVL-backed one, which is what every cluster node wrote between PR 16 and
+// PR 20 — is opened as a cluster node beside two fresh peers: the node
+// keeps serving the shape its snapshot says, its peers mirror the same log
+// into pages, replica reads off those mirrors agree with the primary, and
+// when the old node dies the promoted mirror — a paged takeover store —
 // answers with exactly what it held.
 func TestMixedRepresentationRestart(t *testing.T) {
 	if testing.Short() {
 		t.Skip("lease-timing test")
 	}
+	for _, rep := range []funcdb.Rep{funcdb.RepList, funcdb.RepAVL} {
+		t.Run(rep.String(), func(t *testing.T) { mixedRepresentationRestart(t, rep) })
+	}
+}
+
+func mixedRepresentationRestart(t *testing.T, oldRep funcdb.Rep) {
 	const old = 2 // the node whose archive predates the cluster
 	owned := cluster.OwnedRelations(clusterRels, old, 3)
 	if len(owned) == 0 {
@@ -331,11 +338,11 @@ func TestMixedRepresentationRestart(t *testing.T) {
 	rel := owned[0]
 	slot := cluster.OwnerIndex(rel, 3)
 
-	// Generation 1: a list-backed store writes the archive, then closes.
+	// Generation 1: an oldRep-backed store writes the archive, then closes.
 	oldDir := t.TempDir()
 	gen1, err := funcdb.Open(
 		funcdb.WithRelations(owned...),
-		funcdb.WithRepresentation(funcdb.RepList),
+		funcdb.WithRepresentation(oldRep),
 		funcdb.WithDurability(oldDir))
 	if err != nil {
 		t.Fatal(err)
@@ -383,8 +390,8 @@ func TestMixedRepresentationRestart(t *testing.T) {
 	}
 	store := tc.nodes[old].Store()
 	store.Barrier()
-	if r, _ := store.Current().RelationFast(rel); r == nil || r.Rep() != funcdb.RepList {
-		t.Fatalf("reopened node holds %q as %v, want the archive's %v", rel, r, funcdb.RepList)
+	if r, _ := store.Current().RelationFast(rel); r == nil || r.Rep() != oldRep {
+		t.Fatalf("reopened node holds %q as %v, want the archive's %v", rel, r, oldRep)
 	}
 	primary := scan(cc, false)
 	if n := strings.Count(primary, "("); n != 60 {
@@ -406,18 +413,18 @@ func TestMixedRepresentationRestart(t *testing.T) {
 	}
 	defer viaMirror.Close()
 	if got := scan(viaMirror, true); got != primary {
-		t.Fatalf("AVL mirror diverged from its list-backed primary:\n  primary: %s\n  mirror:  %s", primary, got)
+		t.Fatalf("paged mirror diverged from its %v-backed primary:\n  primary: %s\n  mirror:  %s", oldRep, primary, got)
 	}
 
-	// Kill the list-backed primary: a mirror is promoted, and the takeover
-	// store it becomes is AVL — with the same contents.
+	// Kill the old primary: a mirror is promoted, and the takeover store it
+	// becomes is paged — with the same contents.
 	tc.nodes[old].Kill()
 	winner, epoch := waitPromoted(t, tc, []int{0, 1}, slot, old, 0)
 	if got := scan(cc, false); got != primary {
 		t.Fatalf("promoted mirror diverged:\n  before: %s\n  after:  %s", primary, got)
 	}
-	if rep := takeoverRep(t, dirs[winner], slot, epoch, rel); rep != funcdb.RepAVL {
-		t.Fatalf("takeover store holds %q as %v, want %v", rel, rep, funcdb.RepAVL)
+	if rep := takeoverRep(t, dirs[winner], slot, epoch, rel); rep != cluster.FreshRep {
+		t.Fatalf("takeover store holds %q as %v, want %v", rel, rep, cluster.FreshRep)
 	}
 }
 

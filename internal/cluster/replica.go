@@ -27,16 +27,13 @@ import (
 // a read planned against the mirror carries the precise primary version
 // it reflects: the client's staleness bound.
 //
-// The relations a mirror starts with are AVL trees: the paper ran its
-// experiments on linked lists "for simplicity" (Section 4) but argues in
-// Section 2.2 that with trees "all but a proportion (log n)/n of a
-// relation can be shared during updating", and a replicated write pays
-// that update once per copy. Nothing else here knows the shape, and it is
-// not a mode of the cluster. Relations that arrive as data — a create
-// record from the peer, the database a rejoin rewinds to — keep the
-// representation they were written with, so a mirror may hold a different
-// shape than its primary (a primary reopened from an archive written
-// list-backed stays list-backed; its peers' mirrors need not be).
+// The relations a mirror starts with are FreshRep — paged B+-trees.
+// Nothing else here knows the shape, and it is not a mode of the cluster.
+// Relations that arrive as data — a create record from the peer, the
+// database a rejoin rewinds to — keep the representation they were written
+// with, so a mirror may hold a different shape than its primary (a primary
+// reopened from an archive written list- or AVL-backed stays that way; its
+// peers' mirrors need not be).
 type mirror struct {
 	peer     int
 	eng      *core.Engine
@@ -53,10 +50,22 @@ type mirror struct {
 	tailRecs [][]byte
 }
 
+// FreshRep is the representation a cluster's relations start in: a fresh
+// node's primary store (funcdb.OpenClusterNode reads it from here), every
+// mirror, and so every takeover store a mirror is promoted into. The paper
+// ran its experiments on linked lists "for simplicity" (Section 4) but
+// argues that trees share "all but a proportion (log n)/n of a relation"
+// (Section 2.2) and that the tree node should be "one physical page"
+// (Section 3.3): a replicated write pays its path copy once per copy, and a
+// page-wide path is ~3 objects where a binary one is ~10. It is a constant,
+// not a setting: the representation is data, so an archive written in
+// another shape reopens in that shape and a mixed cluster is legal.
+const FreshRep = relation.RepPaged
+
 func newMirror(peerIdx int, ownedRels []string) *mirror {
 	return &mirror{
 		peer: peerIdx,
-		eng:  core.NewEngine(database.New(relation.RepAVL, ownedRels...)),
+		eng:  core.NewEngine(database.New(FreshRep, ownedRels...)),
 	}
 }
 
@@ -265,8 +274,9 @@ func (n *Node) streamFrom(peerIdx int, m *mirror) error {
 	m.connects.Inc()
 	trRec := n.TraceRecorder()
 	var ack []byte // one SubAck payload, rewritten per applied record
+	var dec archive.TxnDecoder
 	// The LogRecord loop reuses the Reader's body buffer across records:
-	// DecodeTxnRecordTail copies everything it extracts, so the payload's
+	// TxnDecoder.DecodeTail copies everything it extracts, so the payload's
 	// next-read invalidation never escapes this loop.
 	for {
 		typ, payload, err := rd.Next()
@@ -310,7 +320,7 @@ func (n *Node) streamFrom(peerIdx int, m *mirror) error {
 		default:
 			return fmt.Errorf("cluster: unexpected frame %#x in replication stream", typ)
 		}
-		seq, tx, rest, err := archive.DecodeTxnRecordTail(record)
+		seq, tx, rest, err := dec.DecodeTail(record)
 		if err != nil {
 			return err
 		}

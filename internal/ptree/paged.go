@@ -9,33 +9,121 @@ import (
 	"funcdb/internal/value"
 )
 
-// DefaultPageCap is the default tuple/child capacity of a page: the paper's
+// DefaultPageCap is the tuple/child capacity of a page — the paper's
 // "balanced tree strategy in which the size of a tree node is one physical
-// page" (Section 3.3). The small default keeps toy relations multi-page so
-// the Figure 2-2 sharing structure is visible; production embedders tune it
-// to their real page size.
-const DefaultPageCap = 8
+// page" (Section 3.3) — and the size of the slot array a page carries
+// inline. It is a measured constant, not a tuning knob: every relation a
+// cluster node, a mirror or a takeover store holds uses it, and only the
+// Figure 2-2 sweep (NewPaged with an explicit capacity) departs from it.
+//
+// 16 was measured against 32 on the repository benchmark's cluster-prepared
+// workload (2 000-row relations, three copies of every write, alternated
+// pairs on both seeds; CHANGES.md, PR 20). Both are three pages deep there,
+// so allocs_per_op is the same (24.06); cpu_us_per_op and heap_live_mb do
+// not separate them; 16 runs 3.1 GC cycles a second where 32 runs 4.1,
+// because a write copies 928 bytes (2 × 224 B directories + one 480 B data
+// page) instead of 1 600. BenchmarkUpsert agrees: 553 against 830 ns at
+// 2 000 rows, and at 25 000 rows, where 16 is a level deeper (4 objects
+// against 3), still 1 150 ns and 1 152 B against 1 400 ns and 1 600 B.
+const DefaultPageCap = 16
 
 // page is one immutable page: either a data page of sorted tuples or a
 // directory page of separator keys and children (Figure 2-2's "data pages"
-// and "directory pages").
+// and "directory pages"). It carries its subtree's tuple and page counts,
+// so any page is a complete tree and a version is nothing but its root.
+//
+// A page is one allocation: it is the header of a leafPage or dirPage whose
+// slot array it slices. That makes three rules. Never append to tuples or
+// kids once the page is built. Never give one page a sub-slice of another
+// page's slots (a split builds two fresh pages). And remember that any
+// pointer into the slots keeps the whole page alive — which is the point.
+// seps is a separate object because an update that does not split shares
+// it with the page it replaces.
 type page struct {
-	leaf   bool
 	tuples []value.Tuple // data pages: sorted by key
+	kids   []*page       // directory pages
 	seps   []value.Item  // directory pages: len(kids)-1 separators
-	kids   []*page
 	task   trace.TaskID
+	n      int32 // tuples in this subtree
+	pages  int32 // pages in this subtree, this one included
+	cap    int32 // the tree's page capacity
+	leaf   bool
+}
+
+type leafPage struct {
+	page
+	buf [DefaultPageCap]value.Tuple
+}
+
+type dirPage struct {
+	page
+	buf [DefaultPageCap]*page
+}
+
+// newLeaf returns an unbuilt data page with n empty slots. Capacities
+// above the inline size (the Figure 2-2 sweep only) fall back to a heap
+// slice.
+func newLeaf(pageCap, n int) *page {
+	var p *page
+	if pageCap <= DefaultPageCap {
+		lp := &leafPage{}
+		lp.tuples = lp.buf[:n:n]
+		p = &lp.page
+	} else {
+		p = &page{tuples: make([]value.Tuple, n)}
+	}
+	p.leaf, p.cap, p.n, p.pages = true, int32(pageCap), int32(n), 1
+	return p
+}
+
+// newDir returns an unbuilt directory page with n empty child slots; the
+// caller fills kids, seps and the subtree counts.
+func newDir(pageCap, n int) *page {
+	var p *page
+	if pageCap <= DefaultPageCap {
+		dp := &dirPage{}
+		dp.kids = dp.buf[:n:n]
+		p = &dp.page
+	} else {
+		p = &page{kids: make([]*page, n)}
+	}
+	p.cap = int32(pageCap)
+	return p
+}
+
+// count sets a directory's subtree counts by visiting every child: for the
+// rare pages (splits, bulk load) that are not one child away from a page
+// whose counts are known.
+func (p *page) count() {
+	p.n, p.pages = 0, 1
+	for _, k := range p.kids {
+		p.n += k.n
+		p.pages += k.pages
+	}
+}
+
+// insertInto copies src into dst with x inserted at slot i;
+// len(dst) == len(src)+1.
+func insertInto[T any](dst, src []T, i int, x T) {
+	copy(dst, src[:i])
+	dst[i] = x
+	copy(dst[i+1:], src[i:])
+}
+
+// removeFrom copies src into dst without slot i; len(dst) == len(src)-1.
+func removeFrom[T any](dst, src []T, i int) {
+	copy(dst, src[:i])
+	copy(dst[i:], src[i+1:])
 }
 
 // Paged is a persistent B+-tree of fixed-capacity pages. Updating re-creates
 // only the pages on the root-to-leaf path ("If an insertion or modification
 // affects only a few pages, then all other pages can be shared. A new
 // directory structure is created, the old one being left intact." —
-// Section 2.2). The zero Paged is invalid; use NewPaged or PagedFromTuples.
+// Section 2.2). A version is its root page and nothing else, so a Paged is
+// one pointer. The zero Paged is invalid; use NewPaged or PagedFromTuples.
 type Paged struct {
 	root *page
-	size int
-	cap  int
 }
 
 // NewPaged returns an empty paged tree with the given page capacity
@@ -47,23 +135,59 @@ func NewPaged(pageCap int) Paged {
 	if pageCap < 2 {
 		pageCap = 2
 	}
-	return Paged{root: &page{leaf: true}, cap: pageCap}
+	return Paged{root: newLeaf(pageCap, 0)}
 }
 
 // PagedFromTuples bulk-builds a paged tree untraced from initial data.
+// Input in strictly ascending key order — what a snapshot, a rejoin and
+// database.FromData hand over — fills pages left to right and the
+// directories bottom-up: O(n), every page but the last of each level full,
+// nothing built that is not kept. Any other input is inserted tuple by
+// tuple (equal keys replace).
 func PagedFromTuples(pageCap int, tuples []value.Tuple) Paged {
 	t := NewPaged(pageCap)
-	for _, tu := range tuples {
-		t, _ = t.Insert(nil, tu, trace.None)
+	if len(tuples) == 0 {
+		return t
 	}
-	return t
+	for i := 1; i < len(tuples); i++ {
+		if tuples[i-1].Key().Compare(tuples[i].Key()) >= 0 {
+			for _, tu := range tuples {
+				t, _ = t.Insert(nil, tu, trace.None)
+			}
+			return t
+		}
+	}
+	pageCap = t.PageCap()
+	// level holds one tree level left to right, mins each page's least key
+	// (the separator its parent files it under).
+	var level []*page
+	var mins []value.Item
+	for lo := 0; lo < len(tuples); lo += pageCap {
+		p := newLeaf(pageCap, min(pageCap, len(tuples)-lo))
+		copy(p.tuples, tuples[lo:])
+		level, mins = append(level, p), append(mins, tuples[lo].Key())
+	}
+	for len(level) > 1 {
+		var up []*page
+		var upMins []value.Item
+		for lo := 0; lo < len(level); lo += pageCap {
+			hi := min(lo+pageCap, len(level))
+			p := newDir(pageCap, hi-lo)
+			copy(p.kids, level[lo:hi])
+			p.seps = append([]value.Item(nil), mins[lo+1:hi]...)
+			p.count()
+			up, upMins = append(up, p), append(upMins, mins[lo])
+		}
+		level, mins = up, upMins
+	}
+	return Paged{root: level[0]}
 }
 
 // Len returns the number of tuples.
-func (t Paged) Len() int { return t.size }
+func (t Paged) Len() int { return int(t.root.n) }
 
 // PageCap returns the page capacity.
-func (t Paged) PageCap() int { return t.cap }
+func (t Paged) PageCap() int { return int(t.root.cap) }
 
 // HeadTask returns the root directory page's constructor task.
 func (t Paged) HeadTask() trace.TaskID {
@@ -73,20 +197,13 @@ func (t Paged) HeadTask() trace.TaskID {
 	return t.root.task
 }
 
-// PageCount returns the total number of pages in this version.
+// PageCount returns the total number of pages in this version: the count
+// the root carries, kept by every update in O(height).
 func (t Paged) PageCount() int {
-	var count func(p *page) int
-	count = func(p *page) int {
-		n := 1
-		for _, k := range p.kids {
-			n += count(k)
-		}
-		return n
-	}
 	if t.root == nil {
 		return 0
 	}
-	return count(t.root)
+	return int(t.root.pages)
 }
 
 // Height returns the number of page levels.
@@ -105,13 +222,34 @@ func (t Paged) Height() int {
 // childIndex returns the child slot covering key within a directory page:
 // the first i with key < seps[i], else the last child.
 func childIndex(p *page, key value.Item) int {
-	i := 0
-	for ; i < len(p.seps); i++ {
-		if key.Compare(p.seps[i]) < 0 {
-			break
+	lo, hi := 0, len(p.seps)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if key.Compare(p.seps[mid]) < 0 {
+			hi = mid
+		} else {
+			lo = mid + 1
 		}
 	}
-	return i
+	return lo
+}
+
+// leafIndex returns the first slot of a data page whose key is >= key, and
+// whether that slot holds key itself.
+func leafIndex(p *page, key value.Item) (int, bool) {
+	lo, hi := 0, len(p.tuples)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		switch c := p.tuples[mid].Key().Compare(key); {
+		case c == 0:
+			return mid, true
+		case c < 0:
+			lo = mid + 1
+		default:
+			hi = mid
+		}
+	}
+	return lo, false
 }
 
 // Find searches for key with one visit task per page on the path — the
@@ -125,12 +263,8 @@ func (t Paged) Find(ctx *eval.Ctx, key value.Item, after trace.TaskID) (value.Tu
 		step = ctx.Task(trace.KindVisit, step, p.task)
 		ctx.VisitedN(1)
 		if p.leaf {
-			for _, tu := range p.tuples {
-				if c := tu.Key().Compare(key); c == 0 {
-					return tu, true, step
-				} else if c > 0 {
-					break
-				}
+			if i, ok := leafIndex(p, key); ok {
+				return p.tuples[i], true, step
 			}
 			return value.Tuple{}, false, step
 		}
@@ -170,174 +304,226 @@ func (o *pagedOp) build(p *page) *page {
 	return p
 }
 
-// pagedSplit carries a page split upward: the child became [left, right]
-// separated by sep.
-type pagedSplit struct {
-	sep         value.Item
-	left, right *page
+// done reports an update's sharing: every page of the new version the
+// update did not build is shared with the old one.
+func (o *pagedOp) done(root *page) Paged {
+	if shared := int64(root.pages) - o.created; shared > 0 {
+		o.ctx.SharedN(shared)
+	}
+	return Paged{root: root}
 }
 
 // Insert returns a new tree containing tu (replacing an equal-keyed tuple).
-// Exactly the root-to-leaf path is copied; on overflow a page splits and
-// the split propagates.
+// Exactly the root-to-leaf path is copied, one allocation per page; on
+// overflow a page splits and the split propagates.
 func (t Paged) Insert(ctx *eval.Ctx, tu value.Tuple, after trace.TaskID) (Paged, trace.Op) {
-	op := &pagedOp{ctx: ctx, step: after, capacity: t.cap}
-	root, split, replaced := op.insert(t.root, tu)
-	if split != nil {
-		root = op.build(&page{
-			seps: []value.Item{split.sep},
-			kids: []*page{split.left, split.right},
-		})
+	op := pagedOp{ctx: ctx, step: after, capacity: t.PageCap()}
+	root, right, sep := op.insert(t.root, tu, true)
+	if right != nil {
+		left := root
+		root = newDir(op.capacity, 2)
+		root.kids[0], root.kids[1] = left, right
+		root.seps = []value.Item{sep}
+		root.count()
+		op.build(root)
 	}
-	size := t.size + 1
-	if replaced {
-		size = t.size
-	}
-	nt := Paged{root: root, size: size, cap: t.cap}
-	ctx.SharedN(int64(nt.PageCount()) - op.created)
-	return nt, trace.Op{Ready: root.task, Done: op.step}
+	return op.done(root), trace.Op{Ready: root.task, Done: op.step}
 }
 
-func (o *pagedOp) insertInLeaf(p *page, tu value.Tuple) (tuples []value.Tuple, replaced bool) {
-	key := tu.Key()
-	tuples = make([]value.Tuple, 0, len(p.tuples)+1)
-	inserted := false
-	for _, cur := range p.tuples {
-		if !inserted {
-			switch c := cur.Key().Compare(key); {
-			case c == 0:
-				tuples = append(tuples, tu)
-				inserted, replaced = true, true
-				continue
-			case c > 0:
-				tuples = append(tuples, tu)
-				inserted = true
-			}
-		}
-		tuples = append(tuples, cur)
+// splitPoint says how many of an overflowing page's total slots stay in
+// the left page. A page that overflows because the new slot went past its
+// end, on the tree's right edge, is being appended to — ascending keys,
+// which is every autoincrement relation and every bulk preload — and
+// leaves the left page full, where a split down the middle would leave
+// every page of an ascending load half empty and the tree a level deeper.
+func splitPoint(total int, appended bool) int {
+	if appended {
+		return total - 1
 	}
-	if !inserted {
-		tuples = append(tuples, tu)
-	}
-	return tuples, replaced
+	return total / 2
 }
 
-func (o *pagedOp) insert(p *page, tu value.Tuple) (*page, *pagedSplit, bool) {
+// insert returns p rebuilt with tu. When p overflowed, np is its left half,
+// right its right half, and sep the least key under right. rightmost says
+// that p lies on the tree's right edge.
+func (o *pagedOp) insert(p *page, tu value.Tuple, rightmost bool) (np, right *page, sep value.Item) {
 	o.visit(p)
 	if p.leaf {
-		tuples, replaced := o.insertInLeaf(p, tu)
-		if len(tuples) <= o.capacity {
-			return o.build(&page{leaf: true, tuples: tuples}), nil, replaced
+		n := len(p.tuples)
+		i, found := leafIndex(p, tu.Key())
+		switch {
+		case found:
+			np = newLeaf(o.capacity, n)
+			copy(np.tuples, p.tuples)
+			np.tuples[i] = tu
+		case n < o.capacity:
+			np = newLeaf(o.capacity, n+1)
+			insertInto(np.tuples, p.tuples, i, tu)
+		default:
+			mid := splitPoint(n+1, rightmost && i == n)
+			np, right = newLeaf(o.capacity, mid), newLeaf(o.capacity, n+1-mid)
+			if i < mid {
+				insertInto(np.tuples, p.tuples[:mid-1], i, tu)
+				copy(right.tuples, p.tuples[mid-1:])
+			} else {
+				copy(np.tuples, p.tuples[:mid])
+				insertInto(right.tuples, p.tuples[mid:], i-mid, tu)
+			}
+			o.build(np)
+			return np, o.build(right), right.tuples[0].Key()
 		}
-		mid := len(tuples) / 2
-		left := o.build(&page{leaf: true, tuples: tuples[:mid:mid]})
-		right := o.build(&page{leaf: true, tuples: tuples[mid:]})
-		return nil, &pagedSplit{sep: tuples[mid].Key(), left: left, right: right}, replaced
+		return o.build(np), nil, value.Item{}
 	}
 
 	i := childIndex(p, tu.Key())
-	child, split, replaced := o.insert(p.kids[i], tu)
+	old, last := p.kids[i], i == len(p.kids)-1
+	child, split, csep := o.insert(old, tu, rightmost && last)
 	if split == nil {
-		kids := append([]*page(nil), p.kids...)
-		kids[i] = child
-		return o.build(&page{seps: p.seps, kids: kids}), nil, replaced
+		np = newDir(o.capacity, len(p.kids))
+		copy(np.kids, p.kids)
+		np.kids[i] = child
+		np.seps = p.seps
+		np.n, np.pages = p.n-old.n+child.n, p.pages-old.pages+child.pages
+		return o.build(np), nil, value.Item{}
 	}
-	seps := make([]value.Item, 0, len(p.seps)+1)
-	kids := make([]*page, 0, len(p.kids)+1)
-	seps = append(seps, p.seps[:i]...)
-	seps = append(seps, split.sep)
-	seps = append(seps, p.seps[i:]...)
-	kids = append(kids, p.kids[:i]...)
-	kids = append(kids, split.left, split.right)
-	kids = append(kids, p.kids[i+1:]...)
-	if len(kids) <= o.capacity {
-		return o.build(&page{seps: seps, kids: kids}), nil, replaced
+	// The child became [child, split] around csep. seps is built whole and,
+	// if this page splits too, divided between the halves: separators are
+	// never written after this, so sharing the array is safe.
+	total := len(p.kids) + 1
+	seps := make([]value.Item, total-1)
+	insertInto(seps, p.seps, i, csep)
+	if total <= o.capacity {
+		np = newDir(o.capacity, total)
+		insertInto(np.kids, p.kids, i+1, split)
+		np.kids[i] = child
+		np.seps = seps
+		np.n, np.pages = p.n-old.n+child.n+split.n, p.pages-old.pages+child.pages+split.pages
+		return o.build(np), nil, value.Item{}
 	}
-	// Directory overflow: split around the middle separator.
-	mid := len(kids) / 2
-	leftSeps := append([]value.Item(nil), seps[:mid-1]...)
-	rightSeps := append([]value.Item(nil), seps[mid:]...)
-	left := o.build(&page{seps: leftSeps, kids: append([]*page(nil), kids[:mid]...)})
-	right := o.build(&page{seps: rightSeps, kids: append([]*page(nil), kids[mid:]...)})
-	return nil, &pagedSplit{sep: seps[mid-1], left: left, right: right}, replaced
+	mid := splitPoint(total, rightmost && last)
+	np, right = newDir(o.capacity, mid), newDir(o.capacity, total-mid)
+	if i+1 < mid {
+		insertInto(np.kids, p.kids[:mid-1], i+1, split)
+		copy(right.kids, p.kids[mid-1:])
+	} else {
+		copy(np.kids, p.kids[:mid])
+		insertInto(right.kids, p.kids[mid:], i+1-mid, split)
+	}
+	if i < mid {
+		np.kids[i] = child
+	} else {
+		right.kids[i-mid] = child
+	}
+	np.seps, right.seps = seps[:mid-1:mid-1], seps[mid:]
+	np.count()
+	right.count()
+	o.build(np)
+	return np, o.build(right), seps[mid-1]
 }
 
-// Delete removes key if present. In the spirit of append-only functional
-// stores (and the paper's archive view of old versions), pages may
-// underflow: an emptied data page is unlinked from its directory and a
-// directory left with a single child collapses, but no borrow/merge
-// rebalancing is performed. Height never grows and lookups remain correct;
-// see DESIGN.md for the deviation note.
+// Delete removes key if present. Pages may underflow, in the spirit of
+// append-only functional stores (and the paper's archive view of old
+// versions): old versions are never reorganized, and the rule for new ones
+// is kept to what a shrinking relation needs. A data page left under a
+// quarter full merges with a neighbour under the same directory when the
+// two fit one page; an emptied data page is unlinked from its directory;
+// a directory left without children is unlinked in turn, and a root
+// directory left with a single child collapses into it. Directories are
+// otherwise not rebalanced. Height never grows and lookups stay correct.
 func (t Paged) Delete(ctx *eval.Ctx, key value.Item, after trace.TaskID) (Paged, bool, trace.Op) {
-	op := &pagedOp{ctx: ctx, step: after, capacity: t.cap}
-	root, found := op.delete(t.root, key)
+	op := pagedOp{ctx: ctx, step: after, capacity: t.PageCap()}
+	root, _, found := op.delete(t.root, key, nil, nil)
 	if !found {
 		return t, false, trace.Op{Done: op.step}
 	}
 	if root == nil {
-		root = op.build(&page{leaf: true})
+		root = op.build(newLeaf(op.capacity, 0))
 	}
 	for !root.leaf && len(root.kids) == 1 {
 		root = root.kids[0]
-	}
-	nt := Paged{root: root, size: t.size - 1, cap: t.cap}
-	if shared := int64(nt.PageCount()) - op.created; shared > 0 {
-		ctx.SharedN(shared)
 	}
 	ready := root.task
 	if ready == trace.None {
 		ready = op.step
 	}
-	return nt, true, trace.Op{Ready: ready, Done: op.step}
+	return op.done(root), true, trace.Op{Ready: ready, Done: op.step}
 }
 
 // delete returns the rebuilt page (nil if it became empty) and whether the
-// key was found.
-func (o *pagedOp) delete(p *page, key value.Item) (*page, bool) {
+// key was found. left and right are a data page's neighbours under its
+// directory (nil where there is none); absorbed says which of them the
+// rebuilt page took in: -1 the left, +1 the right, 0 neither.
+func (o *pagedOp) delete(p *page, key value.Item, left, right *page) (np *page, absorbed int, found bool) {
 	o.visit(p)
 	if p.leaf {
-		for i, tu := range p.tuples {
-			c := tu.Key().Compare(key)
-			if c > 0 {
-				break
-			}
-			if c == 0 {
-				if len(p.tuples) == 1 {
-					return nil, true
-				}
-				tuples := make([]value.Tuple, 0, len(p.tuples)-1)
-				tuples = append(tuples, p.tuples[:i]...)
-				tuples = append(tuples, p.tuples[i+1:]...)
-				return o.build(&page{leaf: true, tuples: tuples}), true
+		i, ok := leafIndex(p, key)
+		if !ok {
+			return p, 0, false
+		}
+		rest := len(p.tuples) - 1
+		if rest == 0 {
+			return nil, 0, true
+		}
+		if rest*4 < o.capacity {
+			switch {
+			case left != nil && len(left.tuples)+rest <= o.capacity:
+				np = newLeaf(o.capacity, len(left.tuples)+rest)
+				copy(np.tuples, left.tuples)
+				removeFrom(np.tuples[len(left.tuples):], p.tuples, i)
+				return o.build(np), -1, true
+			case right != nil && rest+len(right.tuples) <= o.capacity:
+				np = newLeaf(o.capacity, rest+len(right.tuples))
+				removeFrom(np.tuples[:rest], p.tuples, i)
+				copy(np.tuples[rest:], right.tuples)
+				return o.build(np), +1, true
 			}
 		}
-		return p, false
+		np = newLeaf(o.capacity, rest)
+		removeFrom(np.tuples, p.tuples, i)
+		return o.build(np), 0, true
 	}
+
 	i := childIndex(p, key)
-	child, found := o.delete(p.kids[i], key)
+	old := p.kids[i]
+	var before, after *page // old's neighbours, if old is a data page
+	if old.leaf && i > 0 {
+		before = p.kids[i-1]
+	}
+	if old.leaf && i+1 < len(p.kids) {
+		after = p.kids[i+1]
+	}
+	child, absorbed, found := o.delete(old, key, before, after)
 	if !found {
-		return p, false
+		return p, 0, false
 	}
-	if child != nil {
-		kids := append([]*page(nil), p.kids...)
-		kids[i] = child
-		return o.build(&page{seps: p.seps, kids: kids}), true
+	if child != nil && absorbed == 0 {
+		np = newDir(o.capacity, len(p.kids))
+		copy(np.kids, p.kids)
+		np.kids[i] = child
+		np.seps = p.seps
+		np.n, np.pages = p.n-1, p.pages-old.pages+child.pages
+		return o.build(np), 0, true
 	}
-	// The child page emptied: unlink it and drop one separator.
+	// One child slot goes, and one separator with it: an emptied child's
+	// own slot, or the slot of the neighbour the child absorbed.
 	if len(p.kids) == 1 {
-		return nil, true
+		return nil, 0, true
 	}
-	kids := make([]*page, 0, len(p.kids)-1)
-	kids = append(kids, p.kids[:i]...)
-	kids = append(kids, p.kids[i+1:]...)
-	sepDrop := i
-	if sepDrop == len(p.seps) {
-		sepDrop = len(p.seps) - 1
+	gone := i + absorbed
+	np = newDir(o.capacity, len(p.kids)-1)
+	removeFrom(np.kids, p.kids, gone)
+	np.n, np.pages = p.n-1, p.pages-old.pages
+	if child != nil {
+		np.kids[min(i, gone)] = child
+		np.pages += child.pages - p.kids[gone].pages
 	}
-	seps := make([]value.Item, 0, len(p.seps)-1)
-	seps = append(seps, p.seps[:sepDrop]...)
-	seps = append(seps, p.seps[sepDrop+1:]...)
-	return o.build(&page{seps: seps, kids: kids}), true
+	// Dropping the separator to the right of the lower of the two slots (the
+	// last one when the last slot goes) widens a surviving neighbour over
+	// the vanished range.
+	sepGone := min(i, gone, len(p.seps)-1)
+	np.seps = make([]value.Item, len(p.seps)-1)
+	removeFrom(np.seps, p.seps, sepGone)
+	return o.build(np), 0, true
 }
 
 // Range visits tuples with lo <= key <= hi in key order.
@@ -348,23 +534,13 @@ func (t Paged) Range(ctx *eval.Ctx, lo, hi value.Item, after trace.TaskID, visit
 		step = ctx.Task(trace.KindVisit, step, p.task)
 		ctx.VisitedN(1)
 		if p.leaf {
-			for _, tu := range p.tuples {
-				k := tu.Key()
-				if k.Compare(hi) > 0 {
-					return
-				}
-				if k.Compare(lo) >= 0 {
-					visit(tu)
-				}
+			for i, _ := leafIndex(p, lo); i < len(p.tuples) && p.tuples[i].Key().Compare(hi) <= 0; i++ {
+				visit(p.tuples[i])
 			}
 			return
 		}
-		for i, kid := range p.kids {
-			okLeft := i == 0 || p.seps[i-1].Compare(hi) <= 0
-			okRight := i == len(p.seps) || p.seps[i].Compare(lo) > 0
-			if okLeft && okRight {
-				walk(kid)
-			}
+		for i := childIndex(p, lo); i < len(p.kids) && (i == 0 || p.seps[i-1].Compare(hi) <= 0); i++ {
+			walk(p.kids[i])
 		}
 	}
 	walk(t.root)
@@ -373,7 +549,7 @@ func (t Paged) Range(ctx *eval.Ctx, lo, hi value.Item, after trace.TaskID, visit
 
 // Tuples returns the contents in key order.
 func (t Paged) Tuples() []value.Tuple {
-	out := make([]value.Tuple, 0, t.size)
+	out := make([]value.Tuple, 0, t.Len())
 	var walk func(p *page)
 	walk = func(p *page) {
 		if p.leaf {
@@ -418,64 +594,65 @@ func (t Paged) SharedPagesWith(other Paged) int {
 	return n
 }
 
-// checkInvariants verifies page shape: sorted leaves, correct separator
-// bounds, size consistency, and capacity limits; used by tests.
+// checkInvariants verifies page shape by walking the whole tree: sorted
+// leaves, correct separator bounds, capacity limits, and that the tuple and
+// page counts every page carries are those of its subtree; used by tests.
 func (t Paged) checkInvariants() error {
 	if t.root == nil {
 		return errors.New("ptree: nil root")
 	}
-	var walk func(p *page, lo, hi *value.Item) (int, error)
-	walk = func(p *page, lo, hi *value.Item) (int, error) {
+	pageCap := t.PageCap()
+	// walk returns the subtree's tuple and page counts.
+	var walk func(p *page, lo, hi *value.Item) (int, int, error)
+	walk = func(p *page, lo, hi *value.Item) (int, int, error) {
+		if int(p.cap) != pageCap {
+			return 0, 0, fmt.Errorf("ptree: page of capacity %d in a tree of capacity %d", p.cap, pageCap)
+		}
+		tuples, pages := 0, 1
 		if p.leaf {
-			if len(p.tuples) > t.cap {
-				return 0, fmt.Errorf("ptree: data page over capacity: %d > %d", len(p.tuples), t.cap)
+			if len(p.tuples) > pageCap {
+				return 0, 0, fmt.Errorf("ptree: data page over capacity: %d > %d", len(p.tuples), pageCap)
 			}
 			for i, tu := range p.tuples {
 				if i > 0 && p.tuples[i-1].Key().Compare(tu.Key()) >= 0 {
-					return 0, errors.New("ptree: data page out of order")
+					return 0, 0, errors.New("ptree: data page out of order")
 				}
 				if lo != nil && tu.Key().Compare(*lo) < 0 {
-					return 0, errors.New("ptree: tuple below separator bound")
+					return 0, 0, errors.New("ptree: tuple below separator bound")
 				}
 				if hi != nil && tu.Key().Compare(*hi) >= 0 {
-					return 0, errors.New("ptree: tuple above separator bound")
+					return 0, 0, errors.New("ptree: tuple above separator bound")
 				}
 			}
-			return len(p.tuples), nil
-		}
-		if len(p.kids) > t.cap {
-			return 0, fmt.Errorf("ptree: directory page over capacity: %d > %d", len(p.kids), t.cap)
-		}
-		if len(p.seps) != len(p.kids)-1 {
-			return 0, fmt.Errorf("ptree: %d separators for %d children", len(p.seps), len(p.kids))
-		}
-		total := 0
-		for i, kid := range p.kids {
-			var klo, khi *value.Item
-			if i > 0 {
-				klo = &p.seps[i-1]
-			} else {
-				klo = lo
+			tuples = len(p.tuples)
+		} else {
+			if len(p.kids) > pageCap {
+				return 0, 0, fmt.Errorf("ptree: directory page over capacity: %d > %d", len(p.kids), pageCap)
 			}
-			if i < len(p.seps) {
-				khi = &p.seps[i]
-			} else {
-				khi = hi
+			if len(p.seps) != len(p.kids)-1 {
+				return 0, 0, fmt.Errorf("ptree: %d separators for %d children", len(p.seps), len(p.kids))
 			}
-			n, err := walk(kid, klo, khi)
-			if err != nil {
-				return 0, err
+			for i, kid := range p.kids {
+				klo, khi := lo, hi
+				if i > 0 {
+					klo = &p.seps[i-1]
+				}
+				if i < len(p.seps) {
+					khi = &p.seps[i]
+				}
+				n, pg, err := walk(kid, klo, khi)
+				if err != nil {
+					return 0, 0, err
+				}
+				tuples += n
+				pages += pg
 			}
-			total += n
 		}
-		return total, nil
+		if int(p.n) != tuples || int(p.pages) != pages {
+			return 0, 0, fmt.Errorf("ptree: page carries %d tuples in %d pages, its subtree has %d in %d", p.n, p.pages, tuples, pages)
+		}
+		return tuples, pages, nil
 	}
-	n, err := walk(t.root, nil, nil)
-	if err != nil {
-		return err
-	}
-	if n != t.size {
-		return fmt.Errorf("ptree: size %d but %d tuples", t.size, n)
-	}
-	return nil
+	_, _, err := walk(t.root, nil, nil)
+	return err
 }

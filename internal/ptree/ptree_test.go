@@ -405,21 +405,30 @@ func TestPagedUpsertReplaces(t *testing.T) {
 }
 
 func TestPagedFigure22Sharing(t *testing.T) {
-	// Figure 2-2: one insert copies only the root-to-leaf path; all other
-	// data pages are shared between old and new directories.
+	// Figure 2-2: an update copies only the root-to-leaf path; all other
+	// pages are shared between old and new directories.
 	tr := PagedFromTuples(4, nil)
 	for i := int64(0); i < 256; i++ {
 		tr, _ = tr.Insert(nil, tup(i*2), trace.None)
 	}
-	total := tr.PageCount()
-	next, _ := tr.Insert(nil, tup(101), trace.None)
-	shared := next.SharedPagesWith(tr)
-	copied := next.PageCount() - shared
-	if copied > tr.Height()+1 {
-		t.Errorf("copied %d pages, want <= height+1 = %d", copied, tr.Height()+1)
+	total, height := tr.PageCount(), tr.Height()
+	// Replacing a tuple copies exactly the path.
+	next, _ := tr.Insert(nil, tup(100), trace.None)
+	if shared := next.SharedPagesWith(tr); next.PageCount() != total || total-shared != height {
+		t.Errorf("upsert copied %d of %d pages (now %d), want the path's %d", total-shared, total, next.PageCount(), height)
 	}
-	if shared < total-copied-1 {
-		t.Errorf("shared %d of %d pages", shared, total)
+	// A new key can split every page of its path — the ascending load left
+	// them all full — and grow a root, never more.
+	next, _ = tr.Insert(nil, tup(101), trace.None)
+	shared := next.SharedPagesWith(tr)
+	if copied := next.PageCount() - shared; copied > 2*height+1 {
+		t.Errorf("insert copied %d pages, want <= 2*height+1 = %d", copied, 2*height+1)
+	}
+	if shared != total-height {
+		t.Errorf("insert shares %d of the old version's %d pages, want all but the path's %d", shared, total, height)
+	}
+	if err := next.checkInvariants(); err != nil {
+		t.Error(err)
 	}
 }
 

@@ -1,6 +1,7 @@
 package relation
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -176,6 +177,73 @@ func TestPagedUnwrap(t *testing.T) {
 	}
 	if rel2 := NewPagedWithCap(4, []value.Tuple{tup(1), tup(2)}); rel2.Len() != 2 {
 		t.Error("NewPagedWithCap lost tuples")
+	}
+}
+
+// TestPagedVersionsReadWhileWritten: versions share pages, and a cluster
+// reads a mirror's old versions while its apply loop builds new ones. One
+// writer upserts and deletes; readers take each version as it is published
+// and must find exactly that version's values in it, however far the writer
+// has moved on. Run under -race: a page written after it was shared shows.
+func TestPagedVersionsReadWhileWritten(t *testing.T) {
+	const rows, writes, readers = 600, 400, 4
+	tuples := make([]value.Tuple, rows)
+	for i := range tuples {
+		tuples[i] = value.NewTuple(value.Int(int64(i)), value.Int(0))
+	}
+	type version struct {
+		rel  Relation
+		step int64 // the write that made it: key (step*7)%rows holds step
+	}
+	published := make([]chan version, readers)
+	done := make(chan error, readers)
+	for r := range published {
+		published[r] = make(chan version, writes) // the writer never waits for a reader
+		go func(in <-chan version) {
+			var err error
+			for v := range in {
+				if err != nil {
+					continue
+				}
+				key := (v.step * 7) % rows
+				tu, ok, _ := v.rel.Find(nil, value.Int(key), trace.None)
+				want := int64(0)
+				for s := v.step; s > 0; s-- { // the last step <= v.step that wrote key
+					if (s*7)%rows == key {
+						want = s
+						break
+					}
+				}
+				if !ok || tu.Field(1).AsInt() != want {
+					err = fmt.Errorf("version %d: key %d holds %v (found %v), want %d", v.step, key, tu, ok, want)
+				}
+				n := 0
+				v.rel.Range(nil, value.Int(0), value.Int(rows), trace.None, func(value.Tuple) { n++ })
+				if n != rows && err == nil {
+					err = fmt.Errorf("version %d: range saw %d tuples, want %d", v.step, n, rows)
+				}
+			}
+			done <- err
+		}(published[r])
+	}
+	rel := FromTuples(RepPaged, tuples)
+	for step := int64(1); step <= writes; step++ {
+		key := (step * 7) % rows
+		if step%5 == 0 { // out and back in: pages shrink, merge and split again
+			rel, _, _ = rel.Delete(nil, value.Int(key), trace.None)
+		}
+		rel, _ = rel.Insert(nil, value.NewTuple(value.Int(key), value.Int(step)), trace.None)
+		for _, ch := range published {
+			ch <- version{rel, step}
+		}
+	}
+	for _, ch := range published {
+		close(ch)
+	}
+	for range published {
+		if err := <-done; err != nil {
+			t.Error(err)
+		}
 	}
 }
 

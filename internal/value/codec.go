@@ -31,11 +31,19 @@ func AppendString(dst []byte, s string) []byte {
 // DecodeString decodes one length-prefixed string from the front of buf,
 // returning it and the remaining bytes.
 func DecodeString(buf []byte) (string, []byte, error) {
+	b, rest, err := DecodeStringBytes(buf)
+	return string(b), rest, err
+}
+
+// DecodeStringBytes is DecodeString without the copy: the string's bytes
+// as a sub-slice of buf, for a caller that may not need a string of its own
+// (it can look the bytes up in a table first).
+func DecodeStringBytes(buf []byte) (b, rest []byte, err error) {
 	l, n := binary.Uvarint(buf)
 	if n <= 0 || uint64(len(buf)-n) < l {
-		return "", buf, fmt.Errorf("%w: bad string length", ErrCorrupt)
+		return nil, buf, fmt.Errorf("%w: bad string length", ErrCorrupt)
 	}
-	return string(buf[n : n+int(l)]), buf[n+int(l):], nil
+	return buf[n : n+int(l)], buf[n+int(l):], nil
 }
 
 // AppendItem appends the wire form of it to dst and returns the extended
