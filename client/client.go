@@ -54,11 +54,10 @@ type Client struct {
 	database string
 	lanes    int
 	durable  bool
-	version  byte // server's protocol revision, from Welcome
 
 	// Client-side tracing (WithTracing): the recorder holds this
-	// connection's published traces; sampled requests stamp the v5
-	// trace-context suffix so server-side spans share their trace id.
+	// connection's published traces; sampled requests send a TraceCtx
+	// frame first so server-side spans share their trace id.
 	traceCfg     *funcdb.TracingConfig
 	rec          *reqtrace.Recorder
 	dialNS       int64 // unix ns Dial began
@@ -94,8 +93,7 @@ type arrived struct {
 	redirect string // FrameRedirect: the owning node's address
 	rel      string // FrameRedirect: the relation being placed
 	rdEpoch  uint64 // FrameRedirect: the owner's epoch (0 = unstamped)
-	stats    []byte // FrameStatsResponse: the metrics JSON document
-	traces   []byte // FrameTracesResponse: the traces JSON document
+	doc      []byte // FrameIntrospectResponse: the JSON document
 	stmtID   uint64 // FramePrepared: the dense statement id
 	nparams  int    // FramePrepared: the statement's '?' count
 	prepared bool   // FramePrepared arrived
@@ -117,10 +115,10 @@ func WithDatabase(db string) Option {
 }
 
 // WithTracing records client-side span timelines for this connection's
-// requests (dial + handshake, request-sent → response-decoded) and —
-// against a version-5 server — stamps sampled requests with the wire
-// trace context, so the server's spans land under the same trace id and
-// LocalTraces/Traces stitch into one end-to-end timeline.
+// requests (dial + handshake, request-sent → response-decoded) and sends
+// sampled requests' trace context ahead of them, so the server's spans
+// land under the same trace id and LocalTraces/Traces stitch into one
+// end-to-end timeline.
 func WithTracing(cfg funcdb.TracingConfig) Option {
 	return func(c *Client) { c.traceCfg = &cfg }
 }
@@ -166,7 +164,7 @@ func Dial(addr string, opts ...Option) (*Client, error) {
 		conn.Close()
 		return nil, fmt.Errorf("client: %w", err)
 	}
-	c.origin, c.lanes, c.durable, c.database, c.version = w.Origin, w.Lanes, w.Durable, w.Database, w.Version
+	c.origin, c.lanes, c.durable, c.database = w.Origin, w.Lanes, w.Durable, w.Database
 	if c.traceCfg != nil {
 		c.rec = reqtrace.New("client:"+c.origin, *c.traceCfg)
 		c.dialNS = dialStart.UnixNano()
@@ -197,16 +195,6 @@ func (c *Client) finishTrace(t *reqtrace.T, sentNS int64) {
 	}
 	t.SpanNS(reqtrace.StageClientSend, sentNS, time.Now().UnixNano()-sentNS)
 	c.rec.Finish(t)
-}
-
-// traceSuffix decides whether a request frame carries the v5 trace
-// suffix: only sampled traces, and only toward a version-5 server.
-func traceSuffix(t *reqtrace.T, serverVer byte) (wire.TraceCtx, bool) {
-	if t == nil || serverVer < 5 || !t.Sampled() {
-		return wire.TraceCtx{}, false
-	}
-	ctx := t.Ctx()
-	return wire.TraceCtx{ID: ctx.ID, Hop: ctx.Hop, Sampled: true}, true
 }
 
 // LocalTraces returns the traces published by this connection's own
@@ -249,8 +237,9 @@ func (p *Pending) Force() (funcdb.Response, error) {
 // send frames one request under the write lock and returns its request
 // id. The payload is built by appending directly into the client's
 // reused encode buffer (build receives it opened by BeginFrame), so the
-// steady-state send path allocates nothing.
-func (c *Client) send(typ byte, build func(dst []byte, id uint64) []byte) (uint64, error) {
+// steady-state send path allocates nothing. A sampled trace t sends its
+// context as a TraceCtx frame ahead of the request.
+func (c *Client) send(typ byte, t *reqtrace.T, build func(dst []byte, id uint64) []byte) (uint64, error) {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
 	if err := c.sticky(); err != nil {
@@ -264,7 +253,7 @@ func (c *Client) send(typ byte, build func(dst []byte, id uint64) []byte) (uint6
 	// usable.
 	var mark int
 	var err error
-	c.enc, mark = wire.BeginFrame(c.enc[:0], typ)
+	c.enc, mark = wire.BeginFrame(wire.AppendTraceFrame(c.enc[:0], t.Ctx()), typ)
 	c.enc = build(c.enc, id)
 	if c.enc, err = wire.EndFrame(c.enc, mark); err != nil {
 		return 0, fmt.Errorf("client: %w", err)
@@ -335,20 +324,16 @@ func (c *Client) recv(id uint64) (arrived, error) {
 			rid, a.index, a.errMsg, err = wire.DecodeErrorMsg(payload)
 		case wire.FrameRedirect:
 			a.index = -1
-			rid, a.redirect, a.rel, a.rdEpoch, err = wire.DecodeRedirectE(payload)
+			rid, a.redirect, a.rel, a.rdEpoch, err = wire.DecodeRedirect(payload)
 		case wire.FramePrepared:
 			a.index, a.prepared = -1, true
 			rid, a.stmtID, a.nparams, err = wire.DecodePrepared(payload)
-		case wire.FrameStatsResponse:
+		case wire.FrameIntrospectResponse:
 			a.index = -1
-			rid, a.stats, err = wire.DecodeStatsResponse(payload)
+			rid, a.doc, err = wire.DecodeIntrospectResponse(payload)
 			// The document aliases the frame's read buffer: copy before it
 			// is reused.
-			a.stats = append([]byte(nil), a.stats...)
-		case wire.FrameTracesResponse:
-			a.index = -1
-			rid, a.traces, err = wire.DecodeTracesResponse(payload)
-			a.traces = append([]byte(nil), a.traces...)
+			a.doc = append([]byte(nil), a.doc...)
 		default:
 			err = fmt.Errorf("client: unexpected frame %#x", typ)
 		}
@@ -363,39 +348,23 @@ func (c *Client) recv(id uint64) (arrived, error) {
 }
 
 // forward ships pre-tagged statements as one FrameForward and returns
-// the request id; the cluster client routes with it. The reply is a
-// FrameResponse (one statement), FrameBatchResponse (several),
-// FrameError, or — when this node does not own the statements' relation —
-// a FrameRedirect carrying the owner's address.
-func (c *Client) forward(flags byte, stmts []wire.ForwardStmt) (uint64, error) {
-	return c.send(wire.FrameForward, func(dst []byte, id uint64) []byte {
-		return wire.AppendForward(dst, id, flags, stmts)
-	})
-}
-
-// forwardTraced is forward with a trace-context suffix: the receiving
-// node's spans land under tc.ID. Client Forward frames never carry an
-// epoch, so only FwdTrace rides in the flags.
-func (c *Client) forwardTraced(flags byte, stmts []wire.ForwardStmt, tc wire.TraceCtx) (uint64, error) {
-	return c.send(wire.FrameForward, func(dst []byte, id uint64) []byte {
-		return wire.AppendForwardT(dst, id, flags|wire.FwdTrace, 0, tc, stmts)
+// the request id; the cluster client routes with it. Client Forward
+// frames claim no epoch. The reply is a FrameResponse (one statement),
+// FrameBatchResponse (several), FrameError, or — when this node does not
+// own the statements' relation — a FrameRedirect carrying the owner's
+// address.
+func (c *Client) forward(flags byte, stmts []wire.ForwardStmt, t *reqtrace.T) (uint64, error) {
+	return c.send(wire.FrameForward, t, func(dst []byte, id uint64) []byte {
+		return wire.AppendForward(dst, id, flags, 0, stmts)
 	})
 }
 
 // ExecAsync submits one statement without waiting: pipelined execution.
 func (c *Client) ExecAsync(q string) (*Pending, error) {
 	t, sentNS := c.startTrace()
-	var id uint64
-	var err error
-	if tc, ok := traceSuffix(t, c.version); ok {
-		id, err = c.send(wire.FrameExec, func(dst []byte, id uint64) []byte {
-			return wire.AppendExecT(dst, id, q, tc)
-		})
-	} else {
-		id, err = c.send(wire.FrameExec, func(dst []byte, id uint64) []byte {
-			return wire.AppendExec(dst, id, q)
-		})
-	}
+	id, err := c.send(wire.FrameExec, t, func(dst []byte, id uint64) []byte {
+		return wire.AppendExec(dst, id, q)
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -420,17 +389,9 @@ func (c *Client) Exec(q string) (funcdb.Response, error) {
 // statement's index, like the in-process ExecBatch.
 func (c *Client) ExecBatch(queries []string) ([]funcdb.Response, error) {
 	t, sentNS := c.startTrace()
-	var id uint64
-	var err error
-	if tc, ok := traceSuffix(t, c.version); ok {
-		id, err = c.send(wire.FrameBatch, func(dst []byte, id uint64) []byte {
-			return wire.AppendBatchT(dst, id, queries, tc)
-		})
-	} else {
-		id, err = c.send(wire.FrameBatch, func(dst []byte, id uint64) []byte {
-			return wire.AppendBatch(dst, id, queries)
-		})
-	}
+	id, err := c.send(wire.FrameBatch, t, func(dst []byte, id uint64) []byte {
+		return wire.AppendBatch(dst, id, queries)
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -458,57 +419,42 @@ func (c *Client) ExecBatch(queries []string) ([]funcdb.Response, error) {
 // pipelines like any other frame.
 func (c *Client) Stats() (funcdb.MetricsSnapshot, error) {
 	var snap funcdb.MetricsSnapshot
-	id, err := c.send(wire.FrameStats, func(dst []byte, id uint64) []byte {
-		return wire.AppendStats(dst, id)
-	})
-	if err != nil {
-		return snap, err
-	}
-	a, err := c.recv(id)
-	if err != nil {
-		return snap, err
-	}
-	if a.isErr {
-		return snap, errors.New(a.errMsg)
-	}
-	if a.stats == nil {
-		return snap, fmt.Errorf("client: request %d is not a stats request", id)
-	}
-	if err := json.Unmarshal(a.stats, &snap); err != nil {
-		return snap, fmt.Errorf("client: bad stats document: %w", err)
-	}
-	return snap, nil
+	err := c.introspect(wire.IntrospectStats, "stats", &snap)
+	return snap, err
 }
 
 // Traces asks the server for its published request traces (newest
 // first): the server-side fragments of sampled and slow requests, which
-// Render/Stitch merge with client-side LocalTraces by trace id. Needs a
-// version-5 server; the request pipelines like any other frame.
+// Render/Stitch merge with client-side LocalTraces by trace id. The
+// request pipelines like any other frame.
 func (c *Client) Traces() ([]funcdb.RequestTrace, error) {
-	if c.version < 5 {
-		return nil, fmt.Errorf("client: server speaks protocol %d; traces need 5", c.version)
-	}
-	id, err := c.send(wire.FrameTraces, func(dst []byte, id uint64) []byte {
-		return wire.AppendTraces(dst, id)
+	var out []funcdb.RequestTrace
+	err := c.introspect(wire.IntrospectTraces, "traces", &out)
+	return out, err
+}
+
+// introspect fetches one introspection document and decodes it into v.
+func (c *Client) introspect(kind byte, what string, v any) error {
+	id, err := c.send(wire.FrameIntrospect, nil, func(dst []byte, id uint64) []byte {
+		return wire.AppendIntrospect(dst, id, kind)
 	})
 	if err != nil {
-		return nil, err
+		return err
 	}
 	a, err := c.recv(id)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if a.isErr {
-		return nil, errors.New(a.errMsg)
+		return errors.New(a.errMsg)
 	}
-	if a.traces == nil {
-		return nil, fmt.Errorf("client: request %d is not a traces request", id)
+	if a.doc == nil {
+		return fmt.Errorf("client: request %d is not a %s request", id, what)
 	}
-	var out []funcdb.RequestTrace
-	if err := json.Unmarshal(a.traces, &out); err != nil {
-		return nil, fmt.Errorf("client: bad traces document: %w", err)
+	if err := json.Unmarshal(a.doc, v); err != nil {
+		return fmt.Errorf("client: bad %s document: %w", what, err)
 	}
-	return out, nil
+	return nil
 }
 
 // Per-connection buffer sizing: explicit rather than bufio's 4 KiB

@@ -32,8 +32,8 @@ type ClusterClient struct {
 	retry  time.Duration // failover retry budget (0 = off)
 
 	// Client-side tracing (WithClusterTracing): one recorder for the whole
-	// cluster client; sampled requests stamp the trace context onto their
-	// Forward frames so every node's spans share the trace id.
+	// cluster client; sampled requests send their trace context ahead of
+	// their Forward frames so every node's spans share the trace id.
 	traceCfg *funcdb.TracingConfig
 	rec      *reqtrace.Recorder
 
@@ -68,8 +68,8 @@ func WithFailoverRetry(budget time.Duration) ClusterOption {
 }
 
 // WithClusterTracing records client-side span timelines (lazy dials,
-// request-sent → response-decoded) under one recorder and stamps sampled
-// requests' Forward frames with the v5 trace context, so server-side
+// request-sent → response-decoded) under one recorder and sends sampled
+// requests' trace context ahead of their Forward frames, so server-side
 // spans across the whole cluster land under the same trace id.
 func WithClusterTracing(cfg funcdb.TracingConfig) ClusterOption {
 	return func(c *ClusterClient) { c.traceCfg = &cfg }
@@ -312,12 +312,7 @@ func (c *ClusterClient) sendRunOnce(rel, addr string, flags byte, stmts []wire.F
 			// This request paid for the dial + handshake: attribute it.
 			t.SpanNS(reqtrace.StageClientDial, dialNS, time.Now().UnixNano()-dialNS)
 		}
-		var id uint64
-		if tc, ok := traceSuffix(t, cl.version); ok {
-			id, err = cl.forwardTraced(flags, stmts, tc)
-		} else {
-			id, err = cl.forward(flags, stmts)
-		}
+		id, err := cl.forward(flags, stmts, t)
 		if err != nil {
 			if !redialed {
 				c.dropConn(addr, cl)
@@ -512,7 +507,7 @@ func (c *ClusterClient) StatsAll() (snaps map[string]funcdb.MetricsSnapshot, err
 }
 
 // Traces returns one node's published request traces (dialing it if
-// needed). Needs version-5 nodes.
+// needed).
 func (c *ClusterClient) Traces(addr string) ([]funcdb.RequestTrace, error) {
 	cl, _, err := c.conn(addr)
 	if err != nil {

@@ -180,12 +180,7 @@ func (c *ClusterClient) sendPreparedOnce(s *ClusterStmt, rel, addr string, flags
 		for i := range stmts {
 			stmts[i].HasText = hasText
 		}
-		var id uint64
-		if tc, ok := traceSuffix(t, cl.version); ok {
-			id, err = cl.forwardPreparedTraced(flags, stmts, tc)
-		} else {
-			id, err = cl.forwardPrepared(flags, stmts)
-		}
+		id, err := cl.forwardPrepared(flags, stmts, t)
 		if err != nil {
 			if !redialed {
 				c.dropConn(addr, cl)
@@ -224,18 +219,11 @@ func (c *ClusterClient) sendPreparedOnce(s *ClusterStmt, rel, addr string, flags
 }
 
 // forwardPrepared ships pre-tagged prepared executions as one
-// FrameForwardPrepared and returns the request id.
-func (c *Client) forwardPrepared(flags byte, stmts []wire.PreparedFwdStmt) (uint64, error) {
-	return c.send(wire.FrameForwardPrepared, func(dst []byte, id uint64) []byte {
+// FrameForwardPrepared (claiming no epoch, like forward) and returns the
+// request id.
+func (c *Client) forwardPrepared(flags byte, stmts []wire.PreparedFwdStmt, t *reqtrace.T) (uint64, error) {
+	return c.send(wire.FrameForwardPrepared, t, func(dst []byte, id uint64) []byte {
 		dst, _ = wire.AppendForwardPrepared(dst, id, flags, 0, stmts) // args pre-validated
-		return dst
-	})
-}
-
-// forwardPreparedTraced is forwardPrepared with a trace-context suffix.
-func (c *Client) forwardPreparedTraced(flags byte, stmts []wire.PreparedFwdStmt, tc wire.TraceCtx) (uint64, error) {
-	return c.send(wire.FrameForwardPrepared, func(dst []byte, id uint64) []byte {
-		dst, _ = wire.AppendForwardPreparedT(dst, id, flags|wire.FwdTrace, 0, tc, stmts) // args pre-validated
 		return dst
 	})
 }

@@ -78,10 +78,7 @@ func (s *Stmt) ensureLocked() (uint64, error) {
 	if s.prepared {
 		return s.id, nil
 	}
-	if s.c.version < 4 {
-		return 0, fmt.Errorf("client: server speaks protocol %d; prepared statements need 4", s.c.version)
-	}
-	rid, err := s.c.send(wire.FramePrepare, func(dst []byte, id uint64) []byte {
+	rid, err := s.c.send(wire.FramePrepare, nil, func(dst []byte, id uint64) []byte {
 		return wire.AppendPrepare(dst, id, s.text)
 	})
 	if err != nil {
@@ -154,13 +151,7 @@ func (s *Stmt) ExecAsync(args ...funcdb.Item) (*StmtPending, error) {
 }
 
 func (s *Stmt) sendExec(stmtID uint64, args []funcdb.Item, t *reqtrace.T) (uint64, error) {
-	if tc, ok := traceSuffix(t, s.c.version); ok {
-		return s.c.send(wire.FrameExecPrepared, func(dst []byte, id uint64) []byte {
-			dst, _ = wire.AppendExecPreparedT(dst, id, stmtID, args, tc) // args pre-validated
-			return dst
-		})
-	}
-	return s.c.send(wire.FrameExecPrepared, func(dst []byte, id uint64) []byte {
+	return s.c.send(wire.FrameExecPrepared, t, func(dst []byte, id uint64) []byte {
 		dst, _ = wire.AppendExecPrepared(dst, id, stmtID, args) // args pre-validated
 		return dst
 	})
@@ -233,18 +224,10 @@ func (s *Stmt) ExecBatch(argSets ...[]funcdb.Item) ([]funcdb.Response, error) {
 		for i, args := range argSets {
 			calls[i] = wire.PreparedCall{Stmt: stmtID, Args: args}
 		}
-		var rid uint64
-		if tc, ok := traceSuffix(t, s.c.version); ok {
-			rid, err = s.c.send(wire.FrameBatchPrepared, func(dst []byte, id uint64) []byte {
-				dst, _ = wire.AppendBatchPreparedT(dst, id, calls, tc) // args pre-validated
-				return dst
-			})
-		} else {
-			rid, err = s.c.send(wire.FrameBatchPrepared, func(dst []byte, id uint64) []byte {
-				dst, _ = wire.AppendBatchPrepared(dst, id, calls) // args pre-validated
-				return dst
-			})
-		}
+		rid, err := s.c.send(wire.FrameBatchPrepared, t, func(dst []byte, id uint64) []byte {
+			dst, _ = wire.AppendBatchPrepared(dst, id, calls) // args pre-validated
+			return dst
+		})
 		if err != nil {
 			return nil, err
 		}

@@ -750,7 +750,7 @@ func drive(cfg loadConfig, nodes []*funcdb.ClusterNode, stdout io.Writer) (*repo
 
 // collectTraces gathers the run's traces from both sides — the driver's
 // own cluster-client recorders and every node's published ring (over the
-// wire Traces frame) — stitches them by id, prints exemplar ids next to
+// wire Introspect frame) — stitches them by id, prints exemplar ids next to
 // the histogram's latency buckets and the slowest stitched timelines,
 // and verifies stage completeness and causal order.
 func collectTraces(cfg loadConfig, clients []*client.ClusterClient, stdout io.Writer) *traceDoc {

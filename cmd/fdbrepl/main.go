@@ -18,8 +18,8 @@
 // Every line is a query; dot-commands inspect the system:
 //
 //	.help                 this text
-//	.stats                metrics snapshot (works remotely: a wire Stats frame)
-//	.trace [n]            newest published request traces (remote: a wire Traces frame)
+//	.stats                metrics snapshot (works remotely: a wire Introspect frame)
+//	.trace [n]            newest published request traces (remote: a wire Introspect frame)
 //	.versions             retained version stream
 //	.at <version> <query> run a read-only query against an old version
 //	.batch q1; q2; ...    submit several queries as one batch
@@ -61,7 +61,7 @@ const helpText = `queries:
 commands:
   .help  .versions  .at <version> <query>  .batch q1; q2; ...
   .remote <addr>  .local  .quit
-observability (work remotely too — wire Stats/Traces frames):
+observability (work remotely too — wire Introspect frames):
   .stats                metrics snapshot: every layer's counters and histograms
   .trace [n]            newest n published request traces as span timelines
                         (needs tracing enabled, e.g. fdbserver --trace)
@@ -233,7 +233,7 @@ func handleLine(r *repl, raw string) (out string, quit bool) {
 		return execPrepared(r, strings.TrimPrefix(line, ".execp ")), false
 	case line == ".stats":
 		// The full metrics snapshot, local or remote: same document, same
-		// rendering — remotely it travels as a wire Stats frame.
+		// rendering — remotely it travels as a wire Introspect frame.
 		if r.remote != nil {
 			snap, err := r.remote.Stats()
 			if err != nil {
@@ -268,7 +268,7 @@ func handleLine(r *repl, raw string) (out string, quit bool) {
 }
 
 // traceListing renders the newest published request traces as span
-// timelines — the store's recorder locally, a wire Traces frame
+// timelines — the store's recorder locally, a wire Introspect frame
 // remotely. The optional argument caps how many stitched traces print
 // (default 5).
 func traceListing(r *repl, arg string) string {

@@ -249,7 +249,7 @@ func TestRemoteSession(t *testing.T) {
 	if out, _ := handleLine(r, `.batch insert (8, "b") into R; count R`); !strings.Contains(out, "count: 2") {
 		t.Fatalf("remote .batch = %q", out)
 	}
-	// .stats works remotely: the snapshot travels as a wire Stats frame
+	// .stats works remotely: the snapshot travels as a wire Introspect frame
 	// and reflects the SERVER's store, not the local one.
 	if out, _ := handleLine(r, ".stats"); !strings.Contains(out, "admitted") {
 		t.Errorf(".stats while remote = %q", out)

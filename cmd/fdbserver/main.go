@@ -10,11 +10,11 @@
 // the same flag recovers the database.
 //
 // With --databases a,b,c one listener hosts several stores: clients pick
-// one with the Hello database field (funcdb/client WithDatabase);
-// version-1 clients — and any client that names none — land on "main",
-// which is always hosted. With --data, each extra store persists under
-// its own subdirectory <dir>/<name> ("main" keeps <dir> itself, so
-// existing single-store archives keep working).
+// one with the Hello database field (funcdb/client WithDatabase); a
+// client that names none lands on "main", which is always hosted. With
+// --data, each extra store persists under its own subdirectory
+// <dir>/<name> ("main" keeps <dir> itself, so existing single-store
+// archives keep working).
 //
 // With --debug-addr, a second HTTP listener serves live introspection:
 // /debug/stats (the metrics snapshot of every hosted database, indented
@@ -25,7 +25,7 @@
 // With --trace, every request records a span timeline; 1 in
 // --trace-sample requests is published to the ring, and anything at or
 // over --trace-slow is always kept. Traces surface on /debug/trace, the
-// wire Traces frame (fdbrepl .trace) and the store API.
+// wire Introspect frame (fdbrepl .trace) and the store API.
 //
 // SIGTERM or SIGINT drains gracefully: stop accepting, answer everything
 // fully read, flush the group-commit buffer, close the store. Every
@@ -72,7 +72,7 @@ func run(args []string, stdout io.Writer, sig <-chan os.Signal, onReady func(net
 	relations := fs.String("relations", "", "comma-separated relations to create in a fresh store")
 	databases := fs.String("databases", "", "comma-separated database names to host on one listener (\"main\" is always hosted)")
 	debugAddr := fs.String("debug-addr", "", "optional HTTP address for /debug/stats, /debug/vars, /debug/trace and /debug/pprof")
-	traceOn := fs.Bool("trace", false, "record per-request span timelines (.trace, Traces frame, /debug/trace)")
+	traceOn := fs.Bool("trace", false, "record per-request span timelines (.trace, Introspect frame, /debug/trace)")
 	traceSample := fs.Int("trace-sample", 0, "with --trace, head-sample 1 in n requests (0 = default 1024)")
 	traceSlow := fs.Duration("trace-slow", 0, "with --trace, always keep requests at or over this duration (0 = default 10ms, negative disables)")
 	if err := fs.Parse(args); err != nil {

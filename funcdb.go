@@ -79,14 +79,14 @@ type (
 	BatchError = session.BatchError
 	// MetricsSnapshot is a point-in-time reading of every layer's
 	// counters and latency histograms (see Store.MetricsSnapshot). It is
-	// the document the wire Stats frame, the --debug-addr endpoints, and
+	// the document the wire Introspect frame, the --debug-addr endpoints, and
 	// fdbrepl's .stats all render.
 	MetricsSnapshot = metrics.Snapshot
 	// TracingConfig tunes request tracing: sampling rate, slow-request
 	// threshold, and buffer sizes (see WithTracing).
 	TracingConfig = reqtrace.Config
 	// RequestTrace is one published request trace — the span timeline
-	// Store.Traces returns, the wire Traces frame ships, and /debug/trace
+	// Store.Traces returns, the wire Introspect frame ships, and /debug/trace
 	// serves.
 	RequestTrace = reqtrace.Trace
 	// TraceCtx is the trace context that crosses the wire: id, hop and
@@ -224,7 +224,7 @@ func WithDurability(dir string, opts ...DurabilityOption) Option {
 // group-commit-fsync), and completed traces are published to a
 // fixed-size ring by head sampling (default 1 in 1024) plus an
 // always-keep slow-request reservoir (default 10ms). Read them with
-// Traces, the wire Traces frame, or /debug/trace. The zero TracingConfig
+// Traces, the wire Introspect frame, or /debug/trace. The zero TracingConfig
 // selects every default; tracing off (the default) costs zero
 // allocations and zero clock reads on the request path.
 func WithTracing(cfg TracingConfig) Option {
@@ -930,7 +930,7 @@ func (cn *ClusterNode) Traces() []RequestTrace { return cn.store.Traces() }
 // MetricsSnapshot reads the node's full metric state: the store's layers
 // plus cluster routing (forwards, redirects), per-peer link counters,
 // replica progress, and the network server's per-connection and
-// per-frame-type histograms. This is the document the wire Stats frame
+// per-frame-type histograms. This is the document the wire Introspect frame
 // returns and --debug-addr serves.
 func (cn *ClusterNode) MetricsSnapshot() MetricsSnapshot {
 	snap := cn.node.MetricsSnapshot()

@@ -133,8 +133,7 @@ type traceCtxSlot struct {
 const traceCtxSlots = 1024
 
 // putTraceCtx remembers the trace context of a sampled traced commit so
-// the log-shipping path can stamp it onto the stream record for
-// version-5 subscribers.
+// the log-shipping path can send it ahead of the stream record.
 func (a *Archive) putTraceCtx(seq int64, ctx reqtrace.Ctx) {
 	a.trMu.Lock()
 	if a.trCtxs == nil {

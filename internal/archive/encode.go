@@ -7,6 +7,7 @@ import (
 	"funcdb/internal/core"
 	"funcdb/internal/relation"
 	"funcdb/internal/value"
+	"funcdb/internal/wire"
 )
 
 // Transaction record codec. A recTxn payload is:
@@ -26,8 +27,8 @@ import (
 
 // AppendTxnRecord encodes one committed transaction as a recTxn payload:
 // the exact bytes a log record carries, exported so the cluster layer can
-// reframe the durability log as its replication stream (wire
-// FrameLogRecord payloads are these bytes verbatim).
+// reframe the durability log as its replication stream (a wire
+// FrameLogRecord payload is the slot epoch, then these bytes verbatim).
 func AppendTxnRecord(dst []byte, seq int64, tx core.Transaction) ([]byte, error) {
 	return appendTxn(dst, seq, tx)
 }
@@ -37,8 +38,7 @@ func AppendTxnRecord(dst []byte, seq int64, tx core.Transaction) ([]byte, error)
 // the record are corrupt. Whoever decodes a stream of records — a log
 // replay, a replication subscription — keeps a TxnDecoder instead.
 func DecodeTxnRecord(payload []byte) (seq int64, tx core.Transaction, err error) {
-	lt, err := (*TxnDecoder)(nil).decode(payload)
-	return lt.Seq, lt.Tx, err
+	return (*TxnDecoder)(nil).Decode(payload)
 }
 
 // TxnDecoder decodes the recTxn payloads of one stream: a replication
@@ -134,32 +134,22 @@ func appendTxnFrame(dst []byte, seq int64, tx core.Transaction) (out, payload []
 		return dst, nil, err
 	}
 	binary.LittleEndian.PutUint32(out[start+1:], uint32(len(out)-start-frameHeader))
-	out = binary.LittleEndian.AppendUint32(out, recordCRC(recTxn, out[start+frameHeader:]))
+	out = binary.LittleEndian.AppendUint32(out, wire.FrameCRC(recTxn, out[start+frameHeader:]))
 	return out, out[start+frameHeader : len(out)-4], nil
 }
 
-// decode decodes one transaction payload, rejecting trailing bytes: the log
-// files' decoder, where a tail is corruption.
+// decode decodes one transaction payload as a log entry.
 func (d *TxnDecoder) decode(payload []byte) (loggedTxn, error) {
-	seq, tx, rest, err := d.DecodeTail(payload)
-	if err != nil {
-		return loggedTxn{}, err
-	}
-	if len(rest) != 0 {
-		return loggedTxn{}, fmt.Errorf("%w: transaction record: trailing bytes", ErrCorrupt)
-	}
-	return loggedTxn{Seq: seq, Tx: tx}, nil
+	seq, tx, err := d.Decode(payload)
+	return loggedTxn{Seq: seq, Tx: tx}, err
 }
 
-// DecodeTail decodes a recTxn payload and returns any unconsumed trailing
-// bytes instead of rejecting them. The log records on disk never have a
-// tail; records on a version-5 replication stream may carry the 10-byte
-// wire trace-context suffix, which the subscriber splits off here and
-// interprets with wire.DecodeTraceCtx. Everything returned but rest is
-// copied out of payload.
-func (d *TxnDecoder) DecodeTail(payload []byte) (seq int64, tx core.Transaction, rest []byte, err error) {
-	fail := func(what string) (int64, core.Transaction, []byte, error) {
-		return 0, core.Transaction{}, nil, fmt.Errorf("%w: transaction record: bad %s", ErrCorrupt, what)
+// Decode decodes one recTxn payload into the engine sequence it committed
+// as and the replayable transaction. Trailing bytes beyond the record are
+// corrupt. Everything returned is copied out of payload.
+func (d *TxnDecoder) Decode(payload []byte) (seq int64, tx core.Transaction, err error) {
+	fail := func(what string) (int64, core.Transaction, error) {
+		return 0, core.Transaction{}, fmt.Errorf("%w: transaction record: bad %s", ErrCorrupt, what)
 	}
 	seq, n := binary.Varint(payload)
 	if n <= 0 {
@@ -225,6 +215,9 @@ func (d *TxnDecoder) DecodeTail(payload []byte) (seq int64, tx core.Transaction,
 	// they are what the committing node's translate produced from the
 	// text, so replay takes them as decoded and never parses again. The
 	// source text rides along for reports and forwards.
+	if len(payload) != 0 {
+		return 0, core.Transaction{}, fmt.Errorf("%w: transaction record: trailing bytes", ErrCorrupt)
+	}
 	tx.Origin, tx.Seq, tx.Query = d.name(origin), int(oseq), src
-	return seq, tx, payload, nil
+	return seq, tx, nil
 }

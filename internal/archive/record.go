@@ -17,21 +17,20 @@
 package archive
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
+
+	"funcdb/internal/wire"
 )
 
-// Record framing:
+// Records are wire frames (internal/wire): the same bytes, the same CRC,
+// read by the same wire.ReadFrame —
 //
 //	record := type:uint8 length:uint32le payload crc:uint32le
 //
-// The CRC (IEEE 802.3) covers the type byte and the payload, so a frame
-// whose length field is corrupted fails its checksum instead of being
-// misparsed. maxRecordLen bounds allocation on corrupt length fields.
+// — with maxRecordLen as the length limit instead of the wire's.
 
 // Record types.
 const (
@@ -59,13 +58,11 @@ const (
 	frameOverhead = frameHeader + 4
 )
 
-// ErrCorrupt reports an undecodable archive (distinct from a clean
-// truncation at the tail, which recovery tolerates).
+// ErrCorrupt reports an undecodable archive. A frame cut short by a crash
+// mid-append is one too, and also wire.ErrTruncated: readers test for
+// that first and treat it as the end of the durable stream when it is
+// the final frame.
 var ErrCorrupt = errors.New("archive: corrupt record")
-
-// errTruncated reports a frame cut short by a crash mid-append. Readers
-// treat it as the end of the durable stream when it is the final frame.
-var errTruncated = fmt.Errorf("%w: truncated frame", ErrCorrupt)
 
 // checkRecordLen rejects payloads the frame format cannot carry (and the
 // reader would refuse), before any bytes hit the disk.
@@ -84,16 +81,7 @@ func appendRecord(dst []byte, typ byte, payload []byte) []byte {
 	dst = append(dst, typ)
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(payload)))
 	dst = append(dst, payload...)
-	return binary.LittleEndian.AppendUint32(dst, recordCRC(typ, payload))
-}
-
-// recordCRC is the frame checksum over the type byte and the payload. The
-// type byte is folded in by one table step written out here: handing
-// crc32.Update a one-byte slice would put that slice on the heap, once per
-// record.
-func recordCRC(typ byte, payload []byte) uint32 {
-	seed := ^(crc32.IEEETable[0xff^typ] ^ 0x00ffffff)
-	return crc32.Update(seed, crc32.IEEETable, payload)
+	return binary.LittleEndian.AppendUint32(dst, wire.FrameCRC(typ, payload))
 }
 
 // record is one decoded frame.
@@ -111,41 +99,19 @@ type reader struct {
 	off int64
 }
 
-// next reads one record. io.EOF means a clean end of stream; errTruncated
-// means the stream ends inside a frame; other ErrCorrupt errors mean the
-// frame is present but fails its checksum or length bounds.
+// next reads one record. io.EOF means a clean end of stream;
+// wire.ErrTruncated means the stream ends inside a frame; every other
+// ErrCorrupt means the frame is present but fails its checksum or length
+// bound.
 func (rd *reader) next() (record, error) {
-	var hdr [5]byte
-	if _, err := io.ReadFull(rd.r, hdr[:1]); err != nil {
-		if errors.Is(err, io.EOF) {
-			return record{}, io.EOF
-		}
-		return record{}, fmt.Errorf("archive: read: %w", err)
-	}
-	if _, err := io.ReadFull(rd.r, hdr[1:]); err != nil {
-		if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-			return record{}, errTruncated
-		}
-		return record{}, fmt.Errorf("archive: read: %w", err)
-	}
-	typ := hdr[0]
-	length := binary.LittleEndian.Uint32(hdr[1:])
-	if length > maxRecordLen {
-		return record{}, fmt.Errorf("%w: length %d exceeds limit", ErrCorrupt, length)
-	}
-	// Grow the body buffer only as bytes actually arrive: a corrupted
-	// length field must cost a truncation error, not a giant allocation.
-	var bodyBuf bytes.Buffer
-	if _, err := io.CopyN(&bodyBuf, rd.r, int64(length)+4); err != nil {
-		if errors.Is(err, io.EOF) {
-			return record{}, errTruncated
-		}
-		return record{}, fmt.Errorf("archive: read: %w", err)
-	}
-	body := bodyBuf.Bytes()
-	payload, sum := body[:length], binary.LittleEndian.Uint32(body[length:])
-	if recordCRC(typ, payload) != sum {
-		return record{}, fmt.Errorf("%w: checksum mismatch", ErrCorrupt)
+	typ, payload, err := wire.ReadFrame(rd.r, maxRecordLen)
+	switch {
+	case err == io.EOF:
+		return record{}, io.EOF
+	case errors.Is(err, wire.ErrCorrupt) || errors.Is(err, wire.ErrTooLarge):
+		return record{}, fmt.Errorf("%w: %w", ErrCorrupt, err)
+	case err != nil:
+		return record{}, fmt.Errorf("archive: %w", err)
 	}
 	rd.off += int64(len(payload)) + frameOverhead
 	return record{typ: typ, payload: payload}, nil

@@ -17,7 +17,11 @@ import (
 	"funcdb/internal/core"
 	"funcdb/internal/query"
 	"funcdb/internal/value"
+	"funcdb/internal/wire"
 )
+
+// recordCRC is the archive records' checksum: the wire's frame CRC.
+var recordCRC = wire.FrameCRC
 
 func TestRecordRoundTrip(t *testing.T) {
 	payloads := [][]byte{nil, {}, {1}, bytes.Repeat([]byte{0xAB}, 1000)}
@@ -78,7 +82,7 @@ func TestRecordTruncation(t *testing.T) {
 		if cleanCut && !errors.Is(err, io.EOF) {
 			t.Fatalf("cut %d: want EOF, got %v", cut, err)
 		}
-		if !cleanCut && !errors.Is(err, errTruncated) {
+		if !cleanCut && !errors.Is(err, wire.ErrTruncated) {
 			t.Fatalf("cut %d: want truncation, got %v", cut, err)
 		}
 	}
@@ -331,8 +335,8 @@ func TestDecodeRecordAllocGate(t *testing.T) {
 	// it hands out the strings it kept instead of two fresh ones.
 	var dec TxnDecoder
 	warm := testing.AllocsPerRun(200, func() {
-		if _, got, rest, err := dec.DecodeTail(bare); err != nil || len(rest) != 0 || got.Origin != tx.Origin || got.Rel != tx.Rel {
-			t.Fatalf("warm decode: %+v, %d trailing bytes, %v", got, len(rest), err)
+		if _, got, err := dec.Decode(bare); err != nil || got.Origin != tx.Origin || got.Rel != tx.Rel {
+			t.Fatalf("warm decode: %+v, %v", got, err)
 		}
 	})
 	if warm != base-2 {

@@ -12,6 +12,7 @@ import (
 
 	"funcdb/internal/database"
 	"funcdb/internal/trace"
+	"funcdb/internal/wire"
 )
 
 // dirState is the parsed contents of an archive directory.
@@ -115,7 +116,7 @@ func readLog(dir string, seq int64) (logContents, error) {
 	rd := &reader{r: f}
 	hdr, err := rd.next()
 	if err != nil {
-		if errors.Is(err, io.EOF) || errors.Is(err, errTruncated) {
+		if errors.Is(err, io.EOF) || errors.Is(err, wire.ErrTruncated) {
 			// Header never fully landed: an empty segment with a torn tail.
 			return logContents{torn: !errors.Is(err, io.EOF)}, nil
 		}
@@ -139,7 +140,7 @@ func readLog(dir string, seq int64) (logContents, error) {
 		if errors.Is(err, io.EOF) {
 			return out, nil
 		}
-		if errors.Is(err, errTruncated) {
+		if errors.Is(err, wire.ErrTruncated) {
 			out.torn = true
 			return out, nil
 		}

@@ -125,7 +125,8 @@ func OwnedRelations(relations []string, id, n int) []string {
 // Node is one cluster member: primary, gateway, and replica (see the
 // package comment). It implements server.Host (sessions route through
 // its submitter), server.Placer (redirects), server.ReplicaReader
-// (stale reads), and server.LogSource (its own log, for its replicas).
+// (stale reads), and server.SlotLogSource (its slot's log, for its
+// replicas).
 type Node struct {
 	id      int
 	addrs   []string
@@ -295,12 +296,6 @@ func (n *Node) Barrier() { n.store.Barrier() }
 // DurabilityErr implements server.Host.
 func (n *Node) DurabilityErr() error { return n.store.DurabilityErr() }
 
-// SubscribeLog implements server.LogSource by delegating to the local
-// store: replicas of THIS node's relations pull from here.
-func (n *Node) SubscribeLog(after int64, fn func(seq int64, record []byte)) (func(), error) {
-	return n.store.SubscribeLog(after, fn)
-}
-
 // Store returns the node's primary store.
 func (n *Node) Store() LocalStore { return n.store }
 
@@ -315,9 +310,8 @@ func (n *Node) TraceRecorder() *reqtrace.Recorder {
 }
 
 // LogTraceCtxOf implements server.LogTraceSource: the trace context a
-// committed sequence carried, so the replication stream re-stamps it
-// toward version-5 subscribers and the mirror's apply span joins the
-// same trace.
+// committed sequence carried, so the replication stream sends it ahead
+// of the record and the mirror's apply span joins the same trace.
 func (n *Node) LogTraceCtxOf(seq int64) reqtrace.Ctx {
 	if ls, ok := n.store.(interface{ LogTraceCtxOf(int64) reqtrace.Ctx }); ok {
 		return ls.LogTraceCtxOf(seq)

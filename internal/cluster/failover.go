@@ -734,7 +734,7 @@ func (n *Node) FenceForward(rel string, epoch uint64, hasEpoch bool) error {
 }
 
 // OwnerEpoch implements server.Fencer: the newest known epoch for the
-// relation's slot, stamped into Redirect frames on v3 connections.
+// relation's slot, stamped into Redirect frames.
 func (n *Node) OwnerEpoch(rel string) uint64 {
 	if n.fo == nil {
 		return 0

@@ -43,7 +43,6 @@ type peer struct {
 type peerConn struct {
 	conn    net.Conn
 	bw      *bufio.Writer
-	ver     byte // peer's negotiated protocol version, from its Welcome
 	pending map[uint64]*fwdCall
 }
 
@@ -96,12 +95,11 @@ func (p *peer) ensureLocked() (*peerConn, error) {
 		conn.Close()
 		return nil, fmt.Errorf("cluster: handshake with %s failed: %v", p.addr, err)
 	}
-	w, err := wire.DecodeWelcome(payload)
-	if err != nil {
+	if _, err := wire.DecodeWelcome(payload); err != nil {
 		conn.Close()
 		return nil, fmt.Errorf("cluster: handshake with %s: %w", p.addr, err)
 	}
-	pc := &peerConn{conn: conn, bw: bw, ver: w.Version, pending: make(map[uint64]*fwdCall)}
+	pc := &peerConn{conn: conn, bw: bw, pending: make(map[uint64]*fwdCall)}
 	p.pc = pc
 	p.dials.Inc()
 	go p.readLoop(pc, rd)
@@ -142,7 +140,7 @@ func (p *peer) readLoop(pc *peerConn, rd *wire.Reader) {
 				call.err, call.errIndex = errors.New(msg), index
 			}
 		case wire.FrameRedirect:
-			rid, addr, _, derr := wire.DecodeRedirect(payload)
+			rid, addr, _, _, derr := wire.DecodeRedirect(payload)
 			if derr != nil {
 				fatal = derr
 			} else if call = p.take(pc, rid); call != nil {
@@ -215,46 +213,66 @@ func (p *peer) close() {
 // order, into out. The frame sets FwdNoForward: if the peer disagrees about
 // ownership (it answered Redirect), or the link dies, every future
 // resolves with the error; forwarding never chains past one hop.
-// With hasEpoch the frame is additionally stamped with the slot's epoch
+// With hasEpoch the frame additionally claims the slot's epoch
 // (FwdEpoch), so a receiver that has seen a newer promotion fences it.
-// A non-nil sampled trace rides the frame as a v5 trace-context suffix
-// (FwdTrace) so the owner's spans share the gateway's trace id, and the
-// gateway records the whole round trip as one forward-hop span.
+// A sampled trace rides ahead of the frame as a TraceCtx frame so the
+// owner's spans share the gateway's trace id, and the gateway records the
+// whole round trip as one forward-hop span.
 func (p *peer) forwardTagged(txs []core.Transaction, out []*session.Future, epoch uint64, hasEpoch bool, tr *reqtrace.T) {
+	flags := byte(wire.FwdNoForward)
+	if hasEpoch {
+		flags |= wire.FwdEpoch
+	}
+	for _, tx := range txs {
+		if tx.Query == "" {
+			// Only symbolic statements cross the wire: the paper's
+			// translate is the authoritative query → transaction function,
+			// and the owner re-runs it.
+			for j, txj := range txs {
+				out[j] = lenient.Ready(core.Response{
+					Origin: txj.Origin, Seq: txj.Seq, Kind: txj.Kind,
+					Err: errors.New("cluster: transaction has no symbolic form to forward"),
+				})
+			}
+			return
+		}
+	}
 	for _, tx := range txs {
 		if tx.PrepHash != 0 {
 			// At least one transaction was bound from a prepared template:
 			// its Query is the '?' template, which the owner cannot re-bind
 			// from text, so the whole run ships as a ForwardPrepared frame
-			// (hash + args, text included for first-contact registration).
-			p.forwardPrepared(txs, out, epoch, hasEpoch, tr)
+			// (hash + args, text included for first-contact registration;
+			// plain text statements sharing the run ship as hash-0 text
+			// statements).
+			stmts := make([]wire.PreparedFwdStmt, len(txs))
+			for i, tx := range txs {
+				stmts[i] = wire.PreparedFwdStmt{
+					Origin: tx.Origin, Seq: tx.Seq,
+					Hash: tx.PrepHash, Text: tx.Query, HasText: true,
+					Args: tx.PrepArgs,
+				}
+			}
+			p.ship(txs, out, tr, wire.FrameForwardPrepared, func(dst []byte, id uint64) ([]byte, error) {
+				return wire.AppendForwardPrepared(dst, id, flags, epoch, stmts)
+			})
 			return
 		}
 	}
 	stmts := make([]wire.ForwardStmt, len(txs))
 	for i, tx := range txs {
-		if tx.Query == "" {
-			// Only symbolic statements cross the wire: the paper's
-			// translate is the authoritative query → transaction function,
-			// and the owner re-runs it.
-			for j := range txs {
-				txj := txs[j]
-				out[j] = lenient.Ready(core.Response{
-					Origin: txj.Origin, Seq: txj.Seq, Kind: txj.Kind,
-					Err: errors.New("cluster: transaction has no symbolic form to forward"),
-				})
-			}
-			return
-		}
 		stmts[i] = wire.ForwardStmt{Origin: tx.Origin, Seq: tx.Seq, Query: tx.Query}
 	}
+	p.ship(txs, out, tr, wire.FrameForward, func(dst []byte, id uint64) ([]byte, error) {
+		return wire.AppendForward(dst, id, flags, epoch, stmts), nil
+	})
+}
 
-	flags := byte(wire.FwdNoForward)
-	if hasEpoch {
-		flags |= wire.FwdEpoch
-	}
+// ship sends one forward frame for txs and stores their futures into out:
+// each resolves from the frame's shared reply.
+func (p *peer) ship(txs []core.Transaction, out []*session.Future, tr *reqtrace.T, typ byte, build func(dst []byte, id uint64) ([]byte, error)) {
 	call := &fwdCall{n: len(txs), done: make(chan struct{}), tr: tr}
-	if err := p.sendForward(call, flags, epoch, stmts); err != nil {
+	if err := p.send(call, typ, build); err != nil {
 		call.err, call.errIndex = err, -1
 		close(call.done)
 	}
@@ -267,53 +285,10 @@ func (p *peer) forwardTagged(txs []core.Transaction, out []*session.Future, epoc
 	}
 }
 
-// forwardPrepared is forwardTagged for runs carrying prepared-bound
-// transactions: one FrameForwardPrepared frame whose statements resolve
-// at the owner by text hash against its node-wide cache. The template
-// text rides along (HasText) so first contact — or the owner's cache
-// having evicted the plan — registers it instead of failing; plain text
-// statements sharing the run ship as hash-0 text statements.
-func (p *peer) forwardPrepared(txs []core.Transaction, out []*session.Future, epoch uint64, hasEpoch bool, tr *reqtrace.T) {
-	stmts := make([]wire.PreparedFwdStmt, len(txs))
-	for i, tx := range txs {
-		if tx.Query == "" {
-			for j := range txs {
-				txj := txs[j]
-				out[j] = lenient.Ready(core.Response{
-					Origin: txj.Origin, Seq: txj.Seq, Kind: txj.Kind,
-					Err: errors.New("cluster: transaction has no symbolic form to forward"),
-				})
-			}
-			return
-		}
-		stmts[i] = wire.PreparedFwdStmt{
-			Origin: tx.Origin, Seq: tx.Seq,
-			Hash: tx.PrepHash, Text: tx.Query, HasText: true,
-			Args: tx.PrepArgs,
-		}
-	}
-
-	flags := byte(wire.FwdNoForward)
-	if hasEpoch {
-		flags |= wire.FwdEpoch
-	}
-	call := &fwdCall{n: len(txs), done: make(chan struct{}), tr: tr}
-	if err := p.sendForwardPrepared(call, flags, epoch, stmts); err != nil {
-		call.err, call.errIndex = err, -1
-		close(call.done)
-	}
-	for i := range txs {
-		i, tx := i, txs[i]
-		out[i] = lenient.Lazy(func() core.Response {
-			<-call.done
-			return call.response(i, tx)
-		})
-	}
-}
-
-// sendForwardPrepared writes one ForwardPrepared frame and registers its
-// call — sendForward with the prepared statement encoding.
-func (p *peer) sendForwardPrepared(call *fwdCall, flags byte, epoch uint64, stmts []wire.PreparedFwdStmt) error {
+// send writes one forward frame — its payload appended by build for the
+// allocated request id, behind a TraceCtx frame when the call's trace is
+// sampled — and registers its call.
+func (p *peer) send(call *fwdCall, typ byte, build func(dst []byte, id uint64) ([]byte, error)) error {
 	p.mu.Lock()
 	pc, err := p.ensureLocked()
 	if err != nil {
@@ -322,62 +297,14 @@ func (p *peer) sendForwardPrepared(call *fwdCall, flags byte, epoch uint64, stmt
 	}
 	id := p.nextID
 	p.nextID++
-	var mark int
-	p.enc, mark = wire.BeginFrame(p.enc[:0], wire.FrameForwardPrepared)
-	if tc := forwardTraceCtx(call.tr, pc.ver); tc.Sampled {
-		p.enc, err = wire.AppendForwardPreparedT(p.enc, id, flags|wire.FwdTrace, epoch, tc, stmts)
-	} else {
-		p.enc, err = wire.AppendForwardPrepared(p.enc, id, flags, epoch, stmts)
-	}
-	if err == nil {
-		p.enc, err = wire.EndFrame(p.enc, mark)
-	}
-	if err != nil {
-		p.mu.Unlock()
-		return err
-	}
-	pc.pending[id] = call
-	if call.tr != nil {
-		call.sentNS = time.Now().UnixNano()
-	}
-	if _, err = pc.bw.Write(p.enc); err == nil {
-		err = pc.bw.Flush()
-	}
-	if cap(p.enc) > maxPeerEncodeBuf {
-		p.enc = nil
-	}
-	if err == nil {
-		p.frames.Inc()
-		p.mu.Unlock()
-		return nil
-	}
-	delete(pc.pending, id)
-	p.mu.Unlock()
-	p.fail(pc, fmt.Errorf("cluster: connection to %s lost: %w", p.addr, err))
-	return fmt.Errorf("cluster: forward to %s: %w", p.addr, err)
-}
-
-// sendForward writes one Forward frame and registers its call.
-func (p *peer) sendForward(call *fwdCall, flags byte, epoch uint64, stmts []wire.ForwardStmt) error {
-	p.mu.Lock()
-	pc, err := p.ensureLocked()
-	if err != nil {
-		p.mu.Unlock()
-		return err
-	}
-	id := p.nextID
-	p.nextID++
-	// Frame the Forward in the peer's reused encode buffer (guarded by
+	// Frame the request in the peer's reused encode buffer (guarded by
 	// p.mu, like everything else on the send path): zero steady-state
 	// allocation per forwarded frame.
 	var mark int
-	p.enc, mark = wire.BeginFrame(p.enc[:0], wire.FrameForward)
-	if tc := forwardTraceCtx(call.tr, pc.ver); tc.Sampled {
-		p.enc = wire.AppendForwardT(p.enc, id, flags|wire.FwdTrace, epoch, tc, stmts)
-	} else {
-		p.enc = wire.AppendForwardE(p.enc, id, flags, epoch, stmts)
+	p.enc, mark = wire.BeginFrame(wire.AppendTraceFrame(p.enc[:0], call.tr.Ctx()), typ)
+	if p.enc, err = build(p.enc, id); err == nil {
+		p.enc, err = wire.EndFrame(p.enc, mark)
 	}
-	p.enc, err = wire.EndFrame(p.enc, mark)
 	if err != nil {
 		p.mu.Unlock()
 		return err
@@ -405,21 +332,6 @@ func (p *peer) sendForward(call *fwdCall, flags byte, epoch uint64, stmts []wire
 	p.mu.Unlock()
 	p.fail(pc, fmt.Errorf("cluster: connection to %s lost: %w", p.addr, err))
 	return fmt.Errorf("cluster: forward to %s: %w", p.addr, err)
-}
-
-// forwardTraceCtx decides whether a forward frame carries the trace
-// suffix: only sampled traces propagate, and only toward peers that
-// negotiated protocol version 5 — older receivers would read the suffix
-// as corruption. The zero context means "stamp nothing".
-func forwardTraceCtx(tr *reqtrace.T, peerVer byte) wire.TraceCtx {
-	if tr == nil || peerVer < 5 {
-		return wire.TraceCtx{}
-	}
-	c := tr.Ctx()
-	if !c.Sampled || c.ID == 0 {
-		return wire.TraceCtx{}
-	}
-	return wire.TraceCtx{ID: c.ID, Hop: c.Hop, Sampled: true}
 }
 
 // response shapes statement i's answer out of the frame's shared reply.

@@ -78,8 +78,8 @@ func newMirrorFromDB(peerIdx int, db *database.Database) *mirror {
 // version is the newest primary sequence the mirror has applied.
 func (m *mirror) version() int64 { return m.eng.Version() }
 
-// apply installs one shipped record (raw is its wire form, retained for
-// the post-promotion tail when keepTail is set). Records must arrive in
+// apply installs one shipped record (raw is its archive bytes, retained
+// for the post-promotion tail when keepTail is set). Records must arrive in
 // exactly primary order: seq == applied+1. A gap means the stream
 // skipped something the record form cannot carry (a custom transaction
 // on the primary) — the mirror refuses rather than silently diverge.
@@ -214,12 +214,12 @@ var errNodeClosing = fmt.Errorf("cluster: node closing")
 // replicaRetryDelay paces re-subscription after a dropped stream.
 const replicaRetryDelay = 100 * time.Millisecond
 
-// streamFrom runs one subscription: handshake, Subscribe(after), then a
-// LogRecord loop until the stream ends. Under failover the dial target
-// is the slot's CURRENT owner (re-resolved per attempt, so a mirror
-// follows its slot across promotions), the subscription is
-// slot-addressed, records arrive epoch-stamped, and each applied record
-// is acked back — the primary's write gate counts those acks.
+// streamFrom runs one subscription: handshake, Subscribe(after) to the
+// peer's slot, then a LogRecord loop until the stream ends, acking each
+// applied record — under failover the primary's write gate counts those
+// acks. Under failover the dial target is the slot's CURRENT owner
+// (re-resolved per attempt, so a mirror follows its slot across
+// promotions) and the records' epochs are checked against the node's.
 func (n *Node) streamFrom(peerIdx int, m *mirror) error {
 	target := peerIdx
 	if n.fo != nil {
@@ -259,13 +259,7 @@ func (n *Node) streamFrom(peerIdx int, m *mirror) error {
 	if _, err := wire.DecodeWelcome(payload); err != nil {
 		return err
 	}
-	var sub []byte
-	if n.fo != nil {
-		sub = wire.AppendSubscribeFrom(nil, m.version(), peerIdx, n.id)
-	} else {
-		sub = wire.AppendSubscribe(nil, m.version())
-	}
-	if err := wire.WriteFrame(bw, wire.FrameSubscribe, sub); err != nil {
+	if err := wire.WriteFrame(bw, wire.FrameSubscribe, wire.AppendSubscribe(nil, m.version(), peerIdx, n.id)); err != nil {
 		return err
 	}
 	if err := bw.Flush(); err != nil {
@@ -275,38 +269,26 @@ func (n *Node) streamFrom(peerIdx int, m *mirror) error {
 	trRec := n.TraceRecorder()
 	var ack []byte // one SubAck payload, rewritten per applied record
 	var dec archive.TxnDecoder
+	// tc is the context of a TraceCtx frame just read, for the record that
+	// must follow it.
+	var tc reqtrace.Ctx
+	var hasTC bool
 	// The LogRecord loop reuses the Reader's body buffer across records:
-	// TxnDecoder.DecodeTail copies everything it extracts, so the payload's
+	// TxnDecoder.Decode copies everything it extracts, so the payload's
 	// next-read invalidation never escapes this loop.
 	for {
 		typ, payload, err := rd.Next()
 		if err != nil {
 			return err
 		}
-		var record []byte
-		switch typ {
-		case wire.FrameLogRecord:
-			record = payload
-		case wire.FrameLogRecordE:
-			epoch, rec, derr := wire.DecodeLogRecordE(payload)
-			if derr != nil {
-				return derr
+		switch {
+		case typ == wire.FrameTraceCtx && !hasTC:
+			if tc, err = wire.DecodeTraceCtx(payload); err != nil {
+				return err
 			}
-			if n.fo != nil {
-				known := n.fo.epochOf(peerIdx)
-				if epoch < known {
-					// A deposed primary still streaming its old epoch: drop
-					// the stream and re-resolve to the real owner.
-					return fmt.Errorf("cluster: stale epoch %d on slot %d stream (know %d)", epoch, peerIdx, known)
-				}
-				if epoch > known {
-					// The stream knows of a promotion gossip has not yet
-					// delivered: the node we dialed serves this epoch.
-					n.fo.noteStreamEpoch(peerIdx, target, epoch)
-				}
-			}
-			record = rec
-		case wire.FrameError:
+			hasTC = true
+			continue
+		case typ == wire.FrameError && !hasTC:
 			_, _, msg, derr := wire.DecodeErrorMsg(payload)
 			if derr != nil {
 				return derr
@@ -317,30 +299,39 @@ func (n *Node) streamFrom(peerIdx int, m *mirror) error {
 				return errReplicationGap
 			}
 			return fmt.Errorf("cluster: node %d refused subscription: %s", target, msg)
-		default:
+		case typ != wire.FrameLogRecord:
 			return fmt.Errorf("cluster: unexpected frame %#x in replication stream", typ)
 		}
-		seq, tx, rest, err := dec.DecodeTail(record)
+		epoch, record, err := wire.DecodeLogRecord(payload)
 		if err != nil {
 			return err
 		}
-		// A version-5 primary stamps the trace-context suffix onto stream
-		// records of sampled requests: open the mirror's leg of the trace
-		// here, and keep the RETAINED record bytes suffix-free so a
-		// post-promotion tail replay never re-ships a stale context.
-		var rt *reqtrace.T
-		var applyStart time.Time
-		if len(rest) > 0 {
-			tc, tcErr := wire.DecodeTraceCtx(rest)
-			if tcErr != nil {
-				return tcErr
+		if n.fo != nil {
+			known := n.fo.epochOf(peerIdx)
+			if epoch < known {
+				// A deposed primary still streaming its old epoch: drop
+				// the stream and re-resolve to the real owner.
+				return fmt.Errorf("cluster: stale epoch %d on slot %d stream (know %d)", epoch, peerIdx, known)
 			}
-			record = record[:len(record)-len(rest)]
-			if trRec != nil && tc.Sampled {
-				rt = trRec.StartCtx(reqtrace.Ctx{ID: tc.ID, Hop: tc.Hop, Sampled: tc.Sampled})
-				applyStart = time.Now()
+			if epoch > known {
+				// The stream knows of a promotion gossip has not yet
+				// delivered: the node we dialed serves this epoch.
+				n.fo.noteStreamEpoch(peerIdx, target, epoch)
 			}
 		}
+		seq, tx, err := dec.Decode(record)
+		if err != nil {
+			return err
+		}
+		// A sampled commit's context arrived just ahead of its record: the
+		// mirror's leg of the trace opens here.
+		var rt *reqtrace.T
+		var applyStart time.Time
+		if hasTC && tc.Sampled && trRec != nil {
+			rt = trRec.StartCtx(tc)
+			applyStart = time.Now()
+		}
+		hasTC = false
 		if err := m.apply(seq, tx, record); err != nil {
 			return errReplicationGap
 		}
@@ -353,14 +344,12 @@ func (n *Node) streamFrom(peerIdx int, m *mirror) error {
 			// it must re-translate, exactly as after a local create.
 			n.cache.InvalidateRel(tx.Rel)
 		}
-		if n.fo != nil {
-			ack = wire.AppendSubAck(ack[:0], seq)
-			if err := wire.WriteFrame(bw, wire.FrameSubAck, ack); err != nil {
-				return err
-			}
-			if err := bw.Flush(); err != nil {
-				return err
-			}
+		ack = wire.AppendSubAck(ack[:0], seq)
+		if err := wire.WriteFrame(bw, wire.FrameSubAck, ack); err != nil {
+			return err
+		}
+		if err := bw.Flush(); err != nil {
+			return err
 		}
 	}
 }

@@ -9,7 +9,7 @@
 // the *production* stack (lanes, group commit, wire server, cluster) the
 // same measurability at runtime: every layer owns a small struct of these
 // primitives (layers.go), funcdb.Store and cluster nodes aggregate them
-// into one Snapshot, and the wire's Stats frame ships the snapshot to any
+// into one Snapshot, and the wire's Introspect frame ships the snapshot to any
 // client.
 //
 // Two cost disciplines, both load-bearing:

@@ -5,7 +5,7 @@ import "runtime"
 // RuntimeSnapshot is the Go runtime's side of a metrics snapshot: the
 // heap and GC numbers an allocation pass is judged by. Scraped from
 // runtime.MemStats at snapshot time — a stop-the-world-free read — so
-// every exposition surface (MetricsSnapshot, the wire Stats frame,
+// every exposition surface (MetricsSnapshot, the wire Introspect frame,
 // /debug/stats and /debug/vars) carries the same fields fdbload's report
 // aggregates.
 type RuntimeSnapshot struct {

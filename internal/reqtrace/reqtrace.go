@@ -18,10 +18,10 @@
 //     ran over the slow threshold (default 10ms, kept in a separate
 //     reservoir that head samples can never evict).
 //
-// Cross-node stitching is by trace id: the wire's v5 trace-context
-// suffix carries (id, hop, sampled) to the owning primary and on to the
-// mirror, each node records its own spans under the shared id, and the
-// renderer (Render) merges the per-node timelines into one hop tree.
+// Cross-node stitching is by trace id: the wire's TraceCtx frame carries
+// (id, hop, sampled) to the owning primary and on to the mirror, each
+// node records its own spans under the shared id, and the renderer
+// (Render) merges the per-node timelines into one hop tree.
 package reqtrace
 
 import (
@@ -80,8 +80,8 @@ func StageByName(name string) (Stage, bool) {
 	return 0, false
 }
 
-// Ctx is the trace context that crosses the wire: the v5 suffix decoded
-// into Go. The zero Ctx (ID 0) means "not traced".
+// Ctx is the trace context that crosses the wire: a TraceCtx frame
+// decoded into Go. The zero Ctx (ID 0) means "not traced".
 type Ctx struct {
 	ID      uint64 // trace id, shared by every node's spans
 	Hop     uint8  // distance from the client: 0 = first server, +1 per hop
@@ -372,7 +372,7 @@ type SpanInfo struct {
 }
 
 // Trace is one published trace: the document Traces() returns, the wire
-// Traces frame ships, and /debug/trace serves.
+// Introspect frame ships, and /debug/trace serves.
 type Trace struct {
 	ID      string     `json:"id"` // %016x — JSON numbers lose uint64 precision
 	Node    string     `json:"node,omitempty"`

@@ -13,8 +13,8 @@
 // read would block.
 //
 // One listener can host many stores: the Hello frame names a database
-// (protocol version 2; version-1 clients land on "main"), and each
-// connection is bound to that database's Host for its lifetime.
+// (an empty name lands on "main"), and each connection is bound to that
+// database's Host for its lifetime.
 //
 // A Host may additionally implement the cluster capabilities:
 //
@@ -24,9 +24,10 @@
 //   - ReplicaReader: the host keeps log-shipped replicas of other nodes'
 //     relations and can serve read-only statements from them, stamped
 //     with the replica's version (the client's staleness bound);
-//   - LogSource: the host can stream its committed-transaction log, which
-//     is how a Subscribe frame turns a connection into the replication
-//     stream (LogRecord frames — the archive's records, reframed).
+//   - SlotLogSource: the host can stream a slot's committed-transaction
+//     log, which is how a Subscribe frame turns a connection into the
+//     replication stream (LogRecord frames — the archive's records,
+//     reframed).
 //
 // Shutdown drains gracefully: stop accepting, unblock every connection's
 // pending read, let each handler answer what it has fully read, then
@@ -86,35 +87,27 @@ type ReplicaReader interface {
 	ReplicaRead(tx core.Transaction) (fut *session.Future, ok bool)
 }
 
-// LogSource is implemented by hosts whose committed-transaction log can
-// be subscribed to (funcdb.Store with durability; the primary side of
-// replication). The callback contract is archive.TailFunc's: records
-// arrive in commit order, under the log mutex — hand off, don't block.
-type LogSource interface {
-	SubscribeLog(after int64, fn func(seq int64, record []byte)) (cancel func(), err error)
-}
-
 // StatsProvider is implemented by hosts that can report their metrics
-// snapshot (funcdb.Store, a cluster node). A Stats frame on a host
+// snapshot (funcdb.Store, a cluster node). A stats Introspect frame on a host
 // without it still answers — with the server's own section only.
 type StatsProvider interface {
 	MetricsSnapshot() metrics.Snapshot
 }
 
 // TraceSource is implemented by hosts with request tracing enabled: the
-// handler opens a trace per request (continuing a version-5 wire context
-// when the client propagated one), brackets the conn-read, decode,
-// encode and flush stages onto it, and a Traces frame answers with the
-// recorder's published traces. A host without it serves every request
-// untraced at zero cost.
+// handler opens a trace per request (continuing the context of a
+// TraceCtx frame when the client sent one), brackets the conn-read,
+// decode, encode and flush stages onto it, and a traces Introspect frame
+// answers with the recorder's published traces. A host without it serves
+// every request untraced at zero cost.
 type TraceSource interface {
 	TraceRecorder() *reqtrace.Recorder
 }
 
 // LogTraceSource is implemented by hosts that remember the trace context
 // of recent commits (funcdb.Store over its archive's ring): the
-// log-shipping stream stamps that context onto the records it sends a
-// version-5 subscriber, so a replica's apply spans join the trace.
+// log-shipping stream sends a sampled record's context as a TraceCtx
+// frame ahead of it, so a replica's apply spans join the trace.
 type LogTraceSource interface {
 	LogTraceCtxOf(seq int64) reqtrace.Ctx
 }
@@ -129,16 +122,18 @@ type HeartbeatSink interface {
 // Fencer is implemented by hosts that enforce epoch fencing on
 // forwarded writes: FenceForward refuses a statement for a slot the
 // host does not serve in the frame's epoch, and OwnerEpoch reports the
-// newest known epoch for a relation's slot (stamped into Redirects on
-// v3 connections so the sender re-resolves with it).
+// newest known epoch for a relation's slot (stamped into Redirects so
+// the sender re-resolves with it).
 type Fencer interface {
 	FenceForward(rel string, epoch uint64, hasEpoch bool) error
 	OwnerEpoch(rel string) uint64
 }
 
 // SlotLogSource is implemented by hosts that serve slot-addressed,
-// epoch-stamped log subscriptions (a failover cluster node: its own
-// slot or a takeover slot). Subscriber acks flow back through
+// epoch-stamped log subscriptions (a cluster node: its own slot, or
+// under failover a takeover slot). The callback contract is
+// archive.TailFunc's: records arrive in commit order, under the log
+// mutex — hand off, don't block. Subscriber acks flow back through
 // SubscriberAck and feed the host's replication-ack write gate.
 type SlotLogSource interface {
 	SubscribeSlotLog(slot, subscriber int, after int64, fn func(seq int64, epoch uint64, record []byte)) (cancel func(), err error)
@@ -173,7 +168,7 @@ func New(store Host) *Server {
 
 // NewMulti wraps several stores in one server, each hosted under its
 // database name: one listener, many stores. Connections choose with the
-// Hello database field; version-1 clients land on wire.DefaultDatabase.
+// Hello database field; an empty one lands on wire.DefaultDatabase.
 func NewMulti(hosts map[string]Host) *Server {
 	hs := make(map[string]Host, len(hosts))
 	for name, h := range hosts {
@@ -301,9 +296,8 @@ type reply struct {
 	index    int               // failing statement index (batches), else -1
 	redirect string            // FrameRedirect: the owning node's address
 	rel      string            // FrameRedirect: the relation being placed
-	rdEpoch  uint64            // FrameRedirect: owner epoch (v3 conns, failover hosts)
-	stats    []byte            // FrameStatsResponse: the snapshot document
-	traces   []byte            // FrameTracesResponse: the trace document
+	rdEpoch  uint64            // FrameRedirect: owner epoch (failover hosts)
+	doc      []byte            // FrameIntrospectResponse: the JSON document
 	raw      []byte            // pre-encoded payload (heartbeat acks)
 	rawType  byte              // frame type for raw
 	reqType  byte              // request frame type, keys the latency histogram
@@ -333,17 +327,17 @@ func (s *Server) handle(conn net.Conn) {
 	}
 	hello, err := wire.DecodeHello(payload)
 	if err != nil {
+		// A Hello we cannot accept — most often another protocol version —
+		// is refused with the reason, so the peer reports more than EOF.
+		refuse(bw, err.Error())
 		return
 	}
-	connVer := hello.Version
+	if hello.Database == "" {
+		hello.Database = wire.DefaultDatabase
+	}
 	host, ok := s.hosts[hello.Database]
 	if !ok {
-		// The handshake has no request id yet; id 0 with index -1 is the
-		// conventional pre-session failure.
-		msg := wire.AppendErrorMsg(nil, 0, -1, fmt.Sprintf("server: unknown database %q", hello.Database))
-		if wire.WriteFrame(bw, wire.FrameError, msg) == nil {
-			bw.Flush()
-		}
+		refuse(bw, fmt.Sprintf("server: unknown database %q", hello.Database))
 		return
 	}
 	origin := hello.Origin
@@ -453,20 +447,13 @@ func (s *Server) handle(conn net.Conn) {
 				out = wire.AppendErrorMsg(out, rp.id, rp.index, msg)
 			case rp.redirect != "":
 				out, mark = wire.BeginFrame(out, wire.FrameRedirect)
-				if connVer >= 3 && rp.rdEpoch > 0 {
-					out = wire.AppendRedirectE(out, rp.id, rp.redirect, rp.rel, rp.rdEpoch)
-				} else {
-					out = wire.AppendRedirect(out, rp.id, rp.redirect, rp.rel)
-				}
+				out = wire.AppendRedirect(out, rp.id, rp.redirect, rp.rel, rp.rdEpoch)
 			case rp.raw != nil:
 				out, mark = wire.BeginFrame(out, rp.rawType)
 				out = append(out, rp.raw...)
-			case rp.stats != nil:
-				out, mark = wire.BeginFrame(out, wire.FrameStatsResponse)
-				out = wire.AppendStatsResponse(out, rp.id, rp.stats)
-			case rp.traces != nil:
-				out, mark = wire.BeginFrame(out, wire.FrameTracesResponse)
-				out = wire.AppendTracesResponse(out, rp.id, rp.traces)
+			case rp.doc != nil:
+				out, mark = wire.BeginFrame(out, wire.FrameIntrospectResponse)
+				out = wire.AppendIntrospectResponse(out, rp.id, rp.doc)
 			case rp.futs != nil:
 				if cap(respScratch) < len(rp.futs) {
 					respScratch = make([]core.Response, len(rp.futs))
@@ -535,28 +522,28 @@ func (s *Server) handle(conn net.Conn) {
 	}
 
 	// startTrace opens the per-request trace once the frame is decoded:
-	// continuing the client's propagated wire context when it carried one,
-	// fresh otherwise. The conn-read and decode stages already happened —
-	// readStart brackets the blocking read, start the decode; decode ends
-	// here. Untraced hosts return nil and never read a clock.
+	// continuing the context of the TraceCtx frame that preceded it, fresh
+	// otherwise. The conn-read and decode stages already happened —
+	// readStart brackets the blocking read (from the TraceCtx frame on),
+	// start the decode; decode ends here. Untraced hosts return nil and
+	// never read a clock.
 	var readStart time.Time
-	startTrace := func(tc wire.TraceCtx, start time.Time) *reqtrace.T {
+	startTrace := func(tc reqtrace.Ctx, start time.Time) *reqtrace.T {
 		if rec == nil {
 			return nil
 		}
-		var t *reqtrace.T
-		if tc.ID != 0 {
-			t = rec.StartCtx(reqtrace.Ctx{ID: tc.ID, Hop: tc.Hop, Sampled: tc.Sampled})
-		} else {
-			t = rec.Start()
-		}
+		t := rec.StartCtx(tc)
 		t.Span(reqtrace.StageConnRead, readStart, start)
 		t.Span(reqtrace.StageDecode, start, time.Now())
 		return t
 	}
 
+	// tc is the context of a TraceCtx frame just read, for the request
+	// frame that must follow it; hasTC marks one pending.
+	var tc reqtrace.Ctx
+	var hasTC bool
 	for {
-		if rec != nil {
+		if rec != nil && !hasTC {
 			readStart = time.Now()
 		}
 		typ, payload, err := rd.Next()
@@ -567,25 +554,34 @@ func (s *Server) handle(conn net.Conn) {
 			flush()
 			return
 		}
+		if typ == wire.FrameTraceCtx {
+			c, derr := wire.DecodeTraceCtx(payload)
+			if derr != nil || hasTC {
+				flush()
+				return
+			}
+			tc, hasTC = c, true
+			continue // the frame it annotates follows
+		}
+		if hasTC && !traceable(typ) {
+			// A context must annotate a request: anything else is a
+			// protocol error, like an unknown frame.
+			flush()
+			return
+		}
+		reqTC := tc
+		tc, hasTC = reqtrace.Ctx{}, false
 		nreq++
 		start := time.Now()
 		switch typ {
 		case wire.FrameExec:
-			var id uint64
-			var q string
-			var tc wire.TraceCtx
-			var derr error
-			if connVer >= 5 {
-				id, q, tc, derr = wire.DecodeExecT(payload)
-			} else {
-				id, q, derr = wire.DecodeExec(payload)
-			}
+			id, q, derr := wire.DecodeExec(payload)
 			if derr != nil {
 				flush()
 				return
 			}
 			s.m.Execs.Inc()
-			tr := startTrace(tc, start)
+			tr := startTrace(reqTC, start)
 			var fut *session.Future
 			var qerr error
 			if tr == nil {
@@ -600,21 +596,13 @@ func (s *Server) handle(conn net.Conn) {
 			pending = append(pending, reply{id: id, fut: fut, qerr: qerr, index: -1, reqType: typ, start: start, tr: tr})
 
 		case wire.FrameBatch:
-			var id uint64
-			var qs []string
-			var tc wire.TraceCtx
-			var derr error
-			if connVer >= 5 {
-				id, qs, tc, derr = wire.DecodeBatchT(payload)
-			} else {
-				id, qs, derr = wire.DecodeBatch(payload)
-			}
+			id, qs, derr := wire.DecodeBatch(payload)
 			if derr != nil {
 				flush()
 				return
 			}
 			s.m.Batches.Inc()
-			tr := startTrace(tc, start)
+			tr := startTrace(reqTC, start)
 			// All-or-nothing: translate the whole batch before queueing
 			// anything, so a failure admits none of it.
 			rp := reply{id: id, index: -1, reqType: typ, start: start, tr: tr}
@@ -639,22 +627,13 @@ func (s *Server) handle(conn net.Conn) {
 			pending = append(pending, rp)
 
 		case wire.FrameForward:
-			var id, epoch uint64
-			var flags byte
-			var tc wire.TraceCtx
-			var stmts []wire.ForwardStmt
-			var derr error
-			if connVer >= 5 {
-				id, flags, epoch, tc, stmts, derr = wire.DecodeForwardT(payload)
-			} else {
-				id, flags, epoch, stmts, derr = wire.DecodeForwardE(payload)
-			}
+			id, flags, epoch, stmts, derr := wire.DecodeForward(payload)
 			if derr != nil {
 				flush()
 				return
 			}
 			s.m.Forwards.Inc()
-			tr := startTrace(tc, start)
+			tr := startTrace(reqTC, start)
 			rp := s.handleForward(host, sess, id, flags, epoch, stmts, tr)
 			rp.reqType, rp.start, rp.tr = typ, start, tr
 			pending = append(pending, rp)
@@ -677,19 +656,13 @@ func (s *Server) handle(conn net.Conn) {
 
 		case wire.FrameExecPrepared:
 			var id, stmtID uint64
-			var tc wire.TraceCtx
 			var derr error
-			if connVer >= 5 {
-				id, stmtID, argScratch, tc, derr = wire.DecodeExecPreparedIntoT(payload, argScratch[:0])
-			} else {
-				id, stmtID, argScratch, derr = wire.DecodeExecPreparedInto(payload, argScratch[:0])
-			}
-			if derr != nil {
+			if id, stmtID, argScratch, derr = wire.DecodeExecPreparedInto(payload, argScratch[:0]); derr != nil {
 				flush()
 				return
 			}
 			s.m.PreparedExecs.Inc()
-			tr := startTrace(tc, start)
+			tr := startTrace(reqTC, start)
 			rp := reply{id: id, index: -1, reqType: typ, start: start, tr: tr}
 			if prep, ok := sess.PreparedByID(stmtID); ok {
 				tx, berr := bindPrepared(prep, argScratch, true)
@@ -707,20 +680,14 @@ func (s *Server) handle(conn net.Conn) {
 
 		case wire.FrameBatchPrepared:
 			var id uint64
-			var tc wire.TraceCtx
 			var derr error
-			if connVer >= 5 {
-				id, callScratch, argScratch, tc, derr = wire.DecodeBatchPreparedIntoT(payload, callScratch[:0], argScratch[:0])
-			} else {
-				id, callScratch, argScratch, derr = wire.DecodeBatchPreparedInto(payload, callScratch[:0], argScratch[:0])
-			}
-			if derr != nil {
+			if id, callScratch, argScratch, derr = wire.DecodeBatchPreparedInto(payload, callScratch[:0], argScratch[:0]); derr != nil {
 				flush()
 				return
 			}
 			s.m.Batches.Inc()
 			s.m.PreparedExecs.Inc()
-			tr := startTrace(tc, start)
+			tr := startTrace(reqTC, start)
 			// All-or-nothing, like FrameBatch: resolve and bind the whole
 			// frame before queueing anything.
 			rp := reply{id: id, index: -1, reqType: typ, start: start, tr: tr}
@@ -757,20 +724,14 @@ func (s *Server) handle(conn net.Conn) {
 		case wire.FrameForwardPrepared:
 			var id, epoch uint64
 			var flags byte
-			var tc wire.TraceCtx
 			var derr error
-			if connVer >= 5 {
-				id, flags, epoch, tc, fwdpScratch, argScratch, derr = wire.DecodeForwardPreparedIntoT(payload, fwdpScratch[:0], argScratch[:0])
-			} else {
-				id, flags, epoch, fwdpScratch, argScratch, derr = wire.DecodeForwardPreparedInto(payload, fwdpScratch[:0], argScratch[:0])
-			}
-			if derr != nil {
+			if id, flags, epoch, fwdpScratch, argScratch, derr = wire.DecodeForwardPreparedInto(payload, fwdpScratch[:0], argScratch[:0]); derr != nil {
 				flush()
 				return
 			}
 			s.m.Forwards.Inc()
 			s.m.PreparedExecs.Inc()
-			tr := startTrace(tc, start)
+			tr := startTrace(reqTC, start)
 			var rp reply
 			rp, txScratch = s.handleForwardPrepared(host, sess, id, flags, epoch, fwdpScratch, txScratch, tr)
 			rp.reqType, rp.start, rp.tr = typ, start, tr
@@ -794,36 +755,33 @@ func (s *Server) handle(conn net.Conn) {
 			}
 			pending = append(pending, reply{raw: wire.AppendHeartbeat(nil, ack), rawType: wire.FrameHeartbeatAck, reqType: typ, start: start})
 
-		case wire.FrameStats:
-			id, derr := wire.DecodeStats(payload)
+		case wire.FrameIntrospect:
+			id, kind, derr := wire.DecodeIntrospect(payload)
 			if derr != nil {
 				flush()
 				return
 			}
-			s.m.StatsReqs.Inc()
-			pending = append(pending, reply{id: id, stats: s.statsJSON(host), reqType: typ, start: start})
-
-		case wire.FrameTraces:
-			id, derr := wire.DecodeTraces(payload)
-			if derr != nil {
-				flush()
-				return
+			rp := reply{id: id, reqType: typ, start: start}
+			if kind == wire.IntrospectStats {
+				s.m.StatsReqs.Inc()
+				rp.doc = s.statsJSON(host)
+			} else {
+				rp.doc = s.tracesJSON(host)
 			}
-			pending = append(pending, reply{id: id, traces: s.tracesJSON(host), reqType: typ, start: start})
+			pending = append(pending, rp)
 
 		case wire.FrameSubscribe:
-			after, slot, sub, derr := wire.DecodeSubscribeEx(payload)
+			after, slot, sub, derr := wire.DecodeSubscribe(payload)
 			if derr != nil || !flush() {
 				return
 			}
 			s.m.Subscribes.Inc()
-			if slot >= 0 {
-				if src, ok := host.(SlotLogSource); ok {
-					s.streamSlotLog(rd, bw, src, slot, sub, after, connVer)
-					return
-				}
+			src, ok := host.(SlotLogSource)
+			if !ok {
+				refuse(bw, "server: host serves no replication stream")
+				return
 			}
-			s.streamLog(conn, rd, bw, host, after, connVer)
+			s.streamSlotLog(rd, bw, src, slot, sub, after)
 			return
 
 		case wire.FrameQuit:
@@ -848,7 +806,26 @@ func (s *Server) handle(conn net.Conn) {
 	}
 }
 
-// statsJSON builds the FrameStatsResponse document: the host's full
+// traceable reports whether a frame type is a request a TraceCtx frame may
+// annotate.
+func traceable(typ byte) bool {
+	switch typ {
+	case wire.FrameExec, wire.FrameBatch, wire.FrameExecPrepared,
+		wire.FrameBatchPrepared, wire.FrameForward, wire.FrameForwardPrepared:
+		return true
+	}
+	return false
+}
+
+// refuse answers a handshake or subscription the server will not serve:
+// a FrameError with id 0 and index -1, the pre-session failure.
+func refuse(bw *bufio.Writer, msg string) {
+	if wire.WriteFrame(bw, wire.FrameError, wire.AppendErrorMsg(nil, 0, -1, msg)) == nil {
+		bw.Flush()
+	}
+}
+
+// statsJSON builds the IntrospectStats document: the host's full
 // snapshot when it can report one, with the server's own section stamped
 // in either way. Always non-nil — a Stats request is never unanswerable.
 func (s *Server) statsJSON(host Host) []byte {
@@ -868,7 +845,7 @@ func (s *Server) statsJSON(host Host) []byte {
 	return doc
 }
 
-// tracesJSON builds the FrameTracesResponse document: the host
+// tracesJSON builds the IntrospectTraces document: the host
 // recorder's published traces as a JSON array. Always non-nil — a host
 // without tracing answers an empty array, not an error, so clients can
 // probe without knowing the server's configuration.
@@ -1098,105 +1075,36 @@ func allReadOnly(txs []core.Transaction) bool {
 	return true
 }
 
-// streamLog turns the connection into a log-shipping stream: every
-// committed-transaction record with sequence > after, as FrameLogRecord
-// frames, until either side closes. Records are handed off the commit
-// path into an unbounded queue (the tail callback must never block the
-// log mutex) and written from this handler goroutine; a watcher goroutine
-// consumes the read side so a peer close — or the drain deadline — ends
-// the stream.
-func (s *Server) streamLog(conn net.Conn, rd *wire.Reader, bw *bufio.Writer, host Host, after int64, connVer byte) {
-	src, ok := host.(LogSource)
-	if !ok {
-		msg := wire.AppendErrorMsg(nil, 0, -1, "server: host has no subscribable log (no durability)")
-		if wire.WriteFrame(bw, wire.FrameError, msg) == nil {
-			bw.Flush()
-		}
-		return
-	}
-	// Version-5 subscribers get sampled commits' trace contexts stamped as
-	// record suffixes, so replica-apply spans join the originating trace.
-	// Pre-v5 peers get the record bytes verbatim.
-	var lts LogTraceSource
-	if connVer >= 5 {
-		lts, _ = host.(LogTraceSource)
-	}
-	q := &recQueue{}
-	q.cond = sync.NewCond(&q.mu)
-	cancel, err := src.SubscribeLog(after, func(seq int64, record []byte) {
-		rec := append([]byte(nil), record...)
-		if lts != nil {
-			if c := lts.LogTraceCtxOf(seq); c.Valid() && c.Sampled {
-				rec = wire.AppendTraceCtx(rec, wire.TraceCtx{ID: c.ID, Hop: c.Hop, Sampled: true})
-			}
-		}
-		q.push(rec)
-	})
-	if err != nil {
-		msg := wire.AppendErrorMsg(nil, 0, -1, err.Error())
-		if wire.WriteFrame(bw, wire.FrameError, msg) == nil {
-			bw.Flush()
-		}
-		return
-	}
-	defer cancel()
-	go func() {
-		// The subscriber sends nothing after Subscribe (Quit at most): any
-		// read result — frame, EOF, drain deadline — ends the stream. The
-		// handler goroutine only writes from here on, so this goroutine
-		// owns the connection's Reader.
-		for {
-			if _, _, err := rd.Next(); err != nil {
-				break
-			}
-		}
-		q.closeQueue()
-	}()
-	for {
-		recs, open := q.pop()
-		for _, rec := range recs {
-			if wire.WriteFrame(bw, wire.FrameLogRecord, rec) != nil {
-				return
-			}
-		}
-		if bw.Flush() != nil {
-			return
-		}
-		if !open {
-			return
-		}
-	}
-}
-
-// streamSlotLog is streamLog's slot-addressed, epoch-stamped variant:
-// records leave as FrameLogRecordE, and the subscriber acks each
-// applied record with FrameSubAck — the watcher goroutine feeds those
-// acks back to the host, where they gate the primary's write
-// acknowledgements (semi-synchronous replication).
-func (s *Server) streamSlotLog(rd *wire.Reader, bw *bufio.Writer, src SlotLogSource, slot, sub int, after int64, connVer byte) {
-	// Same trace-context stamping as streamLog: the suffix rides the inner
-	// record, inside the epoch-stamped LogRecordE envelope.
-	var lts LogTraceSource
-	if connVer >= 5 {
-		lts, _ = src.(LogTraceSource)
-	}
+// streamSlotLog turns the connection into a slot's log-shipping stream:
+// every committed-transaction record with sequence > after, as
+// epoch-stamped FrameLogRecord frames (a sampled commit's TraceCtx frame
+// ahead of it), until either side closes. Records are framed on the
+// commit path and handed off into an unbounded queue (the tail callback
+// must never block the log mutex), then written from this handler
+// goroutine. A watcher goroutine consumes the read side: the subscriber
+// acks each applied record with FrameSubAck, fed back to the host where
+// the acks gate the primary's write acknowledgements (semi-synchronous
+// replication), and any other read result — EOF, the drain deadline —
+// ends the stream.
+func (s *Server) streamSlotLog(rd *wire.Reader, bw *bufio.Writer, src SlotLogSource, slot, sub int, after int64) {
+	lts, _ := src.(LogTraceSource)
 	q := &recQueue{}
 	q.cond = sync.NewCond(&q.mu)
 	cancel, err := src.SubscribeSlotLog(slot, sub, after, func(seq int64, epoch uint64, record []byte) {
+		var frames []byte
 		if lts != nil {
-			if c := lts.LogTraceCtxOf(seq); c.Valid() && c.Sampled {
-				rec := wire.AppendTraceCtx(append([]byte(nil), record...), wire.TraceCtx{ID: c.ID, Hop: c.Hop, Sampled: true})
-				q.push(wire.AppendLogRecordE(nil, epoch, rec))
-				return
-			}
+			frames = wire.AppendTraceFrame(nil, lts.LogTraceCtxOf(seq))
 		}
-		q.push(wire.AppendLogRecordE(nil, epoch, record))
+		frames, mark := wire.BeginFrame(frames, wire.FrameLogRecord)
+		frames, err := wire.EndFrame(wire.AppendLogRecord(frames, epoch, record), mark)
+		if err != nil {
+			q.closeQueue() // unshippable record: end the stream
+			return
+		}
+		q.push(frames)
 	})
 	if err != nil {
-		msg := wire.AppendErrorMsg(nil, 0, -1, err.Error())
-		if wire.WriteFrame(bw, wire.FrameError, msg) == nil {
-			bw.Flush()
-		}
+		refuse(bw, err.Error())
 		return
 	}
 	defer cancel()
@@ -1219,7 +1127,7 @@ func (s *Server) streamSlotLog(rd *wire.Reader, bw *bufio.Writer, src SlotLogSou
 	for {
 		recs, open := q.pop()
 		for _, rec := range recs {
-			if wire.WriteFrame(bw, wire.FrameLogRecordE, rec) != nil {
+			if _, err := bw.Write(rec); err != nil {
 				return
 			}
 		}

@@ -3,12 +3,17 @@ package server_test
 import (
 	"errors"
 	"fmt"
+	"io"
+	"net"
 	"testing"
 	"time"
 
 	"funcdb"
 	"funcdb/client"
+	"funcdb/internal/reqtrace"
 	"funcdb/internal/server"
+	"funcdb/internal/value"
+	"funcdb/internal/wire"
 )
 
 // startServer spins a server over store on a loopback port and tears it
@@ -260,5 +265,86 @@ func TestMultiStoreHosting(t *testing.T) {
 	// Unknown database: handshake refused with a clear error.
 	if _, err := client.Dial(srv.Addr().String(), client.WithDatabase("nope")); err == nil {
 		t.Fatal("dial of unknown database succeeded")
+	}
+}
+
+// rawDial opens a bare connection and sends one framed Hello payload,
+// returning the connection and a reader over its replies.
+func rawDial(t *testing.T, addr string, hello []byte) (net.Conn, *wire.Reader) {
+	t.Helper()
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { conn.Close() })
+	conn.SetDeadline(time.Now().Add(10 * time.Second))
+	if err := wire.WriteFrame(conn, wire.FrameHello, hello); err != nil {
+		t.Fatal(err)
+	}
+	return conn, wire.NewReader(conn)
+}
+
+// TestHandshakeRefusesOtherVersions: a Hello from another protocol
+// revision is answered with the reason — the pre-session FrameError —
+// rather than a silent close.
+func TestHandshakeRefusesOtherVersions(t *testing.T) {
+	store := funcdb.MustOpen(funcdb.WithRelations("R"))
+	defer store.Close()
+	srv := startServer(t, store)
+
+	v5 := append([]byte(wire.Magic), 5)
+	v5 = value.AppendString(v5, "old-client")
+	v5 = value.AppendString(v5, "")
+	_, rd := rawDial(t, srv.Addr().String(), v5)
+	typ, payload, err := rd.Next()
+	if err != nil || typ != wire.FrameError {
+		t.Fatalf("version-5 hello answered with frame %#x, %v", typ, err)
+	}
+	id, index, msg, err := wire.DecodeErrorMsg(payload)
+	if err != nil || id != 0 || index != -1 || msg != "wire: protocol version 5 not supported" {
+		t.Fatalf("refusal = (%d, %d, %q), %v", id, index, msg, err)
+	}
+	if _, _, err := rd.Next(); err != io.EOF {
+		t.Fatalf("connection still open after the refusal: %v", err)
+	}
+}
+
+// TestTraceCtxMustAnnotateARequest: a TraceCtx frame applies to the
+// request right behind it; followed by anything else it is a protocol
+// error and the connection closes.
+func TestTraceCtxMustAnnotateARequest(t *testing.T) {
+	store := funcdb.MustOpen(funcdb.WithRelations("R"))
+	defer store.Close()
+	srv := startServer(t, store)
+
+	conn, rd := rawDial(t, srv.Addr().String(), wire.AppendHello(nil, wire.Hello{Origin: "raw"}))
+	if typ, _, err := rd.Next(); err != nil || typ != wire.FrameWelcome {
+		t.Fatalf("handshake: frame %#x, %v", typ, err)
+	}
+	ctx := reqtrace.Ctx{ID: 42, Sampled: true}
+	send := func(typ byte, payload []byte) {
+		t.Helper()
+		frames := wire.AppendTraceFrame(nil, ctx)
+		frames, err := wire.AppendFrame(frames, typ, payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := conn.Write(frames); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	send(wire.FrameExec, wire.AppendExec(nil, 1, "count R"))
+	typ, payload, err := rd.Next()
+	if err != nil || typ != wire.FrameResponse {
+		t.Fatalf("traced exec answered with frame %#x, %v", typ, err)
+	}
+	if id, resp, err := wire.DecodeSingleResponse(payload); err != nil || id != 1 || resp.Err != nil {
+		t.Fatalf("traced exec: id %d, %+v, %v", id, resp, err)
+	}
+
+	send(wire.FrameIntrospect, wire.AppendIntrospect(nil, 2, wire.IntrospectStats))
+	if typ, _, err := rd.Next(); err != io.EOF {
+		t.Fatalf("trace context on an introspect frame answered with frame %#x, %v; want the connection closed", typ, err)
 	}
 }

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"io"
 	"testing"
+
+	"funcdb/internal/value"
 )
 
 // loopSource replays one framed byte stream forever without allocating:
@@ -77,7 +79,7 @@ func TestEncodeAllocGate(t *testing.T) {
 }
 
 // TestWriteFrameNilPayloadNoAlloc: control frames with no payload
-// (FrameQuit, a FrameStats request) must not allocate at all.
+// (FrameQuit) must not allocate at all.
 func TestWriteFrameNilPayloadNoAlloc(t *testing.T) {
 	avg := testing.AllocsPerRun(200, func() {
 		if err := WriteFrame(io.Discard, FrameQuit, nil); err != nil {
@@ -217,6 +219,98 @@ func TestReaderShedsOversizeBuffer(t *testing.T) {
 	}
 }
 
+// TestExecPreparedDecodeAllocGate is the regression gate CI's bench-smoke
+// job runs: decoding a prepared execution into warm per-connection
+// scratch allocates NOTHING, amortized — the property that lets the
+// server's hot path run parse-free and allocation-free.
+func TestExecPreparedDecodeAllocGate(t *testing.T) {
+	execPreparedDecodeAllocGate(t, false)
+}
+
+// TestExecPreparedDecodeTAllocGate: a traced request decodes its
+// FrameTraceCtx first; tracing must not cost the path its zero-allocation
+// property either.
+func TestExecPreparedDecodeTAllocGate(t *testing.T) {
+	execPreparedDecodeAllocGate(t, true)
+}
+
+func execPreparedDecodeAllocGate(t *testing.T, traced bool) {
+	payload, err := AppendExecPrepared(nil, 11, 17, samplePreparedArgs())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := AppendTraceCtx(nil, sampleTraceCtx())
+	scratch := make([]value.Item, 0, 8)
+	decode := func() {
+		if traced {
+			if c, err := DecodeTraceCtx(ctx); err != nil || c != sampleTraceCtx() {
+				t.Fatalf("trace context: %+v, %v", c, err)
+			}
+		}
+		var err error
+		if _, _, scratch, err = DecodeExecPreparedInto(payload, scratch[:0]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 16; i++ { // warm the scratch to the payload's width
+		decode()
+	}
+	if avg := testing.AllocsPerRun(200, decode); avg >= 0.5 {
+		t.Fatalf("steady-state exec-prepared decode (traced=%v) allocates %.2f/frame, want 0 amortized", traced, avg)
+	}
+}
+
+// TestExecPreparedEncodeAllocGate: assembling a prepared execution into a
+// pre-grown request buffer allocates at most one object per frame (and in
+// practice zero) — the client-side half of the parse-free hot path, the
+// trace-context frame included.
+func TestExecPreparedEncodeAllocGate(t *testing.T) {
+	args := samplePreparedArgs()
+	buf := make([]byte, 0, 256)
+	avg := testing.AllocsPerRun(200, func() {
+		b := AppendTraceFrame(buf[:0], sampleTraceCtx())
+		b, mark := BeginFrame(b, FrameExecPrepared)
+		var err error
+		if b, err = AppendExecPrepared(b, 11, 17, args); err != nil {
+			t.Fatal(err)
+		}
+		if _, err = EndFrame(b, mark); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if avg > 1.0 {
+		t.Fatalf("steady-state exec-prepared encode allocates %.2f/frame, want <= 1", avg)
+	}
+}
+
+// TestBatchPreparedDecodeNoAlloc: the batch decoder reuses both scratches
+// with zero steady-state allocation, Args views included.
+func TestBatchPreparedDecodeNoAlloc(t *testing.T) {
+	payload, err := AppendBatchPrepared(nil, 5, []PreparedCall{
+		{Stmt: 1, Args: samplePreparedArgs()},
+		{Stmt: 1, Args: samplePreparedArgs()[:1]},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var calls []PreparedCall
+	var items []value.Item
+	for i := 0; i < 16; i++ {
+		if _, calls, items, err = DecodeBatchPreparedInto(payload, calls[:0], items[:0]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	avg := testing.AllocsPerRun(200, func() {
+		var derr error
+		if _, calls, items, derr = DecodeBatchPreparedInto(payload, calls[:0], items[:0]); derr != nil {
+			t.Fatal(derr)
+		}
+	})
+	if avg >= 0.5 {
+		t.Fatalf("steady-state batch-prepared decode allocates %.2f/frame, want 0 amortized", avg)
+	}
+}
+
 func BenchmarkAppendFrame(b *testing.B) {
 	b.ReportAllocs()
 	payload := []byte("insert (12345, \"value\") into R")
@@ -255,7 +349,7 @@ func BenchmarkReadFrameNaive(b *testing.B) {
 	src := &loopSource{data: sampleStream(b)}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := ReadFrame(src); err != nil {
+		if _, _, err := ReadFrame(src, MaxFrameLen); err != nil {
 			b.Fatal(err)
 		}
 	}

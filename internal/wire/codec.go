@@ -11,73 +11,54 @@ import (
 
 // Message payload codecs, built on the internal/value primitives (the
 // same self-delimiting strings, items and tuples the archive logs).
+// Every decoder consumes its payload exactly: trailing bytes are corrupt.
 
-// DefaultDatabase is the database name a version-1 Hello (which has no
-// database field) implies, and the name a single-store server hosts its
-// store under.
+// DefaultDatabase is the store a server binds a Hello with an empty
+// database field to, and the name a single-store server hosts its store
+// under.
 const DefaultDatabase = "main"
+
+// errTrailing reports bytes left over after a payload's last field.
+func errTrailing(rest []byte) error {
+	return fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, len(rest))
+}
 
 // Hello is the client's opening message.
 type Hello struct {
 	// Origin is the tag the server stamps on the connection's
 	// transactions ("" lets the server pick one).
 	Origin string
-	// Database names the store this connection executes against
-	// (version 2; "" and version-1 peers mean DefaultDatabase).
+	// Database names the store this connection executes against (""
+	// means DefaultDatabase).
 	Database string
-	// Version is the peer's protocol revision: set by DecodeHello so the
-	// server can gate version-3 extensions (epoch-stamped Redirects,
-	// LogRecordE streams) per connection. AppendHello writes the current
-	// Version when zero; tests may pin an older revision explicitly.
-	Version byte
 }
 
-// AppendHello encodes a Hello payload.
+// AppendHello encodes a Hello payload:
+//
+//	hello := magic:"fDBw" version:uint8 origin:string database:string
 func AppendHello(dst []byte, h Hello) []byte {
-	ver := h.Version
-	if ver == 0 {
-		ver = Version
-	}
 	dst = append(dst, Magic...)
-	dst = append(dst, ver)
+	dst = append(dst, Version)
 	dst = value.AppendString(dst, h.Origin)
-	if ver >= 2 {
-		dst = value.AppendString(dst, h.Database)
-	}
-	return dst
+	return value.AppendString(dst, h.Database)
 }
 
-// DecodeHello decodes a Hello payload. Version-1 payloads (no database
-// field) are still accepted: their database defaults to DefaultDatabase,
-// so a pre-cluster client keeps working against a multi-store listener.
-// Version 2 and 3 share one layout — version 3 only unlocks the failover
-// frames and field extensions elsewhere in the protocol.
+// DecodeHello decodes a Hello payload, refusing any protocol version but
+// Version.
 func DecodeHello(buf []byte) (Hello, error) {
 	if len(buf) < len(Magic)+1 || string(buf[:len(Magic)]) != Magic {
 		return Hello{}, fmt.Errorf("%w: bad magic", ErrCorrupt)
 	}
-	buf = buf[len(Magic):]
-	ver := buf[0]
-	if ver < 1 || ver > Version {
+	if ver := buf[len(Magic)]; ver != Version {
 		return Hello{}, fmt.Errorf("wire: protocol version %d not supported", ver)
 	}
-	origin, rest, err := value.DecodeString(buf[1:])
-	if err != nil {
+	var h Hello
+	var err error
+	if h.Origin, buf, err = value.DecodeString(buf[len(Magic)+1:]); err != nil {
 		return Hello{}, fmt.Errorf("%w: bad hello origin", ErrCorrupt)
 	}
-	h := Hello{Origin: origin, Database: DefaultDatabase, Version: ver}
-	if ver >= 2 {
-		db, rest2, err := value.DecodeString(rest)
-		if err != nil || len(rest2) != 0 {
-			return Hello{}, fmt.Errorf("%w: bad hello database", ErrCorrupt)
-		}
-		if db != "" {
-			h.Database = db
-		}
-		return h, nil
-	}
-	if len(rest) != 0 {
-		return Hello{}, fmt.Errorf("%w: bad hello origin", ErrCorrupt)
+	if h.Database, buf, err = value.DecodeString(buf); err != nil || len(buf) != 0 {
+		return Hello{}, fmt.Errorf("%w: bad hello database", ErrCorrupt)
 	}
 	return h, nil
 }
@@ -90,22 +71,15 @@ type Welcome struct {
 	Durable bool
 	// Origin echoes the tag the server assigned to the connection.
 	Origin string
-	// Database echoes the store name the connection was bound to
-	// (version 2; version-1 peers imply DefaultDatabase).
+	// Database echoes the store name the connection was bound to.
 	Database string
-	// Version is the server's protocol revision, set by DecodeWelcome (a
-	// client knows from it whether the server speaks the failover
-	// extensions). AppendWelcome writes the current Version when zero.
-	Version byte
 }
 
-// AppendWelcome encodes a Welcome payload.
+// AppendWelcome encodes a Welcome payload:
+//
+//	welcome := version:uint8 lanes:varint durable:uint8 origin:string database:string
 func AppendWelcome(dst []byte, w Welcome) []byte {
-	ver := w.Version
-	if ver == 0 {
-		ver = Version
-	}
-	dst = append(dst, ver)
+	dst = append(dst, Version)
 	dst = binary.AppendVarint(dst, int64(w.Lanes))
 	if w.Durable {
 		dst = append(dst, 1)
@@ -113,45 +87,30 @@ func AppendWelcome(dst []byte, w Welcome) []byte {
 		dst = append(dst, 0)
 	}
 	dst = value.AppendString(dst, w.Origin)
-	if ver >= 2 {
-		dst = value.AppendString(dst, w.Database)
-	}
-	return dst
+	return value.AppendString(dst, w.Database)
 }
 
-// DecodeWelcome decodes a Welcome payload (version-1 payloads, which
-// lack the database echo, are accepted and imply DefaultDatabase).
+// DecodeWelcome decodes a Welcome payload, refusing any protocol version
+// but Version.
 func DecodeWelcome(buf []byte) (Welcome, error) {
 	if len(buf) < 1 {
 		return Welcome{}, fmt.Errorf("%w: empty welcome", ErrCorrupt)
 	}
-	ver := buf[0]
-	if ver < 1 || ver > Version {
-		return Welcome{}, fmt.Errorf("wire: protocol version %d not supported", ver)
+	if buf[0] != Version {
+		return Welcome{}, fmt.Errorf("wire: protocol version %d not supported", buf[0])
 	}
 	buf = buf[1:]
 	lanes, n := binary.Varint(buf)
-	if n <= 0 || len(buf[n:]) < 1 {
+	if n <= 0 || len(buf[n:]) < 1 || buf[n] > 1 {
 		return Welcome{}, fmt.Errorf("%w: bad welcome", ErrCorrupt)
 	}
-	durable := buf[n] == 1
-	origin, rest, err := value.DecodeString(buf[n+1:])
-	if err != nil {
+	w := Welcome{Lanes: int(lanes), Durable: buf[n] == 1}
+	var err error
+	if w.Origin, buf, err = value.DecodeString(buf[n+1:]); err != nil {
 		return Welcome{}, fmt.Errorf("%w: bad welcome origin", ErrCorrupt)
 	}
-	w := Welcome{Lanes: int(lanes), Durable: durable, Origin: origin, Database: DefaultDatabase, Version: ver}
-	if ver >= 2 {
-		db, rest2, err := value.DecodeString(rest)
-		if err != nil || len(rest2) != 0 {
-			return Welcome{}, fmt.Errorf("%w: bad welcome database", ErrCorrupt)
-		}
-		if db != "" {
-			w.Database = db
-		}
-		return w, nil
-	}
-	if len(rest) != 0 {
-		return Welcome{}, fmt.Errorf("%w: bad welcome origin", ErrCorrupt)
+	if w.Database, buf, err = value.DecodeString(buf); err != nil || len(buf) != 0 {
+		return Welcome{}, fmt.Errorf("%w: bad welcome database", ErrCorrupt)
 	}
 	return w, nil
 }
@@ -164,25 +123,14 @@ func AppendExec(dst []byte, id uint64, query string) []byte {
 
 // DecodeExec decodes a FrameExec payload.
 func DecodeExec(buf []byte) (id uint64, query string, err error) {
-	id, query, rest, err := decodeExecTail(buf)
-	if err == nil && len(rest) != 0 {
-		return 0, "", fmt.Errorf("%w: bad exec query", ErrCorrupt)
-	}
-	return id, query, err
-}
-
-// decodeExecTail decodes the exec fields and returns the unconsumed
-// tail: the shared core under DecodeExec (which requires an empty tail)
-// and DecodeExecT (which accepts a version-5 trace-context suffix).
-func decodeExecTail(buf []byte) (id uint64, query string, rest []byte, err error) {
 	id, n := binary.Uvarint(buf)
 	if n <= 0 {
-		return 0, "", nil, fmt.Errorf("%w: bad request id", ErrCorrupt)
+		return 0, "", fmt.Errorf("%w: bad request id", ErrCorrupt)
 	}
-	if query, rest, err = value.DecodeString(buf[n:]); err != nil {
-		return 0, "", nil, fmt.Errorf("%w: bad exec query", ErrCorrupt)
+	if query, buf, err = value.DecodeString(buf[n:]); err != nil || len(buf) != 0 {
+		return 0, "", fmt.Errorf("%w: bad exec query", ErrCorrupt)
 	}
-	return id, query, rest, nil
+	return id, query, nil
 }
 
 // AppendBatch encodes a FrameBatch payload: request id + count + queries.
@@ -197,35 +145,28 @@ func AppendBatch(dst []byte, id uint64, queries []string) []byte {
 
 // DecodeBatch decodes a FrameBatch payload.
 func DecodeBatch(buf []byte) (id uint64, queries []string, err error) {
-	id, queries, rest, err := decodeBatchTail(buf)
-	if err == nil && len(rest) != 0 {
-		return 0, nil, fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, len(rest))
-	}
-	return id, queries, err
-}
-
-// decodeBatchTail decodes the batch fields and returns the unconsumed
-// tail (see decodeExecTail).
-func decodeBatchTail(buf []byte) (id uint64, queries []string, rest []byte, err error) {
 	id, n := binary.Uvarint(buf)
 	if n <= 0 {
-		return 0, nil, nil, fmt.Errorf("%w: bad request id", ErrCorrupt)
+		return 0, nil, fmt.Errorf("%w: bad request id", ErrCorrupt)
 	}
 	buf = buf[n:]
 	count, n := binary.Uvarint(buf)
 	if n <= 0 || count > uint64(len(buf)) {
-		return 0, nil, nil, fmt.Errorf("%w: bad batch count", ErrCorrupt)
+		return 0, nil, fmt.Errorf("%w: bad batch count", ErrCorrupt)
 	}
 	buf = buf[n:]
 	queries = make([]string, 0, count)
 	for i := uint64(0); i < count; i++ {
 		var q string
 		if q, buf, err = value.DecodeString(buf); err != nil {
-			return 0, nil, nil, fmt.Errorf("%w: bad batch query", ErrCorrupt)
+			return 0, nil, fmt.Errorf("%w: bad batch query", ErrCorrupt)
 		}
 		queries = append(queries, q)
 	}
-	return id, queries, buf, nil
+	if len(buf) != 0 {
+		return 0, nil, errTrailing(buf)
+	}
+	return id, queries, nil
 }
 
 // AppendErrorMsg encodes a FrameError payload: request id, failing
@@ -261,9 +202,10 @@ const (
 	respNote   = 1 << 2
 	respTuple  = 1 << 3
 	respTuples = 1 << 4
+	respFlags  = respFound | respErr | respNote | respTuple | respTuples
 )
 
-// AppendResponse encodes one core.Response:
+// appendResponse encodes one core.Response:
 //
 //	resp := origin:string seq:varint kind:uint8 flags:uint8
 //	        count:varint version:varint
@@ -274,7 +216,7 @@ const (
 // byte-identically on both sides of the connection (error *identity* —
 // errors.Is against sentinel values — does not cross, and is documented
 // as a local-only affordance).
-func AppendResponse(dst []byte, r core.Response) ([]byte, error) {
+func appendResponse(dst []byte, r core.Response) ([]byte, error) {
 	dst = value.AppendString(dst, r.Origin)
 	dst = binary.AppendVarint(dst, int64(r.Seq))
 	dst = append(dst, byte(r.Kind))
@@ -320,9 +262,10 @@ func AppendResponse(dst []byte, r core.Response) ([]byte, error) {
 	return dst, nil
 }
 
-// DecodeResponse decodes one response from the front of buf, returning
-// the remaining bytes (responses concatenate inside a batch frame).
-func DecodeResponse(buf []byte) (core.Response, []byte, error) {
+// decodeResponse decodes one response from the front of buf, returning
+// the remaining bytes (responses concatenate inside a batch frame). A
+// flag announcing an empty section is corrupt: the encoder never sets one.
+func decodeResponse(buf []byte) (core.Response, []byte, error) {
 	fail := func(what string) (core.Response, []byte, error) {
 		return core.Response{}, buf, fmt.Errorf("%w: response: bad %s", ErrCorrupt, what)
 	}
@@ -337,7 +280,7 @@ func DecodeResponse(buf []byte) (core.Response, []byte, error) {
 		return fail("seq")
 	}
 	buf = buf[n:]
-	if len(buf) < 2 {
+	if len(buf) < 2 || buf[1]&^respFlags != 0 {
 		return fail("kind")
 	}
 	r.Seq = int(seq)
@@ -350,21 +293,19 @@ func DecodeResponse(buf []byte) (core.Response, []byte, error) {
 	}
 	buf = buf[n:]
 	r.Count = int(count)
-	version, n := binary.Varint(buf)
-	if n <= 0 {
+	if r.Version, n = binary.Varint(buf); n <= 0 {
 		return fail("version")
 	}
 	buf = buf[n:]
-	r.Version = version
 	r.Found = flags&respFound != 0
 	if flags&respTuple != 0 {
-		if r.Tuple, buf, err = value.DecodeTuple(buf); err != nil {
+		if r.Tuple, buf, err = value.DecodeTuple(buf); err != nil || r.Tuple.IsZero() {
 			return fail("tuple")
 		}
 	}
 	if flags&respTuples != 0 {
 		ntuples, n := binary.Uvarint(buf)
-		if n <= 0 || ntuples > uint64(len(buf)) {
+		if n <= 0 || ntuples == 0 || ntuples > uint64(len(buf)) {
 			return fail("tuple count")
 		}
 		buf = buf[n:]
@@ -385,27 +326,50 @@ func DecodeResponse(buf []byte) (core.Response, []byte, error) {
 		r.Err = errors.New(msg)
 	}
 	if flags&respNote != 0 {
-		if r.Note, buf, err = value.DecodeString(buf); err != nil {
+		if r.Note, buf, err = value.DecodeString(buf); err != nil || r.Note == "" {
 			return fail("note")
 		}
 	}
 	return r, buf, nil
 }
 
-// AppendResponses encodes a batch reply: request id, count, responses.
+// AppendSingleResponse encodes a FrameResponse payload: id + response.
+func AppendSingleResponse(dst []byte, id uint64, r core.Response) ([]byte, error) {
+	dst = binary.AppendUvarint(dst, id)
+	return appendResponse(dst, r)
+}
+
+// DecodeSingleResponse decodes a FrameResponse payload.
+func DecodeSingleResponse(buf []byte) (uint64, core.Response, error) {
+	id, n := binary.Uvarint(buf)
+	if n <= 0 {
+		return 0, core.Response{}, fmt.Errorf("%w: bad request id", ErrCorrupt)
+	}
+	r, rest, err := decodeResponse(buf[n:])
+	if err != nil {
+		return 0, core.Response{}, err
+	}
+	if len(rest) != 0 {
+		return 0, core.Response{}, errTrailing(rest)
+	}
+	return id, r, nil
+}
+
+// AppendResponses encodes a FrameBatchResponse payload: request id,
+// count, responses.
 func AppendResponses(dst []byte, id uint64, resps []core.Response) ([]byte, error) {
 	dst = binary.AppendUvarint(dst, id)
 	dst = binary.AppendUvarint(dst, uint64(len(resps)))
 	var err error
 	for _, r := range resps {
-		if dst, err = AppendResponse(dst, r); err != nil {
+		if dst, err = appendResponse(dst, r); err != nil {
 			return dst, err
 		}
 	}
 	return dst, nil
 }
 
-// DecodeResponses decodes a batch reply.
+// DecodeResponses decodes a FrameBatchResponse payload.
 func DecodeResponses(buf []byte) (id uint64, resps []core.Response, err error) {
 	id, n := binary.Uvarint(buf)
 	if n <= 0 {
@@ -425,13 +389,13 @@ func DecodeResponses(buf []byte) (id uint64, resps []core.Response, err error) {
 	resps = make([]core.Response, 0, count)
 	for i := uint64(0); i < count; i++ {
 		var r core.Response
-		if r, buf, err = DecodeResponse(buf); err != nil {
+		if r, buf, err = decodeResponse(buf); err != nil {
 			return 0, nil, err
 		}
 		resps = append(resps, r)
 	}
 	if len(buf) != 0 {
-		return 0, nil, fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, len(buf))
+		return 0, nil, errTrailing(buf)
 	}
 	return id, resps, nil
 }
@@ -448,198 +412,142 @@ type ForwardStmt struct {
 
 // AppendForward encodes a FrameForward payload:
 //
-//	fwd := id:uvarint flags:uint8 count:uvarint
+//	fwd := id:uvarint flags:uint8 epoch:uvarint count:uvarint
 //	       (origin:string seq:varint query:string)*
-//	       [epoch:uvarint]                         (iff flags&FwdEpoch)
-func AppendForward(dst []byte, id uint64, flags byte, stmts []ForwardStmt) []byte {
-	return AppendForwardE(dst, id, flags&^(FwdEpoch|FwdTrace), 0, stmts)
-}
-
-// AppendForwardE encodes a FrameForward payload carrying the sender's
-// epoch for the statements' slot (protocol version 3): the epoch varint
-// trails the statements and is announced by FwdEpoch, so a version-2
-// frame's byte layout is untouched. A FwdTrace sender must use
-// AppendForwardT, which also writes the trace suffix.
-func AppendForwardE(dst []byte, id uint64, flags byte, epoch uint64, stmts []ForwardStmt) []byte {
-	dst = binary.AppendUvarint(dst, id)
-	dst = append(dst, flags)
-	dst = binary.AppendUvarint(dst, uint64(len(stmts)))
+//
+// epoch is the sender's belief about the statements' slot epoch, a claim
+// only when flags has FwdEpoch (senders without one write 0).
+func AppendForward(dst []byte, id uint64, flags byte, epoch uint64, stmts []ForwardStmt) []byte {
+	dst = appendForwardHead(dst, id, flags, epoch, len(stmts))
 	for _, st := range stmts {
 		dst = value.AppendString(dst, st.Origin)
 		dst = binary.AppendVarint(dst, int64(st.Seq))
 		dst = value.AppendString(dst, st.Query)
 	}
-	if flags&FwdEpoch != 0 {
-		dst = binary.AppendUvarint(dst, epoch)
-	}
 	return dst
 }
 
-// DecodeForward decodes a FrameForward payload, tolerating (and
-// discarding) a version-3 epoch suffix — the un-epoched fields decode
-// identically to DecodeForwardE.
-func DecodeForward(buf []byte) (id uint64, flags byte, stmts []ForwardStmt, err error) {
-	id, flags, _, stmts, err = DecodeForwardE(buf)
-	return id, flags, stmts, err
+// appendForwardHead encodes the fields both forward frames open with.
+func appendForwardHead(dst []byte, id uint64, flags byte, epoch uint64, count int) []byte {
+	dst = binary.AppendUvarint(dst, id)
+	dst = append(dst, flags)
+	dst = binary.AppendUvarint(dst, epoch)
+	return binary.AppendUvarint(dst, uint64(count))
 }
 
-// DecodeForwardE decodes a FrameForward payload together with its epoch
-// suffix. epoch is meaningful only when flags&FwdEpoch is set (a
-// version-2 sender never sets it). A FwdTrace-flagged payload fails here
-// (its trace suffix reads as trailing bytes) — a version-5 receiver uses
-// DecodeForwardT.
-func DecodeForwardE(buf []byte) (id uint64, flags byte, epoch uint64, stmts []ForwardStmt, err error) {
-	id, flags, epoch, stmts, rest, err := decodeForwardTail(buf)
-	if err == nil && len(rest) != 0 {
-		return 0, 0, 0, nil, fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, len(rest))
-	}
-	return id, flags, epoch, stmts, err
-}
-
-// decodeForwardTail decodes the forward fields — including the FwdEpoch
-// suffix when flagged — and returns the unconsumed tail (see
-// decodeExecTail).
-func decodeForwardTail(buf []byte) (id uint64, flags byte, epoch uint64, stmts []ForwardStmt, rest []byte, err error) {
+// decodeForwardHead decodes the fields both forward frames open with.
+// minStmt is the smallest encoding of one statement: a count beyond
+// len(buf)/minStmt is corrupt, and refusing it bounds the allocation a
+// hostile count field can force before per-statement validation.
+func decodeForwardHead(buf []byte, minStmt uint64) (id uint64, flags byte, epoch, count uint64, rest []byte, err error) {
 	id, n := binary.Uvarint(buf)
 	if n <= 0 || len(buf[n:]) < 1 {
-		return 0, 0, 0, nil, nil, fmt.Errorf("%w: bad forward id", ErrCorrupt)
+		return 0, 0, 0, 0, nil, fmt.Errorf("%w: bad forward id", ErrCorrupt)
 	}
 	flags = buf[n]
 	buf = buf[n+1:]
-	count, n := binary.Uvarint(buf)
-	// A statement is at least 3 bytes (two empty strings + a seq varint);
-	// a count beyond that is corrupt, and the check bounds the allocation
-	// a hostile count field can force before per-statement validation.
-	if n <= 0 || count > uint64(len(buf))/3+1 {
-		return 0, 0, 0, nil, nil, fmt.Errorf("%w: bad forward count", ErrCorrupt)
+	if epoch, n = binary.Uvarint(buf); n <= 0 {
+		return 0, 0, 0, 0, nil, fmt.Errorf("%w: bad forward epoch", ErrCorrupt)
 	}
 	buf = buf[n:]
+	count, n = binary.Uvarint(buf)
+	if n <= 0 || count > uint64(len(buf))/minStmt+1 {
+		return 0, 0, 0, 0, nil, fmt.Errorf("%w: bad forward count", ErrCorrupt)
+	}
+	return id, flags, epoch, count, buf[n:], nil
+}
+
+// DecodeForward decodes a FrameForward payload.
+func DecodeForward(buf []byte) (id uint64, flags byte, epoch uint64, stmts []ForwardStmt, err error) {
+	// A statement is at least 3 bytes: two empty strings and a seq varint.
+	id, flags, epoch, count, buf, err := decodeForwardHead(buf, 3)
+	if err != nil {
+		return 0, 0, 0, nil, err
+	}
 	stmts = make([]ForwardStmt, 0, count)
 	for i := uint64(0); i < count; i++ {
 		var st ForwardStmt
 		if st.Origin, buf, err = value.DecodeString(buf); err != nil {
-			return 0, 0, 0, nil, nil, fmt.Errorf("%w: bad forward origin", ErrCorrupt)
+			return 0, 0, 0, nil, fmt.Errorf("%w: bad forward origin", ErrCorrupt)
 		}
 		seq, n := binary.Varint(buf)
 		if n <= 0 {
-			return 0, 0, 0, nil, nil, fmt.Errorf("%w: bad forward seq", ErrCorrupt)
+			return 0, 0, 0, nil, fmt.Errorf("%w: bad forward seq", ErrCorrupt)
 		}
 		st.Seq = int(seq)
-		buf = buf[n:]
-		if st.Query, buf, err = value.DecodeString(buf); err != nil {
-			return 0, 0, 0, nil, nil, fmt.Errorf("%w: bad forward query", ErrCorrupt)
+		if st.Query, buf, err = value.DecodeString(buf[n:]); err != nil {
+			return 0, 0, 0, nil, fmt.Errorf("%w: bad forward query", ErrCorrupt)
 		}
 		stmts = append(stmts, st)
 	}
-	if flags&FwdEpoch != 0 {
-		var n int
-		epoch, n = binary.Uvarint(buf)
-		if n <= 0 {
-			return 0, 0, 0, nil, nil, fmt.Errorf("%w: bad forward epoch", ErrCorrupt)
-		}
-		buf = buf[n:]
+	if len(buf) != 0 {
+		return 0, 0, 0, nil, errTrailing(buf)
 	}
-	return id, flags, epoch, stmts, buf, nil
+	return id, flags, epoch, stmts, nil
 }
 
-// AppendRedirect encodes a FrameRedirect payload: request id, the owning
-// node's address, and the relation whose placement is being reported.
-func AppendRedirect(dst []byte, id uint64, addr, rel string) []byte {
+// AppendRedirect encodes a FrameRedirect payload:
+//
+//	redirect := id:uvarint addr:string rel:string epoch:uvarint
+//
+// epoch is the owner's serving epoch for the relation's slot (0 when the
+// redirecting node knows none — epoch numbering starts at 1 on the first
+// promotion); the receiver updates its placement cache only when it is at
+// least as new as what it already knows.
+func AppendRedirect(dst []byte, id uint64, addr, rel string, epoch uint64) []byte {
 	dst = binary.AppendUvarint(dst, id)
 	dst = value.AppendString(dst, addr)
-	return value.AppendString(dst, rel)
-}
-
-// AppendRedirectE encodes a FrameRedirect payload with the owner's
-// serving epoch appended (protocol version 3): the receiver updates its
-// placement cache only when the epoch is at least as new as what it
-// already knows. Sent only on version-3 connections — a version-2
-// decoder would reject the trailing bytes.
-func AppendRedirectE(dst []byte, id uint64, addr, rel string, epoch uint64) []byte {
-	dst = AppendRedirect(dst, id, addr, rel)
+	dst = value.AppendString(dst, rel)
 	return binary.AppendUvarint(dst, epoch)
 }
 
-// DecodeRedirect decodes a FrameRedirect payload, tolerating (and
-// discarding) a version-3 epoch suffix.
-func DecodeRedirect(buf []byte) (id uint64, addr, rel string, err error) {
-	id, addr, rel, _, err = DecodeRedirectE(buf)
-	return id, addr, rel, err
-}
-
-// DecodeRedirectE decodes a FrameRedirect payload together with its
-// optional epoch suffix (epoch 0 means the sender did not stamp one —
-// epoch numbering starts at 1 on the first promotion).
-func DecodeRedirectE(buf []byte) (id uint64, addr, rel string, epoch uint64, err error) {
+// DecodeRedirect decodes a FrameRedirect payload.
+func DecodeRedirect(buf []byte) (id uint64, addr, rel string, epoch uint64, err error) {
 	id, n := binary.Uvarint(buf)
 	if n <= 0 {
 		return 0, "", "", 0, fmt.Errorf("%w: bad redirect id", ErrCorrupt)
 	}
-	addr, buf, err = value.DecodeString(buf[n:])
-	if err != nil {
+	if addr, buf, err = value.DecodeString(buf[n:]); err != nil {
 		return 0, "", "", 0, fmt.Errorf("%w: bad redirect address", ErrCorrupt)
 	}
-	rel, buf, err = value.DecodeString(buf)
-	if err != nil {
+	if rel, buf, err = value.DecodeString(buf); err != nil {
 		return 0, "", "", 0, fmt.Errorf("%w: bad redirect relation", ErrCorrupt)
 	}
-	if len(buf) > 0 {
-		epoch, n = binary.Uvarint(buf)
-		if n <= 0 || n != len(buf) {
-			return 0, "", "", 0, fmt.Errorf("%w: bad redirect epoch", ErrCorrupt)
-		}
+	if epoch, n = binary.Uvarint(buf); n <= 0 || n != len(buf) {
+		return 0, "", "", 0, fmt.Errorf("%w: bad redirect epoch", ErrCorrupt)
 	}
 	return id, addr, rel, epoch, nil
 }
 
-// AppendSubscribe encodes a FrameSubscribe payload: stream committed
-// transaction records with sequence > after.
-func AppendSubscribe(dst []byte, after int64) []byte {
-	return binary.AppendVarint(dst, after)
-}
-
-// DecodeSubscribe decodes a FrameSubscribe payload.
-func DecodeSubscribe(buf []byte) (after int64, err error) {
-	after, n := binary.Varint(buf)
-	if n <= 0 || n != len(buf) {
-		return 0, fmt.Errorf("%w: bad subscribe position", ErrCorrupt)
-	}
-	return after, nil
-}
-
-// AppendSubscribeFrom encodes the extended FrameSubscribe payload
-// (protocol version 3): the starting position plus the slot being
-// subscribed (the original owner's node index — under failover a slot's
-// log may be served by its promoted winner) and the subscriber's own
-// node index, which keys the serving node's replication-ack gate.
-func AppendSubscribeFrom(dst []byte, after int64, slot, subscriber int) []byte {
+// AppendSubscribe encodes a FrameSubscribe payload:
+//
+//	subscribe := after:varint slot:varint subscriber:varint
+//
+// after is the subscriber's position (stream records with sequence >
+// after), slot the original owner's node index whose log is wanted (under
+// failover a slot's log may be served by its promoted winner), and
+// subscriber the subscriber's own node index, which keys the serving
+// node's replication-ack gate.
+func AppendSubscribe(dst []byte, after int64, slot, subscriber int) []byte {
 	dst = binary.AppendVarint(dst, after)
 	dst = binary.AppendVarint(dst, int64(slot))
 	return binary.AppendVarint(dst, int64(subscriber))
 }
 
-// DecodeSubscribeEx decodes either FrameSubscribe form. A bare version-2
-// payload yields slot = subscriber = -1: stream the serving node's own
-// log, anonymously.
-func DecodeSubscribeEx(buf []byte) (after int64, slot, subscriber int, err error) {
-	after, n := binary.Varint(buf)
-	if n <= 0 {
-		return 0, 0, 0, fmt.Errorf("%w: bad subscribe position", ErrCorrupt)
+// DecodeSubscribe decodes a FrameSubscribe payload.
+func DecodeSubscribe(buf []byte) (after int64, slot, subscriber int, err error) {
+	var v [3]int64
+	for i := range v {
+		var n int
+		if v[i], n = binary.Varint(buf); n <= 0 {
+			return 0, 0, 0, fmt.Errorf("%w: bad subscribe field %d", ErrCorrupt, i)
+		}
+		buf = buf[n:]
 	}
-	if n == len(buf) {
-		return after, -1, -1, nil
+	if len(buf) != 0 {
+		return 0, 0, 0, errTrailing(buf)
 	}
-	buf = buf[n:]
-	s, n := binary.Varint(buf)
-	if n <= 0 {
-		return 0, 0, 0, fmt.Errorf("%w: bad subscribe slot", ErrCorrupt)
-	}
-	buf = buf[n:]
-	sub, n := binary.Varint(buf)
-	if n <= 0 || n != len(buf) {
-		return 0, 0, 0, fmt.Errorf("%w: bad subscribe subscriber", ErrCorrupt)
-	}
-	return after, int(s), int(sub), nil
+	return v[0], int(v[1]), int(v[2]), nil
 }
 
 // AppendSubAck encodes a FrameSubAck payload: the highest record
@@ -657,18 +565,17 @@ func DecodeSubAck(buf []byte) (seq int64, err error) {
 	return seq, nil
 }
 
-// AppendLogRecordE encodes a FrameLogRecordE payload: the serving epoch
-// for the streamed slot, then the archive record bytes unchanged — a
-// version-2 LogRecord payload with an epoch prefix.
-func AppendLogRecordE(dst []byte, epoch uint64, record []byte) []byte {
+// AppendLogRecord encodes a FrameLogRecord payload: the serving epoch for
+// the streamed slot (0 without failover), then the archive record bytes
+// unchanged.
+func AppendLogRecord(dst []byte, epoch uint64, record []byte) []byte {
 	dst = binary.AppendUvarint(dst, epoch)
 	return append(dst, record...)
 }
 
-// DecodeLogRecordE splits a FrameLogRecordE payload into its epoch and
-// the record bytes (decoded by archive.DecodeTxnRecord, exactly like a
-// FrameLogRecord payload).
-func DecodeLogRecordE(buf []byte) (epoch uint64, record []byte, err error) {
+// DecodeLogRecord splits a FrameLogRecord payload into its epoch and the
+// record bytes (decoded by an archive.TxnDecoder). record aliases buf.
+func DecodeLogRecord(buf []byte) (epoch uint64, record []byte, err error) {
 	epoch, n := binary.Uvarint(buf)
 	if n <= 0 {
 		return 0, nil, fmt.Errorf("%w: bad log record epoch", ErrCorrupt)
@@ -754,29 +661,55 @@ func DecodeHeartbeat(buf []byte) (Heartbeat, error) {
 		hb.Bases = append(hb.Bases, base)
 	}
 	if len(buf) != 0 {
-		return hb, fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, len(buf))
+		return hb, errTrailing(buf)
 	}
 	return hb, nil
 }
 
-// AppendSingleResponse encodes a FrameResponse payload: id + response.
-func AppendSingleResponse(dst []byte, id uint64, r core.Response) ([]byte, error) {
+// Introspection document kinds, the FrameIntrospect request's kind byte.
+const (
+	// IntrospectStats asks for the metrics snapshot (internal/metrics
+	// Snapshot).
+	IntrospectStats byte = 0
+	// IntrospectTraces asks for the published request traces (a
+	// []internal/reqtrace.Trace), newest first.
+	IntrospectTraces byte = 1
+)
+
+// AppendIntrospect encodes a FrameIntrospect payload: request id, kind.
+func AppendIntrospect(dst []byte, id uint64, kind byte) []byte {
 	dst = binary.AppendUvarint(dst, id)
-	return AppendResponse(dst, r)
+	return append(dst, kind)
 }
 
-// DecodeSingleResponse decodes a FrameResponse payload.
-func DecodeSingleResponse(buf []byte) (uint64, core.Response, error) {
+// DecodeIntrospect decodes a FrameIntrospect payload; an unknown kind is
+// corrupt.
+func DecodeIntrospect(buf []byte) (id uint64, kind byte, err error) {
+	id, n := binary.Uvarint(buf)
+	if n <= 0 || len(buf) != n+1 || buf[n] > IntrospectTraces {
+		return 0, 0, fmt.Errorf("%w: bad introspect request", ErrCorrupt)
+	}
+	return id, buf[n], nil
+}
+
+// AppendIntrospectResponse encodes a FrameIntrospectResponse payload:
+//
+//	introspect-response := id:uvarint doc:bytes…
+//
+// doc is JSON and runs to the end of the payload (the frame length
+// delimits it), so the document needs no length prefix and its schema can
+// grow without a codec change.
+func AppendIntrospectResponse(dst []byte, id uint64, doc []byte) []byte {
+	dst = binary.AppendUvarint(dst, id)
+	return append(dst, doc...)
+}
+
+// DecodeIntrospectResponse decodes a FrameIntrospectResponse payload. The
+// returned doc aliases buf.
+func DecodeIntrospectResponse(buf []byte) (id uint64, doc []byte, err error) {
 	id, n := binary.Uvarint(buf)
 	if n <= 0 {
-		return 0, core.Response{}, fmt.Errorf("%w: bad request id", ErrCorrupt)
+		return 0, nil, fmt.Errorf("%w: bad introspect id", ErrCorrupt)
 	}
-	r, rest, err := DecodeResponse(buf[n:])
-	if err != nil {
-		return 0, core.Response{}, err
-	}
-	if len(rest) != 0 {
-		return 0, core.Response{}, fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, len(rest))
-	}
-	return id, r, nil
+	return id, buf[n:], nil
 }

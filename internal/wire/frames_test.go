@@ -1,0 +1,429 @@
+package wire
+
+import (
+	"bytes"
+	"encoding/hex"
+	"runtime"
+	"testing"
+
+	"funcdb/internal/core"
+	"funcdb/internal/reqtrace"
+	"funcdb/internal/value"
+)
+
+// samplePreparedArgs is a representative positional-argument vector.
+func samplePreparedArgs() []value.Item {
+	return []value.Item{value.Int(42), value.Str("x"), value.Int(-7)}
+}
+
+// sampleHeartbeat is a representative 3-slot view after one promotion.
+func sampleHeartbeat() Heartbeat {
+	return Heartbeat{
+		From:    1,
+		Epochs:  []uint64{0, 1, 0},
+		Owners:  []int{0, 2, 2},
+		Applied: []int64{41, 7, -1},
+		Bases:   []int64{0, 5, 0},
+	}
+}
+
+// sampleTraceCtx is a representative propagated context: a non-trivial
+// id, one forward hop behind it, sampled at the origin.
+func sampleTraceCtx() reqtrace.Ctx {
+	return reqtrace.Ctx{ID: 0x1122334455667788, Hop: 1, Sampled: true}
+}
+
+// frame is one (type, payload) pair.
+type frame struct {
+	typ     byte
+	payload []byte
+}
+
+// goldenFrame is one row of the protocol's byte-level specification: the
+// frames an encoder call produces and the exact bytes they must frame to.
+type goldenFrame struct {
+	name   string
+	frames []frame
+	want   string // hex of the framed stream
+}
+
+// must unwraps an encoder that can only fail on unencodable items.
+func must(b []byte, err error) []byte {
+	if err != nil {
+		panic(err)
+	}
+	return b
+}
+
+// goldenFrames pins the version-6 encoding of every frame type. A traced
+// request is two frames: the TraceCtx, then the request it annotates.
+func goldenFrames() []goldenFrame {
+	args := samplePreparedArgs()
+	resps := sampleResponses()
+	traced := AppendTraceCtx(nil, sampleTraceCtx())
+	return []goldenFrame{
+		{"hello", []frame{{FrameHello, AppendHello(nil, Hello{Origin: "c0", Database: "aux"})}},
+			"100c000000664442770602633003617578c49d873d"},
+		{"welcome", []frame{{FrameWelcome, AppendWelcome(nil, Welcome{Lanes: 4, Durable: true, Origin: "conn1", Database: "main"})}},
+			"110e00000006080105636f6e6e31046d61696e312b5161"},
+		{"exec", []frame{{FrameExec, AppendExec(nil, 7, "count R")}},
+			"12090000000707636f756e742052fd8d5b44"},
+		{"batch", []frame{{FrameBatch, AppendBatch(nil, 7, []string{"count R", "insert 1 into R"})}},
+			"131a000000070207636f756e7420520f696e73657274203120696e746f20529bff5909"},
+		{"response", []frame{{FrameResponse, must(AppendSingleResponse(nil, 5, resps[1]))}},
+			"1414000000050263300201090000020102020677696467657401cd036f"},
+		{"batch-response", []frame{{FrameBatchResponse, must(AppendResponses(nil, 9, []core.Response{resps[4], resps[8], resps[9]}))}},
+			"155c0000000903047265706c080410040002020102020677696467657401010402633110010200002164617461626173653a206e6f20737563682072656c6174696f6e20224e4f50452202633212080400000e6d6f7665642033207475706c6573fadffd18"},
+		{"error", []frame{{FrameError, AppendErrorMsg(nil, 9, 2, "boom")}},
+			"1607000000090404626f6f6dd89fbd27"},
+		{"quit", []frame{{FrameQuit, nil}},
+			"17000000004a6ad151"},
+		{"forward", []frame{{FrameForward, AppendForward(nil, 9, FwdNoForward|FwdEpoch, 5, []ForwardStmt{{Origin: "c0", Seq: 3, Query: "count R"}})}},
+			"1810000000090505010263300607636f756e742052606c6851"},
+		{"redirect", []frame{{FrameRedirect, AppendRedirect(nil, 5, "h:1", "R", 2)}},
+			"19080000000503683a31015202647282bf"},
+		{"subscribe", []frame{{FrameSubscribe, AppendSubscribe(nil, 41, 2, 0)}},
+			"1a030000005204003d57b415"},
+		{"log-record", []frame{{FrameLogRecord, AppendLogRecord(nil, 3, []byte("record"))}},
+			"1b07000000037265636f7264bbd6ed5f"},
+		{"introspect", []frame{{FrameIntrospect, AppendIntrospect(nil, 42, IntrospectTraces)}},
+			"1c020000002a01b87f11f2"},
+		{"introspect-response", []frame{{FrameIntrospectResponse, AppendIntrospectResponse(nil, 42, []byte(`{"lanes":8}`))}},
+			"1d0c0000002a7b226c616e6573223a387db7e2ca19"},
+		{"heartbeat", []frame{{FrameHeartbeat, AppendHeartbeat(nil, sampleHeartbeat())}},
+			"1e0e00000002030000520001040e0a000401000abecac9"},
+		{"heartbeat-ack", []frame{{FrameHeartbeatAck, AppendHeartbeat(nil, Heartbeat{From: 2})}},
+			"1f0200000004005bf8578c"},
+		{"sub-ack", []frame{{FrameSubAck, AppendSubAck(nil, 41)}},
+			"20010000005285063851"},
+		{"prepare", []frame{{FramePrepare, AppendPrepare(nil, 3, "find ? in R")}},
+			"220d000000030b66696e64203f20696e2052fd63ac8b"},
+		{"prepared", []frame{{FramePrepared, AppendPrepared(nil, 3, 17, 1)}},
+			"230300000003110113725bb5"},
+		{"exec-prepared", []frame{{FrameExecPrepared, must(AppendExecPrepared(nil, 11, 17, args))}},
+			"240a0000000b11030154020178010ddbe64a5e"},
+		{"batch-prepared", []frame{{FrameBatchPrepared, must(AppendBatchPrepared(nil, 13, []PreparedCall{{Stmt: 1, Args: args}, {Stmt: 2}}))}},
+			"250d0000000d0201030154020178010d020019e3f6c8"},
+		{"forward-prepared", []frame{{FrameForwardPrepared, must(AppendForwardPrepared(nil, 21, FwdNoForward|FwdEpoch, 77, []PreparedFwdStmt{
+			{Origin: "c0", Seq: 3, Hash: 7, Text: "count R", HasText: true},
+			{Origin: "c0", Seq: 4, Stmt: 9, Hash: 7, Args: args[1:]},
+		}))}},
+			"262f00000015054d02026330060007000000000000000107636f756e74205200026330080907000000000000000002020178010de751ce4d"},
+		{"traced-exec-prepared", []frame{{FrameTraceCtx, traced}, {FrameExecPrepared, must(AppendExecPrepared(nil, 11, 17, args))}},
+			"290a0000008877665544332211010172ada49b240a0000000b11030154020178010ddbe64a5e"},
+	}
+}
+
+// TestGoldenFrames is the protocol's byte-level specification: every frame
+// type's encoding is pinned, and every pinned payload decodes and
+// re-encodes to exactly itself. A change here is a protocol change.
+func TestGoldenFrames(t *testing.T) {
+	seen := map[byte]bool{}
+	for _, g := range goldenFrames() {
+		var got []byte
+		for _, fr := range g.frames {
+			var err error
+			if got, err = AppendFrame(got, fr.typ, fr.payload); err != nil {
+				t.Fatal(err)
+			}
+			seen[fr.typ] = true
+			if rt := frameCodecs[fr.typ]; rt != nil {
+				again, err := rt(fr.payload, &scratch{})
+				if err != nil || !bytes.Equal(again, fr.payload) {
+					t.Errorf("%s: frame %#x does not round-trip: %v\n got %x\nwant %x", g.name, fr.typ, err, again, fr.payload)
+				}
+			}
+		}
+		if h := hex.EncodeToString(got); h != g.want {
+			t.Errorf("%s: encoding changed:\n got %s\nwant %s", g.name, h, g.want)
+		}
+	}
+	for typ := FrameHello; typ <= FrameTraceCtx; typ++ {
+		retired := typ == 0x21 || typ == 0x27 || typ == 0x28
+		if seen[typ] == retired {
+			t.Errorf("frame type %#x: golden row present=%v, retired=%v", typ, seen[typ], retired)
+		}
+	}
+}
+
+// scratch is the decode scratch the ...Into decoders reuse.
+type scratch struct {
+	items []value.Item
+	calls []PreparedCall
+	fwd   []PreparedFwdStmt
+}
+
+// warmScratch is scratch a connection has used before: stale contents and
+// spare capacity that a decode must neither read nor leak.
+func warmScratch() *scratch {
+	sc := &scratch{
+		items: make([]value.Item, 8, 64),
+		calls: make([]PreparedCall, 4, 16),
+		fwd:   make([]PreparedFwdStmt, 4, 16),
+	}
+	for i := range sc.items {
+		sc.items[i] = value.Int(int64(1000 + i))
+	}
+	for i := range sc.calls {
+		sc.calls[i] = PreparedCall{Stmt: 99, Args: sc.items[:2]}
+	}
+	for i := range sc.fwd {
+		sc.fwd[i] = PreparedFwdStmt{Origin: "stale", Text: "stale", HasText: true, Args: sc.items[:3]}
+	}
+	return sc
+}
+
+// frameCodecs is the table FuzzFrames drives: for every frame type with a
+// payload, decode (into sc's scratch) and re-encode what was decoded.
+var frameCodecs = map[byte]func(p []byte, sc *scratch) ([]byte, error){
+	FrameHello: func(p []byte, _ *scratch) ([]byte, error) {
+		h, err := DecodeHello(p)
+		return AppendHello(nil, h), err
+	},
+	FrameWelcome: func(p []byte, _ *scratch) ([]byte, error) {
+		w, err := DecodeWelcome(p)
+		return AppendWelcome(nil, w), err
+	},
+	FrameExec: func(p []byte, _ *scratch) ([]byte, error) {
+		id, q, err := DecodeExec(p)
+		return AppendExec(nil, id, q), err
+	},
+	FrameBatch: func(p []byte, _ *scratch) ([]byte, error) {
+		id, qs, err := DecodeBatch(p)
+		return AppendBatch(nil, id, qs), err
+	},
+	FrameResponse: func(p []byte, _ *scratch) ([]byte, error) {
+		id, r, err := DecodeSingleResponse(p)
+		if err != nil {
+			return nil, err
+		}
+		return AppendSingleResponse(nil, id, r)
+	},
+	FrameBatchResponse: func(p []byte, _ *scratch) ([]byte, error) {
+		id, rs, err := DecodeResponses(p)
+		if err != nil {
+			return nil, err
+		}
+		return AppendResponses(nil, id, rs)
+	},
+	FrameError: func(p []byte, _ *scratch) ([]byte, error) {
+		id, idx, msg, err := DecodeErrorMsg(p)
+		return AppendErrorMsg(nil, id, idx, msg), err
+	},
+	FrameForward: func(p []byte, _ *scratch) ([]byte, error) {
+		id, flags, epoch, stmts, err := DecodeForward(p)
+		return AppendForward(nil, id, flags, epoch, stmts), err
+	},
+	FrameRedirect: func(p []byte, _ *scratch) ([]byte, error) {
+		id, addr, rel, epoch, err := DecodeRedirect(p)
+		return AppendRedirect(nil, id, addr, rel, epoch), err
+	},
+	FrameSubscribe: func(p []byte, _ *scratch) ([]byte, error) {
+		after, slot, sub, err := DecodeSubscribe(p)
+		return AppendSubscribe(nil, after, slot, sub), err
+	},
+	FrameLogRecord: func(p []byte, _ *scratch) ([]byte, error) {
+		epoch, rec, err := DecodeLogRecord(p)
+		return AppendLogRecord(nil, epoch, rec), err
+	},
+	FrameIntrospect: func(p []byte, _ *scratch) ([]byte, error) {
+		id, kind, err := DecodeIntrospect(p)
+		return AppendIntrospect(nil, id, kind), err
+	},
+	FrameIntrospectResponse: func(p []byte, _ *scratch) ([]byte, error) {
+		id, doc, err := DecodeIntrospectResponse(p)
+		return AppendIntrospectResponse(nil, id, doc), err
+	},
+	FrameHeartbeat:    heartbeatRoundTrip,
+	FrameHeartbeatAck: heartbeatRoundTrip,
+	FrameSubAck: func(p []byte, _ *scratch) ([]byte, error) {
+		seq, err := DecodeSubAck(p)
+		return AppendSubAck(nil, seq), err
+	},
+	FramePrepare: func(p []byte, _ *scratch) ([]byte, error) {
+		id, text, err := DecodePrepare(p)
+		return AppendPrepare(nil, id, text), err
+	},
+	FramePrepared: func(p []byte, _ *scratch) ([]byte, error) {
+		id, stmt, np, err := DecodePrepared(p)
+		return AppendPrepared(nil, id, stmt, np), err
+	},
+	FrameExecPrepared: func(p []byte, sc *scratch) ([]byte, error) {
+		id, stmt, args, err := DecodeExecPreparedInto(p, sc.items[:0])
+		if err != nil {
+			return nil, err
+		}
+		sc.items = args
+		return AppendExecPrepared(nil, id, stmt, args)
+	},
+	FrameBatchPrepared: func(p []byte, sc *scratch) ([]byte, error) {
+		id, calls, items, err := DecodeBatchPreparedInto(p, sc.calls, sc.items)
+		if err != nil {
+			return nil, err
+		}
+		sc.calls, sc.items = calls, items
+		return AppendBatchPrepared(nil, id, calls)
+	},
+	FrameForwardPrepared: func(p []byte, sc *scratch) ([]byte, error) {
+		id, flags, epoch, stmts, items, err := DecodeForwardPreparedInto(p, sc.fwd, sc.items)
+		if err != nil {
+			return nil, err
+		}
+		sc.fwd, sc.items = stmts, items
+		return AppendForwardPrepared(nil, id, flags, epoch, stmts)
+	},
+	FrameTraceCtx: func(p []byte, _ *scratch) ([]byte, error) {
+		c, err := DecodeTraceCtx(p)
+		return AppendTraceCtx(nil, c), err
+	},
+}
+
+func heartbeatRoundTrip(p []byte, _ *scratch) ([]byte, error) {
+	hb, err := DecodeHeartbeat(p)
+	return AppendHeartbeat(nil, hb), err
+}
+
+// checkFrame holds FuzzFrames' invariants for one (type, payload):
+//
+//   - decoding never panics, and a hostile count cannot make it allocate
+//     more than a small multiple of the payload;
+//   - decoding into warm scratch accepts exactly what decoding into nil
+//     scratch accepts, and yields the same frame;
+//   - an accepted payload re-encodes to the same bytes. The one
+//     exception is a non-minimal varint inside a value-codec string, item
+//     or tuple, which internal/value accepts: that payload re-encodes
+//     strictly shorter, to a fixed point.
+func checkFrame(t *testing.T, typ byte, payload []byte) {
+	rt := frameCodecs[typ]
+	if rt == nil {
+		return
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fresh, err := rt(payload, &scratch{})
+	runtime.ReadMemStats(&after)
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 64*uint64(len(payload))+1<<20 {
+		t.Fatalf("frame %#x: %d-byte payload made the decoder allocate %d bytes", typ, len(payload), grew)
+	}
+	warm, werr := rt(payload, warmScratch())
+	if (err == nil) != (werr == nil) || !bytes.Equal(fresh, warm) {
+		t.Fatalf("frame %#x: warm-scratch decode diverged: %v vs %v\n%x\n%x", typ, err, werr, fresh, warm)
+	}
+	if err != nil || bytes.Equal(fresh, payload) {
+		return
+	}
+	if len(fresh) >= len(payload) {
+		t.Fatalf("frame %#x: accepted payload re-encodes differently:\n got %x\nwant %x", typ, fresh, payload)
+	}
+	if again, err := rt(fresh, &scratch{}); err != nil || !bytes.Equal(again, fresh) {
+		t.Fatalf("frame %#x: re-encoding is not a fixed point: %v", typ, err)
+	}
+}
+
+// FuzzFrames is the protocol's one payload fuzz target: any frame type,
+// any payload, every invariant of checkFrame.
+func FuzzFrames(f *testing.F) {
+	for _, g := range goldenFrames() {
+		for _, fr := range g.frames {
+			f.Add(fr.typ, fr.payload)
+		}
+	}
+	f.Fuzz(checkFrame)
+}
+
+// fuzzFrameTypes runs FuzzFrames' checks with the frame type fixed, seeded
+// with every golden payload (a foreign frame's payload is a fine hostile
+// input).
+func fuzzFrameTypes(f *testing.F, types ...byte) {
+	for _, g := range goldenFrames() {
+		for _, fr := range g.frames {
+			f.Add(fr.payload)
+		}
+	}
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		for _, typ := range types {
+			checkFrame(t, typ, payload)
+		}
+	})
+}
+
+// The per-type targets below add no checks and no inputs of their own:
+// each is FuzzFrames pinned to one frame type over the corpus checked in
+// under its name (from the codecs of retired revisions — T/E/Ex payloads
+// now exercise the plain frame's trailing-byte refusal), which is also
+// in testdata/fuzz/FuzzFrames. They survive only as the names those
+// inputs have run under; fuzz FuzzFrames, not them.
+
+func FuzzDecodeHello(f *testing.F)            { fuzzFrameTypes(f, FrameHello) }
+func FuzzDecodeResponse(f *testing.F)         { fuzzFrameTypes(f, FrameResponse, FrameBatchResponse) }
+func FuzzDecodeExecT(f *testing.F)            { fuzzFrameTypes(f, FrameExec) }
+func FuzzDecodeBatchT(f *testing.F)           { fuzzFrameTypes(f, FrameBatch) }
+func FuzzDecodeForward(f *testing.F)          { fuzzFrameTypes(f, FrameForward) }
+func FuzzDecodeForwardE(f *testing.F)         { fuzzFrameTypes(f, FrameForward) }
+func FuzzDecodeForwardT(f *testing.F)         { fuzzFrameTypes(f, FrameForward) }
+func FuzzDecodeRedirect(f *testing.F)         { fuzzFrameTypes(f, FrameRedirect) }
+func FuzzDecodeRedirectE(f *testing.F)        { fuzzFrameTypes(f, FrameRedirect) }
+func FuzzDecodeSubscribeEx(f *testing.F)      { fuzzFrameTypes(f, FrameSubscribe) }
+func FuzzDecodeLogRecordE(f *testing.F)       { fuzzFrameTypes(f, FrameLogRecord) }
+func FuzzDecodeStats(f *testing.F)            { fuzzFrameTypes(f, FrameIntrospect, FrameIntrospectResponse) }
+func FuzzDecodeTraces(f *testing.F)           { fuzzFrameTypes(f, FrameIntrospect, FrameIntrospectResponse) }
+func FuzzDecodeHeartbeat(f *testing.F)        { fuzzFrameTypes(f, FrameHeartbeat) }
+func FuzzDecodePrepare(f *testing.F)          { fuzzFrameTypes(f, FramePrepare) }
+func FuzzDecodeExecPrepared(f *testing.F)     { fuzzFrameTypes(f, FrameExecPrepared) }
+func FuzzDecodeExecPreparedT(f *testing.F)    { fuzzFrameTypes(f, FrameExecPrepared) }
+func FuzzDecodeBatchPrepared(f *testing.F)    { fuzzFrameTypes(f, FrameBatchPrepared) }
+func FuzzDecodeBatchPreparedT(f *testing.F)   { fuzzFrameTypes(f, FrameBatchPrepared) }
+func FuzzDecodeForwardPrepared(f *testing.F)  { fuzzFrameTypes(f, FrameForwardPrepared) }
+func FuzzDecodeForwardPreparedT(f *testing.F) { fuzzFrameTypes(f, FrameForwardPrepared) }
+func FuzzDecodeTraceCtx(f *testing.F)         { fuzzFrameTypes(f, FrameTraceCtx) }
+
+// TestTraceFrameOnlyWhenSampled: AppendTraceFrame writes a frame for a
+// sampled context and nothing for an unsampled or empty one.
+func TestTraceFrameOnlyWhenSampled(t *testing.T) {
+	for _, c := range []reqtrace.Ctx{{}, {ID: 9, Hop: 2}} {
+		if got := AppendTraceFrame([]byte("x"), c); string(got) != "x" {
+			t.Errorf("unsampled %+v appended %x", c, got)
+		}
+	}
+	want, _ := AppendFrame(nil, FrameTraceCtx, AppendTraceCtx(nil, sampleTraceCtx()))
+	if got := AppendTraceFrame(nil, sampleTraceCtx()); !bytes.Equal(got, want) {
+		t.Fatalf("trace frame %x, want %x", got, want)
+	}
+	bad := AppendTraceCtx(nil, sampleTraceCtx())
+	bad[9] |= 0x80
+	if _, err := DecodeTraceCtx(bad); err == nil {
+		t.Error("reserved trace flag bit accepted")
+	}
+}
+
+func TestStatsRoundTrip(t *testing.T) {
+	for _, id := range []uint64{0, 1, 42, 1 << 40} {
+		for _, kind := range []byte{IntrospectStats, IntrospectTraces} {
+			gotID, gotKind, err := DecodeIntrospect(AppendIntrospect(nil, id, kind))
+			if err != nil || gotID != id || gotKind != kind {
+				t.Fatalf("introspect (%d, %d) round-trip: got (%d, %d), err %v", id, kind, gotID, gotKind, err)
+			}
+		}
+	}
+	for _, bad := range [][]byte{nil, {7}, AppendIntrospect(nil, 7, 2), append(AppendIntrospect(nil, 7, 0), 0)} {
+		if _, _, err := DecodeIntrospect(bad); err == nil {
+			t.Errorf("introspect payload %x decoded", bad)
+		}
+	}
+}
+
+func TestStatsResponseRoundTrip(t *testing.T) {
+	doc := []byte(`{"version":12,"lanes":8}`)
+	id, got, err := DecodeIntrospectResponse(AppendIntrospectResponse(nil, 9, doc))
+	if err != nil || id != 9 || !bytes.Equal(got, doc) {
+		t.Fatalf("introspect response round-trip: id=%d doc=%q err=%v", id, got, err)
+	}
+	// An empty document is legal: the id alone must survive.
+	id, got, err = DecodeIntrospectResponse(AppendIntrospectResponse(nil, 3, nil))
+	if err != nil || id != 3 || len(got) != 0 {
+		t.Fatalf("empty-doc round-trip: id=%d doc=%q err=%v", id, got, err)
+	}
+	if _, _, err := DecodeIntrospectResponse(nil); err == nil {
+		t.Error("empty introspect response payload must not decode")
+	}
+}

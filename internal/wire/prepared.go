@@ -7,14 +7,13 @@ import (
 	"funcdb/internal/value"
 )
 
-// Prepared-statement payload codecs (protocol version 4).
+// Prepared-statement payload codecs.
 //
-// The hot-path decoders come in two forms, mirroring the frame reader's
-// discipline: a naive allocating form (the fuzz/equivalence reference)
-// and an ...Into form that appends into caller-owned scratch so a
-// connection's steady state decodes with zero amortized allocations.
-// Decoded strings are always fresh (value.DecodeString copies), so only
-// the slices are loans on the caller's scratch.
+// The hot-path decoders append into caller-owned scratch (the ...Into
+// form, mirroring the frame reader's discipline) so a connection's steady
+// state decodes with zero amortized allocations; nil scratch decodes into
+// fresh slices. Decoded strings are always fresh (value.DecodeString
+// copies), so only the slices are loans on the caller's scratch.
 
 // AppendPrepare encodes a FramePrepare payload:
 //
@@ -34,7 +33,7 @@ func DecodePrepare(buf []byte) (id uint64, text string, err error) {
 		return 0, "", fmt.Errorf("%w: bad prepare text", ErrCorrupt)
 	}
 	if len(buf) != 0 {
-		return 0, "", fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, len(buf))
+		return 0, "", errTrailing(buf)
 	}
 	return id, text, nil
 }
@@ -65,7 +64,7 @@ func DecodePrepared(buf []byte) (id, stmt uint64, nparams int, err error) {
 		return 0, 0, 0, fmt.Errorf("%w: bad prepared nparams", ErrCorrupt)
 	}
 	if len(buf[n:]) != 0 {
-		return 0, 0, 0, fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, len(buf[n:]))
+		return 0, 0, 0, errTrailing(buf[n:])
 	}
 	return id, stmt, int(np), nil
 }
@@ -113,43 +112,27 @@ func AppendExecPrepared(dst []byte, id, stmt uint64, args []value.Item) ([]byte,
 	return appendItems(dst, args)
 }
 
-// DecodeExecPrepared decodes a FrameExecPrepared payload into fresh
-// slices: the naive reference decoder, pinned against the Into form by
-// fuzz and the cross-version equivalence test.
-func DecodeExecPrepared(buf []byte) (id, stmt uint64, args []value.Item, err error) {
-	return DecodeExecPreparedInto(buf, nil)
-}
-
 // DecodeExecPreparedInto decodes a FrameExecPrepared payload, appending
 // the arguments into scratch — the per-connection form: a warmed scratch
 // slice makes the steady-state decode allocation-free (string arguments
 // still copy their text, as every decoder here does).
 func DecodeExecPreparedInto(buf []byte, scratch []value.Item) (id, stmt uint64, args []value.Item, err error) {
-	id, stmt, args, rest, err := decodeExecPreparedTail(buf, scratch)
-	if err == nil && len(rest) != 0 {
-		return 0, 0, nil, fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, len(rest))
-	}
-	return id, stmt, args, err
-}
-
-// decodeExecPreparedTail decodes the exec-prepared fields and returns
-// the unconsumed tail: the shared core under DecodeExecPreparedInto
-// (which requires an empty tail) and DecodeExecPreparedIntoT (which
-// accepts a version-5 trace-context suffix).
-func decodeExecPreparedTail(buf []byte, scratch []value.Item) (id, stmt uint64, args []value.Item, rest []byte, err error) {
 	id, n := binary.Uvarint(buf)
 	if n <= 0 {
-		return 0, 0, nil, nil, fmt.Errorf("%w: bad exec-prepared id", ErrCorrupt)
+		return 0, 0, nil, fmt.Errorf("%w: bad exec-prepared id", ErrCorrupt)
 	}
 	buf = buf[n:]
 	stmt, n = binary.Uvarint(buf)
 	if n <= 0 {
-		return 0, 0, nil, nil, fmt.Errorf("%w: bad exec-prepared stmt", ErrCorrupt)
+		return 0, 0, nil, fmt.Errorf("%w: bad exec-prepared stmt", ErrCorrupt)
 	}
 	if args, buf, err = decodeItemsInto(buf[n:], scratch); err != nil {
-		return 0, 0, nil, nil, err
+		return 0, 0, nil, err
 	}
-	return id, stmt, args, buf, nil
+	if len(buf) != 0 {
+		return 0, 0, nil, errTrailing(buf)
+	}
+	return id, stmt, args, nil
 }
 
 // PreparedCall is one (statement id, args) pair inside a
@@ -177,50 +160,36 @@ func AppendBatchPrepared(dst []byte, id uint64, calls []PreparedCall) ([]byte, e
 	return dst, nil
 }
 
-// DecodeBatchPrepared decodes a FrameBatchPrepared payload into fresh
-// slices: the naive reference decoder.
-func DecodeBatchPrepared(buf []byte) (id uint64, calls []PreparedCall, err error) {
-	id, calls, _, err = DecodeBatchPreparedInto(buf, nil, nil)
-	return id, calls, err
-}
-
 // DecodeBatchPreparedInto decodes a FrameBatchPrepared payload, reusing
 // the caller's call and item scratch. Every call's Args slice aliases the
 // returned item slice — they are loans valid until the caller's next
 // decode into the same scratch, exactly like the frame reader's payloads.
 func DecodeBatchPreparedInto(buf []byte, calls []PreparedCall, items []value.Item) (id uint64, outCalls []PreparedCall, outItems []value.Item, err error) {
-	id, outCalls, outItems, rest, err := decodeBatchPreparedTail(buf, calls, items)
-	if err == nil && len(rest) != 0 {
-		return 0, nil, nil, fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, len(rest))
-	}
-	return id, outCalls, outItems, err
-}
-
-// decodeBatchPreparedTail decodes the batch-prepared fields and returns
-// the unconsumed tail (see decodeExecPreparedTail).
-func decodeBatchPreparedTail(buf []byte, calls []PreparedCall, items []value.Item) (id uint64, outCalls []PreparedCall, outItems []value.Item, rest []byte, err error) {
 	id, n := binary.Uvarint(buf)
 	if n <= 0 {
-		return 0, nil, nil, nil, fmt.Errorf("%w: bad batch-prepared id", ErrCorrupt)
+		return 0, nil, nil, fmt.Errorf("%w: bad batch-prepared id", ErrCorrupt)
 	}
 	buf = buf[n:]
 	count, n := binary.Uvarint(buf)
 	// A call is at least 2 bytes (stmt varint + zero-arg count).
 	if n <= 0 || count > uint64(len(buf))/2+1 {
-		return 0, nil, nil, nil, fmt.Errorf("%w: bad batch-prepared count", ErrCorrupt)
+		return 0, nil, nil, fmt.Errorf("%w: bad batch-prepared count", ErrCorrupt)
 	}
 	buf = buf[n:]
 	calls, items = calls[:0], items[:0]
 	for i := uint64(0); i < count; i++ {
 		stmt, n := binary.Uvarint(buf)
 		if n <= 0 {
-			return 0, nil, nil, nil, fmt.Errorf("%w: bad batch-prepared stmt", ErrCorrupt)
+			return 0, nil, nil, fmt.Errorf("%w: bad batch-prepared stmt", ErrCorrupt)
 		}
 		start := len(items)
 		if items, buf, err = decodeItemsInto(buf[n:], items); err != nil {
-			return 0, nil, nil, nil, err
+			return 0, nil, nil, err
 		}
 		calls = append(calls, PreparedCall{Stmt: stmt, argStart: start, argEnd: len(items)})
+	}
+	if len(buf) != 0 {
+		return 0, nil, nil, errTrailing(buf)
 	}
 	// Slice the Args views only now: items has stopped growing, so the
 	// backing array is final and the views cannot be invalidated by a
@@ -228,7 +197,7 @@ func decodeBatchPreparedTail(buf []byte, calls []PreparedCall, items []value.Ite
 	for i := range calls {
 		calls[i].Args = items[calls[i].argStart:calls[i].argEnd]
 	}
-	return id, calls, items, buf, nil
+	return id, calls, items, nil
 }
 
 // PreparedFwdStmt is one pre-tagged statement inside a
@@ -250,16 +219,14 @@ type PreparedFwdStmt struct {
 	argStart, argEnd int // decode-side offsets into the shared item scratch
 }
 
-// AppendForwardPrepared encodes a FrameForwardPrepared payload:
+// AppendForwardPrepared encodes a FrameForwardPrepared payload, opening
+// like FrameForward (epoch and FwdEpoch included):
 //
-//	fwdp := id:uvarint flags:uint8 count:uvarint
+//	fwdp := id:uvarint flags:uint8 epoch:uvarint count:uvarint
 //	        (origin:string seq:varint stmt:uvarint hash:uint64le
 //	         textflag:uint8 [text:string] nargs:uvarint item*)*
-//	        [epoch:uvarint]                         (iff flags&FwdEpoch)
 func AppendForwardPrepared(dst []byte, id uint64, flags byte, epoch uint64, stmts []PreparedFwdStmt) ([]byte, error) {
-	dst = binary.AppendUvarint(dst, id)
-	dst = append(dst, flags)
-	dst = binary.AppendUvarint(dst, uint64(len(stmts)))
+	dst = appendForwardHead(dst, id, flags, epoch, len(stmts))
 	var err error
 	for _, st := range stmts {
 		dst = value.AppendString(dst, st.Origin)
@@ -276,17 +243,7 @@ func AppendForwardPrepared(dst []byte, id uint64, flags byte, epoch uint64, stmt
 			return dst, err
 		}
 	}
-	if flags&FwdEpoch != 0 {
-		dst = binary.AppendUvarint(dst, epoch)
-	}
 	return dst, nil
-}
-
-// DecodeForwardPrepared decodes a FrameForwardPrepared payload into fresh
-// slices: the naive reference decoder.
-func DecodeForwardPrepared(buf []byte) (id uint64, flags byte, epoch uint64, stmts []PreparedFwdStmt, err error) {
-	id, flags, epoch, stmts, _, err = DecodeForwardPreparedInto(buf, nil, nil)
-	return id, flags, epoch, stmts, err
 }
 
 // DecodeForwardPreparedInto decodes a FrameForwardPrepared payload,
@@ -294,46 +251,27 @@ func DecodeForwardPrepared(buf []byte) (id uint64, flags byte, epoch uint64, stm
 // returned item slice under the same loan contract as
 // DecodeBatchPreparedInto.
 func DecodeForwardPreparedInto(buf []byte, stmts []PreparedFwdStmt, items []value.Item) (id uint64, flags byte, epoch uint64, outStmts []PreparedFwdStmt, outItems []value.Item, err error) {
-	id, flags, epoch, outStmts, outItems, rest, err := decodeForwardPreparedTail(buf, stmts, items)
-	if err == nil && len(rest) != 0 {
-		return 0, 0, 0, nil, nil, fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, len(rest))
+	// A statement is at least 13 bytes: empty origin, seq, stmt, fixed
+	// 8-byte hash, text flag, zero-arg count.
+	id, flags, epoch, count, buf, err := decodeForwardHead(buf, 13)
+	if err != nil {
+		return 0, 0, 0, nil, nil, err
 	}
-	return id, flags, epoch, outStmts, outItems, err
-}
-
-// decodeForwardPreparedTail decodes the forward-prepared fields —
-// including the FwdEpoch suffix when flagged — and returns the
-// unconsumed tail (see decodeExecPreparedTail).
-func decodeForwardPreparedTail(buf []byte, stmts []PreparedFwdStmt, items []value.Item) (id uint64, flags byte, epoch uint64, outStmts []PreparedFwdStmt, outItems []value.Item, rest []byte, err error) {
-	id, n := binary.Uvarint(buf)
-	if n <= 0 || len(buf[n:]) < 1 {
-		return 0, 0, 0, nil, nil, nil, fmt.Errorf("%w: bad forward-prepared id", ErrCorrupt)
-	}
-	flags = buf[n]
-	buf = buf[n+1:]
-	count, n := binary.Uvarint(buf)
-	// A statement is at least 13 bytes (empty origin, seq, stmt, fixed
-	// 8-byte hash, text flag, zero-arg count); the guard bounds hostile
-	// counts as in DecodeForwardE.
-	if n <= 0 || count > uint64(len(buf))/13+1 {
-		return 0, 0, 0, nil, nil, nil, fmt.Errorf("%w: bad forward-prepared count", ErrCorrupt)
-	}
-	buf = buf[n:]
 	stmts, items = stmts[:0], items[:0]
 	for i := uint64(0); i < count; i++ {
 		var st PreparedFwdStmt
 		if st.Origin, buf, err = value.DecodeString(buf); err != nil {
-			return 0, 0, 0, nil, nil, nil, fmt.Errorf("%w: bad forward-prepared origin", ErrCorrupt)
+			return 0, 0, 0, nil, nil, fmt.Errorf("%w: bad forward-prepared origin", ErrCorrupt)
 		}
 		seq, n := binary.Varint(buf)
 		if n <= 0 {
-			return 0, 0, 0, nil, nil, nil, fmt.Errorf("%w: bad forward-prepared seq", ErrCorrupt)
+			return 0, 0, 0, nil, nil, fmt.Errorf("%w: bad forward-prepared seq", ErrCorrupt)
 		}
 		st.Seq = int(seq)
 		buf = buf[n:]
 		st.Stmt, n = binary.Uvarint(buf)
 		if n <= 0 || len(buf[n:]) < 9 {
-			return 0, 0, 0, nil, nil, nil, fmt.Errorf("%w: bad forward-prepared stmt", ErrCorrupt)
+			return 0, 0, 0, nil, nil, fmt.Errorf("%w: bad forward-prepared stmt", ErrCorrupt)
 		}
 		buf = buf[n:]
 		st.Hash = binary.LittleEndian.Uint64(buf)
@@ -343,28 +281,23 @@ func decodeForwardPreparedTail(buf []byte, stmts []PreparedFwdStmt, items []valu
 		case 1:
 			st.HasText = true
 			if st.Text, buf, err = value.DecodeString(buf[9:]); err != nil {
-				return 0, 0, 0, nil, nil, nil, fmt.Errorf("%w: bad forward-prepared text", ErrCorrupt)
+				return 0, 0, 0, nil, nil, fmt.Errorf("%w: bad forward-prepared text", ErrCorrupt)
 			}
 		default:
-			return 0, 0, 0, nil, nil, nil, fmt.Errorf("%w: bad forward-prepared text flag", ErrCorrupt)
+			return 0, 0, 0, nil, nil, fmt.Errorf("%w: bad forward-prepared text flag", ErrCorrupt)
 		}
 		st.argStart = len(items)
 		if items, buf, err = decodeItemsInto(buf, items); err != nil {
-			return 0, 0, 0, nil, nil, nil, err
+			return 0, 0, 0, nil, nil, err
 		}
 		st.argEnd = len(items)
 		stmts = append(stmts, st)
 	}
-	if flags&FwdEpoch != 0 {
-		var n int
-		epoch, n = binary.Uvarint(buf)
-		if n <= 0 {
-			return 0, 0, 0, nil, nil, nil, fmt.Errorf("%w: bad forward-prepared epoch", ErrCorrupt)
-		}
-		buf = buf[n:]
+	if len(buf) != 0 {
+		return 0, 0, 0, nil, nil, errTrailing(buf)
 	}
 	for i := range stmts {
 		stmts[i].Args = items[stmts[i].argStart:stmts[i].argEnd]
 	}
-	return id, flags, epoch, stmts, items, buf, nil
+	return id, flags, epoch, stmts, items, nil
 }

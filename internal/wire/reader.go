@@ -45,7 +45,7 @@ func NewReader(r io.Reader) *Reader {
 }
 
 // Next reads one framed message. io.EOF means the peer closed cleanly
-// between frames; a close mid-frame surfaces as ErrCorrupt. The returned
+// between frames; a close mid-frame surfaces as ErrTruncated. The returned
 // payload is valid only until the next call to Next.
 func (rd *Reader) Next() (typ byte, payload []byte, err error) {
 	hdr := rd.hdr[:]
@@ -57,7 +57,7 @@ func (rd *Reader) Next() (typ byte, payload []byte, err error) {
 	}
 	if _, err := io.ReadFull(rd.r, hdr[1:]); err != nil {
 		if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-			return 0, nil, fmt.Errorf("%w: truncated frame", ErrCorrupt)
+			return 0, nil, ErrTruncated
 		}
 		return 0, nil, fmt.Errorf("wire: read: %w", err)
 	}
@@ -95,14 +95,14 @@ func (rd *Reader) Next() (typ byte, payload []byte, err error) {
 		rd.body = rd.body[:len(rd.body)+got]
 		if err != nil {
 			if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-				return 0, nil, fmt.Errorf("%w: truncated frame", ErrCorrupt)
+				return 0, nil, ErrTruncated
 			}
 			return 0, nil, fmt.Errorf("wire: read: %w", err)
 		}
 	}
 	payload = rd.body[:length]
 	sum := binary.LittleEndian.Uint32(rd.body[length:])
-	if frameCRC(typ, payload) != sum {
+	if FrameCRC(typ, payload) != sum {
 		return 0, nil, fmt.Errorf("%w: checksum mismatch", ErrCorrupt)
 	}
 	return typ, payload, nil

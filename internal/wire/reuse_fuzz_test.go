@@ -58,7 +58,7 @@ func FuzzReadFrameReuse(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		naiveSrc := bytes.NewReader(data)
 		nTyps, nPayloads, nErr := decodeAll(func() (byte, []byte, error) {
-			return ReadFrame(naiveSrc)
+			return ReadFrame(naiveSrc, MaxFrameLen)
 		})
 		rd := NewReader(bytes.NewReader(data))
 		rTyps, rPayloads, rErr := decodeAll(rd.Next)

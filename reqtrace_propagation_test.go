@@ -53,7 +53,7 @@ func bootTracedCluster(t *testing.T, n int) ([]string, []*funcdb.ClusterNode) {
 // not own the relation) → owning primary → mirror apply — and asserts
 // a single trace id stitches fragments from every hop, collected from
 // both trace surfaces the library offers: the ClusterNode.Traces API
-// and the wire Traces frame.
+// and the wire Introspect frame.
 func TestTracePropagationThreeNodes(t *testing.T) {
 	addrs, nodes := bootTracedCluster(t, 3)
 
@@ -165,7 +165,7 @@ func TestTracePropagationThreeNodes(t *testing.T) {
 		}
 	}
 
-	// Second surface: the wire Traces frame must serve the gateway's
+	// Second surface: the wire Introspect frame must serve the gateway's
 	// fragment of the same trace.
 	remote, err := cl.Traces()
 	if err != nil {
