@@ -561,15 +561,15 @@ func (a *Archive) SubscribeTxns(after int64, fn TailFunc) (cancel func(), err er
 // leaves the previous snapshot + log pair authoritative.
 func (a *Archive) writeSnapshot(db *database.Database) error {
 	seq := db.Version()
-	payload, err := database.AppendSnapshot(nil, db)
+	buf := appendRecord(nil, recHeader, headerPayload(recSnapshot, seq))
+	start := len(buf)
+	buf, err := database.AppendSnapshot(openRecord(buf, recSnapshot), db)
 	if err != nil {
 		return err
 	}
-	if err := checkRecordLen(payload); err != nil {
+	if buf, _, err = sealRecord(buf, start); err != nil {
 		return err
 	}
-	buf := appendRecord(nil, recHeader, headerPayload(recSnapshot, seq))
-	buf = appendRecord(buf, recSnapshot, payload)
 
 	path := filepath.Join(a.dir, snapName(seq))
 	tmp := path + ".tmp"

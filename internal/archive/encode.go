@@ -7,7 +7,6 @@ import (
 	"funcdb/internal/core"
 	"funcdb/internal/relation"
 	"funcdb/internal/value"
-	"funcdb/internal/wire"
 )
 
 // Transaction record codec. A recTxn payload is:
@@ -121,21 +120,14 @@ func appendTxn(dst []byte, seq int64, tx core.Transaction) ([]byte, error) {
 }
 
 // appendTxnFrame appends tx's framed recTxn record to dst, encoding the
-// payload in place — the length field is patched once it is known — so a
-// log append builds no intermediate slice. It returns the extended buffer
-// and the payload's bytes within it; on error dst comes back unextended.
+// payload in place (openRecord, sealRecord), so a log append builds no
+// intermediate slice. It returns the extended buffer and the payload's
+// bytes within it; on error dst comes back unextended.
 func appendTxnFrame(dst []byte, seq int64, tx core.Transaction) (out, payload []byte, err error) {
-	start := len(dst)
-	out = append(dst, recTxn, 0, 0, 0, 0)
-	if out, err = appendTxn(out, seq, tx); err != nil {
+	if out, err = appendTxn(openRecord(dst, recTxn), seq, tx); err != nil {
 		return dst, nil, err
 	}
-	if err := checkRecordLen(out[start+frameHeader:]); err != nil {
-		return dst, nil, err
-	}
-	binary.LittleEndian.PutUint32(out[start+1:], uint32(len(out)-start-frameHeader))
-	out = binary.LittleEndian.AppendUint32(out, wire.FrameCRC(recTxn, out[start+frameHeader:]))
-	return out, out[start+frameHeader : len(out)-4], nil
+	return sealRecord(out, len(dst))
 }
 
 // decode decodes one transaction payload as a log entry.

@@ -84,6 +84,26 @@ func appendRecord(dst []byte, typ byte, payload []byte) []byte {
 	return binary.LittleEndian.AppendUint32(dst, wire.FrameCRC(typ, payload))
 }
 
+// openRecord appends the header of a record whose payload the caller then
+// encodes straight into the buffer, and sealRecord finishes it: framing in
+// place builds no payload slice to copy into the record.
+func openRecord(dst []byte, typ byte) []byte { return append(dst, typ, 0, 0, 0, 0) }
+
+// sealRecord finishes the record openRecord began at offset start of buf,
+// its payload encoded behind the header: it bounds the payload with
+// checkRecordLen, fills in the length field and appends the CRC. It returns
+// the extended buffer and the payload's bytes within it; on error the
+// buffer comes back cut to start.
+func sealRecord(buf []byte, start int) (out, payload []byte, err error) {
+	payload = buf[start+frameHeader:]
+	if err := checkRecordLen(payload); err != nil {
+		return buf[:start], nil, err
+	}
+	binary.LittleEndian.PutUint32(buf[start+1:], uint32(len(payload)))
+	out = binary.LittleEndian.AppendUint32(buf, wire.FrameCRC(buf[start], payload))
+	return out, out[start+frameHeader : len(out)-4], nil
+}
+
 // record is one decoded frame.
 type record struct {
 	typ     byte

@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"funcdb/internal/relation"
+	"funcdb/internal/trace"
 	"funcdb/internal/value"
 )
 
@@ -19,7 +20,9 @@ import (
 // Relations are encoded in sorted name order so equal versions have equal
 // encodings.
 
-// AppendSnapshot appends the wire form of db to dst.
+// AppendSnapshot appends the wire form of db to dst. Each relation's tuple
+// block is encoded straight into dst by a key-order walk, then shifted right
+// by the length prefix it needs: no slice of tuples, no buffer per block.
 func AppendSnapshot(dst []byte, db *Database) ([]byte, error) {
 	dst = binary.AppendVarint(dst, db.Version())
 	names := db.RelationNames()
@@ -31,12 +34,22 @@ func AppendSnapshot(dst []byte, db *Database) ([]byte, error) {
 		}
 		dst = value.AppendString(dst, name)
 		dst = append(dst, byte(rel.Rep()))
-		enc, err := value.EncodeTuples(rel.Tuples())
+		start := len(dst)
+		dst = binary.AppendUvarint(dst, uint64(rel.Len()))
+		var err error
+		rel.Range(nil, value.MinKey(), value.MaxKey(), trace.None, func(tu value.Tuple) {
+			if err == nil {
+				dst, err = value.AppendTuple(dst, tu)
+			}
+		})
 		if err != nil {
 			return dst, fmt.Errorf("database: snapshot of %q: %w", name, err)
 		}
-		dst = binary.AppendUvarint(dst, uint64(len(enc)))
-		dst = append(dst, enc...)
+		var prefix [binary.MaxVarintLen64]byte
+		p := binary.PutUvarint(prefix[:], uint64(len(dst)-start))
+		dst = append(dst, prefix[:p]...)
+		copy(dst[start+p:], dst[start:len(dst)-p])
+		copy(dst[start:], prefix[:p])
 	}
 	return dst, nil
 }

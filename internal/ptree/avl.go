@@ -15,6 +15,12 @@
 //     what a cluster holds its relations in. A page is one allocation and
 //     a version is its root page.
 //
+// A version that exists whole — initial data, a decoded snapshot — is not
+// built by updating: each structure's FromTuples lays the key-sorted tuples
+// out bottom-up in one O(n) pass, allocating only the nodes it keeps. Input
+// in strictly ascending key order is taken as is; any other is sorted first
+// and, of tuples with equal keys, the last is kept (value.SortedByKey).
+//
 // All updates are by path copying: the nodes/pages on the search path are
 // re-created, everything else is shared with the previous version. Unlike
 // the linked list, a tree node's constructor depends on its new children's
@@ -48,14 +54,23 @@ type AVL struct {
 	size int
 }
 
-// AVLFromTuples builds a tree untraced from initial data; equal keys
-// replace.
+// AVLFromTuples builds a tree untraced from initial data, in any order;
+// equal keys replace (the last one wins). The build is one pass over the
+// key-sorted tuples (value.SortedByKey, which costs nothing on sorted
+// input): each subtree's root is its middle tuple, so the tree is as low as
+// n nodes allow and no node is built that is not kept.
 func AVLFromTuples(tuples []value.Tuple) AVL {
-	t := AVL{}
-	for _, tu := range tuples {
-		t, _ = t.Insert(nil, tu, trace.None)
+	tuples = value.SortedByKey(tuples)
+	return AVL{root: avlBuild(tuples), size: len(tuples)}
+}
+
+func avlBuild(tuples []value.Tuple) *avlNode {
+	if len(tuples) == 0 {
+		return nil
 	}
-	return t
+	mid := len(tuples) / 2
+	l, r := avlBuild(tuples[:mid]), avlBuild(tuples[mid+1:])
+	return &avlNode{tuple: tuples[mid], left: l, right: r, height: max(height(l), height(r)) + 1}
 }
 
 // Len returns the number of tuples.

@@ -138,24 +138,17 @@ func NewPaged(pageCap int) Paged {
 	return Paged{root: newLeaf(pageCap, 0)}
 }
 
-// PagedFromTuples bulk-builds a paged tree untraced from initial data.
-// Input in strictly ascending key order — what a snapshot, a rejoin and
-// database.FromData hand over — fills pages left to right and the
-// directories bottom-up: O(n), every page but the last of each level full,
-// nothing built that is not kept. Any other input is inserted tuple by
-// tuple (equal keys replace).
+// PagedFromTuples bulk-builds a paged tree untraced from initial data, in
+// any order; equal keys replace (the last one wins). The key-sorted tuples
+// (value.SortedByKey, which costs nothing on input already in strictly
+// ascending order — what a snapshot, a rejoin and database.FromData hand
+// over) fill pages left to right and the directories bottom-up: O(n), every
+// page but the last of each level full, nothing built that is not kept.
 func PagedFromTuples(pageCap int, tuples []value.Tuple) Paged {
 	t := NewPaged(pageCap)
+	tuples = value.SortedByKey(tuples)
 	if len(tuples) == 0 {
 		return t
-	}
-	for i := 1; i < len(tuples); i++ {
-		if tuples[i-1].Key().Compare(tuples[i].Key()) >= 0 {
-			for _, tu := range tuples {
-				t, _ = t.Insert(nil, tu, trace.None)
-			}
-			return t
-		}
 	}
 	pageCap = t.PageCap()
 	// level holds one tree level left to right, mins each page's least key

@@ -222,9 +222,10 @@ func TestPagedAscendingLoadFillsPages(t *testing.T) {
 	}
 }
 
-// TestPagedBulkLoad: sorted input is laid out bottom-up in full pages with
-// exactly the tree's pages allocated; anything else goes through Insert
-// and means the same.
+// TestPagedBulkLoad: sorted input is laid out bottom-up in full pages at
+// every capacity. (Unsorted input and duplicate keys, and the allocation
+// bound, are checked for every representation in internal/relation:
+// FuzzFromTuples, TestFromTuplesAllocGate.)
 func TestPagedBulkLoad(t *testing.T) {
 	for _, pageCap := range pagedCaps {
 		for _, n := range []int{0, 1, pageCap, pageCap + 1, pageCap*pageCap + 1, 2000} {
@@ -249,34 +250,7 @@ func TestPagedBulkLoad(t *testing.T) {
 					t.Fatalf("cap %d n %d: key %d lost", pageCap, n, i*3)
 				}
 			}
-
-			// The same tuples shuffled, one of them twice: the later wins.
-			shuffled := append([]value.Tuple(nil), sorted...)
-			rand.New(rand.NewSource(int64(n))).Shuffle(n, func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
-			if n > 0 {
-				shuffled = append(shuffled, value.NewTuple(value.Int(0), value.Str("again")))
-			}
-			tr2 := PagedFromTuples(pageCap, shuffled)
-			if err := tr2.checkInvariants(); err != nil {
-				t.Fatalf("cap %d n %d shuffled: %v", pageCap, n, err)
-			}
-			if tr2.Len() != n {
-				t.Fatalf("cap %d n %d shuffled: Len %d", pageCap, n, tr2.Len())
-			}
-			if n > 0 {
-				if tu, _, _ := tr2.Find(nil, value.Int(0), trace.None); tu.Field(1).AsString() != "again" {
-					t.Errorf("cap %d n %d: duplicate key kept %v", pageCap, n, tu)
-				}
-			}
 		}
-	}
-	sorted := make([]value.Tuple, 2000)
-	for i := range sorted {
-		sorted[i] = tup(int64(i))
-	}
-	pages := PagedFromTuples(0, sorted).PageCount()
-	if allocs := testing.AllocsPerRun(20, func() { PagedFromTuples(0, sorted) }); allocs > 2*float64(pages) {
-		t.Errorf("bulk load of %d pages = %.0f allocs: it builds pages it does not keep", pages, allocs)
 	}
 }
 

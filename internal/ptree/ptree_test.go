@@ -1,6 +1,8 @@
 package ptree
 
 import (
+	"fmt"
+	"math/bits"
 	"math/rand"
 	"sort"
 	"testing"
@@ -218,6 +220,70 @@ func TestAVLRange(t *testing.T) {
 }
 
 // --- 2-3 tree ---
+
+func countNodes(n *t23) int {
+	if n == nil {
+		return 0
+	}
+	c := 1
+	for _, k := range n.kids {
+		c += countNodes(k)
+	}
+	return c
+}
+
+// checkTree23 is checkInvariants plus the node count the tree carries,
+// which no update may get from a walk.
+func checkTree23(tr Tree23) error {
+	if err := tr.checkInvariants(); err != nil {
+		return err
+	}
+	if n := countNodes(tr.root); n != tr.nodes {
+		return fmt.Errorf("ptree: tree carries %d nodes, a walk counts %d", tr.nodes, n)
+	}
+	return nil
+}
+
+// TestTree23CarriedNodeCount: over random inserts and deletes, the node
+// count a tree carries equals a full recount after every step, and the
+// sharing an update reports is what a recount gives: the new tree's nodes
+// less the ones the update built (clamped at zero for a delete, whose holes
+// and pre-repair copies are built but not kept).
+func TestTree23CarriedNodeCount(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		tr := Tree23FromTuples(nil)
+		if seed%2 == 0 {
+			var initial []value.Tuple
+			for i := r.Intn(200); i > 0; i-- {
+				initial = append(initial, tup(int64(r.Intn(300))))
+			}
+			tr = Tree23FromTuples(initial)
+		}
+		for step := 0; step < 400; step++ {
+			stats := &eval.Stats{}
+			ctx := &eval.Ctx{Stats: stats}
+			k := int64(r.Intn(300))
+			var want int64
+			if r.Intn(2) == 0 {
+				tr, _ = tr.Insert(ctx, tup(k), trace.None)
+				want = int64(countNodes(tr.root)) - stats.Created.Load()
+			} else {
+				var found bool
+				tr, found, _ = tr.Delete(ctx, value.Int(k), trace.None)
+				if found && tr.root != nil {
+					want = max(0, int64(countNodes(tr.root))-stats.Created.Load())
+				}
+			}
+			if err := checkTree23(tr); err != nil {
+				t.Fatalf("seed %d step %d: %v", seed, step, err)
+			}
+			if got := stats.Shared.Load(); got != want {
+				t.Fatalf("seed %d step %d: update reported %d nodes shared, a recount gives %d", seed, step, got, want)
+			}
+		}
+	}
+}
 
 func TestTree23Basics(t *testing.T) {
 	var tr Tree23
@@ -506,6 +572,58 @@ func TestPagedPersistence(t *testing.T) {
 	}
 }
 
+// --- bulk construction ---
+
+// bulkSizes are the sizes the builders are checked at: every size up to
+// 300, then each side of the sizes where a balanced binary tree or a 2-3
+// tree needs one level more.
+func bulkSizes() []int {
+	var ns []int
+	for n := 0; n <= 300; n++ {
+		ns = append(ns, n)
+	}
+	for p := 512; p <= 1<<13; p *= 2 {
+		ns = append(ns, p-1, p)
+	}
+	for p := 729; p <= 6561; p *= 3 {
+		ns = append(ns, p-1, p)
+	}
+	return ns
+}
+
+// TestFromTuplesShapes: a bulk-built AVL tree is a valid AVL tree with
+// exact heights and the least height n nodes allow; a bulk-built 2-3 tree
+// has every leaf at the least height h whose 3^h − 1 tuples hold n, and
+// carries its node count. Both hold the tuples in order.
+func TestFromTuplesShapes(t *testing.T) {
+	for _, n := range bulkSizes() {
+		sorted := make([]value.Tuple, n)
+		want := map[int64]bool{}
+		for i := range sorted {
+			sorted[i] = tup(int64(i))
+			want[int64(i)] = true
+		}
+		avl := AVLFromTuples(sorted)
+		if err := avl.checkInvariants(); err != nil {
+			t.Fatalf("avl n=%d: %v", n, err)
+		}
+		if avl.Len() != n || avl.Height() != bits.Len(uint(n)) || !sortedEqual(keys(avl.Tuples()), want) {
+			t.Fatalf("avl n=%d: Len %d, height %d (want %d)", n, avl.Len(), avl.Height(), bits.Len(uint(n)))
+		}
+		h, most := 0, 0
+		for most < n {
+			h, most = h+1, 3*most+2
+		}
+		t23 := Tree23FromTuples(sorted)
+		if err := checkTree23(t23); err != nil {
+			t.Fatalf("2-3 n=%d: %v", n, err)
+		}
+		if t23.Len() != n || t23.Height() != h || !sortedEqual(keys(t23.Tuples()), want) {
+			t.Fatalf("2-3 n=%d: Len %d, height %d (want %d)", n, t23.Len(), t23.Height(), h)
+		}
+	}
+}
+
 // --- model-based property tests over all three trees ---
 
 type treeOps struct {
@@ -539,7 +657,7 @@ func allTreeOps() []treeOps {
 				nt, found, _ := t.(Tree23).Delete(nil, k, trace.None)
 				return nt, found
 			},
-			check: func(t tree) error { return t.(Tree23).checkInvariants() },
+			check: func(t tree) error { return checkTree23(t.(Tree23)) },
 		},
 		{
 			name: "paged",

@@ -26,17 +26,60 @@ func (n *t23) terminal() bool { return n.kids[0] == nil }
 // having been transcribed to FEL. The zero Tree23 is empty and ready to
 // use.
 type Tree23 struct {
-	root *t23
-	size int
+	root  *t23
+	size  int
+	nodes int // nodes in the tree: kept by every update, never walked
 }
 
-// Tree23FromTuples builds a tree untraced from initial data.
+// Tree23FromTuples builds a tree untraced from initial data, in any order;
+// equal keys replace (the last one wins). The build is one pass over the
+// key-sorted tuples (value.SortedByKey, which costs nothing on sorted
+// input): the tree is given the least height h whose 3^h − 1 tuples hold
+// them all, and every subtree's tuples are split evenly among two or three
+// children, which keeps every leaf at depth h and every node a 2- or 3-node.
 func Tree23FromTuples(tuples []value.Tuple) Tree23 {
-	t := Tree23{}
-	for _, tu := range tuples {
-		t, _ = t.Insert(nil, tu, trace.None)
+	tuples = value.SortedByKey(tuples)
+	if len(tuples) == 0 {
+		return Tree23{}
 	}
+	most := 2 // 3^h − 1: the tuples a tree of height h holds at most
+	for most < len(tuples) {
+		most = 3*most + 2
+	}
+	t := Tree23{size: len(tuples)}
+	t.root = t.build(tuples, most)
 	return t
+}
+
+// build lays tuples out as a subtree holding at most most tuples. They
+// number at least 2^h − 1 for its height h, so every child gets one.
+func (t *Tree23) build(tuples []value.Tuple, most int) *t23 {
+	t.nodes++
+	n := &t23{}
+	if most == 2 {
+		n.ntup = int8(copy(n.tuples[:], tuples))
+		return n
+	}
+	sub := (most - 2) / 3
+	kids := 2
+	if len(tuples)-1 > 2*sub {
+		kids = 3
+	}
+	n.ntup = int8(kids - 1)
+	below := len(tuples) - (kids - 1)
+	for i, lo := 0, 0; i < kids; i++ {
+		size := below / kids
+		if i < below%kids {
+			size++
+		}
+		n.kids[i] = t.build(tuples[lo:lo+size], sub)
+		lo += size
+		if i < kids-1 {
+			n.tuples[i] = tuples[lo]
+			lo++
+		}
+	}
+	return n
 }
 
 // Len returns the number of tuples.
@@ -62,16 +105,30 @@ func (t Tree23) Height() int {
 	return h
 }
 
-// t23op threads tracing state through one operation.
+// t23op threads tracing state through one operation. created counts every
+// node it builds, dropped every node that is not in the tree it returns:
+// each node on the path it copies, each sibling a repair merges or borrows
+// from, and each transient node (a hole, a copy made only to be repaired).
 type t23op struct {
 	ctx     *eval.Ctx
 	step    trace.TaskID
 	created int64
+	dropped int64
 }
 
+// visit notes a node on the path: an update that goes on to succeed
+// replaces it with a copy.
 func (o *t23op) visit(n *t23) {
 	o.step = o.ctx.Task(trace.KindVisit, o.step, n.task)
 	o.ctx.VisitedN(1)
+	o.dropped++
+}
+
+// result returns the tree an update made of t, its node count carried over
+// rather than recounted: t's nodes, plus what the update built, minus what
+// it left behind.
+func (o *t23op) result(t Tree23, root *t23, size int) Tree23 {
+	return Tree23{root: root, size: size, nodes: t.nodes + int(o.created-o.dropped)}
 }
 
 func (o *t23op) mk2(tu value.Tuple, l, r *t23) *t23 {
@@ -135,7 +192,7 @@ func (t Tree23) Insert(ctx *eval.Ctx, tu value.Tuple, after trace.TaskID) (Tree2
 	if t.root == nil {
 		root := op.mk2(tu, nil, nil)
 		ctx.SharedN(0)
-		return Tree23{root: root, size: 1}, trace.Op{Ready: root.task, Done: op.step}
+		return op.result(t, root, 1), trace.Op{Ready: root.task, Done: op.step}
 	}
 	node, up, replaced := op.insert(t.root, tu)
 	if up != nil {
@@ -145,8 +202,9 @@ func (t Tree23) Insert(ctx *eval.Ctx, tu value.Tuple, after trace.TaskID) (Tree2
 	if replaced {
 		size = t.size
 	}
-	ctx.SharedN(int64(countNodes(node)) - op.created)
-	return Tree23{root: node, size: size}, trace.Op{Ready: node.task, Done: op.step}
+	res := op.result(t, node, size)
+	ctx.SharedN(int64(res.nodes) - op.created)
+	return res, trace.Op{Ready: node.task, Done: op.step}
 }
 
 // insert returns either a rebuilt node (kick == nil) or a split.
@@ -252,16 +310,16 @@ func (t Tree23) Delete(ctx *eval.Ctx, key value.Item, after trace.TaskID) (Tree2
 		// nothing) becomes the root.
 		node = node.kids[0]
 	}
-	size := t.size - 1
+	res := op.result(t, node, t.size-1)
 	if node != nil {
 		// Holes and pre-fix copies are transient values not present in the
 		// final tree, so the sharing estimate is clamped at zero.
-		if shared := int64(countNodes(node)) - op.created; shared > 0 {
+		if shared := int64(res.nodes) - op.created; shared > 0 {
 			ctx.SharedN(shared)
 		}
-		return Tree23{root: node, size: size}, true, trace.Op{Ready: node.task, Done: op.step}
+		return res, true, trace.Op{Ready: node.task, Done: op.step}
 	}
-	return Tree23{size: 0}, true, trace.Op{Ready: op.step, Done: op.step}
+	return res, true, trace.Op{Ready: op.step, Done: op.step}
 }
 
 // delete removes key from the subtree at n. The returned node is the
@@ -315,6 +373,7 @@ func (o *t23op) delete(n *t23, key value.Item) (node *t23, shrunk, found bool) {
 
 // hole builds the pseudo-node representing an underflowed subtree.
 func (o *t23op) hole(child *t23) *t23 {
+	o.dropped++
 	return o.build(&t23{ntup: 0, kids: [3]*t23{child, nil, nil}})
 }
 
@@ -323,6 +382,7 @@ func (o *t23op) hole(child *t23) *t23 {
 func (o *t23op) replaceTuple(n *t23, i int8, tu value.Tuple) *t23 {
 	cp := *n
 	cp.tuples[i] = tu
+	o.dropped++
 	return o.build(&cp)
 }
 
@@ -353,8 +413,10 @@ func (o *t23op) fix(n *t23, i int8, child *t23, shrunk bool) *t23 {
 		}
 		return o.mk3(n.tuples[0], n.tuples[1], kids[0], kids[1], kids[2])
 	}
-	// child is a hole: its single subtree is child.kids[0].
+	// child is a hole: its single subtree is child.kids[0]. Every repair
+	// below rebuilds exactly one sibling of it into new nodes.
 	h := child.kids[0]
+	o.dropped++
 	if n.ntup == 1 {
 		// Parent is a 2-node with sibling s.
 		if i == 0 {
@@ -469,17 +531,6 @@ func (t Tree23) Tuples() []value.Tuple {
 	}
 	walk(t.root)
 	return out
-}
-
-func countNodes(n *t23) int {
-	if n == nil {
-		return 0
-	}
-	c := 1
-	for _, k := range n.kids {
-		c += countNodes(k)
-	}
-	return c
 }
 
 // checkInvariants verifies 2-3 shape: uniform leaf depth and 1-2 tuples

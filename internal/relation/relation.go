@@ -85,7 +85,12 @@ func New(rep Rep) Relation {
 }
 
 // FromTuples builds a relation of the given representation from
-// pre-existing tuples (untraced, as initial data).
+// pre-existing tuples (untraced, as initial data). Tuples may come in any
+// order; of equal keys the last one wins, as if they had been inserted one
+// by one. Every representation is built in one O(n) pass with no path
+// copying: input already in strictly ascending key order (a snapshot, a
+// preload) is laid out as is, and any other is sorted once first
+// (value.SortedByKey).
 func FromTuples(rep Rep, tuples []value.Tuple) Relation {
 	switch rep {
 	case RepList:

@@ -13,6 +13,7 @@ package value
 import (
 	"fmt"
 	"hash/fnv"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -159,6 +160,35 @@ func (t Tuple) Key() Item {
 		return Item{}
 	}
 	return t.fields[0]
+}
+
+// SortedByKey returns tuples in strictly ascending key order, the form
+// every relation builder lays out in one linear pass. Input already in that
+// order — a snapshot, a preload — is returned as is, with no copy. Anything
+// else is stably sorted into a copy in which the last of each run of equal
+// keys stands for the run: a later tuple replaces an earlier one with the
+// same key, as an insert would.
+func SortedByKey(tuples []Tuple) []Tuple {
+	for i := 1; i < len(tuples); i++ {
+		if tuples[i-1].Key().Compare(tuples[i].Key()) >= 0 {
+			return lastPerKey(tuples)
+		}
+	}
+	return tuples
+}
+
+func lastPerKey(tuples []Tuple) []Tuple {
+	out := slices.Clone(tuples)
+	slices.SortStableFunc(out, func(a, b Tuple) int { return a.Key().Compare(b.Key()) })
+	kept := 0
+	for _, t := range out {
+		if kept > 0 && out[kept-1].Key().Compare(t.Key()) == 0 {
+			kept--
+		}
+		out[kept] = t
+		kept++
+	}
+	return out[:kept]
 }
 
 // Fields returns a copy of the tuple's fields.
