@@ -87,7 +87,7 @@ type arrived struct {
 	resp     funcdb.Response   // FrameResponse
 	resps    []funcdb.Response // FrameBatchResponse
 	errMsg   string            // FrameError
-	index    int               // FrameError: failing batch index, -1 otherwise
+	index    int               // FrameError: failing statement index, -1 if none
 	isErr    bool
 	batch    bool
 	redirect string // FrameRedirect: the owning node's address
@@ -347,24 +347,36 @@ func (c *Client) recv(id uint64) (arrived, error) {
 	}
 }
 
-// forward ships pre-tagged statements as one FrameForward and returns
-// the request id; the cluster client routes with it. Client Forward
-// frames claim no epoch. The reply is a FrameResponse (one statement),
-// FrameBatchResponse (several), FrameError, or — when this node does not
-// own the statements' relation — a FrameRedirect carrying the owner's
-// address.
-func (c *Client) forward(flags byte, stmts []wire.ForwardStmt, t *reqtrace.T) (uint64, error) {
-	return c.send(wire.FrameForward, t, func(dst []byte, id uint64) []byte {
-		return wire.AppendForward(dst, id, flags, 0, stmts)
+// request ships a statement list as one FrameRequest and returns the
+// request id: every execution path — text, prepared, cluster-routed —
+// sends through it. flags is 0 on a plain connection (the server's
+// session tags the statements); a cluster client sets FwdTagged, owning
+// the tag space, and claims no epoch. The reply is a FrameResponse (one
+// statement), FrameBatchResponse (any other count), FrameError, or — for
+// a tagged request to a node that does not own the statements' relation —
+// a FrameRedirect carrying the owner's address. Callers validate args
+// first (validArgs), so encoding cannot fail on them.
+func (c *Client) request(flags byte, stmts []wire.Stmt, t *reqtrace.T) (uint64, error) {
+	return c.send(wire.FrameRequest, t, func(dst []byte, id uint64) []byte {
+		dst, _ = wire.AppendRequest(dst, id, flags, 0, stmts)
+		return dst
 	})
+}
+
+// responses returns an n-statement request's answer: one statement is
+// answered by a FrameResponse, any other count by a FrameBatchResponse.
+// ok is false for a reply of the other shape.
+func (a arrived) responses(n int) (resps []funcdb.Response, ok bool) {
+	if a.batch {
+		return a.resps, len(a.resps) == n
+	}
+	return []funcdb.Response{a.resp}, n == 1
 }
 
 // ExecAsync submits one statement without waiting: pipelined execution.
 func (c *Client) ExecAsync(q string) (*Pending, error) {
 	t, sentNS := c.startTrace()
-	id, err := c.send(wire.FrameExec, t, func(dst []byte, id uint64) []byte {
-		return wire.AppendExec(dst, id, q)
-	})
+	id, err := c.request(0, []wire.Stmt{{Text: q, HasText: true}}, t)
 	if err != nil {
 		return nil, err
 	}
@@ -383,15 +395,21 @@ func (c *Client) Exec(q string) (funcdb.Response, error) {
 	return p.Force()
 }
 
-// ExecBatch ships the batch as one frame — one admission arbitration on
+// ExecBatch ships the batch as one request — one admission arbitration on
 // the server — and waits for every response. Translation is
 // all-or-nothing; a failure reports a *funcdb.BatchError with the failing
-// statement's index, like the in-process ExecBatch.
+// statement's index, like the in-process ExecBatch. An empty batch
+// returns an empty result without sending anything.
 func (c *Client) ExecBatch(queries []string) ([]funcdb.Response, error) {
+	if len(queries) == 0 {
+		return []funcdb.Response{}, nil
+	}
+	stmts := make([]wire.Stmt, len(queries))
+	for i, q := range queries {
+		stmts[i] = wire.Stmt{Text: q, HasText: true}
+	}
 	t, sentNS := c.startTrace()
-	id, err := c.send(wire.FrameBatch, t, func(dst []byte, id uint64) []byte {
-		return wire.AppendBatch(dst, id, queries)
-	})
+	id, err := c.request(0, stmts, t)
 	if err != nil {
 		return nil, err
 	}
@@ -406,10 +424,11 @@ func (c *Client) ExecBatch(queries []string) ([]funcdb.Response, error) {
 		}
 		return nil, errors.New(a.errMsg)
 	}
-	if !a.batch {
+	resps, ok := a.responses(len(queries))
+	if !ok {
 		return nil, fmt.Errorf("client: request %d is not a batch", id)
 	}
-	return a.resps, nil
+	return resps, nil
 }
 
 // Stats asks the server for its metrics snapshot: every layer's counters

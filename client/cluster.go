@@ -21,7 +21,7 @@ import (
 
 // ClusterClient executes statements against a cluster, routing each one
 // to the node that owns its relation. It owns the origin/sequence tag
-// space (statements ship pre-tagged Forward frames), so a workload run
+// space (statements ship in tagged Request frames), so a workload run
 // through it produces the same tagged response stream as the same
 // workload against one in-process store — the cluster equivalence the
 // harness checks. Safe for concurrent use; statements issued
@@ -33,7 +33,7 @@ type ClusterClient struct {
 
 	// Client-side tracing (WithClusterTracing): one recorder for the whole
 	// cluster client; sampled requests send their trace context ahead of
-	// their Forward frames so every node's spans share the trace id.
+	// their Request frames so every node's spans share the trace id.
 	traceCfg *funcdb.TracingConfig
 	rec      *reqtrace.Recorder
 
@@ -42,8 +42,15 @@ type ClusterClient struct {
 	conns     map[string]*Client
 	placement map[string]string // relation -> owning address, learned
 	epochs    map[string]uint64 // relation -> newest owner epoch seen (monotone)
+	confirmed map[stmtAt]bool   // prepared statements known registered at a node
 	cache     *query.StmtCache
 	closed    bool
+}
+
+// stmtAt names a prepared statement (by its text hash) at one node.
+type stmtAt struct {
+	addr string
+	hash uint64
 }
 
 // ClusterOption configures DialCluster.
@@ -69,7 +76,7 @@ func WithFailoverRetry(budget time.Duration) ClusterOption {
 
 // WithClusterTracing records client-side span timelines (lazy dials,
 // request-sent → response-decoded) under one recorder and sends sampled
-// requests' trace context ahead of their Forward frames, so server-side
+// requests' trace context ahead of their Request frames, so server-side
 // spans across the whole cluster land under the same trace id.
 func WithClusterTracing(cfg funcdb.TracingConfig) ClusterOption {
 	return func(c *ClusterClient) { c.traceCfg = &cfg }
@@ -94,6 +101,7 @@ func DialCluster(addrs []string, opts ...ClusterOption) (*ClusterClient, error) 
 		conns:     make(map[string]*Client),
 		placement: make(map[string]string),
 		epochs:    make(map[string]uint64),
+		confirmed: make(map[stmtAt]bool),
 		cache:     query.NewStmtCache(0),
 	}
 	for _, opt := range opts {
@@ -190,19 +198,53 @@ func (c *ClusterClient) guess(rel string) (addr string, known bool) {
 	return c.addrs[core.LaneOf(rel, len(c.addrs))], false
 }
 
-// learn records where a relation's statements were actually served.
-func (c *ClusterClient) learn(rel, addr string) {
+// learn records what a successful reply proves: where the relation's
+// statements are served (unless the reply is a replica read, deliberately
+// served off-owner) and that the node now holds every prepared statement
+// whose text the request carried.
+func (c *ClusterClient) learn(rel, addr string, flags byte, stmts []wire.Stmt) {
 	c.mu.Lock()
-	c.placement[rel] = addr
-	c.mu.Unlock()
+	defer c.mu.Unlock()
+	if flags&wire.FwdReadLocal == 0 {
+		c.placement[rel] = addr
+	}
+	for _, st := range stmts {
+		if st.Hash != 0 && st.HasText {
+			c.confirmed[stmtAt{addr, st.Hash}] = true
+		}
+	}
 }
 
-// forget drops a relation's learned placement (its epoch knowledge is
-// kept — epochs are monotone and guard against stale redirects).
-func (c *ClusterClient) forget(rel string) {
+// forget drops what the client believed about where stmts run: the
+// relation's learned placement (its epoch knowledge is kept — epochs are
+// monotone and guard against stale redirects), when rel is not "", and
+// every addr's registration of the prepared statements among stmts, so
+// the next request there carries their text again.
+func (c *ClusterClient) forget(rel string, stmts []wire.Stmt, addrs ...string) {
 	c.mu.Lock()
-	delete(c.placement, rel)
-	c.mu.Unlock()
+	defer c.mu.Unlock()
+	if rel != "" {
+		delete(c.placement, rel)
+	}
+	for _, addr := range addrs {
+		for _, st := range stmts {
+			delete(c.confirmed, stmtAt{addr, st.Hash})
+		}
+	}
+}
+
+// withText decides, for one target address, which statements carry their
+// text: a plain text statement always does, a prepared one until addr is
+// known to hold it. It reports whether any statement rides hash-only.
+func (c *ClusterClient) withText(addr string, stmts []wire.Stmt) (hashOnly bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for i := range stmts {
+		st := &stmts[i]
+		st.HasText = st.Hash == 0 || !c.confirmed[stmtAt{addr, st.Hash}]
+		hashOnly = hashOnly || !st.HasText
+	}
+	return hashOnly
 }
 
 // noteEpoch folds a redirect's owner epoch into the client's knowledge,
@@ -237,21 +279,22 @@ func (c *ClusterClient) nextSeqs(n int) int {
 	return first
 }
 
-// sendRun ships a run of same-owner statements to addr as one Forward
-// frame and returns the replies plus the address that actually served
-// them. Without a failover-retry budget this is one sendRunOnce; with
-// one, failures that look like a promotion in flight — a dead
-// connection, an exhausted redirect chase, a fencing rejection — are
-// retried against re-resolved placement until the budget elapses.
-func (c *ClusterClient) sendRun(rel, addr string, flags byte, stmts []wire.ForwardStmt, learn bool, t *reqtrace.T) (arrived, string, error) {
-	a, served, err := c.sendRunOnce(rel, addr, flags, stmts, learn, t)
+// sendRun ships a run of same-owner statements to addr as one tagged
+// Request frame and returns the reply plus the address that actually
+// served it. Without a failover-retry budget this is one sendRunOnce; with
+// one, failures that look like a promotion in flight — a dead connection,
+// an exhausted redirect chase, a fencing rejection — are retried against
+// re-resolved placement until the budget elapses. Rotating away from an
+// address also forgets that it held the run's prepared statements, so the
+// retry re-registers them wherever it lands.
+func (c *ClusterClient) sendRun(rel, addr string, flags byte, stmts []wire.Stmt, t *reqtrace.T) (arrived, string, error) {
+	a, served, err := c.sendRunOnce(rel, addr, flags, stmts, t)
 	if c.retry <= 0 {
 		return a, served, err
 	}
 	deadline := time.Now().Add(c.retry)
 	for attempt := 1; ; attempt++ {
-		fenced := err == nil && fencedReply(a)
-		if err == nil && !fenced {
+		if err == nil && !fencedReply(a) {
 			return a, served, nil
 		}
 		c.mu.Lock()
@@ -263,10 +306,10 @@ func (c *ClusterClient) sendRun(rel, addr string, flags byte, stmts []wire.Forwa
 		// Forget what we knew about the relation and re-resolve through a
 		// rotating seed: a node that is alive answers or redirects us to
 		// the serving owner in its newest epoch.
-		c.forget(rel)
+		c.forget(rel, stmts, addr, served)
 		time.Sleep(failoverRetryPause)
-		next := c.addrs[(core.LaneOf(rel, len(c.addrs))+attempt)%len(c.addrs)]
-		a, served, err = c.sendRunOnce(rel, next, flags, stmts, learn, t)
+		addr = c.addrs[(core.LaneOf(rel, len(c.addrs))+attempt)%len(c.addrs)]
+		a, served, err = c.sendRunOnce(rel, addr, flags, stmts, t)
 	}
 }
 
@@ -294,14 +337,17 @@ func fencedReply(a arrived) bool {
 	return false
 }
 
-// sendRunOnce is one delivery attempt, carrying two separate one-shot
+// sendRunOnce is one delivery attempt, carrying three separate one-shot
 // budgets: one REDIAL per target address (a cached connection may have
 // died with the peer's restart — placement is not in question, so a
-// reconnect must not spend the redirect budget) and one REDIRECT chase
-// (the placement correction). learn=false suppresses placement learning
-// (replica reads are deliberately served off-owner).
-func (c *ClusterClient) sendRunOnce(rel, addr string, flags byte, stmts []wire.ForwardStmt, learn bool, t *reqtrace.T) (arrived, string, error) {
-	redialed, redirected := false, false
+// reconnect must not spend the redirect budget), one REDIRECT chase (the
+// placement correction), and one re-send with text when a request with
+// hash-only statements is refused as an unknown statement (the owner
+// evicted or never had it — nothing was admitted, so re-sending is safe).
+// Only a non-error reply is placement evidence: an Error frame, such as a
+// deposed primary's fencing rejection, teaches nothing.
+func (c *ClusterClient) sendRunOnce(rel, addr string, flags byte, stmts []wire.Stmt, t *reqtrace.T) (arrived, string, error) {
+	redialed, redirected, resent := false, false, false
 	for {
 		dialNS := time.Now().UnixNano()
 		cl, dialed, err := c.conn(addr)
@@ -312,7 +358,8 @@ func (c *ClusterClient) sendRunOnce(rel, addr string, flags byte, stmts []wire.F
 			// This request paid for the dial + handshake: attribute it.
 			t.SpanNS(reqtrace.StageClientDial, dialNS, time.Now().UnixNano()-dialNS)
 		}
-		id, err := cl.forward(flags, stmts, t)
+		hashOnly := c.withText(addr, stmts)
+		id, err := cl.request(flags|wire.FwdTagged, stmts, t)
 		if err != nil {
 			if !redialed {
 				c.dropConn(addr, cl)
@@ -325,9 +372,16 @@ func (c *ClusterClient) sendRunOnce(rel, addr string, flags byte, stmts []wire.F
 		if err != nil {
 			return arrived{}, "", err
 		}
+		if a.isErr && hashOnly && !resent && isUnknownStmtMsg(a.errMsg) {
+			// The owner dropped a statement since we confirmed it:
+			// re-send carrying the text so it re-registers.
+			c.forget("", stmts, addr)
+			resent = true
+			continue
+		}
 		if a.redirect == "" {
-			if learn {
-				c.learn(rel, addr)
+			if !a.isErr {
+				c.learn(rel, addr, flags, stmts)
 			}
 			return a, addr, nil
 		}
@@ -337,14 +391,45 @@ func (c *ClusterClient) sendRunOnce(rel, addr string, flags byte, stmts []wire.F
 		if redirected {
 			return arrived{}, "", fmt.Errorf("client: relation %q still not at %s after one redirect", rel, addr)
 		}
-		redirected, redialed = true, false
+		redirected, redialed, resent = true, false, false
 		addr = a.redirect
 	}
 }
 
+// execOne tags one statement, routes it, and waits for its response: to
+// the relation's owner, or — for a replica read (FwdReadLocal) — to the
+// FIRST dialed node, which serves the read itself (replica or primary); a
+// redirect only fires when it has no replica of the relation (replication
+// disabled), in which case the owner answers.
+func (c *ClusterClient) execOne(rel string, st wire.Stmt, flags byte) (funcdb.Response, error) {
+	st.Origin, st.Seq = c.origin, c.nextSeqs(1)
+	addr := c.addrs[0]
+	if flags&wire.FwdReadLocal == 0 {
+		addr, _ = c.guess(rel)
+	}
+	t, sentNS := c.startTrace()
+	a, _, err := c.sendRun(rel, addr, flags, []wire.Stmt{st}, t)
+	c.finishTrace(t, sentNS)
+	if err != nil {
+		return funcdb.Response{}, err
+	}
+	if a.isErr {
+		return funcdb.Response{}, errors.New(a.errMsg)
+	}
+	return a.resp, nil
+}
+
 // Exec routes one statement to its owner and waits for the response.
 func (c *ClusterClient) Exec(q string) (funcdb.Response, error) {
-	return c.exec(q, wire.FwdNoForward)
+	tx, err := c.translate(q)
+	if err != nil {
+		return funcdb.Response{}, err
+	}
+	resp, err := c.execOne(tx.Rel, wire.Stmt{Text: q}, wire.FwdNoForward)
+	if err == nil {
+		c.invalidateOnCreate(tx)
+	}
+	return resp, err
 }
 
 // ExecReplica serves a read-only statement from the FIRST dialed node —
@@ -362,53 +447,21 @@ func (c *ClusterClient) ExecReplica(q string) (funcdb.Response, error) {
 	if !tx.IsReadOnly() {
 		return funcdb.Response{}, fmt.Errorf("client: ExecReplica is read-only (%s writes)", tx.Kind)
 	}
-	seq := c.nextSeqs(1)
-	stmt := wire.ForwardStmt{Origin: c.origin, Seq: seq, Query: q}
-	t, sentNS := c.startTrace()
-	// The near node serves the read itself (replica or primary); redirect
-	// only fires when it has no replica of the relation (replication
-	// disabled), in which case the owner answers.
-	a, _, err := c.sendRun(tx.Rel, c.addrs[0], wire.FwdNoForward|wire.FwdReadLocal,
-		[]wire.ForwardStmt{stmt}, false, t)
-	c.finishTrace(t, sentNS)
-	if err != nil {
-		return funcdb.Response{}, err
-	}
-	if a.isErr {
-		return funcdb.Response{}, errors.New(a.errMsg)
-	}
-	return a.resp, nil
-}
-
-func (c *ClusterClient) exec(q string, flags byte) (funcdb.Response, error) {
-	tx, err := c.translate(q)
-	if err != nil {
-		return funcdb.Response{}, err
-	}
-	seq := c.nextSeqs(1)
-	stmt := wire.ForwardStmt{Origin: c.origin, Seq: seq, Query: q}
-	addr, _ := c.guess(tx.Rel)
-	t, sentNS := c.startTrace()
-	a, _, err := c.sendRun(tx.Rel, addr, flags, []wire.ForwardStmt{stmt}, true, t)
-	c.finishTrace(t, sentNS)
-	if err != nil {
-		return funcdb.Response{}, err
-	}
-	if a.isErr {
-		return funcdb.Response{}, errors.New(a.errMsg)
-	}
-	c.invalidateOnCreate(tx)
-	return a.resp, nil
+	return c.execOne(tx.Rel, wire.Stmt{Text: q}, wire.FwdNoForward|wire.FwdReadLocal)
 }
 
 // ExecBatch translates the whole batch (all-or-nothing: a failure
 // reports a *funcdb.BatchError with the failing statement's index and
 // nothing is sent), tags every statement in order, splits it into
-// consecutive same-owner runs, ships each run as one Forward frame, and
+// consecutive same-owner runs, ships each run as one Request frame, and
 // reassembles the responses in statement order. Statements for one
 // relation always travel in one connection's order, so per-relation
-// effects and responses match a single-store run exactly.
+// effects and responses match a single-store run exactly. An empty batch
+// returns an empty result without sending anything.
 func (c *ClusterClient) ExecBatch(queries []string) ([]funcdb.Response, error) {
+	if len(queries) == 0 {
+		return []funcdb.Response{}, nil
+	}
 	txs := make([]core.Transaction, len(queries))
 	for i, q := range queries {
 		tx, err := c.translate(q)
@@ -419,7 +472,7 @@ func (c *ClusterClient) ExecBatch(queries []string) ([]funcdb.Response, error) {
 	}
 	first := c.nextSeqs(len(queries))
 
-	// One trace covers the whole batch: every run's Forward frame is
+	// One trace covers the whole batch: every run's Request frame is
 	// stamped with the same context, so all owners' spans stitch under
 	// one id, and one client-send span brackets the full reassembly.
 	t, sentNS := c.startTrace()
@@ -429,7 +482,7 @@ func (c *ClusterClient) ExecBatch(queries []string) ([]funcdb.Response, error) {
 	for i := 0; i < len(queries); {
 		rel := txs[i].Rel
 		addr, known := c.guess(rel)
-		// A Forward frame must be single-owner. Statements group together
+		// A Request frame must be single-owner. Statements group together
 		// when their placements are both LEARNED to the same node, or when
 		// they name the same relation (same relation ⇒ same owner, so the
 		// run redirects as a unit even while placement is still a guess).
@@ -441,11 +494,11 @@ func (c *ClusterClient) ExecBatch(queries []string) ([]funcdb.Response, error) {
 			}
 			j++
 		}
-		stmts := make([]wire.ForwardStmt, j-i)
+		stmts := make([]wire.Stmt, j-i)
 		for k := i; k < j; k++ {
-			stmts[k-i] = wire.ForwardStmt{Origin: c.origin, Seq: first + k, Query: queries[k]}
+			stmts[k-i] = wire.Stmt{Origin: c.origin, Seq: first + k, Text: queries[k]}
 		}
-		a, _, err := c.sendRun(rel, addr, wire.FwdNoForward, stmts, true, t)
+		a, _, err := c.sendRun(rel, addr, wire.FwdNoForward, stmts, t)
 		if err != nil {
 			return nil, err
 		}
@@ -463,13 +516,11 @@ func (c *ClusterClient) ExecBatch(queries []string) ([]funcdb.Response, error) {
 			}
 			return nil, errors.New(a.errMsg)
 		}
-		if a.batch {
-			copy(out[i:j], a.resps)
-		} else if j-i == 1 {
-			out[i] = a.resp
-		} else {
+		resps, ok := a.responses(j - i)
+		if !ok {
 			return nil, fmt.Errorf("client: short reply for a %d-statement run", j-i)
 		}
+		copy(out[i:j], resps)
 		for k := i; k < j; k++ {
 			c.invalidateOnCreate(txs[k])
 		}

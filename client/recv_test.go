@@ -3,6 +3,8 @@ package client
 import (
 	"bufio"
 	"bytes"
+	"io"
+	"strings"
 	"testing"
 
 	"funcdb/internal/core"
@@ -23,7 +25,41 @@ func cannedClient(t *testing.T, n int) *Client {
 			t.Fatal(err)
 		}
 	}
-	return &Client{rd: wire.NewReader(bufio.NewReader(&stream)), got: make(map[uint64]arrived)}
+	return cannedConn(&stream)
+}
+
+// cannedConn is a Client whose connection replays stream's frames and
+// discards every request written to it: no server.
+func cannedConn(stream io.Reader) *Client {
+	return &Client{
+		rd:  wire.NewReader(bufio.NewReader(stream)),
+		bw:  bufio.NewWriter(io.Discard),
+		got: make(map[uint64]arrived),
+	}
+}
+
+// TestFencedReplyLearnsNoPlacement: an Error reply — here a deposed
+// primary's fencing rejection — is no evidence of where a relation is
+// served. Learning from it sent every later Exec straight back to the
+// deposed node and let ExecBatch group runs on it as the relation's known
+// owner.
+func TestFencedReplyLearnsNoPlacement(t *testing.T) {
+	var stream bytes.Buffer
+	fenced := wire.AppendErrorMsg(nil, 0, -1, "cluster: fenced: node 0 is not serving its slot (probation or demoted)")
+	if err := wire.WriteFrame(&stream, wire.FrameError, fenced); err != nil {
+		t.Fatal(err)
+	}
+	cc, err := DialCluster([]string{"deposed:1"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cc.conns["deposed:1"] = cannedConn(&stream)
+	if _, err := cc.Exec("count R"); err == nil || !strings.Contains(err.Error(), "cluster: fenced") {
+		t.Fatalf("Exec against a fenced node: %v, want the fencing error", err)
+	}
+	if addr, known := cc.guess("R"); known {
+		t.Fatalf("a fenced reply taught the placement R -> %s", addr)
+	}
 }
 
 // TestRecvInOrderAllocGate: the reply being awaited is returned as it is

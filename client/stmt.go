@@ -151,10 +151,7 @@ func (s *Stmt) ExecAsync(args ...funcdb.Item) (*StmtPending, error) {
 }
 
 func (s *Stmt) sendExec(stmtID uint64, args []funcdb.Item, t *reqtrace.T) (uint64, error) {
-	return s.c.send(wire.FrameExecPrepared, t, func(dst []byte, id uint64) []byte {
-		dst, _ = wire.AppendExecPrepared(dst, id, stmtID, args) // args pre-validated
-		return dst
-	})
+	return s.c.request(0, []wire.Stmt{{Stmt: stmtID, Args: args}}, t)
 }
 
 // Force blocks until the response arrives. A stale-statement refusal is
@@ -200,11 +197,12 @@ func (s *Stmt) Exec(args ...funcdb.Item) (funcdb.Response, error) {
 	return p.Force()
 }
 
-// ExecBatch ships every argument set as ONE FrameBatchPrepared — one
-// admission arbitration on the server, like ExecBatch — and waits for all
+// ExecBatch ships every argument set as ONE request — one admission
+// arbitration on the server, like ExecBatch — and waits for all
 // responses. Binding is all-or-nothing on the server, so a stale
-// statement id fails the whole frame before anything is admitted, and the
-// batch re-prepares and retries exactly once.
+// statement id fails the whole request before anything is admitted, and
+// the batch re-prepares and retries exactly once. No argument sets return
+// an empty result without sending anything.
 func (s *Stmt) ExecBatch(argSets ...[]funcdb.Item) ([]funcdb.Response, error) {
 	for i, args := range argSets {
 		if err := validArgs(args); err != nil {
@@ -212,9 +210,9 @@ func (s *Stmt) ExecBatch(argSets ...[]funcdb.Item) ([]funcdb.Response, error) {
 		}
 	}
 	if len(argSets) == 0 {
-		return nil, nil
+		return []funcdb.Response{}, nil
 	}
-	calls := make([]wire.PreparedCall, len(argSets))
+	stmts := make([]wire.Stmt, len(argSets))
 	t, sentNS := s.c.startTrace()
 	for attempt := 0; ; attempt++ {
 		stmtID, err := s.ensure()
@@ -222,12 +220,9 @@ func (s *Stmt) ExecBatch(argSets ...[]funcdb.Item) ([]funcdb.Response, error) {
 			return nil, err
 		}
 		for i, args := range argSets {
-			calls[i] = wire.PreparedCall{Stmt: stmtID, Args: args}
+			stmts[i] = wire.Stmt{Stmt: stmtID, Args: args}
 		}
-		rid, err := s.c.send(wire.FrameBatchPrepared, t, func(dst []byte, id uint64) []byte {
-			dst, _ = wire.AppendBatchPrepared(dst, id, calls) // args pre-validated
-			return dst
-		})
+		rid, err := s.c.request(0, stmts, t)
 		if err != nil {
 			return nil, err
 		}
@@ -251,9 +246,10 @@ func (s *Stmt) ExecBatch(argSets ...[]funcdb.Item) ([]funcdb.Response, error) {
 			}
 			return nil, errors.New(a.errMsg)
 		}
-		if !a.batch {
+		resps, ok := a.responses(len(argSets))
+		if !ok {
 			return nil, fmt.Errorf("client: request %d is not a batch", rid)
 		}
-		return a.resps, nil
+		return resps, nil
 	}
 }

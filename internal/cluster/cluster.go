@@ -21,7 +21,7 @@
 //     admitted into its store's lanes;
 //   - a GATEWAY for everything else: a statement for a relation owned
 //     elsewhere is forwarded over a persistent inter-node wire connection
-//     as a pre-tagged Forward frame, and the tagged response is relayed
+//     as a pre-tagged Request frame, and the tagged response is relayed
 //     back, so any node can serve any client;
 //   - a REPLICA of its peers: each node subscribes to every peer's
 //     committed-transaction log (the archive's records, shipped as
@@ -377,7 +377,7 @@ func (n *Node) setMirror(i int, m *mirror) {
 // SubmitTagged implements session.Submitter: the routing point. The
 // batch is split into maximal consecutive runs by owning node; local
 // runs are admitted into the store in one arbitration, remote runs ship
-// as one pre-tagged Forward frame each, and the response futures come
+// as one pre-tagged Request frame each, and the response futures come
 // back in submission order, in the caller's out. Routing needs only the
 // transaction's syntactic access set — the same property that makes lane
 // placement computable before any lock is held.

@@ -26,8 +26,8 @@ import (
 // failover an (epoch, owner) pair per slot says who serves it now;
 // epochs only grow, and the higher epoch always wins a disagreement, so
 // a deposed primary that comes back cannot split-brain: every frame
-// class that moves its data (Forward, LogRecord, Redirect) carries the
-// epoch, and the stale side is refused or redirected.
+// class that moves its data (tagged Request, LogRecord, Redirect) carries
+// the epoch, and the stale side is refused or redirected.
 
 // DialFunc opens an outbound cluster connection. The default is
 // net.Dial("tcp", addr); tests substitute a FaultTransport dialer to
@@ -650,8 +650,8 @@ func (f *failover) subGone(slot, sub int) {
 	f.cond.Broadcast()
 }
 
-// fence validates an inbound Forward against the slot's epoch. A frame
-// stamped with an older epoch is from a peer (or client) that has not
+// fence validates an inbound tagged Request against the slot's epoch. A
+// frame stamped with an older epoch is from a peer (or client) that has not
 // heard about a promotion: refuse it so the sender re-resolves. A frame
 // for a slot this node serves is additionally gated on the node actually
 // serving (probation, demotion).

@@ -18,19 +18,19 @@ import (
 
 // peer is one persistent inter-node connection: the gateway side of
 // frame forwarding. The connection is dialed lazily on first use and
-// redialed after a failure; any number of Forward frames may be in
+// redialed after a failure; any number of Request frames may be in
 // flight, matched to replies by request id by a single reader goroutine.
 type peer struct {
 	origin string // this node's tag, for the peer handshake
 	addr   string
 	cm     *metrics.Cluster // node-wide routing counters (may be nil)
 	dialFn DialFunc
-	frames metrics.Counter // Forward frames sent to this peer
+	frames metrics.Counter // Request frames sent to this peer
 	dials  metrics.Counter // (re)connects of the forwarding link
 
 	mu     sync.Mutex
 	pc     *peerConn // the live connection, nil between failures
-	enc    []byte    // reused Forward encode buffer, guarded by mu
+	enc    []byte    // reused Request encode buffer, guarded by mu
 	nextID uint64
 	closed bool
 }
@@ -46,7 +46,7 @@ type peerConn struct {
 	pending map[uint64]*fwdCall
 }
 
-// fwdCall is one in-flight Forward frame: the statements' shared reply.
+// fwdCall is one in-flight Request frame: the statements' shared reply.
 type fwdCall struct {
 	n        int // statements in the frame
 	done     chan struct{}
@@ -209,17 +209,17 @@ func (p *peer) close() {
 }
 
 // forwardTagged ships a run of pre-tagged transactions — all owned by
-// this peer — as ONE Forward frame and stores their response futures, in
-// order, into out. The frame sets FwdNoForward: if the peer disagrees about
-// ownership (it answered Redirect), or the link dies, every future
-// resolves with the error; forwarding never chains past one hop.
-// With hasEpoch the frame additionally claims the slot's epoch
+// this peer — as ONE tagged Request frame and stores their response
+// futures, in order, into out. The frame sets FwdNoForward: if the peer
+// disagrees about ownership (it answered Redirect), or the link dies,
+// every future resolves with the error; forwarding never chains past one
+// hop. With hasEpoch the frame additionally claims the slot's epoch
 // (FwdEpoch), so a receiver that has seen a newer promotion fences it.
 // A sampled trace rides ahead of the frame as a TraceCtx frame so the
 // owner's spans share the gateway's trace id, and the gateway records the
 // whole round trip as one forward-hop span.
 func (p *peer) forwardTagged(txs []core.Transaction, out []*session.Future, epoch uint64, hasEpoch bool, tr *reqtrace.T) {
-	flags := byte(wire.FwdNoForward)
+	flags := wire.FwdTagged | wire.FwdNoForward
 	if hasEpoch {
 		flags |= wire.FwdEpoch
 	}
@@ -237,42 +237,20 @@ func (p *peer) forwardTagged(txs []core.Transaction, out []*session.Future, epoc
 			return
 		}
 	}
-	for _, tx := range txs {
-		if tx.PrepHash != 0 {
-			// At least one transaction was bound from a prepared template:
-			// its Query is the '?' template, which the owner cannot re-bind
-			// from text, so the whole run ships as a ForwardPrepared frame
-			// (hash + args, text included for first-contact registration;
-			// plain text statements sharing the run ship as hash-0 text
-			// statements).
-			stmts := make([]wire.PreparedFwdStmt, len(txs))
-			for i, tx := range txs {
-				stmts[i] = wire.PreparedFwdStmt{
-					Origin: tx.Origin, Seq: tx.Seq,
-					Hash: tx.PrepHash, Text: tx.Query, HasText: true,
-					Args: tx.PrepArgs,
-				}
-			}
-			p.ship(txs, out, tr, wire.FrameForwardPrepared, func(dst []byte, id uint64) ([]byte, error) {
-				return wire.AppendForwardPrepared(dst, id, flags, epoch, stmts)
-			})
-			return
+	// A transaction bound from a prepared template has the '?' template as
+	// its Query, which the owner cannot re-bind from text: it ships as hash
+	// + args, the text included for first-contact registration. A plain
+	// text statement ships as a hash-0 text statement.
+	stmts := make([]wire.Stmt, len(txs))
+	for i, tx := range txs {
+		stmts[i] = wire.Stmt{
+			Origin: tx.Origin, Seq: tx.Seq,
+			Hash: tx.PrepHash, Text: tx.Query, HasText: true,
+			Args: tx.PrepArgs,
 		}
 	}
-	stmts := make([]wire.ForwardStmt, len(txs))
-	for i, tx := range txs {
-		stmts[i] = wire.ForwardStmt{Origin: tx.Origin, Seq: tx.Seq, Query: tx.Query}
-	}
-	p.ship(txs, out, tr, wire.FrameForward, func(dst []byte, id uint64) ([]byte, error) {
-		return wire.AppendForward(dst, id, flags, epoch, stmts), nil
-	})
-}
-
-// ship sends one forward frame for txs and stores their futures into out:
-// each resolves from the frame's shared reply.
-func (p *peer) ship(txs []core.Transaction, out []*session.Future, tr *reqtrace.T, typ byte, build func(dst []byte, id uint64) ([]byte, error)) {
 	call := &fwdCall{n: len(txs), done: make(chan struct{}), tr: tr}
-	if err := p.send(call, typ, build); err != nil {
+	if err := p.send(call, flags, epoch, stmts); err != nil {
 		call.err, call.errIndex = err, -1
 		close(call.done)
 	}
@@ -285,10 +263,9 @@ func (p *peer) ship(txs []core.Transaction, out []*session.Future, tr *reqtrace.
 	}
 }
 
-// send writes one forward frame — its payload appended by build for the
-// allocated request id, behind a TraceCtx frame when the call's trace is
-// sampled — and registers its call.
-func (p *peer) send(call *fwdCall, typ byte, build func(dst []byte, id uint64) ([]byte, error)) error {
+// send writes one Request frame for stmts — behind a TraceCtx frame when
+// the call's trace is sampled — and registers its call.
+func (p *peer) send(call *fwdCall, flags byte, epoch uint64, stmts []wire.Stmt) error {
 	p.mu.Lock()
 	pc, err := p.ensureLocked()
 	if err != nil {
@@ -301,8 +278,8 @@ func (p *peer) send(call *fwdCall, typ byte, build func(dst []byte, id uint64) (
 	// p.mu, like everything else on the send path): zero steady-state
 	// allocation per forwarded frame.
 	var mark int
-	p.enc, mark = wire.BeginFrame(wire.AppendTraceFrame(p.enc[:0], call.tr.Ctx()), typ)
-	if p.enc, err = build(p.enc, id); err == nil {
+	p.enc, mark = wire.BeginFrame(wire.AppendTraceFrame(p.enc[:0], call.tr.Ctx()), wire.FrameRequest)
+	if p.enc, err = wire.AppendRequest(p.enc, id, flags, epoch, stmts); err == nil {
 		p.enc, err = wire.EndFrame(p.enc, mark)
 	}
 	if err != nil {
@@ -354,11 +331,11 @@ func (c *fwdCall) response(i int, tx core.Transaction) core.Response {
 
 // Peer-link buffer sizing: explicit rather than bufio's 4 KiB default.
 // The read side carries batched responses and the replication stream;
-// the write side stays small because Forward frames are pre-assembled in
+// the write side stays small because Request frames are pre-assembled in
 // the peer's encode buffer.
 const (
 	peerReadBufSize  = 16 << 10
 	peerWriteBufSize = 4 << 10
-	// maxPeerEncodeBuf caps the Forward buffer retained between sends.
+	// maxPeerEncodeBuf caps the Request buffer retained between sends.
 	maxPeerEncodeBuf = 256 << 10
 )

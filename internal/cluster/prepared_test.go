@@ -1,6 +1,6 @@
 // Prepared statements across the cluster: a prepared workload must be
 // indistinguishable from the same workload as text — through the
-// cluster-aware client (hash-carrying ForwardPrepared frames straight to
+// cluster-aware client (hash-carrying tagged Request frames straight to
 // each owner), through a plain connection to one gateway node (the node
 // re-forwards over its peer links), and across a primary SIGKILL
 // mid-workload (handles forget per-owner registrations with placement
@@ -167,7 +167,7 @@ func TestClusterPreparedEquivalence(t *testing.T) {
 // TestClusterGatewayPrepared: a PLAIN client prepares on ONE node and
 // executes statements for every node's relations. The gateway re-forwards
 // non-owned prepared executions to each owner over its peer links as
-// ForwardPrepared frames (text on first contact, hash after), and the
+// tagged Request frames (hash + args, text included), and the
 // response stream must match the in-process reference exactly.
 func TestClusterGatewayPrepared(t *testing.T) {
 	r := rand.New(rand.NewSource(17))

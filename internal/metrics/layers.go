@@ -227,23 +227,25 @@ func (s *Session) Snapshot() SessionSnapshot {
 }
 
 // Server instruments the wire front-end (internal/server): connections,
-// per-frame-type request counts, and response latency by frame type
-// (admission → response bytes handed to the writer).
+// request counts and response latency (request read off the socket →
+// response bytes handed to the writer) by request shape. Every statement
+// arrives in one frame type, a Request; its shape is whether the sender
+// tagged it and how many statements it carries.
 type Server struct {
-	ConnsTotal     Counter // connections accepted over the server's life
-	Conns          Gauge   // connections open now
-	Execs          Counter
-	Batches        Counter
-	Forwards       Counter
-	Subscribes     Counter
-	StatsReqs      Counter
-	Prepares       Counter // FramePrepare registrations
-	PreparedExecs  Counter // statements arriving by id/hash (ExecPrepared, BatchPrepared, ForwardPrepared)
-	UnknownStmts   Counter // stale statement ids answered with ErrUnknownStmt
+	ConnsTotal     Counter   // connections accepted over the server's life
+	Conns          Gauge     // connections open now
+	Execs          Counter   // untagged one-statement requests
+	Batches        Counter   // untagged requests of any other statement count
+	Forwards       Counter   // tagged requests (cluster clients and peers)
+	Subscribes     Counter   // replication-stream subscriptions
+	StatsReqs      Counter   // metrics-snapshot introspection requests
+	Prepares       Counter   // FramePrepare registrations
+	PreparedExecs  Counter   // requests carrying a statement by id or text hash
+	UnknownStmts   Counter   // statements answered with ErrUnknownStmt (stale id or unknown hash)
 	ReqPerConn     Histogram // requests served per connection, at close
-	LatencyExec    Histogram // FrameExec response latency, ns
-	LatencyBatch   Histogram // FrameBatch response latency, ns
-	LatencyForward Histogram // FrameForward response latency, ns
+	LatencyExec    Histogram // untagged one-statement request latency, ns
+	LatencyBatch   Histogram // untagged request latency for any other statement count, ns
+	LatencyForward Histogram // tagged request latency, ns
 }
 
 // ServerSnapshot is the server section of a Snapshot.

@@ -12,7 +12,7 @@ import (
 // ErrUnknownStmt reports a statement-id (or text-hash) lookup that found
 // no live cache entry: the id was never registered here, or its entry has
 // since been evicted or invalidated. Over the wire the server answers a
-// stale ExecPrepared with this error's text, and clients detect it by
+// request naming a stale statement with this error's text, and clients detect it by
 // substring and transparently re-prepare — a stale id must never resolve
 // to a stale plan.
 var ErrUnknownStmt = errors.New("query: unknown prepared statement")
@@ -252,8 +252,8 @@ func splitLiterals(toks []token, key []byte, args []value.Item) (_ []byte, _ []v
 }
 
 // Register is Get plus a dense statement id: the wire server calls it on a
-// Prepare frame and hands the id to the client, whose later ExecPrepared
-// frames resolve through ByID without touching the string map. Registering
+// Prepare frame and hands the id to the client, whose later by-id
+// requests resolve through ByID without touching the string map. Registering
 // the same text again returns the existing id; a re-register after
 // eviction or invalidation mints a fresh id, so ids held across an
 // eviction fail with ErrUnknownStmt instead of resolving stale.

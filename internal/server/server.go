@@ -19,8 +19,8 @@
 // A Host may additionally implement the cluster capabilities:
 //
 //   - Placer: the host knows which node owns each relation's primary, so
-//     the handler can answer a misrouted Forward with a Redirect instead
-//     of executing it;
+//     the handler can answer a misrouted tagged Request with a Redirect
+//     instead of executing it;
 //   - ReplicaReader: the host keeps log-shipped replicas of other nodes'
 //     relations and can serve read-only statements from them, stamped
 //     with the replica's version (the client's staleness bound);
@@ -290,19 +290,19 @@ func (s *Server) Abort() {
 // reply is one pending answer on a connection, kept in request order.
 type reply struct {
 	id       uint64
-	fut      *session.Future   // FrameExec / single-statement Forward
-	futs     []*session.Future // FrameBatch / multi-statement Forward
-	qerr     error             // translation/bind failure: nothing admitted
-	index    int               // failing statement index (batches), else -1
-	redirect string            // FrameRedirect: the owning node's address
-	rel      string            // FrameRedirect: the relation being placed
-	rdEpoch  uint64            // FrameRedirect: owner epoch (failover hosts)
-	doc      []byte            // FrameIntrospectResponse: the JSON document
-	raw      []byte            // pre-encoded payload (heartbeat acks)
-	rawType  byte              // frame type for raw
-	reqType  byte              // request frame type, keys the latency histogram
-	start    time.Time         // request read off the socket (latency epoch)
-	tr       *reqtrace.T       // live trace (nil untraced): encode/flush spans, Finish
+	fut      *session.Future    // one-statement request
+	futs     []*session.Future  // any other statement count (non-nil)
+	qerr     error              // resolution/bind/routing failure: nothing admitted
+	index    int                // failing statement index, else -1
+	redirect string             // FrameRedirect: the owning node's address
+	rel      string             // FrameRedirect: the relation being placed
+	rdEpoch  uint64             // FrameRedirect: owner epoch (failover hosts)
+	doc      []byte             // FrameIntrospectResponse: the JSON document
+	raw      []byte             // pre-encoded payload (heartbeat acks)
+	rawType  byte               // frame type for raw
+	lat      *metrics.Histogram // response latency histogram (requests only)
+	start    time.Time          // request read off the socket (latency epoch)
+	tr       *reqtrace.T        // live trace (nil untraced): encode/flush spans, Finish
 }
 
 // handle drives one connection: handshake, then a read loop that queues
@@ -385,35 +385,14 @@ func (s *Server) handle(conn net.Conn) {
 		// respScratch is reused across batch replies; AppendResponses
 		// copies everything it encodes, so overwriting next flush is safe.
 		respScratch []core.Response
-		// Prepared-statement decode scratch, reused frame to frame: args
-		// decode into argScratch with zero amortized allocation, and the
-		// bind copies every value out before the next frame overwrites it.
-		argScratch  []value.Item
-		callScratch []wire.PreparedCall
-		fwdpScratch []wire.PreparedFwdStmt
-		txScratch   []core.Transaction
+		// req is the request decode scratch, reused frame to frame: its
+		// statements and args decode with zero amortized allocation, and
+		// binding copies every value out before the next frame overwrites
+		// it. txScratch is the bind target (the session copies what it
+		// queues).
+		req       wire.Request
+		txScratch []core.Transaction
 	)
-
-	// bindPrepared binds one resolved statement and stamps its forwarding
-	// provenance: transactions bound here carry their template's hash, and
-	// — only when this host would have to forward them to another owner —
-	// a private copy of the args, because a bound transaction has no
-	// rebindable text form to ship.
-	bindPrepared := func(prep *query.Prepared, args []value.Item, onward bool) (core.Transaction, error) {
-		tx, err := prep.Bind(args...)
-		if err != nil {
-			return tx, err
-		}
-		tx.PrepHash = prep.Hash()
-		if onward {
-			if placer, ok := host.(Placer); ok {
-				if _, self := placer.Owner(tx.Rel); !self {
-					tx.PrepArgs = append([]value.Item(nil), args...)
-				}
-			}
-		}
-		return tx, nil
-	}
 
 	// flush admits every queued statement in one batch and writes the
 	// replies in request order. Responses are forced in order — the
@@ -435,16 +414,12 @@ func (s *Server) handle(conn net.Conn) {
 			}
 			switch {
 			case rp.qerr != nil:
-				// A batch error ships the underlying message plus the
-				// failing index; the client re-wraps it as a BatchError, so
-				// local and remote error text come out identical.
-				msg := rp.qerr.Error()
-				var be *session.BatchError
-				if errors.As(rp.qerr, &be) {
-					msg = be.Err.Error()
-				}
+				// A failing statement ships the underlying message plus its
+				// index; a batch-executing client re-wraps it as a
+				// BatchError, so local and remote error text come out
+				// identical.
 				out, mark = wire.BeginFrame(out, wire.FrameError)
-				out = wire.AppendErrorMsg(out, rp.id, rp.index, msg)
+				out = wire.AppendErrorMsg(out, rp.id, rp.index, rp.qerr.Error())
 			case rp.redirect != "":
 				out, mark = wire.BeginFrame(out, wire.FrameRedirect)
 				out = wire.AppendRedirect(out, rp.id, rp.redirect, rp.rel, rp.rdEpoch)
@@ -481,16 +456,11 @@ func (s *Server) handle(conn net.Conn) {
 				rp.tr.Span(reqtrace.StageEncode, encStart, time.Now())
 				trs = append(trs, rp.tr)
 			}
-			// Response latency by request frame type, socket-read to
+			// Response latency by request shape, socket-read to
 			// response-written: what the client experiences minus the
 			// network, queue wait under adaptive batching included.
-			switch rp.reqType {
-			case wire.FrameExec, wire.FrameExecPrepared:
-				s.m.LatencyExec.Since(rp.start)
-			case wire.FrameBatch, wire.FrameBatchPrepared:
-				s.m.LatencyBatch.Since(rp.start)
-			case wire.FrameForward, wire.FrameForwardPrepared:
-				s.m.LatencyForward.Since(rp.start)
+			if rp.lat != nil {
+				rp.lat.Since(rp.start)
 			}
 		}
 		pending = pending[:0]
@@ -563,7 +533,7 @@ func (s *Server) handle(conn net.Conn) {
 			tc, hasTC = c, true
 			continue // the frame it annotates follows
 		}
-		if hasTC && !traceable(typ) {
+		if hasTC && typ != wire.FrameRequest {
 			// A context must annotate a request: anything else is a
 			// protocol error, like an unknown frame.
 			flush()
@@ -572,70 +542,17 @@ func (s *Server) handle(conn net.Conn) {
 		reqTC := tc
 		tc, hasTC = reqtrace.Ctx{}, false
 		nreq++
-		start := time.Now()
 		switch typ {
-		case wire.FrameExec:
-			id, q, derr := wire.DecodeExec(payload)
-			if derr != nil {
+		case wire.FrameRequest:
+			start := time.Now()
+			if derr := wire.DecodeRequestInto(payload, &req); derr != nil {
 				flush()
 				return
 			}
-			s.m.Execs.Inc()
 			tr := startTrace(reqTC, start)
-			var fut *session.Future
-			var qerr error
-			if tr == nil {
-				fut, qerr = sess.Queue(q)
-			} else {
-				var tx core.Transaction
-				if tx, qerr = sess.Translate(q); qerr == nil {
-					tx.Trace = tr
-					fut = sess.QueueTx(tx)
-				}
-			}
-			pending = append(pending, reply{id: id, fut: fut, qerr: qerr, index: -1, reqType: typ, start: start, tr: tr})
-
-		case wire.FrameBatch:
-			id, qs, derr := wire.DecodeBatch(payload)
-			if derr != nil {
-				flush()
-				return
-			}
-			s.m.Batches.Inc()
-			tr := startTrace(reqTC, start)
-			// All-or-nothing: translate the whole batch before queueing
-			// anything, so a failure admits none of it.
-			rp := reply{id: id, index: -1, reqType: typ, start: start, tr: tr}
-			txs := make([]core.Transaction, len(qs))
-			for i, q := range qs {
-				tx, terr := sess.Translate(q)
-				if terr != nil {
-					rp.qerr = &session.BatchError{Index: i, Query: q, Err: terr}
-					rp.index = i
-					break
-				}
-				tx.Trace = tr
-				txs[i] = tx
-			}
-			if rp.qerr == nil {
-				futs := make([]*session.Future, len(txs))
-				for i, tx := range txs {
-					futs[i] = sess.QueueTx(tx)
-				}
-				rp.futs = futs
-			}
-			pending = append(pending, rp)
-
-		case wire.FrameForward:
-			id, flags, epoch, stmts, derr := wire.DecodeForward(payload)
-			if derr != nil {
-				flush()
-				return
-			}
-			s.m.Forwards.Inc()
-			tr := startTrace(reqTC, start)
-			rp := s.handleForward(host, sess, id, flags, epoch, stmts, tr)
-			rp.reqType, rp.start, rp.tr = typ, start, tr
+			var rp reply
+			rp, txScratch = s.request(host, sess, &req, txScratch, tr)
+			rp.start, rp.tr = start, tr
 			pending = append(pending, rp)
 
 		case wire.FramePrepare:
@@ -645,96 +562,13 @@ func (s *Server) handle(conn net.Conn) {
 				return
 			}
 			s.m.Prepares.Inc()
-			rp := reply{id: id, index: -1, reqType: typ, start: start}
+			rp := reply{id: id, index: -1}
 			if stmtID, prep, perr := sess.Register(text); perr != nil {
 				rp.qerr = perr
 			} else {
 				rp.raw = wire.AppendPrepared(nil, id, stmtID, prep.NumParams())
 				rp.rawType = wire.FramePrepared
 			}
-			pending = append(pending, rp)
-
-		case wire.FrameExecPrepared:
-			var id, stmtID uint64
-			var derr error
-			if id, stmtID, argScratch, derr = wire.DecodeExecPreparedInto(payload, argScratch[:0]); derr != nil {
-				flush()
-				return
-			}
-			s.m.PreparedExecs.Inc()
-			tr := startTrace(reqTC, start)
-			rp := reply{id: id, index: -1, reqType: typ, start: start, tr: tr}
-			if prep, ok := sess.PreparedByID(stmtID); ok {
-				tx, berr := bindPrepared(prep, argScratch, true)
-				if berr != nil {
-					rp.qerr = berr
-				} else {
-					tx.Trace = tr
-					rp.fut = sess.QueueTx(tx)
-				}
-			} else {
-				s.m.UnknownStmts.Inc()
-				rp.qerr = query.ErrUnknownStmt
-			}
-			pending = append(pending, rp)
-
-		case wire.FrameBatchPrepared:
-			var id uint64
-			var derr error
-			if id, callScratch, argScratch, derr = wire.DecodeBatchPreparedInto(payload, callScratch[:0], argScratch[:0]); derr != nil {
-				flush()
-				return
-			}
-			s.m.Batches.Inc()
-			s.m.PreparedExecs.Inc()
-			tr := startTrace(reqTC, start)
-			// All-or-nothing, like FrameBatch: resolve and bind the whole
-			// frame before queueing anything.
-			rp := reply{id: id, index: -1, reqType: typ, start: start, tr: tr}
-			if cap(txScratch) < len(callScratch) {
-				txScratch = make([]core.Transaction, len(callScratch))
-			}
-			txs := txScratch[:len(callScratch)]
-			for i, c := range callScratch {
-				prep, ok := sess.PreparedByID(c.Stmt)
-				if !ok {
-					s.m.UnknownStmts.Inc()
-					rp.qerr = &session.BatchError{Index: i, Err: query.ErrUnknownStmt}
-					rp.index = i
-					break
-				}
-				tx, berr := bindPrepared(prep, c.Args, true)
-				if berr != nil {
-					rp.qerr = &session.BatchError{Index: i, Query: prep.Src(), Err: berr}
-					rp.index = i
-					break
-				}
-				tx.Trace = tr
-				txs[i] = tx
-			}
-			if rp.qerr == nil {
-				futs := make([]*session.Future, len(txs))
-				for i := range txs {
-					futs[i] = sess.QueueTx(txs[i])
-				}
-				rp.futs = futs
-			}
-			pending = append(pending, rp)
-
-		case wire.FrameForwardPrepared:
-			var id, epoch uint64
-			var flags byte
-			var derr error
-			if id, flags, epoch, fwdpScratch, argScratch, derr = wire.DecodeForwardPreparedInto(payload, fwdpScratch[:0], argScratch[:0]); derr != nil {
-				flush()
-				return
-			}
-			s.m.Forwards.Inc()
-			s.m.PreparedExecs.Inc()
-			tr := startTrace(reqTC, start)
-			var rp reply
-			rp, txScratch = s.handleForwardPrepared(host, sess, id, flags, epoch, fwdpScratch, txScratch, tr)
-			rp.reqType, rp.start, rp.tr = typ, start, tr
 			pending = append(pending, rp)
 
 		case wire.FrameHeartbeat:
@@ -753,7 +587,7 @@ func (s *Server) handle(conn net.Conn) {
 				flush()
 				return
 			}
-			pending = append(pending, reply{raw: wire.AppendHeartbeat(nil, ack), rawType: wire.FrameHeartbeatAck, reqType: typ, start: start})
+			pending = append(pending, reply{raw: wire.AppendHeartbeat(nil, ack), rawType: wire.FrameHeartbeatAck})
 
 		case wire.FrameIntrospect:
 			id, kind, derr := wire.DecodeIntrospect(payload)
@@ -761,7 +595,7 @@ func (s *Server) handle(conn net.Conn) {
 				flush()
 				return
 			}
-			rp := reply{id: id, reqType: typ, start: start}
+			rp := reply{id: id}
 			if kind == wire.IntrospectStats {
 				s.m.StatsReqs.Inc()
 				rp.doc = s.statsJSON(host)
@@ -797,24 +631,14 @@ func (s *Server) handle(conn net.Conn) {
 
 		// Adaptive batching: keep queueing while the socket already holds
 		// more frames; admit and answer the moment the next read would
-		// block. maxPipeline bounds a connection's in-flight statements.
+		// block. maxPipeline bounds the requests a connection may have
+		// queued and unanswered.
 		if br.Buffered() == 0 || len(pending) >= maxPipeline {
 			if !flush() {
 				return
 			}
 		}
 	}
-}
-
-// traceable reports whether a frame type is a request a TraceCtx frame may
-// annotate.
-func traceable(typ byte) bool {
-	switch typ {
-	case wire.FrameExec, wire.FrameBatch, wire.FrameExecPrepared,
-		wire.FrameBatchPrepared, wire.FrameForward, wire.FrameForwardPrepared:
-		return true
-	}
-	return false
 }
 
 // refuse answers a handshake or subscription the server will not serve:
@@ -864,55 +688,134 @@ func (s *Server) tracesJSON(host Host) []byte {
 	return doc
 }
 
-// handleForward queues one FrameForward: pre-tagged statements executed
-// without retagging. Read-only statements with FwdReadLocal are served
-// from the host's replica layer first, whoever owns them: a non-owner
-// answers from its log-shipped mirror, the owner from its own store —
-// both stamp Response.Version, so the client always learns its staleness
-// bound (zero at the owner). Otherwise ownership is checked against the
-// host's placement (when it has one): a frame for a relation owned
-// elsewhere is answered with a Redirect when the sender asked not to
-// chain. All statements of one frame must route the same way: senders
-// group by owner, so a mixed frame is a protocol error.
-//
-// On a fencing host, frames that would execute here are first checked
-// against the slot's epoch (FwdEpoch-stamped frames carry the sender's
-// belief): a stale sender is refused, not served, and the error crosses
-// back as text — the sender re-resolves placement. Replica reads skip
-// the fence; they are stamped with their version and legal anywhere.
-func (s *Server) handleForward(host Host, sess *session.Session, id uint64, flags byte, epoch uint64, stmts []wire.ForwardStmt, tr *reqtrace.T) reply {
-	rp := reply{id: id, index: -1}
-	if len(stmts) == 0 {
-		rp.qerr = errors.New("server: empty forward frame")
-		return rp
+// request admits one FrameRequest, all or nothing: every statement is
+// resolved before any is queued, so a failure admits none of it. Tagged
+// requests keep their statements' tags and take the placement path
+// (routeForward); untagged ones are queued under the session's tags. A
+// zero-statement request is answered by an empty BatchResponse without
+// touching routing. txScratch is the connection's reused bind target; the
+// returned slice keeps its growth.
+func (s *Server) request(host Host, sess *session.Session, req *wire.Request, txScratch []core.Transaction, tr *reqtrace.T) (reply, []core.Transaction) {
+	rp := reply{id: req.ID, index: -1}
+	tagged := req.Flags&wire.FwdTagged != 0
+	switch {
+	case tagged:
+		s.m.Forwards.Inc()
+		rp.lat = &s.m.LatencyForward
+	case len(req.Stmts) == 1:
+		s.m.Execs.Inc()
+		rp.lat = &s.m.LatencyExec
+	default:
+		s.m.Batches.Inc()
+		rp.lat = &s.m.LatencyBatch
 	}
-	txs := make([]core.Transaction, len(stmts))
-	for i, st := range stmts {
-		tx, terr := sess.Translate(st.Query)
-		if terr != nil {
-			// The failing index is the position inside THIS frame; the
-			// gateway that built the frame remaps it to the client's batch
-			// position, so the index survives forwarding.
-			rp.qerr = terr
-			rp.index = i
-			return rp
+	for _, st := range req.Stmts {
+		if st.Stmt != 0 || st.Hash != 0 {
+			s.m.PreparedExecs.Inc()
+			break
 		}
-		tx.Origin, tx.Seq = st.Origin, st.Seq
-		txs[i] = tx
 	}
-	return s.routeForward(host, sess, rp, flags, epoch, txs, tr)
+	if len(req.Stmts) == 0 {
+		rp.futs = []*session.Future{}
+		return rp, txScratch
+	}
+	if cap(txScratch) < len(req.Stmts) {
+		txScratch = make([]core.Transaction, len(req.Stmts))
+	}
+	txs := txScratch[:len(req.Stmts)]
+	if rp.index, rp.qerr = s.resolve(host, sess, req, txs, tr); rp.qerr != nil {
+		return rp, txScratch
+	}
+	if tagged {
+		return s.routeForward(host, sess, rp, req.Flags, req.Epoch, txs), txScratch
+	}
+	return queue(rp, sess, txs, false), txScratch
 }
 
-// routeForward is the shared tail of handleForward and
-// handleForwardPrepared: placement check, replica reads, fencing, then
-// tagged admission. txs is only read during the call — callers may reuse
-// the slice (the session copies each transaction it queues).
-func (s *Server) routeForward(host Host, sess *session.Session, rp reply, flags byte, epoch uint64, txs []core.Transaction, tr *reqtrace.T) reply {
-	if tr != nil {
-		for i := range txs {
-			txs[i].Trace = tr
+// resolve binds every statement of req into txs against the session's
+// (node- or store-wide) cache: by dense statement id, then by text hash,
+// then by the text itself when the sender included one — registered as a
+// template when hashed, so the next hash-only call hits, and translated as
+// a plain statement when not. A statement that resolves nowhere fails with
+// query.ErrUnknownStmt: the sender re-sends with text, and a stale id never
+// resolves to a stale plan. On failure it returns the failing statement's
+// index: the position inside THIS request, which a gateway that built the
+// request remaps to its client's batch position.
+func (s *Server) resolve(host Host, sess *session.Session, req *wire.Request, txs []core.Transaction, tr *reqtrace.T) (int, error) {
+	tagged := req.Flags&wire.FwdTagged != 0
+	placer, placed := host.(Placer)
+	// Only a tagged request can forbid forwarding: this host may forward
+	// an untagged statement onward whatever its flags.
+	onward := placed && !(tagged && req.Flags&wire.FwdNoForward != 0)
+	for i := range req.Stmts {
+		st := &req.Stmts[i]
+		var prep *query.Prepared
+		var ok bool
+		if st.Stmt != 0 {
+			prep, ok = sess.PreparedByID(st.Stmt)
 		}
+		if !ok && st.Hash != 0 {
+			prep, ok = sess.PreparedByHash(st.Hash)
+		}
+		var tx core.Transaction
+		var err error
+		switch {
+		case ok:
+			tx, err = prep.Bind(st.Args...)
+		case st.HasText && st.Hash != 0:
+			if _, prep, err = sess.Register(st.Text); err == nil {
+				tx, err = prep.Bind(st.Args...)
+			}
+		case st.HasText:
+			tx, err = sess.Translate(st.Text)
+		default:
+			s.m.UnknownStmts.Inc()
+			err = query.ErrUnknownStmt
+		}
+		if err != nil {
+			return i, err
+		}
+		if prep != nil {
+			tx.PrepHash = prep.Hash()
+			if onward {
+				if _, self := placer.Owner(tx.Rel); !self {
+					// This host forwards the statement onward: a bound
+					// transaction has no rebindable text form, so carry a
+					// private copy of the args (st.Args aliases the
+					// connection's decode scratch).
+					tx.PrepArgs = append([]value.Item(nil), st.Args...)
+				}
+			}
+		}
+		if tagged {
+			tx.Origin, tx.Seq = st.Origin, st.Seq
+		}
+		tx.Trace = tr
+		txs[i] = tx
 	}
+	return -1, nil
+}
+
+// routeForward admits a tagged request's resolved transactions: placement
+// check, replica reads, fencing, then tagged admission. Read-only
+// statements with FwdReadLocal are served from the host's replica layer
+// first, whoever owns them: a non-owner answers from its log-shipped
+// mirror, the owner from its own store — both stamp Response.Version, so
+// the client always learns its staleness bound (zero at the owner).
+// Otherwise ownership is checked against the host's placement (when it has
+// one): a request for a relation owned elsewhere is answered with a
+// Redirect when the sender asked not to chain. All statements of one
+// request must route the same way: senders group by owner, so a mixed
+// request is a protocol error.
+//
+// On a fencing host, requests that would execute here are first checked
+// against the slot's epoch (FwdEpoch-stamped requests carry the sender's
+// belief): a stale sender is refused, not served, and the error crosses
+// back as text — the sender re-resolves placement. Replica reads skip
+// the fence; they are stamped with their version and legal anywhere. txs
+// is only read during the call — callers may reuse the slice (the session
+// copies each transaction it queues).
+func (s *Server) routeForward(host Host, sess *session.Session, rp reply, flags byte, epoch uint64, txs []core.Transaction) reply {
 	var remoteAddr string
 	if placer, ok := host.(Placer); ok {
 		addr0, self0 := placer.Owner(txs[0].Rel)
@@ -931,7 +834,12 @@ func (s *Server) routeForward(host Host, sess *session.Session, rp reply, flags 
 	if flags&wire.FwdReadLocal != 0 && allReadOnly(txs) {
 		if rr, ok := host.(ReplicaReader); ok {
 			if futs, served := replicaReads(rr, txs); served {
-				return finishForward(rp, futs)
+				if len(futs) == 1 {
+					rp.fut = futs[0]
+				} else {
+					rp.futs = futs
+				}
+				return rp
 			}
 			// No replica covers the relation (replication disabled or
 			// still bootstrapping): fall back to redirect/forward, so
@@ -959,93 +867,26 @@ func (s *Server) routeForward(host Host, sess *session.Session, rp reply, flags 
 			return rp
 		}
 	}
+	return queue(rp, sess, txs, true)
+}
 
+// queue puts txs into the session's pipeline — under their own tags when
+// tagged, under the session's otherwise — and shapes the reply: one
+// statement answers as a FrameResponse, several as a FrameBatchResponse.
+func queue(rp reply, sess *session.Session, txs []core.Transaction, tagged bool) reply {
+	enqueue := sess.QueueTx
+	if tagged {
+		enqueue = sess.QueueTagged
+	}
 	if len(txs) == 1 {
-		// The single-statement forward is the cluster client's hot path:
-		// skip the future-slice allocation entirely.
-		rp.fut = sess.QueueTagged(txs[0])
+		// The one-statement request is every client's hot path: skip the
+		// future-slice allocation entirely.
+		rp.fut = enqueue(txs[0])
 		return rp
 	}
-	futs := make([]*session.Future, len(txs))
+	rp.futs = make([]*session.Future, len(txs))
 	for i, tx := range txs {
-		futs[i] = sess.QueueTagged(tx)
-	}
-	return finishForward(rp, futs)
-}
-
-// handleForwardPrepared is handleForward for FrameForwardPrepared: each
-// statement resolves against the session's (node- or store-wide) cache —
-// dense id first, then text hash, then the text itself when the sender
-// included one, registering it so the next hash-only call hits. A
-// statement that resolves nowhere answers query.ErrUnknownStmt: the
-// sender re-sends with text, and a stale id never resolves to a stale
-// plan. txScratch is the connection's reused bind target; the returned
-// slice keeps its growth.
-func (s *Server) handleForwardPrepared(host Host, sess *session.Session, id uint64, flags byte, epoch uint64, stmts []wire.PreparedFwdStmt, txScratch []core.Transaction, tr *reqtrace.T) (reply, []core.Transaction) {
-	rp := reply{id: id, index: -1}
-	if len(stmts) == 0 {
-		rp.qerr = errors.New("server: empty forward frame")
-		return rp, txScratch
-	}
-	if cap(txScratch) < len(stmts) {
-		txScratch = make([]core.Transaction, len(stmts))
-	}
-	txs := txScratch[:len(stmts)]
-	placer, placed := host.(Placer)
-	for i, st := range stmts {
-		var prep *query.Prepared
-		var ok bool
-		if st.Stmt != 0 {
-			prep, ok = sess.PreparedByID(st.Stmt)
-		}
-		if !ok && st.Hash != 0 {
-			prep, ok = sess.PreparedByHash(st.Hash)
-		}
-		var tx core.Transaction
-		var terr error
-		switch {
-		case ok:
-			tx, terr = prep.Bind(st.Args...)
-		case st.HasText && st.Hash != 0:
-			if _, prep, terr = sess.Register(st.Text); terr == nil {
-				tx, terr = prep.Bind(st.Args...)
-			}
-		case st.HasText:
-			// A plain text statement riding a mixed prepared run.
-			tx, terr = sess.Translate(st.Text)
-		default:
-			s.m.UnknownStmts.Inc()
-			rp.qerr, rp.index = query.ErrUnknownStmt, i
-			return rp, txScratch
-		}
-		if terr != nil {
-			rp.qerr, rp.index = terr, i
-			return rp, txScratch
-		}
-		tx.Origin, tx.Seq = st.Origin, st.Seq
-		if prep != nil {
-			tx.PrepHash = prep.Hash()
-			if placed && flags&wire.FwdNoForward == 0 {
-				if _, self := placer.Owner(tx.Rel); !self {
-					// This gateway forwards onward: the bound transaction has
-					// no rebindable text form, so carry a private copy of the
-					// args (st.Args aliases the connection's decode scratch).
-					tx.PrepArgs = append([]value.Item(nil), st.Args...)
-				}
-			}
-		}
-		txs[i] = tx
-	}
-	return s.routeForward(host, sess, rp, flags, epoch, txs, tr), txScratch
-}
-
-// finishForward shapes the reply: one statement answers as a single
-// FrameResponse, several as a FrameBatchResponse.
-func finishForward(rp reply, futs []*session.Future) reply {
-	if len(futs) == 1 {
-		rp.fut = futs[0]
-	} else {
-		rp.futs = futs
+		rp.futs[i] = enqueue(tx)
 	}
 	return rp
 }

@@ -139,6 +139,77 @@ func TestBatchErrorIndexOverWire(t *testing.T) {
 	}
 }
 
+// TestReplyShapeFollowsStatementCount: one statement is answered by a
+// Response and any other count by a BatchResponse, so every batch API
+// accepts a one-statement Response, and an empty batch never reaches the
+// wire. A zero-statement request, tagged or not, is answered by an empty
+// BatchResponse without touching routing (which needs a first statement).
+func TestReplyShapeFollowsStatementCount(t *testing.T) {
+	store := funcdb.MustOpen(funcdb.WithRelations("R"))
+	defer store.Close()
+	srv := startServer(t, store)
+	c, err := client.Dial(srv.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	if resps, err := c.ExecBatch([]string{`insert (1, "a") into R`}); err != nil || len(resps) != 1 || resps[0].Err != nil {
+		t.Fatalf("one-statement ExecBatch: %+v, %v", resps, err)
+	}
+	find := c.Prepare("find ? in R")
+	if resps, err := find.ExecBatch([]funcdb.Item{funcdb.Int(1)}); err != nil || len(resps) != 1 || !resps[0].Found {
+		t.Fatalf("one-statement Stmt.ExecBatch: %+v, %v", resps, err)
+	}
+	before, err := c.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cc, err := client.DialCluster([]string{"127.0.0.1:1"}) // a send would fail to dial
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cc.Close()
+	for name, batch := range map[string]func() ([]funcdb.Response, error){
+		"Client":        func() ([]funcdb.Response, error) { return c.ExecBatch(nil) },
+		"Stmt":          func() ([]funcdb.Response, error) { return find.ExecBatch() },
+		"ClusterClient": func() ([]funcdb.Response, error) { return cc.ExecBatch(nil) },
+	} {
+		if resps, err := batch(); err != nil || resps == nil || len(resps) != 0 {
+			t.Errorf("empty %s.ExecBatch = %+v, %v; want an empty result", name, resps, err)
+		}
+	}
+	after, err := c.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after.Server.Execs != before.Server.Execs || after.Server.Batches != before.Server.Batches {
+		t.Errorf("empty batches reached the server: execs %d -> %d, batches %d -> %d",
+			before.Server.Execs, after.Server.Execs, before.Server.Batches, after.Server.Batches)
+	}
+
+	conn, rd := rawDial(t, srv.Addr().String(), wire.AppendHello(nil, wire.Hello{Origin: "raw"}))
+	if typ, _, err := rd.Next(); err != nil || typ != wire.FrameWelcome {
+		t.Fatalf("handshake: frame %#x, %v", typ, err)
+	}
+	for _, flags := range []byte{0, wire.FwdTagged | wire.FwdNoForward} {
+		payload, err := wire.AppendRequest(nil, 5, flags, 0, nil)
+		if err == nil {
+			err = wire.WriteFrame(conn, wire.FrameRequest, payload)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		typ, payload, err := rd.Next()
+		if err != nil || typ != wire.FrameBatchResponse {
+			t.Fatalf("empty request (flags %#x) answered with frame %#x, %v", flags, typ, err)
+		}
+		if id, resps, err := wire.DecodeResponses(payload); err != nil || id != 5 || len(resps) != 0 {
+			t.Fatalf("empty request (flags %#x): id %d, %d responses, %v", flags, id, len(resps), err)
+		}
+	}
+}
+
 // TestDrainMakesAckedCommitsDurable: Shutdown flushes the group-commit
 // buffer, so every response a client received is on disk — verified by
 // recovery.
@@ -334,13 +405,17 @@ func TestTraceCtxMustAnnotateARequest(t *testing.T) {
 		}
 	}
 
-	send(wire.FrameExec, wire.AppendExec(nil, 1, "count R"))
+	count, err := wire.AppendRequest(nil, 1, 0, 0, []wire.Stmt{{Text: "count R", HasText: true}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	send(wire.FrameRequest, count)
 	typ, payload, err := rd.Next()
 	if err != nil || typ != wire.FrameResponse {
-		t.Fatalf("traced exec answered with frame %#x, %v", typ, err)
+		t.Fatalf("traced request answered with frame %#x, %v", typ, err)
 	}
 	if id, resp, err := wire.DecodeSingleResponse(payload); err != nil || id != 1 || resp.Err != nil {
-		t.Fatalf("traced exec: id %d, %+v, %v", id, resp, err)
+		t.Fatalf("traced request: id %d, %+v, %v", id, resp, err)
 	}
 
 	send(wire.FrameIntrospect, wire.AppendIntrospect(nil, 2, wire.IntrospectStats))

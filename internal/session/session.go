@@ -192,7 +192,7 @@ func (s *Session) Register(src string) (uint64, *query.Prepared, error) {
 }
 
 // PreparedByID resolves a dense statement id from Register without
-// touching the text-keyed map — the ExecPrepared hot path. ok is false
+// touching the text-keyed map — the by-id request hot path. ok is false
 // once the entry has been evicted or invalidated; callers must answer
 // with query.ErrUnknownStmt, never a reparse.
 func (s *Session) PreparedByID(id uint64) (*query.Prepared, bool) {

@@ -6,7 +6,7 @@ import (
 	"io"
 	"testing"
 
-	"funcdb/internal/value"
+	"funcdb/internal/reqtrace"
 )
 
 // loopSource replays one framed byte stream forever without allocating:
@@ -34,7 +34,7 @@ func sampleStream(tb testing.TB) []byte {
 		bytes.Repeat([]byte("response payload "), 40),
 	}
 	for i, p := range payloads {
-		if stream, err = AppendFrame(stream, FrameExec+byte(i%3), p); err != nil {
+		if stream, err = AppendFrame(stream, FrameResponse+byte(i%3), p); err != nil {
 			tb.Fatal(err)
 		}
 	}
@@ -69,7 +69,7 @@ func TestDecodeAllocGate(t *testing.T) {
 func TestEncodeAllocGate(t *testing.T) {
 	payload := []byte("insert (1, \"v\") into R")
 	avg := testing.AllocsPerRun(200, func() {
-		if err := WriteFrame(io.Discard, FrameExec, payload); err != nil {
+		if err := WriteFrame(io.Discard, FrameRequest, payload); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -115,11 +115,11 @@ func TestBeginEndFrameNoAlloc(t *testing.T) {
 // byte-identical for every payload shape.
 func TestBeginEndFrameMatchesAppendFrame(t *testing.T) {
 	for _, payload := range [][]byte{nil, {}, []byte("x"), bytes.Repeat([]byte("abc"), 1000)} {
-		want, err := AppendFrame(nil, FrameBatch, payload)
+		want, err := AppendFrame(nil, FrameRequest, payload)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, mark := BeginFrame(nil, FrameBatch)
+		got, mark := BeginFrame(nil, FrameRequest)
 		got = append(got, payload...)
 		if got, err = EndFrame(got, mark); err != nil {
 			t.Fatal(err)
@@ -137,12 +137,12 @@ func TestBeginEndFrameMatchesAppendFrame(t *testing.T) {
 // a fabricated length rather than a real 64 MiB payload: EndFrame's only
 // size input is len(dst)-mark.)
 func TestEndFrameOversizeRemovesFrame(t *testing.T) {
-	prefix, err := AppendFrame(nil, FrameExec, []byte("ok"))
+	prefix, err := AppendFrame(nil, FrameRequest, []byte("ok"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	n := len(prefix)
-	buf, mark := BeginFrame(prefix, FrameBatch)
+	buf, mark := BeginFrame(prefix, FrameRequest)
 	buf = append(buf, make([]byte, MaxFrameLen+1)...)
 	buf, err = EndFrame(buf, mark)
 	if !errors.Is(err, ErrTooLarge) {
@@ -162,10 +162,10 @@ func TestReaderPayloadInvalidation(t *testing.T) {
 	second := bytes.Repeat([]byte("B"), 64)
 	var stream []byte
 	var err error
-	if stream, err = AppendFrame(stream, FrameExec, first); err != nil {
+	if stream, err = AppendFrame(stream, FrameRequest, first); err != nil {
 		t.Fatal(err)
 	}
-	if stream, err = AppendFrame(stream, FrameExec, second); err != nil {
+	if stream, err = AppendFrame(stream, FrameRequest, second); err != nil {
 		t.Fatal(err)
 	}
 	rd := NewReader(bytes.NewReader(stream))
@@ -201,7 +201,7 @@ func TestReaderShedsOversizeBuffer(t *testing.T) {
 	if stream, err = AppendFrame(stream, FrameResponse, big); err != nil {
 		t.Fatal(err)
 	}
-	if stream, err = AppendFrame(stream, FrameExec, []byte("small")); err != nil {
+	if stream, err = AppendFrame(stream, FrameRequest, []byte("small")); err != nil {
 		t.Fatal(err)
 	}
 	rd := NewReader(bytes.NewReader(stream))
@@ -220,94 +220,89 @@ func TestReaderShedsOversizeBuffer(t *testing.T) {
 }
 
 // TestExecPreparedDecodeAllocGate is the regression gate CI's bench-smoke
-// job runs: decoding a prepared execution into warm per-connection
-// scratch allocates NOTHING, amortized — the property that lets the
-// server's hot path run parse-free and allocation-free.
+// job runs: decoding a one-statement prepared request into warm
+// per-connection scratch allocates NOTHING, amortized — the property that
+// lets the server's hot path run parse-free and allocation-free.
 func TestExecPreparedDecodeAllocGate(t *testing.T) {
-	execPreparedDecodeAllocGate(t, false)
+	preparedDecodeAllocGate(t, samplePreparedStmts()[:1], false)
 }
 
 // TestExecPreparedDecodeTAllocGate: a traced request decodes its
 // FrameTraceCtx first; tracing must not cost the path its zero-allocation
 // property either.
 func TestExecPreparedDecodeTAllocGate(t *testing.T) {
-	execPreparedDecodeAllocGate(t, true)
+	preparedDecodeAllocGate(t, samplePreparedStmts()[:1], true)
 }
 
-func execPreparedDecodeAllocGate(t *testing.T, traced bool) {
-	payload, err := AppendExecPrepared(nil, 11, 17, samplePreparedArgs())
+// TestBatchPreparedDecodeNoAlloc: an n-statement request reuses both the
+// statement and the argument scratch with zero steady-state allocation,
+// Args views included, traced or not.
+func TestBatchPreparedDecodeNoAlloc(t *testing.T) {
+	preparedDecodeAllocGate(t, samplePreparedStmts(), false)
+	preparedDecodeAllocGate(t, samplePreparedStmts(), true)
+}
+
+// samplePreparedStmts is an untagged prepared run: statements by id with
+// positional arguments, as a plain client's Stmt sends them.
+func samplePreparedStmts() []Stmt {
+	return []Stmt{
+		{Stmt: 17, Args: samplePreparedArgs()},
+		{Stmt: 17, Args: samplePreparedArgs()[:1]},
+		{Stmt: 18},
+	}
+}
+
+func preparedDecodeAllocGate(t *testing.T, stmts []Stmt, traced bool) {
+	payload, err := AppendRequest(nil, 11, 0, 0, stmts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx := AppendTraceCtx(nil, sampleTraceCtx())
-	scratch := make([]value.Item, 0, 8)
+	var r Request
 	decode := func() {
 		if traced {
 			if c, err := DecodeTraceCtx(ctx); err != nil || c != sampleTraceCtx() {
 				t.Fatalf("trace context: %+v, %v", c, err)
 			}
 		}
-		var err error
-		if _, _, scratch, err = DecodeExecPreparedInto(payload, scratch[:0]); err != nil {
-			t.Fatal(err)
+		if err := DecodeRequestInto(payload, &r); err != nil || len(r.Stmts) != len(stmts) {
+			t.Fatalf("decode: %d statements, %v", len(r.Stmts), err)
 		}
 	}
 	for i := 0; i < 16; i++ { // warm the scratch to the payload's width
 		decode()
 	}
 	if avg := testing.AllocsPerRun(200, decode); avg >= 0.5 {
-		t.Fatalf("steady-state exec-prepared decode (traced=%v) allocates %.2f/frame, want 0 amortized", traced, avg)
+		t.Fatalf("steady-state %d-statement prepared decode (traced=%v) allocates %.2f/frame, want 0 amortized",
+			len(stmts), traced, avg)
 	}
 }
 
-// TestExecPreparedEncodeAllocGate: assembling a prepared execution into a
-// pre-grown request buffer allocates at most one object per frame (and in
-// practice zero) — the client-side half of the parse-free hot path, the
-// trace-context frame included.
+// TestExecPreparedEncodeAllocGate: assembling one- and n-statement
+// prepared requests into a pre-grown request buffer allocates at most one
+// object per frame (and in practice zero) — the client-side half of the
+// parse-free hot path, with and without the trace-context frame.
 func TestExecPreparedEncodeAllocGate(t *testing.T) {
-	args := samplePreparedArgs()
+	all := samplePreparedStmts()
 	buf := make([]byte, 0, 256)
-	avg := testing.AllocsPerRun(200, func() {
-		b := AppendTraceFrame(buf[:0], sampleTraceCtx())
-		b, mark := BeginFrame(b, FrameExecPrepared)
-		var err error
-		if b, err = AppendExecPrepared(b, 11, 17, args); err != nil {
-			t.Fatal(err)
+	for _, stmts := range [][]Stmt{all[:1], all} {
+		for _, tc := range []reqtrace.Ctx{{}, sampleTraceCtx()} {
+			avg := testing.AllocsPerRun(200, func() {
+				b := AppendTraceFrame(buf[:0], tc)
+				b, mark := BeginFrame(b, FrameRequest)
+				var err error
+				if b, err = AppendRequest(b, 11, 0, 0, stmts); err != nil {
+					t.Fatal(err)
+				}
+				if _, err = EndFrame(b, mark); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if avg > 1.0 {
+				t.Fatalf("steady-state %d-statement prepared encode (traced=%v) allocates %.2f/frame, want <= 1",
+					len(stmts), tc.Sampled, avg)
+			}
 		}
-		if _, err = EndFrame(b, mark); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if avg > 1.0 {
-		t.Fatalf("steady-state exec-prepared encode allocates %.2f/frame, want <= 1", avg)
-	}
-}
-
-// TestBatchPreparedDecodeNoAlloc: the batch decoder reuses both scratches
-// with zero steady-state allocation, Args views included.
-func TestBatchPreparedDecodeNoAlloc(t *testing.T) {
-	payload, err := AppendBatchPrepared(nil, 5, []PreparedCall{
-		{Stmt: 1, Args: samplePreparedArgs()},
-		{Stmt: 1, Args: samplePreparedArgs()[:1]},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var calls []PreparedCall
-	var items []value.Item
-	for i := 0; i < 16; i++ {
-		if _, calls, items, err = DecodeBatchPreparedInto(payload, calls[:0], items[:0]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	avg := testing.AllocsPerRun(200, func() {
-		var derr error
-		if _, calls, items, derr = DecodeBatchPreparedInto(payload, calls[:0], items[:0]); derr != nil {
-			t.Fatal(derr)
-		}
-	})
-	if avg >= 0.5 {
-		t.Fatalf("steady-state batch-prepared decode allocates %.2f/frame, want 0 amortized", avg)
 	}
 }
 
@@ -317,7 +312,7 @@ func BenchmarkAppendFrame(b *testing.B) {
 	buf := make([]byte, 0, 256)
 	for i := 0; i < b.N; i++ {
 		var err error
-		if buf, err = AppendFrame(buf[:0], FrameExec, payload); err != nil {
+		if buf, err = AppendFrame(buf[:0], FrameRequest, payload); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -327,7 +322,7 @@ func BenchmarkWriteFramePooled(b *testing.B) {
 	b.ReportAllocs()
 	payload := []byte("insert (12345, \"value\") into R")
 	for i := 0; i < b.N; i++ {
-		if err := WriteFrame(io.Discard, FrameExec, payload); err != nil {
+		if err := WriteFrame(io.Discard, FrameRequest, payload); err != nil {
 			b.Fatal(err)
 		}
 	}

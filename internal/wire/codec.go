@@ -115,62 +115,8 @@ func DecodeWelcome(buf []byte) (Welcome, error) {
 	return w, nil
 }
 
-// AppendExec encodes a FrameExec payload: request id + query text.
-func AppendExec(dst []byte, id uint64, query string) []byte {
-	dst = binary.AppendUvarint(dst, id)
-	return value.AppendString(dst, query)
-}
-
-// DecodeExec decodes a FrameExec payload.
-func DecodeExec(buf []byte) (id uint64, query string, err error) {
-	id, n := binary.Uvarint(buf)
-	if n <= 0 {
-		return 0, "", fmt.Errorf("%w: bad request id", ErrCorrupt)
-	}
-	if query, buf, err = value.DecodeString(buf[n:]); err != nil || len(buf) != 0 {
-		return 0, "", fmt.Errorf("%w: bad exec query", ErrCorrupt)
-	}
-	return id, query, nil
-}
-
-// AppendBatch encodes a FrameBatch payload: request id + count + queries.
-func AppendBatch(dst []byte, id uint64, queries []string) []byte {
-	dst = binary.AppendUvarint(dst, id)
-	dst = binary.AppendUvarint(dst, uint64(len(queries)))
-	for _, q := range queries {
-		dst = value.AppendString(dst, q)
-	}
-	return dst
-}
-
-// DecodeBatch decodes a FrameBatch payload.
-func DecodeBatch(buf []byte) (id uint64, queries []string, err error) {
-	id, n := binary.Uvarint(buf)
-	if n <= 0 {
-		return 0, nil, fmt.Errorf("%w: bad request id", ErrCorrupt)
-	}
-	buf = buf[n:]
-	count, n := binary.Uvarint(buf)
-	if n <= 0 || count > uint64(len(buf)) {
-		return 0, nil, fmt.Errorf("%w: bad batch count", ErrCorrupt)
-	}
-	buf = buf[n:]
-	queries = make([]string, 0, count)
-	for i := uint64(0); i < count; i++ {
-		var q string
-		if q, buf, err = value.DecodeString(buf); err != nil {
-			return 0, nil, fmt.Errorf("%w: bad batch query", ErrCorrupt)
-		}
-		queries = append(queries, q)
-	}
-	if len(buf) != 0 {
-		return 0, nil, errTrailing(buf)
-	}
-	return id, queries, nil
-}
-
 // AppendErrorMsg encodes a FrameError payload: request id, failing
-// statement index (-1 when the request was not a batch), message text.
+// statement index (-1 when no one statement failed), message text.
 func AppendErrorMsg(dst []byte, id uint64, index int, msg string) []byte {
 	dst = binary.AppendUvarint(dst, id)
 	dst = binary.AppendVarint(dst, int64(index))
@@ -398,92 +344,6 @@ func DecodeResponses(buf []byte) (id uint64, resps []core.Response, err error) {
 		return 0, nil, errTrailing(buf)
 	}
 	return id, resps, nil
-}
-
-// ForwardStmt is one pre-tagged statement inside a FrameForward payload.
-// The tag (Origin, Seq) was assigned by the sender's session — the
-// receiver executes without retagging, so the response carries the tag
-// the originating client expects.
-type ForwardStmt struct {
-	Origin string
-	Seq    int
-	Query  string
-}
-
-// AppendForward encodes a FrameForward payload:
-//
-//	fwd := id:uvarint flags:uint8 epoch:uvarint count:uvarint
-//	       (origin:string seq:varint query:string)*
-//
-// epoch is the sender's belief about the statements' slot epoch, a claim
-// only when flags has FwdEpoch (senders without one write 0).
-func AppendForward(dst []byte, id uint64, flags byte, epoch uint64, stmts []ForwardStmt) []byte {
-	dst = appendForwardHead(dst, id, flags, epoch, len(stmts))
-	for _, st := range stmts {
-		dst = value.AppendString(dst, st.Origin)
-		dst = binary.AppendVarint(dst, int64(st.Seq))
-		dst = value.AppendString(dst, st.Query)
-	}
-	return dst
-}
-
-// appendForwardHead encodes the fields both forward frames open with.
-func appendForwardHead(dst []byte, id uint64, flags byte, epoch uint64, count int) []byte {
-	dst = binary.AppendUvarint(dst, id)
-	dst = append(dst, flags)
-	dst = binary.AppendUvarint(dst, epoch)
-	return binary.AppendUvarint(dst, uint64(count))
-}
-
-// decodeForwardHead decodes the fields both forward frames open with.
-// minStmt is the smallest encoding of one statement: a count beyond
-// len(buf)/minStmt is corrupt, and refusing it bounds the allocation a
-// hostile count field can force before per-statement validation.
-func decodeForwardHead(buf []byte, minStmt uint64) (id uint64, flags byte, epoch, count uint64, rest []byte, err error) {
-	id, n := binary.Uvarint(buf)
-	if n <= 0 || len(buf[n:]) < 1 {
-		return 0, 0, 0, 0, nil, fmt.Errorf("%w: bad forward id", ErrCorrupt)
-	}
-	flags = buf[n]
-	buf = buf[n+1:]
-	if epoch, n = binary.Uvarint(buf); n <= 0 {
-		return 0, 0, 0, 0, nil, fmt.Errorf("%w: bad forward epoch", ErrCorrupt)
-	}
-	buf = buf[n:]
-	count, n = binary.Uvarint(buf)
-	if n <= 0 || count > uint64(len(buf))/minStmt+1 {
-		return 0, 0, 0, 0, nil, fmt.Errorf("%w: bad forward count", ErrCorrupt)
-	}
-	return id, flags, epoch, count, buf[n:], nil
-}
-
-// DecodeForward decodes a FrameForward payload.
-func DecodeForward(buf []byte) (id uint64, flags byte, epoch uint64, stmts []ForwardStmt, err error) {
-	// A statement is at least 3 bytes: two empty strings and a seq varint.
-	id, flags, epoch, count, buf, err := decodeForwardHead(buf, 3)
-	if err != nil {
-		return 0, 0, 0, nil, err
-	}
-	stmts = make([]ForwardStmt, 0, count)
-	for i := uint64(0); i < count; i++ {
-		var st ForwardStmt
-		if st.Origin, buf, err = value.DecodeString(buf); err != nil {
-			return 0, 0, 0, nil, fmt.Errorf("%w: bad forward origin", ErrCorrupt)
-		}
-		seq, n := binary.Varint(buf)
-		if n <= 0 {
-			return 0, 0, 0, nil, fmt.Errorf("%w: bad forward seq", ErrCorrupt)
-		}
-		st.Seq = int(seq)
-		if st.Query, buf, err = value.DecodeString(buf[n:]); err != nil {
-			return 0, 0, 0, nil, fmt.Errorf("%w: bad forward query", ErrCorrupt)
-		}
-		stmts = append(stmts, st)
-	}
-	if len(buf) != 0 {
-		return 0, 0, 0, nil, errTrailing(buf)
-	}
-	return id, flags, epoch, stmts, nil
 }
 
 // AppendRedirect encodes a FrameRedirect payload:

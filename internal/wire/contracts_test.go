@@ -1,9 +1,9 @@
 // The contracts the retired cross-version interop tests pinned, restated
-// for the one version-6 layout. Each test keeps its namesake's name and
+// for the one version-7 layout. Each test keeps its namesake's name and
 // checks what survives of its contract: TestWireV2V3Equivalence the
-// optional failover epoch, TestWireV3V4Equivalence the prepared frames'
-// scratch decoders, TestWireV4V5Equivalence the trace context. The bytes
-// of every frame are pinned by TestGoldenFrames.
+// optional failover epoch, TestWireV3V4Equivalence the request decoder's
+// scratch reuse, TestWireV4V5Equivalence the trace context. The bytes of
+// every frame are pinned by TestGoldenFrames.
 package wire
 
 import (
@@ -14,39 +14,55 @@ import (
 	"funcdb/internal/value"
 )
 
+// sameStmts reports whether two statement lists carry the same fields.
+func sameStmts(t *testing.T, got, want []Stmt) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%d statements, want %d", len(got), len(want))
+	}
+	for i := range want {
+		a, b := want[i], got[i]
+		if a.Origin != b.Origin || a.Seq != b.Seq || a.Stmt != b.Stmt || a.Hash != b.Hash ||
+			a.Text != b.Text || a.HasText != b.HasText || len(a.Args) != len(b.Args) {
+			t.Fatalf("stmt %d diverged:\n got %+v\nwant %+v", i, b, a)
+		}
+		for j := range a.Args {
+			if a.Args[j] != b.Args[j] {
+				t.Fatalf("stmt %d arg %d diverged: %v vs %v", i, j, b.Args[j], a.Args[j])
+			}
+		}
+	}
+}
+
 // TestWireV2V3Equivalence: a failover epoch never disturbs the frame's
 // other fields. An unstamped frame carries epoch 0 in the epoch's fixed
-// place, and a stamped one differs from it only there (and, for forwards,
+// place, and a stamped one differs from it only there (and, for requests,
 // in the FwdEpoch bit).
 func TestWireV2V3Equivalence(t *testing.T) {
-	stmts := []ForwardStmt{
-		{Origin: "c0", Seq: 3, Query: `insert (1, "x") into R`},
-		{Origin: "c0", Seq: 4, Query: "count R"},
+	stmts := []Stmt{
+		{Origin: "c0", Seq: 3, Text: `insert (1, "x") into R`, HasText: true},
+		{Origin: "c0", Seq: 4, Hash: 0xdeadbeefcafe, Args: samplePreparedArgs()},
 	}
 
-	// Forward: flags byte right after the 1-byte id, epoch varint after it.
-	plain := AppendForward(nil, 9, FwdNoForward, 0, stmts)
-	stamped := AppendForward(nil, 9, FwdNoForward|FwdEpoch, 77, stmts)
+	// Request: flags byte right after the 1-byte id, epoch varint after it.
+	plain := must(AppendRequest(nil, 9, FwdTagged|FwdNoForward, 0, stmts))
+	stamped := must(AppendRequest(nil, 9, FwdTagged|FwdNoForward|FwdEpoch, 77, stmts))
 	patched := append([]byte(nil), plain...)
 	patched[1] |= FwdEpoch
 	patched[2] = 77
 	if !bytes.Equal(patched, stamped) {
-		t.Fatalf("epoch disturbed the other forward bytes:\n got %x\nwant %x", stamped, patched)
+		t.Fatalf("epoch disturbed the other request bytes:\n got %x\nwant %x", stamped, patched)
 	}
 	for _, c := range []struct {
 		buf   []byte
 		flags byte
 		epoch uint64
-	}{{plain, FwdNoForward, 0}, {stamped, FwdNoForward | FwdEpoch, 77}} {
-		id, flags, epoch, got, err := DecodeForward(c.buf)
-		if err != nil || id != 9 || flags != c.flags || epoch != c.epoch || len(got) != len(stmts) {
-			t.Fatalf("forward decode: id=%d flags=%x epoch=%d err=%v", id, flags, epoch, err)
+	}{{plain, FwdTagged | FwdNoForward, 0}, {stamped, FwdTagged | FwdNoForward | FwdEpoch, 77}} {
+		var r Request
+		if err := DecodeRequestInto(c.buf, &r); err != nil || r.ID != 9 || r.Flags != c.flags || r.Epoch != c.epoch {
+			t.Fatalf("request decode: id=%d flags=%x epoch=%d err=%v", r.ID, r.Flags, r.Epoch, err)
 		}
-		for i := range got {
-			if got[i] != stmts[i] {
-				t.Fatalf("stmt %d diverged: %+v vs %+v", i, got[i], stmts[i])
-			}
-		}
+		sameStmts(t, r.Stmts, stmts)
 	}
 
 	// Redirect: the epoch is the last field; 0 means unstamped.
@@ -88,9 +104,9 @@ func TestWireV2V3Equivalence(t *testing.T) {
 	}
 }
 
-// TestWireV3V4Equivalence: the prepared frames' scratch decoders agree
-// whatever scratch they are handed — nil or warm, grown or reused — and
-// the forward-prepared epoch follows TestWireV2V3Equivalence's discipline.
+// TestWireV3V4Equivalence: the request decoder agrees with itself whatever
+// scratch it is handed — zero or warm, grown or reused — and Args views
+// stay valid when the shared item scratch grows mid-decode.
 func TestWireV3V4Equivalence(t *testing.T) {
 	id, text, err := DecodePrepare(AppendPrepare(nil, 3, "find ? in R"))
 	if err != nil || id != 3 || text != "find ? in R" {
@@ -101,97 +117,30 @@ func TestWireV3V4Equivalence(t *testing.T) {
 		t.Fatalf("prepared round-trip: %d %d %d %v", rid, stmt, np, err)
 	}
 
-	// ExecPrepared: scratch reuse across decodes never bleeds earlier
-	// arguments in.
 	args := samplePreparedArgs()
-	ep, err := AppendExecPrepared(nil, 11, 17, args)
-	if err != nil {
-		t.Fatal(err)
+	lists := [][]Stmt{
+		{{Stmt: 17, Args: args}},
+		{
+			{Stmt: 1, Args: args},
+			{Text: "count R", HasText: true},
+			{Hash: 0xdeadbeefcafe, Text: "find ? in R", HasText: true, Args: []value.Item{
+				value.Str("long-enough-to-force-item-growth"), value.Int(1), value.Int(2), value.Int(3)}},
+		},
 	}
-	nid, nstmt, nargs, err := DecodeExecPreparedInto(ep, nil)
-	if err != nil || nid != 11 || nstmt != 17 || len(nargs) != len(args) {
-		t.Fatalf("nil-scratch exec-prepared decode: %d %d %d %v", nid, nstmt, len(nargs), err)
-	}
-	warm := warmScratch().items
-	for round := 0; round < 3; round++ {
-		sid, sstmt, sargs, err := DecodeExecPreparedInto(ep, warm[:0])
-		if err != nil || sid != nid || sstmt != nstmt || len(sargs) != len(nargs) {
-			t.Fatalf("scratch decode diverged round %d: %v", round, err)
+	warm := warmScratch()
+	for _, stmts := range lists {
+		payload := must(AppendRequest(nil, 13, 0, 0, stmts))
+		var fresh Request
+		if err := DecodeRequestInto(payload, &fresh); err != nil || fresh.ID != 13 {
+			t.Fatalf("nil-scratch decode: id=%d err=%v", fresh.ID, err)
 		}
-		for i := range nargs {
-			if sargs[i] != nargs[i] || sargs[i] != args[i] {
-				t.Fatalf("arg %d diverged: %+v vs %+v", i, sargs[i], nargs[i])
+		sameStmts(t, fresh.Stmts, stmts)
+		small := Request{items: make([]value.Item, 0, 1)}
+		for round, r := range []*Request{&small, &warm.req, &warm.req} {
+			if err := DecodeRequestInto(payload, r); err != nil || r.ID != fresh.ID || r.Flags != fresh.Flags {
+				t.Fatalf("scratch decode diverged round %d: %v", round, err)
 			}
-		}
-		warm = sargs
-	}
-
-	// BatchPrepared: Args views stay valid and correct when the shared
-	// item scratch grows (append-realloc safety).
-	calls := []PreparedCall{
-		{Stmt: 1, Args: args},
-		{Stmt: 2, Args: nil},
-		{Stmt: 1, Args: []value.Item{value.Str("long-enough-to-force-item-growth"), value.Int(1), value.Int(2), value.Int(3)}},
-	}
-	bp, err := AppendBatchPrepared(nil, 13, calls)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sc := warmScratch()
-	for _, items := range [][]value.Item{nil, make([]value.Item, 0, 1), sc.items} {
-		bid, got, _, err := DecodeBatchPreparedInto(bp, sc.calls, items)
-		if err != nil || bid != 13 || len(got) != len(calls) {
-			t.Fatalf("batch-prepared decode: %d %d %v", bid, len(got), err)
-		}
-		for i := range calls {
-			if got[i].Stmt != calls[i].Stmt || len(got[i].Args) != len(calls[i].Args) {
-				t.Fatalf("call %d diverged: %+v vs %+v", i, got[i], calls[i])
-			}
-			for j := range calls[i].Args {
-				if got[i].Args[j] != calls[i].Args[j] {
-					t.Fatalf("call %d arg %d diverged", i, j)
-				}
-			}
-		}
-	}
-
-	// ForwardPrepared: the epoch sits where it does in a Forward, and the
-	// hash/text resolution fields survive nil and warm scratch alike.
-	stmts := []PreparedFwdStmt{
-		{Origin: "c0", Seq: 3, Hash: 0xdeadbeefcafe, Text: "find ? in R", HasText: true, Args: args[:1]},
-		{Origin: "c0", Seq: 4, Stmt: 9, Hash: 0xdeadbeefcafe, Args: args[1:]},
-	}
-	plain, err := AppendForwardPrepared(nil, 21, FwdNoForward, 0, stmts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	stamped, err := AppendForwardPrepared(nil, 21, FwdNoForward|FwdEpoch, 77, stmts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	patched := append([]byte(nil), plain...)
-	patched[1] |= FwdEpoch
-	patched[2] = 77
-	if !bytes.Equal(patched, stamped) {
-		t.Fatalf("epoch disturbed the other forward-prepared bytes:\n got %x\nwant %x", stamped, patched)
-	}
-	sc = warmScratch()
-	for _, s := range []*scratch{{}, sc} {
-		fid, fflags, fepoch, got, _, err := DecodeForwardPreparedInto(stamped, s.fwd, s.items)
-		if err != nil || fid != 21 || fflags != FwdNoForward|FwdEpoch || fepoch != 77 || len(got) != len(stmts) {
-			t.Fatalf("forward-prepared decode: id=%d flags=%x epoch=%d n=%d err=%v", fid, fflags, fepoch, len(got), err)
-		}
-		for i := range stmts {
-			a, b := stmts[i], got[i]
-			if a.Origin != b.Origin || a.Seq != b.Seq || a.Stmt != b.Stmt || a.Hash != b.Hash ||
-				a.Text != b.Text || a.HasText != b.HasText || len(a.Args) != len(b.Args) {
-				t.Fatalf("forward-prepared stmt %d diverged:\n%+v\n%+v", i, a, b)
-			}
-			for j := range a.Args {
-				if a.Args[j] != b.Args[j] {
-					t.Fatalf("forward-prepared stmt %d arg %d diverged", i, j)
-				}
-			}
+			sameStmts(t, r.Stmts, fresh.Stmts)
 		}
 	}
 }
@@ -201,8 +150,8 @@ func TestWireV3V4Equivalence(t *testing.T) {
 // an untraced sender writes, the context reads back unchanged, and a
 // context glued onto a payload (the retired suffix form) is refused.
 func TestWireV4V5Equivalence(t *testing.T) {
-	if Version != 6 {
-		t.Fatalf("wire.Version = %d, expected 6", Version)
+	if Version != 7 {
+		t.Fatalf("wire.Version = %d, expected 7", Version)
 	}
 	tc := sampleTraceCtx()
 
@@ -215,14 +164,9 @@ func TestWireV4V5Equivalence(t *testing.T) {
 		t.Fatalf("trace-context round-trip: %+v err=%v", back, err)
 	}
 
-	args := samplePreparedArgs()
-	requests := []frame{
-		{FrameExec, AppendExec(nil, 7, "count R")},
-		{FrameBatch, AppendBatch(nil, 7, []string{"count R", "insert 1 into R"})},
-		{FrameExecPrepared, must(AppendExecPrepared(nil, 11, 17, args))},
-		{FrameBatchPrepared, must(AppendBatchPrepared(nil, 13, []PreparedCall{{Stmt: 1, Args: args}, {Stmt: 2}}))},
-		{FrameForward, AppendForward(nil, 9, FwdNoForward|FwdEpoch, 5, []ForwardStmt{{Origin: "c0", Seq: 3, Query: "count R"}})},
-		{FrameLogRecord, AppendLogRecord(nil, 2, []byte("record"))},
+	requests := []frame{{FrameLogRecord, AppendLogRecord(nil, 2, []byte("record"))}}
+	for _, p := range sampleRequests() {
+		requests = append(requests, frame{FrameRequest, p})
 	}
 	for _, req := range requests {
 		untraced := must(AppendFrame(nil, req.typ, req.payload))

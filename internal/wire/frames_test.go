@@ -55,21 +55,42 @@ func must(b []byte, err error) []byte {
 	return b
 }
 
-// goldenFrames pins the version-6 encoding of every frame type. A traced
+// sampleRequests are the request shapes senders build: one text
+// statement, a text batch, one by statement id, a hashed template carrying
+// its text, a tagged run claiming an epoch (first contact with text, then
+// hash only), and the empty list.
+func sampleRequests() map[string][]byte {
+	args := samplePreparedArgs()
+	return map[string][]byte{
+		"text": must(AppendRequest(nil, 7, 0, 0, []Stmt{{Text: "count R", HasText: true}})),
+		"batch": must(AppendRequest(nil, 7, 0, 0, []Stmt{
+			{Text: "count R", HasText: true},
+			{Text: "insert 1 into R", HasText: true},
+		})),
+		"by-id": must(AppendRequest(nil, 11, 0, 0, []Stmt{{Stmt: 17, Args: args}})),
+		"hash-text": must(AppendRequest(nil, 13, 0, 0, []Stmt{
+			{Hash: 7, Text: "find ? in R", HasText: true, Args: args[:1]},
+			{Stmt: 2},
+		})),
+		"tagged": must(AppendRequest(nil, 21, FwdTagged|FwdNoForward|FwdEpoch, 77, []Stmt{
+			{Origin: "c0", Seq: 3, Hash: 7, Text: "count R", HasText: true},
+			{Origin: "c0", Seq: 4, Stmt: 9, Hash: 7, Args: args[1:]},
+		})),
+		"empty": must(AppendRequest(nil, 9, 0, 0, nil)),
+	}
+}
+
+// goldenFrames pins the version-7 encoding of every frame type. A traced
 // request is two frames: the TraceCtx, then the request it annotates.
 func goldenFrames() []goldenFrame {
-	args := samplePreparedArgs()
 	resps := sampleResponses()
+	reqs := sampleRequests()
 	traced := AppendTraceCtx(nil, sampleTraceCtx())
 	return []goldenFrame{
 		{"hello", []frame{{FrameHello, AppendHello(nil, Hello{Origin: "c0", Database: "aux"})}},
-			"100c000000664442770602633003617578c49d873d"},
+			"100c0000006644427707026330036175785a9d2df1"},
 		{"welcome", []frame{{FrameWelcome, AppendWelcome(nil, Welcome{Lanes: 4, Durable: true, Origin: "conn1", Database: "main"})}},
-			"110e00000006080105636f6e6e31046d61696e312b5161"},
-		{"exec", []frame{{FrameExec, AppendExec(nil, 7, "count R")}},
-			"12090000000707636f756e742052fd8d5b44"},
-		{"batch", []frame{{FrameBatch, AppendBatch(nil, 7, []string{"count R", "insert 1 into R"})}},
-			"131a000000070207636f756e7420520f696e73657274203120696e746f20529bff5909"},
+			"110e00000007080105636f6e6e31046d61696e47ca5efc"},
 		{"response", []frame{{FrameResponse, must(AppendSingleResponse(nil, 5, resps[1]))}},
 			"1414000000050263300201090000020102020677696467657401cd036f"},
 		{"batch-response", []frame{{FrameBatchResponse, must(AppendResponses(nil, 9, []core.Response{resps[4], resps[8], resps[9]}))}},
@@ -78,8 +99,6 @@ func goldenFrames() []goldenFrame {
 			"1607000000090404626f6f6dd89fbd27"},
 		{"quit", []frame{{FrameQuit, nil}},
 			"17000000004a6ad151"},
-		{"forward", []frame{{FrameForward, AppendForward(nil, 9, FwdNoForward|FwdEpoch, 5, []ForwardStmt{{Origin: "c0", Seq: 3, Query: "count R"}})}},
-			"1810000000090505010263300607636f756e742052606c6851"},
 		{"redirect", []frame{{FrameRedirect, AppendRedirect(nil, 5, "h:1", "R", 2)}},
 			"19080000000503683a31015202647282bf"},
 		{"subscribe", []frame{{FrameSubscribe, AppendSubscribe(nil, 41, 2, 0)}},
@@ -100,18 +119,31 @@ func goldenFrames() []goldenFrame {
 			"220d000000030b66696e64203f20696e2052fd63ac8b"},
 		{"prepared", []frame{{FramePrepared, AppendPrepared(nil, 3, 17, 1)}},
 			"230300000003110113725bb5"},
-		{"exec-prepared", []frame{{FrameExecPrepared, must(AppendExecPrepared(nil, 11, 17, args))}},
-			"240a0000000b11030154020178010ddbe64a5e"},
-		{"batch-prepared", []frame{{FrameBatchPrepared, must(AppendBatchPrepared(nil, 13, []PreparedCall{{Stmt: 1, Args: args}, {Stmt: 2}}))}},
-			"250d0000000d0201030154020178010d020019e3f6c8"},
-		{"forward-prepared", []frame{{FrameForwardPrepared, must(AppendForwardPrepared(nil, 21, FwdNoForward|FwdEpoch, 77, []PreparedFwdStmt{
-			{Origin: "c0", Seq: 3, Hash: 7, Text: "count R", HasText: true},
-			{Origin: "c0", Seq: 4, Stmt: 9, Hash: 7, Args: args[1:]},
-		}))}},
-			"262f00000015054d02026330060007000000000000000107636f756e74205200026330080907000000000000000002020178010de751ce4d"},
-		{"traced-exec-prepared", []frame{{FrameTraceCtx, traced}, {FrameExecPrepared, must(AppendExecPrepared(nil, 11, 17, args))}},
-			"290a0000008877665544332211010172ada49b240a0000000b11030154020178010ddbe64a5e"},
+		{"request-text", []frame{{FrameRequest, reqs["text"]}},
+			"26190000000700000100000000000000000000000107636f756e742052005acdd647"},
+		{"request-batch", []frame{{FrameRequest, reqs["batch"]}},
+			"26360000000700000200000000000000000000000107636f756e742052000000000000000000000000010f696e73657274203120696e746f20520017bab874"},
+		{"request-by-id", []frame{{FrameRequest, reqs["by-id"]}},
+			"26180000000b000001000011000000000000000000030154020178010da3d6d1a6"},
+		{"request-hash-text", []frame{{FrameRequest, reqs["hash-text"]}},
+			"262c0000000d0000020000000700000000000000010b66696e64203f20696e2052010154000002000000000000000000007a1f79c5"},
+		{"request-tagged", []frame{{FrameRequest, reqs["tagged"]}},
+			"262f000000150d4d02026330060007000000000000000107636f756e74205200026330080907000000000000000002020178010dfd816005"},
+		{"request-empty", []frame{{FrameRequest, reqs["empty"]}},
+			"2604000000090000003362abf5"},
+		{"traced-request", []frame{{FrameTraceCtx, traced}, {FrameRequest, reqs["by-id"]}},
+			"290a0000008877665544332211010172ada49b26180000000b000001000011000000000000000000030154020178010da3d6d1a6"},
 	}
+}
+
+// retiredFrame reports the frame types of retired protocol revisions:
+// never sent, and refused by every receiver.
+func retiredFrame(typ byte) bool {
+	switch typ {
+	case 0x12, 0x13, 0x18, 0x21, 0x24, 0x25, 0x27, 0x28:
+		return true
+	}
+	return false
 }
 
 // TestGoldenFrames is the protocol's byte-level specification: every frame
@@ -139,36 +171,33 @@ func TestGoldenFrames(t *testing.T) {
 		}
 	}
 	for typ := FrameHello; typ <= FrameTraceCtx; typ++ {
-		retired := typ == 0x21 || typ == 0x27 || typ == 0x28
-		if seen[typ] == retired {
-			t.Errorf("frame type %#x: golden row present=%v, retired=%v", typ, seen[typ], retired)
+		if seen[typ] == retiredFrame(typ) {
+			t.Errorf("frame type %#x: golden row present=%v, retired=%v", typ, seen[typ], retiredFrame(typ))
+		}
+		if retiredFrame(typ) && frameCodecs[typ] != nil {
+			t.Errorf("retired frame type %#x still has a codec", typ)
 		}
 	}
 }
 
-// scratch is the decode scratch the ...Into decoders reuse.
+// scratch is the decode scratch a connection reuses.
 type scratch struct {
-	items []value.Item
-	calls []PreparedCall
-	fwd   []PreparedFwdStmt
+	req Request
 }
 
 // warmScratch is scratch a connection has used before: stale contents and
 // spare capacity that a decode must neither read nor leak.
 func warmScratch() *scratch {
-	sc := &scratch{
+	sc := &scratch{req: Request{
+		ID: 99, Flags: 0xff, Epoch: 99,
+		Stmts: make([]Stmt, 4, 16),
 		items: make([]value.Item, 8, 64),
-		calls: make([]PreparedCall, 4, 16),
-		fwd:   make([]PreparedFwdStmt, 4, 16),
+	}}
+	for i := range sc.req.items {
+		sc.req.items[i] = value.Int(int64(1000 + i))
 	}
-	for i := range sc.items {
-		sc.items[i] = value.Int(int64(1000 + i))
-	}
-	for i := range sc.calls {
-		sc.calls[i] = PreparedCall{Stmt: 99, Args: sc.items[:2]}
-	}
-	for i := range sc.fwd {
-		sc.fwd[i] = PreparedFwdStmt{Origin: "stale", Text: "stale", HasText: true, Args: sc.items[:3]}
+	for i := range sc.req.Stmts {
+		sc.req.Stmts[i] = Stmt{Origin: "stale", Stmt: 99, Text: "stale", HasText: true, Args: sc.req.items[:3], nargs: 3}
 	}
 	return sc
 }
@@ -183,14 +212,6 @@ var frameCodecs = map[byte]func(p []byte, sc *scratch) ([]byte, error){
 	FrameWelcome: func(p []byte, _ *scratch) ([]byte, error) {
 		w, err := DecodeWelcome(p)
 		return AppendWelcome(nil, w), err
-	},
-	FrameExec: func(p []byte, _ *scratch) ([]byte, error) {
-		id, q, err := DecodeExec(p)
-		return AppendExec(nil, id, q), err
-	},
-	FrameBatch: func(p []byte, _ *scratch) ([]byte, error) {
-		id, qs, err := DecodeBatch(p)
-		return AppendBatch(nil, id, qs), err
 	},
 	FrameResponse: func(p []byte, _ *scratch) ([]byte, error) {
 		id, r, err := DecodeSingleResponse(p)
@@ -209,10 +230,6 @@ var frameCodecs = map[byte]func(p []byte, sc *scratch) ([]byte, error){
 	FrameError: func(p []byte, _ *scratch) ([]byte, error) {
 		id, idx, msg, err := DecodeErrorMsg(p)
 		return AppendErrorMsg(nil, id, idx, msg), err
-	},
-	FrameForward: func(p []byte, _ *scratch) ([]byte, error) {
-		id, flags, epoch, stmts, err := DecodeForward(p)
-		return AppendForward(nil, id, flags, epoch, stmts), err
 	},
 	FrameRedirect: func(p []byte, _ *scratch) ([]byte, error) {
 		id, addr, rel, epoch, err := DecodeRedirect(p)
@@ -248,29 +265,12 @@ var frameCodecs = map[byte]func(p []byte, sc *scratch) ([]byte, error){
 		id, stmt, np, err := DecodePrepared(p)
 		return AppendPrepared(nil, id, stmt, np), err
 	},
-	FrameExecPrepared: func(p []byte, sc *scratch) ([]byte, error) {
-		id, stmt, args, err := DecodeExecPreparedInto(p, sc.items[:0])
-		if err != nil {
+	FrameRequest: func(p []byte, sc *scratch) ([]byte, error) {
+		r := &sc.req
+		if err := DecodeRequestInto(p, r); err != nil {
 			return nil, err
 		}
-		sc.items = args
-		return AppendExecPrepared(nil, id, stmt, args)
-	},
-	FrameBatchPrepared: func(p []byte, sc *scratch) ([]byte, error) {
-		id, calls, items, err := DecodeBatchPreparedInto(p, sc.calls, sc.items)
-		if err != nil {
-			return nil, err
-		}
-		sc.calls, sc.items = calls, items
-		return AppendBatchPrepared(nil, id, calls)
-	},
-	FrameForwardPrepared: func(p []byte, sc *scratch) ([]byte, error) {
-		id, flags, epoch, stmts, items, err := DecodeForwardPreparedInto(p, sc.fwd, sc.items)
-		if err != nil {
-			return nil, err
-		}
-		sc.fwd, sc.items = stmts, items
-		return AppendForwardPrepared(nil, id, flags, epoch, stmts)
+		return AppendRequest(nil, r.ID, r.Flags, r.Epoch, r.Stmts)
 	},
 	FrameTraceCtx: func(p []byte, _ *scratch) ([]byte, error) {
 		c, err := DecodeTraceCtx(p)
@@ -350,17 +350,18 @@ func fuzzFrameTypes(f *testing.F, types ...byte) {
 // The per-type targets below add no checks and no inputs of their own:
 // each is FuzzFrames pinned to one frame type over the corpus checked in
 // under its name (from the codecs of retired revisions — T/E/Ex payloads
-// now exercise the plain frame's trailing-byte refusal), which is also
-// in testdata/fuzz/FuzzFrames. They survive only as the names those
+// now exercise the plain frame's trailing-byte refusal, and the retired
+// statement frames' payloads are hostile input to FrameRequest), which is
+// also in testdata/fuzz/FuzzFrames. They survive only as the names those
 // inputs have run under; fuzz FuzzFrames, not them.
 
 func FuzzDecodeHello(f *testing.F)            { fuzzFrameTypes(f, FrameHello) }
 func FuzzDecodeResponse(f *testing.F)         { fuzzFrameTypes(f, FrameResponse, FrameBatchResponse) }
-func FuzzDecodeExecT(f *testing.F)            { fuzzFrameTypes(f, FrameExec) }
-func FuzzDecodeBatchT(f *testing.F)           { fuzzFrameTypes(f, FrameBatch) }
-func FuzzDecodeForward(f *testing.F)          { fuzzFrameTypes(f, FrameForward) }
-func FuzzDecodeForwardE(f *testing.F)         { fuzzFrameTypes(f, FrameForward) }
-func FuzzDecodeForwardT(f *testing.F)         { fuzzFrameTypes(f, FrameForward) }
+func FuzzDecodeExecT(f *testing.F)            { fuzzFrameTypes(f, FrameRequest) }
+func FuzzDecodeBatchT(f *testing.F)           { fuzzFrameTypes(f, FrameRequest) }
+func FuzzDecodeForward(f *testing.F)          { fuzzFrameTypes(f, FrameRequest) }
+func FuzzDecodeForwardE(f *testing.F)         { fuzzFrameTypes(f, FrameRequest) }
+func FuzzDecodeForwardT(f *testing.F)         { fuzzFrameTypes(f, FrameRequest) }
 func FuzzDecodeRedirect(f *testing.F)         { fuzzFrameTypes(f, FrameRedirect) }
 func FuzzDecodeRedirectE(f *testing.F)        { fuzzFrameTypes(f, FrameRedirect) }
 func FuzzDecodeSubscribeEx(f *testing.F)      { fuzzFrameTypes(f, FrameSubscribe) }
@@ -369,12 +370,12 @@ func FuzzDecodeStats(f *testing.F)            { fuzzFrameTypes(f, FrameIntrospec
 func FuzzDecodeTraces(f *testing.F)           { fuzzFrameTypes(f, FrameIntrospect, FrameIntrospectResponse) }
 func FuzzDecodeHeartbeat(f *testing.F)        { fuzzFrameTypes(f, FrameHeartbeat) }
 func FuzzDecodePrepare(f *testing.F)          { fuzzFrameTypes(f, FramePrepare) }
-func FuzzDecodeExecPrepared(f *testing.F)     { fuzzFrameTypes(f, FrameExecPrepared) }
-func FuzzDecodeExecPreparedT(f *testing.F)    { fuzzFrameTypes(f, FrameExecPrepared) }
-func FuzzDecodeBatchPrepared(f *testing.F)    { fuzzFrameTypes(f, FrameBatchPrepared) }
-func FuzzDecodeBatchPreparedT(f *testing.F)   { fuzzFrameTypes(f, FrameBatchPrepared) }
-func FuzzDecodeForwardPrepared(f *testing.F)  { fuzzFrameTypes(f, FrameForwardPrepared) }
-func FuzzDecodeForwardPreparedT(f *testing.F) { fuzzFrameTypes(f, FrameForwardPrepared) }
+func FuzzDecodeExecPrepared(f *testing.F)     { fuzzFrameTypes(f, FrameRequest) }
+func FuzzDecodeExecPreparedT(f *testing.F)    { fuzzFrameTypes(f, FrameRequest) }
+func FuzzDecodeBatchPrepared(f *testing.F)    { fuzzFrameTypes(f, FrameRequest) }
+func FuzzDecodeBatchPreparedT(f *testing.F)   { fuzzFrameTypes(f, FrameRequest) }
+func FuzzDecodeForwardPrepared(f *testing.F)  { fuzzFrameTypes(f, FrameRequest) }
+func FuzzDecodeForwardPreparedT(f *testing.F) { fuzzFrameTypes(f, FrameRequest) }
 func FuzzDecodeTraceCtx(f *testing.F)         { fuzzFrameTypes(f, FrameTraceCtx) }
 
 // TestTraceFrameOnlyWhenSampled: AppendTraceFrame writes a frame for a

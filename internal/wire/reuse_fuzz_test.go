@@ -45,12 +45,12 @@ func decodeAll(next func() (byte, []byte, error)) (typs []byte, payloads [][]byt
 // replace the reference one at every call site.
 func FuzzReadFrameReuse(f *testing.F) {
 	var seed []byte
-	seed, _ = AppendFrame(seed, FrameExec, []byte("find 1 in R"))
+	seed, _ = AppendFrame(seed, FrameRequest, []byte("find 1 in R"))
 	seed, _ = AppendFrame(seed, FrameQuit, nil)
 	seed, _ = AppendFrame(seed, FrameResponse, bytes.Repeat([]byte("tuple "), 100))
 	f.Add(seed)
 	f.Add(seed[:len(seed)-3])                               // torn tail
-	f.Add([]byte{FrameExec, 0, 0, 0})                       // truncated header
+	f.Add([]byte{FrameRequest, 0, 0, 0})                    // truncated header
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0}) // oversize length
 	corrupt := append([]byte(nil), seed...)
 	corrupt[7] ^= 0x40 // flip a payload bit: CRC must catch it

@@ -15,7 +15,7 @@
 // There is one protocol revision (Version) and every frame type has
 // exactly one payload layout with one encoder and one decoder. Nothing is
 // optional inside a payload: a field a sender has no value for is written
-// as its zero (a Redirect's unknown epoch is 0, a Forward without an
+// as its zero (a Redirect's unknown epoch is 0, a Request without an
 // epoch claim clears FwdEpoch and writes epoch 0).
 //
 // Every request frame carries a client-chosen request id, echoed on the
@@ -33,14 +33,16 @@
 //
 //	client → FrameHello  (magic, protocol version, origin, database)
 //	server → FrameWelcome (protocol version, lanes, durable, origin, database)
-//	client → [FrameTraceCtx] FrameExec | FrameBatch | ...  (pipelined freely)
-//	server → FrameResponse | FrameBatchResponse | FrameError ...
+//	client → [FrameTraceCtx] FrameRequest | FramePrepare ...  (pipelined freely)
+//	server → FrameResponse | FrameBatchResponse | FrameError | FrameRedirect ...
 //	client → FrameQuit, then closes
 //
-// One FrameBatch is one admission batch: the server translates the whole
-// frame and feeds it to the store in a single lane-split SubmitBatch, so
-// a network-sized batch pays one arbitration, exactly like an in-process
-// ExecBatch.
+// Statements travel in one frame type, FrameRequest: a list of statements,
+// each text or a prepared template plus arguments, tagged either by the
+// sender (FwdTagged) or by the receiving session. One request is one
+// admission batch: the server resolves the whole list and feeds it to the
+// store in a single lane-split SubmitBatch, so a network-sized batch pays
+// one arbitration, exactly like an in-process ExecBatch.
 package wire
 
 import (
@@ -54,43 +56,31 @@ import (
 
 // Frame types. Values deliberately do not overlap the archive's record
 // types (1–3): a frame stream fed to an archive reader (or vice versa)
-// fails fast on type, not just CRC. 0x21, 0x27 and 0x28 belonged to
-// retired protocol revisions and are never sent.
+// fails fast on type, not just CRC. 0x12, 0x13, 0x18, 0x21, 0x24, 0x25,
+// 0x27 and 0x28 belonged to retired protocol revisions and are never
+// sent.
 const (
 	// FrameHello opens a connection (client → server).
 	FrameHello byte = 0x10
 	// FrameWelcome acknowledges Hello (server → client).
 	FrameWelcome byte = 0x11
-	// FrameExec submits one statement: request id, query text.
-	FrameExec byte = 0x12
-	// FrameBatch submits n statements as one admission batch: request
-	// id, count, query texts.
-	FrameBatch byte = 0x13
-	// FrameResponse answers a single-statement request: request id,
-	// encoded response.
+	// FrameResponse answers a one-statement request: request id, encoded
+	// response.
 	FrameResponse byte = 0x14
-	// FrameBatchResponse answers a multi-statement request: request id,
-	// count, encoded responses in statement order.
+	// FrameBatchResponse answers a request of any other statement count:
+	// request id, count, encoded responses in statement order.
 	FrameBatchResponse byte = 0x15
-	// FrameError reports a request that was never admitted (translation
-	// or bind failure), or a refused handshake or subscription (id 0):
-	// request id, failing statement index (-1 for a non-batch request),
-	// message.
+	// FrameError reports a request that was never admitted (resolution,
+	// translation or bind failure), or a refused handshake or subscription
+	// (id 0): request id, failing statement index (-1 when no one
+	// statement failed), message.
 	FrameError byte = 0x16
 	// FrameQuit announces a clean client close.
 	FrameQuit byte = 0x17
-	// FrameForward executes pre-tagged statements between cluster peers
-	// (and from cluster-aware clients straight to a relation's owner).
-	// Unlike FrameExec, the receiver must NOT retag — the sender owns the
-	// tag space, which is what keeps a forwarded statement's response
-	// byte-identical to local execution. Answered by FrameResponse (one
-	// statement), FrameBatchResponse (several), FrameError, or
-	// FrameRedirect.
-	FrameForward byte = 0x18
-	// FrameRedirect answers a Forward for a relation this node does not
-	// own when the sender asked not to chain (FwdNoForward): request id,
-	// owner address, relation, owner epoch. Clients cache the placement
-	// and chase at most one redirect.
+	// FrameRedirect answers a tagged request for a relation this node
+	// does not own when the sender asked not to chain (FwdNoForward):
+	// request id, owner address, relation, owner epoch. Clients cache the
+	// placement and chase at most one redirect.
 	FrameRedirect byte = 0x19
 	// FrameSubscribe switches a connection into a slot's replication
 	// stream: the records with sequence > after, as FrameLogRecord frames,
@@ -133,27 +123,26 @@ const (
 	// FramePrepared answers FramePrepare: request id, dense statement id,
 	// parameter count.
 	FramePrepared byte = 0x23
-	// FrameExecPrepared submits one prepared statement: request id,
-	// statement id, positional args. A statement id the server no longer
-	// holds (eviction, create-invalidation, restart) is answered with a
-	// FrameError carrying query.ErrUnknownStmt's text — never a stale
-	// plan — and the client transparently re-prepares.
-	FrameExecPrepared byte = 0x24
-	// FrameBatchPrepared submits n prepared statements as one admission
-	// batch: request id, count, then (statement id, args) per statement.
-	FrameBatchPrepared byte = 0x25
-	// FrameForwardPrepared is FrameForward for prepared statements: each
-	// statement resolves at the owner by the FNV-1a hash of its text
-	// (optionally carrying the text for first-contact registration), or
-	// fails with ErrUnknownStmt so the sender can re-send with text.
-	FrameForwardPrepared byte = 0x26
+	// FrameRequest submits a list of statements as one admission batch
+	// (see Stmt and AppendRequest). With FwdTagged the receiver executes
+	// the statements under the sender's tags and routes them by
+	// placement — cluster clients and peers own their tag space, which is
+	// what keeps a forwarded statement's response byte-identical to local
+	// execution; without it the receiving session tags them. A statement
+	// the receiver cannot resolve (an evicted id, an unknown hash without
+	// text) fails the request with query.ErrUnknownStmt's text — never a
+	// stale plan — so the sender re-prepares or re-sends with text.
+	// Answered by FrameResponse (one statement), FrameBatchResponse (any
+	// other count), FrameError, or FrameRedirect.
+	FrameRequest byte = 0x26
 	// FrameTraceCtx carries the trace context of the frame that follows
 	// it: trace id, hop, flags. Only sampled requests send one, so one
 	// trace id stitches client → gateway → owner → mirror.
 	FrameTraceCtx byte = 0x29
 )
 
-// Forward flag bits.
+// Request flag bits. FwdTagged selects the tagged path; the other bits
+// apply to tagged requests only.
 const (
 	// FwdNoForward asks the receiver to answer a misrouted statement with
 	// FrameRedirect instead of forwarding it onward — set by cluster
@@ -169,6 +158,9 @@ const (
 	// the fence that stops a deposed primary's gateway traffic. Without
 	// the bit the epoch field is not a claim and is not fenced on.
 	FwdEpoch byte = 1 << 2
+	// FwdTagged says the statements carry their final (origin, seq) tags:
+	// the receiver keeps them instead of drawing from its session.
+	FwdTagged byte = 1 << 3
 )
 
 const (
@@ -178,8 +170,9 @@ const (
 	// Version is the protocol revision Hello and Welcome carry; a peer
 	// announcing any other is refused at the handshake. Revisions 1–5
 	// layered optional payload suffixes on one another; 6 replaced them
-	// with one layout per frame and the trace context as its own frame.
-	Version = 6
+	// with one layout per frame and the trace context as its own frame; 7
+	// replaced six statement-carrying frames with FrameRequest.
+	Version = 7
 	// MaxFrameLen caps a frame's payload: large enough for any realistic
 	// batch or scan response, small enough to bound what a corrupt
 	// length field can make a peer allocate.

@@ -14,7 +14,7 @@ func TestFrameRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	payloads := [][]byte{[]byte("hello"), {}, bytes.Repeat([]byte{0xAB}, 4096)}
 	for i, p := range payloads {
-		if err := WriteFrame(&buf, FrameExec+byte(i%3), p); err != nil {
+		if err := WriteFrame(&buf, FrameResponse+byte(i%3), p); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -23,7 +23,7 @@ func TestFrameRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if typ != FrameExec+byte(i%3) || !bytes.Equal(got, p) {
+		if typ != FrameResponse+byte(i%3) || !bytes.Equal(got, p) {
 			t.Fatalf("frame %d: type %#x, %d bytes", i, typ, len(got))
 		}
 	}
@@ -33,7 +33,7 @@ func TestFrameRoundTrip(t *testing.T) {
 }
 
 func TestFrameDetectsCorruption(t *testing.T) {
-	frame, err := AppendFrame(nil, FrameExec, []byte("payload bytes"))
+	frame, err := AppendFrame(nil, FrameRequest, []byte("payload bytes"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,11 +59,11 @@ func TestFrameDetectsCorruption(t *testing.T) {
 }
 
 func TestFrameRefusesOversize(t *testing.T) {
-	if _, err := AppendFrame(nil, FrameExec, make([]byte, MaxFrameLen+1)); !errors.Is(err, ErrTooLarge) {
+	if _, err := AppendFrame(nil, FrameRequest, make([]byte, MaxFrameLen+1)); !errors.Is(err, ErrTooLarge) {
 		t.Errorf("oversize append: %v", err)
 	}
 	// An oversize length field is refused before allocation.
-	hdr := []byte{FrameExec, 0xFF, 0xFF, 0xFF, 0xFF}
+	hdr := []byte{FrameRequest, 0xFF, 0xFF, 0xFF, 0xFF}
 	if _, _, err := ReadFrame(bytes.NewReader(hdr), MaxFrameLen); !errors.Is(err, ErrTooLarge) {
 		t.Errorf("oversize length field: %v", err)
 	}
@@ -94,23 +94,23 @@ func TestHelloWelcomeRoundTrip(t *testing.T) {
 	}
 }
 
+// TestForwardRoundTrip: a tagged request — what cluster clients and
+// peers send — round-trips its flags, epoch and every statement's tag.
 func TestForwardRoundTrip(t *testing.T) {
-	stmts := []ForwardStmt{
-		{Origin: "c0", Seq: 0, Query: "insert (1, \"a\") into R"},
-		{Origin: "c0", Seq: 1, Query: "find 1 in R"},
-		{Origin: "gw", Seq: -3, Query: "count R"},
+	stmts := []Stmt{
+		{Origin: "c0", Seq: 0, Text: "insert (1, \"a\") into R", HasText: true},
+		{Origin: "c0", Seq: 1, Hash: 42, Text: "find ? in R", HasText: true, Args: samplePreparedArgs()[:1]},
+		{Origin: "gw", Seq: -3, Hash: 42, Args: samplePreparedArgs()[:1]},
 	}
-	id, flags, epoch, got, err := DecodeForward(AppendForward(nil, 77, FwdNoForward|FwdReadLocal|FwdEpoch, 5, stmts))
-	if err != nil || id != 77 || flags != FwdNoForward|FwdReadLocal|FwdEpoch || epoch != 5 || len(got) != 3 {
-		t.Fatalf("forward: id %d flags %#x epoch %d, %d stmts, %v", id, flags, epoch, len(got), err)
+	const flags = FwdTagged | FwdNoForward | FwdReadLocal | FwdEpoch
+	var r Request
+	if err := DecodeRequestInto(must(AppendRequest(nil, 77, flags, 5, stmts)), &r); err != nil ||
+		r.ID != 77 || r.Flags != flags || r.Epoch != 5 {
+		t.Fatalf("tagged request: id %d flags %#x epoch %d, %v", r.ID, r.Flags, r.Epoch, err)
 	}
-	for i := range stmts {
-		if got[i] != stmts[i] {
-			t.Errorf("stmt %d: %+v != %+v", i, got[i], stmts[i])
-		}
-	}
-	if _, _, _, _, err := DecodeForward([]byte{}); err == nil {
-		t.Error("empty forward accepted")
+	sameStmts(t, r.Stmts, stmts)
+	if err := DecodeRequestInto([]byte{}, &r); err == nil {
+		t.Error("empty payload accepted")
 	}
 }
 
@@ -134,15 +134,19 @@ func TestRedirectSubscribeRoundTrip(t *testing.T) {
 	}
 }
 
+// TestExecBatchPayloads: untagged text requests — a plain client's Exec
+// and ExecBatch — round-trip their statements with empty tags.
 func TestExecBatchPayloads(t *testing.T) {
-	id, q, err := DecodeExec(AppendExec(nil, 42, "find 1 in R"))
-	if err != nil || id != 42 || q != "find 1 in R" {
-		t.Fatalf("exec: %d %q %v", id, q, err)
-	}
-	qs := []string{"create R", `insert (1, "a") into R`, "count R"}
-	id, got, err := DecodeBatch(AppendBatch(nil, 7, qs))
-	if err != nil || id != 7 || len(got) != 3 || got[1] != qs[1] {
-		t.Fatalf("batch: %d %q %v", id, got, err)
+	for _, qs := range [][]string{{"find 1 in R"}, {"create R", `insert (1, "a") into R`, "count R"}} {
+		stmts := make([]Stmt, len(qs))
+		for i, q := range qs {
+			stmts[i] = Stmt{Text: q, HasText: true}
+		}
+		var r Request
+		if err := DecodeRequestInto(must(AppendRequest(nil, 42, 0, 0, stmts)), &r); err != nil || r.ID != 42 || r.Flags != 0 {
+			t.Fatalf("untagged request: id %d flags %#x, %v", r.ID, r.Flags, err)
+		}
+		sameStmts(t, r.Stmts, stmts)
 	}
 	id, idx, msg, err := DecodeErrorMsg(AppendErrorMsg(nil, 9, 2, "boom"))
 	if err != nil || id != 9 || idx != 2 || msg != "boom" {
@@ -223,9 +227,9 @@ func TestResponsesBatchRoundTrip(t *testing.T) {
 // FuzzReadFrame: arbitrary byte streams must never panic the frame
 // reader.
 func FuzzReadFrame(f *testing.F) {
-	good, _ := AppendFrame(nil, FrameExec, []byte("find 1 in R"))
+	good, _ := AppendFrame(nil, FrameRequest, []byte("find 1 in R"))
 	f.Add(good)
-	f.Add([]byte{FrameExec, 0, 0, 0})
+	f.Add([]byte{FrameRequest, 0, 0, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := bytes.NewReader(data)
 		for {
