@@ -94,9 +94,6 @@ type arrived struct {
 	rel      string // FrameRedirect: the relation being placed
 	rdEpoch  uint64 // FrameRedirect: the owner's epoch (0 = unstamped)
 	doc      []byte // FrameIntrospectResponse: the JSON document
-	stmtID   uint64 // FramePrepared: the dense statement id
-	nparams  int    // FramePrepared: the statement's '?' count
-	prepared bool   // FramePrepared arrived
 }
 
 // Option configures Dial.
@@ -325,9 +322,6 @@ func (c *Client) recv(id uint64) (arrived, error) {
 		case wire.FrameRedirect:
 			a.index = -1
 			rid, a.redirect, a.rel, a.rdEpoch, err = wire.DecodeRedirect(payload)
-		case wire.FramePrepared:
-			a.index, a.prepared = -1, true
-			rid, a.stmtID, a.nparams, err = wire.DecodePrepared(payload)
 		case wire.FrameIntrospectResponse:
 			a.index = -1
 			rid, a.doc, err = wire.DecodeIntrospectResponse(payload)

@@ -42,7 +42,7 @@ type ClusterClient struct {
 	conns     map[string]*Client
 	placement map[string]string // relation -> owning address, learned
 	epochs    map[string]uint64 // relation -> newest owner epoch seen (monotone)
-	confirmed map[stmtAt]bool   // prepared statements known registered at a node
+	confirmed map[stmtAt]bool   // prepared statements a node is known to hold
 	cache     *query.StmtCache
 	closed    bool
 }
@@ -218,7 +218,7 @@ func (c *ClusterClient) learn(rel, addr string, flags byte, stmts []wire.Stmt) {
 // forget drops what the client believed about where stmts run: the
 // relation's learned placement (its epoch knowledge is kept — epochs are
 // monotone and guard against stale redirects), when rel is not "", and
-// every addr's registration of the prepared statements among stmts, so
+// every addr's hold on the prepared statements among stmts, so
 // the next request there carries their text again.
 func (c *ClusterClient) forget(rel string, stmts []wire.Stmt, addrs ...string) {
 	c.mu.Lock()
@@ -286,7 +286,7 @@ func (c *ClusterClient) nextSeqs(n int) int {
 // an exhausted redirect chase, a fencing rejection — are retried against
 // re-resolved placement until the budget elapses. Rotating away from an
 // address also forgets that it held the run's prepared statements, so the
-// retry re-registers them wherever it lands.
+// retry carries their text wherever it lands.
 func (c *ClusterClient) sendRun(rel, addr string, flags byte, stmts []wire.Stmt, t *reqtrace.T) (arrived, string, error) {
 	a, served, err := c.sendRunOnce(rel, addr, flags, stmts, t)
 	if c.retry <= 0 {
@@ -374,7 +374,7 @@ func (c *ClusterClient) sendRunOnce(rel, addr string, flags byte, stmts []wire.S
 		}
 		if a.isErr && hashOnly && !resent && isUnknownStmtMsg(a.errMsg) {
 			// The owner dropped a statement since we confirmed it:
-			// re-send carrying the text so it re-registers.
+			// re-send carrying the text so it prepares again.
 			c.forget("", stmts, addr)
 			resent = true
 			continue

@@ -8,6 +8,8 @@ import (
 	"testing"
 
 	"funcdb/internal/core"
+	"funcdb/internal/query"
+	"funcdb/internal/value"
 	"funcdb/internal/wire"
 )
 
@@ -59,6 +61,84 @@ func TestFencedReplyLearnsNoPlacement(t *testing.T) {
 	}
 	if addr, known := cc.guess("R"); known {
 		t.Fatalf("a fenced reply taught the placement R -> %s", addr)
+	}
+}
+
+// TestStmtSendsTextUntilHeld: a Stmt's first request carries the text
+// beside the hash and later ones the hash alone; after an
+// unknown-statement refusal the one re-send carries the text again; a
+// batch's text rides on its first statement only; and a wrong argument
+// count fails locally, writing nothing.
+func TestStmtSendsTextUntilHeld(t *testing.T) {
+	var replies bytes.Buffer
+	frame := func(typ byte, payload []byte, err error) {
+		t.Helper()
+		if err == nil {
+			err = wire.WriteFrame(&replies, typ, payload)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	found := func(id uint64) {
+		t.Helper()
+		payload, err := wire.AppendSingleResponse(nil, id, core.Response{Origin: "c", Seq: int(id), Kind: core.KindFind, Found: true})
+		frame(wire.FrameResponse, payload, err)
+	}
+	found(0)
+	found(1)
+	frame(wire.FrameError, wire.AppendErrorMsg(nil, 2, 0, query.ErrUnknownStmt.Error()), nil)
+	found(3)
+	batch, err := wire.AppendResponses(nil, 4, []core.Response{{Origin: "c", Seq: 4, Kind: core.KindInsert}, {Origin: "c", Seq: 5, Kind: core.KindInsert}})
+	frame(wire.FrameBatchResponse, batch, err)
+
+	c := cannedConn(&replies)
+	var sent bytes.Buffer
+	c.bw = bufio.NewWriter(&sent)
+	find := c.Prepare("find ? in R")
+	for i := int64(1); i <= 3; i++ {
+		if resp, err := find.Exec(value.Int(i)); err != nil || !resp.Found {
+			t.Fatalf("exec %d: %+v, %v", i, resp, err)
+		}
+	}
+	insert := c.Prepare("insert (?, ?) into R")
+	if _, err := insert.ExecBatch(
+		[]value.Item{value.Int(1), value.Str("a")},
+		[]value.Item{value.Int(2), value.Str("b")}); err != nil {
+		t.Fatal(err)
+	}
+	before := sent.Len()
+	if _, err := find.Exec(); err == nil || !strings.Contains(err.Error(), "has 1 parameters, got 0") {
+		t.Fatalf("exec without its argument: %v, want a local arity error", err)
+	}
+	if sent.Len() != before || c.nextID != 5 {
+		t.Fatalf("a local arity failure wrote %d bytes and drew request id %d", sent.Len()-before, c.nextID)
+	}
+
+	// Request id → which of its statements carried the text.
+	want := [][]bool{{true}, {false}, {false}, {true}, {true, false}}
+	rd := wire.NewReader(&sent)
+	for id, withText := range want {
+		typ, payload, err := rd.Next()
+		if err != nil || typ != wire.FrameRequest {
+			t.Fatalf("request %d: frame %#x, %v", id, typ, err)
+		}
+		var req wire.Request
+		if err := wire.DecodeRequestInto(payload, &req); err != nil || req.ID != uint64(id) || len(req.Stmts) != len(withText) {
+			t.Fatalf("request %d: %+v, %v", id, req, err)
+		}
+		for i, st := range req.Stmts {
+			text := find.Query()
+			if id == 4 {
+				text = insert.Query()
+			}
+			if st.Hash != query.HashText(text) || st.HasText != withText[i] || (st.HasText && st.Text != text) {
+				t.Errorf("request %d statement %d = %+v, want hash of %q, text %v", id, i, st, text, withText[i])
+			}
+		}
+	}
+	if _, _, err := rd.Next(); err != io.EOF {
+		t.Fatalf("more than %d requests written: %v", len(want), err)
 	}
 }
 

@@ -5,19 +5,22 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"funcdb"
+	"funcdb/internal/query"
 	"funcdb/internal/reqtrace"
 	"funcdb/internal/session"
 	"funcdb/internal/wire"
 )
 
-// IsUnknownStmt reports whether an error (or wire error text) is the
-// server refusing a stale statement id: the plan was evicted,
-// invalidated by a schema change, or belongs to a previous server
-// incarnation. The check is textual because server errors cross the wire
-// as text (like the cluster's "cluster: fenced" sentinel); Stmt handles
-// it transparently by re-preparing, so callers rarely see it.
+// IsUnknownStmt reports whether an error (or wire error text) is a server
+// refusing a statement hash it does not hold: the statement was never sent
+// there with its text, or its plan was evicted, invalidated by a schema
+// change, or belongs to a previous server incarnation. The check is
+// textual because server errors cross the wire as text (like the cluster's
+// "cluster: fenced" sentinel); Stmt and ClusterStmt handle it
+// transparently by re-sending with the text, so callers rarely see it.
 func IsUnknownStmt(err error) bool {
 	return err != nil && isUnknownStmtMsg(err.Error())
 }
@@ -26,158 +29,158 @@ func isUnknownStmtMsg(msg string) bool {
 	return strings.Contains(msg, "unknown prepared statement")
 }
 
-// Stmt is a prepared statement over the wire: the query text crosses
-// once (FramePrepare, sent lazily on first use), the server plans it into
-// its statement cache and answers with a dense id, and every execution
-// ships id + positional args only — no text, no server-side parse.
-//
-// A Stmt survives the statement's eviction from the server cache: an
-// execution answered with ErrUnknownStmt re-prepares and re-sends
-// transparently (safe — a refused statement was never admitted). Safe
-// for concurrent use.
-type Stmt struct {
-	c    *Client
+// stmtText is what a prepared-statement handle knows without asking any
+// server: the template text, the text's FNV-1a hash — the statement's one
+// name on the wire — and one local parse, for the '?' count (and, in a
+// cluster, the routing relation). Stmt and ClusterStmt share it.
+type stmtText struct {
 	text string
+	hash uint64
 
-	mu       sync.Mutex
-	prepared bool
-	id       uint64
-	nparams  int
+	once sync.Once
+	prep *query.Prepared
+	err  error
 }
 
-// Prepare returns a prepared-statement handle for q. No wire traffic
-// happens yet: the statement auto-prepares on first use (or on an
-// explicit NumParams call), so building handles is free.
-func (c *Client) Prepare(q string) *Stmt {
-	return &Stmt{c: c, text: q}
+func newStmtText(q string) stmtText {
+	return stmtText{text: q, hash: query.HashText(q)}
+}
+
+// parse returns the template's local parse, running the parser once.
+func (h *stmtText) parse() (*query.Prepared, error) {
+	h.once.Do(func() { h.prep, h.err = query.Prepare(h.text) })
+	return h.prep, h.err
 }
 
 // Query returns the statement's source text.
-func (s *Stmt) Query() string { return s.text }
+func (h *stmtText) Query() string { return h.text }
 
-// NumParams returns the number of '?' placeholders, preparing the
-// statement on first call.
-func (s *Stmt) NumParams() (int, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, err := s.ensureLocked(); err != nil {
-		return 0, err
-	}
-	return s.nparams, nil
-}
-
-// ensure returns the statement's current server-side id, preparing it
-// over the wire if this handle has none.
-func (s *Stmt) ensure() (uint64, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.ensureLocked()
-}
-
-func (s *Stmt) ensureLocked() (uint64, error) {
-	if s.prepared {
-		return s.id, nil
-	}
-	rid, err := s.c.send(wire.FramePrepare, nil, func(dst []byte, id uint64) []byte {
-		return wire.AppendPrepare(dst, id, s.text)
-	})
+// NumParams returns the number of '?' placeholders, parsing the template
+// locally on first call. Nothing crosses the wire.
+func (h *stmtText) NumParams() (int, error) {
+	prep, err := h.parse()
 	if err != nil {
 		return 0, err
 	}
-	a, err := s.c.recv(rid)
+	return prep.NumParams(), nil
+}
+
+// check validates one argument set against the local parse before
+// anything is encoded: an invalid item or a wrong count is the caller's
+// error, never a request.
+func (h *stmtText) check(args []funcdb.Item) (*query.Prepared, error) {
+	prep, err := h.parse()
 	if err != nil {
-		return 0, err
+		return nil, err
 	}
-	if a.isErr {
-		return 0, errors.New(a.errMsg)
-	}
-	if !a.prepared {
-		return 0, fmt.Errorf("client: request %d is not a prepare", rid)
-	}
-	s.id, s.nparams, s.prepared = a.stmtID, a.nparams, true
-	return s.id, nil
-}
-
-// forget drops the handle's server-side id if it still is stale: the next
-// execution re-prepares. Racing executions that already re-prepared are
-// left alone.
-func (s *Stmt) forget(stale uint64) {
-	s.mu.Lock()
-	if s.prepared && s.id == stale {
-		s.prepared = false
-	}
-	s.mu.Unlock()
-}
-
-// validArgs rejects zero items before encoding: an invalid item must be
-// the caller's error, never a torn frame.
-func validArgs(args []funcdb.Item) error {
 	for i, a := range args {
 		if !a.IsValid() {
-			return fmt.Errorf("client: bind parameter %d is the zero item", i+1)
+			return nil, fmt.Errorf("client: bind parameter %d is the zero item", i+1)
 		}
 	}
-	return nil
+	if len(args) != prep.NumParams() {
+		return nil, fmt.Errorf("client: statement has %d parameters, got %d arguments", prep.NumParams(), len(args))
+	}
+	return prep, nil
+}
+
+// wireStmt is one execution as a request carries it: the hash and the
+// arguments, plus the text when withText.
+func (h *stmtText) wireStmt(args []funcdb.Item, withText bool) wire.Stmt {
+	return wire.Stmt{Hash: h.hash, Text: h.text, HasText: withText, Args: args}
+}
+
+// Stmt is a prepared statement over one connection. The template parses
+// once, locally; executions ship its text hash plus positional arguments,
+// and the server resolves the hash in its statement cache — no text, no
+// server-side parse. The text rides along only until the connection is
+// known to hold the statement: the first execution carries text and hash,
+// and after the first success executions carry the hash alone.
+//
+// A Stmt survives the statement's eviction from the server cache: a
+// hash-only execution answered with ErrUnknownStmt is re-sent once with
+// the text, transparently (safe — a refused statement was never
+// admitted). Safe for concurrent use.
+type Stmt struct {
+	stmtText
+	c *Client
+	// held records that the server answered an execution of this
+	// statement without refusing it, so it holds the statement.
+	held atomic.Bool
+}
+
+// Prepare returns a prepared-statement handle for q. No wire traffic
+// happens: the template parses locally on first use, and its text ships
+// with the first execution.
+func (c *Client) Prepare(q string) *Stmt {
+	return &Stmt{stmtText: newStmtText(q), c: c}
+}
+
+// send ships one request executing the statement once per argument set.
+// The first statement carries the text while the connection is not known
+// to hold the statement, or when withText forces it; the server resolves
+// a request's statements in order, so the rest find it by hash. It reports
+// whether the text went out.
+func (s *Stmt) send(argSets [][]funcdb.Item, withText bool, t *reqtrace.T) (id uint64, sentText bool, err error) {
+	withText = withText || !s.held.Load()
+	stmts := make([]wire.Stmt, len(argSets))
+	for i, args := range argSets {
+		stmts[i] = s.wireStmt(args, withText && i == 0)
+	}
+	id, err = s.c.request(0, stmts, t)
+	return id, withText, err
+}
+
+// await receives a send's reply. A hash-only request refused as an
+// unknown statement is re-sent once with the text; any reply that is not
+// an Error proves the server holds the statement.
+func (s *Stmt) await(id uint64, sentText bool, argSets [][]funcdb.Item) (arrived, error) {
+	a, err := s.c.recv(id)
+	if err == nil && a.isErr && !sentText && isUnknownStmtMsg(a.errMsg) {
+		s.held.Store(false)
+		if id, _, err = s.send(argSets, true, nil); err == nil {
+			a, err = s.c.recv(id)
+		}
+	}
+	if err == nil && !a.isErr {
+		s.held.Store(true)
+	}
+	return a, err
 }
 
 // StmtPending is one in-flight prepared execution. Unlike the plain
-// Pending it retains the arguments, so Force can transparently re-prepare
-// and re-send after an ErrUnknownStmt refusal.
+// Pending it retains the arguments, so Force can transparently re-send
+// with the text after an ErrUnknownStmt refusal.
 type StmtPending struct {
-	s      *Stmt
-	id     uint64 // request id awaiting a reply
-	stmtID uint64 // statement id the request was sent under
-	args   []funcdb.Item
-	t      *reqtrace.T // client-side trace (nil untraced)
-	sentNS int64
+	s        *Stmt
+	id       uint64 // request id awaiting a reply
+	sentText bool   // the request carried the text
+	argSets  [][]funcdb.Item
+	t        *reqtrace.T // client-side trace (nil untraced)
+	sentNS   int64
 }
 
-// ExecAsync ships one prepared execution without waiting, auto-preparing
-// on first use.
+// ExecAsync ships one prepared execution without waiting.
 func (s *Stmt) ExecAsync(args ...funcdb.Item) (*StmtPending, error) {
-	if err := validArgs(args); err != nil {
+	if _, err := s.check(args); err != nil {
 		return nil, err
 	}
-	stmtID, err := s.ensure()
-	if err != nil {
-		return nil, err
-	}
+	argSets := [][]funcdb.Item{args}
 	t, sentNS := s.c.startTrace()
-	rid, err := s.sendExec(stmtID, args, t)
+	id, sentText, err := s.send(argSets, false, t)
 	if err != nil {
 		return nil, err
 	}
-	return &StmtPending{s: s, id: rid, stmtID: stmtID, args: args, t: t, sentNS: sentNS}, nil
+	return &StmtPending{s: s, id: id, sentText: sentText, argSets: argSets, t: t, sentNS: sentNS}, nil
 }
 
-func (s *Stmt) sendExec(stmtID uint64, args []funcdb.Item, t *reqtrace.T) (uint64, error) {
-	return s.c.request(0, []wire.Stmt{{Stmt: stmtID, Args: args}}, t)
-}
-
-// Force blocks until the response arrives. A stale-statement refusal is
-// retried once after re-preparing — safe, because a refused statement was
-// never admitted.
+// Force blocks until the response arrives.
 func (p *StmtPending) Force() (funcdb.Response, error) {
-	a, err := p.s.c.recv(p.id)
+	a, err := p.s.await(p.id, p.sentText, p.argSets)
 	p.s.c.finishTrace(p.t, p.sentNS)
-	if err != nil {
-		return funcdb.Response{}, err
-	}
-	if a.isErr && isUnknownStmtMsg(a.errMsg) {
-		p.s.forget(p.stmtID)
-		stmtID, err := p.s.ensure()
-		if err != nil {
-			return funcdb.Response{}, err
-		}
-		rid, err := p.s.sendExec(stmtID, p.args, nil)
-		if err != nil {
-			return funcdb.Response{}, err
-		}
-		if a, err = p.s.c.recv(rid); err != nil {
-			return funcdb.Response{}, err
-		}
-	}
 	switch {
+	case err != nil:
+		return funcdb.Response{}, err
 	case a.isErr:
 		return funcdb.Response{}, errors.New(a.errMsg)
 	case a.redirect != "":
@@ -199,57 +202,41 @@ func (s *Stmt) Exec(args ...funcdb.Item) (funcdb.Response, error) {
 
 // ExecBatch ships every argument set as ONE request — one admission
 // arbitration on the server, like ExecBatch — and waits for all
-// responses. Binding is all-or-nothing on the server, so a stale
-// statement id fails the whole request before anything is admitted, and
-// the batch re-prepares and retries exactly once. No argument sets return
-// an empty result without sending anything.
+// responses. Resolution is all-or-nothing on the server, so an evicted
+// statement fails the whole request before anything is admitted, and the
+// batch is re-sent with the text exactly once. No argument sets return an
+// empty result without sending anything.
 func (s *Stmt) ExecBatch(argSets ...[]funcdb.Item) ([]funcdb.Response, error) {
+	if _, err := s.parse(); err != nil {
+		return nil, err
+	}
 	for i, args := range argSets {
-		if err := validArgs(args); err != nil {
+		if _, err := s.check(args); err != nil {
 			return nil, &session.BatchError{Index: i, Query: s.text, Err: err}
 		}
 	}
 	if len(argSets) == 0 {
 		return []funcdb.Response{}, nil
 	}
-	stmts := make([]wire.Stmt, len(argSets))
 	t, sentNS := s.c.startTrace()
-	for attempt := 0; ; attempt++ {
-		stmtID, err := s.ensure()
-		if err != nil {
-			return nil, err
-		}
-		for i, args := range argSets {
-			stmts[i] = wire.Stmt{Stmt: stmtID, Args: args}
-		}
-		rid, err := s.c.request(0, stmts, t)
-		if err != nil {
-			return nil, err
-		}
-		a, err := s.c.recv(rid)
-		if t != nil {
-			// One client-send span for the whole operation (the rare
-			// re-prepare retry extends nothing: the trace is finished).
-			s.c.finishTrace(t, sentNS)
-			t = nil
-		}
-		if err != nil {
-			return nil, err
-		}
-		if a.isErr {
-			if attempt == 0 && isUnknownStmtMsg(a.errMsg) {
-				s.forget(stmtID)
-				continue
-			}
-			if a.index >= 0 && a.index < len(argSets) {
-				return nil, &session.BatchError{Index: a.index, Query: s.text, Err: errors.New(a.errMsg)}
-			}
-			return nil, errors.New(a.errMsg)
-		}
-		resps, ok := a.responses(len(argSets))
-		if !ok {
-			return nil, fmt.Errorf("client: request %d is not a batch", rid)
-		}
-		return resps, nil
+	id, sentText, err := s.send(argSets, false, t)
+	if err != nil {
+		return nil, err
 	}
+	a, err := s.await(id, sentText, argSets)
+	s.c.finishTrace(t, sentNS)
+	if err != nil {
+		return nil, err
+	}
+	if a.isErr {
+		if a.index >= 0 && a.index < len(argSets) {
+			return nil, &session.BatchError{Index: a.index, Query: s.text, Err: errors.New(a.errMsg)}
+		}
+		return nil, errors.New(a.errMsg)
+	}
+	resps, ok := a.responses(len(argSets))
+	if !ok {
+		return nil, fmt.Errorf("client: request %d is not a batch", id)
+	}
+	return resps, nil
 }

@@ -28,12 +28,13 @@
 //	.execp <name> args    execute a prepared statement with positional args
 //	.quit                 exit
 //
-// .prepare / .execp drive the wire's server-side prepared statements: the
-// template text crosses the wire once (Prepare), the server parses it into
-// its statement cache and answers with a dense id, and every .execp ships
-// just that id plus the arguments — no text, no re-parse. Arguments are
-// bare integers or "quoted strings". Both commands are remote-only; the
-// local session has no wire to save parses on.
+// .prepare / .execp drive the wire's prepared statements: .prepare parses
+// the template locally (reporting its parameter count or its parse error),
+// the first .execp carries the text to the server, which parses it into
+// its statement cache, and every later .execp ships just the text's hash
+// plus the arguments — no text, no re-parse. Arguments are bare integers
+// or "quoted strings". Both commands are remote-only; the local session
+// has no wire to save parses on.
 package main
 
 import (
@@ -65,7 +66,7 @@ observability (work remotely too — wire Introspect frames):
   .stats                metrics snapshot: every layer's counters and histograms
   .trace [n]            newest n published request traces as span timelines
                         (needs tracing enabled, e.g. fdbserver --trace)
-prepared statements (remote only — text ships once, executions ship id+args):
+prepared statements (remote only — text ships once, executions ship hash+args):
   .prepare f find ? in R      .execp f 1
   .prepare i insert (?, ?) into R      .execp i 2 "widget"`
 
@@ -354,9 +355,10 @@ func execBatch(r *repl, rest string) string {
 	return session.Render(resps)
 }
 
-// prepareStmt registers a named prepared statement on the remote server:
-// the template parses once server-side and later .execp calls ship only
-// the statement id plus arguments.
+// prepareStmt names a prepared statement for the remote session. The
+// template parses here, once, for its parameter count; its text reaches
+// the server with the first .execp, and later .execp calls ship only the
+// text's hash plus arguments.
 func prepareStmt(r *repl, rest string) string {
 	if r.remote == nil {
 		return "prepared statements are remote-only (.remote <addr> first)"

@@ -281,3 +281,52 @@ func TestRemoteSession(t *testing.T) {
 		t.Errorf("dead .remote = %q", out)
 	}
 }
+
+// TestRemotePrepared: .prepare reports a template's parameter count (or
+// its parse error) and .execp runs it against a live fdbserver, with
+// string and integer arguments, until .local drops the handles.
+func TestRemotePrepared(t *testing.T) {
+	remoteStore := funcdb.MustOpen(funcdb.WithRelations("R"))
+	defer remoteStore.Close()
+	srv := server.New(remoteStore)
+	if err := srv.Listen("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	go srv.Serve()
+	defer srv.Shutdown()
+
+	r := newRepl(t)
+	defer r.close()
+	if out, _ := handleLine(r, ".prepare f find ? in R"); !strings.Contains(out, "remote-only") {
+		t.Fatalf(".prepare while local = %q", out)
+	}
+	if out, _ := handleLine(r, ".remote "+srv.Addr().String()); !strings.Contains(out, "remote session") {
+		t.Fatalf(".remote = %q", out)
+	}
+	for _, tc := range []struct{ line, want string }{
+		{".prepare i insert (?, ?) into R", "prepared i (2 parameters)"},
+		{".prepare f find ? in R", "prepared f (1 parameters)"},
+		{".prepare c count R", "prepared c (0 parameters)"},
+		{".prepare bad find ? in", "prepare: query: expected a relation name"},
+		{".prepare lonely", "usage:"},
+		{`.execp i 7 "a widget"`, "inserted"},
+		{".execp f 7", `found (7, "a widget")`},
+		{".execp f 8", "not found"},
+		{".execp c", "count: 1"},
+		{".execp f", "error: client: statement has 1 parameters, got 0 arguments"},
+		{".execp bad 1", `no prepared statement "bad"`},
+		{".execp nope", `no prepared statement "nope"`},
+	} {
+		if out, _ := handleLine(r, tc.line); !strings.Contains(out, tc.want) {
+			t.Errorf("%q -> %q, want containing %q", tc.line, out, tc.want)
+		}
+	}
+	remoteStore.Barrier()
+	if got := remoteStore.Current().TotalTuples(); got != 1 {
+		t.Fatalf("server store has %d tuples, want 1", got)
+	}
+	handleLine(r, ".local")
+	if out, _ := handleLine(r, ".execp f 7"); !strings.Contains(out, "remote-only") {
+		t.Errorf(".execp after .local = %q", out)
+	}
+}

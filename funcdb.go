@@ -17,8 +17,10 @@
 //	...
 //	resp = future.Force()
 //
-// For the distributed form (the paper's primary-site model over a
-// simulated network), see OpenCluster.
+// For the distributed form over real TCP — the paper's primary-copy model
+// with log-shipped replicas and failover, one durable Store per node — see
+// OpenClusterNode and funcdb/client.DialCluster. OpenCluster runs the
+// paper's primary-site model over a simulated network.
 package funcdb
 
 import (

@@ -239,9 +239,8 @@ type Server struct {
 	Forwards       Counter   // tagged requests (cluster clients and peers)
 	Subscribes     Counter   // replication-stream subscriptions
 	StatsReqs      Counter   // metrics-snapshot introspection requests
-	Prepares       Counter   // FramePrepare registrations
-	PreparedExecs  Counter   // requests carrying a statement by id or text hash
-	UnknownStmts   Counter   // statements answered with ErrUnknownStmt (stale id or unknown hash)
+	PreparedExecs  Counter   // requests carrying a statement by text hash
+	UnknownStmts   Counter   // statements answered with ErrUnknownStmt (an unknown hash sent without text)
 	ReqPerConn     Histogram // requests served per connection, at close
 	LatencyExec    Histogram // untagged one-statement request latency, ns
 	LatencyBatch   Histogram // untagged request latency for any other statement count, ns
@@ -257,7 +256,6 @@ type ServerSnapshot struct {
 	Forwards       int64             `json:"forwards"`
 	Subscribes     int64             `json:"subscribes"`
 	StatsReqs      int64             `json:"stats_reqs"`
-	Prepares       int64             `json:"prepares"`
 	PreparedExecs  int64             `json:"prepared_execs"`
 	UnknownStmts   int64             `json:"unknown_stmts"`
 	ReqPerConn     HistogramSnapshot `json:"req_per_conn"`
@@ -279,7 +277,6 @@ func (m *Server) Snapshot() ServerSnapshot {
 	s.Forwards = m.Forwards.Load()
 	s.Subscribes = m.Subscribes.Load()
 	s.StatsReqs = m.StatsReqs.Load()
-	s.Prepares = m.Prepares.Load()
 	s.PreparedExecs = m.PreparedExecs.Load()
 	s.UnknownStmts = m.UnknownStmts.Load()
 	s.ReqPerConn = m.ReqPerConn.Snapshot()
@@ -492,9 +489,8 @@ func (s Snapshot) Format() string {
 	if sv := s.Server; sv != nil {
 		fmt.Fprintf(&b, "server: conns=%d/%d execs=%d batches=%d forwards=%d subs=%d stats=%d\n",
 			sv.Conns, sv.ConnsTotal, sv.Execs, sv.Batches, sv.Forwards, sv.Subscribes, sv.StatsReqs)
-		if sv.Prepares > 0 || sv.PreparedExecs > 0 || sv.UnknownStmts > 0 {
-			fmt.Fprintf(&b, "  prepared: registered=%d execs=%d unknown_stmts=%d\n",
-				sv.Prepares, sv.PreparedExecs, sv.UnknownStmts)
+		if sv.PreparedExecs > 0 || sv.UnknownStmts > 0 {
+			fmt.Fprintf(&b, "  prepared: execs=%d unknown_stmts=%d\n", sv.PreparedExecs, sv.UnknownStmts)
 		}
 		if sv.LatencyExec.Count > 0 {
 			fmt.Fprintf(&b, "  exec latency:    %s\n", fmtLatency(sv.LatencyExec))

@@ -9,12 +9,12 @@ import (
 	"funcdb/internal/value"
 )
 
-// ErrUnknownStmt reports a statement-id (or text-hash) lookup that found
-// no live cache entry: the id was never registered here, or its entry has
-// since been evicted or invalidated. Over the wire the server answers a
-// request naming a stale statement with this error's text, and clients detect it by
-// substring and transparently re-prepare — a stale id must never resolve
-// to a stale plan.
+// ErrUnknownStmt reports a text-hash lookup that found no live cache
+// entry: the statement was never prepared here, or its entry has since
+// been evicted or invalidated. Over the wire the server answers a request
+// naming such a hash without its text with this error's text, and clients
+// detect it by substring and transparently re-send with the text — a stale
+// hash must never resolve to a stale plan.
 var ErrUnknownStmt = errors.New("query: unknown prepared statement")
 
 // StmtCache is a bounded, concurrency-safe LRU cache of prepared
@@ -26,10 +26,10 @@ var ErrUnknownStmt = errors.New("query: unknown prepared statement")
 // template — the text with '?' in place of every integer and string
 // literal — so the parser runs once per template, not once per
 // statement: `insert (1, "a") into R` and `insert (2, "b") into R` are one
-// entry, the one a client registering `insert (?, ?) into R` gets too,
-// and each submission only lexes and binds. Text traffic therefore
-// occupies one entry per statement shape and cannot evict the ids of
-// registered statements. A bare word in an item position
+// entry, the one a client preparing `insert (?, ?) into R` gets too, and
+// each submission only lexes and binds. Text traffic therefore occupies
+// one entry per statement shape and cannot evict prepared statements. A
+// bare word in an item position
 // (`insert x into R`) cannot be told from a keyword before parsing, so it
 // stays in the template verbatim and such texts still cache per text.
 //
@@ -39,23 +39,21 @@ var ErrUnknownStmt = errors.New("query: unknown prepared statement")
 // drops every cached statement touching the created name before a
 // representation- or directory-dependent prepare step could go stale.
 //
+// Every entry is indexed twice: by its source text, and by the FNV-1a hash
+// of that text (HashText), which is the one name a prepared statement goes
+// by on the wire. Both indexes point at live LRU elements and are unlinked
+// on eviction or invalidation, so a stale hash resolves to "unknown",
+// never to a stale plan.
+//
 // Translation errors are not cached: a failing statement pays the parse
 // again, which keeps the cache free of negative entries that a later
 // create could make spuriously sticky.
 type StmtCache struct {
-	mu    sync.Mutex
-	cap   int
-	m     map[string]*list.Element
-	order *list.List // front = most recently used
-
-	// Prepared-statement indexes: dense ids handed to wire clients by
-	// Register, and FNV-1a text hashes for forwarded statements that ship
-	// a hash instead of text. Both point at live LRU elements and are
-	// unlinked on eviction/invalidation, so a stale id or hash resolves to
-	// "unknown", never to a stale plan.
-	nextID uint64
-	ids    map[uint64]*list.Element
+	mu     sync.Mutex
+	cap    int
+	m      map[string]*list.Element
 	hashes map[uint64]*list.Element
+	order  *list.List // front = most recently used
 
 	hits   int64
 	misses int64
@@ -65,7 +63,6 @@ type StmtCache struct {
 type cacheEntry struct {
 	src  string
 	prep *Prepared
-	id   uint64 // dense statement id (0 until Register assigns one)
 	hash uint64 // FNV-1a of src
 }
 
@@ -85,22 +82,18 @@ func NewStmtCache(capacity int) *StmtCache {
 	return &StmtCache{
 		cap:    capacity,
 		m:      make(map[string]*list.Element),
-		ids:    make(map[uint64]*list.Element),
 		hashes: make(map[uint64]*list.Element),
 		order:  list.New(),
 	}
 }
 
-// removeLocked unlinks el from the LRU order and every index. The hash
+// removeLocked unlinks el from the LRU order and both indexes. The hash
 // index entry is only deleted when it still points at el: a (vanishingly
 // unlikely) 64-bit collision lets a newer statement own the hash slot.
 func (c *StmtCache) removeLocked(el *list.Element) {
 	e := el.Value.(*cacheEntry)
 	c.order.Remove(el)
 	delete(c.m, e.src)
-	if e.id != 0 {
-		delete(c.ids, e.id)
-	}
 	if c.hashes[e.hash] == el {
 		delete(c.hashes, e.hash)
 	}
@@ -108,15 +101,14 @@ func (c *StmtCache) removeLocked(el *list.Element) {
 
 // insertLocked adds a fresh entry for src at the front of the LRU and
 // evicts past capacity. Callers hold c.mu.
-func (c *StmtCache) insertLocked(src string, prep *Prepared) *list.Element {
-	e := &cacheEntry{src: src, prep: prep, hash: HashText(src)}
+func (c *StmtCache) insertLocked(src string, prep *Prepared) {
+	e := &cacheEntry{src: src, prep: prep, hash: prep.Hash()}
 	el := c.order.PushFront(e)
 	c.m[src] = el
 	c.hashes[e.hash] = el
 	for c.order.Len() > c.cap {
 		c.removeLocked(c.order.Back())
 	}
-	return el
 }
 
 // Get returns the prepared form of src, preparing and caching it on a
@@ -251,71 +243,12 @@ func splitLiterals(toks []token, key []byte, args []value.Item) (_ []byte, _ []v
 	return key, args, len(args) > 0
 }
 
-// Register is Get plus a dense statement id: the wire server calls it on a
-// Prepare frame and hands the id to the client, whose later by-id
-// requests resolve through ByID without touching the string map. Registering
-// the same text again returns the existing id; a re-register after
-// eviction or invalidation mints a fresh id, so ids held across an
-// eviction fail with ErrUnknownStmt instead of resolving stale.
-func (c *StmtCache) Register(src string) (uint64, *Prepared, error) {
-	c.mu.Lock()
-	if el, ok := c.m[src]; ok {
-		c.order.MoveToFront(el)
-		c.hits++
-		e := el.Value.(*cacheEntry)
-		if e.id == 0 {
-			c.nextID++
-			e.id = c.nextID
-			c.ids[e.id] = el
-		}
-		id, prep := e.id, e.prep
-		c.mu.Unlock()
-		return id, prep, nil
-	}
-	c.misses++
-	c.mu.Unlock()
-
-	prep, err := Prepare(src) // parse outside the lock, as in Get
-	if err != nil {
-		return 0, nil, err
-	}
-
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.m[src]
-	if !ok {
-		el = c.insertLocked(src, prep)
-	} else {
-		c.order.MoveToFront(el)
-	}
-	e := el.Value.(*cacheEntry)
-	if e.id == 0 {
-		c.nextID++
-		e.id = c.nextID
-		c.ids[e.id] = el
-	}
-	return e.id, e.prep, nil
-}
-
-// ByID resolves a dense statement id from Register, touching the entry's
-// LRU position. ok is false when the id was never issued here or its entry
-// has been evicted or invalidated since — callers translate that into
-// ErrUnknownStmt, never into a reparse under the stale id.
-func (c *StmtCache) ByID(id uint64) (*Prepared, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.ids[id]
-	if !ok {
-		return nil, false
-	}
-	c.order.MoveToFront(el)
-	c.hits++
-	return el.Value.(*cacheEntry).prep, true
-}
-
 // ByHash resolves a statement by the FNV-1a hash of its source text —
-// the lookup forwarded prepared statements use when they ship a hash in
-// place of the text. ok is false when no live entry carries the hash.
+// the lookup a prepared statement shipped as hash + arguments resolves
+// through, touching the entry's LRU position. ok is false when no live
+// entry carries the hash: it was never prepared here, or has been evicted
+// or invalidated since — callers translate that into ErrUnknownStmt, never
+// into a stale plan.
 func (c *StmtCache) ByHash(h uint64) (*Prepared, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()

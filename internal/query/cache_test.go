@@ -101,90 +101,76 @@ func TestStmtCacheConcurrent(t *testing.T) {
 	wg.Wait()
 }
 
+// TestStmtCacheRegisterStableID: a statement's wire name is its text hash.
+// Preparing the same text again returns the same entry, which ByHash
+// resolves.
 func TestStmtCacheRegisterStableID(t *testing.T) {
 	c := NewStmtCache(8)
-	id, prep, err := c.Register("find ? in R")
+	prep, err := c.Get("find ? in R")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if id == 0 {
-		t.Fatal("Register issued the reserved id 0")
-	}
-	id2, prep2, err := c.Register("find ? in R")
-	if err != nil || id2 != id || prep2 != prep {
-		t.Fatalf("re-register diverged: id %d vs %d, err %v", id2, id, err)
-	}
-	if got, ok := c.ByID(id); !ok || got != prep {
-		t.Fatal("ByID did not resolve a live registration")
-	}
-	if got, ok := c.ByHash(HashText("find ? in R")); !ok || got != prep {
-		t.Fatal("ByHash did not resolve a live registration")
-	}
-	if prep.Hash() != HashText("find ? in R") {
+	if prep.Hash() != HashText("find ? in R") || prep.Hash() == 0 {
 		t.Fatal("Prepared.Hash diverged from HashText")
 	}
-	// A plain Get on registered text shares the entry (and its id).
-	if got, err := c.Get("find ? in R"); err != nil || got != prep {
-		t.Fatalf("Get after Register re-prepared: %v", err)
+	if prep2, err := c.Get("find ? in R"); err != nil || prep2 != prep {
+		t.Fatalf("re-prepare diverged: %v", err)
+	}
+	if got, ok := c.ByHash(prep.Hash()); !ok || got != prep {
+		t.Fatal("ByHash did not resolve a live statement")
+	}
+	if _, ok := c.ByHash(HashText("find ? in S")); ok {
+		t.Fatal("ByHash resolved a statement never prepared")
 	}
 }
 
 func TestStmtCacheEvictionForgetsID(t *testing.T) {
 	c := NewStmtCache(2)
-	id, _, err := c.Register("find ? in R")
+	prep, err := c.Get("find ? in R")
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Two younger statements push the registration out of the LRU.
+	// Two younger statements push it out of the LRU.
 	c.Get("count R")
 	c.Get("count S")
-	if _, ok := c.ByID(id); ok {
-		t.Fatal("evicted id still resolves — a stale id must be unknown, never a stale plan")
+	if _, ok := c.ByHash(prep.Hash()); ok {
+		t.Fatal("evicted hash still resolves — a stale hash must be unknown, never a stale plan")
 	}
-	if _, ok := c.ByHash(HashText("find ? in R")); ok {
-		t.Fatal("evicted hash still resolves")
-	}
-	// Re-registering mints a FRESH id: the old one stays dead forever.
-	id2, _, err := c.Register("find ? in R")
+	// Preparing the text again brings the same name back, with a fresh plan.
+	again, err := c.Get("find ? in R")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if id2 == id {
-		t.Fatalf("re-register after eviction reused id %d", id)
-	}
-	if _, ok := c.ByID(id); ok {
-		t.Fatal("dead id resurrected by re-registration")
-	}
-	if _, ok := c.ByID(id2); !ok {
-		t.Fatal("fresh id does not resolve")
+	if got, ok := c.ByHash(prep.Hash()); !ok || got != again || got == prep {
+		t.Fatal("re-prepared statement does not resolve to its fresh plan")
 	}
 }
 
 func TestStmtCacheInvalidateRelForgetsID(t *testing.T) {
 	c := NewStmtCache(8)
-	id, _, err := c.Register("find ? in R")
+	prep, err := c.Get("find ? in R")
 	if err != nil {
 		t.Fatal(err)
 	}
-	other, _, err := c.Register("count S")
+	other, err := c.Get("count S")
 	if err != nil {
 		t.Fatal(err)
 	}
 	c.InvalidateRel("R")
-	if _, ok := c.ByID(id); ok {
-		t.Fatal("invalidated id still resolves")
-	}
-	if _, ok := c.ByHash(HashText("find ? in R")); ok {
+	if _, ok := c.ByHash(prep.Hash()); ok {
 		t.Fatal("invalidated hash still resolves")
 	}
-	if _, ok := c.ByID(other); !ok {
+	if got, ok := c.ByHash(other.Hash()); !ok || got != other {
 		t.Fatal("invalidation of R dropped a statement on S")
 	}
-	id2, _, err := c.Register("find ? in R")
+	again, err := c.Get("find ? in R")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if id2 == id {
-		t.Fatalf("re-register after invalidation reused id %d", id)
+	if again == prep {
+		t.Fatal("Get after invalidation returned the pre-invalidation plan")
+	}
+	if got, ok := c.ByHash(prep.Hash()); !ok || got != again {
+		t.Fatal("re-prepared statement does not resolve by its hash")
 	}
 }

@@ -164,11 +164,12 @@ func TestTranslateCachedCorpus(t *testing.T) {
 }
 
 // TestTranslateSharesTemplateEntry: literal texts of one shape are one
-// cache entry — the one a client registering the canonical spelling holds
-// — and texts the template path leaves alone keep their exact-text entry.
+// cache entry — the one a client preparing the canonical spelling holds,
+// whose hash keeps resolving — and texts the template path leaves alone
+// keep their exact-text entry.
 func TestTranslateSharesTemplateEntry(t *testing.T) {
 	c := NewStmtCache(8)
-	id, prep, err := c.Register("insert (?, ?) into R")
+	prep, err := c.Get("insert (?, ?) into R")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,13 +184,13 @@ func TestTranslateSharesTemplateEntry(t *testing.T) {
 		}
 	}
 	if c.Len() != 1 {
-		t.Fatalf("100 literal inserts left %d entries, want the registered template alone", c.Len())
+		t.Fatalf("100 literal inserts left %d entries, want the prepared template alone", c.Len())
 	}
-	if got, ok := c.ByID(id); !ok || got != prep {
-		t.Fatal("registered id no longer resolves to its plan")
+	if got, ok := c.ByHash(HashText("insert (?, ?) into R")); !ok || got != prep {
+		t.Fatal("the prepared template's hash no longer resolves to its plan")
 	}
 	if hits, misses := c.Stats(); hits != 101 || misses != 1 {
-		t.Errorf("stats = %d hits, %d misses; want 101 (100 templates + ByID), 1", hits, misses)
+		t.Errorf("stats = %d hits, %d misses; want 101 (100 templates + ByHash), 1", hits, misses)
 	}
 
 	// Bare words stay in the template, a literal-free text and a create

@@ -15,7 +15,8 @@ import (
 // decode, resolve, admission and reply encode. Each gate is the count the
 // same harness measured for the equivalent frame before requests shared
 // one frame type (Exec, ExecPrepared, ForwardPrepared): a one-statement
-// text find 3, a find by statement id 2, a tagged find by text hash 3 (its
+// text find 3, an untagged find by text hash 2 (the dense statement id it
+// replaced was the same one map probe), a tagged find by text hash 3 (its
 // origin tag decodes to a fresh string).
 func TestRequestAllocGate(t *testing.T) {
 	store := funcdb.MustOpen(funcdb.WithRelations("R"))
@@ -45,27 +46,24 @@ func TestRequestAllocGate(t *testing.T) {
 		return frame(wire.FrameRequest, payload)
 	}
 	const find = "find ? in R"
-	if _, err := conn.Write(frame(wire.FramePrepare, wire.AppendPrepare(nil, 1, find))); err != nil {
-		t.Fatal(err)
-	}
-	typ, payload, err := rd.Next()
-	if err != nil || typ != wire.FramePrepared {
-		t.Fatalf("prepare answered with frame %#x, %v", typ, err)
-	}
-	_, stmtID, _, err := wire.DecodePrepared(payload)
-	if err != nil {
-		t.Fatal(err)
-	}
+	hash := query.HashText(find)
 	args := []value.Item{value.Int(1)}
+	// First contact carries the text, so the server holds the statement.
+	if _, err := conn.Write(request(0, wire.Stmt{Hash: hash, Text: find, HasText: true, Args: args})); err != nil {
+		t.Fatal(err)
+	}
+	if typ, _, err := rd.Next(); err != nil || typ != wire.FrameResponse {
+		t.Fatalf("first contact answered with frame %#x, %v", typ, err)
+	}
 	for _, c := range []struct {
 		name  string
 		frame []byte
 		max   float64
 	}{
 		{"text", request(0, wire.Stmt{Text: "find 1 in R", HasText: true}), 3},
-		{"by-id", request(0, wire.Stmt{Stmt: stmtID, Args: args}), 2},
+		{"by-hash", request(0, wire.Stmt{Hash: hash, Args: args}), 2},
 		{"tagged-by-hash", request(wire.FwdTagged|wire.FwdNoForward,
-			wire.Stmt{Origin: "gate", Seq: 7, Hash: query.HashText(find), Args: args}), 3},
+			wire.Stmt{Origin: "gate", Seq: 7, Hash: hash, Args: args}), 3},
 	} {
 		roundTrip := func() {
 			if _, err := conn.Write(c.frame); err != nil {

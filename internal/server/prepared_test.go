@@ -1,15 +1,19 @@
 // Prepared statements over the wire: the three execution surfaces —
-// in-process, wire text, and wire prepared (id + positional args, no
-// text after the first frame) — must be indistinguishable: byte-identical
-// rendered responses and equal final databases. On top of equivalence,
-// the statement-id lifecycle: an id evicted from the server's cache (or
-// invalidated by a create) is refused with ErrUnknownStmt and the client
-// re-prepares transparently, never executing a stale plan.
+// in-process, wire text, and wire prepared (text hash + positional args,
+// no text after the first success) — must be indistinguishable:
+// byte-identical rendered responses and equal final databases. On top of
+// equivalence, the hash lifecycle: a statement evicted from the server's
+// cache (or invalidated by a create) is refused with ErrUnknownStmt and
+// the client re-sends with the text transparently, never executing a
+// stale plan.
 package server_test
 
 import (
+	"bytes"
 	"fmt"
+	"io"
 	"math/rand"
+	"net"
 	"sync"
 	"testing"
 
@@ -17,6 +21,7 @@ import (
 	"funcdb/client"
 	"funcdb/internal/query"
 	"funcdb/internal/value"
+	"funcdb/internal/wire"
 )
 
 // preparedOp is one workload step in template form: the text rendering
@@ -197,7 +202,8 @@ func TestPreparedEquivalence(t *testing.T) {
 			prepStore := open()
 			defer prepStore.Close()
 			prepSrv := startServer(t, prepStore)
-			pc, err := client.Dial(prepSrv.Addr().String(), client.WithOrigin("c0"))
+			proxyAddr, sent := teeProxy(t, prepSrv.Addr().String())
+			pc, err := client.Dial(proxyAddr, client.WithOrigin("c0"))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -224,22 +230,84 @@ func TestPreparedEquivalence(t *testing.T) {
 				t.Fatal("final databases diverged across execution surfaces")
 			}
 
-			// The prepared run must actually have run prepared: a handful of
-			// registrations, one per distinct template, and id-resolved
-			// executions for the rest of the workload.
-			snap, err := pc.Stats()
-			if err != nil {
-				t.Fatal(err)
+			// The prepared run must actually have reused its statements:
+			// read back what crossed the wire, every template's text exactly
+			// once on this connection and hash-only statements for the rest
+			// of the workload.
+			templates := map[uint64]bool{}
+			for _, op := range ops {
+				templates[query.HashText(op.template)] = true
 			}
-			if snap.Server.Prepares == 0 || snap.Server.PreparedExecs == 0 {
-				t.Fatalf("prepared run did not exercise the prepared path: %d prepares, %d prepared execs",
-					snap.Server.Prepares, snap.Server.PreparedExecs)
+			pc.Close()
+			texts, hashOnly := map[uint64]int{}, 0
+			rd := wire.NewReader(bytes.NewReader(sent()))
+			for {
+				typ, payload, err := rd.Next()
+				if err == io.EOF {
+					break
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				if typ != wire.FrameRequest {
+					continue
+				}
+				var req wire.Request
+				if err := wire.DecodeRequestInto(payload, &req); err != nil {
+					t.Fatal(err)
+				}
+				for _, st := range req.Stmts {
+					switch {
+					case !templates[st.Hash]:
+						t.Fatalf("prepared run sent a statement outside its templates: %+v", st)
+					case st.HasText:
+						texts[st.Hash]++
+					default:
+						hashOnly++
+					}
+				}
 			}
-			if snap.Server.Prepares >= snap.Server.PreparedExecs {
-				t.Fatalf("statement reuse missing: %d prepares vs %d prepared execs",
-					snap.Server.Prepares, snap.Server.PreparedExecs)
+			for h := range templates {
+				if texts[h] != 1 {
+					t.Errorf("template %#x: text crossed the wire %d times, want once", h, texts[h])
+				}
+			}
+			if hashOnly == 0 {
+				t.Error("no statement was sent by hash alone: statement reuse missing")
 			}
 		})
+	}
+}
+
+// teeProxy relays one connection to addr and records every byte the
+// client sends. sent returns the record once the client has closed.
+func teeProxy(t *testing.T, addr string) (proxyAddr string, sent func() []byte) {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	var record bytes.Buffer
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		cconn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer cconn.Close()
+		sconn, err := net.Dial("tcp", addr)
+		if err != nil {
+			return
+		}
+		defer sconn.Close()
+		go io.Copy(cconn, sconn)
+		io.Copy(sconn, io.TeeReader(cconn, &record))
+	}()
+	return ln.Addr().String(), func() []byte {
+		<-done
+		return record.Bytes()
 	}
 }
 
@@ -306,10 +374,51 @@ func TestPreparedConcurrentConnections(t *testing.T) {
 	}
 }
 
+// TestPreparedHandleSharedAcrossGoroutines: one Stmt on one connection,
+// executed from several goroutines at once — the -race exercise for the
+// handle's one local parse and its held flag. Every insert lands.
+func TestPreparedHandleSharedAcrossGoroutines(t *testing.T) {
+	const workers, each = 8, 25
+	store := funcdb.MustOpen(funcdb.WithRelations("R"))
+	defer store.Close()
+	srv := startServer(t, store)
+	c, err := client.Dial(srv.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	insert := c.Prepare("insert (?, ?) into R")
+	errs := make([]error, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				k := int64(w*each + i)
+				if resp, err := insert.Exec(value.Int(k), value.Str("v")); err != nil || resp.Err != nil {
+					errs[w] = fmt.Errorf("insert %d: %v / %v", k, err, resp.Err)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if cnt, err := c.Exec("count R"); err != nil || cnt.Count != workers*each {
+		t.Fatalf("count = %+v, %v; want %d", cnt, err, workers*each)
+	}
+}
+
 // TestPreparedEvictionOverWire: filling the server's statement cache past
-// capacity evicts the oldest registration; the next execution under the
-// dead id is refused with ErrUnknownStmt (visible in the server's
-// unknown_stmts counter) and the client re-prepares transparently — the
+// capacity evicts the oldest statement; the next hash-only execution of it
+// is refused with ErrUnknownStmt (visible in the server's unknown_stmts
+// counter) and the client re-sends with the text transparently — the
 // caller sees correct responses throughout.
 func TestPreparedEvictionOverWire(t *testing.T) {
 	store := funcdb.MustOpen(funcdb.WithRelations("R"))
@@ -326,11 +435,11 @@ func TestPreparedEvictionOverWire(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Register DefaultStmtCacheSize distinct statements: the cache is full
-	// of younger entries and the insert statement's id is evicted.
+	// Execute DefaultStmtCacheSize distinct prepared statements: the cache
+	// is full of younger entries and the insert statement is evicted.
 	for i := 0; i < query.DefaultStmtCacheSize; i++ {
 		filler := c.Prepare(fmt.Sprintf("find %d in R", i))
-		if _, err := filler.NumParams(); err != nil {
+		if _, err := filler.Exec(); err != nil {
 			t.Fatalf("filler %d: %v", i, err)
 		}
 	}
@@ -347,10 +456,10 @@ func TestPreparedEvictionOverWire(t *testing.T) {
 		t.Fatal(err)
 	}
 	if snap.Server.UnknownStmts == 0 {
-		t.Fatal("eviction was never refused: the stale id resolved (or the cache never evicted)")
+		t.Fatal("eviction was never refused: the stale hash resolved (or the cache never evicted)")
 	}
 
-	// Both inserts landed despite the id churn.
+	// Both inserts landed despite the eviction.
 	cnt, err := c.Exec("count R")
 	if err != nil || cnt.Err != nil {
 		t.Fatalf("count: %v / %v", err, cnt.Err)
@@ -360,10 +469,10 @@ func TestPreparedEvictionOverWire(t *testing.T) {
 	}
 }
 
-// TestPreparedCreateInvalidation: a create invalidates every registered
-// statement touching the relation — end to end, over TCP: the old id is
-// refused (never served the pre-create plan) and the client re-prepares
-// against the post-create directory.
+// TestPreparedCreateInvalidation: a create invalidates every prepared
+// statement touching the relation — end to end, over TCP: the hash-only
+// execution is refused (never served the pre-create plan) and the client
+// re-sends the text, prepared against the post-create directory.
 func TestPreparedCreateInvalidation(t *testing.T) {
 	store := funcdb.MustOpen(funcdb.WithRelations("R"))
 	defer store.Close()
@@ -390,8 +499,8 @@ func TestPreparedCreateInvalidation(t *testing.T) {
 		t.Fatalf("insert: %v / %v", err, resp.Err)
 	}
 
-	// The create invalidated the registration: the old id must be refused,
-	// the handle re-prepares, and the execution sees the new relation.
+	// The create invalidated the statement: the hash alone must be refused,
+	// the handle re-sends the text, and the execution sees the new relation.
 	resp, err = stmt.Exec(value.Int(1))
 	if err != nil {
 		t.Fatalf("exec after create: %v", err)

@@ -555,22 +555,6 @@ func (s *Server) handle(conn net.Conn) {
 			rp.start, rp.tr = start, tr
 			pending = append(pending, rp)
 
-		case wire.FramePrepare:
-			id, text, derr := wire.DecodePrepare(payload)
-			if derr != nil {
-				flush()
-				return
-			}
-			s.m.Prepares.Inc()
-			rp := reply{id: id, index: -1}
-			if stmtID, prep, perr := sess.Register(text); perr != nil {
-				rp.qerr = perr
-			} else {
-				rp.raw = wire.AppendPrepared(nil, id, stmtID, prep.NumParams())
-				rp.rawType = wire.FramePrepared
-			}
-			pending = append(pending, rp)
-
 		case wire.FrameHeartbeat:
 			hb, derr := wire.DecodeHeartbeat(payload)
 			if derr != nil {
@@ -710,7 +694,7 @@ func (s *Server) request(host Host, sess *session.Session, req *wire.Request, tx
 		rp.lat = &s.m.LatencyBatch
 	}
 	for _, st := range req.Stmts {
-		if st.Stmt != 0 || st.Hash != 0 {
+		if st.Hash != 0 {
 			s.m.PreparedExecs.Inc()
 			break
 		}
@@ -733,14 +717,17 @@ func (s *Server) request(host Host, sess *session.Session, req *wire.Request, tx
 }
 
 // resolve binds every statement of req into txs against the session's
-// (node- or store-wide) cache: by dense statement id, then by text hash,
-// then by the text itself when the sender included one — registered as a
-// template when hashed, so the next hash-only call hits, and translated as
-// a plain statement when not. A statement that resolves nowhere fails with
-// query.ErrUnknownStmt: the sender re-sends with text, and a stale id never
-// resolves to a stale plan. On failure it returns the failing statement's
-// index: the position inside THIS request, which a gateway that built the
-// request remaps to its client's batch position.
+// (node- or store-wide) cache: by text hash, then by the text itself when
+// the sender included one — prepared as a template when hashed, so the
+// next hash-only call hits, and translated as a plain statement when not.
+// A statement that resolves nowhere fails with query.ErrUnknownStmt: the
+// sender re-sends with text, and a stale hash never resolves to a stale
+// plan. A statement whose text does not hash to its hash is refused before
+// any lookup: caching the text under the text's own hash would leave the
+// sender believing the server holds the hash it sent, so every later
+// hash-only call would bounce. On failure it returns the
+// failing statement's index: the position inside THIS request, which a
+// gateway that built the request remaps to its client's batch position.
 func (s *Server) resolve(host Host, sess *session.Session, req *wire.Request, txs []core.Transaction, tr *reqtrace.T) (int, error) {
 	tagged := req.Flags&wire.FwdTagged != 0
 	placer, placed := host.(Placer)
@@ -749,12 +736,12 @@ func (s *Server) resolve(host Host, sess *session.Session, req *wire.Request, tx
 	onward := placed && !(tagged && req.Flags&wire.FwdNoForward != 0)
 	for i := range req.Stmts {
 		st := &req.Stmts[i]
+		if st.HasText && st.Hash != 0 && query.HashText(st.Text) != st.Hash {
+			return i, fmt.Errorf("server: statement hash %#x does not match its text", st.Hash)
+		}
 		var prep *query.Prepared
 		var ok bool
-		if st.Stmt != 0 {
-			prep, ok = sess.PreparedByID(st.Stmt)
-		}
-		if !ok && st.Hash != 0 {
+		if st.Hash != 0 {
 			prep, ok = sess.PreparedByHash(st.Hash)
 		}
 		var tx core.Transaction
@@ -763,7 +750,7 @@ func (s *Server) resolve(host Host, sess *session.Session, req *wire.Request, tx
 		case ok:
 			tx, err = prep.Bind(st.Args...)
 		case st.HasText && st.Hash != 0:
-			if _, prep, err = sess.Register(st.Text); err == nil {
+			if prep, err = sess.Prepare(st.Text); err == nil {
 				tx, err = prep.Bind(st.Args...)
 			}
 		case st.HasText:

@@ -5,11 +5,13 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"strings"
 	"testing"
 	"time"
 
 	"funcdb"
 	"funcdb/client"
+	"funcdb/internal/query"
 	"funcdb/internal/reqtrace"
 	"funcdb/internal/server"
 	"funcdb/internal/value"
@@ -421,5 +423,68 @@ func TestTraceCtxMustAnnotateARequest(t *testing.T) {
 	send(wire.FrameIntrospect, wire.AppendIntrospect(nil, 2, wire.IntrospectStats))
 	if typ, _, err := rd.Next(); err != io.EOF {
 		t.Fatalf("trace context on an introspect frame answered with frame %#x, %v; want the connection closed", typ, err)
+	}
+}
+
+// TestRequestRefusesMismatchedHash: a statement carrying both text and a
+// hash must carry the text's own hash. One that does not is refused with
+// an Error frame naming its index, nothing of the request is admitted, and
+// the text is cached under neither name — so the sender cannot come away
+// believing the server holds a hash it never heard of.
+func TestRequestRefusesMismatchedHash(t *testing.T) {
+	store := funcdb.MustOpen(funcdb.WithRelations("R"))
+	defer store.Close()
+	srv := startServer(t, store)
+
+	conn, rd := rawDial(t, srv.Addr().String(), wire.AppendHello(nil, wire.Hello{Origin: "raw"}))
+	if typ, _, err := rd.Next(); err != nil || typ != wire.FrameWelcome {
+		t.Fatalf("handshake: frame %#x, %v", typ, err)
+	}
+	send := func(id uint64, stmts ...wire.Stmt) (byte, []byte) {
+		t.Helper()
+		payload, err := wire.AppendRequest(nil, id, 0, 0, stmts)
+		if err == nil {
+			err = wire.WriteFrame(conn, wire.FrameRequest, payload)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		typ, reply, err := rd.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return typ, reply
+	}
+	wantError := func(typ byte, reply []byte, wantID uint64, wantIndex int, wantMsg string) {
+		t.Helper()
+		if typ != wire.FrameError {
+			t.Fatalf("request %d answered with frame %#x, want an Error", wantID, typ)
+		}
+		id, index, msg, err := wire.DecodeErrorMsg(reply)
+		if err != nil || id != wantID || index != wantIndex || !strings.Contains(msg, wantMsg) {
+			t.Fatalf("request %d refused as (%d, %d, %q), %v; want index %d and %q", wantID, id, index, msg, err, wantIndex, wantMsg)
+		}
+	}
+
+	const find = "find ? in R"
+	bogus := query.HashText(find) + 1
+	args := []value.Item{value.Int(1)}
+	typ, reply := send(1,
+		wire.Stmt{Text: `insert (1, "a") into R`, HasText: true},
+		wire.Stmt{Hash: bogus, Text: find, HasText: true, Args: args})
+	wantError(typ, reply, 1, 1, "does not match its text")
+
+	// Neither the claimed hash nor the text's own hash resolves.
+	for i, h := range []uint64{bogus, query.HashText(find)} {
+		typ, reply = send(uint64(2+i), wire.Stmt{Hash: h, Args: args})
+		wantError(typ, reply, uint64(2+i), 0, query.ErrUnknownStmt.Error())
+	}
+	// The request was all or nothing: its valid insert was not admitted.
+	typ, reply = send(4, wire.Stmt{Text: "count R", HasText: true})
+	if typ != wire.FrameResponse {
+		t.Fatalf("count answered with frame %#x", typ)
+	}
+	if _, resp, err := wire.DecodeSingleResponse(reply); err != nil || resp.Count != 0 {
+		t.Fatalf("count after the refused request = %+v, %v; want 0", resp, err)
 	}
 }

@@ -177,30 +177,18 @@ func (s *Session) ownSeqs(n int) int {
 // Cache returns the session's statement cache (for stats surfaces).
 func (s *Session) Cache() *query.StmtCache { return s.cache }
 
-// Prepare returns the cached prepared form of src.
+// Prepare returns the cached prepared form of src, caching it on a miss so
+// that PreparedByHash(query.HashText(src)) resolves from then on.
 func (s *Session) Prepare(src string) (*query.Prepared, error) {
 	return s.cache.Get(src)
 }
 
-// Register prepares src and returns its dense statement id alongside the
-// plan — the wire server's Prepare-frame entry point. Ids are issued by
-// the session's cache (store- or node-wide), so they stay valid across
-// connections to the same store until the entry is evicted or
-// invalidated.
-func (s *Session) Register(src string) (uint64, *query.Prepared, error) {
-	return s.cache.Register(src)
-}
-
-// PreparedByID resolves a dense statement id from Register without
-// touching the text-keyed map — the by-id request hot path. ok is false
-// once the entry has been evicted or invalidated; callers must answer
-// with query.ErrUnknownStmt, never a reparse.
-func (s *Session) PreparedByID(id uint64) (*query.Prepared, bool) {
-	return s.cache.ByID(id)
-}
-
 // PreparedByHash resolves a statement by the FNV-1a hash of its text —
-// the lookup a forwarded prepared statement uses when it ships no text.
+// the wire's prepared-request hot path, one map probe. The cache is the
+// session's (store- or node-wide), so a hash prepared over one connection
+// resolves on every connection to the same store. ok is false once the
+// entry has been evicted or invalidated; callers must answer with
+// query.ErrUnknownStmt, never a stale plan.
 func (s *Session) PreparedByHash(h uint64) (*query.Prepared, bool) {
 	return s.cache.ByHash(h)
 }

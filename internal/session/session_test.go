@@ -9,6 +9,7 @@ import (
 	"funcdb/internal/core"
 	"funcdb/internal/database"
 	"funcdb/internal/lenient"
+	"funcdb/internal/query"
 	"funcdb/internal/relation"
 	"funcdb/internal/value"
 )
@@ -311,13 +312,13 @@ func mustTuple(k int64, v string) value.Tuple {
 
 // TestTextTrafficDoesNotEvictRegistered: text statements with distinct
 // literals share one cache entry per shape, so ten thousand of them leave
-// a registered statement's id alive and hit the cache almost every time.
-// Before templates each was its own entry: 256 of them evicted the
-// registration and every one missed.
+// a prepared statement's hash resolving and hit the cache almost every
+// time. Before templates each was its own entry: 256 of them evicted the
+// prepared statement and every one missed.
 func TestTextTrafficDoesNotEvictRegistered(t *testing.T) {
 	es := &engineSubmitter{e: core.NewEngine(database.New(relation.RepAVL, "r0"))}
 	s := New(es)
-	id, _, err := s.Register("insert (?, ?) into r0")
+	prep, err := s.Prepare("insert (?, ?) into r0")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -343,8 +344,8 @@ func TestTextTrafficDoesNotEvictRegistered(t *testing.T) {
 			t.Fatalf("%s missed the insert before it", q)
 		}
 	}
-	if _, ok := s.PreparedByID(id); !ok {
-		t.Error("text traffic evicted a registered statement")
+	if got, ok := s.PreparedByHash(query.HashText("insert (?, ?) into r0")); !ok || got != prep {
+		t.Error("text traffic evicted a prepared statement")
 	}
 	const templates = 4
 	if got := s.Cache().Len(); got > templates+1 {

@@ -242,13 +242,14 @@ func TestBatchPreparedDecodeNoAlloc(t *testing.T) {
 	preparedDecodeAllocGate(t, samplePreparedStmts(), true)
 }
 
-// samplePreparedStmts is an untagged prepared run: statements by id with
-// positional arguments, as a plain client's Stmt sends them.
+// samplePreparedStmts is an untagged prepared run: statements by text hash
+// with positional arguments, as a plain client's Stmt sends them once the
+// server holds the statement.
 func samplePreparedStmts() []Stmt {
 	return []Stmt{
-		{Stmt: 17, Args: samplePreparedArgs()},
-		{Stmt: 17, Args: samplePreparedArgs()[:1]},
-		{Stmt: 18},
+		{Hash: 17, Args: samplePreparedArgs()},
+		{Hash: 17, Args: samplePreparedArgs()[:1]},
+		{Hash: 18},
 	}
 }
 

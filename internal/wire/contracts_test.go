@@ -1,5 +1,5 @@
 // The contracts the retired cross-version interop tests pinned, restated
-// for the one version-7 layout. Each test keeps its namesake's name and
+// for the one version-8 layout. Each test keeps its namesake's name and
 // checks what survives of its contract: TestWireV2V3Equivalence the
 // optional failover epoch, TestWireV3V4Equivalence the request decoder's
 // scratch reuse, TestWireV4V5Equivalence the trace context. The bytes of
@@ -22,7 +22,7 @@ func sameStmts(t *testing.T, got, want []Stmt) {
 	}
 	for i := range want {
 		a, b := want[i], got[i]
-		if a.Origin != b.Origin || a.Seq != b.Seq || a.Stmt != b.Stmt || a.Hash != b.Hash ||
+		if a.Origin != b.Origin || a.Seq != b.Seq || a.Hash != b.Hash ||
 			a.Text != b.Text || a.HasText != b.HasText || len(a.Args) != len(b.Args) {
 			t.Fatalf("stmt %d diverged:\n got %+v\nwant %+v", i, b, a)
 		}
@@ -108,20 +108,11 @@ func TestWireV2V3Equivalence(t *testing.T) {
 // scratch it is handed — zero or warm, grown or reused — and Args views
 // stay valid when the shared item scratch grows mid-decode.
 func TestWireV3V4Equivalence(t *testing.T) {
-	id, text, err := DecodePrepare(AppendPrepare(nil, 3, "find ? in R"))
-	if err != nil || id != 3 || text != "find ? in R" {
-		t.Fatalf("prepare round-trip: id=%d text=%q err=%v", id, text, err)
-	}
-	rid, stmt, np, err := DecodePrepared(AppendPrepared(nil, 3, 17, 1))
-	if err != nil || rid != 3 || stmt != 17 || np != 1 {
-		t.Fatalf("prepared round-trip: %d %d %d %v", rid, stmt, np, err)
-	}
-
 	args := samplePreparedArgs()
 	lists := [][]Stmt{
-		{{Stmt: 17, Args: args}},
+		{{Hash: 17, Args: args}},
 		{
-			{Stmt: 1, Args: args},
+			{Hash: 1, Args: args},
 			{Text: "count R", HasText: true},
 			{Hash: 0xdeadbeefcafe, Text: "find ? in R", HasText: true, Args: []value.Item{
 				value.Str("long-enough-to-force-item-growth"), value.Int(1), value.Int(2), value.Int(3)}},
@@ -150,8 +141,8 @@ func TestWireV3V4Equivalence(t *testing.T) {
 // an untraced sender writes, the context reads back unchanged, and a
 // context glued onto a payload (the retired suffix form) is refused.
 func TestWireV4V5Equivalence(t *testing.T) {
-	if Version != 7 {
-		t.Fatalf("wire.Version = %d, expected 7", Version)
+	if Version != 8 {
+		t.Fatalf("wire.Version = %d, expected 8", Version)
 	}
 	tc := sampleTraceCtx()
 

@@ -56,9 +56,10 @@ func must(b []byte, err error) []byte {
 }
 
 // sampleRequests are the request shapes senders build: one text
-// statement, a text batch, one by statement id, a hashed template carrying
-// its text, a tagged run claiming an epoch (first contact with text, then
-// hash only), and the empty list.
+// statement, a text batch, one by text hash, a hashed template carrying
+// its text beside a hash-only one, a hash-only batch mixed with text, a
+// tagged run claiming an epoch (first contact with text, then hash only),
+// a tagged hash-only run, and the empty list.
 func sampleRequests() map[string][]byte {
 	args := samplePreparedArgs()
 	return map[string][]byte{
@@ -67,20 +68,28 @@ func sampleRequests() map[string][]byte {
 			{Text: "count R", HasText: true},
 			{Text: "insert 1 into R", HasText: true},
 		})),
-		"by-id": must(AppendRequest(nil, 11, 0, 0, []Stmt{{Stmt: 17, Args: args}})),
+		"by-hash": must(AppendRequest(nil, 11, 0, 0, []Stmt{{Hash: 17, Args: args}})),
 		"hash-text": must(AppendRequest(nil, 13, 0, 0, []Stmt{
 			{Hash: 7, Text: "find ? in R", HasText: true, Args: args[:1]},
-			{Stmt: 2},
+			{Hash: 2},
+		})),
+		"hash-batch": must(AppendRequest(nil, 15, 0, 0, []Stmt{
+			{Hash: 17, Args: args[:1]},
+			{Text: "count R", HasText: true},
+			{Hash: 17, Args: args[2:]},
 		})),
 		"tagged": must(AppendRequest(nil, 21, FwdTagged|FwdNoForward|FwdEpoch, 77, []Stmt{
 			{Origin: "c0", Seq: 3, Hash: 7, Text: "count R", HasText: true},
-			{Origin: "c0", Seq: 4, Stmt: 9, Hash: 7, Args: args[1:]},
+			{Origin: "c0", Seq: 4, Hash: 9, Args: args[1:]},
+		})),
+		"tagged-hash": must(AppendRequest(nil, 23, FwdTagged|FwdNoForward|FwdReadLocal, 0, []Stmt{
+			{Origin: "gw", Seq: -1, Hash: 9, Args: args[:1]},
 		})),
 		"empty": must(AppendRequest(nil, 9, 0, 0, nil)),
 	}
 }
 
-// goldenFrames pins the version-7 encoding of every frame type. A traced
+// goldenFrames pins the version-8 encoding of every frame type. A traced
 // request is two frames: the TraceCtx, then the request it annotates.
 func goldenFrames() []goldenFrame {
 	resps := sampleResponses()
@@ -88,9 +97,9 @@ func goldenFrames() []goldenFrame {
 	traced := AppendTraceCtx(nil, sampleTraceCtx())
 	return []goldenFrame{
 		{"hello", []frame{{FrameHello, AppendHello(nil, Hello{Origin: "c0", Database: "aux"})}},
-			"100c0000006644427707026330036175785a9d2df1"},
+			"100c000000664442770802633003617578f68f0d28"},
 		{"welcome", []frame{{FrameWelcome, AppendWelcome(nil, Welcome{Lanes: 4, Durable: true, Origin: "conn1", Database: "main"})}},
-			"110e00000007080105636f6e6e31046d61696e47ca5efc"},
+			"110e00000008080105636f6e6e31046d61696eb17ecaaa"},
 		{"response", []frame{{FrameResponse, must(AppendSingleResponse(nil, 5, resps[1]))}},
 			"1414000000050263300201090000020102020677696467657401cd036f"},
 		{"batch-response", []frame{{FrameBatchResponse, must(AppendResponses(nil, 9, []core.Response{resps[4], resps[8], resps[9]}))}},
@@ -115,32 +124,33 @@ func goldenFrames() []goldenFrame {
 			"1f0200000004005bf8578c"},
 		{"sub-ack", []frame{{FrameSubAck, AppendSubAck(nil, 41)}},
 			"20010000005285063851"},
-		{"prepare", []frame{{FramePrepare, AppendPrepare(nil, 3, "find ? in R")}},
-			"220d000000030b66696e64203f20696e2052fd63ac8b"},
-		{"prepared", []frame{{FramePrepared, AppendPrepared(nil, 3, 17, 1)}},
-			"230300000003110113725bb5"},
 		{"request-text", []frame{{FrameRequest, reqs["text"]}},
-			"26190000000700000100000000000000000000000107636f756e742052005acdd647"},
+			"261800000007000001000000000000000000000107636f756e742052001c1eb11d"},
 		{"request-batch", []frame{{FrameRequest, reqs["batch"]}},
-			"26360000000700000200000000000000000000000107636f756e742052000000000000000000000000010f696e73657274203120696e746f20520017bab874"},
-		{"request-by-id", []frame{{FrameRequest, reqs["by-id"]}},
-			"26180000000b000001000011000000000000000000030154020178010da3d6d1a6"},
+			"263400000007000002000000000000000000000107636f756e7420520000000000000000000000010f696e73657274203120696e746f205200e9968d5d"},
+		{"request-by-hash", []frame{{FrameRequest, reqs["by-hash"]}},
+			"26170000000b0000010000110000000000000000030154020178010dce73352e"},
 		{"request-hash-text", []frame{{FrameRequest, reqs["hash-text"]}},
-			"262c0000000d0000020000000700000000000000010b66696e64203f20696e2052010154000002000000000000000000007a1f79c5"},
+			"262a0000000d00000200000700000000000000010b66696e64203f20696e2052010154000002000000000000000000fc3f0544"},
+		{"request-hash-batch", []frame{{FrameRequest, reqs["hash-batch"]}},
+			"26340000000f0000030000110000000000000000010154000000000000000000000107636f756e74205200000011000000000000000001010d5966fa59"},
 		{"request-tagged", []frame{{FrameRequest, reqs["tagged"]}},
-			"262f000000150d4d02026330060007000000000000000107636f756e74205200026330080907000000000000000002020178010dfd816005"},
+			"262d000000150d4d020263300607000000000000000107636f756e742052000263300809000000000000000002020178010d394d73cd"},
+		{"request-tagged-hash", []frame{{FrameRequest, reqs["tagged-hash"]}},
+			"2614000000170b000102677701090000000000000000010154dce3ffe9"},
 		{"request-empty", []frame{{FrameRequest, reqs["empty"]}},
 			"2604000000090000003362abf5"},
-		{"traced-request", []frame{{FrameTraceCtx, traced}, {FrameRequest, reqs["by-id"]}},
-			"290a0000008877665544332211010172ada49b26180000000b000001000011000000000000000000030154020178010da3d6d1a6"},
+		{"traced-request", []frame{{FrameTraceCtx, traced}, {FrameRequest, reqs["by-hash"]}},
+			"290a0000008877665544332211010172ada49b26170000000b0000010000110000000000000000030154020178010dce73352e"},
 	}
 }
 
 // retiredFrame reports the frame types of retired protocol revisions:
-// never sent, and refused by every receiver.
+// never sent, and refused by every receiver. 0x22 and 0x23 were Prepare
+// and Prepared, retired with dense statement ids.
 func retiredFrame(typ byte) bool {
 	switch typ {
-	case 0x12, 0x13, 0x18, 0x21, 0x24, 0x25, 0x27, 0x28:
+	case 0x12, 0x13, 0x18, 0x21, 0x22, 0x23, 0x24, 0x25, 0x27, 0x28:
 		return true
 	}
 	return false
@@ -197,7 +207,7 @@ func warmScratch() *scratch {
 		sc.req.items[i] = value.Int(int64(1000 + i))
 	}
 	for i := range sc.req.Stmts {
-		sc.req.Stmts[i] = Stmt{Origin: "stale", Stmt: 99, Text: "stale", HasText: true, Args: sc.req.items[:3], nargs: 3}
+		sc.req.Stmts[i] = Stmt{Origin: "stale", Hash: 99, Text: "stale", HasText: true, Args: sc.req.items[:3], nargs: 3}
 	}
 	return sc
 }
@@ -256,14 +266,6 @@ var frameCodecs = map[byte]func(p []byte, sc *scratch) ([]byte, error){
 	FrameSubAck: func(p []byte, _ *scratch) ([]byte, error) {
 		seq, err := DecodeSubAck(p)
 		return AppendSubAck(nil, seq), err
-	},
-	FramePrepare: func(p []byte, _ *scratch) ([]byte, error) {
-		id, text, err := DecodePrepare(p)
-		return AppendPrepare(nil, id, text), err
-	},
-	FramePrepared: func(p []byte, _ *scratch) ([]byte, error) {
-		id, stmt, np, err := DecodePrepared(p)
-		return AppendPrepared(nil, id, stmt, np), err
 	},
 	FrameRequest: func(p []byte, sc *scratch) ([]byte, error) {
 		r := &sc.req
@@ -369,7 +371,7 @@ func FuzzDecodeLogRecordE(f *testing.F)       { fuzzFrameTypes(f, FrameLogRecord
 func FuzzDecodeStats(f *testing.F)            { fuzzFrameTypes(f, FrameIntrospect, FrameIntrospectResponse) }
 func FuzzDecodeTraces(f *testing.F)           { fuzzFrameTypes(f, FrameIntrospect, FrameIntrospectResponse) }
 func FuzzDecodeHeartbeat(f *testing.F)        { fuzzFrameTypes(f, FrameHeartbeat) }
-func FuzzDecodePrepare(f *testing.F)          { fuzzFrameTypes(f, FramePrepare) }
+func FuzzDecodePrepare(f *testing.F)          { fuzzFrameTypes(f, FrameRequest) }
 func FuzzDecodeExecPrepared(f *testing.F)     { fuzzFrameTypes(f, FrameRequest) }
 func FuzzDecodeExecPreparedT(f *testing.F)    { fuzzFrameTypes(f, FrameRequest) }
 func FuzzDecodeBatchPrepared(f *testing.F)    { fuzzFrameTypes(f, FrameRequest) }

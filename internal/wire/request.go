@@ -7,8 +7,7 @@ import (
 	"funcdb/internal/value"
 )
 
-// Statement-carrying payload codecs: Prepare/Prepared and the one
-// FrameRequest.
+// The one statement-carrying payload codec, FrameRequest.
 //
 // The request decoder appends into caller-owned scratch (DecodeRequestInto
 // reuses the Request it is handed, mirroring the frame reader's
@@ -16,60 +15,6 @@ import (
 // allocations; a zero Request decodes into fresh slices. Decoded strings
 // are always fresh (value.DecodeString copies), so only the slices are
 // loans on the caller's scratch.
-
-// AppendPrepare encodes a FramePrepare payload:
-//
-//	prepare := id:uvarint text:string
-func AppendPrepare(dst []byte, id uint64, text string) []byte {
-	dst = binary.AppendUvarint(dst, id)
-	return value.AppendString(dst, text)
-}
-
-// DecodePrepare decodes a FramePrepare payload.
-func DecodePrepare(buf []byte) (id uint64, text string, err error) {
-	id, n := binary.Uvarint(buf)
-	if n <= 0 {
-		return 0, "", fmt.Errorf("%w: bad prepare id", ErrCorrupt)
-	}
-	if text, buf, err = value.DecodeString(buf[n:]); err != nil {
-		return 0, "", fmt.Errorf("%w: bad prepare text", ErrCorrupt)
-	}
-	if len(buf) != 0 {
-		return 0, "", errTrailing(buf)
-	}
-	return id, text, nil
-}
-
-// AppendPrepared encodes a FramePrepared payload:
-//
-//	prepared := id:uvarint stmt:uvarint nparams:uvarint
-func AppendPrepared(dst []byte, id, stmt uint64, nparams int) []byte {
-	dst = binary.AppendUvarint(dst, id)
-	dst = binary.AppendUvarint(dst, stmt)
-	return binary.AppendUvarint(dst, uint64(nparams))
-}
-
-// DecodePrepared decodes a FramePrepared payload.
-func DecodePrepared(buf []byte) (id, stmt uint64, nparams int, err error) {
-	id, n := binary.Uvarint(buf)
-	if n <= 0 {
-		return 0, 0, 0, fmt.Errorf("%w: bad prepared id", ErrCorrupt)
-	}
-	buf = buf[n:]
-	stmt, n = binary.Uvarint(buf)
-	if n <= 0 {
-		return 0, 0, 0, fmt.Errorf("%w: bad prepared stmt", ErrCorrupt)
-	}
-	buf = buf[n:]
-	np, n := binary.Uvarint(buf)
-	if n <= 0 || np > uint64(MaxFrameLen) {
-		return 0, 0, 0, fmt.Errorf("%w: bad prepared nparams", ErrCorrupt)
-	}
-	if len(buf[n:]) != 0 {
-		return 0, 0, 0, errTrailing(buf[n:])
-	}
-	return id, stmt, int(np), nil
-}
 
 // appendItems encodes a count-prefixed positional-argument list.
 func appendItems(dst []byte, args []value.Item) ([]byte, error) {
@@ -106,12 +51,12 @@ func decodeItemsInto(buf []byte, scratch []value.Item) ([]value.Item, []byte, er
 }
 
 // Stmt is one statement of a FrameRequest. It resolves at the receiver
-// by, in order: Stmt (the receiver's dense statement id, 0 for none),
-// Hash (the FNV-1a hash of a prepared template's text, 0 for plain text),
-// then Text when HasText — registered as a template when Hash is set,
-// translated as a plain statement when it is not. Args are the template's
-// positional arguments. A sender includes a template's text on first
-// contact or after an ErrUnknownStmt refusal.
+// by, in order: Hash (the FNV-1a hash of a prepared template's text, 0 for
+// plain text), then Text when HasText — prepared as a template when Hash
+// is set, translated as a plain statement when it is not. Args are the
+// template's positional arguments. A sender includes a template's text on
+// first contact or after an ErrUnknownStmt refusal, and the text must hash
+// to Hash: a receiver refuses a statement whose two names disagree.
 //
 // Origin and Seq are the statement's final tag when the request has
 // FwdTagged: the receiver executes without retagging, so the response
@@ -120,7 +65,6 @@ func decodeItemsInto(buf []byte, scratch []value.Item) ([]value.Item, []byte, er
 type Stmt struct {
 	Origin  string
 	Seq     int
-	Stmt    uint64
 	Hash    uint64
 	Text    string
 	HasText bool
@@ -142,7 +86,7 @@ type Request struct {
 // AppendRequest encodes a FrameRequest payload:
 //
 //	request := id:uvarint flags:uint8 epoch:uvarint count:uvarint
-//	           (origin:string seq:varint stmt:uvarint hash:uint64le
+//	           (origin:string seq:varint hash:uint64le
 //	            textflag:uint8 [text:string] nargs:uvarint item*)*
 //
 // epoch is the sender's belief about the statements' slot epoch, a claim
@@ -157,7 +101,6 @@ func AppendRequest(dst []byte, id uint64, flags byte, epoch uint64, stmts []Stmt
 	for _, st := range stmts {
 		dst = value.AppendString(dst, st.Origin)
 		dst = binary.AppendVarint(dst, int64(st.Seq))
-		dst = binary.AppendUvarint(dst, st.Stmt)
 		dst = binary.LittleEndian.AppendUint64(dst, st.Hash)
 		if st.HasText {
 			dst = append(dst, 1)
@@ -187,12 +130,12 @@ func DecodeRequestInto(buf []byte, r *Request) error {
 		return fmt.Errorf("%w: bad request epoch", ErrCorrupt)
 	}
 	buf = buf[n:]
-	// A statement is at least 13 bytes: empty origin, seq, stmt, fixed
-	// 8-byte hash, text flag, zero-arg count. Refusing a count beyond that
-	// bounds the allocation a hostile count can force before
-	// per-statement validation.
+	// A statement is at least 12 bytes: empty origin, seq, fixed 8-byte
+	// hash, text flag, zero-arg count. Refusing a count beyond that bounds
+	// the allocation a hostile count can force before per-statement
+	// validation.
 	count, n := binary.Uvarint(buf)
-	if n <= 0 || count > uint64(len(buf))/13+1 {
+	if n <= 0 || count > uint64(len(buf))/12+1 {
 		return fmt.Errorf("%w: bad request count", ErrCorrupt)
 	}
 	buf = buf[n:]
@@ -204,15 +147,10 @@ func DecodeRequestInto(buf []byte, r *Request) error {
 			return fmt.Errorf("%w: bad request origin", ErrCorrupt)
 		}
 		seq, n := binary.Varint(buf)
-		if n <= 0 {
+		if n <= 0 || len(buf[n:]) < 9 {
 			return fmt.Errorf("%w: bad request seq", ErrCorrupt)
 		}
 		st.Seq = int(seq)
-		buf = buf[n:]
-		st.Stmt, n = binary.Uvarint(buf)
-		if n <= 0 || len(buf[n:]) < 9 {
-			return fmt.Errorf("%w: bad request stmt", ErrCorrupt)
-		}
 		buf = buf[n:]
 		st.Hash = binary.LittleEndian.Uint64(buf)
 		switch buf[8] {

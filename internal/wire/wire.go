@@ -33,16 +33,19 @@
 //
 //	client → FrameHello  (magic, protocol version, origin, database)
 //	server → FrameWelcome (protocol version, lanes, durable, origin, database)
-//	client → [FrameTraceCtx] FrameRequest | FramePrepare ...  (pipelined freely)
+//	client → [FrameTraceCtx] FrameRequest ...  (pipelined freely)
 //	server → FrameResponse | FrameBatchResponse | FrameError | FrameRedirect ...
 //	client → FrameQuit, then closes
 //
 // Statements travel in one frame type, FrameRequest: a list of statements,
 // each text or a prepared template plus arguments, tagged either by the
-// sender (FwdTagged) or by the receiving session. One request is one
-// admission batch: the server resolves the whole list and feeds it to the
-// store in a single lane-split SubmitBatch, so a network-sized batch pays
-// one arbitration, exactly like an in-process ExecBatch.
+// sender (FwdTagged) or by the receiving session. A prepared template is
+// addressed by the FNV-1a hash of its text, and its text rides along until
+// the receiver is known to hold it; there is no separate prepare exchange.
+// One request is one admission batch: the server resolves the whole list
+// and feeds it to the store in a single lane-split SubmitBatch, so a
+// network-sized batch pays one arbitration, exactly like an in-process
+// ExecBatch.
 package wire
 
 import (
@@ -56,9 +59,9 @@ import (
 
 // Frame types. Values deliberately do not overlap the archive's record
 // types (1–3): a frame stream fed to an archive reader (or vice versa)
-// fails fast on type, not just CRC. 0x12, 0x13, 0x18, 0x21, 0x24, 0x25,
-// 0x27 and 0x28 belonged to retired protocol revisions and are never
-// sent.
+// fails fast on type, not just CRC. 0x12, 0x13, 0x18, 0x21, 0x22, 0x23,
+// 0x24, 0x25, 0x27 and 0x28 belonged to retired protocol revisions and are
+// never sent.
 const (
 	// FrameHello opens a connection (client → server).
 	FrameHello byte = 0x10
@@ -114,24 +117,15 @@ const (
 	// only frame a subscriber sends after Subscribe, and the primary's
 	// write-ack gate waits on it.
 	FrameSubAck byte = 0x20
-	// FramePrepare registers query text (client → server): request id,
-	// query text. Answered by FramePrepared or FrameError. A client ships
-	// text once, the server plans it into its statement cache, and every
-	// later call ships id + positional args only — no text on the wire,
-	// no lexer or parser on the server's hot path.
-	FramePrepare byte = 0x22
-	// FramePrepared answers FramePrepare: request id, dense statement id,
-	// parameter count.
-	FramePrepared byte = 0x23
 	// FrameRequest submits a list of statements as one admission batch
 	// (see Stmt and AppendRequest). With FwdTagged the receiver executes
 	// the statements under the sender's tags and routes them by
 	// placement — cluster clients and peers own their tag space, which is
 	// what keeps a forwarded statement's response byte-identical to local
 	// execution; without it the receiving session tags them. A statement
-	// the receiver cannot resolve (an evicted id, an unknown hash without
-	// text) fails the request with query.ErrUnknownStmt's text — never a
-	// stale plan — so the sender re-prepares or re-sends with text.
+	// the receiver cannot resolve (a hash it never saw or has evicted, sent
+	// without text) fails the request with query.ErrUnknownStmt's text —
+	// never a stale plan — so the sender re-sends with text.
 	// Answered by FrameResponse (one statement), FrameBatchResponse (any
 	// other count), FrameError, or FrameRedirect.
 	FrameRequest byte = 0x26
@@ -171,8 +165,10 @@ const (
 	// announcing any other is refused at the handshake. Revisions 1–5
 	// layered optional payload suffixes on one another; 6 replaced them
 	// with one layout per frame and the trace context as its own frame; 7
-	// replaced six statement-carrying frames with FrameRequest.
-	Version = 7
+	// replaced six statement-carrying frames with FrameRequest; 8 retired
+	// Prepare/Prepared and dense statement ids, so a prepared statement is
+	// named by its text hash alone.
+	Version = 8
 	// MaxFrameLen caps a frame's payload: large enough for any realistic
 	// batch or scan response, small enough to bound what a corrupt
 	// length field can make a peer allocate.
