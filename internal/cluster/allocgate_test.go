@@ -28,7 +28,7 @@ func TestMirrorApplyAllocGate(t *testing.T) {
 	stats := &eval.Stats{}
 	m := &mirror{peer: 1, eng: core.NewEngine(db, core.WithStats(stats)), keepTail: true}
 
-	// One record, decoded once as streamFrom would; every apply replays it
+	// One record, decoded once as applyStream would; every apply replays it
 	// under the next sequence number (an upsert of an existing key, so the
 	// relation stays at 2 000 rows).
 	tx := core.Insert("R", value.NewTuple(value.Int(1234), value.Str("w")))
@@ -44,7 +44,7 @@ func TestMirrorApplyAllocGate(t *testing.T) {
 	seq := int64(0)
 	apply := func() {
 		seq++
-		if err := m.apply(seq, decoded, raw); err != nil {
+		if _, err := m.apply([]shipped{m.ship(seq, decoded, raw)}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -78,30 +78,73 @@ func newMirrorFromDB(peerIdx int, db *database.Database) *mirror {
 // version is the newest primary sequence the mirror has applied.
 func (m *mirror) version() int64 { return m.eng.Version() }
 
-// apply installs one shipped record (raw is its archive bytes, retained
-// for the post-promotion tail when keepTail is set). Records must arrive in
-// exactly primary order: seq == applied+1. A gap means the stream
-// skipped something the record form cannot carry (a custom transaction
-// on the primary) — the mirror refuses rather than silently diverge.
-func (m *mirror) apply(seq int64, tx core.Transaction, raw []byte) error {
-	if have := m.version(); seq != have+1 {
-		return fmt.Errorf("cluster: replication gap from node %d: record %d after %d", m.peer, seq, have)
+// shipped is one decoded log record waiting in a run.
+type shipped struct {
+	seq int64
+	tx  core.Transaction
+	raw []byte      // the record's bytes, copied only when the mirror keeps its tail
+	rt  *reqtrace.T // the mirror's leg of a sampled commit's trace
+}
+
+// ship prepares one record for a run. raw is its archive bytes, which
+// alias the stream's read buffer: a mirror that keeps its tail for
+// promotion takes its copy here, before the next frame is read.
+func (m *mirror) ship(seq int64, tx core.Transaction, raw []byte) shipped {
+	s := shipped{seq: seq, tx: tx}
+	if m.keepTail {
+		s.raw = append([]byte(nil), raw...)
 	}
-	m.eng.Submit(tx).Force()
-	m.records.Inc()
+	return s
+}
+
+// apply installs a run of shipped records with one engine admission —
+// Submit for a run of one, SubmitBatch for more, so a run of inserts into
+// one relation is one page build — and waits for their bodies. Records must
+// continue the primary's order exactly: the first is applied+1 and each
+// next one more. A hole means the stream skipped something the record form
+// cannot carry (a custom transaction on the primary): the records before it
+// are applied and the rest refused with errReplicationGap, rather than
+// silently diverge. It returns how many records it applied.
+func (m *mirror) apply(run []shipped) (int, error) {
+	have := m.version()
+	n := 0
+	for n < len(run) && run[n].seq == have+int64(n)+1 {
+		n++
+	}
+	var err error
+	if n < len(run) {
+		err = errReplicationGap
+	}
+	switch n {
+	case 0:
+		return 0, err
+	case 1:
+		m.eng.Submit(run[0].tx).Force()
+	default:
+		txs := make([]core.Transaction, n)
+		for i := range txs {
+			txs[i] = run[i].tx
+		}
+		for _, f := range m.eng.SubmitBatch(txs) {
+			f.Force()
+		}
+	}
+	m.records.Add(int64(n))
 	if m.keepTail {
 		m.tailMu.Lock()
 		if len(m.tailRecs) == 0 {
-			m.tailFrom = seq - 1
+			m.tailFrom = have
 		}
-		m.tailRecs = append(m.tailRecs, append([]byte(nil), raw...))
-		if len(m.tailRecs) > failoverTailCap {
-			m.tailRecs = m.tailRecs[1:]
-			m.tailFrom++
+		for _, s := range run[:n] {
+			m.tailRecs = append(m.tailRecs, s.raw)
+		}
+		if over := len(m.tailRecs) - failoverTailCap; over > 0 {
+			m.tailRecs = m.tailRecs[over:]
+			m.tailFrom += int64(over)
 		}
 		m.tailMu.Unlock()
 	}
-	return nil
+	return n, err
 }
 
 // freezeTail snapshots the retained record tail at promotion time.
@@ -215,11 +258,10 @@ var errNodeClosing = fmt.Errorf("cluster: node closing")
 const replicaRetryDelay = 100 * time.Millisecond
 
 // streamFrom runs one subscription: handshake, Subscribe(after) to the
-// peer's slot, then a LogRecord loop until the stream ends, acking each
-// applied record — under failover the primary's write gate counts those
-// acks. Under failover the dial target is the slot's CURRENT owner
-// (re-resolved per attempt, so a mirror follows its slot across
-// promotions) and the records' epochs are checked against the node's.
+// peer's slot, then the LogRecord loop (applyStream) until the stream ends.
+// Under failover the dial target is the slot's CURRENT owner (re-resolved
+// per attempt, so a mirror follows its slot across promotions) and the
+// records' epochs are checked against the node's.
 func (n *Node) streamFrom(peerIdx int, m *mirror) error {
 	target := peerIdx
 	if n.fo != nil {
@@ -244,7 +286,8 @@ func (n *Node) streamFrom(peerIdx int, m *mirror) error {
 	}()
 
 	bw := bufio.NewWriterSize(conn, peerWriteBufSize)
-	rd := wire.NewReader(bufio.NewReaderSize(conn, peerReadBufSize))
+	br := bufio.NewReaderSize(conn, peerReadBufSize)
+	rd := wire.NewReader(br)
 	hello := wire.AppendHello(nil, wire.Hello{Origin: fmt.Sprintf("%s-repl", n.origin)})
 	if err := wire.WriteFrame(bw, wire.FrameHello, hello); err != nil {
 		return err
@@ -266,92 +309,148 @@ func (n *Node) streamFrom(peerIdx int, m *mirror) error {
 		return err
 	}
 	m.connects.Inc()
+	return n.applyStream(br, rd, bw, peerIdx, target, m)
+}
+
+// maxShippedRun caps the records one run takes, so a stream whose read
+// buffer never drains still applies and acks as it goes.
+const maxShippedRun = 1024
+
+// applyStream is a subscription's LogRecord loop. Every record the read
+// buffer already holds is decoded into one run; the run is applied with one
+// mirror.apply and acked with one cumulative SubAck carrying the last
+// sequence it applied — under failover the primary's write gate counts
+// those acks. Each record is still checked on its own: its epoch as it is
+// decoded, its sequence by apply. A stream that ends or fails mid-run still
+// applies and acks the records before the failure.
+func (n *Node) applyStream(br *bufio.Reader, rd *wire.Reader, bw *bufio.Writer, peerIdx, target int, m *mirror) error {
 	trRec := n.TraceRecorder()
-	var ack []byte // one SubAck payload, rewritten per applied record
+	var ack []byte // one SubAck payload, rewritten per run
 	var dec archive.TxnDecoder
+	var run []shipped
 	// tc is the context of a TraceCtx frame just read, for the record that
 	// must follow it.
 	var tc reqtrace.Ctx
 	var hasTC bool
-	// The LogRecord loop reuses the Reader's body buffer across records:
-	// TxnDecoder.Decode copies everything it extracts, so the payload's
-	// next-read invalidation never escapes this loop.
+	// The loop reuses the Reader's body buffer across records:
+	// TxnDecoder.Decode copies everything it extracts and ship copies the
+	// bytes it keeps, so the payload's next-read invalidation never escapes
+	// this loop.
 	for {
 		typ, payload, err := rd.Next()
+		if err == nil {
+			switch {
+			case typ == wire.FrameTraceCtx && !hasTC:
+				tc, err = wire.DecodeTraceCtx(payload)
+				hasTC = err == nil
+			case typ == wire.FrameError && !hasTC:
+				_, _, msg, derr := wire.DecodeErrorMsg(payload)
+				switch {
+				case derr != nil:
+					err = derr
+				case strings.Contains(msg, "predates the retained log"):
+					// The owner's log floor is above our version and no tail
+					// can bridge it: this mirror cannot catch up by streaming.
+					err = errReplicationGap
+				default:
+					err = fmt.Errorf("cluster: node %d refused subscription: %s", target, msg)
+				}
+			case typ != wire.FrameLogRecord:
+				err = fmt.Errorf("cluster: unexpected frame %#x in replication stream", typ)
+			default:
+				var s shipped
+				if s, err = n.decodeShipped(payload, &dec, peerIdx, target, m); err == nil {
+					// A sampled commit's context arrived just ahead of its
+					// record: the mirror's leg of the trace opens here.
+					if hasTC && tc.Sampled && trRec != nil {
+						s.rt = trRec.StartCtx(tc)
+					}
+					hasTC = false
+					run = append(run, s)
+				}
+			}
+		}
+		if err == nil && br.Buffered() > 0 && len(run) < maxShippedRun {
+			continue // more of the stream is already here: take it into this run
+		}
+		if len(run) > 0 {
+			var aerr error
+			ack, aerr = n.applyRun(m, run, bw, ack, trRec)
+			clear(run) // drop the tuples and bytes the run pinned
+			run = run[:0]
+			if aerr != nil {
+				return aerr
+			}
+		}
 		if err != nil {
-			return err
-		}
-		switch {
-		case typ == wire.FrameTraceCtx && !hasTC:
-			if tc, err = wire.DecodeTraceCtx(payload); err != nil {
-				return err
-			}
-			hasTC = true
-			continue
-		case typ == wire.FrameError && !hasTC:
-			_, _, msg, derr := wire.DecodeErrorMsg(payload)
-			if derr != nil {
-				return derr
-			}
-			if strings.Contains(msg, "predates the retained log") {
-				// The owner's log floor is above our version and no tail can
-				// bridge it: this mirror cannot catch up by streaming.
-				return errReplicationGap
-			}
-			return fmt.Errorf("cluster: node %d refused subscription: %s", target, msg)
-		case typ != wire.FrameLogRecord:
-			return fmt.Errorf("cluster: unexpected frame %#x in replication stream", typ)
-		}
-		epoch, record, err := wire.DecodeLogRecord(payload)
-		if err != nil {
-			return err
-		}
-		if n.fo != nil {
-			known := n.fo.epochOf(peerIdx)
-			if epoch < known {
-				// A deposed primary still streaming its old epoch: drop
-				// the stream and re-resolve to the real owner.
-				return fmt.Errorf("cluster: stale epoch %d on slot %d stream (know %d)", epoch, peerIdx, known)
-			}
-			if epoch > known {
-				// The stream knows of a promotion gossip has not yet
-				// delivered: the node we dialed serves this epoch.
-				n.fo.noteStreamEpoch(peerIdx, target, epoch)
-			}
-		}
-		seq, tx, err := dec.Decode(record)
-		if err != nil {
-			return err
-		}
-		// A sampled commit's context arrived just ahead of its record: the
-		// mirror's leg of the trace opens here.
-		var rt *reqtrace.T
-		var applyStart time.Time
-		if hasTC && tc.Sampled && trRec != nil {
-			rt = trRec.StartCtx(tc)
-			applyStart = time.Now()
-		}
-		hasTC = false
-		if err := m.apply(seq, tx, record); err != nil {
-			return errReplicationGap
-		}
-		if rt != nil {
-			rt.Span(reqtrace.StageReplicaApply, applyStart, time.Now())
-			trRec.Finish(rt)
-		}
-		if tx.Kind == core.KindCreate {
-			// A relation born on the peer: cached statements touching
-			// it must re-translate, exactly as after a local create.
-			n.cache.InvalidateRel(tx.Rel)
-		}
-		ack = wire.AppendSubAck(ack[:0], seq)
-		if err := wire.WriteFrame(bw, wire.FrameSubAck, ack); err != nil {
-			return err
-		}
-		if err := bw.Flush(); err != nil {
 			return err
 		}
 	}
+}
+
+// decodeShipped checks one LogRecord payload's epoch and decodes its
+// record for a run.
+func (n *Node) decodeShipped(payload []byte, dec *archive.TxnDecoder, peerIdx, target int, m *mirror) (shipped, error) {
+	epoch, record, err := wire.DecodeLogRecord(payload)
+	if err != nil {
+		return shipped{}, err
+	}
+	if n.fo != nil {
+		known := n.fo.epochOf(peerIdx)
+		if epoch < known {
+			// A deposed primary still streaming its old epoch: drop the
+			// stream and re-resolve to the real owner.
+			return shipped{}, fmt.Errorf("cluster: stale epoch %d on slot %d stream (know %d)", epoch, peerIdx, known)
+		}
+		if epoch > known {
+			// The stream knows of a promotion gossip has not yet delivered:
+			// the node we dialed serves this epoch.
+			n.fo.noteStreamEpoch(peerIdx, target, epoch)
+		}
+	}
+	seq, tx, err := dec.Decode(record)
+	if err != nil {
+		return shipped{}, err
+	}
+	return m.ship(seq, tx, record), nil
+}
+
+// applyRun applies a run to the mirror and acks what it applied with one
+// SubAck, returning the ack buffer for reuse. The sampled records' mirror
+// legs each get the run's apply as their replica-apply span, and a relation
+// born on the peer invalidates the cached statements touching it, exactly
+// as after a local create. A replication gap is reported after the records
+// before it are acked.
+func (n *Node) applyRun(m *mirror, run []shipped, bw *bufio.Writer, ack []byte, trRec *reqtrace.Recorder) ([]byte, error) {
+	var start time.Time
+	if trRec != nil {
+		start = time.Now()
+	}
+	applied, err := m.apply(run)
+	var end time.Time
+	if trRec != nil {
+		end = time.Now()
+	}
+	for _, s := range run[:applied] {
+		if s.rt != nil {
+			s.rt.Span(reqtrace.StageReplicaApply, start, end)
+			trRec.Finish(s.rt)
+		}
+		if s.tx.Kind == core.KindCreate {
+			n.cache.InvalidateRel(s.tx.Rel)
+		}
+	}
+	if applied > 0 {
+		ack = wire.AppendSubAck(ack[:0], run[applied-1].seq)
+		werr := wire.WriteFrame(bw, wire.FrameSubAck, ack)
+		if werr == nil {
+			werr = bw.Flush()
+		}
+		if err == nil {
+			err = werr
+		}
+	}
+	return ack, err
 }
 
 // trackConn registers a replication dial for Close to sever. It reports

@@ -10,6 +10,7 @@ import (
 	"funcdb/internal/eval"
 	"funcdb/internal/lenient"
 	"funcdb/internal/metrics"
+	"funcdb/internal/ptree"
 	"funcdb/internal/relation"
 	"funcdb/internal/reqtrace"
 	"funcdb/internal/trace"
@@ -228,7 +229,9 @@ func (e *Engine) Submit(tx Transaction) *lenient.Cell[Response] {
 // sequence, but lane locks are amortized: the batch is split into maximal
 // consecutive runs whose lane sets fit under one set of held locks, and
 // each run pays a single multi-lane acquisition. A batch confined to one
-// lane never blocks writers on other lanes.
+// lane never blocks writers on other lanes. Inside a run, a stretch of at
+// least a page's worth (ptree.DefaultPageCap) of consecutive inserts into
+// one paged relation is admitted as one page build (admitInsertRun).
 func (e *Engine) SubmitBatch(txs []Transaction) []*lenient.Cell[Response] {
 	out := make([]*lenient.Cell[Response], len(txs))
 	sets := make([]laneSet, len(txs))
@@ -264,8 +267,15 @@ func (e *Engine) SubmitBatch(txs []Transaction) []*lenient.Cell[Response] {
 		if tr != nil {
 			locked = time.Now()
 		}
-		for k := i; k < j; k++ {
-			out[k] = e.admitLocked(planAgainst(e.snap.Load(), txs[k]))
+		for k := i; k < j; {
+			n := insertStretch(txs[k:j])
+			if n < ptree.DefaultPageCap || !e.admitInsertRun(txs[k:k+n], out[k:k+n]) {
+				n = max(n, 1)
+				for m := k; m < k+n; m++ {
+					out[m] = e.admitLocked(planAgainst(e.snap.Load(), txs[m]))
+				}
+			}
+			k += n
 		}
 		e.unlockLanes(ls)
 		if tr != nil {
@@ -351,13 +361,7 @@ func (e *Engine) admitLocked(p Plan) *lenient.Cell[Response] {
 			})
 			resp = lenient.Map(out, func(o txnOut) Response { return o.resp })
 		}
-		ns := e.publish(func(cur *snapshot) *snapshot {
-			cells := make([]*lenient.Cell[relation.Relation], len(cur.cells))
-			copy(cells, cur.cells)
-			cells[i] = wcell
-			return &snapshot{dir: cur.dir, cells: cells, version: cur.version + 1}
-		})
-		e.notifyCommit(p.tx, resp, ns)
+		e.notifyCommit(p.tx, resp, e.publishCell(i, wcell))
 		return resp
 	}
 
@@ -405,6 +409,97 @@ func (e *Engine) publish(build func(cur *snapshot) *snapshot) *snapshot {
 		}
 		e.metrics.CASRetry()
 	}
+}
+
+// publishCell publishes the successor snapshot in which the relation at
+// directory index i holds cell.
+func (e *Engine) publishCell(i int, cell *lenient.Cell[relation.Relation]) *snapshot {
+	return e.publish(func(cur *snapshot) *snapshot {
+		cells := make([]*lenient.Cell[relation.Relation], len(cur.cells))
+		copy(cells, cur.cells)
+		cells[i] = cell
+		return &snapshot{dir: cur.dir, cells: cells, version: cur.version + 1}
+	})
+}
+
+// insertStretch returns how many transactions at the head of txs are valid,
+// untraced inserts into the relation the first one names: the stretch
+// admitInsertRun may take as one page build.
+func insertStretch(txs []Transaction) int {
+	n := 0
+	for n < len(txs) {
+		tx := &txs[n]
+		if tx.Kind != KindInsert || tx.Trace != nil || tx.Rel != txs[0].Rel || tx.Validate() != nil {
+			break
+		}
+		n++
+	}
+	return n
+}
+
+// admitInsertRun admits a stretch of inserts into one relation as one page
+// build — the paper's "A new directory structure is created, the old one
+// being left intact", taken once per stretch instead of once per insert. It reports false, admitting nothing, unless the relation's
+// input cell already holds a paged relation; the caller then admits the
+// stretch one transaction at a time.
+//
+// The observable stream is unchanged: every insert still publishes its own
+// dense version and is notified to observers in order, with a response that
+// is ready at once (an insert's response does not depend on the relation).
+// Only the last version is built, by one UpsertRun over the input. Each
+// version before it is a suspended Insert on its predecessor, built only if
+// something forces it: a reader that loaded that snapshot, Commit.Version(),
+// or history. The caller must hold the relation's lane lock.
+func (e *Engine) admitInsertRun(txs []Transaction, out []*lenient.Cell[Response]) bool {
+	p := planAgainst(e.snap.Load(), txs[0])
+	if p.err != nil {
+		return false
+	}
+	rel, ok := p.in.Poll()
+	if !ok {
+		return false
+	}
+	tuples := make([]value.Tuple, len(txs))
+	for k := range txs {
+		tuples[k] = txs[k].Tuple
+	}
+	final, ok := relation.UpsertRun(e.ctx(), rel, tuples)
+	if !ok {
+		return false
+	}
+	i, _ := p.snap.dir.Index(txs[0].Rel)
+	prev := p.in
+	for k := range txs {
+		tx := &txs[k]
+		var cell *lenient.Cell[relation.Relation]
+		if k < len(txs)-1 {
+			st := &insertStep{prev: prev, tu: tx.Tuple, ctx: e.ctx()}
+			cell = st.cell.Suspend(st)
+		} else {
+			cell = lenient.Ready(final)
+		}
+		resp := lenient.Ready(Response{Origin: tx.Origin, Seq: tx.Seq, Kind: KindInsert, Tuple: tx.Tuple})
+		e.notifyCommit(*tx, resp, e.publishCell(i, cell))
+		out[k] = resp
+		prev = cell
+	}
+	return true
+}
+
+// insertStep is one version inside an insert run: its predecessor's
+// relation with one more tuple, suspended until forced. It is its own cell,
+// so the version costs one allocation.
+type insertStep struct {
+	cell lenient.Cell[relation.Relation]
+	prev *lenient.Cell[relation.Relation]
+	tu   value.Tuple
+	ctx  *eval.Ctx
+}
+
+func (s *insertStep) Eval() relation.Relation {
+	nr, _ := s.prev.Force().Insert(s.ctx, s.tu, trace.None)
+	s.prev = nil // the predecessor's version is no longer needed here
+	return nr
 }
 
 // launchRead runs a read-only plan: no cells are installed, so no lock is

@@ -1,0 +1,220 @@
+package core
+
+import (
+	"fmt"
+	"slices"
+	"sync"
+	"testing"
+
+	"funcdb/internal/database"
+	"funcdb/internal/eval"
+	"funcdb/internal/relation"
+	"funcdb/internal/reqtrace"
+	"funcdb/internal/value"
+)
+
+// runDB holds a paged relation P and an AVL relation A, 100 rows each at
+// the even keys 0..198.
+func runDB() *database.Database {
+	rows := make([]value.Tuple, 100)
+	for i := range rows {
+		rows[i] = tup(int64(2*i), "old")
+	}
+	db := database.FromData(relation.RepPaged, []string{"P"}, map[string][]value.Tuple{"P": rows})
+	db, _, err := db.CreateRelation(nil, "A", relation.RepAVL, 0)
+	if err != nil {
+		panic(err)
+	}
+	for _, tu := range rows {
+		if db, _, err = db.Insert(nil, "A", tu, 0); err != nil {
+			panic(err)
+		}
+	}
+	return db
+}
+
+// inserts returns n inserts into rel: new keys and overwrites, out of
+// order, some keys twice.
+func inserts(rel string, n, salt int) []Transaction {
+	txs := make([]Transaction, n)
+	for i := range txs {
+		k := int64((i*37 + salt) % 230)
+		txs[i] = Insert(rel, tup(k, fmt.Sprintf("s%d.%d", salt, i)))
+	}
+	return txs
+}
+
+// TestInsertRunMatchesSequential: SubmitBatch admits a stretch of at least
+// a page's worth of inserts into a paged relation as one page build, and
+// nothing anyone can observe tells: every commit's Version() and every
+// response is the one ApplySequential gives for that prefix of the batch. A
+// delete splits the stretch; each half is still long enough to be a run.
+// Inserts into an AVL relation, and a stretch interrupted by a traced
+// insert, take the one-at-a-time path.
+func TestInsertRunMatchesSequential(t *testing.T) {
+	traced := Insert("P", tup(1, "traced"))
+	traced.Trace = reqtrace.New("t", reqtrace.Config{SampleEvery: 1, SlowThreshold: -1}).Start()
+	var batch []Transaction
+	batch = append(batch, inserts("P", 20, 1)...)
+	batch = append(batch, Delete("P", value.Int(38)))
+	batch = append(batch, inserts("P", 20, 2)...)
+	batch = append(batch, inserts("A", 20, 3)...)
+	batch = append(batch, inserts("P", 10, 4)...)
+	batch = append(batch, traced)
+	batch = append(batch, inserts("P", 10, 5)...)
+	for i := range batch {
+		batch[i].Origin, batch[i].Seq = "b", i
+	}
+	// The versions only a run leaves suspended: the middle of each paged
+	// stretch of 20.
+	lazy := func(i int) bool { return (i < 19) || (i >= 21 && i < 40) }
+
+	initial := runDB()
+	var commits []Commit
+	e := NewEngine(initial, WithLanes(1), WithCommitObserver(func(c Commit) { commits = append(commits, c) }))
+	futs := e.SubmitBatch(batch)
+	e.Barrier()
+	if len(commits) != len(batch) {
+		t.Fatalf("%d commits for %d writes", len(commits), len(batch))
+	}
+	for i, c := range commits {
+		cell, _ := c.snap.cell(batch[i].Rel)
+		if _, forced := cell.Poll(); forced == lazy(i) {
+			t.Errorf("commit %d (%v into %s): version built %v, want %v", i, batch[i].Kind, batch[i].Rel, forced, !lazy(i))
+		}
+		if _, ready := futs[i].Poll(); !ready {
+			t.Errorf("commit %d: response not ready at admission", i)
+		}
+	}
+	for i, c := range commits {
+		wantResps, want := ApplySequential(initial, batch[:i+1])
+		if got := c.Version(); !got.Equal(want) || got.Version() != want.Version() || c.Seq != want.Version() {
+			t.Fatalf("commit %d (seq %d): version %d with %d tuples, the sequential prefix %d with %d",
+				i, c.Seq, got.Version(), got.TotalTuples(), want.Version(), want.TotalTuples())
+		}
+		if got := futs[i].Force(); !respEqual(got, wantResps[i]) || !respEqual(c.Resp, wantResps[i]) {
+			t.Fatalf("response %d = %+v (committed %+v), sequential %+v", i, got, c.Resp, wantResps[i])
+		}
+	}
+	if _, want := ApplySequential(initial, batch); !e.Current().Equal(want) {
+		t.Fatal("final database differs from the sequential one")
+	}
+}
+
+// TestInsertRunForcedByReader: a reader that loaded a version in the middle
+// of a run forces just that version, and reads what the sequential prefix
+// holds.
+func TestInsertRunForcedByReader(t *testing.T) {
+	initial := runDB()
+	batch := inserts("P", 40, 7)
+	var commits []Commit
+	e := NewEngine(initial, WithCommitObserver(func(c Commit) { commits = append(commits, c) }))
+	e.SubmitBatch(batch)
+	e.Barrier()
+	mid := commits[17]
+	rel, _ := mid.snap.cell("P")
+	got := rel.Force()
+	_, want := ApplySequential(initial, batch[:18])
+	wantP, _ := want.RelationFast("P")
+	if !slices.EqualFunc(got.Tuples(), wantP.Tuples(), value.Tuple.Equal) {
+		t.Fatalf("version 18 of the run holds %d tuples, the sequential prefix %d", got.Len(), wantP.Len())
+	}
+	if later, _ := commits[18].snap.cell("P"); func() bool { _, ok := later.Poll(); return ok }() {
+		t.Error("forcing version 18 built version 19 too")
+	}
+}
+
+// TestInsertRunConcurrentReaders: lock-free readers load versions inside
+// runs while they are admitted, forcing suspended versions from their own
+// goroutines; every count they read is a version's, and never goes back.
+// The -race target for runs.
+func TestInsertRunConcurrentReaders(t *testing.T) {
+	const batches, per = 20, 40
+	e := NewEngine(database.New(relation.RepPaged, "P"))
+	var wg sync.WaitGroup
+	done := make(chan struct{})
+	for r := 0; r < 4; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			last := 0
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				n := e.Submit(Count("P")).Force().Count
+				if n < last || n > batches*per {
+					t.Errorf("read a count of %d after %d", n, last)
+					return
+				}
+				last = n
+			}
+		}()
+	}
+	for b := 0; b < batches; b++ {
+		txs := make([]Transaction, per)
+		for i := range txs {
+			txs[i] = Insert("P", tup(int64(b*per+i), "v"))
+		}
+		e.SubmitBatch(txs)
+	}
+	close(done)
+	wg.Wait()
+	if n := e.Submit(Count("P")).Force().Count; n != batches*per {
+		t.Fatalf("%d tuples after %d inserts", n, batches*per)
+	}
+}
+
+// TestSubmitBatchInsertAllocGate: looking for a run costs a one-insert
+// batch nothing — it allocates what Submit does plus the batch's own two
+// slices — and inside a run an insert costs its suspended version, its
+// ready response and its published snapshot, with the pages of the one
+// page build shared out among the run.
+func TestSubmitBatchInsertAllocGate(t *testing.T) {
+	stats := &eval.Stats{}
+	rows := make([]value.Tuple, 2000)
+	for i := range rows {
+		rows[i] = tup(int64(i), "v")
+	}
+	db := database.FromData(relation.RepPaged, []string{"P"}, map[string][]value.Tuple{"P": rows})
+	e := NewEngine(db, WithStats(stats), WithCommitObserver(func(Commit) {}))
+	key := int64(0)
+	next := func() Transaction {
+		key = (key + 617) % 2000
+		return Insert("P", tup(key, "w"))
+	}
+	one := []Transaction{next()}
+	e.SubmitBatch(one)[0].Force() // warm the notifier's queue buffers
+	e.Barrier()
+	const runs = 500
+	submit := testing.AllocsPerRun(runs, func() {
+		e.Submit(one[0]).Force()
+	})
+	batch := testing.AllocsPerRun(runs, func() {
+		e.SubmitBatch(one)[0].Force()
+	})
+	e.Barrier()
+	t.Logf("Submit %.2f, one-insert SubmitBatch %.2f", submit, batch)
+	if batch > submit+2 {
+		t.Errorf("one-insert SubmitBatch = %.1f allocs, Submit = %.1f: want at most the batch's two slices more", batch, submit)
+	}
+
+	long := make([]Transaction, 500)
+	for i := range long {
+		long[i] = next()
+	}
+	before := stats.Created.Load()
+	perRun := testing.AllocsPerRun(20, func() {
+		futs := e.SubmitBatch(long)
+		futs[len(futs)-1].Force()
+	})
+	e.Barrier()
+	pages := float64(stats.Created.Load()-before) / 21
+	perInsert := (perRun - pages) / float64(len(long))
+	t.Logf("500-insert run: %.0f allocs, %.0f pages, %.2f allocs per insert beyond pages", perRun, pages, perInsert)
+	if perInsert > 4.1 {
+		t.Errorf("an insert inside a run = %.2f allocs beyond the run's pages, want <= 4 (version, response, snapshot, cells)", perInsert)
+	}
+}

@@ -19,9 +19,12 @@
 // built by updating: each structure's FromTuples lays the key-sorted tuples
 // out bottom-up in one O(n) pass, allocating only the nodes it keeps. Input
 // in strictly ascending key order is taken as is; any other is sorted first
-// and, of tuples with equal keys, the last is kept (value.SortedByKey).
+// and, of tuples with equal keys, the last is kept (value.SortedByKey). A
+// Paged tree takes a run of inserts the same way (Paged.UpsertRun, of which
+// PagedFromTuples is the case of the empty tree): one merge that rebuilds
+// each page the run touches once.
 //
-// All updates are by path copying: the nodes/pages on the search path are
+// All other updates are by path copying: the nodes/pages on the search path are
 // re-created, everything else is shared with the previous version. Unlike
 // the linked list, a tree node's constructor depends on its new children's
 // constructors (balance decisions need completed subtrees), so updates

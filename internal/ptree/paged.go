@@ -92,7 +92,7 @@ func newDir(pageCap, n int) *page {
 }
 
 // count sets a directory's subtree counts by visiting every child: for the
-// rare pages (splits, bulk load) that are not one child away from a page
+// rare pages (splits, runs) that are not one child away from a page
 // whose counts are known.
 func (p *page) count() {
 	p.n, p.pages = 0, 1
@@ -139,41 +139,14 @@ func NewPaged(pageCap int) Paged {
 }
 
 // PagedFromTuples bulk-builds a paged tree untraced from initial data, in
-// any order; equal keys replace (the last one wins). The key-sorted tuples
-// (value.SortedByKey, which costs nothing on input already in strictly
-// ascending order — what a snapshot, a rejoin and database.FromData hand
-// over) fill pages left to right and the directories bottom-up: O(n), every
-// page but the last of each level full, nothing built that is not kept.
+// any order; equal keys replace (the last one wins). It is UpsertRun into
+// the empty tree: the key-sorted tuples (value.SortedByKey, which costs
+// nothing on input already in strictly ascending order — what a snapshot, a
+// rejoin and database.FromData hand over) fill pages left to right and the
+// directories bottom-up: O(n), every page but the last of each level full,
+// nothing built that is not kept.
 func PagedFromTuples(pageCap int, tuples []value.Tuple) Paged {
-	t := NewPaged(pageCap)
-	tuples = value.SortedByKey(tuples)
-	if len(tuples) == 0 {
-		return t
-	}
-	pageCap = t.PageCap()
-	// level holds one tree level left to right, mins each page's least key
-	// (the separator its parent files it under).
-	var level []*page
-	var mins []value.Item
-	for lo := 0; lo < len(tuples); lo += pageCap {
-		p := newLeaf(pageCap, min(pageCap, len(tuples)-lo))
-		copy(p.tuples, tuples[lo:])
-		level, mins = append(level, p), append(mins, tuples[lo].Key())
-	}
-	for len(level) > 1 {
-		var up []*page
-		var upMins []value.Item
-		for lo := 0; lo < len(level); lo += pageCap {
-			hi := min(lo+pageCap, len(level))
-			p := newDir(pageCap, hi-lo)
-			copy(p.kids, level[lo:hi])
-			p.seps = append([]value.Item(nil), mins[lo+1:hi]...)
-			p.count()
-			up, upMins = append(up, p), append(upMins, mins[lo])
-		}
-		level, mins = up, upMins
-	}
-	return Paged{root: level[0]}
+	return NewPaged(pageCap).UpsertRun(nil, tuples)
 }
 
 // Len returns the number of tuples.
@@ -272,6 +245,7 @@ type pagedOp struct {
 	step     trace.TaskID
 	created  int64
 	capacity int
+	merged   []value.Tuple // UpsertRun's scratch: one data page merged with its share of the run
 }
 
 func (o *pagedOp) visit(p *page) {
@@ -321,6 +295,125 @@ func (t Paged) Insert(ctx *eval.Ctx, tu value.Tuple, after trace.TaskID) (Paged,
 		op.build(root)
 	}
 	return op.done(root), trace.Op{Ready: root.task, Done: op.step}
+}
+
+// UpsertRun returns a new tree holding every tuple of a run, each replacing
+// an equal-keyed one: the run's inserts, applied as one bulk merge instead
+// of one path copy each. The run, in any order, is key-sorted once, the
+// last of equal keys winning (value.SortedByKey). The merge descends once,
+// dividing the run between the children by their separators, and rebuilds
+// each page the run touches exactly once. A page that overflows is laid out
+// left to right in as many full pages as it needs, and directories overflow
+// the same way, bottom-up, up to new root levels. Pages the run does not
+// touch are shared with the old version, which stays intact ("A new
+// directory structure is created, the old one being left intact" — Section
+// 2.2), and the sharing counters are kept as for Insert.
+func (t Paged) UpsertRun(ctx *eval.Ctx, tuples []value.Tuple) Paged {
+	run := value.SortedByKey(tuples)
+	if len(run) == 0 {
+		return t
+	}
+	op := pagedOp{ctx: ctx, capacity: t.PageCap()}
+	level, seps := op.upsertRun(t.root, run, nil, nil)
+	for len(level) > 1 {
+		level, seps = op.packDirs(level, seps, nil, nil)
+	}
+	return op.done(level[0])
+}
+
+// upsertRun merges a non-empty key-sorted run into the subtree p, appending
+// the pages that replace p to kids and the separators between them to seps.
+func (o *pagedOp) upsertRun(p *page, run []value.Tuple, kids []*page, seps []value.Item) ([]*page, []value.Item) {
+	o.visit(p)
+	if p.leaf {
+		merged := run
+		if len(p.tuples) > 0 {
+			merged = mergeRun(o.merged[:0], p.tuples, run)
+			o.merged = merged
+		}
+		for lo := 0; lo < len(merged); lo += o.capacity {
+			np := newLeaf(o.capacity, min(o.capacity, len(merged)-lo))
+			copy(np.tuples, merged[lo:])
+			if lo > 0 {
+				seps = append(seps, merged[lo].Key())
+			}
+			kids = append(kids, o.build(np))
+		}
+		return kids, seps
+	}
+	// The new children: the old ones, each the run reaches replaced by what
+	// it became. Every old separator still bounds its child's replacements.
+	newKids := make([]*page, 0, 2*len(p.kids))
+	newSeps := make([]value.Item, 0, 2*len(p.kids))
+	for i, kid := range p.kids {
+		if i > 0 {
+			newSeps = append(newSeps, p.seps[i-1])
+		}
+		n := len(run)
+		if i < len(p.seps) {
+			n = searchRun(run, p.seps[i])
+		}
+		if n == 0 {
+			newKids = append(newKids, kid)
+			continue
+		}
+		newKids, newSeps = o.upsertRun(kid, run[:n], newKids, newSeps)
+		run = run[n:]
+	}
+	return o.packDirs(newKids, newSeps, kids, seps)
+}
+
+// packDirs lays children out left to right in full directory pages,
+// appending the pages to kids and the separators between them to seps.
+// level's separators are in levelSeps; the pages slice that array, which is
+// never written again.
+func (o *pagedOp) packDirs(level []*page, levelSeps []value.Item, kids []*page, seps []value.Item) ([]*page, []value.Item) {
+	for lo := 0; lo < len(level); lo += o.capacity {
+		hi := min(lo+o.capacity, len(level))
+		np := newDir(o.capacity, hi-lo)
+		copy(np.kids, level[lo:hi])
+		np.seps = levelSeps[lo : hi-1 : hi-1]
+		np.count()
+		if lo > 0 {
+			seps = append(seps, levelSeps[lo-1])
+		}
+		kids = append(kids, o.build(np))
+	}
+	return kids, seps
+}
+
+// mergeRun appends to dst the key-ordered merge of a data page's tuples and
+// a key-sorted run, a run tuple replacing a page tuple of the same key.
+func mergeRun(dst, tuples, run []value.Tuple) []value.Tuple {
+	i, j := 0, 0
+	for i < len(tuples) && j < len(run) {
+		switch c := tuples[i].Key().Compare(run[j].Key()); {
+		case c < 0:
+			dst = append(dst, tuples[i])
+			i++
+		case c > 0:
+			dst = append(dst, run[j])
+			j++
+		default:
+			dst = append(dst, run[j])
+			i, j = i+1, j+1
+		}
+	}
+	return append(append(dst, tuples[i:]...), run[j:]...)
+}
+
+// searchRun returns how many tuples of a key-sorted run sort below key.
+func searchRun(run []value.Tuple, key value.Item) int {
+	lo, hi := 0, len(run)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if run[mid].Key().Compare(key) < 0 {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
 }
 
 // splitPoint says how many of an overflowing page's total slots stay in

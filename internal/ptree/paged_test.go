@@ -58,31 +58,86 @@ func checkVersion(v pagedVersion) error {
 	return nil
 }
 
+// upsert puts key with val into a sorted-slice model.
+func upsert(model []pagedEntry, key int64, val string) []pagedEntry {
+	at := sort.Search(len(model), func(i int) bool { return model[i].key >= key })
+	if at == len(model) || model[at].key != key {
+		model = append(model, pagedEntry{})
+		copy(model[at+1:], model[at:])
+	}
+	model[at] = pagedEntry{key, val}
+	return model
+}
+
+// opUpsertRun is the kind byte of a run op, which takes six bytes: kind,
+// an 11-bit start key and a 5-bit stride, then a shuffle seed, an 11-bit
+// length and a 5-bit duplicate period. The run's keys are start, start +
+// stride, ... (all one key at stride 0; past the 11-bit space, and so past
+// the tree's right edge, when the sum runs over). A non-zero seed shuffles
+// them and, with a non-zero period, overwrites every period-th key with an
+// earlier one of the run, so the run carries duplicates whose last must win.
+const opUpsertRun = 5
+
+// pagedRun builds the run a six-byte run op describes, valued by step and
+// position so the model can tell which duplicate won.
+func pagedRun(op []byte, step int) []value.Tuple {
+	start, stride := int64(op[1])|int64(op[2]&7)<<8, int64(op[2]>>3)
+	n, period := int(op[4])|int(op[5]&7)<<8, int(op[5]>>3)
+	keys := make([]int64, n)
+	for i := range keys {
+		keys[i] = start + int64(i)*stride
+	}
+	if op[3] != 0 {
+		r := rand.New(rand.NewSource(int64(op[3])))
+		r.Shuffle(n, func(i, j int) { keys[i], keys[j] = keys[j], keys[i] })
+		for i := period; period > 0 && i < n; i += period {
+			keys[i] = keys[r.Intn(i)]
+		}
+	}
+	run := make([]value.Tuple, n)
+	for i, k := range keys {
+		run[i] = value.NewTuple(value.Int(k), value.Str(fmt.Sprintf("r%d.%d", step, i)))
+	}
+	return run
+}
+
 // runPagedOps interprets ops — three bytes each: kind, then an 11-bit key
-// and a 5-bit range width — against a tree of the given capacity and a
-// sorted-slice model. After every step the tree's shape is checked
-// (checkInvariants recounts every subtree, so the page and tuple counts the
-// pages carry are checked against a walk), the answer is compared with the
-// model's, and three versions — the new one, the previous one and a
-// rotating older one — are read back: a page whose slots alias another
-// page's would change under them. All versions are read back at the end.
+// and a 5-bit range width; six for a run (opUpsertRun) — against a tree of
+// the given capacity and a sorted-slice model. After every step the tree's
+// shape is checked (checkInvariants recounts every subtree, so the page and
+// tuple counts the pages carry are checked against a walk), the answer is
+// compared with the model's, and three versions — the new one, the previous
+// one and a rotating older one — are read back: a page whose slots alias
+// another page's would change under them. All versions are read back at the
+// end.
 func runPagedOps(pageCap int, ops []byte) error {
 	tr := NewPaged(pageCap)
 	var model []pagedEntry
 	var versions []pagedVersion
-	for step := 0; len(ops) >= 3; step, ops = step+1, ops[3:] {
-		key := int64(ops[1]) | int64(ops[2]&7)<<8
+	for step := 0; len(ops) >= 3; step++ {
+		width := 3
+		if ops[0]%6 == opUpsertRun {
+			width = 6
+		}
+		if len(ops) < width {
+			break
+		}
+		op := ops[:width]
+		ops = ops[width:]
+		key := int64(op[1]) | int64(op[2]&7)<<8
 		at := sort.Search(len(model), func(i int) bool { return model[i].key >= key })
 		had := at < len(model) && model[at].key == key
-		switch ops[0] % 5 {
+		switch op[0] % 6 {
 		case 0, 1:
 			val := fmt.Sprintf("v%d", step)
 			tr, _ = tr.Insert(nil, value.NewTuple(value.Int(key), value.Str(val)), trace.None)
-			if !had {
-				model = append(model, pagedEntry{})
-				copy(model[at+1:], model[at:])
+			model = upsert(model, key, val)
+		case opUpsertRun:
+			run := pagedRun(op, step)
+			tr = tr.UpsertRun(nil, run)
+			for _, tu := range run {
+				model = upsert(model, tu.Key().AsInt(), tu.Field(1).AsString())
 			}
-			model[at] = pagedEntry{key, val}
 		case 2:
 			var found bool
 			tr, found, _ = tr.Delete(nil, value.Int(key), trace.None)
@@ -98,7 +153,7 @@ func runPagedOps(pageCap int, ops []byte) error {
 				return fmt.Errorf("step %d: Find(%d) = %v, %v; model has it: %v", step, key, tu, ok, had)
 			}
 		case 4:
-			hi := key + int64(ops[2]>>3)
+			hi := key + int64(op[2]>>3)
 			var got []int64
 			tr.Range(nil, value.Int(key), value.Int(hi), trace.None, func(tu value.Tuple) {
 				got = append(got, tu.Key().AsInt())
@@ -136,12 +191,21 @@ func runPagedOps(pageCap int, ops []byte) error {
 // randomPagedOps draws operations over a key space sized to take a tree of
 // the given capacity three levels deep: the first half is mostly inserts,
 // so pages split up to the root; the second half is mostly deletes, so
-// they merge, unlink and collapse.
+// they merge, unlink and collapse. One op in 32 is a run of up to four
+// pages' worth of keys — shuffled or ascending, with or without duplicates,
+// and often running past the tree's right edge.
 func randomPagedOps(r *rand.Rand, pageCap int) []byte {
 	space := min(64*pageCap, 2048)
 	n := 2 * space
 	ops := make([]byte, 0, 3*n)
 	for i := 0; i < n; i++ {
+		key := r.Intn(space)
+		if r.Intn(32) == 0 {
+			length := 1 + r.Intn(4*pageCap)
+			ops = append(ops, opUpsertRun, byte(key), byte(key>>8)|byte(r.Intn(5))<<3,
+				byte(r.Intn(4)), byte(length), byte(length>>8)|byte(r.Intn(8))<<3)
+			continue
+		}
 		kind := byte(r.Intn(5))
 		if grow := i < n/2; r.Intn(2) == 0 {
 			if grow {
@@ -150,7 +214,6 @@ func randomPagedOps(r *rand.Rand, pageCap int) []byte {
 				kind = 2
 			}
 		}
-		key := r.Intn(space)
 		ops = append(ops, kind, byte(key), byte(key>>8)|byte(r.Intn(32))<<3)
 	}
 	return ops
@@ -252,6 +315,94 @@ func TestPagedBulkLoad(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestPagedUpsertRunBuildsEachPageOnce: a run rebuilds each page it touches
+// once and builds nothing it throws away — every page it creates is in the
+// new version, every other page of the new version is the old version's —
+// and leaves the old version as it was. An ascending run past the right
+// edge leaves full pages behind it, and a run can grow the tree more than
+// one level at once.
+func TestPagedUpsertRunBuildsEachPageOnce(t *testing.T) {
+	rows := func(keys ...int64) []value.Tuple {
+		out := make([]value.Tuple, len(keys))
+		for i, k := range keys {
+			out[i] = tup(k)
+		}
+		return out
+	}
+	span := func(from, n, stride int64) []value.Tuple {
+		out := make([]value.Tuple, n)
+		for i := range out {
+			out[i] = tup(from + int64(i)*stride)
+		}
+		return out
+	}
+	shuffled := span(0, 500, 7)
+	rand.New(rand.NewSource(1)).Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+	repeated := make([]value.Tuple, 40)
+	for i := range repeated {
+		repeated[i] = value.NewTuple(value.Int(7), value.Str(fmt.Sprint(i)))
+	}
+	for _, c := range []struct {
+		name       string
+		pageCap    int
+		base, run  []value.Tuple
+		grow       int     // levels the run must add
+		appendFill float64 // least data-page fill after the run, or 0
+	}{
+		{"append 500 onto 2000", DefaultPageCap, span(0, 2000, 1), span(2000, 500, 1), 0, 0.95},
+		{"500 shuffled into 2000", DefaultPageCap, span(0, 2000, 2), shuffled, 0, 0},
+		{"grow the root twice", 4, rows(10, 20, 30), span(0, 60, 1), 2, 0},
+		{"one key repeated", 4, span(0, 40, 1), repeated, 0, 0},
+	} {
+		old := PagedFromTuples(c.pageCap, c.base)
+		before := keys(old.Tuples())
+		stats := &eval.Stats{}
+		tr := old.UpsertRun(&eval.Ctx{Stats: stats}, c.run)
+		if err := tr.checkInvariants(); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if fmt.Sprint(keys(old.Tuples())) != fmt.Sprint(before) {
+			t.Fatalf("%s: the run changed the old version", c.name)
+		}
+		if fresh := int64(tr.PageCount() - tr.SharedPagesWith(old)); stats.Created.Load() != fresh {
+			t.Errorf("%s: built %d pages, the new version has %d it does not share", c.name, stats.Created.Load(), fresh)
+		}
+		if shared := stats.Shared.Load(); shared != int64(tr.SharedPagesWith(old)) {
+			t.Errorf("%s: counted %d shared pages, shares %d", c.name, shared, tr.SharedPagesWith(old))
+		}
+		if grew := tr.Height() - old.Height(); grew < c.grow {
+			t.Errorf("%s: height %d -> %d, want %d more levels", c.name, old.Height(), tr.Height(), c.grow)
+		}
+		if fill := leafFill(tr); fill < c.appendFill {
+			t.Errorf("%s: data pages %.2f full after the run, want >= %.2f", c.name, fill, c.appendFill)
+		}
+		want := upsertOneByOne(old, c.run)
+		if got := tr.Tuples(); !slicesEqual(got, want) {
+			t.Errorf("%s: the run left %d tuples, inserting it one by one %d", c.name, len(got), len(want))
+		}
+	}
+}
+
+// upsertOneByOne is the definition UpsertRun is held to.
+func upsertOneByOne(t Paged, run []value.Tuple) []value.Tuple {
+	for _, tu := range run {
+		t, _ = t.Insert(nil, tu, trace.None)
+	}
+	return t.Tuples()
+}
+
+func slicesEqual(a, b []value.Tuple) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if !a[i].Equal(b[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 // TestPagedDeleteMergesLeaves: a relation that shrinks gives its pages

@@ -115,6 +115,18 @@ func (r pagedRelation) Range(ctx *eval.Ctx, lo, hi value.Item, after trace.TaskI
 	return r.t.Range(ctx, lo, hi, after, visit)
 }
 
+// UpsertRun inserts a run of tuples into a paged relation as one page build
+// (ptree.Paged.UpsertRun): the relation the run's inserts would leave, in
+// any order, the last of equal keys winning. ok is false, and nothing is
+// built, for other representations.
+func UpsertRun(ctx *eval.Ctx, r Relation, tuples []value.Tuple) (Relation, bool) {
+	pr, ok := r.(pagedRelation)
+	if !ok {
+		return r, false
+	}
+	return pagedRelation{t: pr.t.UpsertRun(ctx, tuples)}, true
+}
+
 // Paged unwraps a paged relation for page-level statistics (Figure 2-2);
 // ok is false for other representations.
 func Paged(r Relation) (ptree.Paged, bool) {

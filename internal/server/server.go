@@ -906,30 +906,25 @@ func allReadOnly(txs []core.Transaction) bool {
 // streamSlotLog turns the connection into a slot's log-shipping stream:
 // every committed-transaction record with sequence > after, as
 // epoch-stamped FrameLogRecord frames (a sampled commit's TraceCtx frame
-// ahead of it), until either side closes. Records are framed on the
-// commit path and handed off into an unbounded queue (the tail callback
-// must never block the log mutex), then written from this handler
-// goroutine. A watcher goroutine consumes the read side: the subscriber
-// acks each applied record with FrameSubAck, fed back to the host where
-// the acks gate the primary's write acknowledgements (semi-synchronous
-// replication), and any other read result — EOF, the drain deadline —
-// ends the stream.
+// ahead of it), until either side closes. Records are framed on the commit
+// path straight into the stream's queue (the tail callback must never block
+// the log mutex), then written from this handler goroutine, everything
+// queued since the last write in one write. A watcher goroutine consumes
+// the read side: the subscriber acks what it has applied with cumulative
+// FrameSubAck frames — one per run of records it applied together — fed
+// back to the host where the acks gate the primary's write
+// acknowledgements (semi-synchronous replication), and any other read
+// result — EOF, the drain deadline — ends the stream.
 func (s *Server) streamSlotLog(rd *wire.Reader, bw *bufio.Writer, src SlotLogSource, slot, sub int, after int64) {
 	lts, _ := src.(LogTraceSource)
 	q := &recQueue{}
-	q.cond = sync.NewCond(&q.mu)
+	q.cond.L = &q.mu
 	cancel, err := src.SubscribeSlotLog(slot, sub, after, func(seq int64, epoch uint64, record []byte) {
-		var frames []byte
+		var tc reqtrace.Ctx
 		if lts != nil {
-			frames = wire.AppendTraceFrame(nil, lts.LogTraceCtxOf(seq))
+			tc = lts.LogTraceCtxOf(seq)
 		}
-		frames, mark := wire.BeginFrame(frames, wire.FrameLogRecord)
-		frames, err := wire.EndFrame(wire.AppendLogRecord(frames, epoch, record), mark)
-		if err != nil {
-			q.closeQueue() // unshippable record: end the stream
-			return
-		}
-		q.push(frames)
+		q.push(tc, epoch, record)
 	})
 	if err != nil {
 		refuse(bw, err.Error())
@@ -953,11 +948,9 @@ func (s *Server) streamSlotLog(rd *wire.Reader, bw *bufio.Writer, src SlotLogSou
 		q.closeQueue()
 	}()
 	for {
-		recs, open := q.pop()
-		for _, rec := range recs {
-			if _, err := bw.Write(rec); err != nil {
-				return
-			}
+		frames, open := q.pop()
+		if _, err := bw.Write(frames); err != nil {
+			return
 		}
 		if bw.Flush() != nil {
 			return
@@ -968,24 +961,40 @@ func (s *Server) streamSlotLog(rd *wire.Reader, bw *bufio.Writer, src SlotLogSou
 	}
 }
 
-// recQueue is the unbounded hand-off between the commit-path tail
-// callback and the stream writer.
+// recQueue is the hand-off between the commit-path tail callback and the
+// stream writer: the callback frames each record straight into one buffer
+// while the writer drains the other. It is unbounded — a subscriber that
+// stops reading pins every record committed after — so bounding it, and
+// dropping a lagging subscriber instead, is open work.
 type recQueue struct {
 	mu     sync.Mutex
-	cond   *sync.Cond
-	recs   [][]byte
-	spare  [][]byte // the previously drained buffer, reused for the next fill
+	cond   sync.Cond // on mu: the buffer went from empty to non-empty, or closed
+	buf    []byte    // frames queued since the writer's last pop
+	spare  []byte    // the buffer the writer drained last, reused for the next fill
 	closed bool
 }
 
-func (q *recQueue) push(rec []byte) {
+// push frames one record — its trace context's frame first, for a sampled
+// commit — onto the queue. A record too large to frame ends the stream.
+func (q *recQueue) push(tc reqtrace.Ctx, epoch uint64, record []byte) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	if q.closed {
 		return
 	}
-	q.recs = append(q.recs, rec)
-	q.cond.Signal()
+	was := len(q.buf)
+	buf, mark := wire.BeginFrame(wire.AppendTraceFrame(q.buf, tc), wire.FrameLogRecord)
+	buf, err := wire.EndFrame(wire.AppendLogRecord(buf, epoch, record), mark)
+	if err != nil {
+		q.buf = buf[:was]
+		q.closed = true
+		q.cond.Broadcast()
+		return
+	}
+	q.buf = buf
+	if was == 0 {
+		q.cond.Signal()
+	}
 }
 
 func (q *recQueue) closeQueue() {
@@ -995,21 +1004,25 @@ func (q *recQueue) closeQueue() {
 	q.cond.Broadcast()
 }
 
-// pop blocks until records are queued or the queue closes, returning the
-// drained batch and whether the queue is still open. The returned slice is
-// valid until the caller's next pop: the queue holds two buffers and swaps
-// them, so the single stream-writer consumer drives a steady state with no
-// per-drain allocation.
-func (q *recQueue) pop() ([][]byte, bool) {
+// pop blocks until frames are queued or the queue closes, returning every
+// queued frame as one slice and whether the queue is still open. The slice
+// is valid until the caller's next pop: the queue holds two buffers and
+// swaps them, so the single stream-writer consumer drives a steady state
+// with no per-drain allocation; one a burst grew past maxConnEncodeBuf is
+// dropped rather than kept.
+func (q *recQueue) pop() ([]byte, bool) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	for len(q.recs) == 0 && !q.closed {
+	for len(q.buf) == 0 && !q.closed {
 		q.cond.Wait()
 	}
-	recs := q.recs
-	q.recs = q.spare[:0]
-	q.spare = recs
-	return recs, !q.closed
+	if cap(q.spare) > maxConnEncodeBuf {
+		q.spare = nil
+	}
+	frames := q.buf
+	q.buf = q.spare[:0]
+	q.spare = frames
+	return frames, !q.closed
 }
 
 // maxPipeline bounds the replies a connection may have outstanding before
