@@ -37,8 +37,11 @@ import (
 
 	"funcdb"
 	"funcdb/internal/cluster"
+	"funcdb/internal/netsim"
 	"funcdb/internal/primarycopy"
+	"funcdb/internal/primarysite"
 	"funcdb/internal/server"
+	"funcdb/internal/topo"
 )
 
 func main() {
@@ -208,21 +211,21 @@ func runDemo(model string, dim, clients, ops int, seed int64, stdout io.Writer) 
 	)
 	switch model {
 	case "primarysite":
-		cfg := funcdb.ClusterConfig{
+		cfg := primarysite.Config{
 			Sites:     sites,
 			Databases: map[string]*funcdb.Database{"main": initial},
 		}
 		if dim > 0 {
-			cfg.Hypercube = dim
+			cfg.Topology = topo.NewHypercube(dim)
 		}
-		cluster, err := funcdb.OpenCluster(cfg)
+		cluster, err := primarysite.New(cfg)
 		if err != nil {
 			return err
 		}
 		primary, _ := cluster.PrimaryOf("main")
 		fmt.Fprintf(stdout, "primary-site cluster: %d sites, primary for \"main\" at site %d\n", sites, primary)
 		newClient = func(site int, origin string) (demoExec, error) {
-			cl, err := cluster.NewClient(funcdb.SiteID(site), origin)
+			cl, err := cluster.NewClient(netsim.SiteID(site), origin)
 			if err != nil {
 				return nil, err
 			}
@@ -243,7 +246,7 @@ func runDemo(model string, dim, clients, ops int, seed int64, stdout io.Writer) 
 			fmt.Fprintf(stdout, "primary-copy cluster: %q owned by site %d\n", rel, owner)
 		}
 		newClient = func(site int, origin string) (demoExec, error) {
-			cl, err := cluster.NewClient(funcdb.SiteID(site), origin)
+			cl, err := cluster.NewClient(netsim.SiteID(site), origin)
 			if err != nil {
 				return nil, err
 			}

@@ -19,8 +19,7 @@
 //
 // For the distributed form over real TCP — the paper's primary-copy model
 // with log-shipped replicas and failover, one durable Store per node — see
-// OpenClusterNode and funcdb/client.DialCluster. OpenCluster runs the
-// paper's primary-site model over a simulated network.
+// OpenClusterNode and funcdb/client.DialCluster.
 package funcdb
 
 import (
@@ -38,14 +37,11 @@ import (
 	"funcdb/internal/eval"
 	"funcdb/internal/lenient"
 	"funcdb/internal/metrics"
-	"funcdb/internal/netsim"
-	"funcdb/internal/primarysite"
 	"funcdb/internal/query"
 	"funcdb/internal/relation"
 	"funcdb/internal/reqtrace"
 	"funcdb/internal/server"
 	"funcdb/internal/session"
-	"funcdb/internal/topo"
 	"funcdb/internal/value"
 )
 
@@ -69,8 +65,6 @@ type (
 	Rep = relation.Rep
 	// Future is an unresolved response: Force blocks until available.
 	Future = lenient.Cell[core.Response]
-	// SiteID names a site in a cluster.
-	SiteID = netsim.SiteID
 	// VersionInfo describes one element of a durable version stream.
 	VersionInfo = archive.VersionInfo
 	// DurabilityOption tunes the on-disk archive of WithDurability.
@@ -678,8 +672,8 @@ func (s *Store) SubscribeLog(after int64, fn func(seq int64, record []byte)) (ca
 }
 
 // TraceRecorder returns the store's request-trace recorder, nil when
-// tracing is off: the server layer's TraceSource capability. The
-// recorder is nil-safe — callers may use the result unconditionally.
+// tracing is off. The recorder is nil-safe — callers may use the result
+// unconditionally.
 func (s *Store) TraceRecorder() *reqtrace.Recorder { return s.tracer }
 
 // Traces snapshots the store's published request traces, newest first:
@@ -688,8 +682,8 @@ func (s *Store) TraceRecorder() *reqtrace.Recorder { return s.tracer }
 func (s *Store) Traces() []RequestTrace { return s.tracer.Traces() }
 
 // LogTraceCtxOf reports the trace context recorded for a committed
-// sequence (zero when untraced): the server layer's LogTraceSource
-// capability, backing trace propagation onto the replication stream.
+// sequence (zero when untraced), backing trace propagation onto the
+// replication stream.
 func (s *Store) LogTraceCtxOf(seq int64) TraceCtx {
 	if s.archive == nil || s.tracer == nil {
 		return TraceCtx{}
@@ -773,7 +767,8 @@ type ClusterNodeConfig struct {
 	// Listener, when non-nil, serves on an already-bound listener instead
 	// of binding Listen — the clean way to bootstrap an in-process
 	// cluster: bind every port first, collect the addresses into Nodes,
-	// then open the nodes. Ownership transfers to the node.
+	// then open the nodes. Ownership transfers to the node, which closes
+	// it if OpenClusterNode fails.
 	Listener net.Listener
 	// Dir is the node's archive directory. Required: the durability log
 	// doubles as the replication stream, so a cluster node is always
@@ -819,7 +814,14 @@ type ClusterNode struct {
 // OpenClusterNode opens the node's durable store (recovering it if the
 // archive already exists), assembles the cluster routing around it, and
 // binds the listener. Call Serve to start accepting connections.
-func OpenClusterNode(cfg ClusterNodeConfig) (*ClusterNode, error) {
+func OpenClusterNode(cfg ClusterNodeConfig) (_ *ClusterNode, err error) {
+	if cfg.Listener != nil {
+		defer func() {
+			if err != nil {
+				cfg.Listener.Close()
+			}
+		}()
+	}
 	if len(cfg.Nodes) == 0 {
 		return nil, fmt.Errorf("funcdb: cluster node needs the Nodes list")
 	}
@@ -976,41 +978,4 @@ func (cn *ClusterNode) Shutdown() error {
 		err = cerr
 	}
 	return err
-}
-
-// ClusterConfig configures the distributed (primary-site) form.
-type ClusterConfig struct {
-	// Sites is the number of network sites.
-	Sites int
-	// Hypercube, when > 0, uses a binary hypercube of that dimension as
-	// the site topology (Sites must be 2^Hypercube); otherwise sites are
-	// fully connected.
-	Hypercube int
-	// Databases maps database names to their initial versions; each gets a
-	// primary site round-robin.
-	Databases map[string]*Database
-}
-
-// Cluster is the distributed store: clients at any site, primary-site
-// coordination, responses routed by origin tag.
-type Cluster = primarysite.Cluster
-
-// Client submits queries from one cluster site.
-type Client = primarysite.Client
-
-// OpenCluster starts a primary-site cluster.
-func OpenCluster(cfg ClusterConfig) (*Cluster, error) {
-	pcfg := primarysite.Config{
-		Sites:     cfg.Sites,
-		Databases: cfg.Databases,
-	}
-	if cfg.Hypercube > 0 {
-		h := topo.NewHypercube(cfg.Hypercube)
-		if h.Size() != cfg.Sites {
-			return nil, fmt.Errorf("funcdb: hypercube(%d) has %d sites, config says %d",
-				cfg.Hypercube, h.Size(), cfg.Sites)
-		}
-		pcfg.Topology = h
-	}
-	return primarysite.New(pcfg)
 }

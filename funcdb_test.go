@@ -1,11 +1,20 @@
 package funcdb_test
 
 import (
+	"errors"
+	"go/parser"
+	"go/token"
+	"net"
+	"path/filepath"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"funcdb"
+	"funcdb/client"
+	"funcdb/internal/cluster"
 )
 
 func TestOpenAndExec(t *testing.T) {
@@ -205,37 +214,116 @@ func TestWithLanes(t *testing.T) {
 	}
 }
 
+// TestOpenCluster: three OpenClusterNodes over loopback answer as one
+// store — an insert through one node is found through another.
 func TestOpenCluster(t *testing.T) {
-	cluster, err := funcdb.OpenCluster(funcdb.ClusterConfig{
-		Sites:     8,
-		Hypercube: 3,
-		Databases: map[string]*funcdb.Database{
-			"main": funcdb.MustOpen(funcdb.WithRelations("R")).Current(),
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
+	lns := make([]net.Listener, 3)
+	addrs := make([]string, len(lns))
+	for i := range lns {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		lns[i], addrs[i] = ln, ln.Addr().String()
 	}
-	defer cluster.Shutdown()
-	cl, err := cluster.NewClient(5, "tester")
-	if err != nil {
-		t.Fatal(err)
+	nodes := make([]*funcdb.ClusterNode, len(lns))
+	for i := range nodes {
+		node, err := funcdb.OpenClusterNode(funcdb.ClusterNodeConfig{
+			ID: i, Nodes: addrs, Listener: lns[i], Dir: t.TempDir(), Relations: []string{"R"},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer node.Shutdown()
+		go node.Serve()
+		nodes[i] = node
 	}
-	if resp := cl.Exec("main", "insert 1 into R"); resp.Err != nil {
-		t.Fatal(resp.Err)
+	owner := 0
+	for i, node := range nodes {
+		if _, self := node.Owner("R"); self {
+			owner = i
+		}
 	}
-	if resp := cl.Exec("main", "find 1 in R"); !resp.Found {
+	exec := func(node int, q string) funcdb.Response {
+		t.Helper()
+		c, err := client.Dial(addrs[node])
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		resp, err := c.Exec(q)
+		if err != nil || resp.Err != nil {
+			t.Fatalf("%s through node %d: %v / %v", q, node, err, resp.Err)
+		}
+		return resp
+	}
+	exec((owner+1)%3, "insert 1 into R")
+	if resp := exec((owner+2)%3, "find 1 in R"); !resp.Found {
 		t.Error("cluster find failed")
 	}
 }
 
+// TestOpenClusterBadHypercube: OpenClusterNode refuses a membership no
+// cluster can have.
 func TestOpenClusterBadHypercube(t *testing.T) {
-	_, err := funcdb.OpenCluster(funcdb.ClusterConfig{
-		Sites:     5,
-		Hypercube: 3,
-		Databases: map[string]*funcdb.Database{"m": funcdb.MustOpen().Current()},
+	for name, cfg := range map[string]funcdb.ClusterNodeConfig{
+		"id outside nodes":     {ID: 2, Nodes: []string{"127.0.0.1:1", "127.0.0.1:2"}, Dir: t.TempDir()},
+		"failover on one node": {Nodes: []string{"127.0.0.1:0"}, Dir: t.TempDir(), Failover: &cluster.FailoverConfig{}},
+	} {
+		if node, err := funcdb.OpenClusterNode(cfg); err == nil {
+			node.Shutdown()
+			t.Errorf("%s: accepted", name)
+		}
+	}
+}
+
+// TestOpenClusterNodeClosesListener: a listener handed to a node that
+// cannot open is closed, not leaked.
+func TestOpenClusterNodeClosesListener(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = funcdb.OpenClusterNode(funcdb.ClusterNodeConfig{
+		Nodes: []string{ln.Addr().String()}, Listener: ln, Dir: t.TempDir(),
+		Failover: &cluster.FailoverConfig{},
 	})
-	if err == nil || !strings.Contains(err.Error(), "hypercube") {
-		t.Errorf("err = %v", err)
+	if err == nil {
+		t.Fatal("failover on a one-node cluster accepted")
+	}
+	ln.(*net.TCPListener).SetDeadline(time.Now().Add(time.Second)) // a leaked listener times out
+	if _, err := ln.Accept(); !errors.Is(err, net.ErrClosed) {
+		ln.Close()
+		t.Fatalf("Accept on the refused node's listener = %v, want net.ErrClosed", err)
+	}
+}
+
+// TestNoSimulatorImports: the public package is the real cluster's; the
+// in-memory distribution models stay behind internal/.
+func TestNoSimulatorImports(t *testing.T) {
+	banned := map[string]bool{
+		"funcdb/internal/netsim":      true,
+		"funcdb/internal/primarysite": true,
+		"funcdb/internal/primarycopy": true,
+		"funcdb/internal/topo":        true,
+	}
+	files, err := filepath.Glob("*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fset := token.NewFileSet()
+	for _, name := range files {
+		if strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, name, nil, parser.ImportsOnly)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, imp := range f.Imports {
+			if path, _ := strconv.Unquote(imp.Path.Value); banned[path] {
+				t.Errorf("%s imports %s", name, path)
+			}
+		}
 	}
 }

@@ -90,18 +90,18 @@ func TestGatedAckedAllocGate(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(n.Close)
-	f := n.fo
-	f.mu.Lock()
-	f.started = time.Now() // inside the boot grace: the silent peers count as alive
-	f.mu.Unlock()
+	tab := n.slots
+	tab.mu.Lock()
+	tab.started = time.Now() // inside the boot grace: the silent peers count as alive
+	tab.mu.Unlock()
 
 	fs.eng.Submit(core.Insert("S", value.NewTuple(value.Int(1), value.Str("a")))).Force()
-	f.subAttached(0, 1)
-	f.subAck(0, 1, fs.Version())
+	n.SubscriberAttached(0, 1)
+	n.SubscriberAck(0, 1, fs.Version())
 	committed := lenient.Ready(core.Response{Kind: core.KindInsert})
 
 	allocs := testing.AllocsPerRun(1000, func() {
-		if r := f.gated(0, fs, committed).Force(); r.Err != nil {
+		if r := tab.gated(0, fs, committed).Force(); r.Err != nil {
 			t.Fatal(r.Err)
 		}
 	})

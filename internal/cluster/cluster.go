@@ -1,10 +1,7 @@
 // Package cluster runs the paper's primary-copy distribution model
 // (Section 3.1) over the real wire: N nodes, each an fdbserver-style
 // listener wrapping a local store, with the lane hash as the placement
-// function. It is the bridge the ROADMAP names between the in-memory
-// distribution models (internal/primarysite, internal/primarycopy on the
-// netsim medium) and the TCP stack of PR 4 (internal/wire, internal/
-// server, internal/session).
+// function.
 //
 // Placement is lane ownership: relation rel's primary lives on node
 // core.LaneOf(rel, N) — the same deterministic hash that splits a store's
@@ -74,6 +71,14 @@ type LocalStore interface {
 	// SubscribeLog streams the committed-transaction log (the archive's
 	// records): the primary side of replication.
 	SubscribeLog(after int64, fn func(seq int64, record []byte)) (cancel func(), err error)
+	// TraceRecorder returns the store's request-trace recorder (nil when
+	// tracing is off).
+	TraceRecorder() *reqtrace.Recorder
+	// LogTraceCtxOf reports the trace context a committed sequence carried
+	// (zero when untraced).
+	LogTraceCtxOf(seq int64) reqtrace.Ctx
+	// MetricsSnapshot reads the store's metrics.
+	MetricsSnapshot() metrics.Snapshot
 }
 
 // Config describes one node of a cluster.
@@ -95,7 +100,8 @@ type Config struct {
 	Replicate bool
 	// Failover enables lease-based failure detection, self-promotion of
 	// the most-caught-up mirror, and epoch fencing (requires Replicate
-	// and Promote). Nil keeps the static placement of earlier versions.
+	// and Promote). Nil keeps the slot table static: node s serves slot s
+	// in epoch 0 from boot.
 	Failover *FailoverConfig
 	// Promote builds the takeover store when this node wins a dead
 	// peer's slot (funcdb supplies one; required with Failover).
@@ -124,9 +130,8 @@ func OwnedRelations(relations []string, id, n int) []string {
 
 // Node is one cluster member: primary, gateway, and replica (see the
 // package comment). It implements server.Host (sessions route through
-// its submitter), server.Placer (redirects), server.ReplicaReader
-// (stale reads), and server.SlotLogSource (its slot's log, for its
-// replicas).
+// its submitter) and server.Cluster (placement, replica reads, fencing,
+// heartbeats, and its slots' logs for their replicas).
 type Node struct {
 	id      int
 	addrs   []string
@@ -138,7 +143,7 @@ type Node struct {
 
 	peers []*peer // by node index; nil at n.id
 	m     *metrics.Cluster
-	fo    *failover // nil without Config.Failover
+	slots *slotTable
 
 	closing atomic.Bool
 	wg      sync.WaitGroup // replication loops
@@ -205,15 +210,16 @@ func New(cfg Config) (*Node, error) {
 			n.mirrors[i] = m
 		}
 	}
+	var fc FailoverConfig // static: no lease, no ack gate
 	if cfg.Failover != nil {
-		n.fo = newFailover(n, *cfg.Failover)
+		fc = cfg.Failover.withDefaults(len(n.addrs))
 	}
+	n.slots = newSlotTable(n, fc)
 	return n, nil
 }
 
 // Start launches the replication loops — one subscription per peer,
-// retried until Close — and, with failover, the heartbeat loops. A
-// no-op without Replicate.
+// retried until Close — and, with failover, the heartbeat loops.
 func (n *Node) Start() {
 	for i, m := range n.mirrors {
 		if m == nil {
@@ -222,9 +228,7 @@ func (n *Node) Start() {
 		n.wg.Add(1)
 		go n.replicateFrom(i, m)
 	}
-	if n.fo != nil {
-		n.fo.start()
-	}
+	n.slots.start()
 }
 
 // Close stops the replication loops and the inter-node connections. The
@@ -245,10 +249,8 @@ func (n *Node) Close() {
 			p.close()
 		}
 	}
-	if n.fo != nil {
-		// Wake any write gated on replication acks; it answers ErrFenced.
-		n.fo.cond.Broadcast()
-	}
+	// Wake any write gated on replication acks; it answers ErrFenced.
+	n.slots.cond.Broadcast()
 	n.wg.Wait()
 }
 
@@ -261,15 +263,12 @@ func (n *Node) Addr() string { return n.addrs[n.id] }
 // ClusterSize returns the number of nodes.
 func (n *Node) ClusterSize() int { return len(n.addrs) }
 
-// Owner implements server.Placer: the advertised address of rel's
-// primary, and whether that primary is this node. With failover the
-// slot's CURRENT owner answers, which may differ from the placement
-// hash after a promotion.
+// Owner implements server.Cluster: the advertised address of rel's
+// primary, and whether that primary is this node. The slot's CURRENT
+// owner answers, which may differ from the placement hash after a
+// promotion.
 func (n *Node) Owner(rel string) (addr string, self bool) {
-	idx := OwnerIndex(rel, len(n.addrs))
-	if n.fo != nil {
-		idx = n.fo.ownerOf(idx)
-	}
+	idx := n.slots.ownerOf(OwnerIndex(rel, len(n.addrs)))
 	return n.addrs[idx], idx == n.id
 }
 
@@ -299,43 +298,25 @@ func (n *Node) DurabilityErr() error { return n.store.DurabilityErr() }
 // Store returns the node's primary store.
 func (n *Node) Store() LocalStore { return n.store }
 
-// TraceRecorder implements server.TraceSource by delegating to the local
-// store when it traces (funcdb.Store with tracing configured; test stubs
-// and untraced stores yield nil, the disabled recorder).
-func (n *Node) TraceRecorder() *reqtrace.Recorder {
-	if ts, ok := n.store.(interface{ TraceRecorder() *reqtrace.Recorder }); ok {
-		return ts.TraceRecorder()
-	}
-	return nil
-}
+// TraceRecorder implements server.Host: the local store's recorder (nil,
+// the disabled recorder, when the store does not trace).
+func (n *Node) TraceRecorder() *reqtrace.Recorder { return n.store.TraceRecorder() }
 
-// LogTraceCtxOf implements server.LogTraceSource: the trace context a
-// committed sequence carried, so the replication stream sends it ahead
-// of the record and the mirror's apply span joins the same trace.
-func (n *Node) LogTraceCtxOf(seq int64) reqtrace.Ctx {
-	if ls, ok := n.store.(interface{ LogTraceCtxOf(int64) reqtrace.Ctx }); ok {
-		return ls.LogTraceCtxOf(seq)
-	}
-	return reqtrace.Ctx{}
-}
+// LogTraceCtxOf implements server.Cluster: the trace context a committed
+// sequence carried, so the replication stream sends it ahead of the
+// record and the mirror's apply span joins the same trace.
+func (n *Node) LogTraceCtxOf(seq int64) reqtrace.Ctx { return n.store.LogTraceCtxOf(seq) }
 
-// MetricsSnapshot implements server.StatsProvider: the local store's
-// snapshot (when it can produce one — funcdb.Store can; test stubs need
-// not) extended with this node's routing section and one row per peer.
-// A peer row's ReplicaApplied is the newest primary sequence mirrored
-// locally; the peer's own Version minus it is the replication lag, which
-// is how fdbload and fdbrepl report lag — from snapshots of both ends.
+// MetricsSnapshot implements server.Host: the local store's snapshot
+// extended with this node's routing section and one row per peer. A peer
+// row's ReplicaApplied is the newest primary sequence mirrored locally;
+// the peer's own Version minus it is the replication lag, which is how
+// fdbload and fdbrepl report lag — from snapshots of both ends.
 func (n *Node) MetricsSnapshot() metrics.Snapshot {
-	var snap metrics.Snapshot
-	if sp, ok := n.store.(interface{ MetricsSnapshot() metrics.Snapshot }); ok {
-		snap = sp.MetricsSnapshot()
-	} else {
-		snap.Lanes = n.store.Lanes()
-		snap.Durable = n.store.Durable()
-	}
+	snap := n.store.MetricsSnapshot()
 	snap.Origin = n.origin
 	cs := n.m.Snapshot()
-	cs.Epochs, cs.Owners = n.failoverVectors()
+	cs.Epochs, cs.Owners = n.slotVectors()
 	snap.Cluster = &cs
 	for i := range n.addrs {
 		if i == n.id {
@@ -393,26 +374,18 @@ func (n *Node) SubmitTagged(txs []core.Transaction, out []*session.Future) {
 			j++
 		}
 		run := txs[i:j]
-		eff := slot
-		if n.fo != nil && slot >= 0 {
-			eff = n.fo.ownerOf(slot)
-		}
+		st, owner, epoch, err := n.slots.route(slot)
 		switch {
-		case slot < 0:
+		case err != nil:
 			for k := i; k < j; k++ {
-				out[k] = unroutable(txs[k])
+				out[k] = lenient.Ready(core.Response{
+					Origin: txs[k].Origin, Seq: txs[k].Seq, Kind: txs[k].Kind, Err: err,
+				})
 			}
-		case eff == n.id:
-			if err := n.localSubmit(slot, run, out[i:j]); err != nil {
-				for k := i; k < j; k++ {
-					out[k] = lenient.Ready(core.Response{
-						Origin: txs[k].Origin, Seq: txs[k].Seq, Kind: txs[k].Kind, Err: err,
-					})
-				}
-			}
+		case st != nil:
+			n.localSubmit(slot, st, run, out[i:j])
 		default:
 			n.m.Forwarded(len(run))
-			epoch, hasEpoch := n.slotEpoch(slot)
 			// The run's trace handle (the gateway server attaches one handle
 			// to every transaction of a traced request) rides to the peer so
 			// the owner's spans stitch under the gateway's trace id.
@@ -423,44 +396,25 @@ func (n *Node) SubmitTagged(txs []core.Transaction, out []*session.Future) {
 					break
 				}
 			}
-			n.peers[eff].forwardTagged(run, out[i:j], epoch, hasEpoch, tr)
+			n.peers[owner].forwardTagged(run, out[i:j], epoch, tr)
 		}
 		i = j
 	}
 }
 
-// localSubmit admits a run this node serves, filling futs. Under
-// failover the serving store is resolved per slot (the node's own store,
-// or a takeover store), and write futures are wrapped in the
-// replication-ack gate so an acknowledged commit is guaranteed to survive
-// a subsequent crash of this node.
-func (n *Node) localSubmit(slot int, run []core.Transaction, futs []*session.Future) error {
-	if n.fo == nil {
-		n.store.SubmitTagged(run, futs)
-		return nil
-	}
-	st, err := n.fo.localStore(slot)
-	if err != nil {
-		return err
-	}
+// localSubmit admits a run into st, the store this node serves the slot
+// from (its own store, or a takeover store), filling futs. With an ack
+// gate, write futures are wrapped in it so an acknowledged commit is
+// guaranteed to survive a subsequent crash of this node.
+func (n *Node) localSubmit(slot int, st LocalStore, run []core.Transaction, futs []*session.Future) {
 	st.SubmitTagged(run, futs)
-	if n.fo.cfg.SyncReplicas > 0 {
+	if n.slots.cfg.SyncReplicas > 0 {
 		for k := range futs {
 			if !run[k].IsReadOnly() {
-				futs[k] = n.fo.gated(slot, st, futs[k])
+				futs[k] = n.slots.gated(slot, st, futs[k])
 			}
 		}
 	}
-	return nil
-}
-
-// slotEpoch returns the epoch to stamp into forwards for a slot, and
-// whether to stamp at all (only failover clusters speak epochs).
-func (n *Node) slotEpoch(slot int) (epoch uint64, ok bool) {
-	if n.fo == nil {
-		return 0, false
-	}
-	return n.fo.epochOf(slot), true
 }
 
 // routeOf places one transaction: the owning node index, n.id for local,
@@ -488,10 +442,5 @@ func (n *Node) routeOf(tx core.Transaction) int {
 	return owner
 }
 
-// unroutable resolves immediately with the routing error.
-func unroutable(tx core.Transaction) *session.Future {
-	return lenient.Ready(core.Response{
-		Origin: tx.Origin, Seq: tx.Seq, Kind: tx.Kind,
-		Err: errors.New("cluster: transaction spans multiple owners or has no wire form; the primary-copy model defers that coordination"),
-	})
-}
+// errUnroutable answers a transaction routeOf cannot place.
+var errUnroutable = errors.New("cluster: transaction spans multiple owners or has no wire form; the primary-copy model defers that coordination")

@@ -7,7 +7,9 @@ import (
 
 	"funcdb/internal/core"
 	"funcdb/internal/database"
+	"funcdb/internal/metrics"
 	"funcdb/internal/relation"
+	"funcdb/internal/reqtrace"
 	"funcdb/internal/session"
 	"funcdb/internal/value"
 )
@@ -45,6 +47,9 @@ func (f *fakeStore) Current() *database.Database {
 func (f *fakeStore) SubscribeLog(int64, func(int64, []byte)) (func(), error) {
 	return nil, errors.New("fake store has no log")
 }
+func (f *fakeStore) TraceRecorder() *reqtrace.Recorder { return nil }
+func (f *fakeStore) LogTraceCtxOf(int64) reqtrace.Ctx  { return reqtrace.Ctx{} }
+func (f *fakeStore) MetricsSnapshot() metrics.Snapshot { return metrics.Snapshot{} }
 
 // threeNode builds a node 0 of a fictitious 3-node cluster whose peers
 // are never dialed (tests stay on the local path).

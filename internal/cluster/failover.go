@@ -15,19 +15,22 @@ import (
 	"funcdb/internal/wire"
 )
 
-// This file is the failover state machine: lease-based failure detection
-// over dedicated heartbeat connections, self-promotion of the
-// most-caught-up mirror when a slot's owner dies, epoch fencing of the
-// deposed owner, and the rejoin path that rewinds it to the promotion
-// base and re-attaches it as a replica.
+// This file is the slot table every node keeps, and the failover state
+// machine that changes it: lease-based failure detection over dedicated
+// heartbeat connections, self-promotion of the most-caught-up mirror when
+// a slot's owner dies, epoch fencing of the deposed owner, and the rejoin
+// path that rewinds it to the promotion base and re-attaches it as a
+// replica.
 //
 // Terminology: a SLOT is an original owner index — the placement hash
-// names slots, and without failover slot s is served by node s. Under
-// failover an (epoch, owner) pair per slot says who serves it now;
+// names slots. An (epoch, owner) pair per slot says who serves it now;
 // epochs only grow, and the higher epoch always wins a disagreement, so
 // a deposed primary that comes back cannot split-brain: every frame
 // class that moves its data (tagged Request, LogRecord, Redirect) carries
-// the epoch, and the stale side is refused or redirected.
+// the epoch, and the stale side is refused or redirected. Without
+// Config.Failover the table is static: slot s is served by node s in
+// epoch 0 from boot, with no leases and no ack gate, and nothing changes
+// it.
 
 // DialFunc opens an outbound cluster connection. The default is
 // net.Dial("tcp", addr); tests substitute a FaultTransport dialer to
@@ -110,12 +113,12 @@ type recordTail struct {
 
 func (t *recordTail) end() int64 { return t.from + int64(len(t.recs)) }
 
-// failover is one node's failover state. All vector state is per slot
-// and guarded by mu; cond broadcasts on every state change and every
-// heartbeat tick, which is what wakes the write-ack gate.
-type failover struct {
+// slotTable is one node's view of who serves each slot. All vector state
+// is per slot and guarded by mu; cond broadcasts on every state change and
+// every heartbeat tick, which is what wakes the write-ack gate.
+type slotTable struct {
 	n   *Node
-	cfg FailoverConfig
+	cfg FailoverConfig // the zero value on a static table: no lease, no ack gate
 
 	mu      sync.Mutex
 	cond    *sync.Cond
@@ -139,11 +142,16 @@ type failover struct {
 	subs      map[int]map[int]int64 // slot → subscriber node → acked seq
 }
 
-func newFailover(n *Node, cfg FailoverConfig) *failover {
+// newSlotTable builds the boot table: epoch 0, slot s served by node s. A
+// leased table boots on probation: the node does not serve its own slot
+// until a majority has reported no higher epoch. A static one serves it
+// from boot.
+func newSlotTable(n *Node, cfg FailoverConfig) *slotTable {
 	size := len(n.addrs)
-	f := &failover{
+	probation := cfg.Lease > 0
+	tab := &slotTable{
 		n:         n,
-		cfg:       cfg.withDefaults(size),
+		cfg:       cfg,
 		epochs:    make([]uint64, size),
 		owners:    make([]int, size),
 		bases:     make([]int64, size),
@@ -153,89 +161,98 @@ func newFailover(n *Node, cfg FailoverConfig) *failover {
 		takeovers: make(map[int]LocalStore),
 		tails:     make(map[int]*recordTail),
 		subs:      make(map[int]map[int]int64),
-		probation: true,
+		serving:   !probation,
+		probation: probation,
 	}
-	for s := range f.owners {
-		f.owners[s] = s
+	for s := range tab.owners {
+		tab.owners[s] = s
 	}
-	f.cond = sync.NewCond(&f.mu)
-	return f
+	tab.cond = sync.NewCond(&tab.mu)
+	return tab
 }
 
-func (f *failover) start() {
-	f.mu.Lock()
-	f.started = time.Now()
-	f.mu.Unlock()
-	for i := range f.n.addrs {
-		if i == f.n.id {
+// leased reports whether the table keeps leases: only then does it
+// exchange heartbeats, and so only then can a promotion change it.
+func (tab *slotTable) leased() bool { return tab.cfg.Lease > 0 }
+
+// start opens the lease clock and the heartbeat loops of a leased table.
+func (tab *slotTable) start() {
+	if !tab.leased() {
+		return
+	}
+	tab.mu.Lock()
+	tab.started = time.Now()
+	tab.mu.Unlock()
+	for i := range tab.n.addrs {
+		if i == tab.n.id {
 			continue
 		}
-		f.n.wg.Add(1)
-		go f.heartbeatLoop(i)
+		tab.n.wg.Add(1)
+		go tab.heartbeatLoop(i)
 	}
 }
 
 // ownerOf returns the node currently serving a slot.
-func (f *failover) ownerOf(slot int) int {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.owners[slot]
+func (tab *slotTable) ownerOf(slot int) int {
+	tab.mu.Lock()
+	defer tab.mu.Unlock()
+	return tab.owners[slot]
 }
 
 // epochOf returns the newest known epoch for a slot.
-func (f *failover) epochOf(slot int) uint64 {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.epochs[slot]
+func (tab *slotTable) epochOf(slot int) uint64 {
+	tab.mu.Lock()
+	defer tab.mu.Unlock()
+	return tab.epochs[slot]
 }
 
 // aliveLocked reports whether a node is presumed alive. A peer never
 // heard from counts as alive during the first lease after start (the
 // boot grace period: leases must have had a chance to form before
 // anyone is declared dead).
-func (f *failover) aliveLocked(id int) bool {
-	if id == f.n.id {
+func (tab *slotTable) aliveLocked(id int) bool {
+	if id == tab.n.id {
 		return true
 	}
-	if id < 0 || id >= len(f.lastSeen) {
+	if id < 0 || id >= len(tab.lastSeen) {
 		return false
 	}
-	if f.lastSeen[id].IsZero() {
-		return time.Since(f.started) < f.cfg.Lease
+	if tab.lastSeen[id].IsZero() {
+		return time.Since(tab.started) < tab.cfg.Lease
 	}
-	return time.Since(f.lastSeen[id]) < f.cfg.Lease
+	return time.Since(tab.lastSeen[id]) < tab.cfg.Lease
 }
 
 // majorityLocked reports whether this node can reach a majority of the
 // cluster (itself included): the serve/promote precondition that keeps a
 // minority partition from acking writes or electing a second winner.
-func (f *failover) majorityLocked() bool {
+func (tab *slotTable) majorityLocked() bool {
 	alive := 1
-	for id := range f.lastSeen {
-		if id != f.n.id && f.aliveLocked(id) {
+	for id := range tab.lastSeen {
+		if id != tab.n.id && tab.aliveLocked(id) {
 			alive++
 		}
 	}
-	return alive >= len(f.lastSeen)/2+1
+	return alive >= len(tab.lastSeen)/2+1
 }
 
 // viewLocked assembles this node's heartbeat payload.
-func (f *failover) viewLocked() wire.Heartbeat {
-	n := f.n
+func (tab *slotTable) viewLocked() wire.Heartbeat {
+	n := tab.n
 	size := len(n.addrs)
 	hb := wire.Heartbeat{
 		From:    n.id,
-		Epochs:  append([]uint64(nil), f.epochs...),
-		Owners:  append([]int(nil), f.owners...),
-		Bases:   append([]int64(nil), f.bases...),
+		Epochs:  append([]uint64(nil), tab.epochs...),
+		Owners:  append([]int(nil), tab.owners...),
+		Bases:   append([]int64(nil), tab.bases...),
 		Applied: make([]int64, size),
 	}
 	for s := 0; s < size; s++ {
 		switch {
-		case s == n.id && !f.demoted:
+		case s == n.id && !tab.demoted:
 			hb.Applied[s] = n.store.Version()
-		case f.owners[s] == n.id && s != n.id:
-			if st := f.takeovers[s]; st != nil {
+		case tab.owners[s] == n.id && s != n.id:
+			if st := tab.takeovers[s]; st != nil {
 				hb.Applied[s] = st.Version()
 			}
 		default:
@@ -247,81 +264,81 @@ func (f *failover) viewLocked() wire.Heartbeat {
 	return hb
 }
 
-func (f *failover) view() wire.Heartbeat {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.viewLocked()
+func (tab *slotTable) view() wire.Heartbeat {
+	tab.mu.Lock()
+	defer tab.mu.Unlock()
+	return tab.viewLocked()
 }
 
 // merge folds a peer's heartbeat (or ack) into local state: refresh the
 // sender's lease, adopt any newer epoch, resolve boot probation, and
 // re-check promotion conditions. This is the gossip step — a node two
 // hops from a promotion still learns it within a heartbeat interval.
-func (f *failover) merge(hb wire.Heartbeat) {
-	f.mu.Lock()
-	if hb.From >= 0 && hb.From < len(f.lastSeen) && hb.From != f.n.id {
-		f.lastSeen[hb.From] = time.Now()
-		f.views[hb.From] = hb
-		f.haveView[hb.From] = true
+func (tab *slotTable) merge(hb wire.Heartbeat) {
+	tab.mu.Lock()
+	if hb.From >= 0 && hb.From < len(tab.lastSeen) && hb.From != tab.n.id {
+		tab.lastSeen[hb.From] = time.Now()
+		tab.views[hb.From] = hb
+		tab.haveView[hb.From] = true
 	}
-	for s := 0; s < len(f.epochs) && s < len(hb.Epochs); s++ {
-		newer := hb.Epochs[s] > f.epochs[s]
+	for s := 0; s < len(tab.epochs) && s < len(hb.Epochs); s++ {
+		newer := hb.Epochs[s] > tab.epochs[s]
 		// Same epoch, different owner: deterministic tiebreak (lower node
 		// id) so concurrent equal-epoch claims converge everywhere.
-		tie := hb.Epochs[s] == f.epochs[s] && hb.Epochs[s] > 0 && hb.Owners[s] < f.owners[s]
+		tie := hb.Epochs[s] == tab.epochs[s] && hb.Epochs[s] > 0 && hb.Owners[s] < tab.owners[s]
 		if newer || tie {
-			f.adoptLocked(s, hb.Epochs[s], hb.Owners[s], hb.Bases[s])
+			tab.adoptLocked(s, hb.Epochs[s], hb.Owners[s], hb.Bases[s])
 		}
 	}
-	f.resolveProbationLocked()
-	f.mu.Unlock()
-	f.cond.Broadcast()
-	f.maybePromote()
+	tab.resolveProbationLocked()
+	tab.mu.Unlock()
+	tab.cond.Broadcast()
+	tab.maybePromote()
 }
 
 // adoptLocked installs a newer (epoch, owner) for a slot. Adopting a
 // higher epoch for OUR OWN slot is the fence closing on us: stop
 // serving, and rejoin as a replica of the winner.
-func (f *failover) adoptLocked(s int, epoch uint64, owner int, base int64) {
-	f.epochs[s], f.owners[s], f.bases[s] = epoch, owner, base
-	if owner == f.n.id {
+func (tab *slotTable) adoptLocked(s int, epoch uint64, owner int, base int64) {
+	tab.epochs[s], tab.owners[s], tab.bases[s] = epoch, owner, base
+	if owner == tab.n.id {
 		return
 	}
-	if s == f.n.id {
-		f.serving = false
-		f.probation = false
-		f.demoted = true
-		if !f.rejoining && !f.n.closing.Load() {
-			f.rejoining = true
-			f.n.wg.Add(1)
-			go f.rejoin(base)
+	if s == tab.n.id {
+		tab.serving = false
+		tab.probation = false
+		tab.demoted = true
+		if !tab.rejoining && !tab.n.closing.Load() {
+			tab.rejoining = true
+			tab.n.wg.Add(1)
+			go tab.rejoin(base)
 		}
 		return
 	}
 	// A slot we had promoted was claimed by a higher epoch elsewhere:
 	// stop serving it (the store stays open until node Close).
-	delete(f.takeovers, s)
-	delete(f.tails, s)
+	delete(tab.takeovers, s)
+	delete(tab.tails, s)
 }
 
 // resolveProbationLocked ends the fresh-boot probation once a majority
 // of the cluster has reported views and none deposed us: only then may
 // the node serve its own slot, so a restarted dead primary cannot serve
 // a single stale statement before hearing about its succession.
-func (f *failover) resolveProbationLocked() {
-	if !f.probation {
+func (tab *slotTable) resolveProbationLocked() {
+	if !tab.probation {
 		return
 	}
 	fresh := 1
-	for id := range f.haveView {
-		if id != f.n.id && f.haveView[id] && f.aliveLocked(id) {
+	for id := range tab.haveView {
+		if id != tab.n.id && tab.haveView[id] && tab.aliveLocked(id) {
 			fresh++
 		}
 	}
-	if fresh >= len(f.lastSeen)/2+1 {
-		f.probation = false
-		if !f.demoted {
-			f.serving = true
+	if fresh >= len(tab.lastSeen)/2+1 {
+		tab.probation = false
+		if !tab.demoted {
+			tab.serving = true
 		}
 	}
 }
@@ -333,8 +350,8 @@ func (f *failover) resolveProbationLocked() {
 // frame granularity. Either direction of traffic refreshes the lease;
 // the loop also ticks the promotion check and wakes gate waiters even
 // while the peer is unreachable.
-func (f *failover) heartbeatLoop(peerIdx int) {
-	n := f.n
+func (tab *slotTable) heartbeatLoop(peerIdx int) {
+	n := tab.n
 	defer n.wg.Done()
 	var conn net.Conn
 	var rd *wire.Reader
@@ -348,26 +365,26 @@ func (f *failover) heartbeatLoop(peerIdx int) {
 	defer drop()
 	for !n.closing.Load() {
 		if conn == nil {
-			if c, crd, err := f.dialHeartbeat(peerIdx); err == nil {
+			if c, crd, err := tab.dialHeartbeat(peerIdx); err == nil {
 				conn, rd = c, crd
 			}
 		}
 		if conn != nil {
 			start := time.Now()
-			if err := f.heartbeatRound(conn, rd); err != nil {
+			if err := tab.heartbeatRound(conn, rd); err != nil {
 				drop()
 			} else {
 				n.m.HeartbeatRTT.Since(start)
 			}
 		}
-		f.tick()
-		time.Sleep(f.cfg.Heartbeat)
+		tab.tick()
+		time.Sleep(tab.cfg.Heartbeat)
 	}
 }
 
 // dialHeartbeat opens and handshakes one heartbeat connection.
-func (f *failover) dialHeartbeat(peerIdx int) (net.Conn, *wire.Reader, error) {
-	n := f.n
+func (tab *slotTable) dialHeartbeat(peerIdx int) (net.Conn, *wire.Reader, error) {
+	n := tab.n
 	conn, err := n.dial(n.addrs[peerIdx])
 	if err != nil {
 		return nil, nil, err
@@ -386,7 +403,7 @@ func (f *failover) dialHeartbeat(peerIdx int) (net.Conn, *wire.Reader, error) {
 		return fail(err)
 	}
 	rd := wire.NewReader(bufio.NewReaderSize(conn, 4096))
-	conn.SetReadDeadline(time.Now().Add(f.cfg.Lease))
+	conn.SetReadDeadline(time.Now().Add(tab.cfg.Lease))
 	typ, payload, err := rd.Next()
 	if err != nil || typ != wire.FrameWelcome {
 		return fail(fmt.Errorf("cluster: heartbeat handshake with node %d failed: %v", peerIdx, err))
@@ -398,11 +415,11 @@ func (f *failover) dialHeartbeat(peerIdx int) (net.Conn, *wire.Reader, error) {
 }
 
 // heartbeatRound is one Heartbeat→Ack exchange.
-func (f *failover) heartbeatRound(conn net.Conn, rd *wire.Reader) error {
-	if err := wire.WriteFrame(conn, wire.FrameHeartbeat, wire.AppendHeartbeat(nil, f.view())); err != nil {
+func (tab *slotTable) heartbeatRound(conn net.Conn, rd *wire.Reader) error {
+	if err := wire.WriteFrame(conn, wire.FrameHeartbeat, wire.AppendHeartbeat(nil, tab.view())); err != nil {
 		return err
 	}
-	conn.SetReadDeadline(time.Now().Add(f.cfg.Lease))
+	conn.SetReadDeadline(time.Now().Add(tab.cfg.Lease))
 	typ, payload, err := rd.Next()
 	if err != nil {
 		return err
@@ -414,16 +431,16 @@ func (f *failover) heartbeatRound(conn net.Conn, rd *wire.Reader) error {
 	if err != nil {
 		return err
 	}
-	f.merge(ack)
+	tab.merge(ack)
 	return nil
 }
 
 // tick runs the periodic obligations of a heartbeat interval: promotion
 // checks (leases expire by time, not by traffic) and a broadcast so gate
 // waiters re-evaluate liveness.
-func (f *failover) tick() {
-	f.maybePromote()
-	f.cond.Broadcast()
+func (tab *slotTable) tick() {
+	tab.maybePromote()
+	tab.cond.Broadcast()
 }
 
 // maybePromote promotes this node into any slot whose owner's lease has
@@ -432,35 +449,35 @@ func (f *failover) tick() {
 // the lowest node id). Every live node runs the same deterministic rule
 // over gossiped applied-sequences, so they agree on the winner; only the
 // winner acts.
-func (f *failover) maybePromote() {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.n.closing.Load() || !f.majorityLocked() {
+func (tab *slotTable) maybePromote() {
+	tab.mu.Lock()
+	defer tab.mu.Unlock()
+	if tab.n.closing.Load() || !tab.majorityLocked() {
 		return
 	}
-	for s := range f.owners {
-		owner := f.owners[s]
-		if owner == f.n.id || s == f.n.id || f.aliveLocked(owner) {
+	for s := range tab.owners {
+		owner := tab.owners[s]
+		if owner == tab.n.id || s == tab.n.id || tab.aliveLocked(owner) {
 			continue
 		}
-		m := f.n.mirrorRef(s)
+		m := tab.n.mirrorRef(s)
 		if m == nil {
 			continue
 		}
-		best, bestApplied := f.n.id, m.version()
-		for p := range f.views {
-			if p == f.n.id || p == owner || !f.haveView[p] || !f.aliveLocked(p) {
+		best, bestApplied := tab.n.id, m.version()
+		for p := range tab.views {
+			if p == tab.n.id || p == owner || !tab.haveView[p] || !tab.aliveLocked(p) {
 				continue
 			}
-			v := f.views[p]
+			v := tab.views[p]
 			if s < len(v.Applied) && (v.Applied[s] > bestApplied || (v.Applied[s] == bestApplied && p < best)) {
 				best, bestApplied = p, v.Applied[s]
 			}
 		}
-		if best != f.n.id {
+		if best != tab.n.id {
 			continue
 		}
-		f.promoteLocked(s, m)
+		tab.promoteLocked(s, m)
 	}
 }
 
@@ -468,53 +485,47 @@ func (f *failover) maybePromote() {
 // epoch, snapshot the mirror's database as the takeover store's initial
 // version (its log floor is the promotion base), and freeze the mirror's
 // record tail so subscribers below the floor can still catch up. Runs
-// under f.mu: promotion is rare and must be atomic against routing.
-func (f *failover) promoteLocked(s int, m *mirror) {
-	epoch := f.epochs[s] + 1
+// under tab.mu: promotion is rare and must be atomic against routing.
+func (tab *slotTable) promoteLocked(s int, m *mirror) {
+	epoch := tab.epochs[s] + 1
 	db := m.eng.Current()
 	base := db.Version()
-	st, err := f.n.promote(s, epoch, db)
+	st, err := tab.n.promote(s, epoch, db)
 	if err != nil {
 		// Promotion failed locally (disk trouble); leave the slot dark and
 		// let a later tick — or another candidate — retry.
 		return
 	}
-	f.tails[s] = m.freezeTail()
-	f.takeovers[s] = st
-	f.epochs[s], f.owners[s], f.bases[s] = epoch, f.n.id, base
-	f.n.m.Promotions.Inc()
+	tab.tails[s] = m.freezeTail()
+	tab.takeovers[s] = st
+	tab.epochs[s], tab.owners[s], tab.bases[s] = epoch, tab.n.id, base
+	tab.n.m.Promotions.Inc()
 }
 
-// localStore resolves the store this node serves a slot from, fencing
-// requests for slots it does not (or may not yet) serve.
-func (f *failover) localStore(slot int) (LocalStore, error) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.owners[slot] != f.n.id {
-		return nil, fmt.Errorf("%w: slot %d is served by node %d (epoch %d)", ErrFenced, slot, f.owners[slot], f.epochs[slot])
+// route resolves a slot under one lock: the store this node serves it
+// from, or — when another node owns it — that owner and the slot's epoch
+// (st nil). A slot this node owns but may not serve yet (probation,
+// demotion, no takeover store) is fenced with err, and routeOf's
+// unplaceable slot -1 is refused.
+func (tab *slotTable) route(slot int) (st LocalStore, owner int, epoch uint64, err error) {
+	if slot < 0 {
+		return nil, 0, 0, errUnroutable
 	}
-	if slot == f.n.id {
-		if !f.serving {
-			return nil, fmt.Errorf("%w: node %d is not serving its slot (probation or demoted)", ErrFenced, f.n.id)
+	tab.mu.Lock()
+	defer tab.mu.Unlock()
+	owner, epoch = tab.owners[slot], tab.epochs[slot]
+	switch {
+	case owner != tab.n.id:
+		return nil, owner, epoch, nil
+	case slot == tab.n.id:
+		if !tab.serving {
+			return nil, owner, epoch, fmt.Errorf("%w: node %d is not serving its slot (probation or demoted)", ErrFenced, tab.n.id)
 		}
-		return f.n.store, nil
+		return tab.n.store, owner, epoch, nil
+	case tab.takeovers[slot] == nil:
+		return nil, owner, epoch, fmt.Errorf("%w: no takeover store for slot %d yet", ErrFenced, slot)
 	}
-	st := f.takeovers[slot]
-	if st == nil {
-		return nil, fmt.Errorf("%w: no takeover store for slot %d yet", ErrFenced, slot)
-	}
-	return st, nil
-}
-
-// authorityStore returns the store this node serves a slot from, or nil
-// when it is not the serving owner (replica reads then fall back to the
-// mirrors).
-func (f *failover) authorityStore(slot int) LocalStore {
-	st, err := f.localStore(slot)
-	if err != nil {
-		return nil
-	}
-	return st
+	return tab.takeovers[slot], owner, epoch, nil
 }
 
 // gatedWrite is a write's response behind the replication-ack gate. It is
@@ -522,7 +533,7 @@ func (f *failover) authorityStore(slot int) LocalStore {
 // so gating a write allocates the gate and nothing else.
 type gatedWrite struct {
 	cell  session.Future
-	f     *failover
+	tab   *slotTable
 	slot  int
 	st    LocalStore
 	inner *session.Future
@@ -534,8 +545,8 @@ type gatedWrite struct {
 // waiting, the write is answered with ErrFenced — it applied locally,
 // but the winner's history will not contain it, and an un-acked write is
 // allowed to vanish.
-func (f *failover) gated(slot int, st LocalStore, fut *session.Future) *session.Future {
-	g := &gatedWrite{f: f, slot: slot, st: st, inner: fut}
+func (tab *slotTable) gated(slot int, st LocalStore, fut *session.Future) *session.Future {
+	g := &gatedWrite{tab: tab, slot: slot, st: st, inner: fut}
 	return g.cell.Suspend(g)
 }
 
@@ -547,7 +558,7 @@ func (g *gatedWrite) Eval() core.Response {
 	}
 	// The store's current version bounds this write's commit sequence
 	// from above: waiting for it is conservative and monotone.
-	if err := g.f.waitReplicated(g.slot, g.st.Version()); err != nil {
+	if err := g.tab.waitReplicated(g.slot, g.st.Version()); err != nil {
 		r.Err = err
 	}
 	return r
@@ -555,130 +566,39 @@ func (g *gatedWrite) Eval() core.Response {
 
 // waitReplicated blocks until SyncReplicas live subscribers of the slot
 // have acked sequence v, erroring out if the node cannot hold a quorum.
-func (f *failover) waitReplicated(slot int, v int64) error {
-	f.mu.Lock()
-	defer f.mu.Unlock()
+func (tab *slotTable) waitReplicated(slot int, v int64) error {
+	tab.mu.Lock()
+	defer tab.mu.Unlock()
 	for {
-		if f.n.closing.Load() {
+		if tab.n.closing.Load() {
 			return fmt.Errorf("%w: node closing before write was replicated", ErrFenced)
 		}
 		acked := 0
-		for sub, seq := range f.subs[slot] {
-			if seq >= v && f.aliveLocked(sub) {
+		for sub, seq := range tab.subs[slot] {
+			if seq >= v && tab.aliveLocked(sub) {
 				acked++
 			}
 		}
-		if acked >= f.cfg.SyncReplicas {
+		if acked >= tab.cfg.SyncReplicas {
 			return nil
 		}
-		if !f.majorityLocked() {
+		if !tab.majorityLocked() {
 			return fmt.Errorf("%w: lost quorum for slot %d; write not replicated", ErrFenced, slot)
 		}
-		f.cond.Wait()
+		tab.cond.Wait()
 	}
-}
-
-// subscribeSlot serves a slot's log to one subscriber: the frozen
-// pre-promotion tail first (for subscribers behind the takeover store's
-// log floor), then the authoritative store's log. Records are stamped
-// with the slot's serving epoch at subscribe time — if this node is
-// later deposed, subscribers see the stale epoch and drop the stream.
-func (f *failover) subscribeSlot(slot, sub int, after int64, fn func(seq int64, epoch uint64, record []byte)) (func(), error) {
-	f.mu.Lock()
-	if f.owners[slot] != f.n.id {
-		owner, epoch := f.owners[slot], f.epochs[slot]
-		f.mu.Unlock()
-		return nil, fmt.Errorf("cluster: node %d does not serve slot %d (owner %d, epoch %d)", f.n.id, slot, owner, epoch)
-	}
-	epoch := f.epochs[slot]
-	var st LocalStore
-	var tail *recordTail
-	if slot == f.n.id {
-		st = f.n.store
-	} else {
-		st, tail = f.takeovers[slot], f.tails[slot]
-	}
-	f.mu.Unlock()
-	if st == nil {
-		return nil, fmt.Errorf("cluster: slot %d has no serving store yet", slot)
-	}
-	if tail != nil && after < tail.end() {
-		if after < tail.from {
-			return nil, fmt.Errorf("%w: takeover tail for slot %d starts at %d, subscriber wants %d",
-				archive.ErrLogTrimmed, slot, tail.from, after)
-		}
-		for i := after - tail.from; i < int64(len(tail.recs)); i++ {
-			fn(tail.from+i+1, epoch, tail.recs[i])
-		}
-		after = tail.end()
-	}
-	return st.SubscribeLog(after, func(seq int64, record []byte) {
-		fn(seq, epoch, record)
-	})
-}
-
-// Subscriber-ack bookkeeping (the server's slot-log stream calls these
-// through the Node).
-
-func (f *failover) subAttached(slot, sub int) {
-	f.mu.Lock()
-	if f.subs[slot] == nil {
-		f.subs[slot] = make(map[int]int64)
-	}
-	if _, ok := f.subs[slot][sub]; !ok {
-		f.subs[slot][sub] = -1
-	}
-	f.mu.Unlock()
-	f.cond.Broadcast()
-}
-
-func (f *failover) subAck(slot, sub int, seq int64) {
-	f.mu.Lock()
-	if m := f.subs[slot]; m != nil && seq > m[sub] {
-		m[sub] = seq
-	}
-	f.mu.Unlock()
-	f.cond.Broadcast()
-}
-
-func (f *failover) subGone(slot, sub int) {
-	f.mu.Lock()
-	if m := f.subs[slot]; m != nil {
-		delete(m, sub)
-	}
-	f.mu.Unlock()
-	f.cond.Broadcast()
-}
-
-// fence validates an inbound tagged Request against the slot's epoch. A
-// frame stamped with an older epoch is from a peer (or client) that has not
-// heard about a promotion: refuse it so the sender re-resolves. A frame
-// for a slot this node serves is additionally gated on the node actually
-// serving (probation, demotion).
-func (f *failover) fence(slot int, epoch uint64, hasEpoch bool) error {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if hasEpoch && epoch < f.epochs[slot] {
-		f.n.m.FencingRejections.Inc()
-		return fmt.Errorf("%w: stale epoch %d for slot %d (current %d, owner %d)",
-			ErrFenced, epoch, slot, f.epochs[slot], f.owners[slot])
-	}
-	if f.owners[slot] == f.n.id && slot == f.n.id && !f.serving {
-		return fmt.Errorf("%w: node %d is not serving its slot (probation or demoted)", ErrFenced, f.n.id)
-	}
-	return nil
 }
 
 // noteStreamEpoch records an epoch observed on an inbound replication
 // stream that is newer than gossip has delivered: the dialed node serves
 // the slot in that epoch.
-func (f *failover) noteStreamEpoch(slot, owner int, epoch uint64) {
-	f.mu.Lock()
-	if epoch > f.epochs[slot] {
-		f.adoptLocked(slot, epoch, owner, f.bases[slot])
+func (tab *slotTable) noteStreamEpoch(slot, owner int, epoch uint64) {
+	tab.mu.Lock()
+	if epoch > tab.epochs[slot] {
+		tab.adoptLocked(slot, epoch, owner, tab.bases[slot])
 	}
-	f.mu.Unlock()
-	f.cond.Broadcast()
+	tab.mu.Unlock()
+	tab.cond.Broadcast()
 }
 
 // rejoin is the deposed primary's path back into the cluster: rewind the
@@ -687,8 +607,8 @@ func (f *failover) noteStreamEpoch(slot, owner int, epoch uint64) {
 // mirror of our own former slot at that version, and pull the winner's
 // log like any other replica. The node keeps answering for slots it
 // still serves throughout.
-func (f *failover) rejoin(base int64) {
-	n := f.n
+func (tab *slotTable) rejoin(base int64) {
+	n := tab.n
 	defer n.wg.Done()
 	cur := n.store.Current()
 	db := cur
@@ -712,109 +632,148 @@ func (f *failover) rejoin(base int64) {
 	go n.replicateFrom(n.id, m)
 }
 
-// Node surface for the failover machinery (server capabilities and
-// introspection).
+// Node surface of the slot table (server.Cluster and introspection).
 
-// HandleHeartbeat implements server.HeartbeatSink: merge the sender's
-// view, answer with ours. ok=false without failover.
+// HandleHeartbeat implements server.Cluster: merge the sender's view,
+// answer with ours. ok=false on a static table, which keeps no leases.
 func (n *Node) HandleHeartbeat(hb wire.Heartbeat) (wire.Heartbeat, bool) {
-	if n.fo == nil {
+	if !n.slots.leased() {
 		return wire.Heartbeat{}, false
 	}
-	n.fo.merge(hb)
-	return n.fo.view(), true
+	n.slots.merge(hb)
+	return n.slots.view(), true
 }
 
-// FenceForward implements server.Fencer.
+// FenceForward implements server.Cluster: it validates an inbound tagged
+// Request against the slot's epoch. A frame stamped with an older epoch is
+// from a peer (or client) that has not heard about a promotion: refuse it
+// so the sender re-resolves. A frame for a slot this node serves is
+// additionally gated on the node actually serving (probation, demotion).
 func (n *Node) FenceForward(rel string, epoch uint64, hasEpoch bool) error {
-	if n.fo == nil {
-		return nil
+	slot, tab := OwnerIndex(rel, len(n.addrs)), n.slots
+	tab.mu.Lock()
+	defer tab.mu.Unlock()
+	if hasEpoch && epoch < tab.epochs[slot] {
+		n.m.FencingRejections.Inc()
+		return fmt.Errorf("%w: stale epoch %d for slot %d (current %d, owner %d)",
+			ErrFenced, epoch, slot, tab.epochs[slot], tab.owners[slot])
 	}
-	return n.fo.fence(OwnerIndex(rel, len(n.addrs)), epoch, hasEpoch)
+	if tab.owners[slot] == n.id && slot == n.id && !tab.serving {
+		return fmt.Errorf("%w: node %d is not serving its slot (probation or demoted)", ErrFenced, n.id)
+	}
+	return nil
 }
 
-// OwnerEpoch implements server.Fencer: the newest known epoch for the
+// OwnerEpoch implements server.Cluster: the newest known epoch for the
 // relation's slot, stamped into Redirect frames.
 func (n *Node) OwnerEpoch(rel string) uint64 {
-	if n.fo == nil {
-		return 0
-	}
-	return n.fo.epochOf(OwnerIndex(rel, len(n.addrs)))
+	return n.slots.epochOf(OwnerIndex(rel, len(n.addrs)))
 }
 
-// SubscribeSlotLog implements server.SlotLogSource: a slot-addressed,
-// epoch-stamped log subscription. Without failover only the node's own
-// slot is subscribable, epoch 0.
+// SubscribeSlotLog implements server.Cluster: a slot-addressed,
+// epoch-stamped log subscription for a slot this node serves. A takeover
+// slot serves its frozen pre-promotion tail first (for subscribers behind
+// the takeover store's log floor), then the takeover store's log. Records
+// are stamped with the slot's serving epoch at subscribe time — if this
+// node is later deposed, subscribers see the stale epoch and drop the
+// stream.
 func (n *Node) SubscribeSlotLog(slot, sub int, after int64, fn func(seq int64, epoch uint64, record []byte)) (func(), error) {
 	if slot < 0 || slot >= len(n.addrs) {
 		return nil, fmt.Errorf("cluster: no such slot %d", slot)
 	}
-	if n.fo == nil {
-		if slot != n.id {
-			return nil, fmt.Errorf("cluster: node %d does not serve slot %d", n.id, slot)
+	tab := n.slots
+	tab.mu.Lock()
+	owner, epoch := tab.owners[slot], tab.epochs[slot]
+	if owner != n.id {
+		tab.mu.Unlock()
+		return nil, fmt.Errorf("cluster: node %d does not serve slot %d (owner %d, epoch %d)", n.id, slot, owner, epoch)
+	}
+	st, tail := tab.takeovers[slot], tab.tails[slot]
+	if slot == n.id {
+		st = n.store
+	}
+	tab.mu.Unlock()
+	if st == nil {
+		return nil, fmt.Errorf("cluster: slot %d has no serving store yet", slot)
+	}
+	if tail != nil && after < tail.end() {
+		if after < tail.from {
+			return nil, fmt.Errorf("%w: takeover tail for slot %d starts at %d, subscriber wants %d",
+				archive.ErrLogTrimmed, slot, tail.from, after)
 		}
-		return n.store.SubscribeLog(after, func(seq int64, record []byte) {
-			fn(seq, 0, record)
-		})
+		for i := after - tail.from; i < int64(len(tail.recs)); i++ {
+			fn(tail.from+i+1, epoch, tail.recs[i])
+		}
+		after = tail.end()
 	}
-	return n.fo.subscribeSlot(slot, sub, after, fn)
+	return st.SubscribeLog(after, func(seq int64, record []byte) {
+		fn(seq, epoch, record)
+	})
 }
 
-// SubscriberAttached implements server.SlotLogSource.
+// SubscriberAttached implements server.Cluster: the subscriber counts
+// toward the slot's write-ack gate from now on, at no acked sequence.
 func (n *Node) SubscriberAttached(slot, sub int) {
-	if n.fo != nil {
-		n.fo.subAttached(slot, sub)
+	tab := n.slots
+	tab.mu.Lock()
+	if tab.subs[slot] == nil {
+		tab.subs[slot] = make(map[int]int64)
 	}
+	if _, ok := tab.subs[slot][sub]; !ok {
+		tab.subs[slot][sub] = -1
+	}
+	tab.mu.Unlock()
+	tab.cond.Broadcast()
 }
 
-// SubscriberAck implements server.SlotLogSource.
+// SubscriberAck implements server.Cluster: the subscriber has applied the
+// slot's log through seq.
 func (n *Node) SubscriberAck(slot, sub int, seq int64) {
-	if n.fo != nil {
-		n.fo.subAck(slot, sub, seq)
+	tab := n.slots
+	tab.mu.Lock()
+	if acks := tab.subs[slot]; acks != nil && seq > acks[sub] {
+		acks[sub] = seq
 	}
+	tab.mu.Unlock()
+	tab.cond.Broadcast()
 }
 
-// SubscriberGone implements server.SlotLogSource.
+// SubscriberGone implements server.Cluster.
 func (n *Node) SubscriberGone(slot, sub int) {
-	if n.fo != nil {
-		n.fo.subGone(slot, sub)
-	}
+	tab := n.slots
+	tab.mu.Lock()
+	delete(tab.subs[slot], sub)
+	tab.mu.Unlock()
+	tab.cond.Broadcast()
 }
 
 // FailoverInfo reports a slot's serving owner and epoch as this node
 // believes them, and whether THIS node is currently serving the slot
-// (introspection for tests and operators). Without failover the static
-// placement is reported with epoch 0.
+// (introspection for tests and operators).
 func (n *Node) FailoverInfo(slot int) (owner int, epoch uint64, servingHere bool) {
-	if n.fo == nil {
-		return slot, 0, slot == n.id
-	}
-	f := n.fo
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	owner, epoch = f.owners[slot], f.epochs[slot]
+	tab := n.slots
+	tab.mu.Lock()
+	defer tab.mu.Unlock()
+	owner, epoch = tab.owners[slot], tab.epochs[slot]
 	if owner != n.id {
 		return owner, epoch, false
 	}
 	if slot == n.id {
-		return owner, epoch, f.serving
+		return owner, epoch, tab.serving
 	}
-	return owner, epoch, f.takeovers[slot] != nil
+	return owner, epoch, tab.takeovers[slot] != nil
 }
 
 // WaitReady blocks until the node's boot probation has resolved (it may
 // serve its slot, or it learned it was deposed), or the timeout expires.
-// A no-op without failover.
+// A static table has no probation.
 func (n *Node) WaitReady(timeout time.Duration) error {
-	if n.fo == nil {
-		return nil
-	}
 	deadline := time.Now().Add(timeout)
-	f := n.fo
+	tab := n.slots
 	for {
-		f.mu.Lock()
-		done := !f.probation
-		f.mu.Unlock()
+		tab.mu.Lock()
+		done := !tab.probation
+		tab.mu.Unlock()
 		if done {
 			return nil
 		}
@@ -826,22 +785,19 @@ func (n *Node) WaitReady(timeout time.Duration) error {
 }
 
 // heartbeatAge reports how long ago a peer was last heard from, in
-// milliseconds (-1 when never, or without failover), plus the peer's
-// applied lag behind this node's own log per its last heartbeat.
+// milliseconds (-1 when never, as always on a static table), plus the
+// peer's applied lag behind this node's own log per its last heartbeat.
 func (n *Node) heartbeatAge(peerIdx int) (ageMs float64, lag int64) {
-	if n.fo == nil {
+	tab := n.slots
+	tab.mu.Lock()
+	defer tab.mu.Unlock()
+	if tab.lastSeen[peerIdx].IsZero() {
 		return -1, -1
 	}
-	f := n.fo
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.lastSeen[peerIdx].IsZero() {
-		return -1, -1
-	}
-	ageMs = float64(time.Since(f.lastSeen[peerIdx]).Microseconds()) / 1000
+	ageMs = float64(time.Since(tab.lastSeen[peerIdx]).Microseconds()) / 1000
 	lag = -1
-	if f.haveView[peerIdx] {
-		v := f.views[peerIdx]
+	if tab.haveView[peerIdx] {
+		v := tab.views[peerIdx]
 		if n.id < len(v.Applied) {
 			own := n.store.Version()
 			if l := own - v.Applied[n.id]; l >= 0 {
@@ -852,13 +808,9 @@ func (n *Node) heartbeatAge(peerIdx int) (ageMs float64, lag int64) {
 	return ageMs, lag
 }
 
-// failoverVectors copies the epoch/owner vectors for the metrics
-// snapshot (nil without failover).
-func (n *Node) failoverVectors() (epochs []uint64, owners []int) {
-	if n.fo == nil {
-		return nil, nil
-	}
-	n.fo.mu.Lock()
-	defer n.fo.mu.Unlock()
-	return append([]uint64(nil), n.fo.epochs...), append([]int(nil), n.fo.owners...)
+// slotVectors copies the epoch/owner vectors for the metrics snapshot.
+func (n *Node) slotVectors() (epochs []uint64, owners []int) {
+	n.slots.mu.Lock()
+	defer n.slots.mu.Unlock()
+	return append([]uint64(nil), n.slots.epochs...), append([]int(nil), n.slots.owners...)
 }

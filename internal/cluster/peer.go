@@ -213,16 +213,12 @@ func (p *peer) close() {
 // futures, in order, into out. The frame sets FwdNoForward: if the peer
 // disagrees about ownership (it answered Redirect), or the link dies,
 // every future resolves with the error; forwarding never chains past one
-// hop. With hasEpoch the frame additionally claims the slot's epoch
-// (FwdEpoch), so a receiver that has seen a newer promotion fences it.
+// hop. The frame claims the slot's epoch (FwdEpoch), so a receiver that has
+// seen a newer promotion fences it.
 // A sampled trace rides ahead of the frame as a TraceCtx frame so the
 // owner's spans share the gateway's trace id, and the gateway records the
 // whole round trip as one forward-hop span.
-func (p *peer) forwardTagged(txs []core.Transaction, out []*session.Future, epoch uint64, hasEpoch bool, tr *reqtrace.T) {
-	flags := wire.FwdTagged | wire.FwdNoForward
-	if hasEpoch {
-		flags |= wire.FwdEpoch
-	}
+func (p *peer) forwardTagged(txs []core.Transaction, out []*session.Future, epoch uint64, tr *reqtrace.T) {
 	for _, tx := range txs {
 		if tx.Query == "" {
 			// Only symbolic statements cross the wire: the paper's
@@ -250,7 +246,7 @@ func (p *peer) forwardTagged(txs []core.Transaction, out []*session.Future, epoc
 		}
 	}
 	call := &fwdCall{n: len(txs), done: make(chan struct{}), tr: tr}
-	if err := p.send(call, flags, epoch, stmts); err != nil {
+	if err := p.send(call, wire.FwdTagged|wire.FwdNoForward|wire.FwdEpoch, epoch, stmts); err != nil {
 		call.err, call.errIndex = err, -1
 		close(call.done)
 	}

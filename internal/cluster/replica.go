@@ -154,7 +154,7 @@ func (m *mirror) freezeTail() *recordTail {
 	return &recordTail{from: m.tailFrom, recs: append([][]byte(nil), m.tailRecs...)}
 }
 
-// ReplicaRead implements server.ReplicaReader: serve a read-only
+// ReplicaRead implements server.Cluster: serve a read-only
 // transaction version-stamped from the freshest local copy. A relation
 // owned elsewhere reads from its log-shipped mirror, stamped with the
 // mirror's applied version; a relation owned HERE reads from the primary
@@ -167,15 +167,11 @@ func (n *Node) ReplicaRead(tx core.Transaction) (*session.Future, bool) {
 		return nil, false
 	}
 	slot := OwnerIndex(tx.Rel, len(n.addrs))
-	if n.fo != nil {
-		// The slot this node SERVES (own store or takeover) answers with
-		// zero staleness; anything else falls to its mirror — including
-		// this node's own former slot after a demotion.
-		if st := n.fo.authorityStore(slot); st != nil {
-			return submitOne(st, stampedRead(tx)), true
-		}
-	} else if slot == n.id {
-		return submitOne(n.store, stampedRead(tx)), true
+	// The slot this node SERVES (own store or takeover) answers with zero
+	// staleness; anything else falls to its mirror — including this node's
+	// own former slot after a demotion.
+	if st, _, _, _ := n.slots.route(slot); st != nil {
+		return submitOne(st, stampedRead(tx)), true
 	}
 	m := n.mirrorRef(slot)
 	if m == nil {
@@ -232,7 +228,7 @@ func stampedRead(tx core.Transaction) core.Transaction {
 func (n *Node) replicateFrom(peerIdx int, m *mirror) {
 	defer n.wg.Done()
 	for !n.closing.Load() {
-		if n.fo != nil && n.fo.ownerOf(peerIdx) == n.id {
+		if n.slots.ownerOf(peerIdx) == n.id {
 			// This node was promoted into the slot: the takeover store is
 			// now the authority and the mirror's job is done.
 			return
@@ -259,16 +255,13 @@ const replicaRetryDelay = 100 * time.Millisecond
 
 // streamFrom runs one subscription: handshake, Subscribe(after) to the
 // peer's slot, then the LogRecord loop (applyStream) until the stream ends.
-// Under failover the dial target is the slot's CURRENT owner (re-resolved
-// per attempt, so a mirror follows its slot across promotions) and the
-// records' epochs are checked against the node's.
+// The dial target is the slot's CURRENT owner (re-resolved per attempt, so
+// a mirror follows its slot across promotions) and the records' epochs are
+// checked against the node's.
 func (n *Node) streamFrom(peerIdx int, m *mirror) error {
-	target := peerIdx
-	if n.fo != nil {
-		target = n.fo.ownerOf(peerIdx)
-		if target == n.id {
-			return nil
-		}
+	target := n.slots.ownerOf(peerIdx)
+	if target == n.id {
+		return nil
 	}
 	conn, err := n.dial(n.addrs[target])
 	if err != nil {
@@ -395,18 +388,16 @@ func (n *Node) decodeShipped(payload []byte, dec *archive.TxnDecoder, peerIdx, t
 	if err != nil {
 		return shipped{}, err
 	}
-	if n.fo != nil {
-		known := n.fo.epochOf(peerIdx)
-		if epoch < known {
-			// A deposed primary still streaming its old epoch: drop the
-			// stream and re-resolve to the real owner.
-			return shipped{}, fmt.Errorf("cluster: stale epoch %d on slot %d stream (know %d)", epoch, peerIdx, known)
-		}
-		if epoch > known {
-			// The stream knows of a promotion gossip has not yet delivered:
-			// the node we dialed serves this epoch.
-			n.fo.noteStreamEpoch(peerIdx, target, epoch)
-		}
+	known := n.slots.epochOf(peerIdx)
+	if epoch < known {
+		// A deposed primary still streaming its old epoch: drop the stream
+		// and re-resolve to the real owner.
+		return shipped{}, fmt.Errorf("cluster: stale epoch %d on slot %d stream (know %d)", epoch, peerIdx, known)
+	}
+	if epoch > known {
+		// The stream knows of a promotion gossip has not yet delivered: the
+		// node we dialed serves this epoch.
+		n.slots.noteStreamEpoch(peerIdx, target, epoch)
 	}
 	seq, tx, err := dec.Decode(record)
 	if err != nil {

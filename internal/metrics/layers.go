@@ -320,9 +320,10 @@ type ClusterSnapshot struct {
 	ForwardStmts int64 `json:"forward_stmts"`
 	Redirects    int64 `json:"redirects"`
 
-	// Failover state (present only with a FailoverConfig): per-slot epochs
-	// and serving owners as this node believes them, plus promotion and
-	// fencing counters and the heartbeat round-trip histogram.
+	// The slot table: per-slot epochs and serving owners as this node
+	// believes them (epoch 0 and owner = slot on a static cluster), plus
+	// the promotion and fencing counters and the heartbeat round-trip
+	// histogram that only failover moves.
 	Promotions        int64             `json:"promotions,omitempty"`
 	FencingRejections int64             `json:"fencing_rejections,omitempty"`
 	Epochs            []uint64          `json:"epochs,omitempty"`
@@ -506,7 +507,7 @@ func (s Snapshot) Format() string {
 		fmt.Fprintf(&b, "cluster: forwards=%d fwd_stmts=%d redirects=%d\n",
 			c.Forwards, c.ForwardStmts, c.Redirects)
 		if len(c.Epochs) > 0 {
-			fmt.Fprintf(&b, "  failover: epochs=%v owners=%v promotions=%d fencing_rejections=%d\n",
+			fmt.Fprintf(&b, "  slots: epochs=%v owners=%v promotions=%d fencing_rejections=%d\n",
 				c.Epochs, c.Owners, c.Promotions, c.FencingRejections)
 			if c.HeartbeatRTT.Count > 0 {
 				fmt.Fprintf(&b, "  heartbeat rtt:   %s\n", fmtLatency(c.HeartbeatRTT))

@@ -16,18 +16,11 @@
 // (an empty name lands on "main"), and each connection is bound to that
 // database's Host for its lifetime.
 //
-// A Host may additionally implement the cluster capabilities:
-//
-//   - Placer: the host knows which node owns each relation's primary, so
-//     the handler can answer a misrouted tagged Request with a Redirect
-//     instead of executing it;
-//   - ReplicaReader: the host keeps log-shipped replicas of other nodes'
-//     relations and can serve read-only statements from them, stamped
-//     with the replica's version (the client's staleness bound);
-//   - SlotLogSource: the host can stream a slot's committed-transaction
-//     log, which is how a Subscribe frame turns a connection into the
-//     replication stream (LogRecord frames — the archive's records,
-//     reframed).
+// A Host is either a plain store or a cluster node, which additionally
+// implements Cluster: placement (a misrouted tagged Request is answered
+// with a Redirect), replica reads, epoch fencing, heartbeats, and the
+// slot logs a Subscribe frame turns a connection into (LogRecord frames —
+// the archive's records, reframed).
 //
 // Shutdown drains gracefully: stop accepting, unblock every connection's
 // pending read, let each handler answer what it has fully read, then
@@ -55,8 +48,8 @@ import (
 )
 
 // Host is the store surface a server hosts: the session factory plus the
-// handshake and drain hooks. *funcdb.Store implements it; a cluster node
-// implements it over its routing submitter.
+// handshake, drain and introspection hooks. *funcdb.Store implements it; a
+// cluster node implements it over its routing submitter.
 type Host interface {
 	// Session opens a per-connection execution context with its own
 	// origin tag and sequence space.
@@ -70,76 +63,50 @@ type Host interface {
 	Barrier()
 	// DurabilityErr reports the sticky durability failure, if any.
 	DurabilityErr() error
-}
-
-// Placer is implemented by hosts that know the cluster placement of each
-// relation (the lane hash over node count). Owner reports the owning
-// node's advertised address and whether that node is this host.
-type Placer interface {
-	Owner(rel string) (addr string, self bool)
-}
-
-// ReplicaReader is implemented by hosts that keep log-shipped replicas of
-// relations owned elsewhere. ReplicaRead serves a read-only transaction
-// from the local replica, stamping Response.Version with the replica's
-// applied version; ok=false means no replica covers the relation.
-type ReplicaReader interface {
-	ReplicaRead(tx core.Transaction) (fut *session.Future, ok bool)
-}
-
-// StatsProvider is implemented by hosts that can report their metrics
-// snapshot (funcdb.Store, a cluster node). A stats Introspect frame on a host
-// without it still answers — with the server's own section only.
-type StatsProvider interface {
+	// MetricsSnapshot reads the host's metrics (a stats Introspect frame).
 	MetricsSnapshot() metrics.Snapshot
-}
-
-// TraceSource is implemented by hosts with request tracing enabled: the
-// handler opens a trace per request (continuing the context of a
-// TraceCtx frame when the client sent one), brackets the conn-read,
-// decode, encode and flush stages onto it, and a traces Introspect frame
-// answers with the recorder's published traces. A host without it serves
-// every request untraced at zero cost.
-type TraceSource interface {
+	// TraceRecorder returns the host's trace recorder, nil when tracing is
+	// off: the handler then serves every request untraced at zero cost.
+	// With one, it opens a trace per request (continuing the context of a
+	// TraceCtx frame when the client sent one), brackets the conn-read,
+	// decode, encode and flush stages onto it, and a traces Introspect
+	// frame answers with the recorder's published traces.
 	TraceRecorder() *reqtrace.Recorder
 }
 
-// LogTraceSource is implemented by hosts that remember the trace context
-// of recent commits (funcdb.Store over its archive's ring): the
-// log-shipping stream sends a sampled record's context as a TraceCtx
-// frame ahead of it, so a replica's apply spans join the trace.
-type LogTraceSource interface {
-	LogTraceCtxOf(seq int64) reqtrace.Ctx
-}
-
-// HeartbeatSink is implemented by hosts that participate in failover: a
-// FrameHeartbeat merges the sender's view and answers with the host's
-// own (ok=false answers nothing — the host has no failover state).
-type HeartbeatSink interface {
-	HandleHeartbeat(hb wire.Heartbeat) (ack wire.Heartbeat, ok bool)
-}
-
-// Fencer is implemented by hosts that enforce epoch fencing on
-// forwarded writes: FenceForward refuses a statement for a slot the
-// host does not serve in the frame's epoch, and OwnerEpoch reports the
-// newest known epoch for a relation's slot (stamped into Redirects so
-// the sender re-resolves with it).
-type Fencer interface {
+// Cluster is implemented by hosts that are cluster nodes. A host without
+// it serves every statement itself and refuses heartbeats and log
+// subscriptions.
+type Cluster interface {
+	// Owner reports the advertised address of the node serving rel's
+	// primary and whether that node is this host.
+	Owner(rel string) (addr string, self bool)
+	// ReplicaRead serves a read-only transaction from the freshest local
+	// copy, stamping Response.Version with the copy's applied version;
+	// ok=false means no local copy covers the relation.
+	ReplicaRead(tx core.Transaction) (fut *session.Future, ok bool)
+	// FenceForward refuses a statement for a slot the host does not serve
+	// in the frame's epoch.
 	FenceForward(rel string, epoch uint64, hasEpoch bool) error
+	// OwnerEpoch reports the newest known epoch for a relation's slot
+	// (stamped into Redirects so the sender re-resolves with it).
 	OwnerEpoch(rel string) uint64
-}
-
-// SlotLogSource is implemented by hosts that serve slot-addressed,
-// epoch-stamped log subscriptions (a cluster node: its own slot, or
-// under failover a takeover slot). The callback contract is
-// archive.TailFunc's: records arrive in commit order, under the log
-// mutex — hand off, don't block. Subscriber acks flow back through
-// SubscriberAck and feed the host's replication-ack write gate.
-type SlotLogSource interface {
+	// HandleHeartbeat merges a FrameHeartbeat's view and answers with the
+	// host's own (ok=false answers nothing: the host keeps no leases).
+	HandleHeartbeat(hb wire.Heartbeat) (ack wire.Heartbeat, ok bool)
+	// SubscribeSlotLog streams a slot's epoch-stamped committed-transaction
+	// log. The callback contract is archive.TailFunc's: records arrive in
+	// commit order, under the log mutex — hand off, don't block.
 	SubscribeSlotLog(slot, subscriber int, after int64, fn func(seq int64, epoch uint64, record []byte)) (cancel func(), err error)
+	// SubscriberAttached, SubscriberAck and SubscriberGone report a
+	// subscriber's progress, which feeds the host's replication-ack gate.
 	SubscriberAttached(slot, subscriber int)
 	SubscriberAck(slot, subscriber int, seq int64)
 	SubscriberGone(slot, subscriber int)
+	// LogTraceCtxOf reports the trace context a committed sequence carried:
+	// the stream sends a sampled record's context as a TraceCtx frame ahead
+	// of it, so a replica's apply spans join the trace.
+	LogTraceCtxOf(seq int64) reqtrace.Ctx
 }
 
 // Server serves the wire protocol over one or more hosts.
@@ -296,7 +263,7 @@ type reply struct {
 	index    int                // failing statement index, else -1
 	redirect string             // FrameRedirect: the owning node's address
 	rel      string             // FrameRedirect: the relation being placed
-	rdEpoch  uint64             // FrameRedirect: owner epoch (failover hosts)
+	rdEpoch  uint64             // FrameRedirect: owner epoch
 	doc      []byte             // FrameIntrospectResponse: the JSON document
 	raw      []byte             // pre-encoded payload (heartbeat acks)
 	rawType  byte               // frame type for raw
@@ -366,12 +333,10 @@ func (s *Server) handle(conn net.Conn) {
 	}()
 
 	sess := host.Session(origin)
+	cl, _ := host.(Cluster) // nil for a plain store
 	// rec is the host's trace recorder; nil means tracing off, and every
 	// instrumentation site below is one pointer comparison.
-	var rec *reqtrace.Recorder
-	if ts, ok := host.(TraceSource); ok {
-		rec = ts.TraceRecorder()
-	}
+	rec := host.TraceRecorder()
 	var (
 		pending []reply
 		// trs collects the live traces of one flush so their flush span and
@@ -551,7 +516,7 @@ func (s *Server) handle(conn net.Conn) {
 			}
 			tr := startTrace(reqTC, start)
 			var rp reply
-			rp, txScratch = s.request(host, sess, &req, txScratch, tr)
+			rp, txScratch = s.request(cl, sess, &req, txScratch, tr)
 			rp.start, rp.tr = start, tr
 			pending = append(pending, rp)
 
@@ -561,12 +526,11 @@ func (s *Server) handle(conn net.Conn) {
 				flush()
 				return
 			}
-			sink, ok := host.(HeartbeatSink)
-			if !ok {
+			if cl == nil {
 				flush()
 				return
 			}
-			ack, ok := sink.HandleHeartbeat(hb)
+			ack, ok := cl.HandleHeartbeat(hb)
 			if !ok {
 				flush()
 				return
@@ -594,12 +558,11 @@ func (s *Server) handle(conn net.Conn) {
 				return
 			}
 			s.m.Subscribes.Inc()
-			src, ok := host.(SlotLogSource)
-			if !ok {
+			if cl == nil {
 				refuse(bw, "server: host serves no replication stream")
 				return
 			}
-			s.streamSlotLog(rd, bw, src, slot, sub, after)
+			s.streamSlotLog(rd, bw, cl, slot, sub, after)
 			return
 
 		case wire.FrameQuit:
@@ -633,17 +596,11 @@ func refuse(bw *bufio.Writer, msg string) {
 	}
 }
 
-// statsJSON builds the IntrospectStats document: the host's full
-// snapshot when it can report one, with the server's own section stamped
-// in either way. Always non-nil — a Stats request is never unanswerable.
+// statsJSON builds the IntrospectStats document: the host's snapshot with
+// the server's own section stamped in. Always non-nil — a Stats request is
+// never unanswerable.
 func (s *Server) statsJSON(host Host) []byte {
-	var snap metrics.Snapshot
-	if sp, ok := host.(StatsProvider); ok {
-		snap = sp.MetricsSnapshot()
-	} else {
-		snap.Lanes = host.Lanes()
-		snap.Durable = host.Durable()
-	}
+	snap := host.MetricsSnapshot()
 	srv := s.m.Snapshot()
 	snap.Server = &srv
 	doc, err := json.Marshal(snap)
@@ -658,10 +615,7 @@ func (s *Server) statsJSON(host Host) []byte {
 // without tracing answers an empty array, not an error, so clients can
 // probe without knowing the server's configuration.
 func (s *Server) tracesJSON(host Host) []byte {
-	var traces []reqtrace.Trace
-	if ts, ok := host.(TraceSource); ok {
-		traces = ts.TraceRecorder().Traces()
-	}
+	traces := host.TraceRecorder().Traces()
 	if len(traces) == 0 {
 		return []byte("[]")
 	}
@@ -679,7 +633,7 @@ func (s *Server) tracesJSON(host Host) []byte {
 // zero-statement request is answered by an empty BatchResponse without
 // touching routing. txScratch is the connection's reused bind target; the
 // returned slice keeps its growth.
-func (s *Server) request(host Host, sess *session.Session, req *wire.Request, txScratch []core.Transaction, tr *reqtrace.T) (reply, []core.Transaction) {
+func (s *Server) request(cl Cluster, sess *session.Session, req *wire.Request, txScratch []core.Transaction, tr *reqtrace.T) (reply, []core.Transaction) {
 	rp := reply{id: req.ID, index: -1}
 	tagged := req.Flags&wire.FwdTagged != 0
 	switch {
@@ -707,11 +661,11 @@ func (s *Server) request(host Host, sess *session.Session, req *wire.Request, tx
 		txScratch = make([]core.Transaction, len(req.Stmts))
 	}
 	txs := txScratch[:len(req.Stmts)]
-	if rp.index, rp.qerr = s.resolve(host, sess, req, txs, tr); rp.qerr != nil {
+	if rp.index, rp.qerr = s.resolve(cl, sess, req, txs, tr); rp.qerr != nil {
 		return rp, txScratch
 	}
 	if tagged {
-		return s.routeForward(host, sess, rp, req.Flags, req.Epoch, txs), txScratch
+		return s.routeForward(cl, sess, rp, req.Flags, req.Epoch, txs), txScratch
 	}
 	return queue(rp, sess, txs, false), txScratch
 }
@@ -728,12 +682,11 @@ func (s *Server) request(host Host, sess *session.Session, req *wire.Request, tx
 // hash-only call would bounce. On failure it returns the
 // failing statement's index: the position inside THIS request, which a
 // gateway that built the request remaps to its client's batch position.
-func (s *Server) resolve(host Host, sess *session.Session, req *wire.Request, txs []core.Transaction, tr *reqtrace.T) (int, error) {
+func (s *Server) resolve(cl Cluster, sess *session.Session, req *wire.Request, txs []core.Transaction, tr *reqtrace.T) (int, error) {
 	tagged := req.Flags&wire.FwdTagged != 0
-	placer, placed := host.(Placer)
-	// Only a tagged request can forbid forwarding: this host may forward
-	// an untagged statement onward whatever its flags.
-	onward := placed && !(tagged && req.Flags&wire.FwdNoForward != 0)
+	// Only a tagged request can forbid forwarding: a cluster host may
+	// forward an untagged statement onward whatever its flags.
+	onward := cl != nil && !(tagged && req.Flags&wire.FwdNoForward != 0)
 	for i := range req.Stmts {
 		st := &req.Stmts[i]
 		if st.HasText && st.Hash != 0 && query.HashText(st.Text) != st.Hash {
@@ -765,7 +718,7 @@ func (s *Server) resolve(host Host, sess *session.Session, req *wire.Request, tx
 		if prep != nil {
 			tx.PrepHash = prep.Hash()
 			if onward {
-				if _, self := placer.Owner(tx.Rel); !self {
+				if _, self := cl.Owner(tx.Rel); !self {
 					// This host forwards the statement onward: a bound
 					// transaction has no rebindable text form, so carry a
 					// private copy of the args (st.Args aliases the
@@ -784,75 +737,62 @@ func (s *Server) resolve(host Host, sess *session.Session, req *wire.Request, tx
 }
 
 // routeForward admits a tagged request's resolved transactions: placement
-// check, replica reads, fencing, then tagged admission. Read-only
-// statements with FwdReadLocal are served from the host's replica layer
-// first, whoever owns them: a non-owner answers from its log-shipped
-// mirror, the owner from its own store — both stamp Response.Version, so
-// the client always learns its staleness bound (zero at the owner).
-// Otherwise ownership is checked against the host's placement (when it has
-// one): a request for a relation owned elsewhere is answered with a
-// Redirect when the sender asked not to chain. All statements of one
-// request must route the same way: senders group by owner, so a mixed
-// request is a protocol error.
+// check, replica reads, fencing, then tagged admission. A plain store
+// admits them as they are. On a cluster host, read-only statements with
+// FwdReadLocal are served from the host's replica layer first, whoever
+// owns them: a non-owner answers from its log-shipped mirror, the owner
+// from its own store — both stamp Response.Version, so the client always
+// learns its staleness bound (zero at the owner). Otherwise ownership is
+// checked against the host's placement: a request for a relation owned
+// elsewhere is answered with a Redirect when the sender asked not to
+// chain. All statements of one request must route the same way: senders
+// group by owner, so a mixed request is a protocol error.
 //
-// On a fencing host, requests that would execute here are first checked
-// against the slot's epoch (FwdEpoch-stamped requests carry the sender's
-// belief): a stale sender is refused, not served, and the error crosses
-// back as text — the sender re-resolves placement. Replica reads skip
-// the fence; they are stamped with their version and legal anywhere. txs
-// is only read during the call — callers may reuse the slice (the session
-// copies each transaction it queues).
-func (s *Server) routeForward(host Host, sess *session.Session, rp reply, flags byte, epoch uint64, txs []core.Transaction) reply {
-	var remoteAddr string
-	if placer, ok := host.(Placer); ok {
-		addr0, self0 := placer.Owner(txs[0].Rel)
-		if !self0 {
-			remoteAddr = addr0
-		}
-		for _, tx := range txs[1:] {
-			addr, self := placer.Owner(tx.Rel)
-			if self != self0 || (!self && addr != addr0) {
-				rp.qerr = errors.New("server: forward frame mixes statement owners")
-				return rp
-			}
+// Requests that would execute here are first checked against the slot's
+// epoch (FwdEpoch-stamped requests carry the sender's belief): a stale
+// sender is refused, not served, and the error crosses back as text — the
+// sender re-resolves placement. Replica reads skip the fence; they are
+// stamped with their version and legal anywhere. txs is only read during
+// the call — callers may reuse the slice (the session copies each
+// transaction it queues).
+func (s *Server) routeForward(cl Cluster, sess *session.Session, rp reply, flags byte, epoch uint64, txs []core.Transaction) reply {
+	if cl == nil {
+		return queue(rp, sess, txs, true)
+	}
+	addr0, self0 := cl.Owner(txs[0].Rel)
+	for _, tx := range txs[1:] {
+		addr, self := cl.Owner(tx.Rel)
+		if self != self0 || (!self && addr != addr0) {
+			rp.qerr = errors.New("server: forward frame mixes statement owners")
+			return rp
 		}
 	}
 
 	if flags&wire.FwdReadLocal != 0 && allReadOnly(txs) {
-		if rr, ok := host.(ReplicaReader); ok {
-			if futs, served := replicaReads(rr, txs); served {
-				if len(futs) == 1 {
-					rp.fut = futs[0]
-				} else {
-					rp.futs = futs
-				}
-				return rp
+		if futs, served := replicaReads(cl, txs); served {
+			if len(futs) == 1 {
+				rp.fut = futs[0]
+			} else {
+				rp.futs = futs
 			}
-			// No replica covers the relation (replication disabled or
-			// still bootstrapping): fall back to redirect/forward, so
-			// the owner serves a fresh read instead.
+			return rp
 		}
+		// No replica covers the relation (replication disabled or still
+		// bootstrapping): fall back to redirect/forward, so the owner
+		// serves a fresh read instead.
 	}
 
-	fencer, fencing := host.(Fencer)
-	if remoteAddr != "" {
+	if !self0 {
 		if flags&wire.FwdNoForward != 0 {
-			rp.redirect, rp.rel = remoteAddr, txs[0].Rel
-			if fencing {
-				rp.rdEpoch = fencer.OwnerEpoch(txs[0].Rel)
-			}
+			rp.redirect, rp.rel, rp.rdEpoch = addr0, txs[0].Rel, cl.OwnerEpoch(txs[0].Rel)
 			return rp
 		}
 		// No flag: fall through to the session, whose submitter (the
 		// cluster node) forwards onward — at most one extra hop, because
 		// node-to-node forwards always set FwdNoForward.
-	}
-
-	if fencing && remoteAddr == "" {
-		if ferr := fencer.FenceForward(txs[0].Rel, epoch, flags&wire.FwdEpoch != 0); ferr != nil {
-			rp.qerr = ferr
-			return rp
-		}
+	} else if ferr := cl.FenceForward(txs[0].Rel, epoch, flags&wire.FwdEpoch != 0); ferr != nil {
+		rp.qerr = ferr
+		return rp
 	}
 	return queue(rp, sess, txs, true)
 }
@@ -880,10 +820,10 @@ func queue(rp reply, sess *session.Session, txs []core.Transaction, tagged bool)
 
 // replicaReads serves every transaction from the host's replicas, or
 // reports served=false (nothing submitted) if any lacks one.
-func replicaReads(rr ReplicaReader, txs []core.Transaction) (futs []*session.Future, served bool) {
+func replicaReads(cl Cluster, txs []core.Transaction) (futs []*session.Future, served bool) {
 	futs = make([]*session.Future, len(txs))
 	for i, tx := range txs {
-		fut, ok := rr.ReplicaRead(tx)
+		fut, ok := cl.ReplicaRead(tx)
 		if !ok {
 			return nil, false
 		}
@@ -915,24 +855,19 @@ func allReadOnly(txs []core.Transaction) bool {
 // back to the host where the acks gate the primary's write
 // acknowledgements (semi-synchronous replication), and any other read
 // result — EOF, the drain deadline — ends the stream.
-func (s *Server) streamSlotLog(rd *wire.Reader, bw *bufio.Writer, src SlotLogSource, slot, sub int, after int64) {
-	lts, _ := src.(LogTraceSource)
+func (s *Server) streamSlotLog(rd *wire.Reader, bw *bufio.Writer, cl Cluster, slot, sub int, after int64) {
 	q := &recQueue{}
 	q.cond.L = &q.mu
-	cancel, err := src.SubscribeSlotLog(slot, sub, after, func(seq int64, epoch uint64, record []byte) {
-		var tc reqtrace.Ctx
-		if lts != nil {
-			tc = lts.LogTraceCtxOf(seq)
-		}
-		q.push(tc, epoch, record)
+	cancel, err := cl.SubscribeSlotLog(slot, sub, after, func(seq int64, epoch uint64, record []byte) {
+		q.push(cl.LogTraceCtxOf(seq), epoch, record)
 	})
 	if err != nil {
 		refuse(bw, err.Error())
 		return
 	}
 	defer cancel()
-	src.SubscriberAttached(slot, sub)
-	defer src.SubscriberGone(slot, sub)
+	cl.SubscriberAttached(slot, sub)
+	defer cl.SubscriberGone(slot, sub)
 	go func() {
 		for {
 			typ, payload, err := rd.Next()
@@ -940,7 +875,7 @@ func (s *Server) streamSlotLog(rd *wire.Reader, bw *bufio.Writer, src SlotLogSou
 				break
 			}
 			if seq, derr := wire.DecodeSubAck(payload); derr == nil {
-				src.SubscriberAck(slot, sub, seq)
+				cl.SubscriberAck(slot, sub, seq)
 			} else {
 				break
 			}
