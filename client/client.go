@@ -136,30 +136,10 @@ func Dial(addr string, opts ...Option) (*Client, error) {
 	for _, opt := range opts {
 		opt(c)
 	}
-	if err := wire.WriteFrame(c.bw, wire.FrameHello, wire.AppendHello(nil, wire.Hello{Origin: c.origin, Database: c.database})); err != nil {
-		conn.Close()
-		return nil, fmt.Errorf("client: %w", err)
-	}
-	if err := c.bw.Flush(); err != nil {
-		conn.Close()
-		return nil, fmt.Errorf("client: %w", err)
-	}
-	typ, payload, err := c.rd.Next()
-	if err != nil || typ != wire.FrameWelcome {
-		conn.Close()
-		if err == nil && typ == wire.FrameError {
-			// The server refused the handshake with a reason (e.g. an
-			// unknown database name): surface it.
-			if _, _, msg, derr := wire.DecodeErrorMsg(payload); derr == nil {
-				return nil, fmt.Errorf("client: handshake refused: %s", msg)
-			}
-		}
-		return nil, fmt.Errorf("client: handshake failed: %v", err)
-	}
-	w, err := wire.DecodeWelcome(payload)
+	w, err := wire.Handshake(conn, c.rd, wire.Hello{Origin: c.origin, Database: c.database})
 	if err != nil {
 		conn.Close()
-		return nil, fmt.Errorf("client: %w", err)
+		return nil, fmt.Errorf("client: handshake: %w", err)
 	}
 	c.origin, c.lanes, c.durable, c.database = w.Origin, w.Lanes, w.Durable, w.Database
 	if c.traceCfg != nil {

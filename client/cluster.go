@@ -399,8 +399,8 @@ func (c *ClusterClient) sendRunOnce(rel, addr string, flags byte, stmts []wire.S
 // execOne tags one statement, routes it, and waits for its response: to
 // the relation's owner, or — for a replica read (FwdReadLocal) — to the
 // FIRST dialed node, which serves the read itself (replica or primary); a
-// redirect only fires when it has no replica of the relation (replication
-// disabled), in which case the owner answers.
+// redirect only fires when it has no local copy of the relation (its own
+// slot before it may serve it), in which case the owner answers.
 func (c *ClusterClient) execOne(rel string, st wire.Stmt, flags byte) (funcdb.Response, error) {
 	st.Origin, st.Seq = c.origin, c.nextSeqs(1)
 	addr := c.addrs[0]

@@ -13,7 +13,8 @@
 // --id (inferred from --listen when omitted), and its own --data
 // directory. Placement is the lane hash over the join list — no
 // coordinator to start first — so the nodes can boot in any order;
-// replication streams each peer's archive log over the wire. Point
+// every node replicates every peer, whose archive log streams over the
+// wire. Point
 // clients at any node (funcdb/client DialCluster chases placement;
 // plain Dial is transparently forwarded). SIGTERM drains: every acked
 // commit is on disk before exit.
@@ -70,9 +71,8 @@ func run(args []string, stdout io.Writer, sig <-chan os.Signal, onReady func(net
 	dataDir := fs.String("data", "", "real-network mode: this node's archive directory (required)")
 	relations := fs.String("relations", "R,S,T", "real-network mode: cluster-wide schema")
 	lanes := fs.Int("lanes", 0, "real-network mode: admission lanes (0 = auto)")
-	noReplicate := fs.Bool("no-replicate", false, "real-network mode: disable log-shipped replicas")
 	debugAddr := fs.String("debug-addr", "", "real-network mode: HTTP address for /debug/stats, /debug/vars and /debug/pprof")
-	failover := fs.Bool("failover", false, "real-network mode: enable leases, promotion, and epoch fencing (needs replication; enable on every node)")
+	failover := fs.Bool("failover", false, "real-network mode: enable leases, promotion, and epoch fencing (enable on every node)")
 	heartbeat := fs.Duration("heartbeat", 0, "real-network mode: heartbeat interval with --failover (0 = default)")
 	lease := fs.Duration("lease", 0, "real-network mode: peer lease with --failover (0 = 4x heartbeat)")
 	traceOn := fs.Bool("trace", false, "real-network mode: record per-request span timelines; sampled contexts propagate on forwards and the replication stream")
@@ -84,7 +84,7 @@ func run(args []string, stdout io.Writer, sig <-chan os.Signal, onReady func(net
 	if *listen != "" {
 		nf := nodeFlags{
 			listen: *listen, join: *join, id: *id, dataDir: *dataDir,
-			relations: *relations, lanes: *lanes, noReplicate: *noReplicate,
+			relations: *relations, lanes: *lanes,
 			debugAddr: *debugAddr,
 			failover:  *failover, heartbeat: *heartbeat, lease: *lease,
 		}
@@ -100,7 +100,6 @@ func run(args []string, stdout io.Writer, sig <-chan os.Signal, onReady func(net
 type nodeFlags struct {
 	listen, join, dataDir, relations string
 	id, lanes                        int
-	noReplicate                      bool
 	debugAddr                        string
 	failover                         bool
 	heartbeat, lease                 time.Duration
@@ -128,20 +127,16 @@ func runNode(nf nodeFlags, stdout io.Writer, sig <-chan os.Signal, onReady func(
 		}
 	}
 	ncfg := funcdb.ClusterNodeConfig{
-		ID:                 id,
-		Nodes:              nodes,
-		Listen:             nf.listen,
-		Dir:                nf.dataDir,
-		Relations:          splitComma(nf.relations),
-		Lanes:              nf.lanes,
-		DisableReplication: nf.noReplicate,
-		Durability:         []funcdb.DurabilityOption{funcdb.GroupCommit(2 * time.Millisecond)},
-		Tracing:            nf.tracing,
+		ID:         id,
+		Nodes:      nodes,
+		Listen:     nf.listen,
+		Dir:        nf.dataDir,
+		Relations:  splitComma(nf.relations),
+		Lanes:      nf.lanes,
+		Durability: []funcdb.DurabilityOption{funcdb.GroupCommit(2 * time.Millisecond)},
+		Tracing:    nf.tracing,
 	}
 	if nf.failover {
-		if nf.noReplicate {
-			return fmt.Errorf("--failover needs replication (drop --no-replicate)")
-		}
 		ncfg.Failover = &cluster.FailoverConfig{Heartbeat: nf.heartbeat, Lease: nf.lease}
 	}
 	node, err := funcdb.OpenClusterNode(ncfg)
@@ -154,9 +149,8 @@ func runNode(nf nodeFlags, stdout io.Writer, sig <-chan os.Signal, onReady func(
 			owned++
 		}
 	}
-	fmt.Fprintf(stdout, "fdbcluster: node %d/%d on %s (primary for %d of %d relations%s)\n",
-		id, len(nodes), node.Addr(), owned, len(splitComma(nf.relations)),
-		map[bool]string{true: "", false: ", replicating peers"}[nf.noReplicate])
+	fmt.Fprintf(stdout, "fdbcluster: node %d/%d on %s (primary for %d of %d relations)\n",
+		id, len(nodes), node.Addr(), owned, len(splitComma(nf.relations)))
 	if nf.debugAddr != "" {
 		ln, err := net.Listen("tcp", nf.debugAddr)
 		if err != nil {

@@ -659,12 +659,13 @@ func (s *Store) Snapshot() error {
 // gap between the replayed history and the live tail. It is the primary
 // side of cluster log shipping — the archive's durability log doubling as
 // the replication stream — and requires durability (the log is the
-// stream; without an archive there is nothing to ship). The callback runs
-// on the commit path under the archive mutex: hand the record off (copy
-// it; the slice is reused), never block or call back into the store.
-// Decode records with the archive's transaction codec; cancel
-// unregisters.
-func (s *Store) SubscribeLog(after int64, fn func(seq int64, record []byte)) (cancel func(), err error) {
+// stream; without an archive there is nothing to ship). Each live record
+// comes with the trace context of the commit that wrote it; replayed
+// history comes with the zero context. The callback runs on the commit
+// path under the archive mutex: hand the record off (copy it; the slice
+// is reused), never block or call back into the store. Decode records
+// with the archive's transaction codec; cancel unregisters.
+func (s *Store) SubscribeLog(after int64, fn func(seq int64, ctx TraceCtx, record []byte)) (cancel func(), err error) {
 	if s.archive == nil {
 		return nil, fmt.Errorf("funcdb: store has no archive to subscribe to (open with WithDurability)")
 	}
@@ -680,16 +681,6 @@ func (s *Store) TraceRecorder() *reqtrace.Recorder { return s.tracer }
 // the head-sampled ring plus the always-keep slow reservoir (entries
 // flagged Slow). Nil when tracing is off (see WithTracing).
 func (s *Store) Traces() []RequestTrace { return s.tracer.Traces() }
-
-// LogTraceCtxOf reports the trace context recorded for a committed
-// sequence (zero when untraced), backing trace propagation onto the
-// replication stream.
-func (s *Store) LogTraceCtxOf(seq int64) TraceCtx {
-	if s.archive == nil || s.tracer == nil {
-		return TraceCtx{}
-	}
-	return s.archive.TraceCtxOf(seq)
-}
 
 // SharingStats reports the structure-sharing counters of Section 2.2.
 type SharingStats struct {
@@ -779,9 +770,6 @@ type ClusterNodeConfig struct {
 	Relations []string
 	// Lanes sets the store's admission lane count (0 = default).
 	Lanes int
-	// DisableReplication turns off log-shipped replicas (and with them
-	// replica reads on this node).
-	DisableReplication bool
 	// Durability tunes the node's archive (group commit, fsync, snapshot
 	// cadence).
 	Durability []DurabilityOption
@@ -791,9 +779,9 @@ type ClusterNodeConfig struct {
 	// replication stream, so one trace id stitches across the cluster.
 	Tracing *TracingConfig
 	// Failover enables lease-based failure detection, promotion of the
-	// most-caught-up mirror when a primary dies, and epoch fencing.
-	// Requires replication; every node of the cluster should enable it
-	// with the same parameters. See cluster.FailoverConfig.
+	// most-caught-up mirror when a primary dies, and epoch fencing. Every
+	// node of the cluster should enable it with the same parameters. See
+	// cluster.FailoverConfig.
 	Failover *cluster.FailoverConfig
 	// Dialer overrides how the node opens outbound connections (fault
 	// injection in tests). Nil means plain TCP.
@@ -801,8 +789,8 @@ type ClusterNodeConfig struct {
 }
 
 // ClusterNode is one running member of a real-network cluster: primary
-// for its owned relations, gateway for the rest, and (unless disabled)
-// a log-shipped replica of its peers. Drive it with Serve, point clients
+// for its owned relations, gateway for the rest, and a log-shipped
+// replica of every peer. Drive it with Serve, point clients
 // at Addr (funcdb/client.DialCluster, or a plain Dial — the node
 // forwards transparently), and stop it with Shutdown.
 type ClusterNode struct {
@@ -856,7 +844,6 @@ func OpenClusterNode(cfg ClusterNodeConfig) (_ *ClusterNode, err error) {
 		Addrs:     cfg.Nodes,
 		Store:     store,
 		Relations: cfg.Relations,
-		Replicate: !cfg.DisableReplication,
 		Failover:  cfg.Failover,
 		Dialer:    cfg.Dialer,
 	}

@@ -100,14 +100,6 @@ type Archive struct {
 	// whenever tracing is off — appending costs nothing untraced.
 	pendingTr []pendingTrace
 
-	// Bounded seq → trace-context map for log-stream propagation: the
-	// server's tail handler runs off the commit path (outside a.mu), so it
-	// looks the context up by sequence here. Guarded by its own mutex —
-	// TailFuncs must never reacquire a.mu. Allocated on first traced
-	// commit; a slot holds the newest commit hashing to it.
-	trMu   sync.Mutex
-	trCtxs []traceCtxSlot
-
 	// Group-commit flusher goroutine lifecycle.
 	flushStop chan struct{}
 	flushDone chan struct{}
@@ -119,43 +111,6 @@ type Archive struct {
 type pendingTrace struct {
 	t  *reqtrace.T
 	at int64 // unix nanoseconds
-}
-
-// traceCtxSlot is one entry of the seq → trace-context ring.
-type traceCtxSlot struct {
-	seq int64
-	ctx reqtrace.Ctx
-}
-
-// traceCtxSlots sizes the seq → trace-context ring: enough to outlive the
-// window between a commit and the tail handler's writer goroutine picking
-// the record up, tiny enough to never matter.
-const traceCtxSlots = 1024
-
-// putTraceCtx remembers the trace context of a sampled traced commit so
-// the log-shipping path can send it ahead of the stream record.
-func (a *Archive) putTraceCtx(seq int64, ctx reqtrace.Ctx) {
-	a.trMu.Lock()
-	if a.trCtxs == nil {
-		a.trCtxs = make([]traceCtxSlot, traceCtxSlots)
-	}
-	a.trCtxs[seq%traceCtxSlots] = traceCtxSlot{seq: seq, ctx: ctx}
-	a.trMu.Unlock()
-}
-
-// TraceCtxOf returns the trace context recorded for a committed sequence,
-// or the zero (untraced) context. Safe to call from a TailFunc: it takes
-// only the context ring's own mutex, never a.mu.
-func (a *Archive) TraceCtxOf(seq int64) reqtrace.Ctx {
-	a.trMu.Lock()
-	defer a.trMu.Unlock()
-	if a.trCtxs == nil {
-		return reqtrace.Ctx{}
-	}
-	if s := a.trCtxs[seq%traceCtxSlots]; s.seq == seq {
-		return s.ctx
-	}
-	return reqtrace.Ctx{}
 }
 
 // startFlusher launches the group-commit window timer. Called once at
@@ -355,11 +310,6 @@ func (a *Archive) append(c core.Commit) error {
 		return err
 	}
 	tr := c.Tx.Trace
-	if tr != nil {
-		if ctx := tr.Ctx(); ctx.Sampled {
-			a.putTraceCtx(c.Seq, ctx)
-		}
-	}
 	if a.cfg.group > 0 {
 		// Group commit: the window timer, a full hinted batch
 		// (ExpectBatch), or an explicit Flush/Sync/Close issues the
@@ -393,9 +343,10 @@ func (a *Archive) append(c core.Commit) error {
 	}
 	// Log-shipping tail: subscribers see the record payload the moment it
 	// is accepted (possibly before its durable flush — a replica can never
-	// be *ahead* of the primary's committed state, only of its fsync).
+	// be *ahead* of the primary's committed state, only of its fsync),
+	// together with the trace context of the commit that wrote it.
 	for _, fn := range a.tails {
-		fn(c.Seq, payload)
+		fn(c.Seq, tr.Ctx(), payload)
 	}
 	a.sinceSnap++
 	if a.cfg.snapshotEvery > 0 && a.sinceSnap >= a.cfg.snapshotEvery {
@@ -478,12 +429,15 @@ func (a *Archive) Observer() core.CommitObserver {
 }
 
 // TailFunc receives one committed transaction record from a log-tail
-// subscription: the engine sequence it committed as, and the recTxn
-// payload bytes (decode with DecodeTxnRecord; do not mutate or retain the
-// slice past the call). It runs under the archive mutex — on the commit
-// path — so it must only hand the record off (e.g. enqueue a copy), never
-// block or call back into the archive.
-type TailFunc func(seq int64, payload []byte)
+// subscription: the engine sequence it committed as, the trace context of
+// the commit that wrote it, and the recTxn payload bytes (decode with
+// DecodeTxnRecord; do not mutate or retain the slice past the call). A
+// live record carries its commit's context; a record replayed from disk
+// carries the zero context, since contexts are not archived. It runs under
+// the archive mutex — on the commit path — so it must only hand the
+// record off (e.g. enqueue a copy), never block or call back into the
+// archive.
+type TailFunc func(seq int64, ctx reqtrace.Ctx, payload []byte)
 
 // SubscribeTxns streams the committed-transaction log: every record with
 // sequence > after, in order, with no gap between the durable history and
@@ -498,7 +452,8 @@ type TailFunc func(seq int64, payload []byte)
 // this API deliberately does not hide). Custom transactions have no
 // record form — they force snapshots instead — so they never appear in
 // the stream; a subscriber tracking contiguous sequences detects the gap
-// and must resynchronize.
+// and must resynchronize. Replayed records are handed out as the bytes
+// the segment holds, checked for type and sequence but not decoded.
 //
 // cancel unregisters the subscription; it is safe to call more than once
 // and after Close.
@@ -527,19 +482,14 @@ func (a *Archive) SubscribeTxns(after int64, fn TailFunc) (cancel func(), err er
 		return nil, fmt.Errorf("%w: after %d (oldest segment base %d)", ErrLogTrimmed, after, oldest)
 	}
 	for _, seg := range st.logs {
-		lc, err := readLog(a.dir, seg)
+		_, _, err := scanLog(a.dir, seg, func(seq int64, payload []byte) error {
+			if seq > after {
+				fn(seq, reqtrace.Ctx{}, payload)
+			}
+			return nil
+		})
 		if err != nil {
 			return nil, err
-		}
-		for _, e := range lc.entries {
-			if e.Seq <= after {
-				continue
-			}
-			payload, err := appendTxn(nil, e.Seq, e.Tx)
-			if err != nil {
-				return nil, err
-			}
-			fn(e.Seq, payload)
 		}
 	}
 	if a.tails == nil {

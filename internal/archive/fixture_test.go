@@ -48,11 +48,10 @@ func fixtureHistory() (*database.Database, []core.Transaction) {
 	return database.FromRelations(names, rels, 0), txns
 }
 
-// TestEarlierArchiveOpens: an archive written before snapshots were encoded
-// in place, and before relations were built in one pass, still recovers to
-// the version its history makes; each of its snapshots re-encodes to the
-// very bytes on disk; and it reopens for appending.
-func TestEarlierArchiveOpens(t *testing.T) {
+// copyFixture copies the fixture archive into a fresh directory, which
+// opening it for appending may then change.
+func copyFixture(t *testing.T) string {
+	t.Helper()
 	dir := t.TempDir()
 	files, err := os.ReadDir(fixtureDir)
 	if err != nil {
@@ -67,7 +66,15 @@ func TestEarlierArchiveOpens(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	return dir
+}
 
+// TestEarlierArchiveOpens: an archive written before snapshots were encoded
+// in place, and before relations were built in one pass, still recovers to
+// the version its history makes; each of its snapshots re-encodes to the
+// very bytes on disk; and it reopens for appending.
+func TestEarlierArchiveOpens(t *testing.T) {
+	dir := copyFixture(t)
 	initial, txns := fixtureHistory()
 	e := core.NewEngine(initial)
 	for _, tx := range txns {

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"funcdb/internal/core"
+	"funcdb/internal/reqtrace"
 	"funcdb/internal/value"
 )
 
@@ -243,7 +244,7 @@ func TestAppendAllocGate(t *testing.T) {
 	}
 	defer a.Close()
 	var tailed int
-	cancel, err := a.SubscribeTxns(0, func(_ int64, payload []byte) { tailed += len(payload) })
+	cancel, err := a.SubscribeTxns(0, func(_ int64, _ reqtrace.Ctx, payload []byte) { tailed += len(payload) })
 	if err != nil {
 		t.Fatal(err)
 	}

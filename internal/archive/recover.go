@@ -1,6 +1,7 @@
 package archive
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -100,17 +101,37 @@ type logContents struct {
 	torn     bool  // a truncated final frame was dropped
 }
 
-// readLog decodes the log segment based at seq. A missing file reads as an
-// empty segment (a crash can separate snapshot and log creation); a torn
-// final frame ends the segment cleanly; mid-stream checksum failures are
-// fatal corruption.
+// readLog decodes the log segment based at seq (see scanLog).
 func readLog(dir string, seq int64) (logContents, error) {
+	var out logContents
+	var dec TxnDecoder
+	var err error
+	out.validLen, out.torn, err = scanLog(dir, seq, func(_ int64, payload []byte) error {
+		entry, err := dec.decode(payload)
+		out.entries = append(out.entries, entry)
+		return err
+	})
+	if err != nil {
+		return logContents{}, err
+	}
+	return out, nil
+}
+
+// scanLog hands the records of the log segment based at seq to fn, in
+// order, as the payload bytes the segment holds: every frame must be a
+// transaction record whose sequence continues the segment without a gap,
+// but nothing past the sequence is decoded. It returns the byte length of
+// the valid record prefix and whether a torn final frame was dropped. A
+// missing file reads as an empty segment (a crash can separate snapshot
+// and log creation); a torn final frame ends the segment cleanly;
+// mid-stream checksum failures, and an error from fn, are fatal.
+func scanLog(dir string, seq int64, fn func(seq int64, payload []byte) error) (validLen int64, torn bool, err error) {
 	f, err := os.Open(filepath.Join(dir, logName(seq)))
 	if err != nil {
 		if errors.Is(err, os.ErrNotExist) {
-			return logContents{}, nil
+			return 0, false, nil
 		}
-		return logContents{}, fmt.Errorf("archive: %w", err)
+		return 0, false, fmt.Errorf("archive: %w", err)
 	}
 	defer f.Close()
 	rd := &reader{r: f}
@@ -118,48 +139,46 @@ func readLog(dir string, seq int64) (logContents, error) {
 	if err != nil {
 		if errors.Is(err, io.EOF) || errors.Is(err, wire.ErrTruncated) {
 			// Header never fully landed: an empty segment with a torn tail.
-			return logContents{torn: !errors.Is(err, io.EOF)}, nil
+			return 0, !errors.Is(err, io.EOF), nil
 		}
-		return logContents{}, fmt.Errorf("log %d: %w", seq, err)
+		return 0, false, fmt.Errorf("log %d: %w", seq, err)
 	}
 	if hdr.typ != recHeader {
-		return logContents{}, fmt.Errorf("%w: log %d: missing header", ErrCorrupt, seq)
+		return 0, false, fmt.Errorf("%w: log %d: missing header", ErrCorrupt, seq)
 	}
 	kind, base, err := decodeHeader(hdr.payload)
 	if err != nil {
-		return logContents{}, fmt.Errorf("log %d: %w", seq, err)
+		return 0, false, fmt.Errorf("log %d: %w", seq, err)
 	}
 	if kind != recTxn || base != seq {
-		return logContents{}, fmt.Errorf("%w: log %d: header names %d/%d", ErrCorrupt, seq, kind, base)
+		return 0, false, fmt.Errorf("%w: log %d: header names %d/%d", ErrCorrupt, seq, kind, base)
 	}
-	out := logContents{validLen: rd.off}
-	next := seq + 1
-	var dec TxnDecoder
-	for {
+	validLen = rd.off
+	for next := seq + 1; ; next++ {
 		rec, err := rd.next()
 		if errors.Is(err, io.EOF) {
-			return out, nil
+			return validLen, false, nil
 		}
 		if errors.Is(err, wire.ErrTruncated) {
-			out.torn = true
-			return out, nil
+			return validLen, true, nil
 		}
 		if err != nil {
-			return logContents{}, fmt.Errorf("log %d: %w", seq, err)
+			return 0, false, fmt.Errorf("log %d: %w", seq, err)
 		}
 		if rec.typ != recTxn {
-			return logContents{}, fmt.Errorf("%w: log %d: unexpected record type %d", ErrCorrupt, seq, rec.typ)
+			return 0, false, fmt.Errorf("%w: log %d: unexpected record type %d", ErrCorrupt, seq, rec.typ)
 		}
-		entry, err := dec.decode(rec.payload)
-		if err != nil {
-			return logContents{}, fmt.Errorf("log %d: %w", seq, err)
+		got, n := binary.Varint(rec.payload)
+		if n <= 0 {
+			return 0, false, fmt.Errorf("log %d: %w: transaction record: bad sequence", seq, ErrCorrupt)
 		}
-		if entry.Seq != next {
-			return logContents{}, fmt.Errorf("%w: log %d: sequence %d where %d expected", ErrCorrupt, seq, entry.Seq, next)
+		if got != next {
+			return 0, false, fmt.Errorf("%w: log %d: sequence %d where %d expected", ErrCorrupt, seq, got, next)
 		}
-		next++
-		out.entries = append(out.entries, entry)
-		out.validLen = rd.off
+		if err := fn(got, rec.payload); err != nil {
+			return 0, false, fmt.Errorf("log %d: %w", seq, err)
+		}
+		validLen = rd.off
 	}
 }
 

@@ -1,11 +1,15 @@
 package archive
 
 import (
+	"bytes"
+	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 	"time"
 
 	"funcdb/internal/core"
+	"funcdb/internal/reqtrace"
 	"funcdb/internal/trace"
 	"funcdb/internal/value"
 )
@@ -18,7 +22,7 @@ type tailCollector struct {
 	txs  []core.Transaction
 }
 
-func (c *tailCollector) fn(seq int64, payload []byte) {
+func (c *tailCollector) fn(seq int64, _ reqtrace.Ctx, payload []byte) {
 	dseq, tx, err := DecodeTxnRecord(payload)
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -199,5 +203,139 @@ func TestSubscribeTxnsRefusesCompactedHistory(t *testing.T) {
 	if cancel, err := a2.SubscribeTxns(0, col.fn); err == nil {
 		cancel()
 		t.Fatal("subscription from 0 succeeded over compacted history")
+	}
+}
+
+// tailed is one record a subscription handed out, copied out of the call.
+type tailed struct {
+	ctx     reqtrace.Ctx
+	payload []byte
+}
+
+// collect subscribes from after and returns the records by sequence, with
+// the cancel of the subscription.
+func collect(t *testing.T, a *Archive, after int64) (map[int64]tailed, *sync.Mutex, func()) {
+	t.Helper()
+	var mu sync.Mutex
+	got := map[int64]tailed{}
+	cancel, err := a.SubscribeTxns(after, func(seq int64, ctx reqtrace.Ctx, payload []byte) {
+		mu.Lock()
+		defer mu.Unlock()
+		got[seq] = tailed{ctx: ctx, payload: append([]byte(nil), payload...)}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return got, &mu, cancel
+}
+
+// TestCatchUpHandsOutLiveBytes: a live subscriber receives each record
+// with the trace context of the commit that wrote it, and a subscriber
+// catching up later from the segments receives, for every sequence, the
+// very bytes the live one did, with the zero context.
+func TestCatchUpHandsOutLiveBytes(t *testing.T) {
+	dir := t.TempDir()
+	e, a := newEngineWithArchive(t, dir, initialDB("R"), SnapshotEvery(7))
+	live, mu, cancel := collect(t, a, 0)
+
+	rec := reqtrace.New("primary", reqtrace.Config{SampleEvery: 1})
+	traced := map[int64]reqtrace.Ctx{} // tuple key → the context its commit carried
+	for i := int64(0); i < 30; i++ {
+		tx := core.Insert("R", value.NewTuple(value.Int(i), value.Str("v")))
+		if i%3 == 0 {
+			tx.Trace = rec.Start()
+			traced[i] = tx.Trace.Ctx()
+		}
+		e.Submit(tx).Force()
+	}
+	e.Submit(core.Delete("R", value.Int(4))).Force()
+	e.Barrier()
+	cancel()
+
+	mu.Lock()
+	defer mu.Unlock()
+	if len(live) != 31 {
+		t.Fatalf("live subscriber saw %d records, want 31", len(live))
+	}
+	for seq, r := range live {
+		_, tx, err := DecodeTxnRecord(r.payload)
+		if err != nil {
+			t.Fatalf("seq %d: %v", seq, err)
+		}
+		want := reqtrace.Ctx{}
+		if tx.Kind == core.KindInsert {
+			want = traced[tx.Tuple.Key().AsInt()]
+		}
+		if r.ctx != want {
+			t.Fatalf("seq %d arrived with context %+v, its commit carried %+v", seq, r.ctx, want)
+		}
+	}
+
+	caught, cmu, ccancel := collect(t, a, 0)
+	ccancel()
+	cmu.Lock()
+	defer cmu.Unlock()
+	if len(caught) != len(live) {
+		t.Fatalf("catch-up delivered %d records, live %d", len(caught), len(live))
+	}
+	for seq, r := range caught {
+		if r.ctx != (reqtrace.Ctx{}) {
+			t.Fatalf("catch-up seq %d carries context %+v", seq, r.ctx)
+		}
+		if !bytes.Equal(r.payload, live[seq].payload) {
+			t.Fatalf("catch-up seq %d: %d bytes that differ from the %d the live subscriber got", seq, len(r.payload), len(live[seq].payload))
+		}
+	}
+	if err := a.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestCatchUpHandsOutFixtureBytes: catching up over the archive written at
+// commit a872265 hands out every record exactly as the segments store it.
+func TestCatchUpHandsOutFixtureBytes(t *testing.T) {
+	dir := copyFixture(t)
+	stored := map[int64][]byte{}
+	st, err := scanDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, seg := range st.logs {
+		f, err := os.Open(filepath.Join(dir, logName(seg)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rd := &reader{r: f}
+		for seq := seg; ; seq++ {
+			rec, err := rd.next()
+			if err != nil {
+				break
+			}
+			if rec.typ == recTxn {
+				stored[seq] = rec.payload
+			}
+		}
+		f.Close()
+	}
+	if len(stored) != 100 {
+		t.Fatalf("fixture segments hold %d records, want 100", len(stored))
+	}
+
+	a, _, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	caught, mu, cancel := collect(t, a, 0)
+	cancel()
+	mu.Lock()
+	defer mu.Unlock()
+	if len(caught) != len(stored) {
+		t.Fatalf("catch-up delivered %d records, the segments hold %d", len(caught), len(stored))
+	}
+	for seq, want := range stored {
+		if !bytes.Equal(caught[seq].payload, want) {
+			t.Fatalf("catch-up seq %d is not the stored record", seq)
+		}
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"funcdb/internal/database"
 	"funcdb/internal/eval"
 	"funcdb/internal/lenient"
+	"funcdb/internal/reqtrace"
 	"funcdb/internal/value"
 )
 
@@ -76,11 +77,10 @@ func TestMirrorApplyAllocGate(t *testing.T) {
 func TestGatedAckedAllocGate(t *testing.T) {
 	fs := newFakeStore("S")
 	n, err := New(Config{ // never started: no heartbeats, no replication dials
-		ID:        0,
-		Addrs:     []string{"127.0.0.1:1", "127.0.0.1:2", "127.0.0.1:3"},
-		Store:     fs,
-		Replicate: true,
-		Failover:  &FailoverConfig{Lease: time.Hour},
+		ID:       0,
+		Addrs:    []string{"127.0.0.1:1", "127.0.0.1:2", "127.0.0.1:3"},
+		Store:    fs,
+		Failover: &FailoverConfig{Lease: time.Hour},
 		Promote: func(int, uint64, *database.Database) (LocalStore, error) {
 			t.Error("promotion during an ack-gate test")
 			return nil, ErrFenced
@@ -96,8 +96,12 @@ func TestGatedAckedAllocGate(t *testing.T) {
 	tab.mu.Unlock()
 
 	fs.eng.Submit(core.Insert("S", value.NewTuple(value.Int(1), value.Str("a")))).Force()
-	n.SubscriberAttached(0, 1)
-	n.SubscriberAck(0, 1, fs.Version())
+	ack, cancel, err := n.SubscribeSlotLog(0, 1, 0, func(int64, uint64, reqtrace.Ctx, []byte) {})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cancel()
+	ack(fs.Version())
 	committed := lenient.Ready(core.Response{Kind: core.KindInsert})
 
 	allocs := testing.AllocsPerRun(1000, func() {

@@ -20,11 +20,12 @@
 //     elsewhere is forwarded over a persistent inter-node wire connection
 //     as a pre-tagged Request frame, and the tagged response is relayed
 //     back, so any node can serve any client;
-//   - a REPLICA of its peers: each node subscribes to every peer's
-//     committed-transaction log (the archive's records, shipped as
-//     LogRecord frames) and applies it, in order, to a local mirror
-//     engine. Read-only statements can then be answered locally, stamped
-//     with the mirror's version — the client's staleness bound.
+//   - a REPLICA of every peer, always: each node subscribes to every
+//     peer's committed-transaction log (the archive's records, shipped as
+//     LogRecord frames, a sampled commit's trace context ahead of its
+//     record) and applies it, in order, to a local mirror engine.
+//     Read-only statements can then be answered locally, stamped with the
+//     mirror's version — the client's staleness bound.
 //
 // The subsystem is deliberately thin glue: the durability log is the
 // replication stream, the lane hash is the placement function, the
@@ -68,15 +69,16 @@ type LocalStore interface {
 	Version() int64
 	// Current materializes the store's present version.
 	Current() *database.Database
+	// VersionAt materializes a retained version: the rejoin path rewinds a
+	// deposed primary to the winner's promotion base with it.
+	VersionAt(seq int64) (*database.Database, error)
 	// SubscribeLog streams the committed-transaction log (the archive's
-	// records): the primary side of replication.
-	SubscribeLog(after int64, fn func(seq int64, record []byte)) (cancel func(), err error)
+	// records, each with its commit's trace context): the primary side of
+	// replication, under archive.TailFunc's contract.
+	SubscribeLog(after int64, fn func(seq int64, ctx reqtrace.Ctx, record []byte)) (cancel func(), err error)
 	// TraceRecorder returns the store's request-trace recorder (nil when
 	// tracing is off).
 	TraceRecorder() *reqtrace.Recorder
-	// LogTraceCtxOf reports the trace context a committed sequence carried
-	// (zero when untraced).
-	LogTraceCtxOf(seq int64) reqtrace.Ctx
 	// MetricsSnapshot reads the store's metrics.
 	MetricsSnapshot() metrics.Snapshot
 }
@@ -95,13 +97,10 @@ type Config struct {
 	// Relations is the cluster-wide schema: the initial relations across
 	// all nodes. Each peer's mirror starts from the peer's owned subset.
 	Relations []string
-	// Replicate enables log-shipped replicas of the peers' relations
-	// (required for replica reads; needs every peer to be durable).
-	Replicate bool
 	// Failover enables lease-based failure detection, self-promotion of
-	// the most-caught-up mirror, and epoch fencing (requires Replicate
-	// and Promote). Nil keeps the slot table static: node s serves slot s
-	// in epoch 0 from boot.
+	// the most-caught-up mirror, and epoch fencing (requires Promote). Nil
+	// keeps the slot table static: node s serves slot s in epoch 0 from
+	// boot.
 	Failover *FailoverConfig
 	// Promote builds the takeover store when this node wins a dead
 	// peer's slot (funcdb supplies one; required with Failover).
@@ -150,14 +149,14 @@ type Node struct {
 
 	mu       sync.Mutex
 	subConns []closable // live replication dials, closed on Close
-	mirrors  []*mirror  // by node index; nil at n.id (and without Replicate); slot n.id is installed by rejoin
+	mirrors  []*mirror  // by node index, one per peer; nil at n.id until rejoin installs it
 }
 
 // closable is the subset of net.Conn Close needs.
 type closable interface{ Close() error }
 
-// New assembles a node. With cfg.Replicate, Start must be called to
-// begin pulling the peers' logs.
+// New assembles a node with a mirror of every peer. Start must be called
+// to begin pulling the peers' logs.
 func New(cfg Config) (*Node, error) {
 	if len(cfg.Addrs) == 0 {
 		return nil, errors.New("cluster: no node addresses")
@@ -169,9 +168,6 @@ func New(cfg Config) (*Node, error) {
 		return nil, errors.New("cluster: node needs a local store")
 	}
 	if cfg.Failover != nil {
-		if !cfg.Replicate {
-			return nil, errors.New("cluster: failover requires Replicate (promotion serves from the mirrors)")
-		}
 		if cfg.Promote == nil {
 			return nil, errors.New("cluster: failover requires a Promote factory for takeover stores")
 		}
@@ -193,22 +189,14 @@ func New(cfg Config) (*Node, error) {
 		n.dial = func(addr string) (net.Conn, error) { return net.Dial("tcp", addr) }
 	}
 	n.peers = make([]*peer, len(n.addrs))
+	n.mirrors = make([]*mirror, len(n.addrs))
 	for i, addr := range n.addrs {
-		if i != n.id {
-			n.peers[i] = newPeer(n.origin, addr, n.m, n.dial)
+		if i == n.id {
+			continue
 		}
-	}
-	if cfg.Replicate {
-		n.mirrors = make([]*mirror, len(n.addrs))
-		for i := range n.addrs {
-			if i == n.id {
-				continue
-			}
-			owned := OwnedRelations(cfg.Relations, i, len(n.addrs))
-			m := newMirror(i, owned)
-			m.keepTail = cfg.Failover != nil
-			n.mirrors[i] = m
-		}
+		n.peers[i] = newPeer(n.origin, addr, n.m, n.dial)
+		n.mirrors[i] = newMirror(i, OwnedRelations(cfg.Relations, i, len(n.addrs)))
+		n.mirrors[i].keepTail = cfg.Failover != nil
 	}
 	var fc FailoverConfig // static: no lease, no ack gate
 	if cfg.Failover != nil {
@@ -302,11 +290,6 @@ func (n *Node) Store() LocalStore { return n.store }
 // the disabled recorder, when the store does not trace).
 func (n *Node) TraceRecorder() *reqtrace.Recorder { return n.store.TraceRecorder() }
 
-// LogTraceCtxOf implements server.Cluster: the trace context a committed
-// sequence carried, so the replication stream sends it ahead of the
-// record and the mirror's apply span joins the same trace.
-func (n *Node) LogTraceCtxOf(seq int64) reqtrace.Ctx { return n.store.LogTraceCtxOf(seq) }
-
 // MetricsSnapshot implements server.Host: the local store's snapshot
 // extended with this node's routing section and one row per peer. A peer
 // row's ReplicaApplied is the newest primary sequence mirrored locally;
@@ -322,15 +305,11 @@ func (n *Node) MetricsSnapshot() metrics.Snapshot {
 		if i == n.id {
 			continue
 		}
-		ps := metrics.PeerSnapshot{Peer: i, Addr: n.addrs[i], ReplicaApplied: -1}
-		if p := n.peers[i]; p != nil {
-			ps.ForwardFrames = p.frames.Load()
-			ps.Dials = p.dials.Load()
-		}
-		if m := n.mirrorRef(i); m != nil {
-			ps.ReplicaApplied = m.version()
-			ps.ReplicaRecords = m.records.Load()
-			ps.ReplicaConnects = m.connects.Load()
+		p, m := n.peers[i], n.mirrorRef(i)
+		ps := metrics.PeerSnapshot{
+			Peer: i, Addr: n.addrs[i],
+			ForwardFrames: p.frames.Load(), Dials: p.dials.Load(),
+			ReplicaApplied: m.version(), ReplicaRecords: m.records.Load(), ReplicaConnects: m.connects.Load(),
 		}
 		ps.HeartbeatAgeMs, ps.AppliedLag = n.heartbeatAge(i)
 		snap.Peers = append(snap.Peers, ps)
@@ -338,12 +317,13 @@ func (n *Node) MetricsSnapshot() metrics.Snapshot {
 	return snap
 }
 
-// mirrorRef returns the mirror at a slot (nil when absent). The slice
-// itself is mutated only by rejoin, which installs a self-mirror.
+// mirrorRef returns the mirror at a slot: every peer's, and this node's
+// own slot's only once rejoin has installed it (nil before, and for a slot
+// out of range). The slice is mutated only by that install.
 func (n *Node) mirrorRef(i int) *mirror {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if n.mirrors == nil || i < 0 || i >= len(n.mirrors) {
+	if i < 0 || i >= len(n.mirrors) {
 		return nil
 	}
 	return n.mirrors[i]

@@ -2,30 +2,33 @@ package cluster
 
 import (
 	"errors"
+	"net"
+	"strings"
 	"sync/atomic"
 	"testing"
 
 	"funcdb/internal/core"
 	"funcdb/internal/database"
 	"funcdb/internal/metrics"
-	"funcdb/internal/relation"
 	"funcdb/internal/reqtrace"
 	"funcdb/internal/session"
 	"funcdb/internal/value"
+	"funcdb/internal/wire"
 )
 
 // fakeStore is a minimal LocalStore: a bare engine, recording batches and
-// counting materializations.
+// counting materializations, with an empty log whose subscriptions never
+// deliver a record.
 type fakeStore struct {
 	eng      *core.Engine
 	batches  [][]core.Transaction
 	currents atomic.Int64 // Current() calls
 }
 
-// newFakeStore holds its relations as a fresh node's store does (AVL), so
-// the unit tests run on what production runs on.
+// newFakeStore holds its relations as a fresh node's store does (FreshRep,
+// paged), so the unit tests run on what production runs on.
 func newFakeStore(rels ...string) *fakeStore {
-	return &fakeStore{eng: core.NewEngine(database.New(relation.RepAVL, rels...))}
+	return &fakeStore{eng: core.NewEngine(database.New(FreshRep, rels...))}
 }
 
 func (f *fakeStore) SubmitTagged(txs []core.Transaction, futs []*session.Future) {
@@ -44,11 +47,13 @@ func (f *fakeStore) Current() *database.Database {
 	f.currents.Add(1)
 	return f.eng.Current()
 }
-func (f *fakeStore) SubscribeLog(int64, func(int64, []byte)) (func(), error) {
-	return nil, errors.New("fake store has no log")
+func (f *fakeStore) VersionAt(int64) (*database.Database, error) {
+	return nil, errors.New("fake store keeps no history")
+}
+func (f *fakeStore) SubscribeLog(int64, func(int64, reqtrace.Ctx, []byte)) (func(), error) {
+	return func() {}, nil
 }
 func (f *fakeStore) TraceRecorder() *reqtrace.Recorder { return nil }
-func (f *fakeStore) LogTraceCtxOf(int64) reqtrace.Ctx  { return reqtrace.Ctx{} }
 func (f *fakeStore) MetricsSnapshot() metrics.Snapshot { return metrics.Snapshot{} }
 
 // threeNode builds a node 0 of a fictitious 3-node cluster whose peers
@@ -148,5 +153,45 @@ func TestForwardWithoutQueryText(t *testing.T) {
 	resp := submitOne(n, tx).Force()
 	if resp.Err == nil || resp.Origin != "c0" {
 		t.Fatalf("expected tagged no-wire-form error, got %+v", resp)
+	}
+}
+
+// TestForwardReportsRefusedHandshake: a peer that refuses the gateway's
+// Hello — here with the reason a server of another protocol version gives
+// — fails the forward with that reason.
+func TestForwardReportsRefusedHandshake(t *testing.T) {
+	const refusal = "wire: protocol version 7 not supported"
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go func() {
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			if typ, _, err := wire.NewReader(conn).Next(); err == nil && typ == wire.FrameHello {
+				wire.WriteFrame(conn, wire.FrameError, wire.AppendErrorMsg(nil, 0, -1, refusal))
+			}
+			conn.Close()
+		}
+	}()
+	n, err := New(Config{ID: 0, Addrs: []string{"127.0.0.1:1", ln.Addr().String()}, Store: newFakeStore()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(n.Close)
+	rel := "R"
+	for OwnerIndex(rel, 2) != 1 {
+		rel += "x"
+	}
+	resp, err := n.Session("c0").Exec(`insert (1, "a") into ` + rel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.Err == nil || !strings.Contains(resp.Err.Error(), refusal) {
+		t.Fatalf("forward to a peer refusing the handshake answered %v, want the refusal %q", resp.Err, refusal)
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"funcdb/internal/archive"
 	"funcdb/internal/core"
 	"funcdb/internal/database"
+	"funcdb/internal/reqtrace"
 	"funcdb/internal/session"
 	"funcdb/internal/wire"
 )
@@ -92,15 +93,6 @@ func (c FailoverConfig) withDefaults(clusterSize int) FailoverConfig {
 // the wire by message text ("cluster: fenced"); clients re-resolve
 // placement and retry against the current owner.
 var ErrFenced = errors.New("cluster: fenced")
-
-// Rewinder is implemented by stores that can materialize an arbitrary
-// retained version (funcdb.Store replays its archive). The rejoin path
-// uses it to rewind a deposed primary to the winner's promotion base —
-// everything after the base is history only this node ever had, and the
-// epoch rule says the winner's history wins.
-type Rewinder interface {
-	VersionAt(seq int64) (*database.Database, error)
-}
 
 // recordTail is a frozen run of raw log-record bytes ending at the
 // promotion base: records (from, from+len] in slot sequence order. The
@@ -398,18 +390,10 @@ func (tab *slotTable) dialHeartbeat(peerIdx int) (net.Conn, *wire.Reader, error)
 		conn.Close()
 		return nil, nil, err
 	}
-	hello := wire.AppendHello(nil, wire.Hello{Origin: fmt.Sprintf("%s-hb", n.origin)})
-	if err := wire.WriteFrame(conn, wire.FrameHello, hello); err != nil {
-		return fail(err)
-	}
 	rd := wire.NewReader(bufio.NewReaderSize(conn, 4096))
 	conn.SetReadDeadline(time.Now().Add(tab.cfg.Lease))
-	typ, payload, err := rd.Next()
-	if err != nil || typ != wire.FrameWelcome {
-		return fail(fmt.Errorf("cluster: heartbeat handshake with node %d failed: %v", peerIdx, err))
-	}
-	if _, err := wire.DecodeWelcome(payload); err != nil {
-		return fail(err)
+	if _, err := wire.Handshake(conn, rd, wire.Hello{Origin: n.origin + "-hb"}); err != nil {
+		return fail(fmt.Errorf("cluster: heartbeat handshake with node %d: %w", peerIdx, err))
 	}
 	return conn, rd, nil
 }
@@ -461,9 +445,6 @@ func (tab *slotTable) maybePromote() {
 			continue
 		}
 		m := tab.n.mirrorRef(s)
-		if m == nil {
-			continue
-		}
 		best, bestApplied := tab.n.id, m.version()
 		for p := range tab.views {
 			if p == tab.n.id || p == owner || !tab.haveView[p] || !tab.aliveLocked(p) {
@@ -558,15 +539,15 @@ func (g *gatedWrite) Eval() core.Response {
 	}
 	// The store's current version bounds this write's commit sequence
 	// from above: waiting for it is conservative and monotone.
-	if err := g.tab.waitReplicated(g.slot, g.st.Version()); err != nil {
+	if err := g.tab.waitAcked(g.slot, g.st.Version()); err != nil {
 		r.Err = err
 	}
 	return r
 }
 
-// waitReplicated blocks until SyncReplicas live subscribers of the slot
-// have acked sequence v, erroring out if the node cannot hold a quorum.
-func (tab *slotTable) waitReplicated(slot int, v int64) error {
+// waitAcked blocks until SyncReplicas live subscribers of the slot have
+// acked sequence v, erroring out if the node cannot hold a quorum.
+func (tab *slotTable) waitAcked(slot int, v int64) error {
 	tab.mu.Lock()
 	defer tab.mu.Unlock()
 	for {
@@ -593,12 +574,11 @@ func (tab *slotTable) waitReplicated(slot int, v int64) error {
 // stream that is newer than gossip has delivered: the dialed node serves
 // the slot in that epoch.
 func (tab *slotTable) noteStreamEpoch(slot, owner int, epoch uint64) {
-	tab.mu.Lock()
-	if epoch > tab.epochs[slot] {
-		tab.adoptLocked(slot, epoch, owner, tab.bases[slot])
-	}
-	tab.mu.Unlock()
-	tab.cond.Broadcast()
+	tab.update(func() {
+		if epoch > tab.epochs[slot] {
+			tab.adoptLocked(slot, epoch, owner, tab.bases[slot])
+		}
+	})
 }
 
 // rejoin is the deposed primary's path back into the cluster: rewind the
@@ -610,15 +590,10 @@ func (tab *slotTable) noteStreamEpoch(slot, owner int, epoch uint64) {
 func (tab *slotTable) rejoin(base int64) {
 	n := tab.n
 	defer n.wg.Done()
-	cur := n.store.Current()
-	db := cur
-	if cur.Version() > base {
-		rw, ok := n.store.(Rewinder)
-		if !ok {
-			return // cannot rewind: stay fenced, serve nothing for the slot
-		}
+	db := n.store.Current()
+	if db.Version() > base {
 		var err error
-		if db, err = rw.VersionAt(base); err != nil {
+		if db, err = n.store.VersionAt(base); err != nil {
 			return
 		}
 	}
@@ -671,22 +646,28 @@ func (n *Node) OwnerEpoch(rel string) uint64 {
 }
 
 // SubscribeSlotLog implements server.Cluster: a slot-addressed,
-// epoch-stamped log subscription for a slot this node serves. A takeover
-// slot serves its frozen pre-promotion tail first (for subscribers behind
-// the takeover store's log floor), then the takeover store's log. Records
-// are stamped with the slot's serving epoch at subscribe time — if this
-// node is later deposed, subscribers see the stale epoch and drop the
-// stream.
-func (n *Node) SubscribeSlotLog(slot, sub int, after int64, fn func(seq int64, epoch uint64, record []byte)) (func(), error) {
+// epoch-stamped log subscription for a slot this node serves, each record
+// handed over with its commit's trace context. A takeover slot serves its
+// frozen pre-promotion tail first (for subscribers behind the takeover
+// store's log floor, with the zero context), then the takeover store's
+// log. Records are stamped with the slot's serving epoch at subscribe time
+// — if this node is later deposed, subscribers see the stale epoch and
+// drop the stream.
+//
+// The subscriber counts toward the slot's write-ack gate from the moment
+// it subscribes, at no acked sequence: ack reports that it has applied the
+// slot's log through seq, and cancel unsubscribes it and takes it off the
+// gate.
+func (n *Node) SubscribeSlotLog(slot, sub int, after int64, fn func(seq int64, epoch uint64, ctx reqtrace.Ctx, record []byte)) (ack func(seq int64), cancel func(), err error) {
 	if slot < 0 || slot >= len(n.addrs) {
-		return nil, fmt.Errorf("cluster: no such slot %d", slot)
+		return nil, nil, fmt.Errorf("cluster: no such slot %d", slot)
 	}
 	tab := n.slots
 	tab.mu.Lock()
 	owner, epoch := tab.owners[slot], tab.epochs[slot]
 	if owner != n.id {
 		tab.mu.Unlock()
-		return nil, fmt.Errorf("cluster: node %d does not serve slot %d (owner %d, epoch %d)", n.id, slot, owner, epoch)
+		return nil, nil, fmt.Errorf("cluster: node %d does not serve slot %d (owner %d, epoch %d)", n.id, slot, owner, epoch)
 	}
 	st, tail := tab.takeovers[slot], tab.tails[slot]
 	if slot == n.id {
@@ -694,55 +675,51 @@ func (n *Node) SubscribeSlotLog(slot, sub int, after int64, fn func(seq int64, e
 	}
 	tab.mu.Unlock()
 	if st == nil {
-		return nil, fmt.Errorf("cluster: slot %d has no serving store yet", slot)
+		return nil, nil, fmt.Errorf("cluster: slot %d has no serving store yet", slot)
 	}
 	if tail != nil && after < tail.end() {
 		if after < tail.from {
-			return nil, fmt.Errorf("%w: takeover tail for slot %d starts at %d, subscriber wants %d",
+			return nil, nil, fmt.Errorf("%w: takeover tail for slot %d starts at %d, subscriber wants %d",
 				archive.ErrLogTrimmed, slot, tail.from, after)
 		}
 		for i := after - tail.from; i < int64(len(tail.recs)); i++ {
-			fn(tail.from+i+1, epoch, tail.recs[i])
+			fn(tail.from+i+1, epoch, reqtrace.Ctx{}, tail.recs[i])
 		}
 		after = tail.end()
 	}
-	return st.SubscribeLog(after, func(seq int64, record []byte) {
-		fn(seq, epoch, record)
+	unsubscribe, err := st.SubscribeLog(after, func(seq int64, ctx reqtrace.Ctx, record []byte) {
+		fn(seq, epoch, ctx, record)
 	})
+	if err != nil {
+		return nil, nil, err
+	}
+	tab.update(func() {
+		if tab.subs[slot] == nil {
+			tab.subs[slot] = make(map[int]int64)
+		}
+		if _, ok := tab.subs[slot][sub]; !ok {
+			tab.subs[slot][sub] = -1
+		}
+	})
+	ack = func(seq int64) {
+		tab.update(func() {
+			if acks := tab.subs[slot]; acks != nil && seq > acks[sub] {
+				acks[sub] = seq
+			}
+		})
+	}
+	cancel = func() {
+		unsubscribe()
+		tab.update(func() { delete(tab.subs[slot], sub) })
+	}
+	return ack, cancel, nil
 }
 
-// SubscriberAttached implements server.Cluster: the subscriber counts
-// toward the slot's write-ack gate from now on, at no acked sequence.
-func (n *Node) SubscriberAttached(slot, sub int) {
-	tab := n.slots
+// update changes the table under its lock, then wakes every waiter of the
+// write-ack gate to re-evaluate.
+func (tab *slotTable) update(change func()) {
 	tab.mu.Lock()
-	if tab.subs[slot] == nil {
-		tab.subs[slot] = make(map[int]int64)
-	}
-	if _, ok := tab.subs[slot][sub]; !ok {
-		tab.subs[slot][sub] = -1
-	}
-	tab.mu.Unlock()
-	tab.cond.Broadcast()
-}
-
-// SubscriberAck implements server.Cluster: the subscriber has applied the
-// slot's log through seq.
-func (n *Node) SubscriberAck(slot, sub int, seq int64) {
-	tab := n.slots
-	tab.mu.Lock()
-	if acks := tab.subs[slot]; acks != nil && seq > acks[sub] {
-		acks[sub] = seq
-	}
-	tab.mu.Unlock()
-	tab.cond.Broadcast()
-}
-
-// SubscriberGone implements server.Cluster.
-func (n *Node) SubscriberGone(slot, sub int) {
-	tab := n.slots
-	tab.mu.Lock()
-	delete(tab.subs[slot], sub)
+	change()
 	tab.mu.Unlock()
 	tab.cond.Broadcast()
 }

@@ -30,6 +30,7 @@ type foOpts struct {
 	hb    time.Duration           // heartbeat (lease = 4x); 0 = 40ms
 	ft    *cluster.FaultTransport // optional fault injector on peer links
 	dirs  []string                // archive directory per node; nil = fresh temp dirs
+	trace *funcdb.TracingConfig   // request tracing on every node; nil = off
 }
 
 // startFailoverCluster is startCluster with leases, promotion, and epoch
@@ -60,7 +61,7 @@ func startFailoverCluster(t testing.TB, o foOpts) *testCluster {
 	for i := range lns {
 		cfg := funcdb.ClusterNodeConfig{
 			ID: i, Nodes: addrs, Listener: lns[i], Dir: o.dirs[i],
-			Relations: clusterRels, Lanes: o.lanes,
+			Relations: clusterRels, Lanes: o.lanes, Tracing: o.trace,
 			Failover: &cluster.FailoverConfig{Heartbeat: o.hb},
 			Durability: []funcdb.DurabilityOption{
 				funcdb.GroupCommit(2 * time.Millisecond),
@@ -309,6 +310,71 @@ func TestFailoverKillPrimary(t *testing.T) {
 			t.Fatalf("restarted primary never converged to the winner's contents (last err %v)", err)
 		}
 		time.Sleep(25 * time.Millisecond)
+	}
+}
+
+// TestTakeoverStreamCarriesItsTrace: after a promotion, the takeover
+// store's log reaches the surviving mirror with each record's own trace
+// context, so a sampled write to the promoted slot has its replica-apply
+// span on that mirror under the write's trace id.
+func TestTakeoverStreamCarriesItsTrace(t *testing.T) {
+	if testing.Short() {
+		t.Skip("lease-timing test")
+	}
+	tc := startFailoverCluster(t, foOpts{n: 3, trace: &funcdb.TracingConfig{SampleEvery: 1}})
+	const victim = 0
+	rel := relOwnedBy(t, tc, victim)
+	tc.nodes[victim].Kill()
+	winner, _ := waitPromoted(t, tc, []int{1, 2}, victim, victim, 0)
+	survivor := 3 - winner
+
+	cc, err := client.DialCluster(tc.addrs,
+		client.WithClusterOrigin("traced"),
+		client.WithClusterTracing(funcdb.TracingConfig{SampleEvery: 1}),
+		client.WithFailoverRetry(15*time.Second))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cc.Close()
+	// The first acked write proves the survivor's mirror streams from the
+	// winner: with the victim dead, only its ack can release the write.
+	// Records it caught up on carry no context; the next write is live.
+	exec := func(q string) map[string]bool {
+		t.Helper()
+		before := map[string]bool{}
+		for _, tr := range cc.LocalTraces() {
+			before[tr.ID] = true
+		}
+		if resp, err := cc.Exec(q); err != nil || resp.Err != nil {
+			t.Fatalf("%s: %v / %v", q, err, resp.Err)
+		}
+		ids := map[string]bool{}
+		for _, tr := range cc.LocalTraces() {
+			if !before[tr.ID] {
+				ids[tr.ID] = true
+			}
+		}
+		return ids
+	}
+	exec(fmt.Sprintf("insert (1, \"warm\") into %s", rel))
+	ids := exec(fmt.Sprintf("insert (2, \"traced\") into %s", rel))
+
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		for _, tr := range tc.nodes[survivor].Traces() {
+			if !ids[tr.ID] {
+				continue
+			}
+			for _, sp := range tr.Spans {
+				if sp.Stage == "replica-apply" {
+					return
+				}
+			}
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("node %d never published a replica-apply span for trace %v of the write node %d applied as the takeover owner", survivor, ids, winner)
+		}
+		time.Sleep(20 * time.Millisecond)
 	}
 }
 

@@ -79,27 +79,12 @@ func (p *peer) ensureLocked() (*peerConn, error) {
 	if err != nil {
 		return nil, fmt.Errorf("cluster: node %s unreachable: %w", p.addr, err)
 	}
-	bw := bufio.NewWriterSize(conn, peerWriteBufSize)
-	hello := wire.AppendHello(nil, wire.Hello{Origin: p.origin})
-	if err := wire.WriteFrame(bw, wire.FrameHello, hello); err != nil {
-		conn.Close()
-		return nil, fmt.Errorf("cluster: handshake with %s: %w", p.addr, err)
-	}
-	if err := bw.Flush(); err != nil {
-		conn.Close()
-		return nil, fmt.Errorf("cluster: handshake with %s: %w", p.addr, err)
-	}
 	rd := wire.NewReader(bufio.NewReaderSize(conn, peerReadBufSize))
-	typ, payload, err := rd.Next()
-	if err != nil || typ != wire.FrameWelcome {
-		conn.Close()
-		return nil, fmt.Errorf("cluster: handshake with %s failed: %v", p.addr, err)
-	}
-	if _, err := wire.DecodeWelcome(payload); err != nil {
+	if _, err := wire.Handshake(conn, rd, wire.Hello{Origin: p.origin}); err != nil {
 		conn.Close()
 		return nil, fmt.Errorf("cluster: handshake with %s: %w", p.addr, err)
 	}
-	pc := &peerConn{conn: conn, bw: bw, pending: make(map[uint64]*fwdCall)}
+	pc := &peerConn{conn: conn, bw: bufio.NewWriterSize(conn, peerWriteBufSize), pending: make(map[uint64]*fwdCall)}
 	p.pc = pc
 	p.dials.Inc()
 	go p.readLoop(pc, rd)

@@ -161,7 +161,8 @@ func (m *mirror) freezeTail() *recordTail {
 // store itself, stamped with the store's version at plan time — zero
 // staleness, but the same contract, so a client's ExecReplica reports a
 // meaningful Version whichever node it happens to dial. ok=false when no
-// local copy can serve the read (replication off and owned elsewhere).
+// local copy can serve the read: this node's own slot while it may not
+// serve it (probation, or a demotion before rejoin installed its mirror).
 func (n *Node) ReplicaRead(tx core.Transaction) (*session.Future, bool) {
 	if !tx.IsReadOnly() || tx.Kind == core.KindCustom {
 		return nil, false
@@ -278,23 +279,12 @@ func (n *Node) streamFrom(peerIdx int, m *mirror) error {
 		conn.Close()
 	}()
 
-	bw := bufio.NewWriterSize(conn, peerWriteBufSize)
 	br := bufio.NewReaderSize(conn, peerReadBufSize)
 	rd := wire.NewReader(br)
-	hello := wire.AppendHello(nil, wire.Hello{Origin: fmt.Sprintf("%s-repl", n.origin)})
-	if err := wire.WriteFrame(bw, wire.FrameHello, hello); err != nil {
-		return err
+	if _, err := wire.Handshake(conn, rd, wire.Hello{Origin: n.origin + "-repl"}); err != nil {
+		return fmt.Errorf("cluster: replication handshake with node %d: %w", target, err)
 	}
-	if err := bw.Flush(); err != nil {
-		return err
-	}
-	typ, payload, err := rd.Next()
-	if err != nil || typ != wire.FrameWelcome {
-		return fmt.Errorf("cluster: replication handshake with node %d failed: %v", target, err)
-	}
-	if _, err := wire.DecodeWelcome(payload); err != nil {
-		return err
-	}
+	bw := bufio.NewWriterSize(conn, peerWriteBufSize)
 	if err := wire.WriteFrame(bw, wire.FrameSubscribe, wire.AppendSubscribe(nil, m.version(), peerIdx, n.id)); err != nil {
 		return err
 	}

@@ -20,7 +20,8 @@
 // implements Cluster: placement (a misrouted tagged Request is answered
 // with a Redirect), replica reads, epoch fencing, heartbeats, and the
 // slot logs a Subscribe frame turns a connection into (LogRecord frames —
-// the archive's records, reframed).
+// the archive's records, reframed, each sampled one behind its commit's
+// TraceCtx frame — whose SubAcks feed the subscription's write-ack gate).
 //
 // Shutdown drains gracefully: stop accepting, unblock every connection's
 // pending read, let each handler answer what it has fully read, then
@@ -74,7 +75,8 @@ type Host interface {
 	TraceRecorder() *reqtrace.Recorder
 }
 
-// Cluster is implemented by hosts that are cluster nodes. A host without
+// Cluster is implemented by hosts that are cluster nodes: placement,
+// replica reads, fencing, heartbeats and slot-log streams. A host without
 // it serves every statement itself and refuses heartbeats and log
 // subscriptions.
 type Cluster interface {
@@ -95,18 +97,14 @@ type Cluster interface {
 	// host's own (ok=false answers nothing: the host keeps no leases).
 	HandleHeartbeat(hb wire.Heartbeat) (ack wire.Heartbeat, ok bool)
 	// SubscribeSlotLog streams a slot's epoch-stamped committed-transaction
-	// log. The callback contract is archive.TailFunc's: records arrive in
-	// commit order, under the log mutex — hand off, don't block.
-	SubscribeSlotLog(slot, subscriber int, after int64, fn func(seq int64, epoch uint64, record []byte)) (cancel func(), err error)
-	// SubscriberAttached, SubscriberAck and SubscriberGone report a
-	// subscriber's progress, which feeds the host's replication-ack gate.
-	SubscriberAttached(slot, subscriber int)
-	SubscriberAck(slot, subscriber int, seq int64)
-	SubscriberGone(slot, subscriber int)
-	// LogTraceCtxOf reports the trace context a committed sequence carried:
-	// the stream sends a sampled record's context as a TraceCtx frame ahead
-	// of it, so a replica's apply spans join the trace.
-	LogTraceCtxOf(seq int64) reqtrace.Ctx
+	// log, each record with the trace context of the commit that wrote it
+	// (the stream sends a sampled one as a TraceCtx frame ahead of the
+	// record, so a replica's apply span joins the trace). The callback
+	// contract is archive.TailFunc's: records arrive in commit order, under
+	// the log mutex — hand off, don't block. The subscriber counts toward
+	// the host's write-ack gate until cancel; ack reports that it has
+	// applied the log through seq.
+	SubscribeSlotLog(slot, subscriber int, after int64, fn func(seq int64, epoch uint64, ctx reqtrace.Ctx, record []byte)) (ack func(seq int64), cancel func(), err error)
 }
 
 // Server serves the wire protocol over one or more hosts.
@@ -777,9 +775,9 @@ func (s *Server) routeForward(cl Cluster, sess *session.Session, rp reply, flags
 			}
 			return rp
 		}
-		// No replica covers the relation (replication disabled or still
-		// bootstrapping): fall back to redirect/forward, so the owner
-		// serves a fresh read instead.
+		// No local copy covers the relation (the host's own slot before it
+		// may serve it): fall back to redirect/forward, so the owner serves
+		// a fresh read instead.
 	}
 
 	if !self0 {
@@ -851,34 +849,32 @@ func allReadOnly(txs []core.Transaction) bool {
 // the log mutex), then written from this handler goroutine, everything
 // queued since the last write in one write. A watcher goroutine consumes
 // the read side: the subscriber acks what it has applied with cumulative
-// FrameSubAck frames — one per run of records it applied together — fed
-// back to the host where the acks gate the primary's write
+// FrameSubAck frames — one per run of records it applied together — handed
+// to the subscription's ack, where they gate the primary's write
 // acknowledgements (semi-synchronous replication), and any other read
 // result — EOF, the drain deadline — ends the stream.
 func (s *Server) streamSlotLog(rd *wire.Reader, bw *bufio.Writer, cl Cluster, slot, sub int, after int64) {
 	q := &recQueue{}
 	q.cond.L = &q.mu
-	cancel, err := cl.SubscribeSlotLog(slot, sub, after, func(seq int64, epoch uint64, record []byte) {
-		q.push(cl.LogTraceCtxOf(seq), epoch, record)
+	ack, cancel, err := cl.SubscribeSlotLog(slot, sub, after, func(_ int64, epoch uint64, ctx reqtrace.Ctx, record []byte) {
+		q.push(ctx, epoch, record)
 	})
 	if err != nil {
 		refuse(bw, err.Error())
 		return
 	}
 	defer cancel()
-	cl.SubscriberAttached(slot, sub)
-	defer cl.SubscriberGone(slot, sub)
 	go func() {
 		for {
 			typ, payload, err := rd.Next()
 			if err != nil || typ != wire.FrameSubAck {
 				break
 			}
-			if seq, derr := wire.DecodeSubAck(payload); derr == nil {
-				cl.SubscriberAck(slot, sub, seq)
-			} else {
+			seq, derr := wire.DecodeSubAck(payload)
+			if derr != nil {
 				break
 			}
+			ack(seq)
 		}
 		q.closeQueue()
 	}()

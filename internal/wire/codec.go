@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 
 	"funcdb/internal/core"
 	"funcdb/internal/value"
@@ -113,6 +114,32 @@ func DecodeWelcome(buf []byte) (Welcome, error) {
 		return Welcome{}, fmt.Errorf("%w: bad welcome database", ErrCorrupt)
 	}
 	return w, nil
+}
+
+// Handshake opens a connection from the dialing side: it writes h as a
+// Hello frame to w in one Write (so w is the connection, not a buffer
+// awaiting a flush) and reads the answer from rd. A Welcome comes back
+// decoded; a server's refusal — an Error frame, such as for a protocol
+// version it does not speak — comes back as an error whose text is the
+// server's message. Deadlines and buffering stay with the caller.
+func Handshake(w io.Writer, rd *Reader, h Hello) (Welcome, error) {
+	if err := WriteFrame(w, FrameHello, AppendHello(nil, h)); err != nil {
+		return Welcome{}, err
+	}
+	typ, payload, err := rd.Next()
+	switch {
+	case err != nil:
+		return Welcome{}, err
+	case typ == FrameError:
+		_, _, msg, err := DecodeErrorMsg(payload)
+		if err == nil {
+			err = errors.New(msg)
+		}
+		return Welcome{}, err
+	case typ != FrameWelcome:
+		return Welcome{}, fmt.Errorf("wire: Hello answered with frame %#x", typ)
+	}
+	return DecodeWelcome(payload)
 }
 
 // AppendErrorMsg encodes a FrameError payload: request id, failing
