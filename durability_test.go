@@ -12,6 +12,7 @@ import (
 
 	"funcdb"
 	"funcdb/internal/archive"
+	"funcdb/internal/core"
 )
 
 func TestDurableRoundTrip(t *testing.T) {
@@ -364,6 +365,54 @@ func TestHistoryRidesObserver(t *testing.T) {
 	for _, v := range h.All()[1:] {
 		if int64(v.TotalTuples()) != v.Version() {
 			t.Fatalf("version %d materialized with %d tuples (out of order)", v.Version(), v.TotalTuples())
+		}
+	}
+}
+
+// TestEveryRunVersionAnswers: a 500-insert batch into a paged relation is
+// one run — one commit, one log record — yet every version inside it
+// answers, on disk (VersionAt replays the run's prefix) and in history (the
+// run's suspended versions, forced one by one), with the sequential prefix.
+func TestEveryRunVersionAnswers(t *testing.T) {
+	dir := t.TempDir()
+	store, err := funcdb.Open(funcdb.WithRepresentation(funcdb.RepPaged), funcdb.WithRelations("P"),
+		funcdb.WithHistory(0), funcdb.WithDurability(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	initial := store.Current()
+	txs := make([]funcdb.Transaction, 500)
+	for i := range txs {
+		// Keys repeat, so later versions overwrite earlier ones.
+		txs[i] = core.Insert("P", funcdb.NewTuple(funcdb.Int(int64(i*37%300)), funcdb.Str(fmt.Sprintf("v%d", i))))
+	}
+	for _, f := range store.SubmitBatch(txs) {
+		if r := f.Force(); r.Err != nil {
+			t.Fatal(r.Err)
+		}
+	}
+	store.Barrier()
+	if sum, err := archive.Inspect(dir); err != nil || sum.Files[1].Records != 2 {
+		t.Fatalf("the batch left %+v in the log (%v), want its header and one record", sum.Files, err)
+	}
+	want := initial
+	history := store.History()
+	for v := 0; v <= len(txs); v++ {
+		if v > 0 {
+			_, want, _ = txs[v-1].Apply(nil, want, 0)
+		}
+		onDisk, err := store.VersionAt(int64(v))
+		if err != nil {
+			t.Fatalf("VersionAt(%d): %v", v, err)
+		}
+		kept, err := history.Version(int64(v))
+		if err != nil {
+			t.Fatalf("history version %d: %v", v, err)
+		}
+		if !onDisk.Equal(want) || onDisk.Version() != int64(v) || !kept.Equal(want) || kept.Version() != int64(v) {
+			t.Fatalf("version %d: on disk %d tuples at %d, in history %d at %d; the sequential prefix holds %d",
+				v, onDisk.TotalTuples(), onDisk.Version(), kept.TotalTuples(), kept.Version(), want.TotalTuples())
 		}
 	}
 }

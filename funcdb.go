@@ -340,7 +340,9 @@ func Open(opts ...Option) (*Store, error) {
 		s.history = database.NewHistory(c.history)
 		s.history.Append(initial)
 		engineOpts = append(engineOpts, core.WithCommitObserver(func(cm core.Commit) {
-			s.history.Append(cm.Version())
+			for v := cm.First(); v <= cm.Seq; v++ {
+				s.history.Append(cm.VersionAt(v))
+			}
 		}))
 	}
 	s.engine = core.NewEngine(initial, engineOpts...)
@@ -654,18 +656,20 @@ func (s *Store) Snapshot() error {
 	return s.archive.Snapshot(s.engine.Current())
 }
 
-// SubscribeLog streams the store's committed-transaction log: every
-// durable-format record with sequence > after, in commit order, with no
-// gap between the replayed history and the live tail. It is the primary
-// side of cluster log shipping — the archive's durability log doubling as
-// the replication stream — and requires durability (the log is the
-// stream; without an archive there is nothing to ship). Each live record
-// comes with the trace context of the commit that wrote it; replayed
-// history comes with the zero context. The callback runs on the commit
-// path under the archive mutex: hand the record off (copy it; the slice
-// is reused), never block or call back into the store. Decode records
-// with the archive's transaction codec; cancel unregisters.
-func (s *Store) SubscribeLog(after int64, fn func(seq int64, ctx TraceCtx, record []byte)) (cancel func(), err error) {
+// SubscribeLog streams the store's committed log: every version after
+// after, one durable-format record at a time — a single write, or an
+// insert run's consecutive versions — in commit order, with no gap between
+// the replayed history and the live tail. It is the primary side of
+// cluster log shipping — the archive's durability log doubling as the
+// replication stream — and requires durability (the log is the stream;
+// without an archive there is nothing to ship). Each record comes with the
+// versions first … last it covers and its form; each live record with the
+// trace context of the commit that wrote it, replayed history with the
+// zero context. The callback runs on the commit path under the archive
+// mutex: hand the record off (copy it; the slice is reused), never block or
+// call back into the store. Decode records with the archive's record codec;
+// cancel unregisters.
+func (s *Store) SubscribeLog(after int64, fn func(first, last int64, ctx TraceCtx, form byte, record []byte)) (cancel func(), err error) {
 	if s.archive == nil {
 		return nil, fmt.Errorf("funcdb: store has no archive to subscribe to (open with WithDurability)")
 	}

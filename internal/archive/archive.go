@@ -12,6 +12,7 @@ import (
 	"funcdb/internal/database"
 	"funcdb/internal/metrics"
 	"funcdb/internal/reqtrace"
+	"funcdb/internal/value"
 )
 
 // ErrNoArchive reports a directory with no archive in it.
@@ -40,9 +41,11 @@ type config struct {
 type Option func(*config)
 
 // SnapshotEvery takes a full snapshot (and starts a fresh log segment)
-// after every n logged transactions. Snapshots bound recovery replay time
-// and are the granularity of Compact; n <= 0 (the default) snapshots only
-// when forced (custom transactions, whose bodies have no wire form).
+// once n versions have been logged since the last one (a run counts each
+// of its versions; the snapshot is taken at the end of the commit that
+// reaches n). Snapshots bound recovery replay time and are the granularity
+// of Compact; n <= 0 (the default) snapshots only when forced (custom
+// transactions, whose bodies have no wire form).
 func SnapshotEvery(n int) Option {
 	return func(c *config) { c.snapshotEvery = n }
 }
@@ -83,15 +86,15 @@ type Archive struct {
 	log       *os.File
 	logBase   int64  // sequence of the snapshot the open log segment follows
 	lastSeq   int64  // newest accepted sequence number (buffered or durable)
-	sinceSnap int    // transactions logged since the last snapshot
+	sinceSnap int    // versions logged since the last snapshot
 	failed    error  // sticky first failure; appends refuse after it
 	buf       []byte // group commit: framed records awaiting one write+fsync
-	bufRecs   int    // records in buf
-	expect    int    // adaptive window: flush once bufRecs reaches this (0 = no hint)
+	bufVers   int    // versions the records in buf cover
+	expect    int    // adaptive window: flush once bufVers reaches this (0 = no hint)
 
 	// Log-tail subscriptions (SubscribeTxns): each registered function
-	// receives every appended transaction record, in commit order, under
-	// a.mu. nextSubID keys cancellation.
+	// receives every appended log record, in commit order, under a.mu.
+	// nextSubID keys cancellation.
 	tails     map[uint64]TailFunc
 	nextSubID uint64
 
@@ -212,7 +215,7 @@ func Open(dir string, opts ...Option) (*Archive, *database.Database, error) {
 	if rec.logLen == 0 {
 		// The log segment never made it to disk (crash between snapshot
 		// and log creation): start it now.
-		hdr := appendRecord(nil, recHeader, headerPayload(recTxn, rec.logBase))
+		hdr := appendRecord(nil, recHeader, headerPayload(FormRun, rec.logBase))
 		if _, err := f.Write(hdr); err != nil {
 			f.Close()
 			return nil, nil, fmt.Errorf("archive: %w", err)
@@ -224,7 +227,7 @@ func Open(dir string, opts ...Option) (*Archive, *database.Database, error) {
 	a.log = f
 	a.logBase = rec.logBase
 	a.lastSeq = rec.lastSeq
-	a.sinceSnap = rec.logRecords
+	a.sinceSnap = int(rec.lastSeq - rec.logBase)
 	if a.cfg.metrics != nil {
 		a.cfg.metrics.Recovered(time.Since(recoverStart))
 	}
@@ -232,20 +235,21 @@ func Open(dir string, opts ...Option) (*Archive, *database.Database, error) {
 	return a, rec.db, nil
 }
 
-// maxGroupRecords caps the group-commit buffer: a window long enough to
-// hold more than this many records flushes early, bounding both the
-// buffer's memory and the number of commits a crash can lose.
-const maxGroupRecords = 4096
+// maxGroupVersions caps the group-commit buffer: a window long enough to
+// hold records of more than this many versions flushes early, bounding both
+// the buffer's memory and the number of commits a crash can lose.
+const maxGroupVersions = 4096
 
 // ExpectBatch hints that a batch of n committed writes is about to reach
-// Append: the adaptive group-commit window. Once the buffer has grown by
-// that many records, the pending batch is flushed immediately instead of
-// waiting out the window timer — a full admission batch is exactly the
-// write the group-commit machinery exists to coalesce, so there is
-// nothing to gain by sleeping on it.
+// Append: the adaptive group-commit window. Once the buffer holds that many
+// more versions — the batch's records, however few a run makes them — the
+// pending batch is flushed immediately instead of waiting out the window
+// timer: a full admission batch is exactly the write the group-commit
+// machinery exists to coalesce, so there is nothing to gain by sleeping on
+// it.
 //
 // The hint is a high-water mark rebased on the current buffer (flush
-// when bufRecs reaches bufRecs-now + n), not a countdown: a hinted write
+// when bufVers reaches bufVers-now + n), not a countdown: a hinted write
 // that errors before committing never reaches Append, and a countdown it
 // failed to decrement would wedge the adaptive flush forever. With the
 // high-water form a shortfall only delays the current batch's flush (the
@@ -261,12 +265,14 @@ func (a *Archive) ExpectBatch(n int) {
 	if a.cfg.group <= 0 {
 		return
 	}
-	a.expect = a.bufRecs + n
+	a.expect = a.bufVers + n
 }
 
-// Append records one committed write. Encodable transactions become log
-// records; custom transactions (no wire form) force a full snapshot of the
-// version they produced. It is the body of the core.CommitObserver hook.
+// Append records one committed write, or one insert run. Encodable commits
+// become log records — a run one record, or one per stretch of it under one
+// origin's consecutive sequence numbers; custom transactions (no record
+// form) force a full snapshot of the version they produced. It is the body
+// of the core.CommitObserver hook.
 func (a *Archive) Append(c core.Commit) error {
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -280,8 +286,8 @@ func (a *Archive) Append(c core.Commit) error {
 	a.lastSeq = c.Seq
 	// Adaptive window: once the buffer reaches the hinted high-water mark
 	// — the last append of a full admitted batch — flush without waiting
-	// for the timer. maxGroupRecords caps the buffer regardless of hints.
-	if (a.expect > 0 && a.bufRecs >= a.expect) || a.bufRecs >= maxGroupRecords {
+	// for the timer. maxGroupVersions caps the buffer regardless of hints.
+	if (a.expect > 0 && a.bufVers >= a.expect) || a.bufVers >= maxGroupVersions {
 		return a.flushLocked()
 	}
 	return nil
@@ -301,22 +307,38 @@ func (a *Archive) append(c core.Commit) error {
 		}
 		return a.writeSnapshot(c.Version())
 	}
-	// The record is framed straight into the batch buffer: with group
-	// commit it stays there until the flush, without it the buffer is
-	// scratch for this one write. payload aliases the buffer, which the
-	// tail subscribers below may read but not retain.
-	buf, payload, err := appendTxnFrame(a.buf, c.Seq, c.Tx)
-	if err != nil {
-		return err
-	}
+	// The records are framed straight into the batch buffer: with group
+	// commit they stay there until the flush, without it the buffer holds
+	// only this one write. Log-shipping tail: subscribers see each
+	// record the moment it is framed (before its durable write — a replica
+	// can never be *ahead* of the primary's committed state, only of its
+	// fsync), together with the trace context of the commit that wrote it.
+	// They read its payload in the buffer, and may not retain it.
 	tr := c.Tx.Trace
+	start := len(a.buf)
+	buf := a.buf
+	versions := int(c.Seq - c.First() + 1)
+	var one [1]value.Tuple
+	for i := 0; i < versions; {
+		r, n := commitRecord(&c, i, &one)
+		var payload []byte
+		var err error
+		if buf, payload, err = appendRunFrame(buf, r); err != nil {
+			a.buf = buf[:start]
+			return err
+		}
+		for _, fn := range a.tails {
+			fn(r.First, r.Last(), tr.Ctx(), FormRun, payload)
+		}
+		i += n
+	}
 	if a.cfg.group > 0 {
 		// Group commit: the window timer, a full hinted batch
 		// (ExpectBatch), or an explicit Flush/Sync/Close issues the
 		// write+fsync. Bytes are counted at flush.
 		a.buf = buf
-		a.bufRecs++
-		a.cfg.metrics.Buffered()
+		a.bufVers += versions
+		a.cfg.metrics.Buffered(versions)
 		if tr != nil {
 			a.pendingTr = append(a.pendingTr, pendingTrace{t: tr, at: time.Now().UnixNano()})
 		}
@@ -339,16 +361,9 @@ func (a *Archive) append(c core.Commit) error {
 			// durability interval is the write (+fsync) just issued.
 			tr.Span(reqtrace.StageGroupCommitFsync, t0, time.Now())
 		}
-		a.cfg.metrics.Appended(len(buf))
+		a.cfg.metrics.Appended(versions, len(buf))
 	}
-	// Log-shipping tail: subscribers see the record payload the moment it
-	// is accepted (possibly before its durable flush — a replica can never
-	// be *ahead* of the primary's committed state, only of its fsync),
-	// together with the trace context of the commit that wrote it.
-	for _, fn := range a.tails {
-		fn(c.Seq, tr.Ctx(), payload)
-	}
-	a.sinceSnap++
+	a.sinceSnap += versions
 	if a.cfg.snapshotEvery > 0 && a.sinceSnap >= a.cfg.snapshotEvery {
 		if err := a.flushLocked(); err != nil {
 			return err
@@ -376,9 +391,9 @@ func (a *Archive) flushLocked() error {
 		a.failed = fmt.Errorf("archive: flush: %w", err)
 		return a.failed
 	}
-	a.cfg.metrics.Flushed(a.bufRecs, len(a.buf))
+	a.cfg.metrics.Flushed(a.bufVers, len(a.buf))
 	a.buf = a.buf[:0]
-	a.bufRecs = 0
+	a.bufVers = 0
 	a.expect = 0 // any flush serves every outstanding hint
 	if a.cfg.fsync {
 		if err := a.syncLog(); err != nil {
@@ -428,19 +443,19 @@ func (a *Archive) Observer() core.CommitObserver {
 	return func(c core.Commit) { _ = a.Append(c) }
 }
 
-// TailFunc receives one committed transaction record from a log-tail
-// subscription: the engine sequence it committed as, the trace context of
-// the commit that wrote it, and the recTxn payload bytes (decode with
-// DecodeTxnRecord; do not mutate or retain the slice past the call). A
-// live record carries its commit's context; a record replayed from disk
-// carries the zero context, since contexts are not archived. It runs under
-// the archive mutex — on the commit path — so it must only hand the
-// record off (e.g. enqueue a copy), never block or call back into the
-// archive.
-type TailFunc func(seq int64, ctx reqtrace.Ctx, payload []byte)
+// TailFunc receives one log record from a log-tail subscription: the
+// versions first … last it covers (one for a single write, a run's for an
+// insert run), the trace context of the commit that wrote it, its form and
+// its payload bytes (decode with DecodeRecord or a Decoder; do not mutate or
+// retain the slice past the call). A live record carries its commit's
+// context; a record replayed from disk carries the zero context, since
+// contexts are not archived. It runs under the archive mutex — on the
+// commit path — so it must only hand the record off (e.g. enqueue a copy),
+// never block or call back into the archive.
+type TailFunc func(first, last int64, ctx reqtrace.Ctx, form byte, payload []byte)
 
-// SubscribeTxns streams the committed-transaction log: every record with
-// sequence > after, in order, with no gap between the durable history and
+// SubscribeTxns streams the committed log: every version after after, one
+// record at a time, in order, with no gap between the durable history and
 // the live tail — the replay and the registration happen under one mutex
 // acquisition, after flushing any pending group-commit batch. It is the
 // primary side of cluster log shipping: the archive's durability log is
@@ -451,9 +466,11 @@ type TailFunc func(seq int64, ctx reqtrace.Ctx, payload []byte)
 // history; a subscriber that far behind needs a snapshot bootstrap, which
 // this API deliberately does not hide). Custom transactions have no
 // record form — they force snapshots instead — so they never appear in
-// the stream; a subscriber tracking contiguous sequences detects the gap
-// and must resynchronize. Replayed records are handed out as the bytes
-// the segment holds, checked for type and sequence but not decoded.
+// the stream; a subscriber tracking contiguous versions detects the gap
+// and must resynchronize. Replayed records are handed out as the bytes the
+// segment holds, legacy ones included, checked for form and versions but
+// not decoded — except a run that after falls inside, whose remaining
+// versions are re-encoded as a run of their own (RecordAfter).
 //
 // cancel unregisters the subscription; it is safe to call more than once
 // and after Close.
@@ -482,11 +499,10 @@ func (a *Archive) SubscribeTxns(after int64, fn TailFunc) (cancel func(), err er
 		return nil, fmt.Errorf("%w: after %d (oldest segment base %d)", ErrLogTrimmed, after, oldest)
 	}
 	for _, seg := range st.logs {
-		_, _, err := scanLog(a.dir, seg, func(seq int64, payload []byte) error {
-			if seq > after {
-				fn(seq, reqtrace.Ctx{}, payload)
-			}
-			return nil
+		_, err := scanLog(a.dir, seg, func(first, last int64, form byte, payload []byte) error {
+			return RecordAfter(after, first, last, form, payload, func(first int64, form byte, payload []byte) {
+				fn(first, last, reqtrace.Ctx{}, form, payload)
+			})
 		})
 		if err != nil {
 			return nil, err
@@ -543,7 +559,7 @@ func (a *Archive) writeSnapshot(db *database.Database) error {
 	}
 	a.cfg.metrics.SnapshotWritten(len(buf))
 
-	// Rotate: the new segment holds transactions after this snapshot.
+	// Rotate: the new segment holds the versions after this snapshot.
 	if a.log != nil {
 		if err := a.log.Sync(); err != nil {
 			return fmt.Errorf("archive: rotate: %w", err)
@@ -556,7 +572,7 @@ func (a *Archive) writeSnapshot(db *database.Database) error {
 	if err != nil {
 		return fmt.Errorf("archive: rotate: %w", err)
 	}
-	if _, err := nf.Write(appendRecord(nil, recHeader, headerPayload(recTxn, seq))); err != nil {
+	if _, err := nf.Write(appendRecord(nil, recHeader, headerPayload(FormRun, seq))); err != nil {
 		nf.Close()
 		return fmt.Errorf("archive: rotate: %w", err)
 	}

@@ -69,6 +69,64 @@ func copyFixture(t *testing.T) string {
 	return dir
 }
 
+// fixtureLegacyRecords returns the payloads of the fixture's log records,
+// in version order: FormLegacy records of versions 1 … 100.
+func fixtureLegacyRecords(t testing.TB) [][]byte {
+	t.Helper()
+	st, err := scanDir(fixtureDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out [][]byte
+	for _, seg := range st.logs {
+		f, err := os.Open(filepath.Join(fixtureDir, logName(seg)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rd := &reader{r: f}
+		for {
+			rec, err := rd.next()
+			if err != nil {
+				break
+			}
+			if rec.typ == FormLegacy {
+				out = append(out, rec.payload)
+			}
+		}
+		f.Close()
+	}
+	if len(out) != 100 {
+		t.Fatalf("fixture segments hold %d records, want 100", len(out))
+	}
+	return out
+}
+
+// TestEarlierArchiveAnswersEveryVersion: every version of the archive
+// written before runs — snapshots, and the legacy records between them —
+// is the prefix of its history, through the one decoder that reads legacy
+// records.
+func TestEarlierArchiveAnswersEveryVersion(t *testing.T) {
+	dir := copyFixture(t)
+	initial, txns := fixtureHistory()
+	for v := 0; v <= len(txns); v++ {
+		got, err := VersionAt(dir, int64(v))
+		if err != nil {
+			t.Fatalf("VersionAt(%d): %v", v, err)
+		}
+		_, want := core.ApplySequential(initial, txns[:v])
+		if !got.Equal(want) || got.Version() != int64(v) {
+			t.Fatalf("version %d holds %d tuples at version %d, its history %d", v, got.TotalTuples(), got.Version(), want.TotalTuples())
+		}
+	}
+	infos, err := Versions(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(infos); n != 1+len(txns) { // snapshot 0, then every write
+		t.Fatalf("the fixture lists %d versions", n)
+	}
+}
+
 // TestEarlierArchiveOpens: an archive written before snapshots were encoded
 // in place, and before relations were built in one pass, still recovers to
 // the version its history makes; each of its snapshots re-encodes to the

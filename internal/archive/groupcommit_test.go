@@ -244,14 +244,13 @@ func TestAppendAllocGate(t *testing.T) {
 	}
 	defer a.Close()
 	var tailed int
-	cancel, err := a.SubscribeTxns(0, func(_ int64, _ reqtrace.Ctx, payload []byte) { tailed += len(payload) })
+	cancel, err := a.SubscribeTxns(0, func(_, _ int64, _ reqtrace.Ctx, _ byte, payload []byte) { tailed += len(payload) })
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cancel()
 
 	tx := core.Insert("R", value.NewTuple(value.Int(1), value.Str(strings.Repeat("v", 64))))
-	tx.Query = `insert (1, "…") into R`
 	seq := int64(0)
 	appendOne := func() {
 		seq++
@@ -259,7 +258,7 @@ func TestAppendAllocGate(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	for i := 0; i < 2*maxGroupRecords; i++ { // grow the buffer to its cap and flush it once
+	for i := 0; i < 2*maxGroupVersions; i++ { // grow the buffer to its cap and flush it once
 		appendOne()
 	}
 	if allocs := testing.AllocsPerRun(1000, appendOne); allocs > 0 {

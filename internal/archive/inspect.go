@@ -53,12 +53,16 @@ func Inspect(dir string) (Summary, error) {
 	}
 	for _, s := range st.logs {
 		info := FileInfo{Name: logName(s), Bytes: stat(logName(s))}
-		lc, err := readLog(dir, s)
+		var dec Decoder
+		sc, err := scanLog(dir, s, func(_, _ int64, form byte, payload []byte) error {
+			_, err := dec.Decode(form, payload)
+			return err
+		})
 		if err != nil {
 			info.Err = err.Error()
 		} else {
-			info.Records = 1 + len(lc.entries) // header + transactions
-			if lc.torn {
+			info.Records = 1 + sc.records // header + log records
+			if sc.torn {
 				info.Err = "torn final record"
 			}
 		}

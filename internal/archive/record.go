@@ -1,14 +1,15 @@
-// Package archive makes the version stream durable: an append-only
-// transaction log plus periodic full-version snapshots, in the binary wire
-// format of internal/value. It is the on-disk form of the paper's
-// Section 3.3 "complete archives" — the immutable version stream is the
-// database's history, and retaining it durably buys restart recovery and
-// on-disk time travel for free.
+// Package archive makes the version stream durable: an append-only log of
+// structural write records plus periodic full-version snapshots, in the
+// binary wire format of internal/value. It is the on-disk form of the
+// paper's Section 3.3 "complete archives" — the immutable version stream is
+// the database's history, and retaining it durably buys restart recovery
+// and on-disk time travel for free.
 //
 // An archive directory contains two kinds of files:
 //
 //	snap-<seq>.fdba   one full database version (the version numbered seq)
-//	log-<seq>.fdba    committed transactions with sequence > seq, in order
+//	log-<seq>.fdba    log records of the versions after seq, in order: one
+//	                  per write, or per insert run (encode.go)
 //
 // Every file is a stream of framed records; every snapshot starts a new log
 // segment. Recovery loads the newest decodable snapshot and replays the
@@ -32,15 +33,21 @@ import (
 //
 // — with maxRecordLen as the length limit instead of the wire's.
 
-// Record types.
+// Record types. A log record's type is its form, which a wire LogRecord
+// carries ahead of the record's bytes.
 const (
 	// recHeader opens every archive file: magic, format version, and the
 	// base sequence number of the file.
 	recHeader byte = 1
 	// recSnapshot carries one full database version (snapshot files).
 	recSnapshot byte = 2
-	// recTxn carries one committed transaction (log files).
-	recTxn byte = 3
+	// FormLegacy carries one committed transaction and its source text. It
+	// is read-only: segments written before FormRun hold it, and only
+	// decodeLegacy reads it.
+	FormLegacy byte = 3
+	// FormRun carries one run of consecutive versions of one relation, in
+	// structural form only (encode.go). Every log record written is one.
+	FormRun byte = 4
 )
 
 const (
@@ -138,7 +145,9 @@ func (rd *reader) next() (record, error) {
 }
 
 // headerPayload encodes a file header: magic, format version, file kind
-// (the record type the file carries), and its base sequence number.
+// (recSnapshot, or a log form: FormRun for segments written now, FormLegacy
+// for earlier ones, which FormRun records may follow once such an archive
+// reopens), and its base sequence number.
 func headerPayload(kind byte, baseSeq int64) []byte {
 	out := append([]byte(magic), formatVersion, kind)
 	return binary.AppendVarint(out, baseSeq)

@@ -2,6 +2,7 @@ package archive
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -9,13 +10,16 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
 	"testing/quick"
 
 	"funcdb/internal/core"
+	"funcdb/internal/database"
 	"funcdb/internal/query"
+	"funcdb/internal/relation"
 	"funcdb/internal/value"
 	"funcdb/internal/wire"
 )
@@ -51,8 +55,8 @@ func TestRecordRoundTrip(t *testing.T) {
 // the reader must yield the valid prefix and then a clean truncation (or
 // EOF), never a panic and never a bogus record.
 func TestRecordTruncation(t *testing.T) {
-	first := appendRecord(nil, recTxn, []byte("first payload"))
-	full := appendRecord(first, recTxn, []byte("second payload"))
+	first := appendRecord(nil, FormRun, []byte("first payload"))
+	full := appendRecord(first, FormRun, []byte("second payload"))
 	for cut := 0; cut <= len(full); cut++ {
 		rd := &reader{r: bytes.NewReader(full[:cut])}
 		var got int
@@ -63,7 +67,7 @@ func TestRecordTruncation(t *testing.T) {
 			if err != nil {
 				break
 			}
-			if rec.typ != recTxn {
+			if rec.typ != FormRun {
 				t.Fatalf("cut %d: bad record type %d", cut, rec.typ)
 			}
 			got++
@@ -94,7 +98,7 @@ func TestRecordTruncation(t *testing.T) {
 // valid.
 func TestRecordBitFlips(t *testing.T) {
 	payload := []byte("the payload under test")
-	clean := appendRecord(nil, recTxn, payload)
+	clean := appendRecord(nil, FormRun, payload)
 	for i := range clean {
 		mutated := append([]byte(nil), clean...)
 		mutated[i] ^= 0x41
@@ -111,12 +115,12 @@ func TestRecordBitFlips(t *testing.T) {
 
 func TestHeaderRoundTrip(t *testing.T) {
 	for _, seq := range []int64{0, 1, 1 << 40} {
-		kind, base, err := decodeHeader(headerPayload(recTxn, seq))
-		if err != nil || kind != recTxn || base != seq {
+		kind, base, err := decodeHeader(headerPayload(FormRun, seq))
+		if err != nil || kind != FormRun || base != seq {
 			t.Fatalf("seq %d: kind %d base %d err %v", seq, kind, base, err)
 		}
 	}
-	bad := [][]byte{nil, []byte("xxxx"), []byte(magic), append([]byte(magic), 99, recTxn, 0)}
+	bad := [][]byte{nil, []byte("xxxx"), []byte(magic), append([]byte(magic), 99, FormRun, 0)}
 	for i, p := range bad {
 		if _, _, err := decodeHeader(p); err == nil {
 			t.Errorf("case %d: bad header accepted", i)
@@ -124,35 +128,141 @@ func TestHeaderRoundTrip(t *testing.T) {
 	}
 }
 
+// sameRecord reports whether two records carry the same versions, tags and
+// items.
+func sameRecord(a, b Record) bool {
+	if a.First != b.First || a.Origin != b.Origin || a.Seq != b.Seq || a.Kind != b.Kind || a.Rel != b.Rel ||
+		a.Rep != b.Rep || a.Key.Kind() != b.Key.Kind() || len(a.Tuples) != len(b.Tuples) {
+		return false
+	}
+	if a.Key.IsValid() && !a.Key.Equal(b.Key) {
+		return false
+	}
+	for i := range a.Tuples {
+		if !a.Tuples[i].Equal(b.Tuples[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// sameWrite reports whether a record's version carries tx, on every field
+// replay applies and in its tag.
+func sameWrite(got, tx core.Transaction) bool {
+	return got.Origin == tx.Origin && got.Seq == tx.Seq && got.Kind == tx.Kind && got.Rel == tx.Rel && got.Rep == tx.Rep &&
+		got.Key.Kind() == tx.Key.Kind() && (!tx.Key.IsValid() || got.Key.Equal(tx.Key)) && got.Tuple.Equal(tx.Tuple)
+}
+
+// writeRecord encodes the record of one committed write at version seq.
+func writeRecord(t testing.TB, seq int64, tx core.Transaction) []byte {
+	t.Helper()
+	c := core.NewCommit(seq, tx, core.Response{}, nil)
+	var one [1]value.Tuple
+	r, n := commitRecord(&c, 0, &one)
+	if n != 1 {
+		t.Fatalf("a single write made a record of %d versions", n)
+	}
+	payload, err := AppendRun(nil, r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return payload
+}
+
+// legacyPayload encodes tx at seq in the FormLegacy layout, source text
+// included: the bytes segments held before FormRun, which nothing but this
+// test helper writes any more.
+func legacyPayload(seq int64, tx core.Transaction, text string) []byte {
+	dst := binary.AppendVarint(nil, seq)
+	dst = value.AppendString(dst, tx.Origin)
+	dst = binary.AppendVarint(dst, int64(tx.Seq))
+	dst = value.AppendString(dst, text)
+	dst = append(dst, byte(tx.Kind))
+	dst = value.AppendString(dst, tx.Rel)
+	switch tx.Kind {
+	case core.KindInsert:
+		dst, _ = value.AppendTuple(dst, tx.Tuple)
+	case core.KindDelete:
+		dst, _ = value.AppendItem(dst, tx.Key)
+	case core.KindCreate:
+		dst = append(dst, byte(tx.Rep))
+	}
+	return dst
+}
+
+// TestTxnRecordRoundTrip: every write has one record form — a single write
+// is a run of one — which decodes back to the write, tag included, and a
+// custom transaction has none. An insert run the engine committed as one
+// publication is one record wherever its tags step by one under one origin,
+// and splits exactly where they do not.
 func TestTxnRecordRoundTrip(t *testing.T) {
 	txns := []core.Transaction{
 		core.Insert("R", value.NewTuple(value.Int(1), value.Str("widget"))),
 		core.Delete("R", value.Int(1)),
 		core.Create("S", 2),
-		{Kind: core.KindInsert, Rel: "R", Tuple: value.NewTuple(value.Int(7)), Origin: "repl", Seq: 3, Query: `insert 7 into R`},
+		{Kind: core.KindInsert, Rel: "R", Tuple: value.NewTuple(value.Int(7)), Origin: "repl", Seq: 3},
 	}
-	var dec TxnDecoder // one stream: later records reuse earlier records' names
+	var dec Decoder // one stream: later records reuse earlier records' names
 	for i, tx := range txns {
-		payload, err := appendTxn(nil, int64(i+1), tx)
+		got, err := dec.Decode(FormRun, writeRecord(t, int64(i+1), tx))
 		if err != nil {
 			t.Fatalf("txn %d: %v", i, err)
 		}
-		got, err := dec.decode(payload)
-		if err != nil {
-			t.Fatalf("txn %d: %v", i, err)
-		}
-		if got.Seq != int64(i+1) || got.Tx.Kind != tx.Kind || got.Tx.Rel != tx.Rel {
-			t.Fatalf("txn %d: round trip %+v -> %+v", i, tx, got.Tx)
-		}
-		if got.Tx.Origin != tx.Origin || got.Tx.Seq != tx.Seq || got.Tx.Query != tx.Query {
-			t.Fatalf("txn %d: tag lost: %+v", i, got.Tx)
-		}
-		if tx.Kind == core.KindInsert && !got.Tx.Tuple.Equal(tx.Tuple) {
-			t.Fatalf("txn %d: tuple %v -> %v", i, tx.Tuple, got.Tx.Tuple)
+		if got.First != int64(i+1) || got.Last() != int64(i+1) || !sameWrite(got.Txn(0), tx) {
+			t.Fatalf("txn %d: round trip %+v -> %+v", i, tx, got)
 		}
 	}
-	if _, err := appendTxn(nil, 1, core.Custom(nil, nil, []string{"R"})); err == nil {
+	if _, err := AppendRun(nil, Record{Kind: core.KindCustom, Rel: "R"}); err == nil {
 		t.Error("custom transaction encoded")
+	}
+
+	// One run of 40 whose tags break twice: another origin after 15, and a
+	// jump in that origin's sequence after 10 more.
+	var batch []core.Transaction
+	for i := 0; i < 40; i++ {
+		tx := core.Insert("P", value.NewTuple(value.Int(int64(i*7%23)), value.Str(fmt.Sprintf("v%d", i))))
+		switch {
+		case i < 15:
+			tx.Origin, tx.Seq = "a", i
+		case i < 25:
+			tx.Origin, tx.Seq = "b", i-15
+		default:
+			tx.Origin, tx.Seq = "b", i+100
+		}
+		batch = append(batch, tx)
+	}
+	var commits []core.Commit
+	e := core.NewEngine(database.New(relation.RepPaged, "P"), core.WithCommitObserver(func(c core.Commit) { commits = append(commits, c) }))
+	e.SubmitBatch(batch)
+	e.Barrier()
+	if len(commits) != 1 || commits[0].Run == nil {
+		t.Fatalf("%d commits for one run", len(commits))
+	}
+	c := commits[0]
+	var lens []int
+	v := int64(1)
+	for i := 0; i < len(batch); {
+		var one [1]value.Tuple
+		r, n := commitRecord(&c, i, &one)
+		payload, err := AppendRun(nil, r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := DecodeRecord(FormRun, payload)
+		if err != nil || got.First != v || got.Count() != n {
+			t.Fatalf("record at version %d: %d versions decode to %+v, %v", v, n, got, err)
+		}
+		for j := 0; j < n; j++ {
+			if !sameWrite(got.Txn(j), batch[i+j]) {
+				t.Fatalf("version %d carries %+v, want %+v", v+int64(j), got.Txn(j), batch[i+j])
+			}
+		}
+		lens = append(lens, n)
+		i += n
+		v += int64(n)
+	}
+	if fmt.Sprint(lens) != "[15 10 15]" {
+		t.Fatalf("the run's records cover %v versions, want [15 10 15]", lens)
 	}
 }
 
@@ -173,7 +283,8 @@ func TestPropertyDecodersNeverPanic(t *testing.T) {
 				break
 			}
 		}
-		_, _, _ = DecodeTxnRecord(buf)
+		_, _ = DecodeRecord(FormRun, buf)
+		_, _ = DecodeRecord(FormLegacy, buf)
 		_, _, _ = decodeHeader(buf)
 		return true
 	}
@@ -182,9 +293,9 @@ func TestPropertyDecodersNeverPanic(t *testing.T) {
 	}
 }
 
-// TestPropertyMutatedTxnStreamNeverPanics frames random valid transaction
-// records, then corrupts the stream at a random position: reading must
-// terminate with a clean result, never panic.
+// TestPropertyMutatedTxnStreamNeverPanics frames random valid log records,
+// runs among them, then corrupts the stream at a random position: reading
+// must terminate with a clean result, never panic.
 func TestPropertyMutatedTxnStreamNeverPanics(t *testing.T) {
 	f := func(seed int64) (ok bool) {
 		defer func() {
@@ -194,14 +305,19 @@ func TestPropertyMutatedTxnStreamNeverPanics(t *testing.T) {
 			}
 		}()
 		r := rand.New(rand.NewSource(seed))
-		buf := appendRecord(nil, recHeader, headerPayload(recTxn, 0))
+		buf := appendRecord(nil, recHeader, headerPayload(FormRun, 0))
+		first := int64(1)
 		for i := 0; i < 1+r.Intn(5); i++ {
-			tx := core.Insert("R", value.NewTuple(value.Int(r.Int63n(100)), value.Str("v")))
-			payload, err := appendTxn(nil, int64(i+1), tx)
+			rec := Record{First: first, Origin: "o", Seq: i, Kind: core.KindInsert, Rel: "R"}
+			for j := 0; j < 1+r.Intn(4); j++ {
+				rec.Tuples = append(rec.Tuples, value.NewTuple(value.Int(r.Int63n(100)), value.Str("v")))
+			}
+			payload, err := AppendRun(nil, rec)
 			if err != nil {
 				return false
 			}
-			buf = appendRecord(buf, recTxn, payload)
+			buf = appendRecord(buf, FormRun, payload)
+			first = rec.Last() + 1
 		}
 		switch r.Intn(3) {
 		case 0: // truncate
@@ -216,8 +332,8 @@ func TestPropertyMutatedTxnStreamNeverPanics(t *testing.T) {
 			if err != nil {
 				return true
 			}
-			if rec.typ == recTxn {
-				_, _, _ = DecodeTxnRecord(rec.payload)
+			if rec.typ == FormRun {
+				_, _ = DecodeRecord(FormRun, rec.payload)
 			}
 		}
 	}
@@ -231,8 +347,8 @@ func TestPropertyMutatedTxnStreamNeverPanics(t *testing.T) {
 // decode back to itself.
 func FuzzReadRecord(f *testing.F) {
 	f.Add([]byte{})
-	f.Add(appendRecord(nil, recTxn, []byte("seed")))
-	f.Add(appendRecord(appendRecord(nil, recHeader, headerPayload(recTxn, 3)), recTxn, []byte{1, 2, 3}))
+	f.Add(appendRecord(nil, FormRun, []byte("seed")))
+	f.Add(appendRecord(appendRecord(nil, recHeader, headerPayload(FormRun, 3)), FormLegacy, []byte{1, 2, 3}))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		rd := &reader{r: bytes.NewReader(data)}
 		for {
@@ -245,123 +361,198 @@ func FuzzReadRecord(f *testing.F) {
 			if int64(len(again)) > rd.off {
 				t.Fatalf("frame longer than consumed input")
 			}
-			if rec.typ == recTxn {
-				_, _, _ = DecodeTxnRecord(rec.payload)
-			}
+			_, _ = DecodeRecord(rec.typ, rec.payload)
 		}
 	})
 }
 
-// TestTxnFrameMatchesRecord: framing a transaction in place writes the
-// bytes appendRecord(appendTxn) writes — the log format did not move — and
-// a transaction with no wire form leaves the buffer as it was.
+// FuzzRunRecord is the record codec's fuzz target, for both forms:
+//
+//   - decoding any bytes never panics, and a hostile count cannot make it
+//     allocate more than a small multiple of the payload — a count longer
+//     than the payload could hold is refused before anything is sized by
+//     it;
+//   - a warm decoder accepts exactly what a fresh one accepts, and decodes
+//     the same record;
+//   - a record's span, read from its head alone, is the decoded record's;
+//   - decode(encode(r)) == r for every record the decoder produces, legacy
+//     ones re-encoded as runs, and re-encoding is a fixed point; a FormRun
+//     payload re-encodes to itself, or strictly shorter when it used a
+//     non-minimal varint that internal/value accepts.
+//
+// The seeds are runs of every kind and the FormLegacy records of the
+// archive written at commit a872265.
+func FuzzRunRecord(f *testing.F) {
+	tu := func(k int64, s string) value.Tuple { return value.NewTuple(value.Int(k), value.Str(s)) }
+	for _, r := range []Record{
+		{First: 1, Origin: "c", Seq: 0, Kind: core.KindInsert, Rel: "R", Tuples: []value.Tuple{tu(1, "a")}},
+		{First: 7, Origin: "bench-w0", Seq: 40, Kind: core.KindInsert, Rel: "parts", Tuples: []value.Tuple{tu(3, "x"), tu(1, "y"), tu(3, "z")}},
+		{First: 9, Origin: "", Seq: -2, Kind: core.KindDelete, Rel: "R", Key: value.Str("k")},
+		{First: 1 << 40, Origin: "o", Seq: 1, Kind: core.KindCreate, Rel: "S", Rep: relation.RepPaged},
+	} {
+		payload, err := AppendRun(nil, r)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(FormRun, payload)
+	}
+	// A count no payload of this length could hold.
+	f.Add(FormRun, binary.AppendUvarint(binary.AppendVarint(nil, 1), 1<<40))
+	for i, payload := range fixtureLegacyRecords(f) {
+		if i%25 == 0 {
+			f.Add(FormLegacy, payload)
+		}
+	}
+	f.Fuzz(func(t *testing.T, form byte, payload []byte) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		r, err := DecodeRecord(form, payload)
+		runtime.ReadMemStats(&after)
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 64*uint64(len(payload))+1<<20 {
+			t.Fatalf("form %d: a %d-byte payload made the decoder allocate %d bytes", form, len(payload), grew)
+		}
+		var dec Decoder
+		for range 2 {
+			warm, werr := dec.Decode(form, payload)
+			if (err == nil) != (werr == nil) || (err == nil && !sameRecord(r, warm)) {
+				t.Fatalf("form %d: a warm decoder diverged: %v vs %v", form, err, werr)
+			}
+		}
+		if err != nil {
+			return
+		}
+		if first, last, serr := recordSpan(form, payload); serr != nil || first != r.First || last != r.Last() {
+			t.Fatalf("form %d: span %d..%d (%v), the record covers %d..%d", form, first, last, serr, r.First, r.Last())
+		}
+		enc, err := AppendRun(nil, r)
+		if err != nil {
+			t.Fatalf("form %d: a decoded record does not encode: %v", form, err)
+		}
+		back, err := DecodeRecord(FormRun, enc)
+		if err != nil || !sameRecord(r, back) {
+			t.Fatalf("form %d: decode(encode(r)) = %+v, %v; r = %+v", form, back, err, r)
+		}
+		if again, err := AppendRun(nil, back); err != nil || !bytes.Equal(again, enc) {
+			t.Fatalf("form %d: re-encoding is not a fixed point: %v", form, err)
+		}
+		if form == FormRun && !bytes.Equal(enc, payload) && len(enc) >= len(payload) {
+			t.Fatalf("an accepted run re-encodes differently:\n got %x\nwant %x", enc, payload)
+		}
+	})
+}
+
+// TestTxnFrameMatchesRecord: framing a record in place writes the bytes
+// appendRecord(AppendRun) writes — one frame format for every record — and
+// a write with no record form leaves the buffer as it was.
 func TestTxnFrameMatchesRecord(t *testing.T) {
-	for _, typ := range []byte{recHeader, recSnapshot, recTxn, 0, 255} {
+	for _, typ := range []byte{recHeader, recSnapshot, FormLegacy, FormRun, 0, 255} {
 		body := []byte("payload bytes")
 		if got, want := recordCRC(typ, body), crc32.ChecksumIEEE(append([]byte{typ}, body...)); got != want {
 			t.Fatalf("recordCRC(%d) = %08x, IEEE over type+payload = %08x", typ, got, want)
 		}
 	}
 	prefix := []byte("earlier records")
-	for i, tx := range []core.Transaction{
-		core.Insert("R", value.NewTuple(value.Int(1), value.Str(strings.Repeat("w", 300)))),
-		core.Delete("R", value.Int(1)),
-		core.Create("S", 2),
-		{Kind: core.KindInsert, Rel: "R", Tuple: value.NewTuple(value.Int(7)), Origin: "repl", Seq: 3, Query: `insert 7 into R`},
+	for i, r := range []Record{
+		{First: 1, Kind: core.KindInsert, Rel: "R", Tuples: []value.Tuple{value.NewTuple(value.Int(1), value.Str(strings.Repeat("w", 300)))}},
+		{First: 2, Kind: core.KindDelete, Rel: "R", Key: value.Int(1)},
+		{First: 3, Kind: core.KindCreate, Rel: "S", Rep: 2},
+		{First: 4, Origin: "repl", Seq: 3, Kind: core.KindInsert, Rel: "R", Tuples: []value.Tuple{value.NewTuple(value.Int(7)), value.NewTuple(value.Int(8))}},
 	} {
-		payload, err := appendTxn(nil, int64(i+1), tx)
+		payload, err := AppendRun(nil, r)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := appendRecord(append([]byte(nil), prefix...), recTxn, payload)
-		got, gotPayload, err := appendTxnFrame(append([]byte(nil), prefix...), int64(i+1), tx)
+		want := appendRecord(append([]byte(nil), prefix...), FormRun, payload)
+		got, gotPayload, err := appendRunFrame(append([]byte(nil), prefix...), r)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(got, want) {
-			t.Errorf("txn %d: framed in place\n%x\nwant\n%x", i, got, want)
+			t.Errorf("record %d: framed in place\n%x\nwant\n%x", i, got, want)
 		}
 		if !bytes.Equal(gotPayload, payload) {
-			t.Errorf("txn %d: payload view %x, want %x", i, gotPayload, payload)
+			t.Errorf("record %d: payload view %x, want %x", i, gotPayload, payload)
 		}
 	}
-	got, _, err := appendTxnFrame(prefix, 1, core.Custom(nil, nil, []string{"R"}))
+	got, _, err := appendRunFrame(prefix, Record{Kind: core.KindCustom, Rel: "R"})
 	if err == nil || !bytes.Equal(got, prefix) {
 		t.Errorf("custom transaction: err %v, buffer %q", err, got)
 	}
 }
 
-// TestDecodeRecordAllocGate: a record's structural fields are what replay
-// applies; its source text — a statement as typed, or a prepared write's
-// '?' template — is carried, never parsed. Decoding pays one string for
-// the text and nothing else: no lex, no parse, and for a template no
-// SyntaxError and formatted message per replicated record.
+// TestDecodeRecordAllocGate: a record is structural only. Decoding one
+// allocates its fields and nothing else — its tuple, its origin and
+// relation name, and the slice holding its tuple — with no string for
+// source text, because there is none. A FormLegacy record still carries its
+// text — a statement as typed, or a prepared write's '?' template — which is
+// skipped, never parsed: decoding it costs at most one allocation more, no
+// lex, no parse, and for a template no SyntaxError and formatted message.
+// On a stream's warm decoder, whose names are interned and whose tuple
+// slice is reused, a record costs its tuple alone.
 func TestDecodeRecordAllocGate(t *testing.T) {
 	tx := core.Insert("parts", value.NewTuple(value.Int(7), value.Str("widget")))
 	tx.Origin, tx.Seq = "client-3", 41
-	bare, err := AppendTxnRecord(nil, 9, tx)
+	tb, err := value.AppendTuple(nil, tx.Tuple)
 	if err != nil {
 		t.Fatal(err)
 	}
-	decode := func(payload []byte) func() {
+	tuple := testing.AllocsPerRun(200, func() {
+		if _, _, err := value.DecodeTuple(tb); err != nil {
+			t.Fatal(err)
+		}
+	})
+	bare := tuple + 3
+	decode := func(form byte, payload []byte) func() {
 		return func() {
-			if _, _, err := DecodeTxnRecord(payload); err != nil {
+			if _, err := DecodeRecord(form, payload); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
-	base := testing.AllocsPerRun(200, decode(bare))
+	structural := writeRecord(t, 9, tx)
+	if got := testing.AllocsPerRun(200, decode(FormRun, structural)); got != bare {
+		t.Errorf("decoding a structural record = %.1f allocs, want %.1f: its tuple, origin, relation and tuple slice", got, bare)
+	}
 
 	for _, src := range []string{"insert (?, ?) into parts", `insert (7, "widget") into parts`} {
-		tx.Query = src
-		payload, err := AppendTxnRecord(nil, 9, tx)
+		payload := legacyPayload(9, tx, src)
+		got, err := DecodeRecord(FormLegacy, payload)
 		if err != nil {
 			t.Fatal(err)
 		}
-		seq, got, err := DecodeTxnRecord(payload)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if seq != 9 || got.Kind != tx.Kind || got.Rel != tx.Rel || !got.Tuple.Equal(tx.Tuple) ||
-			got.Origin != tx.Origin || got.Seq != tx.Seq || got.Query != tx.Query {
+		if got.First != 9 || got.Count() != 1 || !sameWrite(got.Txn(0), tx) {
 			t.Fatalf("decoded %+v, want %+v", got, tx)
 		}
-		if allocs := testing.AllocsPerRun(200, decode(payload)); allocs > base+1 {
-			t.Errorf("decoding a record with text %q = %.1f allocs, %.1f without source text: the text was parsed", src, allocs, base)
+		if allocs := testing.AllocsPerRun(200, decode(FormLegacy, payload)); allocs > bare+1 {
+			t.Errorf("decoding a legacy record with text %q = %.1f allocs, %.1f for a structural one: the text was parsed", src, allocs, bare)
 		}
 	}
 
-	// A stream's decoder has seen the record's origin and relation before:
-	// it hands out the strings it kept instead of two fresh ones.
-	var dec TxnDecoder
+	var dec Decoder
 	warm := testing.AllocsPerRun(200, func() {
-		if _, got, err := dec.Decode(bare); err != nil || got.Origin != tx.Origin || got.Rel != tx.Rel {
+		if got, err := dec.Decode(FormRun, structural); err != nil || got.Origin != tx.Origin || got.Rel != tx.Rel {
 			t.Fatalf("warm decode: %+v, %v", got, err)
 		}
 	})
-	if warm != base-2 {
-		t.Errorf("decoding on a warm decoder = %.1f allocs, %.1f on none: want exactly two fewer", warm, base)
+	if warm != tuple {
+		t.Errorf("decoding on a warm decoder = %.1f allocs, want the tuple's own %.1f", warm, tuple)
 	}
 }
 
 // TestTxnDecoderBounded: a stream with more distinct names than the decoder
 // keeps still decodes every record exactly; the decoder just stops growing.
 func TestTxnDecoderBounded(t *testing.T) {
-	var dec TxnDecoder
+	var dec Decoder
 	for round := 0; round < 2; round++ {
 		for i := 0; i < 2*internedNames; i++ {
 			tx := core.Delete(fmt.Sprintf("R%d", i), value.Int(int64(i)))
 			tx.Origin, tx.Seq = fmt.Sprintf("client-%d", i), i
-			payload, err := AppendTxnRecord(nil, int64(i+1), tx)
+			got, err := dec.Decode(FormRun, writeRecord(t, int64(i+1), tx))
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := dec.decode(payload)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got.Seq != int64(i+1) || got.Tx.Rel != tx.Rel || got.Tx.Origin != tx.Origin || got.Tx.Seq != i || !got.Tx.Key.Equal(tx.Key) {
-				t.Fatalf("round %d record %d decodes to %+v, want %+v", round, i, got.Tx, tx)
+			if got.First != int64(i+1) || !sameWrite(got.Txn(0), tx) {
+				t.Fatalf("round %d record %d decodes to %+v, want %+v", round, i, got, tx)
 			}
 		}
 		if len(dec.names) != internedNames {
@@ -371,10 +562,10 @@ func TestTxnDecoderBounded(t *testing.T) {
 }
 
 // TestStructuralReplayIsTextReplay: for every valid write in the query
-// fuzz corpora, the transaction a log record decodes to — its structural
-// fields, taken as stored — is the transaction translating its source
-// text gives, on every field replay applies. Not parsing on replay
-// replays the same thing.
+// fuzz corpora, the write its log record decodes to — its structural
+// fields, taken as stored — is the transaction translating its source text
+// gives, on every field replay applies. The record keeps no text, and
+// replaying it replays the same thing.
 func TestStructuralReplayIsTextReplay(t *testing.T) {
 	var srcs []string
 	for _, dir := range []string{"FuzzPrepare", "FuzzTranslateCached"} {
@@ -408,23 +599,21 @@ func TestStructuralReplayIsTextReplay(t *testing.T) {
 	writes := 0
 	for _, src := range srcs {
 		tx, err := query.Translate(src)
-		if err != nil || !Encodable(tx) {
+		if err != nil || !encodable(tx) {
 			continue
 		}
 		writes++
 		tx.Origin, tx.Seq = "c1", writes
-		payload, err := appendTxn(nil, int64(writes), tx)
+		payload := writeRecord(t, int64(writes), tx)
+		if bytes.Contains(payload, []byte(src)) && len(src) > 8 {
+			t.Errorf("%q: the record carries the source text", src)
+		}
+		got, err := DecodeRecord(FormRun, payload)
 		if err != nil {
 			t.Fatalf("%q: %v", src, err)
 		}
-		seq, got, err := DecodeTxnRecord(payload)
-		if err != nil {
-			t.Fatalf("%q: %v", src, err)
-		}
-		if seq != int64(writes) || got.Origin != tx.Origin || got.Seq != tx.Seq || got.Query != src ||
-			got.Kind != tx.Kind || got.Rel != tx.Rel || got.Rep != tx.Rep ||
-			got.Key.Kind() != tx.Key.Kind() || !got.Key.Equal(tx.Key) || !got.Tuple.Equal(tx.Tuple) {
-			t.Errorf("%q: record decodes to %+v, text translates to %+v", src, got, tx)
+		if got.First != int64(writes) || !sameWrite(got.Txn(0), tx) {
+			t.Errorf("%q: record decodes to %+v, text translates to %+v", src, got.Txn(0), tx)
 		}
 	}
 	if writes < 12 {

@@ -1,7 +1,6 @@
 package archive
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -11,7 +10,9 @@ import (
 	"strconv"
 	"strings"
 
+	"funcdb/internal/core"
 	"funcdb/internal/database"
+	"funcdb/internal/relation"
 	"funcdb/internal/trace"
 	"funcdb/internal/wire"
 )
@@ -94,44 +95,28 @@ func readSnapshot(dir string, seq int64) (*database.Database, error) {
 	return db, nil
 }
 
-// logContents is the decoded state of one log segment.
-type logContents struct {
-	entries  []loggedTxn
+// logScan is what reading one log segment's frames found.
+type logScan struct {
 	validLen int64 // byte length of the valid record prefix
 	torn     bool  // a truncated final frame was dropped
-}
-
-// readLog decodes the log segment based at seq (see scanLog).
-func readLog(dir string, seq int64) (logContents, error) {
-	var out logContents
-	var dec TxnDecoder
-	var err error
-	out.validLen, out.torn, err = scanLog(dir, seq, func(_ int64, payload []byte) error {
-		entry, err := dec.decode(payload)
-		out.entries = append(out.entries, entry)
-		return err
-	})
-	if err != nil {
-		return logContents{}, err
-	}
-	return out, nil
+	records  int   // records in the valid prefix
 }
 
 // scanLog hands the records of the log segment based at seq to fn, in
-// order, as the payload bytes the segment holds: every frame must be a
-// transaction record whose sequence continues the segment without a gap,
-// but nothing past the sequence is decoded. It returns the byte length of
-// the valid record prefix and whether a torn final frame was dropped. A
-// missing file reads as an empty segment (a crash can separate snapshot
-// and log creation); a torn final frame ends the segment cleanly;
+// order, as the versions each covers, its form and the payload bytes the
+// segment holds: every frame must be a log record whose versions continue
+// the segment without a gap, but nothing past a FormRun record's span is
+// decoded. A missing file reads as an empty segment (a crash can separate
+// snapshot and log creation); a torn final frame ends the segment cleanly;
 // mid-stream checksum failures, and an error from fn, are fatal.
-func scanLog(dir string, seq int64, fn func(seq int64, payload []byte) error) (validLen int64, torn bool, err error) {
+func scanLog(dir string, seq int64, fn func(first, last int64, form byte, payload []byte) error) (logScan, error) {
+	var sc logScan
 	f, err := os.Open(filepath.Join(dir, logName(seq)))
 	if err != nil {
 		if errors.Is(err, os.ErrNotExist) {
-			return 0, false, nil
+			return sc, nil
 		}
-		return 0, false, fmt.Errorf("archive: %w", err)
+		return sc, fmt.Errorf("archive: %w", err)
 	}
 	defer f.Close()
 	rd := &reader{r: f}
@@ -139,70 +124,117 @@ func scanLog(dir string, seq int64, fn func(seq int64, payload []byte) error) (v
 	if err != nil {
 		if errors.Is(err, io.EOF) || errors.Is(err, wire.ErrTruncated) {
 			// Header never fully landed: an empty segment with a torn tail.
-			return 0, !errors.Is(err, io.EOF), nil
+			sc.torn = !errors.Is(err, io.EOF)
+			return sc, nil
 		}
-		return 0, false, fmt.Errorf("log %d: %w", seq, err)
+		return sc, fmt.Errorf("log %d: %w", seq, err)
 	}
 	if hdr.typ != recHeader {
-		return 0, false, fmt.Errorf("%w: log %d: missing header", ErrCorrupt, seq)
+		return sc, fmt.Errorf("%w: log %d: missing header", ErrCorrupt, seq)
 	}
 	kind, base, err := decodeHeader(hdr.payload)
 	if err != nil {
-		return 0, false, fmt.Errorf("log %d: %w", seq, err)
+		return sc, fmt.Errorf("log %d: %w", seq, err)
 	}
-	if kind != recTxn || base != seq {
-		return 0, false, fmt.Errorf("%w: log %d: header names %d/%d", ErrCorrupt, seq, kind, base)
+	if (kind != FormRun && kind != FormLegacy) || base != seq {
+		return sc, fmt.Errorf("%w: log %d: header names %d/%d", ErrCorrupt, seq, kind, base)
 	}
-	validLen = rd.off
-	for next := seq + 1; ; next++ {
+	sc.validLen = rd.off
+	for next := seq + 1; ; {
 		rec, err := rd.next()
 		if errors.Is(err, io.EOF) {
-			return validLen, false, nil
+			return sc, nil
 		}
 		if errors.Is(err, wire.ErrTruncated) {
-			return validLen, true, nil
+			sc.torn = true
+			return sc, nil
 		}
 		if err != nil {
-			return 0, false, fmt.Errorf("log %d: %w", seq, err)
+			return logScan{}, fmt.Errorf("log %d: %w", seq, err)
 		}
-		if rec.typ != recTxn {
-			return 0, false, fmt.Errorf("%w: log %d: unexpected record type %d", ErrCorrupt, seq, rec.typ)
+		first, last, err := recordSpan(rec.typ, rec.payload)
+		if err != nil {
+			return logScan{}, fmt.Errorf("log %d: %w", seq, err)
 		}
-		got, n := binary.Varint(rec.payload)
-		if n <= 0 {
-			return 0, false, fmt.Errorf("log %d: %w: transaction record: bad sequence", seq, ErrCorrupt)
+		if first != next {
+			return logScan{}, fmt.Errorf("%w: log %d: version %d where %d expected", ErrCorrupt, seq, first, next)
 		}
-		if got != next {
-			return 0, false, fmt.Errorf("%w: log %d: sequence %d where %d expected", ErrCorrupt, seq, got, next)
+		if err := fn(first, last, rec.typ, rec.payload); err != nil {
+			return logScan{}, fmt.Errorf("log %d: %w", seq, err)
 		}
-		if err := fn(got, rec.payload); err != nil {
-			return 0, false, fmt.Errorf("log %d: %w", seq, err)
-		}
-		validLen = rd.off
+		next = last + 1
+		sc.validLen = rd.off
+		sc.records++
 	}
 }
 
-// replay applies logged transactions to db in order, pinning each result
-// to the engine's sequence numbering.
-func replay(db *database.Database, entries []loggedTxn) (*database.Database, error) {
-	for _, e := range entries {
-		resp, next, _ := e.Tx.Apply(nil, db, trace.None)
-		if resp.Err != nil {
-			return nil, fmt.Errorf("archive: replay diverged at seq %d (%s): %w", e.Seq, e.Tx.Kind, resp.Err)
-		}
-		db = next.AtVersion(e.Seq)
+// recordSpan returns the versions a log record covers.
+func recordSpan(form byte, payload []byte) (first, last int64, err error) {
+	switch form {
+	case FormRun:
+		first, last, _, err = runSpan(payload)
+		return first, last, err
+	case FormLegacy:
+		r, err := decodeLegacy(nil, payload)
+		return r.First, r.First, err
+	default:
+		return 0, 0, fmt.Errorf("%w: unexpected record type %d", ErrCorrupt, form)
 	}
-	return db, nil
+}
+
+// replayLog replays the log segment based at seg onto db, the version the
+// segment follows, through version upTo (every record when upTo < 0): a
+// record of one write through the transaction it carries, a longer insert
+// run with one relation.UpsertRun, and a run that upTo cuts through only up
+// to upTo.
+func replayLog(dir string, seg int64, db *database.Database, upTo int64) (*database.Database, logScan, error) {
+	var dec Decoder
+	sc, err := scanLog(dir, seg, func(first, last int64, form byte, payload []byte) error {
+		if upTo >= 0 && first > upTo {
+			return nil
+		}
+		r, err := dec.Decode(form, payload)
+		if err != nil {
+			return err
+		}
+		if upTo >= 0 && last > upTo {
+			r.Tuples = r.Tuples[:upTo-first+1]
+		}
+		db, err = replay(db, &r)
+		return err
+	})
+	return db, sc, err
+}
+
+// replay applies one log record to db, pinning the result to the record's
+// last version.
+func replay(db *database.Database, r *Record) (*database.Database, error) {
+	var err error
+	if r.Count() > 1 {
+		rel, ok := db.RelationFast(r.Rel)
+		if !ok {
+			err = fmt.Errorf("%w: %q", database.ErrNoRelation, r.Rel)
+		} else {
+			db, _, err = db.ReplaceRelation(nil, r.Rel, relation.UpsertRun(nil, rel, r.Tuples), trace.None)
+		}
+	} else {
+		var resp core.Response
+		resp, db, _ = r.Txn(0).Apply(nil, db, trace.None)
+		err = resp.Err
+	}
+	if err != nil {
+		return nil, fmt.Errorf("archive: replay diverged at versions %d..%d (%s): %w", r.First, r.Last(), r.Kind, err)
+	}
+	return db.AtVersion(r.Last()), nil
 }
 
 // recovered is the full result of reading an archive directory.
 type recovered struct {
-	db         *database.Database
-	lastSeq    int64
-	logBase    int64 // base of the newest log segment
-	logLen     int64 // valid byte length of that segment
-	logRecords int   // records in that segment
-	logTorn    bool
+	db      *database.Database
+	lastSeq int64
+	logBase int64 // base of the newest log segment
+	logLen  int64 // valid byte length of that segment
+	logTorn bool
 }
 
 // recoverState loads the newest decodable snapshot and replays the log
@@ -255,15 +287,11 @@ func recoverState(dir string) (recovered, error) {
 				"archive: cannot bridge to segment log-%d from version %d (snapshot %d lost with its custom commit): %w",
 				seg, db.Version(), seg, snapErr)
 		}
-		lc, err := readLog(dir, seg)
-		if err != nil {
+		var sc logScan
+		if db, sc, err = replayLog(dir, seg, db, -1); err != nil {
 			return recovered{}, err
 		}
-		db, err = replay(db, lc.entries)
-		if err != nil {
-			return recovered{}, err
-		}
-		rec.logBase, rec.logLen, rec.logRecords, rec.logTorn = seg, lc.validLen, len(lc.entries), lc.torn
+		rec.logBase, rec.logLen, rec.logTorn = seg, sc.validLen, sc.torn
 		first = false
 	}
 	if first {
@@ -288,9 +316,10 @@ func Recover(dir string) (*database.Database, error) {
 }
 
 // VersionAt materializes the on-disk version numbered seq: the newest
-// snapshot at or below seq, plus the log records up to seq. Versions below
-// the oldest retained snapshot have been compacted away; versions above
-// the last durable sequence were never archived.
+// snapshot at or below seq, plus the log records up to seq — of a run that
+// seq falls inside, its prefix. Versions below the oldest retained snapshot
+// have been compacted away; versions above the last durable sequence were
+// never archived.
 func VersionAt(dir string, seq int64) (*database.Database, error) {
 	st, err := scanDir(dir)
 	if err != nil {
@@ -315,15 +344,13 @@ func VersionAt(dir string, seq int64) (*database.Database, error) {
 	if base == seq {
 		return db, nil
 	}
-	lc, err := readLog(dir, base)
-	if err != nil {
+	if db, _, err = replayLog(dir, base, db, seq); err != nil {
 		return nil, err
 	}
-	upTo := seq - base
-	if int64(len(lc.entries)) < upTo {
-		return nil, fmt.Errorf("archive: version %d not archived (last durable is %d)", seq, base+int64(len(lc.entries)))
+	if db.Version() != seq {
+		return nil, fmt.Errorf("archive: version %d not archived (last durable is %d)", seq, db.Version())
 	}
-	return replay(db, lc.entries[:upTo])
+	return db, nil
 }
 
 // VersionInfo describes one element of the on-disk version stream.
@@ -339,7 +366,8 @@ type VersionInfo struct {
 }
 
 // Versions lists the durable version stream oldest-first: every snapshot
-// and every logged transaction, in sequence order.
+// and every logged version — each version of a run on its own — in
+// sequence order.
 func Versions(dir string) ([]VersionInfo, error) {
 	st, err := scanDir(dir)
 	if err != nil {
@@ -366,20 +394,23 @@ func Versions(dir string) ([]VersionInfo, error) {
 			}
 			out = append(out, VersionInfo{Seq: base, Kind: "snapshot", Detail: detail, Snapshotted: true})
 		}
-		lc, err := readLog(dir, base)
+		var dec Decoder
+		_, err := scanLog(dir, base, func(first, last int64, form byte, payload []byte) error {
+			r, err := dec.Decode(form, payload)
+			if err != nil {
+				return err
+			}
+			for v := first; v <= last; v++ {
+				if seen[v] {
+					continue
+				}
+				seen[v] = true
+				out = append(out, VersionInfo{Seq: v, Kind: r.Kind.String(), Detail: describeTxn(r.Txn(int(v - first))), Snapshotted: snapSet[v]})
+			}
+			return nil
+		})
 		if err != nil {
 			return out, err
-		}
-		for _, e := range lc.entries {
-			if seen[e.Seq] {
-				continue
-			}
-			seen[e.Seq] = true
-			detail := e.Tx.Query
-			if detail == "" {
-				detail = describeTxn(e)
-			}
-			out = append(out, VersionInfo{Seq: e.Seq, Kind: e.Tx.Kind.String(), Detail: detail, Snapshotted: snapSet[e.Seq]})
 		}
 	}
 	sort.Slice(out, func(i, j int) bool {
@@ -393,18 +424,18 @@ func Versions(dir string) ([]VersionInfo, error) {
 	return out, nil
 }
 
-// describeTxn renders a logged transaction without source text in query
-// syntax.
-func describeTxn(e loggedTxn) string {
-	switch e.Tx.Kind.String() {
-	case "insert":
-		return fmt.Sprintf("insert %s into %s", e.Tx.Tuple, e.Tx.Rel)
-	case "delete":
-		return fmt.Sprintf("delete %s from %s", e.Tx.Key, e.Tx.Rel)
-	case "create":
-		return fmt.Sprintf("create %s using %s", e.Tx.Rel, e.Tx.Rep)
+// describeTxn renders a logged write in query syntax, from its structure:
+// records carry no source text.
+func describeTxn(tx core.Transaction) string {
+	switch tx.Kind {
+	case core.KindInsert:
+		return fmt.Sprintf("insert %s into %s", tx.Tuple, tx.Rel)
+	case core.KindDelete:
+		return fmt.Sprintf("delete %s from %s", tx.Key, tx.Rel)
+	case core.KindCreate:
+		return fmt.Sprintf("create %s using %s", tx.Rel, tx.Rep)
 	default:
-		return e.Tx.Kind.String() + " " + e.Tx.Rel
+		return tx.Kind.String() + " " + tx.Rel
 	}
 }
 

@@ -2,8 +2,6 @@ package archive
 
 import (
 	"bytes"
-	"os"
-	"path/filepath"
 	"sync"
 	"testing"
 	"time"
@@ -22,17 +20,19 @@ type tailCollector struct {
 	txs  []core.Transaction
 }
 
-func (c *tailCollector) fn(seq int64, _ reqtrace.Ctx, payload []byte) {
-	dseq, tx, err := DecodeTxnRecord(payload)
+func (c *tailCollector) fn(first, last int64, _ reqtrace.Ctx, form byte, payload []byte) {
+	r, err := DecodeRecord(form, payload)
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if err != nil || dseq != seq {
+	if err != nil || r.First != first || r.Last() != last {
 		// Record the corruption as an impossible seq; the test fails on it.
 		c.seqs = append(c.seqs, -1)
 		return
 	}
-	c.seqs = append(c.seqs, seq)
-	c.txs = append(c.txs, tx)
+	for v := first; v <= last; v++ {
+		c.seqs = append(c.seqs, v)
+		c.txs = append(c.txs, r.Txn(int(v-first)))
+	}
 }
 
 func (c *tailCollector) snapshot() []int64 {
@@ -208,20 +208,22 @@ func TestSubscribeTxnsRefusesCompactedHistory(t *testing.T) {
 
 // tailed is one record a subscription handed out, copied out of the call.
 type tailed struct {
+	last    int64
 	ctx     reqtrace.Ctx
+	form    byte
 	payload []byte
 }
 
-// collect subscribes from after and returns the records by sequence, with
-// the cancel of the subscription.
+// collect subscribes from after and returns the records by first version,
+// with the cancel of the subscription.
 func collect(t *testing.T, a *Archive, after int64) (map[int64]tailed, *sync.Mutex, func()) {
 	t.Helper()
 	var mu sync.Mutex
 	got := map[int64]tailed{}
-	cancel, err := a.SubscribeTxns(after, func(seq int64, ctx reqtrace.Ctx, payload []byte) {
+	cancel, err := a.SubscribeTxns(after, func(first, last int64, ctx reqtrace.Ctx, form byte, payload []byte) {
 		mu.Lock()
 		defer mu.Unlock()
-		got[seq] = tailed{ctx: ctx, payload: append([]byte(nil), payload...)}
+		got[first] = tailed{last: last, ctx: ctx, form: form, payload: append([]byte(nil), payload...)}
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -258,13 +260,13 @@ func TestCatchUpHandsOutLiveBytes(t *testing.T) {
 		t.Fatalf("live subscriber saw %d records, want 31", len(live))
 	}
 	for seq, r := range live {
-		_, tx, err := DecodeTxnRecord(r.payload)
-		if err != nil {
-			t.Fatalf("seq %d: %v", seq, err)
+		rec, err := DecodeRecord(r.form, r.payload)
+		if err != nil || rec.First != seq || rec.Last() != seq || r.last != seq {
+			t.Fatalf("seq %d: a record of %d..%d (%v)", seq, rec.First, rec.Last(), err)
 		}
 		want := reqtrace.Ctx{}
-		if tx.Kind == core.KindInsert {
-			want = traced[tx.Tuple.Key().AsInt()]
+		if rec.Kind == core.KindInsert {
+			want = traced[rec.Tuples[0].Key().AsInt()]
 		}
 		if r.ctx != want {
 			t.Fatalf("seq %d arrived with context %+v, its commit carried %+v", seq, r.ctx, want)
@@ -282,7 +284,7 @@ func TestCatchUpHandsOutLiveBytes(t *testing.T) {
 		if r.ctx != (reqtrace.Ctx{}) {
 			t.Fatalf("catch-up seq %d carries context %+v", seq, r.ctx)
 		}
-		if !bytes.Equal(r.payload, live[seq].payload) {
+		if r.form != live[seq].form || !bytes.Equal(r.payload, live[seq].payload) {
 			t.Fatalf("catch-up seq %d: %d bytes that differ from the %d the live subscriber got", seq, len(r.payload), len(live[seq].payload))
 		}
 	}
@@ -295,32 +297,7 @@ func TestCatchUpHandsOutLiveBytes(t *testing.T) {
 // commit a872265 hands out every record exactly as the segments store it.
 func TestCatchUpHandsOutFixtureBytes(t *testing.T) {
 	dir := copyFixture(t)
-	stored := map[int64][]byte{}
-	st, err := scanDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, seg := range st.logs {
-		f, err := os.Open(filepath.Join(dir, logName(seg)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		rd := &reader{r: f}
-		for seq := seg; ; seq++ {
-			rec, err := rd.next()
-			if err != nil {
-				break
-			}
-			if rec.typ == recTxn {
-				stored[seq] = rec.payload
-			}
-		}
-		f.Close()
-	}
-	if len(stored) != 100 {
-		t.Fatalf("fixture segments hold %d records, want 100", len(stored))
-	}
-
+	stored := fixtureLegacyRecords(t)
 	a, _, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -333,8 +310,9 @@ func TestCatchUpHandsOutFixtureBytes(t *testing.T) {
 	if len(caught) != len(stored) {
 		t.Fatalf("catch-up delivered %d records, the segments hold %d", len(caught), len(stored))
 	}
-	for seq, want := range stored {
-		if !bytes.Equal(caught[seq].payload, want) {
+	for i, want := range stored {
+		seq := int64(i + 1)
+		if got := caught[seq]; got.form != FormLegacy || got.last != seq || !bytes.Equal(got.payload, want) {
 			t.Fatalf("catch-up seq %d is not the stored record", seq)
 		}
 	}

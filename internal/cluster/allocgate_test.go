@@ -13,13 +13,24 @@ import (
 	"funcdb/internal/value"
 )
 
-// TestMirrorApplyAllocGate: applying one shipped insert to a mirror pays
-// for the pages its path copy creates plus the engine's fixed handful per
-// commit and one copy of the record's bytes for the retained tail, with
-// keepTail on as on every failover cluster. Measured: 8 allocations for
-// the 3 pages a 2 000-row relation is deep (17 for 11 nodes when mirrors
-// held AVL trees).
-func TestMirrorApplyAllocGate(t *testing.T) {
+// benchRecord encodes a record of n inserts shaped like the benchmark's:
+// keys spread over a 2 000-row relation, a 16-byte value, origin bench-w0.
+func benchRecord(t testing.TB, n int) []byte {
+	t.Helper()
+	r := archive.Record{First: 1, Origin: "bench-w0", Seq: 1, Kind: core.KindInsert, Rel: "R"}
+	for i := 0; i < n; i++ {
+		r.Tuples = append(r.Tuples, value.NewTuple(value.Int(int64(i*617%2000)), value.Str("v-0123456789abcd")))
+	}
+	raw, err := archive.AppendRun(nil, r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return raw
+}
+
+// benchMirror is a mirror of a 2 000-row relation R, keeping its tail as on
+// every failover cluster, with the page counter its engine feeds.
+func benchMirror() (*mirror, *eval.Stats) {
 	const rows = 2000
 	tuples := make([]value.Tuple, rows)
 	for i := range tuples {
@@ -27,25 +38,31 @@ func TestMirrorApplyAllocGate(t *testing.T) {
 	}
 	db := database.FromData(FreshRep, []string{"R"}, map[string][]value.Tuple{"R": tuples})
 	stats := &eval.Stats{}
-	m := &mirror{peer: 1, eng: core.NewEngine(db, core.WithStats(stats)), keepTail: true}
+	return &mirror{peer: 1, eng: core.NewEngine(db, core.WithStats(stats)), keepTail: true}, stats
+}
 
-	// One record, decoded once as applyStream would; every apply replays it
-	// under the next sequence number (an upsert of an existing key, so the
-	// relation stays at 2 000 rows).
-	tx := core.Insert("R", value.NewTuple(value.Int(1234), value.Str("w")))
-	tx.Query = `insert (1234, "w") into R`
-	raw, err := archive.AppendTxnRecord(nil, 1, tx)
+// TestMirrorApplyAllocGate: applying one shipped insert to a mirror pays
+// for the pages its path copy creates plus the engine's fixed handful per
+// commit and one copy of the record's bytes for the retained tail, with
+// keepTail on as on every failover cluster. Measured: 8 allocations for
+// the 3 pages a 2 000-row relation is deep (17 for 11 nodes when mirrors
+// held AVL trees). A 500-version run record — decoded as the stream loop
+// decodes it, and applied as one run — pays its decoded tuples and little
+// else: measured, 2.1 allocations per version beyond its pages, where
+// applying the same versions one record each cost 8.2.
+func TestMirrorApplyAllocGate(t *testing.T) {
+	m, stats := benchMirror()
+	// One record, decoded once; every apply replays it under the next
+	// version (an upsert of an existing key, so the relation stays at
+	// 2 000 rows).
+	raw := benchRecord(t, 1)
+	r, err := archive.DecodeRecord(archive.FormRun, raw)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, decoded, err := archive.DecodeTxnRecord(raw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	seq := int64(0)
 	apply := func() {
-		seq++
-		if _, err := m.apply([]shipped{m.ship(seq, decoded, raw)}); err != nil {
+		r.First = m.version() + 1
+		if err := m.apply(&r, archive.FormRun, raw); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -54,7 +71,7 @@ func TestMirrorApplyAllocGate(t *testing.T) {
 	before := stats.Created.Load()
 	allocs := testing.AllocsPerRun(runs, apply)
 	pages := float64(stats.Created.Load()-before) / (runs + 1) // AllocsPerRun warms up once
-	t.Logf("allocs %.2f pages %.2f", allocs, pages)
+	t.Logf("one insert: allocs %.2f pages %.2f", allocs, pages)
 	if allocs > pages+8 {
 		t.Errorf("mirror.apply = %.1f allocs with %.1f pages created, want <= pages+8", allocs, pages)
 	}
@@ -63,11 +80,35 @@ func TestMirrorApplyAllocGate(t *testing.T) {
 	if bare := testing.AllocsPerRun(runs, apply); allocs > bare+1 {
 		t.Errorf("retaining the tail costs %.1f allocs per record (%.1f with, %.1f without), want <= 1", allocs-bare, allocs, bare)
 	}
-	if got := m.version(); got != seq {
-		t.Fatalf("mirror at version %d after %d records", got, seq)
+	if want := int64(runs + 2); m.version() != 2*runs+3 || tail.end() != want || string(tail.recs[len(tail.recs)-1].raw) != string(raw) {
+		t.Fatalf("mirror at %d, retained tail ends at %d (want %d) or does not hold the record bytes", m.version(), tail.end(), want)
 	}
-	if want := int64(runs + 2); tail.end() != want || string(tail.recs[len(tail.recs)-1]) != string(raw) {
-		t.Fatalf("retained tail ends at %d (want %d) or does not hold the record bytes", tail.end(), want)
+
+	m, stats = benchMirror()
+	const n = 500
+	run := benchRecord(t, n)
+	var dec archive.Decoder
+	applyRun := func() {
+		r, err := dec.Decode(archive.FormRun, run)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.First = m.version() + 1
+		if err := m.apply(&r, archive.FormRun, run); err != nil {
+			t.Fatal(err)
+		}
+	}
+	applyRun()
+	before = stats.Created.Load()
+	allocs = testing.AllocsPerRun(20, applyRun)
+	pages = float64(stats.Created.Load()-before) / 21
+	perVersion := (allocs - pages) / n
+	t.Logf("%d-version run: %.0f allocs, %.0f pages, %.2f allocs per version beyond pages", n, allocs, pages, perVersion)
+	if perVersion > 4 {
+		t.Errorf("decoding and applying a %d-version run = %.2f allocs per version beyond its pages, want <= 4", n, perVersion)
+	}
+	if m.version() != 21*n+n {
+		t.Fatalf("mirror at version %d after 22 runs of %d", m.version(), n)
 	}
 }
 
@@ -96,7 +137,7 @@ func TestGatedAckedAllocGate(t *testing.T) {
 	tab.mu.Unlock()
 
 	fs.eng.Submit(core.Insert("S", value.NewTuple(value.Int(1), value.Str("a")))).Force()
-	ack, cancel, err := n.SubscribeSlotLog(0, 1, 0, func(int64, uint64, reqtrace.Ctx, []byte) {})
+	ack, cancel, err := n.SubscribeSlotLog(0, 1, 0, func(int64, int64, uint64, reqtrace.Ctx, byte, []byte) {})
 	if err != nil {
 		t.Fatal(err)
 	}

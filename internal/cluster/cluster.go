@@ -21,9 +21,10 @@
 //     as a pre-tagged Request frame, and the tagged response is relayed
 //     back, so any node can serve any client;
 //   - a REPLICA of every peer, always: each node subscribes to every
-//     peer's committed-transaction log (the archive's records, shipped as
-//     LogRecord frames, a sampled commit's trace context ahead of its
-//     record) and applies it, in order, to a local mirror engine.
+//     peer's log (the archive's records, one LogRecord frame each, a
+//     sampled commit's trace context ahead of its record) and applies it,
+//     in order, to a local mirror engine — an insert run as one record
+//     and one engine admission.
 //     Read-only statements can then be answered locally, stamped with the
 //     mirror's version — the client's staleness bound.
 //
@@ -72,10 +73,10 @@ type LocalStore interface {
 	// VersionAt materializes a retained version: the rejoin path rewinds a
 	// deposed primary to the winner's promotion base with it.
 	VersionAt(seq int64) (*database.Database, error)
-	// SubscribeLog streams the committed-transaction log (the archive's
-	// records, each with its commit's trace context): the primary side of
-	// replication, under archive.TailFunc's contract.
-	SubscribeLog(after int64, fn func(seq int64, ctx reqtrace.Ctx, record []byte)) (cancel func(), err error)
+	// SubscribeLog streams the committed log (the archive's records, each
+	// with its version span, form and commit's trace context): the primary
+	// side of replication, under archive.TailFunc's contract.
+	SubscribeLog(after int64, fn func(first, last int64, ctx reqtrace.Ctx, form byte, record []byte)) (cancel func(), err error)
 	// TraceRecorder returns the store's request-trace recorder (nil when
 	// tracing is off).
 	TraceRecorder() *reqtrace.Recorder

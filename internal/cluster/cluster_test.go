@@ -50,7 +50,7 @@ func (f *fakeStore) Current() *database.Database {
 func (f *fakeStore) VersionAt(int64) (*database.Database, error) {
 	return nil, errors.New("fake store keeps no history")
 }
-func (f *fakeStore) SubscribeLog(int64, func(int64, reqtrace.Ctx, []byte)) (func(), error) {
+func (f *fakeStore) SubscribeLog(int64, func(int64, int64, reqtrace.Ctx, byte, []byte)) (func(), error) {
 	return func() {}, nil
 }
 func (f *fakeStore) TraceRecorder() *reqtrace.Recorder { return nil }

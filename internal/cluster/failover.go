@@ -64,9 +64,9 @@ type FailoverConfig struct {
 const (
 	defaultHeartbeat    = 250 * time.Millisecond
 	defaultSyncReplicas = 1
-	// failoverTailCap bounds the per-mirror ring of raw record bytes kept
-	// for post-promotion catch-up of subscribers that are behind the
-	// takeover store's log floor.
+	// failoverTailCap bounds, in versions, the per-mirror tail of raw
+	// records kept for post-promotion catch-up of subscribers that are
+	// behind the takeover store's log floor.
 	failoverTailCap = 65536
 )
 
@@ -94,16 +94,44 @@ func (c FailoverConfig) withDefaults(clusterSize int) FailoverConfig {
 // placement and retry against the current owner.
 var ErrFenced = errors.New("cluster: fenced")
 
-// recordTail is a frozen run of raw log-record bytes ending at the
-// promotion base: records (from, from+len] in slot sequence order. The
+// tailRecord is one retained log record: the versions it covers, its form
+// and its bytes.
+type tailRecord struct {
+	first, last int64
+	form        byte
+	raw         []byte
+}
+
+// recordTail is a run of raw log records keyed by the versions they cover:
+// versions (from, end()] in slot order. A mirror keeps one while it
+// applies, and freezes it at promotion, ending at the promotion base: the
 // takeover store's archive floor is the base, so a subscriber starting
 // below it is bridged from here.
 type recordTail struct {
 	from int64
-	recs [][]byte
+	recs []tailRecord
 }
 
-func (t *recordTail) end() int64 { return t.from + int64(len(t.recs)) }
+func (t *recordTail) end() int64 {
+	if len(t.recs) == 0 {
+		return t.from
+	}
+	return t.recs[len(t.recs)-1].last
+}
+
+// push retains one more record, dropping the oldest while the tail covers
+// more than failoverTailCap versions.
+func (t *recordTail) push(r tailRecord) {
+	if len(t.recs) == 0 {
+		t.from = r.first - 1
+	}
+	t.recs = append(t.recs, r)
+	for len(t.recs) > 1 && t.end()-t.from > failoverTailCap {
+		t.from = t.recs[0].last
+		t.recs[0] = tailRecord{}
+		t.recs = t.recs[1:]
+	}
+}
 
 // slotTable is one node's view of who serves each slot. All vector state
 // is per slot and guarded by mu; cond broadcasts on every state change and
@@ -647,18 +675,19 @@ func (n *Node) OwnerEpoch(rel string) uint64 {
 
 // SubscribeSlotLog implements server.Cluster: a slot-addressed,
 // epoch-stamped log subscription for a slot this node serves, each record
-// handed over with its commit's trace context. A takeover slot serves its
-// frozen pre-promotion tail first (for subscribers behind the takeover
-// store's log floor, with the zero context), then the takeover store's
-// log. Records are stamped with the slot's serving epoch at subscribe time
-// — if this node is later deposed, subscribers see the stale epoch and
-// drop the stream.
+// handed over with its version span, its form and its commit's trace
+// context. A takeover slot serves its frozen pre-promotion tail first (for
+// subscribers behind the takeover store's log floor, with the zero context;
+// a retained run the subscriber's position falls inside is cut to the
+// versions after it), then the takeover store's log. Records are stamped
+// with the slot's serving epoch at subscribe time — if this node is later
+// deposed, subscribers see the stale epoch and drop the stream.
 //
 // The subscriber counts toward the slot's write-ack gate from the moment
 // it subscribes, at no acked sequence: ack reports that it has applied the
 // slot's log through seq, and cancel unsubscribes it and takes it off the
 // gate.
-func (n *Node) SubscribeSlotLog(slot, sub int, after int64, fn func(seq int64, epoch uint64, ctx reqtrace.Ctx, record []byte)) (ack func(seq int64), cancel func(), err error) {
+func (n *Node) SubscribeSlotLog(slot, sub int, after int64, fn func(first, last int64, epoch uint64, ctx reqtrace.Ctx, form byte, record []byte)) (ack func(seq int64), cancel func(), err error) {
 	if slot < 0 || slot >= len(n.addrs) {
 		return nil, nil, fmt.Errorf("cluster: no such slot %d", slot)
 	}
@@ -682,13 +711,18 @@ func (n *Node) SubscribeSlotLog(slot, sub int, after int64, fn func(seq int64, e
 			return nil, nil, fmt.Errorf("%w: takeover tail for slot %d starts at %d, subscriber wants %d",
 				archive.ErrLogTrimmed, slot, tail.from, after)
 		}
-		for i := after - tail.from; i < int64(len(tail.recs)); i++ {
-			fn(tail.from+i+1, epoch, reqtrace.Ctx{}, tail.recs[i])
+		for _, rec := range tail.recs {
+			err := archive.RecordAfter(after, rec.first, rec.last, rec.form, rec.raw, func(first int64, form byte, raw []byte) {
+				fn(first, rec.last, epoch, reqtrace.Ctx{}, form, raw)
+			})
+			if err != nil {
+				return nil, nil, err
+			}
 		}
 		after = tail.end()
 	}
-	unsubscribe, err := st.SubscribeLog(after, func(seq int64, ctx reqtrace.Ctx, record []byte) {
-		fn(seq, epoch, ctx, record)
+	unsubscribe, err := st.SubscribeLog(after, func(first, last int64, ctx reqtrace.Ctx, form byte, record []byte) {
+		fn(first, last, epoch, ctx, form, record)
 	})
 	if err != nil {
 		return nil, nil, err
@@ -743,22 +777,23 @@ func (n *Node) FailoverInfo(slot int) (owner int, epoch uint64, servingHere bool
 
 // WaitReady blocks until the node's boot probation has resolved (it may
 // serve its slot, or it learned it was deposed), or the timeout expires.
-// A static table has no probation.
+// It sleeps on the slot table's cond, which the merge that resolves
+// probation broadcasts; a timer broadcasts at the deadline. A static table
+// has no probation.
 func (n *Node) WaitReady(timeout time.Duration) error {
-	deadline := time.Now().Add(timeout)
 	tab := n.slots
-	for {
-		tab.mu.Lock()
-		done := !tab.probation
-		tab.mu.Unlock()
-		if done {
-			return nil
-		}
-		if time.Now().After(deadline) {
+	expired := false
+	timer := time.AfterFunc(timeout, func() { tab.update(func() { expired = true }) })
+	defer timer.Stop()
+	tab.mu.Lock()
+	defer tab.mu.Unlock()
+	for tab.probation {
+		if expired {
 			return fmt.Errorf("cluster: node %d still in probation after %v", n.id, timeout)
 		}
-		time.Sleep(5 * time.Millisecond)
+		tab.cond.Wait()
 	}
+	return nil
 }
 
 // heartbeatAge reports how long ago a peer was last heard from, in

@@ -3,14 +3,19 @@ package cluster
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"net"
+	"os"
+	"path/filepath"
+	"runtime"
 	"testing"
 
 	"funcdb/internal/archive"
 	"funcdb/internal/core"
 	"funcdb/internal/database"
 	"funcdb/internal/relation"
+	"funcdb/internal/reqtrace"
 	"funcdb/internal/value"
 	"funcdb/internal/wire"
 )
@@ -39,18 +44,19 @@ func (c *cannedConn) Read(p []byte) (int, error) {
 func (c *cannedConn) Write(p []byte) (int, error) { return c.wrote.Write(p) }
 func (c *cannedConn) Close() error                { return nil }
 
-// logChunk frames records seqs[i] -> txs[i] as one chunk of LogRecord
-// frames, returning the chunk and each record's bytes.
-func logChunk(t *testing.T, seqs []int64, txs []core.Transaction) ([]byte, [][]byte) {
+// logChunk frames each record as one LogRecord, all in one chunk, and
+// returns the chunk and each record's bytes. A record is a run of the
+// given inserts at consecutive versions from its first.
+func logChunk(t *testing.T, recs ...archive.Record) ([]byte, [][]byte) {
 	t.Helper()
 	var chunk []byte
 	var raws [][]byte
-	for i, seq := range seqs {
-		raw, err := archive.AppendTxnRecord(nil, seq, txs[i])
+	for _, r := range recs {
+		raw, err := archive.AppendRun(nil, r)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if chunk, err = wire.AppendFrame(chunk, wire.FrameLogRecord, wire.AppendLogRecord(nil, 0, raw)); err != nil {
+		if chunk, err = wire.AppendFrame(chunk, wire.FrameLogRecord, wire.AppendLogRecord(nil, 0, archive.FormRun, raw)); err != nil {
 			t.Fatal(err)
 		}
 		raws = append(raws, raw)
@@ -58,10 +64,29 @@ func logChunk(t *testing.T, seqs []int64, txs []core.Transaction) ([]byte, [][]b
 	return chunk, raws
 }
 
+// insertsAt is the record of txs's tuples at versions first, first+1, ….
+func insertsAt(first int64, txs ...core.Transaction) archive.Record {
+	r := archive.Record{First: first, Origin: "p", Seq: int(first), Kind: core.KindInsert, Rel: "R"}
+	for _, tx := range txs {
+		r.Tuples = append(r.Tuples, tx.Tuple)
+	}
+	return r
+}
+
 // streamCanned runs one subscription of a mirror of peer 1's relation R
 // over the canned chunks (a Welcome is prepended), and returns the mirror,
 // the SubAck sequences the subscription wrote, and the error it ended with.
 func streamCanned(t *testing.T, chunks ...[]byte) (*mirror, []int64, error) {
+	m := newMirror(1, []string{"R"})
+	m.keepTail = true
+	acks, err := streamInto(t, m, chunks...)
+	return m, acks, err
+}
+
+// streamInto runs one subscription of mirror m of peer 1 over the canned
+// chunks (a Welcome is prepended), and returns the SubAck sequences the
+// subscription wrote and the error it ended with.
+func streamInto(t *testing.T, m *mirror, chunks ...[]byte) ([]int64, error) {
 	t.Helper()
 	welcome, err := wire.AppendFrame(nil, wire.FrameWelcome, wire.AppendWelcome(nil, wire.Welcome{Lanes: 1}))
 	if err != nil {
@@ -78,8 +103,6 @@ func streamCanned(t *testing.T, chunks ...[]byte) (*mirror, []int64, error) {
 		t.Fatal(err)
 	}
 	t.Cleanup(n.Close)
-	m := newMirror(1, []string{"R"})
-	m.keepTail = true
 	serr := n.streamFrom(1, m)
 
 	var acks []int64
@@ -97,35 +120,36 @@ func streamCanned(t *testing.T, chunks ...[]byte) (*mirror, []int64, error) {
 			acks = append(acks, seq)
 		}
 	}
-	return m, acks, serr
+	return acks, serr
 }
 
 func put(k int64) core.Transaction {
 	return core.Insert("R", value.NewTuple(value.Int(k), value.Str("v")))
 }
 
-// TestMirrorAppliesRuns: a mirror applies the records one socket read
-// delivered as one run and acks the run once, with its last sequence; a
-// run long enough to be one page build is one, and every record's bytes
-// are kept for the promotion tail.
+// TestMirrorAppliesRuns: a mirror applies every record one socket read
+// delivered and acks them once, with the last version they reach; a run
+// record is one admission however many versions it covers, and every
+// record's bytes are kept for the promotion tail under its version span.
 func TestMirrorAppliesRuns(t *testing.T) {
 	var txs []core.Transaction
-	var seqs []int64
 	for i := 0; i < 24; i++ {
 		txs = append(txs, put(int64((i*7)%20)))
-		seqs = append(seqs, int64(i+1))
 	}
-	first, raws1 := logChunk(t, seqs[:3], txs[:3])
-	second, raws2 := logChunk(t, seqs[3:], txs[3:])
+	first, raws1 := logChunk(t, insertsAt(1, txs[0]), insertsAt(2, txs[1]), insertsAt(3, txs[2]))
+	second, raws2 := logChunk(t, insertsAt(4, txs[3:23]...), insertsAt(24, txs[23]))
 	m, acks, err := streamCanned(t, first, second)
 	if !errors.Is(err, io.EOF) {
 		t.Fatalf("stream ended with %v, want io.EOF", err)
 	}
 	if len(acks) != 2 || acks[0] != 3 || acks[1] != 24 {
-		t.Fatalf("acks %v, want one per run: [3 24]", acks)
+		t.Fatalf("acks %v, want one per socket read: [3 24]", acks)
 	}
 	if got := m.version(); got != 24 {
 		t.Fatalf("mirror at version %d, want 24", got)
+	}
+	if got := m.records.Load(); got != 5 {
+		t.Fatalf("mirror applied %d records, want 5", got)
 	}
 	_, want := core.ApplySequential(database.New(FreshRep, "R"), txs)
 	if got := m.eng.Current(); !got.Equal(want) {
@@ -136,22 +160,23 @@ func TestMirrorAppliesRuns(t *testing.T) {
 	}
 	tail := m.freezeTail()
 	raws := append(raws1, raws2...)
-	if tail.from != 0 || len(tail.recs) != len(raws) {
-		t.Fatalf("tail from %d holds %d records, want from 0 holding %d", tail.from, len(tail.recs), len(raws))
+	spans := [][2]int64{{1, 1}, {2, 2}, {3, 3}, {4, 23}, {24, 24}}
+	if tail.from != 0 || tail.end() != 24 || len(tail.recs) != len(raws) {
+		t.Fatalf("tail (%d, %d] holds %d records, want (0, 24] holding %d", tail.from, tail.end(), len(tail.recs), len(raws))
 	}
 	for i := range raws {
-		if !bytes.Equal(tail.recs[i], raws[i]) {
-			t.Fatalf("tail record %d differs from the record shipped", i+1)
+		rec := tail.recs[i]
+		if !bytes.Equal(rec.raw, raws[i]) || rec.form != archive.FormRun || rec.first != spans[i][0] || rec.last != spans[i][1] {
+			t.Fatalf("tail record %d covers %d..%d: not the record shipped for %v", i, rec.first, rec.last, spans[i])
 		}
 	}
 }
 
-// TestMirrorRunStopsAtGap: a run with a sequence hole applies the records
-// before the hole, acks them, and ends the subscription with
+// TestMirrorRunStopsAtGap: a stream with a version hole applies the
+// records before the hole, acks them, and ends the subscription with
 // errReplicationGap; nothing past the hole is applied.
 func TestMirrorRunStopsAtGap(t *testing.T) {
-	txs := []core.Transaction{put(1), put(2), put(4), put(5)}
-	chunk, _ := logChunk(t, []int64{1, 2, 4, 5}, txs)
+	chunk, _ := logChunk(t, insertsAt(1, put(1)), insertsAt(2, put(2)), insertsAt(4, put(4)), insertsAt(5, put(5)))
 	m, acks, err := streamCanned(t, chunk)
 	if err != errReplicationGap {
 		t.Fatalf("stream ended with %v, want errReplicationGap", err)
@@ -167,5 +192,202 @@ func TestMirrorRunStopsAtGap(t *testing.T) {
 	}
 	if tail := m.freezeTail(); len(tail.recs) != 2 {
 		t.Fatalf("tail holds %d records, want the 2 applied", len(tail.recs))
+	}
+}
+
+// subscribed frames every record a subscription from after hands out as
+// LogRecord frames in one chunk, and returns the chunk and each record's
+// span, form and bytes.
+func subscribed(t *testing.T, subscribe func(after int64, fn archive.TailFunc) (func(), error), after int64) ([]byte, []tailRecord) {
+	t.Helper()
+	var chunk []byte
+	var recs []tailRecord
+	var ferr error
+	cancel, err := subscribe(after, func(first, last int64, _ reqtrace.Ctx, form byte, raw []byte) {
+		if chunk, ferr = wire.AppendFrame(chunk, wire.FrameLogRecord, wire.AppendLogRecord(nil, 0, form, raw)); ferr != nil {
+			return
+		}
+		recs = append(recs, tailRecord{first: first, last: last, form: form, raw: append([]byte(nil), raw...)})
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cancel()
+	if ferr != nil {
+		t.Fatal(ferr)
+	}
+	return chunk, recs
+}
+
+// TestLegacyRecordsShipToAMirror: the archive written at commit a872265,
+// whose log holds FormLegacy records only, reopens, and a subscription from
+// version 0 ships those records as the segments hold them — form and all —
+// to a fresh mirror, which decodes them with the legacy decoder and applies
+// them one by one: it converges on the recovered archive, and keeps the
+// legacy bytes in its tail for a promoted slot's subscribers.
+func TestLegacyRecordsShipToAMirror(t *testing.T) {
+	dir := t.TempDir()
+	const fixture = "../archive/testdata/archive-a872265"
+	files, err := os.ReadDir(fixture)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range files {
+		b, err := os.ReadFile(filepath.Join(fixture, f.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, f.Name()), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	a, recovered, err := archive.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	start, err := archive.VersionAt(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	chunk, recs := subscribed(t, a.SubscribeTxns, 0)
+	if len(recs) != 100 {
+		t.Fatalf("the fixture shipped %d records, want 100", len(recs))
+	}
+	for _, r := range recs {
+		if r.form != archive.FormLegacy || r.first != r.last {
+			t.Fatalf("shipped a record of %d..%d in form %d, want the legacy record of one version", r.first, r.last, r.form)
+		}
+	}
+	m := newMirrorFromDB(1, start)
+	m.keepTail = true
+	acks, err := streamInto(t, m, chunk)
+	if !errors.Is(err, io.EOF) {
+		t.Fatalf("stream ended with %v, want io.EOF", err)
+	}
+	if m.version() != 100 || len(acks) != 1 || acks[0] != 100 {
+		t.Fatalf("mirror at %d acked %v, want 100 acked once", m.version(), acks)
+	}
+	if !m.eng.Current().Equal(recovered) {
+		t.Fatalf("mirror holds %d tuples, the archive %d", m.eng.Current().TotalTuples(), recovered.TotalTuples())
+	}
+	if tail := m.freezeTail(); len(tail.recs) != 100 || tail.recs[99].form != archive.FormLegacy || !bytes.Equal(tail.recs[99].raw, recs[99].raw) {
+		t.Fatalf("the mirror's tail keeps %d records, not the legacy bytes shipped", len(tail.recs))
+	}
+}
+
+// TestMirrorCatchesUpInsideARun: a subscriber whose position falls inside
+// a run — served from the archive's segments, or from a promoted slot's
+// frozen tail — is handed the run's remaining versions as a run of their
+// own, and a mirror at that position converges with no gap.
+func TestMirrorCatchesUpInsideARun(t *testing.T) {
+	dir := t.TempDir()
+	initial := database.New(FreshRep, "R")
+	a, err := archive.Create(dir, initial)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	e := core.NewEngine(initial, core.WithCommitObserver(a.Observer()))
+	batch := make([]core.Transaction, 500)
+	for i := range batch {
+		batch[i] = put(int64(i * 7 % 300))
+		batch[i].Origin, batch[i].Seq = "c", i
+	}
+	e.SubmitBatch(batch)
+	for i := 0; i < 3; i++ {
+		e.Submit(put(int64(1000 + i)))
+	}
+	e.Barrier()
+
+	const after = 200
+	chunk, recs := subscribed(t, a.SubscribeTxns, after)
+	spans := [][2]int64{{201, 500}, {501, 501}, {502, 502}, {503, 503}}
+	if len(recs) != len(spans) {
+		t.Fatalf("catch-up from %d handed out %d records, want %d", after, len(recs), len(spans))
+	}
+	for i, r := range recs {
+		if r.first != spans[i][0] || r.last != spans[i][1] || r.form != archive.FormRun {
+			t.Fatalf("record %d covers %d..%d, want %v", i, r.first, r.last, spans[i])
+		}
+	}
+	suffix, err := archive.DecodeRecord(recs[0].form, recs[0].raw)
+	if err != nil || suffix.First != after+1 || suffix.Origin != "c" || suffix.Seq != after || !suffix.Tuples[0].Equal(batch[after].Tuple) {
+		t.Fatalf("the run's suffix decodes to %+v, %v", suffix, err)
+	}
+	at, err := a.VersionAt(after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := newMirrorFromDB(1, at)
+	acks, err := streamInto(t, m, chunk)
+	if !errors.Is(err, io.EOF) || len(acks) != 1 || acks[0] != 503 {
+		t.Fatalf("stream ended with %v after acks %v, want io.EOF after [503]", err, acks)
+	}
+	if !m.eng.Current().Equal(e.Current()) || m.version() != e.Version() {
+		t.Fatalf("mirror at %d with %d tuples, the primary at %d with %d", m.version(), m.eng.Current().TotalTuples(), e.Version(), e.Current().TotalTuples())
+	}
+
+	// A promoted slot's frozen tail holding the whole run cuts it the same
+	// way.
+	_, whole := subscribed(t, a.SubscribeTxns, 0)
+	n, err := New(Config{ID: 0, Addrs: []string{"127.0.0.1:1", "127.0.0.1:2"}, Store: newFakeStore()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(n.Close)
+	tab := n.slots
+	tab.mu.Lock()
+	tab.owners[1], tab.epochs[1] = 0, 1
+	tab.takeovers[1] = newFakeStore("R")
+	tab.tails[1] = &recordTail{recs: whole}
+	tab.mu.Unlock()
+	_, fromTail := subscribed(t, func(after int64, fn archive.TailFunc) (func(), error) {
+		_, cancel, err := n.SubscribeSlotLog(1, 1, after, func(first, last int64, _ uint64, ctx reqtrace.Ctx, form byte, raw []byte) {
+			fn(first, last, ctx, form, raw)
+		})
+		return cancel, err
+	}, after)
+	if len(fromTail) != len(recs) {
+		t.Fatalf("the frozen tail handed out %d records, the archive %d", len(fromTail), len(recs))
+	}
+	for i := range recs {
+		if fromTail[i].first != recs[i].first || fromTail[i].last != recs[i].last || !bytes.Equal(fromTail[i].raw, recs[i].raw) {
+			t.Fatalf("tail record %d covers %d..%d, the archive's %d..%d", i, fromTail[i].first, fromTail[i].last, recs[i].first, recs[i].last)
+		}
+	}
+}
+
+// BenchmarkMirrorApply is the replica-apply rung: a mirror of a 2 000-row
+// relation, keeping its tail as on every failover cluster, decodes and
+// applies one bench-shaped record (a 16-byte value, origin bench-w0) of 1,
+// 64 or 500 versions per iteration, as the stream loop does. It reports the
+// cost per version — per write replicated — so runs of every length, and a
+// stream of single-version records, compare on one scale.
+func BenchmarkMirrorApply(b *testing.B) {
+	for _, n := range []int{1, 64, 500} {
+		b.Run(fmt.Sprint(n), func(b *testing.B) {
+			m, _ := benchMirror()
+			raw := benchRecord(b, n)
+			var dec archive.Decoder
+			var ms0, ms1 runtime.MemStats
+			runtime.ReadMemStats(&ms0)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				r, err := dec.Decode(archive.FormRun, raw)
+				if err != nil {
+					b.Fatal(err)
+				}
+				r.First = m.version() + 1
+				if err := m.apply(&r, archive.FormRun, raw); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			runtime.ReadMemStats(&ms1)
+			versions := float64(b.N * n)
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/versions, "ns/version")
+			b.ReportMetric(float64(ms1.Mallocs-ms0.Mallocs)/versions, "allocs/version")
+		})
 	}
 }

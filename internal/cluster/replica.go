@@ -20,7 +20,7 @@ import (
 )
 
 // mirror is this node's replica of one peer's relations: a plain engine
-// fed exclusively by the peer's log records, applied in sequence order.
+// fed exclusively by the peer's log records, applied in version order.
 // The peer's log sequence IS the engine's version number — the mirror
 // starts from the same initial version (the peer's owned relations,
 // empty, version 0) and applies exactly the peer's committed writes — so
@@ -43,11 +43,10 @@ type mirror struct {
 	// keepTail (set before Start on failover clusters) retains the raw
 	// bytes of recently applied records so that, after a promotion, the
 	// frozen tail can bridge subscribers below the takeover store's log
-	// floor. Bounded by failoverTailCap.
+	// floor. Bounded by failoverTailCap versions.
 	keepTail bool
 	tailMu   sync.Mutex
-	tailFrom int64 // seq of the record before tailRecs[0]
-	tailRecs [][]byte
+	tail     recordTail
 }
 
 // FreshRep is the representation a cluster's relations start in: a fresh
@@ -63,10 +62,7 @@ type mirror struct {
 const FreshRep = relation.RepPaged
 
 func newMirror(peerIdx int, ownedRels []string) *mirror {
-	return &mirror{
-		peer: peerIdx,
-		eng:  core.NewEngine(database.New(FreshRep, ownedRels...)),
-	}
+	return newMirrorFromDB(peerIdx, database.New(FreshRep, ownedRels...))
 }
 
 // newMirrorFromDB starts a mirror at an explicit database version: the
@@ -78,80 +74,44 @@ func newMirrorFromDB(peerIdx int, db *database.Database) *mirror {
 // version is the newest primary sequence the mirror has applied.
 func (m *mirror) version() int64 { return m.eng.Version() }
 
-// shipped is one decoded log record waiting in a run.
-type shipped struct {
-	seq int64
-	tx  core.Transaction
-	raw []byte      // the record's bytes, copied only when the mirror keeps its tail
-	rt  *reqtrace.T // the mirror's leg of a sampled commit's trace
-}
-
-// ship prepares one record for a run. raw is its archive bytes, which
-// alias the stream's read buffer: a mirror that keeps its tail for
-// promotion takes its copy here, before the next frame is read.
-func (m *mirror) ship(seq int64, tx core.Transaction, raw []byte) shipped {
-	s := shipped{seq: seq, tx: tx}
-	if m.keepTail {
-		s.raw = append([]byte(nil), raw...)
+// apply installs one decoded log record with one engine admission: an
+// insert record through the engine's run path (core.Engine.ApplyRun), one
+// page build whatever the record's length; a delete or create as the write
+// it carries. raw is the record's bytes in form, which alias the stream's
+// read buffer: a mirror that keeps its tail for promotion copies them here.
+// The record must continue the primary's order exactly — its first version
+// is applied+1. A hole means the stream skipped something the record form
+// cannot carry (a custom transaction on the primary): the record is refused
+// with errReplicationGap, rather than silently diverge, and so is one the
+// mirror's engine cannot apply.
+func (m *mirror) apply(r *archive.Record, form byte, raw []byte) error {
+	if r.First != m.version()+1 {
+		return errReplicationGap
 	}
-	return s
-}
-
-// apply installs a run of shipped records with one engine admission —
-// Submit for a run of one, SubmitBatch for more, so a run of inserts into
-// one relation is one page build — and waits for their bodies. Records must
-// continue the primary's order exactly: the first is applied+1 and each
-// next one more. A hole means the stream skipped something the record form
-// cannot carry (a custom transaction on the primary): the records before it
-// are applied and the rest refused with errReplicationGap, rather than
-// silently diverge. It returns how many records it applied.
-func (m *mirror) apply(run []shipped) (int, error) {
-	have := m.version()
-	n := 0
-	for n < len(run) && run[n].seq == have+int64(n)+1 {
-		n++
-	}
-	var err error
-	if n < len(run) {
-		err = errReplicationGap
-	}
-	switch n {
-	case 0:
-		return 0, err
-	case 1:
-		m.eng.Submit(run[0].tx).Force()
-	default:
-		txs := make([]core.Transaction, n)
-		for i := range txs {
-			txs[i] = run[i].tx
+	if r.Kind == core.KindInsert {
+		if err := m.eng.ApplyRun(core.Run{Rel: r.Rel, Tuples: r.Tuples}); err != nil {
+			return errReplicationGap
 		}
-		for _, f := range m.eng.SubmitBatch(txs) {
-			f.Force()
-		}
+	} else {
+		m.eng.Submit(r.Txn(0)).Force()
 	}
-	m.records.Add(int64(n))
+	if m.version() != r.Last() {
+		return errReplicationGap
+	}
+	m.records.Inc()
 	if m.keepTail {
 		m.tailMu.Lock()
-		if len(m.tailRecs) == 0 {
-			m.tailFrom = have
-		}
-		for _, s := range run[:n] {
-			m.tailRecs = append(m.tailRecs, s.raw)
-		}
-		if over := len(m.tailRecs) - failoverTailCap; over > 0 {
-			m.tailRecs = m.tailRecs[over:]
-			m.tailFrom += int64(over)
-		}
+		m.tail.push(tailRecord{first: r.First, last: r.Last(), form: form, raw: append([]byte(nil), raw...)})
 		m.tailMu.Unlock()
 	}
-	return n, err
+	return nil
 }
 
 // freezeTail snapshots the retained record tail at promotion time.
 func (m *mirror) freezeTail() *recordTail {
 	m.tailMu.Lock()
 	defer m.tailMu.Unlock()
-	return &recordTail{from: m.tailFrom, recs: append([][]byte(nil), m.tailRecs...)}
+	return &recordTail{from: m.tail.from, recs: append([]tailRecord(nil), m.tail.recs...)}
 }
 
 // ReplicaRead implements server.Cluster: serve a read-only
@@ -295,30 +255,29 @@ func (n *Node) streamFrom(peerIdx int, m *mirror) error {
 	return n.applyStream(br, rd, bw, peerIdx, target, m)
 }
 
-// maxShippedRun caps the records one run takes, so a stream whose read
-// buffer never drains still applies and acks as it goes.
-const maxShippedRun = 1024
+// maxUnacked caps the versions a subscription applies before it acks, so a
+// stream whose read buffer never drains still acks as it goes.
+const maxUnacked = 1024
 
-// applyStream is a subscription's LogRecord loop. Every record the read
-// buffer already holds is decoded into one run; the run is applied with one
-// mirror.apply and acked with one cumulative SubAck carrying the last
-// sequence it applied — under failover the primary's write gate counts
-// those acks. Each record is still checked on its own: its epoch as it is
-// decoded, its sequence by apply. A stream that ends or fails mid-run still
-// applies and acks the records before the failure.
+// applyStream is a subscription's LogRecord loop. Each record is checked —
+// its epoch as it is decoded, its versions by apply — and applied as it
+// arrives, straight from the stream's read buffer; every record the buffer
+// already holds is applied before one cumulative SubAck carries the last
+// version applied — under failover the primary's write gate counts those
+// acks. A stream that ends or fails still acks the records it applied
+// before the failure.
 func (n *Node) applyStream(br *bufio.Reader, rd *wire.Reader, bw *bufio.Writer, peerIdx, target int, m *mirror) error {
 	trRec := n.TraceRecorder()
-	var ack []byte // one SubAck payload, rewritten per run
-	var dec archive.TxnDecoder
-	var run []shipped
+	var ack []byte // one SubAck payload, rewritten per ack
+	var dec archive.Decoder
+	acked := m.version()
 	// tc is the context of a TraceCtx frame just read, for the record that
 	// must follow it.
 	var tc reqtrace.Ctx
 	var hasTC bool
-	// The loop reuses the Reader's body buffer across records:
-	// TxnDecoder.Decode copies everything it extracts and ship copies the
-	// bytes it keeps, so the payload's next-read invalidation never escapes
-	// this loop.
+	// The loop reuses the Reader's body buffer across records: the Decoder
+	// copies what it extracts out of the payload, apply copies the bytes it
+	// keeps, and nothing decoded outlives its record's apply.
 	for {
 		typ, payload, err := rd.Next()
 		if err == nil {
@@ -341,29 +300,29 @@ func (n *Node) applyStream(br *bufio.Reader, rd *wire.Reader, bw *bufio.Writer, 
 			case typ != wire.FrameLogRecord:
 				err = fmt.Errorf("cluster: unexpected frame %#x in replication stream", typ)
 			default:
-				var s shipped
-				if s, err = n.decodeShipped(payload, &dec, peerIdx, target, m); err == nil {
-					// A sampled commit's context arrived just ahead of its
-					// record: the mirror's leg of the trace opens here.
-					if hasTC && tc.Sampled && trRec != nil {
-						s.rt = trRec.StartCtx(tc)
-					}
-					hasTC = false
-					run = append(run, s)
+				// A sampled commit's context arrived just ahead of its record:
+				// the mirror's leg of the trace covers the record's apply.
+				var rt *reqtrace.T
+				if hasTC && tc.Sampled && trRec != nil {
+					rt = trRec.StartCtx(tc)
 				}
+				hasTC = false
+				err = n.applyRecord(payload, &dec, peerIdx, target, m, rt)
 			}
 		}
-		if err == nil && br.Buffered() > 0 && len(run) < maxShippedRun {
-			continue // more of the stream is already here: take it into this run
+		if err == nil && br.Buffered() > 0 && m.version()-acked < maxUnacked {
+			continue // more of the stream is already here: apply it before acking
 		}
-		if len(run) > 0 {
-			var aerr error
-			ack, aerr = n.applyRun(m, run, bw, ack, trRec)
-			clear(run) // drop the tuples and bytes the run pinned
-			run = run[:0]
-			if aerr != nil {
-				return aerr
+		if v := m.version(); v > acked {
+			ack = wire.AppendSubAck(ack[:0], v)
+			werr := wire.WriteFrame(bw, wire.FrameSubAck, ack)
+			if werr == nil {
+				werr = bw.Flush()
 			}
+			if err == nil {
+				err = werr
+			}
+			acked = v
 		}
 		if err != nil {
 			return err
@@ -371,67 +330,46 @@ func (n *Node) applyStream(br *bufio.Reader, rd *wire.Reader, bw *bufio.Writer, 
 	}
 }
 
-// decodeShipped checks one LogRecord payload's epoch and decodes its
-// record for a run.
-func (n *Node) decodeShipped(payload []byte, dec *archive.TxnDecoder, peerIdx, target int, m *mirror) (shipped, error) {
-	epoch, record, err := wire.DecodeLogRecord(payload)
+// applyRecord checks one LogRecord payload's epoch, decodes its record and
+// applies it to the mirror. rt, when non-nil, is the mirror's leg of a
+// sampled commit's trace: the apply is its replica-apply span. A relation
+// born on the peer invalidates the cached statements touching it, exactly
+// as after a local create.
+func (n *Node) applyRecord(payload []byte, dec *archive.Decoder, peerIdx, target int, m *mirror, rt *reqtrace.T) error {
+	epoch, form, raw, err := wire.DecodeLogRecord(payload)
 	if err != nil {
-		return shipped{}, err
+		return err
 	}
 	known := n.slots.epochOf(peerIdx)
 	if epoch < known {
 		// A deposed primary still streaming its old epoch: drop the stream
 		// and re-resolve to the real owner.
-		return shipped{}, fmt.Errorf("cluster: stale epoch %d on slot %d stream (know %d)", epoch, peerIdx, known)
+		return fmt.Errorf("cluster: stale epoch %d on slot %d stream (know %d)", epoch, peerIdx, known)
 	}
 	if epoch > known {
 		// The stream knows of a promotion gossip has not yet delivered: the
 		// node we dialed serves this epoch.
 		n.slots.noteStreamEpoch(peerIdx, target, epoch)
 	}
-	seq, tx, err := dec.Decode(record)
+	r, err := dec.Decode(form, raw)
 	if err != nil {
-		return shipped{}, err
+		return err
 	}
-	return m.ship(seq, tx, record), nil
-}
-
-// applyRun applies a run to the mirror and acks what it applied with one
-// SubAck, returning the ack buffer for reuse. The sampled records' mirror
-// legs each get the run's apply as their replica-apply span, and a relation
-// born on the peer invalidates the cached statements touching it, exactly
-// as after a local create. A replication gap is reported after the records
-// before it are acked.
-func (n *Node) applyRun(m *mirror, run []shipped, bw *bufio.Writer, ack []byte, trRec *reqtrace.Recorder) ([]byte, error) {
 	var start time.Time
-	if trRec != nil {
+	if rt != nil {
 		start = time.Now()
 	}
-	applied, err := m.apply(run)
-	var end time.Time
-	if trRec != nil {
-		end = time.Now()
+	if err := m.apply(&r, form, raw); err != nil {
+		return err
 	}
-	for _, s := range run[:applied] {
-		if s.rt != nil {
-			s.rt.Span(reqtrace.StageReplicaApply, start, end)
-			trRec.Finish(s.rt)
-		}
-		if s.tx.Kind == core.KindCreate {
-			n.cache.InvalidateRel(s.tx.Rel)
-		}
+	if rt != nil {
+		rt.Span(reqtrace.StageReplicaApply, start, time.Now())
+		n.TraceRecorder().Finish(rt)
 	}
-	if applied > 0 {
-		ack = wire.AppendSubAck(ack[:0], run[applied-1].seq)
-		werr := wire.WriteFrame(bw, wire.FrameSubAck, ack)
-		if werr == nil {
-			werr = bw.Flush()
-		}
-		if err == nil {
-			err = werr
-		}
+	if r.Kind == core.KindCreate {
+		n.cache.InvalidateRel(r.Rel)
 	}
-	return ack, err
+	return nil
 }
 
 // trackConn registers a replication dial for Close to sever. It reports

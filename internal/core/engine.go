@@ -231,7 +231,8 @@ func (e *Engine) Submit(tx Transaction) *lenient.Cell[Response] {
 // each run pays a single multi-lane acquisition. A batch confined to one
 // lane never blocks writers on other lanes. Inside a run, a stretch of at
 // least a page's worth (ptree.DefaultPageCap) of consecutive inserts into
-// one paged relation is admitted as one page build (admitInsertRun).
+// one paged relation is admitted as one insert run (run.go): one page build,
+// its versions published together and notified as one commit.
 func (e *Engine) SubmitBatch(txs []Transaction) []*lenient.Cell[Response] {
 	out := make([]*lenient.Cell[Response], len(txs))
 	sets := make([]laneSet, len(txs))
@@ -322,7 +323,7 @@ func (e *Engine) admitLocked(p Plan) *lenient.Cell[Response] {
 			return &snapshot{dir: cur.dir.With(p.tx.Rel), cells: cells, version: cur.version + 1}
 		})
 		resp := lenient.Ready(Response{Origin: p.tx.Origin, Seq: p.tx.Seq, Kind: p.tx.Kind})
-		e.notifyCommit(p.tx, resp, ns)
+		e.notifyCommit(pendingCommit{tx: p.tx, resp: resp, snap: ns})
 		return resp
 	}
 
@@ -361,7 +362,7 @@ func (e *Engine) admitLocked(p Plan) *lenient.Cell[Response] {
 			})
 			resp = lenient.Map(out, func(o txnOut) Response { return o.resp })
 		}
-		e.notifyCommit(p.tx, resp, e.publishCell(i, wcell))
+		e.notifyCommit(pendingCommit{tx: p.tx, resp: resp, snap: e.publishCell(i, wcell, 1)})
 		return resp
 	}
 
@@ -388,7 +389,7 @@ func (e *Engine) admitLocked(p Plan) *lenient.Cell[Response] {
 		}
 		return &snapshot{dir: cur.dir, cells: cells, version: cur.version + 1}
 	})
-	e.notifyCommit(p.tx, resp, ns)
+	e.notifyCommit(pendingCommit{tx: p.tx, resp: resp, snap: ns})
 	return resp
 }
 
@@ -397,9 +398,9 @@ func (e *Engine) admitLocked(p Plan) *lenient.Cell[Response] {
 // lanes. build must derive the successor from the snapshot it is given —
 // on a retry it runs again against the new current snapshot — and must
 // only replace cells whose lanes the caller has locked. Version numbers
-// come out dense: every successful publication is exactly cur.version+1,
-// which is what lets the commit sequencer re-serialize lane commits into
-// one total order.
+// come out dense: every successful publication is exactly cur.version+1 —
+// cur.version+k for an insert run of k — which is what lets the commit
+// sequencer re-serialize lane commits into one total order.
 func (e *Engine) publish(build func(cur *snapshot) *snapshot) *snapshot {
 	for {
 		cur := e.snap.Load()
@@ -411,95 +412,15 @@ func (e *Engine) publish(build func(cur *snapshot) *snapshot) *snapshot {
 	}
 }
 
-// publishCell publishes the successor snapshot in which the relation at
-// directory index i holds cell.
-func (e *Engine) publishCell(i int, cell *lenient.Cell[relation.Relation]) *snapshot {
+// publishCell publishes the successor snapshot, n versions on, in which the
+// relation at directory index i holds cell.
+func (e *Engine) publishCell(i int, cell *lenient.Cell[relation.Relation], n int64) *snapshot {
 	return e.publish(func(cur *snapshot) *snapshot {
 		cells := make([]*lenient.Cell[relation.Relation], len(cur.cells))
 		copy(cells, cur.cells)
 		cells[i] = cell
-		return &snapshot{dir: cur.dir, cells: cells, version: cur.version + 1}
+		return &snapshot{dir: cur.dir, cells: cells, version: cur.version + n}
 	})
-}
-
-// insertStretch returns how many transactions at the head of txs are valid,
-// untraced inserts into the relation the first one names: the stretch
-// admitInsertRun may take as one page build.
-func insertStretch(txs []Transaction) int {
-	n := 0
-	for n < len(txs) {
-		tx := &txs[n]
-		if tx.Kind != KindInsert || tx.Trace != nil || tx.Rel != txs[0].Rel || tx.Validate() != nil {
-			break
-		}
-		n++
-	}
-	return n
-}
-
-// admitInsertRun admits a stretch of inserts into one relation as one page
-// build — the paper's "A new directory structure is created, the old one
-// being left intact", taken once per stretch instead of once per insert. It reports false, admitting nothing, unless the relation's
-// input cell already holds a paged relation; the caller then admits the
-// stretch one transaction at a time.
-//
-// The observable stream is unchanged: every insert still publishes its own
-// dense version and is notified to observers in order, with a response that
-// is ready at once (an insert's response does not depend on the relation).
-// Only the last version is built, by one UpsertRun over the input. Each
-// version before it is a suspended Insert on its predecessor, built only if
-// something forces it: a reader that loaded that snapshot, Commit.Version(),
-// or history. The caller must hold the relation's lane lock.
-func (e *Engine) admitInsertRun(txs []Transaction, out []*lenient.Cell[Response]) bool {
-	p := planAgainst(e.snap.Load(), txs[0])
-	if p.err != nil {
-		return false
-	}
-	rel, ok := p.in.Poll()
-	if !ok {
-		return false
-	}
-	tuples := make([]value.Tuple, len(txs))
-	for k := range txs {
-		tuples[k] = txs[k].Tuple
-	}
-	final, ok := relation.UpsertRun(e.ctx(), rel, tuples)
-	if !ok {
-		return false
-	}
-	i, _ := p.snap.dir.Index(txs[0].Rel)
-	prev := p.in
-	for k := range txs {
-		tx := &txs[k]
-		var cell *lenient.Cell[relation.Relation]
-		if k < len(txs)-1 {
-			st := &insertStep{prev: prev, tu: tx.Tuple, ctx: e.ctx()}
-			cell = st.cell.Suspend(st)
-		} else {
-			cell = lenient.Ready(final)
-		}
-		resp := lenient.Ready(Response{Origin: tx.Origin, Seq: tx.Seq, Kind: KindInsert, Tuple: tx.Tuple})
-		e.notifyCommit(*tx, resp, e.publishCell(i, cell))
-		out[k] = resp
-		prev = cell
-	}
-	return true
-}
-
-// insertStep is one version inside an insert run: its predecessor's
-// relation with one more tuple, suspended until forced. It is its own cell,
-// so the version costs one allocation.
-type insertStep struct {
-	cell lenient.Cell[relation.Relation]
-	prev *lenient.Cell[relation.Relation]
-	tu   value.Tuple
-	ctx  *eval.Ctx
-}
-
-func (s *insertStep) Eval() relation.Relation {
-	nr, _ := s.prev.Force().Insert(s.ctx, s.tu, trace.None)
-	s.prev = nil // the predecessor's version is no longer needed here
-	return nr
 }
 
 // launchRead runs a read-only plan: no cells are installed, so no lock is

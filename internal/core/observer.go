@@ -1,33 +1,56 @@
 package core
 
 import (
+	"slices"
+
 	"funcdb/internal/database"
 	"funcdb/internal/lenient"
 )
 
-// Commit describes one committed write transaction: the transaction, its
-// response, and the database version it produced. Observers receive commits
-// in engine sequence order, after the write's own response has resolved, on
-// the engine's notifier goroutine — unlike a Force in Submit, an observer
-// never delays the merge or the transactions behind it.
+// Commit describes one committed write: the transaction, its response, and
+// the database version it produced — or, for an insert run (run.go), the
+// run and the consecutive versions it produced in one publication.
+// Observers receive commits in engine sequence order, after the write's own
+// response has resolved, on the engine's notifier goroutine — unlike a
+// Force in Submit, an observer never delays the merge or the transactions
+// behind it.
 type Commit struct {
 	// Seq is the engine's version number after this commit (the value
-	// Database.Version() reports for the resulting version).
+	// Database.Version() reports for the resulting version): a run's last.
 	Seq int64
-	// Tx is the committed transaction.
+	// Tx is the committed transaction; for a run, its last insert.
 	Tx Transaction
-	// Resp is the transaction's response.
+	// Resp is the transaction's response; for a run, its last insert's.
 	Resp Response
+	// Run is the insert run the commit published, nil for a single write.
+	// A run's commit covers versions First() … Seq, version First()+i
+	// holding Run.Tuples[i] under Run.Tags[i].
+	Run *Run
 
 	// The version this commit produced: the engine's published snapshot,
-	// or the thunk NewCommit was given.
+	// or the thunk NewCommit was given. steps are a run's versions before
+	// its last.
 	snap    *snapshot
+	steps   []insertStep
 	version func() *database.Database
 }
 
-// Version materializes the database version this commit produced. The
-// version is captured structurally at merge time (a snapshot of the
-// per-relation cells), so it is exact even if later transactions have
+// First returns the first version the commit produced: Seq, unless the
+// commit is a run.
+func (c Commit) First() int64 { return firstOf(c.Seq, c.Run) }
+
+// firstOf returns the first version of a commit whose last version is last:
+// last itself, unless the commit published run.
+func firstOf(last int64, run *Run) int64 {
+	if run == nil {
+		return last
+	}
+	return last - int64(len(run.Tuples)) + 1
+}
+
+// Version materializes the database version this commit produced (a run's
+// last). The version is captured structurally at merge time (a snapshot of
+// the per-relation cells), so it is exact even if later transactions have
 // already been merged behind this one; materializing it blocks only on the
 // cells this version depends on. Nothing is built until an observer asks.
 func (c Commit) Version() *database.Database {
@@ -35,6 +58,20 @@ func (c Commit) Version() *database.Database {
 		return c.snap.materialize()
 	}
 	return c.version()
+}
+
+// VersionAt materializes version v of the commit, First() <= v <= Seq. A
+// version inside a run shares every relation but the run's with the run's
+// published snapshot; its snapshot is assembled here, and the run's
+// suspended versions up to it are built now.
+func (c Commit) VersionAt(v int64) *database.Database {
+	if v == c.Seq {
+		return c.Version()
+	}
+	i, _ := c.snap.dir.Index(c.Run.Rel)
+	s := &snapshot{dir: c.snap.dir, cells: slices.Clone(c.snap.cells), version: v}
+	s.cells[i] = &c.steps[v-c.First()].cell
+	return s.materialize()
 }
 
 // NewCommit assembles a Commit from explicit parts: for tests, and for
@@ -59,24 +96,28 @@ func WithCommitObserver(fn CommitObserver) EngineOption {
 
 // pendingCommit is one published write waiting for its observers: parked
 // while an earlier version has not reached the sequencer yet, then queued
-// for the notifier.
+// for the notifier. run and steps are set for an insert run.
 type pendingCommit struct {
-	tx   Transaction
-	resp *lenient.Cell[Response]
-	snap *snapshot
+	tx    Transaction
+	resp  *lenient.Cell[Response]
+	snap  *snapshot
+	run   *Run
+	steps []insertStep
 }
 
 // notifyCommit schedules the post-commit notification for a write that was
-// just admitted, called right after the write's successor snapshot s won
-// publication. The snapshot pins the exact version this commit produced —
-// a capture of cell pointers, O(relations) regardless of size — even if
-// later transactions are published behind it before the notification runs.
+// just admitted, called right after the write's successor snapshot pc.snap
+// won publication. The snapshot pins the exact version this commit
+// produced — a capture of cell pointers, O(relations) regardless of size —
+// even if later transactions are published behind it before the
+// notification runs.
 //
 // Lane commits are re-serialized here: lanes publish versions in CAS
 // order, but the goroutines racing through this function may arrive out of
 // order. Versions are dense (publish hands out cur.version+1 on every
-// successful CAS), so the sequencer queues version v only once versions up
-// to v-1 have been queued. Observers therefore see the one total version
+// successful CAS, cur.version+k for a run of k), so the sequencer queues a
+// commit whose first version is v only once versions up to v-1 have been
+// queued. Observers therefore see the one total version
 // order no matter how many lanes produced it — the archive's group commit
 // and the store's history depend on that.
 //
@@ -84,22 +125,21 @@ type pendingCommit struct {
 // the queue goes non-empty with none running. Enqueueing and the notifier's
 // decision to exit happen under seqMu, so a commit is never left queued
 // with nobody to deliver it, and an idle engine has no goroutine at all.
-func (e *Engine) notifyCommit(tx Transaction, resp *lenient.Cell[Response], s *snapshot) {
+func (e *Engine) notifyCommit(pc pendingCommit) {
 	if len(e.observers) == 0 {
 		return
 	}
-	pc := pendingCommit{tx: tx, resp: resp, snap: s}
 	e.seqMu.Lock()
 	defer e.seqMu.Unlock()
-	if s.version != e.seqNext {
+	if first := firstOf(pc.snap.version, pc.run); first != e.seqNext {
 		if e.parked == nil {
 			e.parked = make(map[int64]pendingCommit)
 		}
-		e.parked[s.version] = pc
+		e.parked[first] = pc
 		return
 	}
 	e.queue = append(e.queue, pc)
-	e.seqNext++
+	e.seqNext = pc.snap.version + 1
 	for {
 		next, ok := e.parked[e.seqNext]
 		if !ok {
@@ -107,7 +147,7 @@ func (e *Engine) notifyCommit(tx Transaction, resp *lenient.Cell[Response], s *s
 		}
 		delete(e.parked, e.seqNext)
 		e.queue = append(e.queue, next)
-		e.seqNext++
+		e.seqNext = next.snap.version + 1
 	}
 	if !e.notifying {
 		e.notifying = true
@@ -132,7 +172,7 @@ func (e *Engine) notifyLoop() {
 
 		for i := range batch {
 			pc := &batch[i]
-			c := Commit{Seq: pc.snap.version, Tx: pc.tx, Resp: pc.resp.Force(), snap: pc.snap}
+			c := Commit{Seq: pc.snap.version, Tx: pc.tx, Resp: pc.resp.Force(), Run: pc.run, snap: pc.snap, steps: pc.steps}
 			for _, ob := range e.observers {
 				ob(c)
 			}

@@ -105,32 +105,34 @@ func (e *Engine) Snapshot() EngineSnapshot {
 // Archive instruments the durability layer (internal/archive): group
 // commit and recovery.
 type Archive struct {
-	Appends      Counter   // transactions appended to the log
+	Appends      Counter   // versions (writes) appended to the log
 	Bytes        Counter   // bytes written to the log (records + snapshots)
 	Flushes      Counter   // group-commit window flushes
 	Snapshots    Counter   // durable snapshots written
-	FlushRecords Histogram // records per group-commit window (occupancy)
+	FlushRecords Histogram // versions per group-commit window (occupancy)
 	FsyncLatency Histogram // fsync duration, ns
 	RecoveryNS   Gauge     // duration of the last Open() replay, ns
 }
 
-// Appended records one log append of n payload bytes (non-grouped path).
-func (a *Archive) Appended(bytes int) {
+// Appended records one log append of the given versions and bytes
+// (non-grouped path).
+func (a *Archive) Appended(versions, bytes int) {
 	if a == nil {
 		return
 	}
-	a.Appends.Inc()
+	a.Appends.Add(int64(versions))
 	a.Bytes.Add(int64(bytes))
 }
 
-// Buffered records one transaction entering the group-commit window.
-func (a *Archive) Buffered() {
+// Buffered records the given versions entering the group-commit window.
+func (a *Archive) Buffered(versions int) {
 	if a != nil {
-		a.Appends.Inc()
+		a.Appends.Add(int64(versions))
 	}
 }
 
-// Flushed records one group-commit window flush of recs records and n bytes.
+// Flushed records one group-commit window flush of recs versions and n
+// bytes.
 func (a *Archive) Flushed(recs, bytes int) {
 	if a == nil {
 		return
@@ -368,7 +370,7 @@ type PeerSnapshot struct {
 	// (or failover is off). Ages beyond the lease mean the peer is
 	// presumed dead.
 	HeartbeatAgeMs float64 `json:"heartbeat_age_ms"`
-	// AppliedLag is how many of THIS node's committed records the peer has
+	// AppliedLag is how many of THIS node's committed versions the peer has
 	// not yet applied to its mirror (per the peer's last heartbeat): the
 	// data this node would strand if it died right now, and therefore the
 	// peer's fitness as a promotion winner. -1 when unknown.

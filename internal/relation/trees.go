@@ -115,16 +115,17 @@ func (r pagedRelation) Range(ctx *eval.Ctx, lo, hi value.Item, after trace.TaskI
 	return r.t.Range(ctx, lo, hi, after, visit)
 }
 
-// UpsertRun inserts a run of tuples into a paged relation as one page build
-// (ptree.Paged.UpsertRun): the relation the run's inserts would leave, in
-// any order, the last of equal keys winning. ok is false, and nothing is
-// built, for other representations.
-func UpsertRun(ctx *eval.Ctx, r Relation, tuples []value.Tuple) (Relation, bool) {
-	pr, ok := r.(pagedRelation)
-	if !ok {
-		return r, false
+// UpsertRun returns the relation a run of inserts leaves, the last of equal
+// keys winning. A paged relation takes the run as one page build
+// (ptree.Paged.UpsertRun); other representations insert it tuple by tuple.
+func UpsertRun(ctx *eval.Ctx, r Relation, tuples []value.Tuple) Relation {
+	if pr, ok := r.(pagedRelation); ok {
+		return pagedRelation{t: pr.t.UpsertRun(ctx, tuples)}
 	}
-	return pagedRelation{t: pr.t.UpsertRun(ctx, tuples)}, true
+	for _, tu := range tuples {
+		r, _ = r.Insert(ctx, tu, trace.None)
+	}
+	return r
 }
 
 // Paged unwraps a paged relation for page-level statistics (Figure 2-2);

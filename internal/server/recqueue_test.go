@@ -10,15 +10,16 @@ import (
 
 // TestRecQueueFramesInPlace: the log stream's queue frames records straight
 // into its buffer — a sampled commit's TraceCtx frame ahead of its
-// LogRecord — hands the writer everything queued since its last pop as one
-// slice, and in the steady state allocates nothing per record.
+// LogRecord, each record's form ahead of its bytes — hands the writer
+// everything queued since its last pop as one slice, and in the steady
+// state allocates nothing per record.
 func TestRecQueueFramesInPlace(t *testing.T) {
 	q := &recQueue{}
 	q.cond.L = &q.mu
 	sampled := reqtrace.Ctx{ID: 9, Sampled: true}
-	q.push(reqtrace.Ctx{}, 3, []byte("one"))
-	q.push(sampled, 3, []byte("two"))
-	q.push(reqtrace.Ctx{}, 4, []byte("three"))
+	q.push(reqtrace.Ctx{}, 3, 4, []byte("one"))
+	q.push(sampled, 3, 3, []byte("two"))
+	q.push(reqtrace.Ctx{}, 4, 4, []byte("three"))
 	frames, open := q.pop()
 	if !open {
 		t.Fatal("queue closed")
@@ -27,12 +28,13 @@ func TestRecQueueFramesInPlace(t *testing.T) {
 	want := []struct {
 		typ    byte
 		epoch  uint64
+		form   byte
 		record string
 	}{
-		{wire.FrameLogRecord, 3, "one"},
-		{wire.FrameTraceCtx, 0, ""},
-		{wire.FrameLogRecord, 3, "two"},
-		{wire.FrameLogRecord, 4, "three"},
+		{wire.FrameLogRecord, 3, 4, "one"},
+		{wire.FrameTraceCtx, 0, 0, ""},
+		{wire.FrameLogRecord, 3, 3, "two"},
+		{wire.FrameLogRecord, 4, 4, "three"},
 	}
 	for i, w := range want {
 		typ, payload, err := rd.Next()
@@ -45,9 +47,9 @@ func TestRecQueueFramesInPlace(t *testing.T) {
 			}
 			continue
 		}
-		epoch, record, err := wire.DecodeLogRecord(payload)
-		if err != nil || epoch != w.epoch || string(record) != w.record {
-			t.Fatalf("frame %d: epoch %d record %q, %v; want %d %q", i, epoch, record, err, w.epoch, w.record)
+		epoch, form, record, err := wire.DecodeLogRecord(payload)
+		if err != nil || epoch != w.epoch || form != w.form || string(record) != w.record {
+			t.Fatalf("frame %d: epoch %d form %d record %q, %v; want %d %d %q", i, epoch, form, record, err, w.epoch, w.form, w.record)
 		}
 	}
 	if _, _, err := rd.Next(); err == nil {
@@ -55,11 +57,11 @@ func TestRecQueueFramesInPlace(t *testing.T) {
 	}
 
 	record := bytes.Repeat([]byte("r"), 40)
-	q.push(reqtrace.Ctx{}, 1, record)
+	q.push(reqtrace.Ctx{}, 1, 4, record)
 	q.pop() // both buffers have grown
 	if allocs := testing.AllocsPerRun(100, func() {
 		for i := 0; i < 8; i++ {
-			q.push(reqtrace.Ctx{}, 1, record)
+			q.push(reqtrace.Ctx{}, 1, 4, record)
 		}
 		q.pop()
 	}); allocs != 0 {
@@ -67,7 +69,7 @@ func TestRecQueueFramesInPlace(t *testing.T) {
 	}
 
 	q.closeQueue()
-	q.push(reqtrace.Ctx{}, 1, record)
+	q.push(reqtrace.Ctx{}, 1, 4, record)
 	if frames, open := q.pop(); open || len(frames) != 0 {
 		t.Fatalf("closed queue popped %d bytes, open %v", len(frames), open)
 	}

@@ -20,8 +20,9 @@
 // implements Cluster: placement (a misrouted tagged Request is answered
 // with a Redirect), replica reads, epoch fencing, heartbeats, and the
 // slot logs a Subscribe frame turns a connection into (LogRecord frames —
-// the archive's records, reframed, each sampled one behind its commit's
-// TraceCtx frame — whose SubAcks feed the subscription's write-ack gate).
+// the archive's records, reframed one frame per record, each sampled one
+// behind its commit's TraceCtx frame — whose SubAcks feed the
+// subscription's write-ack gate).
 //
 // Shutdown drains gracefully: stop accepting, unblock every connection's
 // pending read, let each handler answer what it has fully read, then
@@ -96,15 +97,15 @@ type Cluster interface {
 	// HandleHeartbeat merges a FrameHeartbeat's view and answers with the
 	// host's own (ok=false answers nothing: the host keeps no leases).
 	HandleHeartbeat(hb wire.Heartbeat) (ack wire.Heartbeat, ok bool)
-	// SubscribeSlotLog streams a slot's epoch-stamped committed-transaction
-	// log, each record with the trace context of the commit that wrote it
-	// (the stream sends a sampled one as a TraceCtx frame ahead of the
-	// record, so a replica's apply span joins the trace). The callback
-	// contract is archive.TailFunc's: records arrive in commit order, under
-	// the log mutex — hand off, don't block. The subscriber counts toward
-	// the host's write-ack gate until cancel; ack reports that it has
-	// applied the log through seq.
-	SubscribeSlotLog(slot, subscriber int, after int64, fn func(seq int64, epoch uint64, ctx reqtrace.Ctx, record []byte)) (ack func(seq int64), cancel func(), err error)
+	// SubscribeSlotLog streams a slot's epoch-stamped log, one record at a
+	// time — its version span, form and bytes — each with the trace context
+	// of the commit that wrote it (the stream sends a sampled one as a
+	// TraceCtx frame ahead of the record, so a replica's apply span joins
+	// the trace). The callback contract is archive.TailFunc's: records
+	// arrive in commit order, under the log mutex — hand off, don't block.
+	// The subscriber counts toward the host's write-ack gate until cancel;
+	// ack reports that it has applied the log through version seq.
+	SubscribeSlotLog(slot, subscriber int, after int64, fn func(first, last int64, epoch uint64, ctx reqtrace.Ctx, form byte, record []byte)) (ack func(seq int64), cancel func(), err error)
 }
 
 // Server serves the wire protocol over one or more hosts.
@@ -842,22 +843,22 @@ func allReadOnly(txs []core.Transaction) bool {
 }
 
 // streamSlotLog turns the connection into a slot's log-shipping stream:
-// every committed-transaction record with sequence > after, as
-// epoch-stamped FrameLogRecord frames (a sampled commit's TraceCtx frame
-// ahead of it), until either side closes. Records are framed on the commit
-// path straight into the stream's queue (the tail callback must never block
-// the log mutex), then written from this handler goroutine, everything
-// queued since the last write in one write. A watcher goroutine consumes
-// the read side: the subscriber acks what it has applied with cumulative
-// FrameSubAck frames — one per run of records it applied together — handed
-// to the subscription's ack, where they gate the primary's write
+// every version after after, one epoch-stamped FrameLogRecord frame per
+// archive record (a sampled commit's TraceCtx frame ahead of it), until
+// either side closes. Records are framed on the commit path straight into
+// the stream's queue (the tail callback must never block the log mutex),
+// then written from this handler goroutine, everything queued since the
+// last write in one write. A watcher goroutine consumes the read side: the
+// subscriber acks the last version it has applied with cumulative
+// FrameSubAck frames — one per stretch of records it applied together —
+// handed to the subscription's ack, where they gate the primary's write
 // acknowledgements (semi-synchronous replication), and any other read
 // result — EOF, the drain deadline — ends the stream.
 func (s *Server) streamSlotLog(rd *wire.Reader, bw *bufio.Writer, cl Cluster, slot, sub int, after int64) {
 	q := &recQueue{}
 	q.cond.L = &q.mu
-	ack, cancel, err := cl.SubscribeSlotLog(slot, sub, after, func(_ int64, epoch uint64, ctx reqtrace.Ctx, record []byte) {
-		q.push(ctx, epoch, record)
+	ack, cancel, err := cl.SubscribeSlotLog(slot, sub, after, func(_, _ int64, epoch uint64, ctx reqtrace.Ctx, form byte, record []byte) {
+		q.push(ctx, epoch, form, record)
 	})
 	if err != nil {
 		refuse(bw, err.Error())
@@ -907,7 +908,7 @@ type recQueue struct {
 
 // push frames one record — its trace context's frame first, for a sampled
 // commit — onto the queue. A record too large to frame ends the stream.
-func (q *recQueue) push(tc reqtrace.Ctx, epoch uint64, record []byte) {
+func (q *recQueue) push(tc reqtrace.Ctx, epoch uint64, form byte, record []byte) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	if q.closed {
@@ -915,7 +916,7 @@ func (q *recQueue) push(tc reqtrace.Ctx, epoch uint64, record []byte) {
 	}
 	was := len(q.buf)
 	buf, mark := wire.BeginFrame(wire.AppendTraceFrame(q.buf, tc), wire.FrameLogRecord)
-	buf, err := wire.EndFrame(wire.AppendLogRecord(buf, epoch, record), mark)
+	buf, err := wire.EndFrame(wire.AppendLogRecord(buf, epoch, form, record), mark)
 	if err != nil {
 		q.buf = buf[:was]
 		q.closed = true

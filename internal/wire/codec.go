@@ -437,8 +437,9 @@ func DecodeSubscribe(buf []byte) (after int64, slot, subscriber int, err error) 
 	return v[0], int(v[1]), int(v[2]), nil
 }
 
-// AppendSubAck encodes a FrameSubAck payload: the highest record
-// sequence the subscriber has applied.
+// AppendSubAck encodes a FrameSubAck payload: the last version the
+// subscriber has applied — the end of the last record it applied, however
+// many versions that record covered.
 func AppendSubAck(dst []byte, seq int64) []byte {
 	return binary.AppendVarint(dst, seq)
 }
@@ -453,21 +454,25 @@ func DecodeSubAck(buf []byte) (seq int64, err error) {
 }
 
 // AppendLogRecord encodes a FrameLogRecord payload: the serving epoch for
-// the streamed slot (0 without failover), then the archive record bytes
-// unchanged.
-func AppendLogRecord(dst []byte, epoch uint64, record []byte) []byte {
+// the streamed slot (0 without failover), the record's form (the archive's
+// record type), then the archive record bytes unchanged.
+//
+//	logrecord := epoch:uvarint form:uint8 record
+func AppendLogRecord(dst []byte, epoch uint64, form byte, record []byte) []byte {
 	dst = binary.AppendUvarint(dst, epoch)
+	dst = append(dst, form)
 	return append(dst, record...)
 }
 
-// DecodeLogRecord splits a FrameLogRecord payload into its epoch and the
-// record bytes (decoded by an archive.TxnDecoder). record aliases buf.
-func DecodeLogRecord(buf []byte) (epoch uint64, record []byte, err error) {
+// DecodeLogRecord splits a FrameLogRecord payload into its epoch, the
+// record's form and the record bytes (decoded by an archive.Decoder).
+// record aliases buf.
+func DecodeLogRecord(buf []byte) (epoch uint64, form byte, record []byte, err error) {
 	epoch, n := binary.Uvarint(buf)
-	if n <= 0 {
-		return 0, nil, fmt.Errorf("%w: bad log record epoch", ErrCorrupt)
+	if n <= 0 || n == len(buf) {
+		return 0, 0, nil, fmt.Errorf("%w: bad log record header", ErrCorrupt)
 	}
-	return epoch, buf[n:], nil
+	return epoch, buf[n], buf[n+1:], nil
 }
 
 // Heartbeat is one node's failover view, exchanged peer to peer: for

@@ -93,14 +93,18 @@ func TestWireV2V3Equivalence(t *testing.T) {
 		t.Fatal("subscribe without slot and subscriber accepted")
 	}
 
-	// LogRecord: an epoch prefix ahead of the archive record bytes.
+	// LogRecord: an epoch and the record's form ahead of the archive record
+	// bytes; a payload without a form byte is refused.
 	record := []byte("archive-record-bytes")
-	epoch, rec, err := DecodeLogRecord(AppendLogRecord(nil, 3, record))
-	if err != nil || epoch != 3 || !bytes.Equal(rec, record) {
-		t.Fatalf("log record: epoch=%d rec=%q err=%v", epoch, rec, err)
+	epoch, form, rec, err := DecodeLogRecord(AppendLogRecord(nil, 3, 4, record))
+	if err != nil || epoch != 3 || form != 4 || !bytes.Equal(rec, record) {
+		t.Fatalf("log record: epoch=%d form=%d rec=%q err=%v", epoch, form, rec, err)
 	}
-	if un := AppendLogRecord(nil, 0, record); un[0] != 0 || !bytes.Equal(un[1:], record) {
+	if un := AppendLogRecord(nil, 0, 3, record); un[0] != 0 || un[1] != 3 || !bytes.Equal(un[2:], record) {
 		t.Fatal("epoch-0 log record does not wrap the record bytes unchanged")
+	}
+	if _, _, _, err := DecodeLogRecord([]byte{3}); err == nil {
+		t.Fatal("log record without a form accepted")
 	}
 }
 
@@ -141,8 +145,8 @@ func TestWireV3V4Equivalence(t *testing.T) {
 // an untraced sender writes, the context reads back unchanged, and a
 // context glued onto a payload (the retired suffix form) is refused.
 func TestWireV4V5Equivalence(t *testing.T) {
-	if Version != 8 {
-		t.Fatalf("wire.Version = %d, expected 8", Version)
+	if Version != 9 {
+		t.Fatalf("wire.Version = %d, expected 9", Version)
 	}
 	tc := sampleTraceCtx()
 
@@ -155,7 +159,7 @@ func TestWireV4V5Equivalence(t *testing.T) {
 		t.Fatalf("trace-context round-trip: %+v err=%v", back, err)
 	}
 
-	requests := []frame{{FrameLogRecord, AppendLogRecord(nil, 2, []byte("record"))}}
+	requests := []frame{{FrameLogRecord, AppendLogRecord(nil, 2, 4, []byte("record"))}}
 	for _, p := range sampleRequests() {
 		requests = append(requests, frame{FrameRequest, p})
 	}

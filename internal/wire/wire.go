@@ -86,15 +86,16 @@ const (
 	// placement and chase at most one redirect.
 	FrameRedirect byte = 0x19
 	// FrameSubscribe switches a connection into a slot's replication
-	// stream: the records with sequence > after, as FrameLogRecord frames,
-	// until either side closes. The subscriber acks applied records with
+	// stream: the versions after after, as FrameLogRecord frames, until
+	// either side closes. The subscriber acks what it applied with
 	// FrameSubAck.
 	FrameSubscribe byte = 0x1a
-	// FrameLogRecord carries one committed transaction: the serving
-	// node's epoch for the streamed slot, then the archive's log-record
-	// payload (internal/archive recTxn) verbatim — the replication stream
-	// is the durability log, reframed for the wire. A subscriber that
-	// knows a higher epoch drops the stream.
+	// FrameLogRecord carries one archive log record — a single write, or
+	// an insert run's consecutive versions: the serving node's epoch for
+	// the streamed slot, the record's form, then the record's payload
+	// verbatim — the replication stream is the durability log, reframed for
+	// the wire, one frame per record. A subscriber that knows a higher
+	// epoch drops the stream.
 	FrameLogRecord byte = 0x1b
 	// FrameIntrospect asks the server for an introspection document:
 	// request id, kind (IntrospectStats or IntrospectTraces).
@@ -113,9 +114,9 @@ const (
 	// view — the same payload encoding.
 	FrameHeartbeatAck byte = 0x1f
 	// FrameSubAck flows from a log subscriber back to the serving node:
-	// the highest record sequence the subscriber has applied. It is the
-	// only frame a subscriber sends after Subscribe, and the primary's
-	// write-ack gate waits on it.
+	// the last version the subscriber has applied. It is the only frame a
+	// subscriber sends after Subscribe, and the primary's write-ack gate
+	// waits on it.
 	FrameSubAck byte = 0x20
 	// FrameRequest submits a list of statements as one admission batch
 	// (see Stmt and AppendRequest). With FwdTagged the receiver executes
@@ -167,8 +168,10 @@ const (
 	// with one layout per frame and the trace context as its own frame; 7
 	// replaced six statement-carrying frames with FrameRequest; 8 retired
 	// Prepare/Prepared and dense statement ids, so a prepared statement is
-	// named by its text hash alone.
-	Version = 8
+	// named by its text hash alone; 9 ships one LogRecord per archive
+	// record — an insert run is one — with the record's form ahead of its
+	// bytes.
+	Version = 9
 	// MaxFrameLen caps a frame's payload: large enough for any realistic
 	// batch or scan response, small enough to bound what a corrupt
 	// length field can make a peer allocate.
