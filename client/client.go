@@ -3,24 +3,22 @@
 // surface the in-process Store offers (Exec / ExecAsync / ExecBatch),
 // so a workload can run unchanged in-process or over the wire.
 //
-// Requests are pipelined: ExecAsync writes the frame immediately and
-// returns a Pending handle without waiting; any number of requests may
-// be in flight, and responses are matched by request id, so forcing
-// handles in any order is safe. ExecBatch ships the whole batch as ONE
-// frame — the server admits it as one lane-split SubmitBatch, exactly
+// Every connection is a wire.Conn, the one request connection a cluster
+// node's gateway links use too: it frames requests, matches replies by id
+// and keeps the prepared-statement text rule. Requests are pipelined:
+// ExecAsync writes the frame immediately and returns a Pending handle, and
+// forcing handles in any order is safe. ExecBatch ships the whole batch as
+// ONE frame — the server admits it as one lane-split SubmitBatch, exactly
 // like an in-process ExecBatch.
 package client
 
 import (
-	"bufio"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
-	"time"
-
-	"sync"
 	"sync/atomic"
+	"time"
 
 	"funcdb"
 	"funcdb/internal/reqtrace"
@@ -28,27 +26,12 @@ import (
 	"funcdb/internal/wire"
 )
 
-// Client is one wire connection. Safe for concurrent use: sends are
-// serialized under their own lock (so firing pipelined requests never
-// waits behind a goroutine blocked reading a response), and concurrent
-// Force calls cooperate through the receive buffer.
+// Client is one wire connection: a wire.Conn — which frames requests,
+// matches replies by id and applies the prepared-statement text rule —
+// plus the Welcome's fields and the client-side trace recorder. Safe for
+// concurrent use.
 type Client struct {
-	conn net.Conn
-
-	wmu    sync.Mutex // guards bw, enc, and request-id allocation
-	bw     *bufio.Writer
-	enc    []byte // reused request encode buffer
-	nextID uint64
-
-	rmu sync.Mutex // guards rd and the reorder buffer
-	rd  *wire.Reader
-	// got buffers responses that arrived while awaiting another id:
-	// out-of-order-safe pipelining.
-	got map[uint64]arrived
-
-	emu    sync.Mutex // guards the sticky transport failure
-	err    error
-	closed bool
+	conn *wire.Conn
 
 	origin   string
 	database string
@@ -63,37 +46,6 @@ type Client struct {
 	dialNS       int64 // unix ns Dial began
 	dialDurNS    int64 // dial + handshake duration
 	dialAttached atomic.Bool
-}
-
-// fail records the first transport failure; every later call reports it.
-func (c *Client) fail(err error) error {
-	c.emu.Lock()
-	defer c.emu.Unlock()
-	if c.err == nil {
-		c.err = err
-	}
-	return c.err
-}
-
-// sticky returns the recorded transport failure, if any.
-func (c *Client) sticky() error {
-	c.emu.Lock()
-	defer c.emu.Unlock()
-	return c.err
-}
-
-// arrived is one received reply, keyed by request id.
-type arrived struct {
-	resp     funcdb.Response   // FrameResponse
-	resps    []funcdb.Response // FrameBatchResponse
-	errMsg   string            // FrameError
-	index    int               // FrameError: failing statement index, -1 if none
-	isErr    bool
-	batch    bool
-	redirect string // FrameRedirect: the owning node's address
-	rel      string // FrameRedirect: the relation being placed
-	rdEpoch  uint64 // FrameRedirect: the owner's epoch (0 = unstamped)
-	doc      []byte // FrameIntrospectResponse: the JSON document
 }
 
 // Option configures Dial.
@@ -123,24 +75,19 @@ func WithTracing(cfg funcdb.TracingConfig) Option {
 // Dial connects and performs the protocol handshake.
 func Dial(addr string, opts ...Option) (*Client, error) {
 	dialStart := time.Now()
-	conn, err := net.Dial("tcp", addr)
+	nc, err := net.Dial("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("client: %w", err)
 	}
-	c := &Client{
-		conn: conn,
-		rd:   wire.NewReader(bufio.NewReaderSize(conn, clientReadBufSize)),
-		bw:   bufio.NewWriterSize(conn, clientWriteBufSize),
-		got:  make(map[uint64]arrived),
-	}
+	c := &Client{}
 	for _, opt := range opts {
 		opt(c)
 	}
-	w, err := wire.Handshake(conn, c.rd, wire.Hello{Origin: c.origin, Database: c.database})
+	conn, w, err := wire.NewConn(nc, wire.Hello{Origin: c.origin, Database: c.database})
 	if err != nil {
-		conn.Close()
 		return nil, fmt.Errorf("client: handshake: %w", err)
 	}
+	c.conn = conn
 	c.origin, c.lanes, c.durable, c.database = w.Origin, w.Lanes, w.Durable, w.Database
 	if c.traceCfg != nil {
 		c.rec = reqtrace.New("client:"+c.origin, *c.traceCfg)
@@ -166,12 +113,12 @@ func (c *Client) startTrace() (*reqtrace.T, int64) {
 }
 
 // finishTrace closes a request's client-send span and runs admission.
-func (c *Client) finishTrace(t *reqtrace.T, sentNS int64) {
+func finishTrace(rec *reqtrace.Recorder, t *reqtrace.T, sentNS int64) {
 	if t == nil {
 		return
 	}
 	t.SpanNS(reqtrace.StageClientSend, sentNS, time.Now().UnixNano()-sentNS)
-	c.rec.Finish(t)
+	rec.Finish(t)
 }
 
 // LocalTraces returns the traces published by this connection's own
@@ -205,152 +152,51 @@ type Pending struct {
 // Force blocks until the request's response arrives (reading the
 // connection as needed) and returns it. Safe to call from any goroutine
 // and in any order relative to other Pending handles.
-func (p *Pending) Force() (funcdb.Response, error) {
-	resp, err := p.c.await(p.id)
-	p.c.finishTrace(p.t, p.sentNS)
-	return resp, err
-}
+func (p *Pending) Force() (funcdb.Response, error) { return p.await(nil) }
 
-// send frames one request under the write lock and returns its request
-// id. The payload is built by appending directly into the client's
-// reused encode buffer (build receives it opened by BeginFrame), so the
-// steady-state send path allocates nothing. A sampled trace t sends its
-// context as a TraceCtx frame ahead of the request.
-func (c *Client) send(typ byte, t *reqtrace.T, build func(dst []byte, id uint64) []byte) (uint64, error) {
-	c.wmu.Lock()
-	defer c.wmu.Unlock()
-	if err := c.sticky(); err != nil {
-		return 0, err
-	}
-	id := c.nextID
-	c.nextID++
-	// Encode before touching the socket: an unencodable request (e.g. a
-	// frame over the size limit) is the caller's error, not a transport
-	// failure — EndFrame removes the bad frame and the connection stays
-	// usable.
-	var mark int
-	var err error
-	c.enc, mark = wire.BeginFrame(wire.AppendTraceFrame(c.enc[:0], t.Ctx()), typ)
-	c.enc = build(c.enc, id)
-	if c.enc, err = wire.EndFrame(c.enc, mark); err != nil {
-		return 0, fmt.Errorf("client: %w", err)
-	}
-	if _, err := c.bw.Write(c.enc); err != nil {
-		return 0, c.fail(fmt.Errorf("client: send: %w", err))
-	}
-	if cap(c.enc) > maxClientEncodeBuf {
-		c.enc = nil // one giant batch must not pin its high-water mark
-	}
-	if err := c.bw.Flush(); err != nil {
-		return 0, c.fail(fmt.Errorf("client: send: %w", err))
-	}
-	return id, nil
-}
-
-// await blocks until id's reply is buffered or read, consuming frames
-// (and buffering other ids' replies) as they arrive.
-func (c *Client) await(id uint64) (funcdb.Response, error) {
-	a, err := c.recv(id)
+// await receives the reply to a request of stmts (nil for text).
+func (p *Pending) await(stmts []wire.Stmt) (funcdb.Response, error) {
+	r, err := p.c.conn.Await(p.id, stmts)
+	finishTrace(p.c.rec, p.t, p.sentNS)
 	if err != nil {
 		return funcdb.Response{}, err
 	}
-	if a.isErr {
-		return funcdb.Response{}, errors.New(a.errMsg)
+	switch {
+	case r.IsErr:
+		return funcdb.Response{}, errors.New(r.ErrMsg)
+	case r.Redirect != "":
+		return funcdb.Response{}, fmt.Errorf("client: request %d redirected to %s (use DialCluster to chase placements)", p.id, r.Redirect)
+	case r.Batch:
+		return funcdb.Response{}, fmt.Errorf("client: request %d is a batch (use ExecBatch)", p.id)
 	}
-	if a.redirect != "" {
-		return funcdb.Response{}, fmt.Errorf("client: request %d redirected to %s (use DialCluster to chase placements)", id, a.redirect)
-	}
-	if a.batch {
-		return funcdb.Response{}, fmt.Errorf("client: request %d is a batch (use ExecBatch)", id)
-	}
-	return a.resp, nil
+	return r.Resp, nil
 }
 
-// recv reads frames under the receive lock until id's reply arrives. The
-// awaited reply is returned as it is decoded; only replies to other ids —
-// pipelined requests answered ahead of the one awaited — go through the
-// got map, which boxes each one it holds.
-func (c *Client) recv(id uint64) (arrived, error) {
-	c.rmu.Lock()
-	defer c.rmu.Unlock()
-	if a, ok := c.got[id]; ok {
-		delete(c.got, id)
-		return a, nil
+// awaitBatch receives the reply to a request of stmts: a failing
+// statement's error as a *funcdb.BatchError naming query(index).
+func (c *Client) awaitBatch(id uint64, stmts []wire.Stmt, query func(int) string) ([]funcdb.Response, error) {
+	n := len(stmts)
+	r, err := c.conn.Await(id, stmts)
+	if err != nil {
+		return nil, err
 	}
-	for {
-		if err := c.sticky(); err != nil {
-			return arrived{}, err
+	if r.IsErr {
+		if r.Index >= 0 && r.Index < n {
+			return nil, &session.BatchError{Index: r.Index, Query: query(r.Index), Err: errors.New(r.ErrMsg)}
 		}
-		typ, payload, err := c.rd.Next()
-		if err != nil {
-			return arrived{}, c.fail(fmt.Errorf("client: recv: %w", err))
-		}
-		var (
-			rid uint64
-			a   arrived
-		)
-		switch typ {
-		case wire.FrameResponse:
-			a.index = -1
-			rid, a.resp, err = wire.DecodeSingleResponse(payload)
-		case wire.FrameBatchResponse:
-			a.index, a.batch = -1, true
-			rid, a.resps, err = wire.DecodeResponses(payload)
-		case wire.FrameError:
-			a.isErr = true
-			rid, a.index, a.errMsg, err = wire.DecodeErrorMsg(payload)
-		case wire.FrameRedirect:
-			a.index = -1
-			rid, a.redirect, a.rel, a.rdEpoch, err = wire.DecodeRedirect(payload)
-		case wire.FrameIntrospectResponse:
-			a.index = -1
-			rid, a.doc, err = wire.DecodeIntrospectResponse(payload)
-			// The document aliases the frame's read buffer: copy before it
-			// is reused.
-			a.doc = append([]byte(nil), a.doc...)
-		default:
-			err = fmt.Errorf("client: unexpected frame %#x", typ)
-		}
-		if err != nil {
-			return arrived{}, c.fail(err)
-		}
-		if rid == id {
-			return a, nil
-		}
-		c.got[rid] = a
+		return nil, errors.New(r.ErrMsg)
 	}
-}
-
-// request ships a statement list as one FrameRequest and returns the
-// request id: every execution path — text, prepared, cluster-routed —
-// sends through it. flags is 0 on a plain connection (the server's
-// session tags the statements); a cluster client sets FwdTagged, owning
-// the tag space, and claims no epoch. The reply is a FrameResponse (one
-// statement), FrameBatchResponse (any other count), FrameError, or — for
-// a tagged request to a node that does not own the statements' relation —
-// a FrameRedirect carrying the owner's address. Callers validate args
-// first (validArgs), so encoding cannot fail on them.
-func (c *Client) request(flags byte, stmts []wire.Stmt, t *reqtrace.T) (uint64, error) {
-	return c.send(wire.FrameRequest, t, func(dst []byte, id uint64) []byte {
-		dst, _ = wire.AppendRequest(dst, id, flags, 0, stmts)
-		return dst
-	})
-}
-
-// responses returns an n-statement request's answer: one statement is
-// answered by a FrameResponse, any other count by a FrameBatchResponse.
-// ok is false for a reply of the other shape.
-func (a arrived) responses(n int) (resps []funcdb.Response, ok bool) {
-	if a.batch {
-		return a.resps, len(a.resps) == n
+	resps, ok := r.Responses(n)
+	if !ok {
+		return nil, fmt.Errorf("client: request %d is not a batch", id)
 	}
-	return []funcdb.Response{a.resp}, n == 1
+	return resps, nil
 }
 
 // ExecAsync submits one statement without waiting: pipelined execution.
 func (c *Client) ExecAsync(q string) (*Pending, error) {
 	t, sentNS := c.startTrace()
-	id, err := c.request(0, []wire.Stmt{{Text: q, HasText: true}}, t)
+	id, err := c.conn.Request(0, 0, []wire.Stmt{{Text: q}}, t.Ctx())
 	if err != nil {
 		return nil, err
 	}
@@ -380,29 +226,16 @@ func (c *Client) ExecBatch(queries []string) ([]funcdb.Response, error) {
 	}
 	stmts := make([]wire.Stmt, len(queries))
 	for i, q := range queries {
-		stmts[i] = wire.Stmt{Text: q, HasText: true}
+		stmts[i] = wire.Stmt{Text: q}
 	}
 	t, sentNS := c.startTrace()
-	id, err := c.request(0, stmts, t)
+	id, err := c.conn.Request(0, 0, stmts, t.Ctx())
 	if err != nil {
 		return nil, err
 	}
-	a, aerr := c.recv(id)
-	c.finishTrace(t, sentNS)
-	if aerr != nil {
-		return nil, aerr
-	}
-	if a.isErr {
-		if a.index >= 0 && a.index < len(queries) {
-			return nil, &session.BatchError{Index: a.index, Query: queries[a.index], Err: errors.New(a.errMsg)}
-		}
-		return nil, errors.New(a.errMsg)
-	}
-	resps, ok := a.responses(len(queries))
-	if !ok {
-		return nil, fmt.Errorf("client: request %d is not a batch", id)
-	}
-	return resps, nil
+	resps, err := c.awaitBatch(id, stmts, func(i int) string { return queries[i] })
+	finishTrace(c.rec, t, sentNS)
+	return resps, err
 }
 
 // Stats asks the server for its metrics snapshot: every layer's counters
@@ -428,59 +261,28 @@ func (c *Client) Traces() ([]funcdb.RequestTrace, error) {
 
 // introspect fetches one introspection document and decodes it into v.
 func (c *Client) introspect(kind byte, what string, v any) error {
-	id, err := c.send(wire.FrameIntrospect, nil, func(dst []byte, id uint64) []byte {
-		return wire.AppendIntrospect(dst, id, kind)
-	})
+	id, err := c.conn.Introspect(kind)
 	if err != nil {
 		return err
 	}
-	a, err := c.recv(id)
+	r, err := c.conn.Await(id, nil)
 	if err != nil {
 		return err
 	}
-	if a.isErr {
-		return errors.New(a.errMsg)
+	if r.IsErr {
+		return errors.New(r.ErrMsg)
 	}
-	if a.doc == nil {
+	if r.Doc == nil {
 		return fmt.Errorf("client: request %d is not a %s request", id, what)
 	}
-	if err := json.Unmarshal(a.doc, v); err != nil {
+	if err := json.Unmarshal(r.Doc, v); err != nil {
 		return fmt.Errorf("client: bad %s document: %w", what, err)
 	}
 	return nil
 }
 
-// Per-connection buffer sizing: explicit rather than bufio's 4 KiB
-// default. Reads are sized for a burst of pipelined responses; writes
-// stay small because requests are pre-assembled in the encode buffer.
-const (
-	clientReadBufSize  = 16 << 10
-	clientWriteBufSize = 4 << 10
-	// maxClientEncodeBuf caps the request buffer retained between sends.
-	maxClientEncodeBuf = 256 << 10
-)
-
 // Close announces a clean quit and closes the connection. A goroutine
 // blocked in Force wakes with a transport error.
 func (c *Client) Close() error {
-	c.emu.Lock()
-	if c.closed {
-		c.emu.Unlock()
-		return nil
-	}
-	c.closed = true
-	healthy := c.err == nil
-	if c.err == nil {
-		c.err = errors.New("client: closed")
-	}
-	c.emu.Unlock()
-
-	if healthy {
-		c.wmu.Lock()
-		if err := wire.WriteFrame(c.bw, wire.FrameQuit, nil); err == nil {
-			c.bw.Flush()
-		}
-		c.wmu.Unlock()
-	}
 	return c.conn.Close()
 }

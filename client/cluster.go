@@ -42,15 +42,8 @@ type ClusterClient struct {
 	conns     map[string]*Client
 	placement map[string]string // relation -> owning address, learned
 	epochs    map[string]uint64 // relation -> newest owner epoch seen (monotone)
-	confirmed map[stmtAt]bool   // prepared statements a node is known to hold
 	cache     *query.StmtCache
 	closed    bool
-}
-
-// stmtAt names a prepared statement (by its text hash) at one node.
-type stmtAt struct {
-	addr string
-	hash uint64
 }
 
 // ClusterOption configures DialCluster.
@@ -101,7 +94,6 @@ func DialCluster(addrs []string, opts ...ClusterOption) (*ClusterClient, error) 
 		conns:     make(map[string]*Client),
 		placement: make(map[string]string),
 		epochs:    make(map[string]uint64),
-		confirmed: make(map[stmtAt]bool),
 		cache:     query.NewStmtCache(0),
 	}
 	for _, opt := range opts {
@@ -123,15 +115,6 @@ func (c *ClusterClient) startTrace() (*reqtrace.T, int64) {
 		return nil, 0
 	}
 	return c.rec.Start(), time.Now().UnixNano()
-}
-
-// finishTrace closes a request's client-send span and runs admission.
-func (c *ClusterClient) finishTrace(t *reqtrace.T, sentNS int64) {
-	if t == nil {
-		return
-	}
-	t.SpanNS(reqtrace.StageClientSend, sentNS, time.Now().UnixNano()-sentNS)
-	c.rec.Finish(t)
 }
 
 // LocalTraces returns the traces published by the cluster client's own
@@ -198,55 +181,6 @@ func (c *ClusterClient) guess(rel string) (addr string, known bool) {
 	return c.addrs[core.LaneOf(rel, len(c.addrs))], false
 }
 
-// learn records what a successful reply proves: where the relation's
-// statements are served (unless the reply is a replica read, deliberately
-// served off-owner) and that the node now holds every prepared statement
-// whose text the request carried.
-func (c *ClusterClient) learn(rel, addr string, flags byte, stmts []wire.Stmt) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if flags&wire.FwdReadLocal == 0 {
-		c.placement[rel] = addr
-	}
-	for _, st := range stmts {
-		if st.Hash != 0 && st.HasText {
-			c.confirmed[stmtAt{addr, st.Hash}] = true
-		}
-	}
-}
-
-// forget drops what the client believed about where stmts run: the
-// relation's learned placement (its epoch knowledge is kept — epochs are
-// monotone and guard against stale redirects), when rel is not "", and
-// every addr's hold on the prepared statements among stmts, so
-// the next request there carries their text again.
-func (c *ClusterClient) forget(rel string, stmts []wire.Stmt, addrs ...string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if rel != "" {
-		delete(c.placement, rel)
-	}
-	for _, addr := range addrs {
-		for _, st := range stmts {
-			delete(c.confirmed, stmtAt{addr, st.Hash})
-		}
-	}
-}
-
-// withText decides, for one target address, which statements carry their
-// text: a plain text statement always does, a prepared one until addr is
-// known to hold it. It reports whether any statement rides hash-only.
-func (c *ClusterClient) withText(addr string, stmts []wire.Stmt) (hashOnly bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for i := range stmts {
-		st := &stmts[i]
-		st.HasText = st.Hash == 0 || !c.confirmed[stmtAt{addr, st.Hash}]
-		hashOnly = hashOnly || !st.HasText
-	}
-	return hashOnly
-}
-
 // noteEpoch folds a redirect's owner epoch into the client's knowledge,
 // reporting false for a redirect OLDER than what the client has already
 // seen — a stale node trying to steer it backwards.
@@ -263,13 +197,6 @@ func (c *ClusterClient) noteEpoch(rel string, epoch uint64) bool {
 	return true
 }
 
-// translate resolves a statement through the client-side cache: the
-// relation (for routing) and read-only-ness, plus translation errors
-// before anything is sent.
-func (c *ClusterClient) translate(q string) (core.Transaction, error) {
-	return c.cache.Translate(q)
-}
-
 // nextSeqs reserves n consecutive sequence numbers, returning the first.
 func (c *ClusterClient) nextSeqs(n int) int {
 	c.mu.Lock()
@@ -284,32 +211,33 @@ func (c *ClusterClient) nextSeqs(n int) int {
 // served it. Without a failover-retry budget this is one sendRunOnce; with
 // one, failures that look like a promotion in flight — a dead connection,
 // an exhausted redirect chase, a fencing rejection — are retried against
-// re-resolved placement until the budget elapses. Rotating away from an
-// address also forgets that it held the run's prepared statements, so the
-// retry carries their text wherever it lands.
-func (c *ClusterClient) sendRun(rel, addr string, flags byte, stmts []wire.Stmt, t *reqtrace.T) (arrived, string, error) {
-	a, served, err := c.sendRunOnce(rel, addr, flags, stmts, t)
+// re-resolved placement until the budget elapses. Which of the run's
+// prepared statements carry their text is each connection's own rule, so
+// a retry that lands on another node carries whatever that node lacks.
+func (c *ClusterClient) sendRun(rel, addr string, flags byte, stmts []wire.Stmt, t *reqtrace.T) (wire.Reply, string, error) {
+	r, served, err := c.sendRunOnce(rel, addr, flags, stmts, t)
 	if c.retry <= 0 {
-		return a, served, err
+		return r, served, err
 	}
 	deadline := time.Now().Add(c.retry)
 	for attempt := 1; ; attempt++ {
-		if err == nil && !fencedReply(a) {
-			return a, served, nil
+		if err == nil && !fencedReply(r) {
+			return r, served, nil
 		}
+		// Forget the relation's placement (its epochs stay: they are
+		// monotone, the guard against stale redirects) and re-resolve
+		// through a rotating seed: a node that is alive answers or
+		// redirects us to the serving owner in its newest epoch.
 		c.mu.Lock()
 		closed := c.closed
+		delete(c.placement, rel)
 		c.mu.Unlock()
 		if closed || time.Now().After(deadline) {
-			return a, served, err
+			return r, served, err
 		}
-		// Forget what we knew about the relation and re-resolve through a
-		// rotating seed: a node that is alive answers or redirects us to
-		// the serving owner in its newest epoch.
-		c.forget(rel, stmts, addr, served)
 		time.Sleep(failoverRetryPause)
 		addr = c.addrs[(core.LaneOf(rel, len(c.addrs))+attempt)%len(c.addrs)]
-		a, served, err = c.sendRunOnce(rel, addr, flags, stmts, t)
+		r, served, err = c.sendRunOnce(rel, addr, flags, stmts, t)
 	}
 }
 
@@ -322,77 +250,72 @@ const failoverRetryPause = 25 * time.Millisecond
 // that were resolved fenced (a node closing before a write replicated).
 // Fenced statements were never acked, so re-executing the run against
 // the re-resolved owner is safe.
-func fencedReply(a arrived) bool {
-	if a.isErr {
-		return strings.Contains(a.errMsg, "cluster: fenced")
+func fencedReply(r wire.Reply) bool {
+	if r.IsErr {
+		return strings.Contains(r.ErrMsg, "cluster: fenced")
 	}
-	if a.resp.Err != nil && strings.Contains(a.resp.Err.Error(), "cluster: fenced") {
+	if r.Resp.Err != nil && strings.Contains(r.Resp.Err.Error(), "cluster: fenced") {
 		return true
 	}
-	for _, r := range a.resps {
-		if r.Err != nil && strings.Contains(r.Err.Error(), "cluster: fenced") {
+	for _, resp := range r.Resps {
+		if resp.Err != nil && strings.Contains(resp.Err.Error(), "cluster: fenced") {
 			return true
 		}
 	}
 	return false
 }
 
-// sendRunOnce is one delivery attempt, carrying three separate one-shot
+// sendRunOnce is one delivery attempt, carrying two separate one-shot
 // budgets: one REDIAL per target address (a cached connection may have
 // died with the peer's restart — placement is not in question, so a
-// reconnect must not spend the redirect budget), one REDIRECT chase (the
-// placement correction), and one re-send with text when a request with
-// hash-only statements is refused as an unknown statement (the owner
-// evicted or never had it — nothing was admitted, so re-sending is safe).
-// Only a non-error reply is placement evidence: an Error frame, such as a
-// deposed primary's fencing rejection, teaches nothing.
-func (c *ClusterClient) sendRunOnce(rel, addr string, flags byte, stmts []wire.Stmt, t *reqtrace.T) (arrived, string, error) {
-	redialed, redirected, resent := false, false, false
+// reconnect must not spend the redirect budget) and one REDIRECT chase
+// (the placement correction). The connection re-sends a refused hash-only
+// request with text itself. Only a non-error reply is placement evidence:
+// an Error frame, such as a deposed primary's fencing rejection, teaches
+// nothing.
+func (c *ClusterClient) sendRunOnce(rel, addr string, flags byte, stmts []wire.Stmt, t *reqtrace.T) (wire.Reply, string, error) {
+	redialed, redirected := false, false
 	for {
 		dialNS := time.Now().UnixNano()
 		cl, dialed, err := c.conn(addr)
 		if err != nil {
-			return arrived{}, "", err
+			return wire.Reply{}, "", err
 		}
 		if dialed && t != nil {
 			// This request paid for the dial + handshake: attribute it.
 			t.SpanNS(reqtrace.StageClientDial, dialNS, time.Now().UnixNano()-dialNS)
 		}
-		hashOnly := c.withText(addr, stmts)
-		id, err := cl.request(flags|wire.FwdTagged, stmts, t)
+		id, err := cl.conn.Request(flags|wire.FwdTagged, 0, stmts, t.Ctx())
 		if err != nil {
 			if !redialed {
 				c.dropConn(addr, cl)
 				redialed = true
 				continue
 			}
-			return arrived{}, "", err
+			return wire.Reply{}, "", err
 		}
-		a, err := cl.recv(id)
+		r, err := cl.conn.Await(id, stmts)
 		if err != nil {
-			return arrived{}, "", err
+			return wire.Reply{}, "", err
 		}
-		if a.isErr && hashOnly && !resent && isUnknownStmtMsg(a.errMsg) {
-			// The owner dropped a statement since we confirmed it:
-			// re-send carrying the text so it prepares again.
-			c.forget("", stmts, addr)
-			resent = true
-			continue
-		}
-		if a.redirect == "" {
-			if !a.isErr {
-				c.learn(rel, addr, flags, stmts)
+		if r.Redirect == "" {
+			if !r.IsErr && flags&wire.FwdReadLocal == 0 {
+				// A replica read is served off-owner on purpose: it
+				// teaches no placement.
+				c.mu.Lock()
+				c.placement[rel] = addr
+				c.mu.Unlock()
 			}
-			return a, addr, nil
+			return r, addr, nil
 		}
-		if !c.noteEpoch(rel, a.rdEpoch) {
-			return arrived{}, "", fmt.Errorf("client: stale redirect for %q to %s (epoch %d)", rel, a.redirect, a.rdEpoch)
+		if !c.noteEpoch(rel, r.Epoch) {
+			return wire.Reply{}, "", fmt.Errorf("client: stale redirect for %q to %s (epoch %d)", rel, r.Redirect, r.Epoch)
 		}
 		if redirected {
-			return arrived{}, "", fmt.Errorf("client: relation %q still not at %s after one redirect", rel, addr)
+			return wire.Reply{}, "", fmt.Errorf("client: relation %q still not at %s after one redirect", rel, addr)
 		}
-		redirected, redialed, resent = true, false, false
-		addr = a.redirect
+		redirected, redialed = true, false
+		addr = r.Redirect
 	}
 }
 
@@ -408,20 +331,20 @@ func (c *ClusterClient) execOne(rel string, st wire.Stmt, flags byte) (funcdb.Re
 		addr, _ = c.guess(rel)
 	}
 	t, sentNS := c.startTrace()
-	a, _, err := c.sendRun(rel, addr, flags, []wire.Stmt{st}, t)
-	c.finishTrace(t, sentNS)
+	r, _, err := c.sendRun(rel, addr, flags, []wire.Stmt{st}, t)
+	finishTrace(c.rec, t, sentNS)
 	if err != nil {
 		return funcdb.Response{}, err
 	}
-	if a.isErr {
-		return funcdb.Response{}, errors.New(a.errMsg)
+	if r.IsErr {
+		return funcdb.Response{}, errors.New(r.ErrMsg)
 	}
-	return a.resp, nil
+	return r.Resp, nil
 }
 
 // Exec routes one statement to its owner and waits for the response.
 func (c *ClusterClient) Exec(q string) (funcdb.Response, error) {
-	tx, err := c.translate(q)
+	tx, err := c.cache.Translate(q)
 	if err != nil {
 		return funcdb.Response{}, err
 	}
@@ -440,7 +363,7 @@ func (c *ClusterClient) Exec(q string) (funcdb.Response, error) {
 // the log shipping hasn't applied yet, an owner-served read is exact.
 // Writes are refused.
 func (c *ClusterClient) ExecReplica(q string) (funcdb.Response, error) {
-	tx, err := c.translate(q)
+	tx, err := c.cache.Translate(q)
 	if err != nil {
 		return funcdb.Response{}, err
 	}
@@ -464,7 +387,7 @@ func (c *ClusterClient) ExecBatch(queries []string) ([]funcdb.Response, error) {
 	}
 	txs := make([]core.Transaction, len(queries))
 	for i, q := range queries {
-		tx, err := c.translate(q)
+		tx, err := c.cache.Translate(q)
 		if err != nil {
 			return nil, &session.BatchError{Index: i, Query: q, Err: err}
 		}
@@ -476,7 +399,7 @@ func (c *ClusterClient) ExecBatch(queries []string) ([]funcdb.Response, error) {
 	// stamped with the same context, so all owners' spans stitch under
 	// one id, and one client-send span brackets the full reassembly.
 	t, sentNS := c.startTrace()
-	defer func() { c.finishTrace(t, sentNS) }()
+	defer func() { finishTrace(c.rec, t, sentNS) }()
 
 	out := make([]funcdb.Response, len(queries))
 	for i := 0; i < len(queries); {
@@ -498,25 +421,25 @@ func (c *ClusterClient) ExecBatch(queries []string) ([]funcdb.Response, error) {
 		for k := i; k < j; k++ {
 			stmts[k-i] = wire.Stmt{Origin: c.origin, Seq: first + k, Text: queries[k]}
 		}
-		a, _, err := c.sendRun(rel, addr, wire.FwdNoForward, stmts, t)
+		r, _, err := c.sendRun(rel, addr, wire.FwdNoForward, stmts, t)
 		if err != nil {
 			return nil, err
 		}
-		if a.isErr {
+		if r.IsErr {
 			// The owner's translation failed mid-frame: its index is
 			// relative to the run — map it back to the batch position, so
 			// the BatchError a caller unwraps names the right statement
 			// even though the frame was forwarded.
-			if a.index >= 0 && i+a.index < len(queries) {
+			if r.Index >= 0 && i+r.Index < len(queries) {
 				return nil, &session.BatchError{
-					Index: i + a.index,
-					Query: queries[i+a.index],
-					Err:   errors.New(a.errMsg),
+					Index: i + r.Index,
+					Query: queries[i+r.Index],
+					Err:   errors.New(r.ErrMsg),
 				}
 			}
-			return nil, errors.New(a.errMsg)
+			return nil, errors.New(r.ErrMsg)
 		}
-		resps, ok := a.responses(j - i)
+		resps, ok := r.Responses(j - i)
 		if !ok {
 			return nil, fmt.Errorf("client: short reply for a %d-statement run", j-i)
 		}

@@ -6,20 +6,15 @@ import (
 	"funcdb/internal/wire"
 )
 
-// ClusterStmt is a prepared statement against a cluster. It follows
-// Stmt's rule, per owner: the template parses ONCE locally (for the
-// routing relation and the '?' count), executions ship its text hash plus
-// positional arguments in a tagged Request frame to the owner, the first
-// execution against an address carries the text too, and once an
-// execution succeeds there, later frames to that address carry the hash
-// alone (the cluster client remembers which node holds which statement).
-// An owner that dropped the statement (cache eviction, schema
-// invalidation, a restart) answers ErrUnknownStmt and the client
-// transparently re-sends with the text. A failover does the same through
-// the placement machinery: a fence or a dead connection forgets both the
-// relation's placement and the address's hold on the statement, so the
-// retried execution carries the text to whichever node owns the relation
-// now. Safe for concurrent use.
+// ClusterStmt is a prepared statement against a cluster. The template
+// parses ONCE locally (for the routing relation and the '?' count), and
+// executions ship its text hash plus positional arguments in a tagged
+// Request frame to the owner. Each node connection follows the one text
+// rule (see Stmt): the text rides until that connection's node holds the
+// statement, and again, once, after the node dropped it (cache eviction,
+// schema invalidation, a restart). A failover retry that lands on another
+// node, or on a redialed connection, carries the text there the same way.
+// Safe for concurrent use.
 type ClusterStmt struct {
 	stmtText
 	c *ClusterClient
@@ -38,7 +33,7 @@ func (s *ClusterStmt) Exec(args ...funcdb.Item) (funcdb.Response, error) {
 	if err != nil {
 		return funcdb.Response{}, err
 	}
-	resp, err := s.c.execOne(prep.Rel(), s.wireStmt(args, false), wire.FwdNoForward)
+	resp, err := s.c.execOne(prep.Rel(), s.wireStmt(args), wire.FwdNoForward)
 	if err == nil && prep.Kind() == core.KindCreate {
 		s.c.cache.InvalidateRel(prep.Rel())
 	}

@@ -1,9 +1,10 @@
 package client
 
 import (
-	"bufio"
 	"bytes"
 	"io"
+	"net"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -27,17 +28,41 @@ func cannedClient(t *testing.T, n int) *Client {
 			t.Fatal(err)
 		}
 	}
-	return cannedConn(&stream)
+	return cannedConn(t, &stream, io.Discard)
 }
 
-// cannedConn is a Client whose connection replays stream's frames and
-// discards every request written to it: no server.
-func cannedConn(stream io.Reader) *Client {
-	return &Client{
-		rd:  wire.NewReader(bufio.NewReader(stream)),
-		bw:  bufio.NewWriter(io.Discard),
-		got: make(map[uint64]arrived),
+// cannedNet is a net.Conn over a reader and a writer; the methods it does
+// not override are never called.
+type cannedNet struct {
+	net.Conn
+	r io.Reader
+	w io.Writer
+}
+
+func (c cannedNet) Read(p []byte) (int, error)  { return c.r.Read(p) }
+func (c cannedNet) Write(p []byte) (int, error) { return c.w.Write(p) }
+func (c cannedNet) Close() error                { return nil }
+
+// cannedConn is a Client whose connection answers the handshake with a
+// Welcome, then replays stream's frames, and writes the Hello and every
+// request to sent: no server.
+func cannedConn(t *testing.T, stream io.Reader, sent io.Writer) *Client {
+	t.Helper()
+	var welcome bytes.Buffer
+	if err := wire.WriteFrame(&welcome, wire.FrameWelcome, wire.AppendWelcome(nil, wire.Welcome{Lanes: 1, Origin: "c"})); err != nil {
+		t.Fatal(err)
 	}
+	conn, _, err := wire.NewConn(cannedNet{r: io.MultiReader(&welcome, stream), w: sent}, wire.Hello{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &Client{conn: conn}
+}
+
+// parked counts the replies c's connection read ahead of their callers:
+// wire.Conn keeps its reorder map to itself.
+func parked(c *Client) int {
+	return reflect.ValueOf(c.conn).Elem().FieldByName("parked").Len()
 }
 
 // TestFencedReplyLearnsNoPlacement: an Error reply — here a deposed
@@ -55,7 +80,7 @@ func TestFencedReplyLearnsNoPlacement(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cc.conns["deposed:1"] = cannedConn(&stream)
+	cc.conns["deposed:1"] = cannedConn(t, &stream, io.Discard)
 	if _, err := cc.Exec("count R"); err == nil || !strings.Contains(err.Error(), "cluster: fenced") {
 		t.Fatalf("Exec against a fenced node: %v, want the fencing error", err)
 	}
@@ -68,7 +93,7 @@ func TestFencedReplyLearnsNoPlacement(t *testing.T) {
 // beside the hash and later ones the hash alone; after an
 // unknown-statement refusal the one re-send carries the text again; a
 // batch's text rides on its first statement only; and a wrong argument
-// count fails locally, writing nothing.
+// count fails locally, writing nothing and drawing no request id.
 func TestStmtSendsTextUntilHeld(t *testing.T) {
 	var replies bytes.Buffer
 	frame := func(typ byte, payload []byte, err error) {
@@ -91,10 +116,11 @@ func TestStmtSendsTextUntilHeld(t *testing.T) {
 	found(3)
 	batch, err := wire.AppendResponses(nil, 4, []core.Response{{Origin: "c", Seq: 4, Kind: core.KindInsert}, {Origin: "c", Seq: 5, Kind: core.KindInsert}})
 	frame(wire.FrameBatchResponse, batch, err)
+	found(5)
 
-	c := cannedConn(&replies)
 	var sent bytes.Buffer
-	c.bw = bufio.NewWriter(&sent)
+	c := cannedConn(t, &replies, &sent)
+	sent.Reset() // the Hello
 	find := c.Prepare("find ? in R")
 	for i := int64(1); i <= 3; i++ {
 		if resp, err := find.Exec(value.Int(i)); err != nil || !resp.Found {
@@ -111,12 +137,16 @@ func TestStmtSendsTextUntilHeld(t *testing.T) {
 	if _, err := find.Exec(); err == nil || !strings.Contains(err.Error(), "has 1 parameters, got 0") {
 		t.Fatalf("exec without its argument: %v, want a local arity error", err)
 	}
-	if sent.Len() != before || c.nextID != 5 {
-		t.Fatalf("a local arity failure wrote %d bytes and drew request id %d", sent.Len()-before, c.nextID)
+	if sent.Len() != before {
+		t.Fatalf("a local arity failure wrote %d bytes", sent.Len()-before)
+	}
+	// Nor did it draw a request id: the next execution is request 5.
+	if resp, err := find.Exec(value.Int(4)); err != nil || !resp.Found {
+		t.Fatalf("exec after the arity failure: %+v, %v", resp, err)
 	}
 
 	// Request id → which of its statements carried the text.
-	want := [][]bool{{true}, {false}, {false}, {true}, {true, false}}
+	want := [][]bool{{true}, {false}, {false}, {true}, {true, false}, {false}}
 	rd := wire.NewReader(&sent)
 	for id, withText := range want {
 		typ, payload, err := rd.Next()
@@ -150,9 +180,9 @@ func TestRecvInOrderAllocGate(t *testing.T) {
 	c := cannedClient(t, runs+1) // AllocsPerRun warms up with one extra call
 	id := uint64(0)
 	allocs := testing.AllocsPerRun(runs, func() {
-		a, err := c.recv(id)
-		if err != nil || a.resp.Count != int(id) {
-			t.Fatalf("recv(%d) = %+v, %v", id, a.resp, err)
+		r, err := c.conn.Await(id, nil)
+		if err != nil || r.Resp.Count != int(id) {
+			t.Fatalf("Await(%d) = %+v, %v", id, r.Resp, err)
 		}
 		id++
 	})
@@ -160,8 +190,8 @@ func TestRecvInOrderAllocGate(t *testing.T) {
 	if allocs > 1 {
 		t.Errorf("recv of the awaited reply = %.1f allocs, want <= 1 (the decoded origin)", allocs)
 	}
-	if len(c.got) != 0 {
-		t.Errorf("%d replies parked in the reorder map by in-order receives", len(c.got))
+	if n := parked(c); n != 0 {
+		t.Errorf("%d replies parked by in-order receives", n)
 	}
 }
 
@@ -171,15 +201,15 @@ func TestRecvOutOfOrderStillMatchesByID(t *testing.T) {
 	const n = 64
 	c := cannedClient(t, n)
 	for id := n - 1; id >= 0; id-- {
-		a, err := c.recv(uint64(id))
-		if err != nil || a.resp.Count != id || a.resp.Seq != id {
-			t.Fatalf("recv(%d) = %+v, %v", id, a.resp, err)
+		r, err := c.conn.Await(uint64(id), nil)
+		if err != nil || r.Resp.Count != id || r.Resp.Seq != id {
+			t.Fatalf("Await(%d) = %+v, %v", id, r.Resp, err)
 		}
-		if id > 0 && len(c.got) != id {
-			t.Fatalf("after awaiting %d the reorder map holds %d replies, want %d", id, len(c.got), id)
+		if id > 0 && parked(c) != id {
+			t.Fatalf("after awaiting %d the connection parks %d replies, want %d", id, parked(c), id)
 		}
 	}
-	if len(c.got) != 0 {
-		t.Errorf("%d replies left in the reorder map", len(c.got))
+	if n := parked(c); n != 0 {
+		t.Errorf("%d replies left parked", n)
 	}
 }

@@ -1,11 +1,9 @@
 package client
 
 import (
-	"errors"
 	"fmt"
 	"strings"
 	"sync"
-	"sync/atomic"
 
 	"funcdb"
 	"funcdb/internal/query"
@@ -19,14 +17,10 @@ import (
 // there with its text, or its plan was evicted, invalidated by a schema
 // change, or belongs to a previous server incarnation. The check is
 // textual because server errors cross the wire as text (like the cluster's
-// "cluster: fenced" sentinel); Stmt and ClusterStmt handle it
-// transparently by re-sending with the text, so callers rarely see it.
+// "cluster: fenced" sentinel); the connection handles it transparently by
+// re-sending with the text, so callers rarely see it.
 func IsUnknownStmt(err error) bool {
-	return err != nil && isUnknownStmtMsg(err.Error())
-}
-
-func isUnknownStmtMsg(msg string) bool {
-	return strings.Contains(msg, "unknown prepared statement")
+	return err != nil && strings.Contains(err.Error(), query.ErrUnknownStmt.Error())
 }
 
 // stmtText is what a prepared-statement handle knows without asking any
@@ -84,29 +78,24 @@ func (h *stmtText) check(args []funcdb.Item) (*query.Prepared, error) {
 	return prep, nil
 }
 
-// wireStmt is one execution as a request carries it: the hash and the
-// arguments, plus the text when withText.
-func (h *stmtText) wireStmt(args []funcdb.Item, withText bool) wire.Stmt {
-	return wire.Stmt{Hash: h.hash, Text: h.text, HasText: withText, Args: args}
+// wireStmt is one execution as a request carries it: the hash, the
+// text and the arguments. The connection decides whether the text rides.
+func (h *stmtText) wireStmt(args []funcdb.Item) wire.Stmt {
+	return wire.Stmt{Hash: h.hash, Text: h.text, Args: args}
 }
 
 // Stmt is a prepared statement over one connection. The template parses
 // once, locally; executions ship its text hash plus positional arguments,
 // and the server resolves the hash in its statement cache — no text, no
-// server-side parse. The text rides along only until the connection is
-// known to hold the statement: the first execution carries text and hash,
-// and after the first success executions carry the hash alone.
-//
-// A Stmt survives the statement's eviction from the server cache: a
-// hash-only execution answered with ErrUnknownStmt is re-sent once with
-// the text, transparently (safe — a refused statement was never
-// admitted). Safe for concurrent use.
+// server-side parse. The connection's text rule decides when the text
+// rides: with the first execution, and again after the server dropped the
+// statement (eviction, invalidation, a restart), when a hash-only
+// execution answered with ErrUnknownStmt is re-sent once with the text,
+// transparently (safe — a refused statement was never admitted). Safe for
+// concurrent use.
 type Stmt struct {
 	stmtText
 	c *Client
-	// held records that the server answered an execution of this
-	// statement without refusing it, so it holds the statement.
-	held atomic.Bool
 }
 
 // Prepare returns a prepared-statement handle for q. No wire traffic
@@ -117,78 +106,35 @@ func (c *Client) Prepare(q string) *Stmt {
 }
 
 // send ships one request executing the statement once per argument set.
-// The first statement carries the text while the connection is not known
-// to hold the statement, or when withText forces it; the server resolves
-// a request's statements in order, so the rest find it by hash. It reports
-// whether the text went out.
-func (s *Stmt) send(argSets [][]funcdb.Item, withText bool, t *reqtrace.T) (id uint64, sentText bool, err error) {
-	withText = withText || !s.held.Load()
+func (s *Stmt) send(argSets [][]funcdb.Item, t *reqtrace.T) (uint64, []wire.Stmt, error) {
 	stmts := make([]wire.Stmt, len(argSets))
 	for i, args := range argSets {
-		stmts[i] = s.wireStmt(args, withText && i == 0)
+		stmts[i] = s.wireStmt(args)
 	}
-	id, err = s.c.request(0, stmts, t)
-	return id, withText, err
+	id, err := s.c.conn.Request(0, 0, stmts, t.Ctx())
+	return id, stmts, err
 }
 
-// await receives a send's reply. A hash-only request refused as an
-// unknown statement is re-sent once with the text; any reply that is not
-// an Error proves the server holds the statement.
-func (s *Stmt) await(id uint64, sentText bool, argSets [][]funcdb.Item) (arrived, error) {
-	a, err := s.c.recv(id)
-	if err == nil && a.isErr && !sentText && isUnknownStmtMsg(a.errMsg) {
-		s.held.Store(false)
-		if id, _, err = s.send(argSets, true, nil); err == nil {
-			a, err = s.c.recv(id)
-		}
-	}
-	if err == nil && !a.isErr {
-		s.held.Store(true)
-	}
-	return a, err
-}
-
-// StmtPending is one in-flight prepared execution. Unlike the plain
-// Pending it retains the arguments, so Force can transparently re-send
-// with the text after an ErrUnknownStmt refusal.
+// StmtPending is one in-flight prepared execution.
 type StmtPending struct {
-	s        *Stmt
-	id       uint64 // request id awaiting a reply
-	sentText bool   // the request carried the text
-	argSets  [][]funcdb.Item
-	t        *reqtrace.T // client-side trace (nil untraced)
-	sentNS   int64
+	p     Pending
+	stmts []wire.Stmt
 }
+
+// Force blocks until the response arrives.
+func (p *StmtPending) Force() (funcdb.Response, error) { return p.p.await(p.stmts) }
 
 // ExecAsync ships one prepared execution without waiting.
 func (s *Stmt) ExecAsync(args ...funcdb.Item) (*StmtPending, error) {
 	if _, err := s.check(args); err != nil {
 		return nil, err
 	}
-	argSets := [][]funcdb.Item{args}
 	t, sentNS := s.c.startTrace()
-	id, sentText, err := s.send(argSets, false, t)
+	id, stmts, err := s.send([][]funcdb.Item{args}, t)
 	if err != nil {
 		return nil, err
 	}
-	return &StmtPending{s: s, id: id, sentText: sentText, argSets: argSets, t: t, sentNS: sentNS}, nil
-}
-
-// Force blocks until the response arrives.
-func (p *StmtPending) Force() (funcdb.Response, error) {
-	a, err := p.s.await(p.id, p.sentText, p.argSets)
-	p.s.c.finishTrace(p.t, p.sentNS)
-	switch {
-	case err != nil:
-		return funcdb.Response{}, err
-	case a.isErr:
-		return funcdb.Response{}, errors.New(a.errMsg)
-	case a.redirect != "":
-		return funcdb.Response{}, fmt.Errorf("client: prepared request redirected to %s (use DialCluster to chase placements)", a.redirect)
-	case a.batch:
-		return funcdb.Response{}, errors.New("client: prepared request answered as a batch")
-	}
-	return a.resp, nil
+	return &StmtPending{Pending{c: s.c, id: id, t: t, sentNS: sentNS}, stmts}, nil
 }
 
 // Exec ships one prepared execution and waits for the response.
@@ -219,24 +165,11 @@ func (s *Stmt) ExecBatch(argSets ...[]funcdb.Item) ([]funcdb.Response, error) {
 		return []funcdb.Response{}, nil
 	}
 	t, sentNS := s.c.startTrace()
-	id, sentText, err := s.send(argSets, false, t)
+	id, stmts, err := s.send(argSets, t)
 	if err != nil {
 		return nil, err
 	}
-	a, err := s.await(id, sentText, argSets)
-	s.c.finishTrace(t, sentNS)
-	if err != nil {
-		return nil, err
-	}
-	if a.isErr {
-		if a.index >= 0 && a.index < len(argSets) {
-			return nil, &session.BatchError{Index: a.index, Query: s.text, Err: errors.New(a.errMsg)}
-		}
-		return nil, errors.New(a.errMsg)
-	}
-	resps, ok := a.responses(len(argSets))
-	if !ok {
-		return nil, fmt.Errorf("client: request %d is not a batch", id)
-	}
-	return resps, nil
+	resps, err := s.c.awaitBatch(id, stmts, func(int) string { return s.text })
+	finishTrace(s.c.rec, t, sentNS)
+	return resps, err
 }

@@ -17,9 +17,10 @@
 //     over the wire (directly, forwarded, or from local sessions) and are
 //     admitted into its store's lanes;
 //   - a GATEWAY for everything else: a statement for a relation owned
-//     elsewhere is forwarded over a persistent inter-node wire connection
-//     as a pre-tagged Request frame, and the tagged response is relayed
-//     back, so any node can serve any client;
+//     elsewhere is forwarded over a persistent link to the owner — a
+//     wire.Conn, the same request connection a client dials — as a
+//     pre-tagged Request frame, and the tagged response is relayed back,
+//     so any node can serve any client;
 //   - a REPLICA of every peer, always: each node subscribes to every
 //     peer's log (the archive's records, one LogRecord frame each, a
 //     sampled commit's trace context ahead of its record) and applies it,
@@ -195,7 +196,7 @@ func New(cfg Config) (*Node, error) {
 		if i == n.id {
 			continue
 		}
-		n.peers[i] = newPeer(n.origin, addr, n.m, n.dial)
+		n.peers[i] = &peer{origin: n.origin, addr: addr, cm: n.m, dialFn: n.dial}
 		n.mirrors[i] = newMirror(i, OwnedRelations(cfg.Relations, i, len(n.addrs)))
 		n.mirrors[i].keepTail = cfg.Failover != nil
 	}

@@ -239,12 +239,12 @@ func (n *Node) streamFrom(peerIdx int, m *mirror) error {
 		conn.Close()
 	}()
 
-	br := bufio.NewReaderSize(conn, peerReadBufSize)
+	br := bufio.NewReaderSize(conn, 16<<10) // sized for a burst of log records
 	rd := wire.NewReader(br)
 	if _, err := wire.Handshake(conn, rd, wire.Hello{Origin: n.origin + "-repl"}); err != nil {
 		return fmt.Errorf("cluster: replication handshake with node %d: %w", target, err)
 	}
-	bw := bufio.NewWriterSize(conn, peerWriteBufSize)
+	bw := bufio.NewWriterSize(conn, 4<<10)
 	if err := wire.WriteFrame(bw, wire.FrameSubscribe, wire.AppendSubscribe(nil, m.version(), peerIdx, n.id)); err != nil {
 		return err
 	}

@@ -74,3 +74,56 @@ func TestRecQueueFramesInPlace(t *testing.T) {
 		t.Fatalf("closed queue popped %d bytes, open %v", len(frames), open)
 	}
 }
+
+// TestRecQueueBoundClosesTheStream: a push that finds more than
+// wire.MaxFrameLen bytes queued — a subscriber that stopped reading —
+// closes the queue instead of growing it. What was queued before still
+// pops, so the stream ends cleanly, and later pushes are ignored; the
+// subscriber reconnects and catches up from the archive.
+func TestRecQueueBoundClosesTheStream(t *testing.T) {
+	const recLen = 17 << 20 // four records queued are past the bound
+	q := &recQueue{buf: make([]byte, 0, 70<<20)}
+	q.cond.L = &q.mu
+	record := bytes.Repeat([]byte("r"), recLen)
+	for i := 0; i < 4; i++ {
+		q.push(reqtrace.Ctx{}, 1, 4, record)
+		if q.closed {
+			t.Fatalf("queue closed after %d records (%d bytes queued)", i+1, len(q.buf))
+		}
+	}
+	queued := len(q.buf)
+	if queued <= wire.MaxFrameLen {
+		t.Fatalf("only %d bytes queued, want more than the bound %d", queued, wire.MaxFrameLen)
+	}
+	q.push(reqtrace.Ctx{}, 1, 4, record)
+	if !q.closed || len(q.buf) != queued {
+		t.Fatalf("push past the bound: closed %v, %d bytes queued (was %d)", q.closed, len(q.buf), queued)
+	}
+	q.push(reqtrace.Ctx{}, 1, 4, []byte("later"))
+	frames, open := q.pop()
+	if open || len(frames) != queued {
+		t.Fatalf("pop after the bound: %d bytes, open %v; want the %d queued, closed", len(frames), open, queued)
+	}
+	rd := wire.NewReader(bytes.NewReader(frames))
+	for i := 0; i < 4; i++ {
+		if _, payload, err := rd.Next(); err != nil {
+			t.Fatalf("queued record %d: %v", i, err)
+		} else if _, _, rec, err := wire.DecodeLogRecord(payload); err != nil || len(rec) != recLen {
+			t.Fatalf("queued record %d: %d bytes, %v", i, len(rec), err)
+		}
+	}
+	frames, q.buf, q.spare, record = nil, nil, nil, nil
+
+	// Below the bound the check is one comparison: still no allocation.
+	small := &recQueue{}
+	small.cond.L = &small.mu
+	rec := bytes.Repeat([]byte("s"), 40)
+	small.push(reqtrace.Ctx{}, 1, 4, rec)
+	small.pop()
+	if allocs := testing.AllocsPerRun(100, func() {
+		small.push(reqtrace.Ctx{}, 1, 4, rec)
+		small.pop()
+	}); allocs != 0 {
+		t.Errorf("push and pop below the bound = %.1f allocs, want 0", allocs)
+	}
+}

@@ -338,17 +338,7 @@ func (s *Server) handle(conn net.Conn) {
 	rec := host.TraceRecorder()
 	var (
 		pending []reply
-		// trs collects the live traces of one flush so their flush span and
-		// Finish run after the batch leaves the socket.
-		trs []*reqtrace.T
-		// out is the connection's reused response buffer: every reply of a
-		// flush is framed in place (BeginFrame + payload appenders +
-		// EndFrame) and the whole batch leaves in ONE bw.Write — no
-		// per-reply staging buffer, no per-frame allocation.
-		out []byte
-		// respScratch is reused across batch replies; AppendResponses
-		// copies everything it encodes, so overwriting next flush is safe.
-		respScratch []core.Response
+		rb      replyBuf
 		// req is the request decode scratch, reused frame to frame: its
 		// statements and args decode with zero amortized allocation, and
 		// binding copies every value out before the next frame overwrites
@@ -366,91 +356,34 @@ func (s *Server) handle(conn net.Conn) {
 			return true
 		}
 		sess.Flush()
-		out = out[:0]
-		trs = trs[:0]
-		for i := range pending {
-			rp := &pending[i]
-			var mark int
-			var err error
-			var encStart time.Time
-			if rp.tr != nil {
-				encStart = time.Now()
-			}
-			switch {
-			case rp.qerr != nil:
-				// A failing statement ships the underlying message plus its
-				// index; a batch-executing client re-wraps it as a
-				// BatchError, so local and remote error text come out
-				// identical.
-				out, mark = wire.BeginFrame(out, wire.FrameError)
-				out = wire.AppendErrorMsg(out, rp.id, rp.index, rp.qerr.Error())
-			case rp.redirect != "":
-				out, mark = wire.BeginFrame(out, wire.FrameRedirect)
-				out = wire.AppendRedirect(out, rp.id, rp.redirect, rp.rel, rp.rdEpoch)
-			case rp.raw != nil:
-				out, mark = wire.BeginFrame(out, rp.rawType)
-				out = append(out, rp.raw...)
-			case rp.doc != nil:
-				out, mark = wire.BeginFrame(out, wire.FrameIntrospectResponse)
-				out = wire.AppendIntrospectResponse(out, rp.id, rp.doc)
-			case rp.futs != nil:
-				if cap(respScratch) < len(rp.futs) {
-					respScratch = make([]core.Response, len(rp.futs))
-				}
-				resps := respScratch[:len(rp.futs)]
-				for j, f := range rp.futs {
-					resps[j] = f.Force()
-				}
-				out, mark = wire.BeginFrame(out, wire.FrameBatchResponse)
-				if out, err = wire.AppendResponses(out, rp.id, resps); err != nil {
-					return false
-				}
-			default:
-				out, mark = wire.BeginFrame(out, wire.FrameResponse)
-				if out, err = wire.AppendSingleResponse(out, rp.id, rp.fut.Force()); err != nil {
-					return false
-				}
-			}
-			if out, err = wire.EndFrame(out, mark); err != nil {
-				return false
-			}
-			if rp.tr != nil {
-				// Encode covers forcing the futures too: the wait for the
-				// engine's response is part of what the client experiences.
-				rp.tr.Span(reqtrace.StageEncode, encStart, time.Now())
-				trs = append(trs, rp.tr)
-			}
-			// Response latency by request shape, socket-read to
-			// response-written: what the client experiences minus the
-			// network, queue wait under adaptive batching included.
-			if rp.lat != nil {
-				rp.lat.Since(rp.start)
-			}
-		}
+		err := rb.encode(pending)
 		pending = pending[:0]
-		var flushStart time.Time
-		if len(trs) > 0 {
-			flushStart = time.Now()
-		}
-		if _, err := bw.Write(out); err != nil {
+		if err != nil {
 			return false
 		}
-		if cap(out) > maxConnEncodeBuf {
+		var flushStart time.Time
+		if len(rb.trs) > 0 {
+			flushStart = time.Now()
+		}
+		if _, err := bw.Write(rb.out); err != nil {
+			return false
+		}
+		if cap(rb.out) > maxConnEncodeBuf {
 			// One oversized scan response must not pin its high-water mark
 			// for the connection's lifetime.
-			out = nil
+			rb.out = nil
 		}
 		ok := bw.Flush() == nil
 		// The batch is on the wire: close each trace's flush span and run
 		// admission. A group-commit fsync span may still arrive later — the
 		// recorder holds the live handle, so it attaches.
-		if len(trs) > 0 {
+		if len(rb.trs) > 0 {
 			end := time.Now()
-			for _, t := range trs {
+			for _, t := range rb.trs {
 				t.Span(reqtrace.StageFlush, flushStart, end)
 				rec.Finish(t)
 			}
-			trs = trs[:0]
+			rb.trs = rb.trs[:0]
 		}
 		return ok
 	}
@@ -584,6 +517,110 @@ func (s *Server) handle(conn net.Conn) {
 				return
 			}
 		}
+	}
+}
+
+// replyBuf is a connection's reply encoder, reused flush to flush.
+type replyBuf struct {
+	// out is the reused response buffer: every reply of a flush is framed
+	// in place (BeginFrame + payload appenders + EndFrame) and the whole
+	// batch leaves in ONE write — no per-reply staging buffer, no
+	// per-frame allocation.
+	out []byte
+	// trs collects the live traces of one flush so their flush span and
+	// Finish run after the batch leaves the socket.
+	trs []*reqtrace.T
+	// resps is reused across batch replies; AppendResponses copies
+	// everything it encodes, so overwriting next flush is safe.
+	resps []core.Response
+}
+
+// encode frames every pending reply into out, in request order, forcing
+// its futures. On an encode failure — a response over the frame limit —
+// it still forces every later reply's futures before reporting the
+// error: on a gateway, forcing a forwarded statement's future is what
+// reads its reply off the peer link, and an unread reply would stay
+// parked there for the node's lifetime.
+func (b *replyBuf) encode(pending []reply) error {
+	b.out = b.out[:0]
+	b.trs = b.trs[:0]
+	for i := range pending {
+		rp := &pending[i]
+		var encStart time.Time
+		if rp.tr != nil {
+			encStart = time.Now()
+		}
+		var err error
+		if b.out, err = b.frame(b.out, rp); err != nil {
+			for _, rest := range pending[i+1:] {
+				rest.force()
+			}
+			return err
+		}
+		if rp.tr != nil {
+			// Encode covers forcing the futures too: the wait for the
+			// engine's response is part of what the client experiences.
+			rp.tr.Span(reqtrace.StageEncode, encStart, time.Now())
+			b.trs = append(b.trs, rp.tr)
+		}
+		// Response latency by request shape, socket-read to
+		// response-written: what the client experiences minus the
+		// network, queue wait under adaptive batching included.
+		if rp.lat != nil {
+			rp.lat.Since(rp.start)
+		}
+	}
+	return nil
+}
+
+// frame appends rp's reply frame to out, forcing its futures.
+func (b *replyBuf) frame(out []byte, rp *reply) ([]byte, error) {
+	var mark int
+	var err error
+	switch {
+	case rp.qerr != nil:
+		// A failing statement ships the underlying message plus its index;
+		// a batch-executing client re-wraps it as a BatchError, so local
+		// and remote error text come out identical.
+		out, mark = wire.BeginFrame(out, wire.FrameError)
+		out = wire.AppendErrorMsg(out, rp.id, rp.index, rp.qerr.Error())
+	case rp.redirect != "":
+		out, mark = wire.BeginFrame(out, wire.FrameRedirect)
+		out = wire.AppendRedirect(out, rp.id, rp.redirect, rp.rel, rp.rdEpoch)
+	case rp.raw != nil:
+		out, mark = wire.BeginFrame(out, rp.rawType)
+		out = append(out, rp.raw...)
+	case rp.doc != nil:
+		out, mark = wire.BeginFrame(out, wire.FrameIntrospectResponse)
+		out = wire.AppendIntrospectResponse(out, rp.id, rp.doc)
+	case rp.futs != nil:
+		if cap(b.resps) < len(rp.futs) {
+			b.resps = make([]core.Response, len(rp.futs))
+		}
+		resps := b.resps[:len(rp.futs)]
+		for j, f := range rp.futs {
+			resps[j] = f.Force()
+		}
+		out, mark = wire.BeginFrame(out, wire.FrameBatchResponse)
+		if out, err = wire.AppendResponses(out, rp.id, resps); err != nil {
+			return out[:mark], err
+		}
+	default:
+		out, mark = wire.BeginFrame(out, wire.FrameResponse)
+		if out, err = wire.AppendSingleResponse(out, rp.id, rp.fut.Force()); err != nil {
+			return out[:mark], err
+		}
+	}
+	return wire.EndFrame(out, mark)
+}
+
+// force forces the reply's futures, if it has any.
+func (rp reply) force() {
+	if rp.fut != nil {
+		rp.fut.Force()
+	}
+	for _, f := range rp.futs {
+		f.Force()
 	}
 }
 
@@ -895,9 +932,11 @@ func (s *Server) streamSlotLog(rd *wire.Reader, bw *bufio.Writer, cl Cluster, sl
 
 // recQueue is the hand-off between the commit-path tail callback and the
 // stream writer: the callback frames each record straight into one buffer
-// while the writer drains the other. It is unbounded — a subscriber that
-// stops reading pins every record committed after — so bounding it, and
-// dropping a lagging subscriber instead, is open work.
+// while the writer drains the other. It is bounded: a push that finds more
+// than maxQueued bytes already queued — a subscriber that stopped reading —
+// closes the queue. The writer then sends what was queued and ends the
+// stream, cancel takes the subscriber off the ack gate, and the mirror
+// reconnects and catches up from the archive instead of pinning memory.
 type recQueue struct {
 	mu     sync.Mutex
 	cond   sync.Cond // on mu: the buffer went from empty to non-empty, or closed
@@ -912,6 +951,11 @@ func (q *recQueue) push(tc reqtrace.Ctx, epoch uint64, form byte, record []byte)
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	if q.closed {
+		return
+	}
+	if len(q.buf) > maxQueued {
+		q.closed = true
+		q.cond.Broadcast()
 		return
 	}
 	was := len(q.buf)
@@ -956,6 +1000,11 @@ func (q *recQueue) pop() ([]byte, bool) {
 	q.spare = frames
 	return frames, !q.closed
 }
+
+// maxQueued bounds the bytes a log stream's queue holds before it drops
+// the subscriber. Any single record still fits: the check runs before a
+// push, against what is already queued.
+const maxQueued = wire.MaxFrameLen
 
 // maxPipeline bounds the replies a connection may have outstanding before
 // the handler forces a flush.

@@ -41,7 +41,8 @@
 // each text or a prepared template plus arguments, tagged either by the
 // sender (FwdTagged) or by the receiving session. A prepared template is
 // addressed by the FNV-1a hash of its text, and its text rides along until
-// the receiver is known to hold it; there is no separate prepare exchange.
+// the receiver is known to hold it — a rule Conn keeps per connection;
+// there is no separate prepare exchange.
 // One request is one admission batch: the server resolves the whole list
 // and feeds it to the store in a single lane-split SubmitBatch, so a
 // network-sized batch pays one arbitration, exactly like an in-process
