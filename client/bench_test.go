@@ -51,8 +51,8 @@ func BenchmarkClientExec(b *testing.B) {
 	}
 }
 
-// BenchmarkClientExecBatch ships 64-statement batch frames, the
-// amortized hot path fdbload exercises.
+// BenchmarkClientExecBatch ships 64-statement batch frames: the
+// amortized hot path of a bulk load.
 func BenchmarkClientExecBatch(b *testing.B) {
 	c := benchDial(b)
 	const batch = 64

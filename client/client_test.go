@@ -212,3 +212,46 @@ func TestPipelinedForcedInReverse(t *testing.T) {
 		}
 	}
 }
+
+// TestClusterClientRedialsAfterNodeRestart: a node that restarts on the
+// same address closes the connection the cluster client cached; the next
+// statement must find that out and redial, not send into the dead socket.
+// A send into a socket whose peer closed it succeeds, so only a check
+// before the send catches it.
+func TestClusterClientRedialsAfterNodeRestart(t *testing.T) {
+	store := funcdb.MustOpen(funcdb.WithRelations("R"))
+	defer store.Close()
+	srv := server.New(store)
+	if err := srv.Listen("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	go srv.Serve()
+	addr := srv.Addr().String()
+
+	cc, err := client.DialCluster([]string{addr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cc.Close()
+	if resp, err := cc.Exec(`insert (1, "a") into R`); err != nil || resp.Err != nil {
+		t.Fatalf("insert before the restart: %v / %v", err, resp.Err)
+	}
+
+	if err := srv.Shutdown(); err != nil {
+		t.Fatal(err)
+	}
+	srv = server.New(store)
+	if err := srv.Listen(addr); err != nil {
+		t.Fatal(err)
+	}
+	go srv.Serve()
+	defer srv.Shutdown()
+
+	resp, err := cc.Exec("find 1 in R")
+	if err != nil || resp.Err != nil {
+		t.Fatalf("find after the restart: %v / %v", err, resp.Err)
+	}
+	if !resp.Found {
+		t.Fatalf("find after the restart: %+v, want the row inserted before it", resp)
+	}
+}

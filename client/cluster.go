@@ -124,18 +124,24 @@ func (c *ClusterClient) LocalTraces() []funcdb.RequestTrace {
 	return c.rec.Traces()
 }
 
-// conn returns (dialing if needed) the connection to addr.
+// conn returns (dialing if needed) the connection to addr. A cached
+// connection that Check finds dead — its node closed it, say by
+// restarting — is dropped and redialed: a send into a socket its peer
+// closed succeeds, so the send's failure cannot be what finds it.
 func (c *ClusterClient) conn(addr string) (*Client, bool, error) {
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
 		return nil, false, errors.New("client: cluster client closed")
 	}
-	if cl, ok := c.conns[addr]; ok {
-		c.mu.Unlock()
-		return cl, false, nil
-	}
+	cl, ok := c.conns[addr]
 	c.mu.Unlock()
+	if ok {
+		if cl.conn.Check() == nil {
+			return cl, false, nil
+		}
+		c.dropConn(addr, cl)
+	}
 	// Dial outside the lock; a racing dial to the same addr keeps the
 	// first registered connection.
 	cl, err := Dial(addr, WithOrigin(c.origin))
@@ -266,8 +272,8 @@ func fencedReply(r wire.Reply) bool {
 }
 
 // sendRunOnce is one delivery attempt, carrying two separate one-shot
-// budgets: one REDIAL per target address (a cached connection may have
-// died with the peer's restart — placement is not in question, so a
+// budgets: one REDIAL per target address (the connection can die between
+// conn's check and the send — placement is not in question, so a
 // reconnect must not spend the redirect budget) and one REDIRECT chase
 // (the placement correction). The connection re-sends a refused hash-only
 // request with text itself. Only a non-error reply is placement evidence:

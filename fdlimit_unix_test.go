@@ -1,12 +1,10 @@
 //go:build unix
 
-package main
+package funcdb_test
 
 import "syscall"
 
-// fdLimit reports the process's soft file-descriptor limit, used to
-// refuse --conns settings the OS cannot satisfy before thousands of
-// dials start failing halfway through a run.
+// fdLimit reports the process's soft file-descriptor limit.
 func fdLimit() (uint64, bool) {
 	var rl syscall.Rlimit
 	if err := syscall.Getrlimit(syscall.RLIMIT_NOFILE, &rl); err != nil {

@@ -938,7 +938,7 @@ func (cn *ClusterNode) MetricsSnapshot() MetricsSnapshot {
 // store: connections are cut mid-request and nothing pending is
 // flushed. It is the in-process stand-in for SIGKILL — whatever a real
 // crash would lose, Kill loses too — used by fault-injection tests and
-// fdbload's kill smoke. The store is intentionally left unclosed.
+// the benchmark's primary kill. The store is intentionally left unclosed.
 func (cn *ClusterNode) Kill() {
 	cn.node.Close()
 	cn.srv.Abort()

@@ -296,7 +296,7 @@ func (n *Node) TraceRecorder() *reqtrace.Recorder { return n.store.TraceRecorder
 // extended with this node's routing section and one row per peer. A peer
 // row's ReplicaApplied is the newest primary sequence mirrored locally;
 // the peer's own Version minus it is the replication lag, which is how
-// fdbload and fdbrepl report lag — from snapshots of both ends.
+// the benchmark reports lag — from snapshots of both ends.
 func (n *Node) MetricsSnapshot() metrics.Snapshot {
 	snap := n.store.MetricsSnapshot()
 	snap.Origin = n.origin

@@ -265,9 +265,9 @@ func TestSnapshotJSON(t *testing.T) {
 }
 
 // TestFailoverSnapshotJSONFields pins the failover observability surface
-// to its wire names: these keys are what fdbload's StatsAll sweep, the
-// /debug/vars document, and checked-in BENCH artifacts consume, so a
-// rename here is a breaking change to every report reader.
+// to its wire names: these keys are what the wire Introspect frame (a
+// cluster client's StatsAll sweep) and the /debug/vars document carry, so
+// a rename here is a breaking change to every report reader.
 func TestFailoverSnapshotJSONFields(t *testing.T) {
 	var c Cluster
 	c.Promotions.Inc()

@@ -6,8 +6,7 @@ import "runtime"
 // heap and GC numbers an allocation pass is judged by. Scraped from
 // runtime.MemStats at snapshot time — a stop-the-world-free read — so
 // every exposition surface (MetricsSnapshot, the wire Introspect frame,
-// /debug/stats and /debug/vars) carries the same fields fdbload's report
-// aggregates.
+// /debug/stats and /debug/vars) carries the same fields.
 type RuntimeSnapshot struct {
 	// HeapAllocBytes is the live heap at snapshot time.
 	HeapAllocBytes uint64 `json:"heap_alloc_bytes"`

@@ -62,8 +62,8 @@ func fmtNS(ns int64) string {
 // Render draws the human timeline for a set of published traces: one
 // block per trace id, one indented line per node fragment (the hop
 // tree), each span with its offset from the trace's first recorded
-// instant and its duration. This is what fdbrepl's .trace prints, what
-// /debug/trace serves as text, and what fdbload appends to its report.
+// instant and its duration. This is what fdbrepl's .trace prints and
+// what /debug/trace serves as text.
 func Render(traces []Trace) string {
 	var b strings.Builder
 	for gi, group := range Stitch(traces) {

@@ -238,8 +238,8 @@ func (s *Server) Shutdown() error {
 // Abort hard-stops the server: the listener and every live connection
 // close immediately, with no drain and no host barrier — in-flight
 // requests are simply cut. It is the in-process stand-in for a process
-// crash (fault-injection tests, fdbload's kill smoke); everything a
-// real SIGKILL would lose, Abort loses too.
+// crash (fault-injection tests, the benchmark's primary kill); everything
+// a real SIGKILL would lose, Abort loses too.
 func (s *Server) Abort() {
 	s.draining.Store(true)
 	if s.ln != nil {

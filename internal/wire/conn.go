@@ -41,6 +41,7 @@ import (
 // admitted nothing.
 type Conn struct {
 	nc net.Conn
+	pk peeker // Check's peek at nc, under mu
 
 	wmu    sync.Mutex // guards enc and nextID
 	enc    []byte     // reused request encode buffer
@@ -116,6 +117,7 @@ func NewConn(nc net.Conn, h Hello) (*Conn, Welcome, error) {
 		held: make(map[uint64]bool), sent: make(map[uint64]sentReq),
 	}
 	c.rd = NewReader(bufio.NewReaderSize(&c.in, connReadBufSize))
+	c.pk.bind(nc)
 	w, err := Handshake(nc, c.rd, h)
 	if err != nil {
 		nc.Close()
@@ -141,7 +143,7 @@ func (c *Conn) Check() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.err == nil && c.inflight == 0 {
-		if err := peerClosed(c.nc); err != nil {
+		if err := c.pk.peerClosed(); err != nil {
 			c.err = fmt.Errorf("wire: recv: %w", err)
 		}
 	}

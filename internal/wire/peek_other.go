@@ -4,6 +4,9 @@ package wire
 
 import "net"
 
-// peerClosed cannot peek here: a link idle since its peer went away is
-// found out by its next request.
-func peerClosed(net.Conn) error { return nil }
+// peeker cannot peek here: a link idle since its peer went away is found
+// out by its next request.
+type peeker struct{}
+
+func (*peeker) bind(net.Conn)     {}
+func (*peeker) peerClosed() error { return nil }

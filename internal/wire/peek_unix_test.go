@@ -10,9 +10,10 @@ import (
 	"funcdb/internal/reqtrace"
 )
 
-// TestConnCheckFindsAClosedLink: Check passes an open idle link and finds
-// one whose peer has closed it, before a request is sent into it.
-func TestConnCheckFindsAClosedLink(t *testing.T) {
+// loopbackConn dials a handshaken Conn over loopback TCP and returns it
+// with the server's end of the socket.
+func loopbackConn(t *testing.T) (*Conn, net.Conn) {
+	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -36,11 +37,19 @@ func TestConnCheckFindsAClosedLink(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer c.Close()
+	t.Cleanup(func() { c.Close() })
 	srv, ok := <-accepted
 	if !ok {
 		t.Fatal("accept failed")
 	}
+	t.Cleanup(func() { srv.Close() })
+	return c, srv
+}
+
+// TestConnCheckFindsAClosedLink: Check passes an open idle link and finds
+// one whose peer has closed it, before a request is sent into it.
+func TestConnCheckFindsAClosedLink(t *testing.T) {
+	c, srv := loopbackConn(t)
 	if err := c.Check(); err != nil {
 		t.Fatalf("Check on an open idle link: %v", err)
 	}
@@ -52,5 +61,20 @@ func TestConnCheckFindsAClosedLink(t *testing.T) {
 	}
 	if _, err := c.Request(0, 0, []Stmt{{Text: "find 1 in R"}}, reqtrace.Ctx{}); err == nil {
 		t.Fatal("a request was sent into a link Check found closed")
+	}
+}
+
+// TestConnCheckAllocGate: Check's peek at an open idle socket allocates
+// nothing. The gateway checks its link before every forward and the
+// cluster client its cached connection before every statement.
+func TestConnCheckAllocGate(t *testing.T) {
+	c, _ := loopbackConn(t)
+	allocs := testing.AllocsPerRun(200, func() {
+		if err := c.Check(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("Check on an open idle link = %.1f allocs, want 0", allocs)
 	}
 }

@@ -104,8 +104,8 @@ const (
 	// FrameIntrospectResponse answers FrameIntrospect: request id, then
 	// the JSON document. JSON rather than a bespoke binary layout: this is
 	// introspection, not a hot path, its schema grows with every
-	// instrumented layer, and the same bytes feed fdbrepl, fdbload and the
-	// --debug-addr HTTP endpoints.
+	// instrumented layer, and the same bytes feed fdbrepl, the benchmark
+	// and the --debug-addr HTTP endpoints.
 	FrameIntrospectResponse byte = 0x1d
 	// FrameHeartbeat carries one node's failover view (epoch, owner,
 	// applied-seq and promotion-base vectors) to a peer. Answered by

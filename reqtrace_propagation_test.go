@@ -36,7 +36,7 @@ func bootTracedCluster(t *testing.T, n int) ([]string, []*funcdb.ClusterNode) {
 			ID: i, Nodes: addrs, Listener: lns[i],
 			Dir:       filepath.Join(dir, fmt.Sprintf("n%d", i)),
 			Relations: []string{"R", "S", "T"},
-			Tracing:   &funcdb.TracingConfig{SampleEvery: 1},
+			Tracing:   &funcdb.TracingConfig{SampleEvery: 1, Ring: 1 << 13},
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -152,6 +152,7 @@ func TestTracePropagationThreeNodes(t *testing.T) {
 	if !stagesAt(3)["replica-apply"] {
 		t.Errorf("mirror fragment missing replica-apply: %v", stagesAt(3))
 	}
+	checkStageOrder(t, [][]funcdb.RequestTrace{group})
 	for _, tr := range group {
 		switch tr.Hop {
 		case 0:
@@ -185,6 +186,118 @@ func TestTracePropagationThreeNodes(t *testing.T) {
 	text := reqtrace.Render(group)
 	if !strings.Contains(text, id) || !strings.Contains(text, "replica-apply") {
 		t.Errorf("rendered trace incomplete:\n%s", text)
+	}
+}
+
+// requestBackbone is the span sequence every request-path server
+// fragment records, in causal order.
+var requestBackbone = []string{"conn-read", "decode", "encode", "flush"}
+
+// checkStageOrder holds stitched trace groups to the tracing pipeline's
+// invariants. A hop missing from a group is not a fault (every recorder
+// keeps a bounded ring, so one side's fragment can outlive another's);
+// every fragment that is present must satisfy:
+//
+//   - no span has a negative duration;
+//   - a client fragment (node "client:*") carries client-send;
+//   - a request-path server fragment carries conn-read and decode, and
+//     the backbone stages it has start in backbone order;
+//   - fragments of consecutive hops start in hop order (wall clocks,
+//     meaningful in one process).
+//
+// And across all groups, some group stitches a client fragment to a
+// server fragment with the full backbone, and some fragment reaches
+// replica-apply: the whole pipeline, observed end to end at least once.
+func checkStageOrder(t *testing.T, groups [][]funcdb.RequestTrace) {
+	t.Helper()
+	var problems []string
+	problem := func(format string, args ...any) {
+		problems = append(problems, fmt.Sprintf(format, args...))
+	}
+	spanStart := func(tr funcdb.RequestTrace, stage string) (int64, bool) {
+		for _, s := range tr.Spans {
+			if s.Stage == stage {
+				return s.Start, true
+			}
+		}
+		return 0, false
+	}
+	fullPath, applySeen := false, false
+	for _, g := range groups {
+		id := g[0].ID
+		hasClient, hasFullServer := false, false
+		for _, tr := range g {
+			for _, s := range tr.Spans {
+				if s.Dur < 0 {
+					problem("trace %s: %s span on %s has negative duration", id, s.Stage, tr.Node)
+				}
+			}
+			if strings.HasPrefix(tr.Node, "client:") {
+				hasClient = true
+				if _, ok := spanStart(tr, "client-send"); !ok {
+					problem("trace %s: client fragment (%s) missing client-send", id, tr.Node)
+				}
+				continue
+			}
+			if _, ok := spanStart(tr, "replica-apply"); ok {
+				applySeen = true
+				continue
+			}
+			// conn-read and decode are recorded the instant the frame is
+			// read; later stages may be absent (a redirect reply), but those
+			// present must be in order.
+			last, complete := int64(0), true
+			for _, stage := range requestBackbone {
+				start, ok := spanStart(tr, stage)
+				if !ok {
+					complete = false
+					if stage == "conn-read" || stage == "decode" {
+						problem("trace %s: hop %d (%s) missing %s", id, tr.Hop, tr.Node, stage)
+					}
+					continue
+				}
+				if start < last {
+					problem("trace %s: hop %d (%s) starts %s before its predecessor", id, tr.Hop, tr.Node, stage)
+				}
+				last = start
+			}
+			hasFullServer = hasFullServer || complete
+		}
+		fullPath = fullPath || hasClient && hasFullServer
+		// A later hop cannot start before the earliest span of the hop
+		// that caused it. conn-read is excluded: it is a waiting span that
+		// begins when the server blocks on the socket, before the previous
+		// hop has sent anything.
+		earliest := map[int]int64{}
+		for _, tr := range g {
+			for _, s := range tr.Spans {
+				if s.Stage == "conn-read" {
+					continue
+				}
+				if cur, ok := earliest[tr.Hop]; !ok || s.Start < cur {
+					earliest[tr.Hop] = s.Start
+				}
+			}
+		}
+		for h, start := range earliest {
+			if prev, ok := earliest[h-1]; ok && start < prev {
+				problem("trace %s: hop %d starts before hop %d", id, h, h-1)
+			}
+		}
+	}
+	if !fullPath {
+		problem("no stitched trace carries a client fragment and the full %v backbone", requestBackbone)
+	}
+	if !applySeen {
+		problem("no trace reaches replica-apply")
+	}
+	const shown = 16
+	for i, p := range problems {
+		if i == shown {
+			t.Errorf("... and %d more stage-order problems", len(problems)-shown)
+			break
+		}
+		t.Error(p)
 	}
 }
 
