@@ -200,15 +200,19 @@ func replayLog(dir string, seg int64, db *database.Database, upTo int64) (*datab
 		if upTo >= 0 && last > upTo {
 			r.Tuples = r.Tuples[:upTo-first+1]
 		}
-		db, err = replay(db, &r)
+		db, err = Replay(db, &r)
 		return err
 	})
 	return db, sc, err
 }
 
-// replay applies one log record to db, pinning the result to the record's
-// last version.
-func replay(db *database.Database, r *Record) (*database.Database, error) {
+// Replay applies one log record to db — a run of several inserts as one
+// relation.UpsertRun, any other record as the write it carries — and pins
+// the result to the record's last version: the function from one version of
+// the database to the next that recovery, time travel and every replication
+// mirror apply a log with. It fails when the record does not apply to db
+// (a relation it names is missing, or one it creates exists).
+func Replay(db *database.Database, r *Record) (*database.Database, error) {
 	var err error
 	if r.Count() > 1 {
 		rel, ok := db.RelationFast(r.Rel)

@@ -9,7 +9,9 @@ import (
 	"funcdb/internal/database"
 	"funcdb/internal/eval"
 	"funcdb/internal/lenient"
+	"funcdb/internal/relation"
 	"funcdb/internal/reqtrace"
+	"funcdb/internal/trace"
 	"funcdb/internal/value"
 )
 
@@ -29,29 +31,47 @@ func benchRecord(t testing.TB, n int) []byte {
 }
 
 // benchMirror is a mirror of a 2 000-row relation R, keeping its tail as on
-// every failover cluster, with the page counter its engine feeds.
-func benchMirror() (*mirror, *eval.Stats) {
+// every failover cluster.
+func benchMirror() *mirror {
 	const rows = 2000
 	tuples := make([]value.Tuple, rows)
 	for i := range tuples {
 		tuples[i] = value.NewTuple(value.Int(int64(i)), value.Str("v"))
 	}
-	db := database.FromData(FreshRep, []string{"R"}, map[string][]value.Tuple{"R": tuples})
+	m := newMirror(1, database.FromData(FreshRep, []string{"R"}, map[string][]value.Tuple{"R": tuples}))
+	m.keepTail = true
+	return m
+}
+
+// pagesOf counts the pages replaying insert record r onto the mirror's
+// version creates, through the relation calls archive.Replay makes, here
+// with a stats context: one path copy for a record of one, one UpsertRun
+// for a longer run. Nothing is published.
+func pagesOf(m *mirror, r *archive.Record) float64 {
 	stats := &eval.Stats{}
-	return &mirror{peer: 1, eng: core.NewEngine(db, core.WithStats(stats)), keepTail: true}, stats
+	ctx := &eval.Ctx{Stats: stats}
+	rel, _ := m.db.Load().RelationFast(r.Rel)
+	if r.Count() > 1 {
+		relation.UpsertRun(ctx, rel, r.Tuples)
+	} else {
+		rel.Insert(ctx, r.Tuples[0], trace.None)
+	}
+	return float64(stats.Created.Load())
 }
 
 // TestMirrorApplyAllocGate: applying one shipped insert to a mirror pays
-// for the pages its path copy creates plus the engine's fixed handful per
-// commit and one copy of the record's bytes for the retained tail, with
-// keepTail on as on every failover cluster. Measured: 8 allocations for
-// the 3 pages a 2 000-row relation is deep (17 for 11 nodes when mirrors
-// held AVL trees). A 500-version run record — decoded as the stream loop
-// decodes it, and applied as one run — pays its decoded tuples and little
-// else: measured, 2.1 allocations per version beyond its pages, where
-// applying the same versions one record each cost 8.2.
+// for the pages its path copy creates plus a fixed handful per record (the
+// database version it publishes) and one copy of the record's bytes for
+// the retained tail, with keepTail on as on every failover cluster.
+// Measured: 6 allocations for the 3 pages a 2 000-row relation is deep (17
+// for 11 nodes when mirrors held AVL trees). A 500-version run record — decoded as the stream loop decodes
+// it, and replayed as one run — pays its decoded tuples and little else:
+// measured, 2.1 allocations per version beyond its pages, where applying
+// the same versions one record each cost 8.2. Every apply upserts keys
+// the relation holds, so each creates the same pages, counted once outside
+// the measured call.
 func TestMirrorApplyAllocGate(t *testing.T) {
-	m, stats := benchMirror()
+	m := benchMirror()
 	// One record, decoded once; every apply replays it under the next
 	// version (an upsert of an existing key, so the relation stays at
 	// 2 000 rows).
@@ -68,14 +88,13 @@ func TestMirrorApplyAllocGate(t *testing.T) {
 	}
 	apply() // the tail slice's first growth steps
 	const runs = 500
-	before := stats.Created.Load()
+	pages := pagesOf(m, &r)
 	allocs := testing.AllocsPerRun(runs, apply)
-	pages := float64(stats.Created.Load()-before) / (runs + 1) // AllocsPerRun warms up once
 	t.Logf("one insert: allocs %.2f pages %.2f", allocs, pages)
 	if allocs > pages+8 {
 		t.Errorf("mirror.apply = %.1f allocs with %.1f pages created, want <= pages+8", allocs, pages)
 	}
-	tail := m.freezeTail()
+	_, tail := m.freeze()
 	m.keepTail = false
 	if bare := testing.AllocsPerRun(runs, apply); allocs > bare+1 {
 		t.Errorf("retaining the tail costs %.1f allocs per record (%.1f with, %.1f without), want <= 1", allocs-bare, allocs, bare)
@@ -84,7 +103,7 @@ func TestMirrorApplyAllocGate(t *testing.T) {
 		t.Fatalf("mirror at %d, retained tail ends at %d (want %d) or does not hold the record bytes", m.version(), tail.end(), want)
 	}
 
-	m, stats = benchMirror()
+	m = benchMirror()
 	const n = 500
 	run := benchRecord(t, n)
 	var dec archive.Decoder
@@ -99,9 +118,12 @@ func TestMirrorApplyAllocGate(t *testing.T) {
 		}
 	}
 	applyRun()
-	before = stats.Created.Load()
+	whole, err := archive.DecodeRecord(archive.FormRun, run)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pages = pagesOf(m, &whole)
 	allocs = testing.AllocsPerRun(20, applyRun)
-	pages = float64(stats.Created.Load()-before) / 21
 	perVersion := (allocs - pages) / n
 	t.Logf("%d-version run: %.0f allocs, %.0f pages, %.2f allocs per version beyond pages", n, allocs, pages, perVersion)
 	if perVersion > 4 {
@@ -155,5 +177,48 @@ func TestGatedAckedAllocGate(t *testing.T) {
 	}
 	if c := fs.currents.Load(); c != 0 {
 		t.Errorf("the ack gate materialized the store %d times; it needs only Version()", c)
+	}
+}
+
+// TestReplicaReadAllocGate: a replica read is the read applied to one
+// version of the mirror, answered at once: its future is ready when
+// ReplicaRead returns, and it costs the ready future and no goroutine.
+// Measured: 1 allocation for a find on node 0's mirror of a 2 000-row
+// relation of node 1.
+func TestReplicaReadAllocGate(t *testing.T) {
+	n, err := New(Config{ // static, never started: no replication dials
+		ID:        0,
+		Addrs:     []string{"127.0.0.1:1", "127.0.0.1:2", "127.0.0.1:3"},
+		Store:     newFakeStore(),
+		Relations: []string{"R"}, // node 1's
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(n.Close)
+	r := archive.Record{First: 1, Kind: core.KindInsert, Rel: "R"}
+	for i := 0; i < 2000; i++ {
+		r.Tuples = append(r.Tuples, value.NewTuple(value.Int(int64(i)), value.Str("v")))
+	}
+	if err := applyTo(n.mirrorRef(1), r); err != nil {
+		t.Fatal(err)
+	}
+	tx := core.Find("R", value.Int(1234))
+	allocs := testing.AllocsPerRun(1000, func() {
+		fut, ok := n.ReplicaRead(tx)
+		if !ok {
+			t.Fatal("node 0 refused a replica read of its mirror of node 1")
+		}
+		resp, ready := fut.Poll()
+		if !ready {
+			t.Fatal("the replica read's future was not ready on return")
+		}
+		if resp.Err != nil || !resp.Found || resp.Version != 2000 {
+			t.Fatalf("replica find answered %+v, want the row at version 2000", resp)
+		}
+	})
+	t.Logf("replica find: %.2f allocs", allocs)
+	if allocs > 2 {
+		t.Errorf("a replica find = %.1f allocs, want <= 2", allocs)
 	}
 }

@@ -24,10 +24,12 @@
 //   - a REPLICA of every peer, always: each node subscribes to every
 //     peer's log (the archive's records, one LogRecord frame each, a
 //     sampled commit's trace context ahead of its record) and applies it,
-//     in order, to a local mirror engine — an insert run as one record
-//     and one engine admission.
-//     Read-only statements can then be answered locally, stamped with the
-//     mirror's version — the client's staleness bound.
+//     in order, to a local mirror: one published database version,
+//     advanced a record at a time by archive.Replay, the function recovery
+//     replays a log with — an insert run as one record and one page build.
+//     A read-only statement can then be answered locally: the read applied
+//     to the mirror's version and stamped with it — the client's staleness
+//     bound.
 //
 // The subsystem is deliberately thin glue: the durability log is the
 // replication stream, the lane hash is the placement function, the
@@ -197,7 +199,7 @@ func New(cfg Config) (*Node, error) {
 			continue
 		}
 		n.peers[i] = &peer{origin: n.origin, addr: addr, cm: n.m, dialFn: n.dial}
-		n.mirrors[i] = newMirror(i, OwnedRelations(cfg.Relations, i, len(n.addrs)))
+		n.mirrors[i] = newMirror(i, database.New(FreshRep, OwnedRelations(cfg.Relations, i, len(n.addrs))...))
 		n.mirrors[i].keepTail = cfg.Failover != nil
 	}
 	var fc FailoverConfig // static: no lease, no ack gate
@@ -249,9 +251,6 @@ func (n *Node) ID() int { return n.id }
 
 // Addr returns the node's advertised address.
 func (n *Node) Addr() string { return n.addrs[n.id] }
-
-// ClusterSize returns the number of nodes.
-func (n *Node) ClusterSize() int { return len(n.addrs) }
 
 // Owner implements server.Cluster: the advertised address of rel's
 // primary, and whether that primary is this node. The slot's CURRENT

@@ -56,6 +56,13 @@ func (f *fakeStore) SubscribeLog(int64, func(int64, int64, reqtrace.Ctx, byte, [
 func (f *fakeStore) TraceRecorder() *reqtrace.Recorder { return nil }
 func (f *fakeStore) MetricsSnapshot() metrics.Snapshot { return metrics.Snapshot{} }
 
+// submitOne admits a single pre-tagged transaction into sub.
+func submitOne(sub session.Submitter, tx core.Transaction) *session.Future {
+	var fut [1]*session.Future
+	sub.SubmitTagged([]core.Transaction{tx}, fut[:])
+	return fut[0]
+}
+
 // threeNode builds a node 0 of a fictitious 3-node cluster whose peers
 // are never dialed (tests stay on the local path).
 func threeNode(t *testing.T, rels ...string) (*Node, *fakeStore) {

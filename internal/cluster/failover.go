@@ -35,7 +35,7 @@ import (
 
 // DialFunc opens an outbound cluster connection. The default is
 // net.Dial("tcp", addr); tests substitute a FaultTransport dialer to
-// drop, delay, or partition traffic deterministically.
+// drop or partition traffic deterministically.
 type DialFunc func(addr string) (net.Conn, error)
 
 // PromoteFunc builds the takeover store for a promoted slot from the
@@ -491,13 +491,16 @@ func (tab *slotTable) maybePromote() {
 }
 
 // promoteLocked turns this node into slot s's serving owner: bump the
-// epoch, snapshot the mirror's database as the takeover store's initial
-// version (its log floor is the promotion base), and freeze the mirror's
-// record tail so subscribers below the floor can still catch up. Runs
-// under tab.mu: promotion is rare and must be atomic against routing.
+// epoch, and take the mirror's version together with its record tail —
+// the version becomes the takeover store's initial one (its log floor is
+// the promotion base), and the tail, which ends at that base, lets
+// subscribers below the floor still catch up. Both are taken before the
+// takeover store is built, so a record the stream applies meanwhile lands
+// in neither. Runs under tab.mu: promotion is rare and must be atomic
+// against routing.
 func (tab *slotTable) promoteLocked(s int, m *mirror) {
 	epoch := tab.epochs[s] + 1
-	db := m.eng.Current()
+	db, tail := m.freeze()
 	base := db.Version()
 	st, err := tab.n.promote(s, epoch, db)
 	if err != nil {
@@ -505,7 +508,7 @@ func (tab *slotTable) promoteLocked(s int, m *mirror) {
 		// let a later tick — or another candidate — retry.
 		return
 	}
-	tab.tails[s] = m.freezeTail()
+	tab.tails[s] = tail
 	tab.takeovers[s] = st
 	tab.epochs[s], tab.owners[s], tab.bases[s] = epoch, tab.n.id, base
 	tab.n.m.Promotions.Inc()
@@ -625,7 +628,7 @@ func (tab *slotTable) rejoin(base int64) {
 			return
 		}
 	}
-	m := newMirrorFromDB(n.id, db)
+	m := newMirror(n.id, db)
 	m.keepTail = true
 	n.setMirror(n.id, m)
 	if n.closing.Load() {

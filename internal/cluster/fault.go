@@ -5,15 +5,14 @@ import (
 	"math/rand"
 	"net"
 	"sync"
-	"time"
 )
 
 // FaultTransport is a deterministic fault injector for cluster links:
 // every connection a node dials goes through it, and a seeded RNG
-// decides — reproducibly — which writes are dropped or delayed. Network
-// partitions sever live connections between the separated groups and
-// refuse new dials across the cut, which is exactly what a lease-based
-// failure detector sees when a switch dies.
+// decides — reproducibly — which writes are dropped. Network partitions
+// sever live connections between the separated groups and refuse new
+// dials across the cut, which is exactly what a lease-based failure
+// detector sees when a switch dies.
 //
 // It wraps outbound dials only (heartbeats, forwards, replication
 // streams all dial through the node's DialFunc), so the process under
@@ -23,7 +22,6 @@ type FaultTransport struct {
 	mu        sync.Mutex
 	rng       *rand.Rand
 	dropProb  float64
-	delay     time.Duration
 	groups    map[string]int    // node name → partition group; empty = healed
 	addrNames map[string]string // listen address → node name (via Locate)
 	conns     map[*faultConn]struct{}
@@ -70,13 +68,6 @@ func (t *FaultTransport) Dialer(from string) DialFunc {
 func (t *FaultTransport) Drop(p float64) {
 	t.mu.Lock()
 	t.dropProb = p
-	t.mu.Unlock()
-}
-
-// Delay sleeps every Write by d before it reaches the socket.
-func (t *FaultTransport) Delay(d time.Duration) {
-	t.mu.Lock()
-	t.delay = d
 	t.mu.Unlock()
 }
 
@@ -140,7 +131,8 @@ func (t *FaultTransport) Locate(name, addr string) {
 	t.mu.Unlock()
 }
 
-// faultConn applies the injector's current drop/delay policy to writes.
+// faultConn applies the injector's current partition and drop policy to
+// writes.
 type faultConn struct {
 	net.Conn
 	t    *FaultTransport
@@ -157,11 +149,7 @@ func (c *faultConn) Write(b []byte) (int, error) {
 		return 0, fmt.Errorf("fault: connection %s→%s severed by partition", c.from, c.to)
 	}
 	drop := t.dropProb > 0 && t.rng.Float64() < t.dropProb
-	delay := t.delay
 	t.mu.Unlock()
-	if delay > 0 {
-		time.Sleep(delay)
-	}
 	if drop {
 		// Pretend the bytes went out; the peer never sees them.
 		return len(b), nil

@@ -10,6 +10,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"testing"
+	"time"
 
 	"funcdb/internal/archive"
 	"funcdb/internal/core"
@@ -73,11 +74,20 @@ func insertsAt(first int64, txs ...core.Transaction) archive.Record {
 	return r
 }
 
+// applyTo encodes r as its peer would ship it and applies it to m.
+func applyTo(m *mirror, r archive.Record) error {
+	raw, err := archive.AppendRun(nil, r)
+	if err != nil {
+		return err
+	}
+	return m.apply(&r, archive.FormRun, raw)
+}
+
 // streamCanned runs one subscription of a mirror of peer 1's relation R
 // over the canned chunks (a Welcome is prepended), and returns the mirror,
 // the SubAck sequences the subscription wrote, and the error it ended with.
 func streamCanned(t *testing.T, chunks ...[]byte) (*mirror, []int64, error) {
-	m := newMirror(1, []string{"R"})
+	m := newMirror(1, database.New(FreshRep, "R"))
 	m.keepTail = true
 	acks, err := streamInto(t, m, chunks...)
 	return m, acks, err
@@ -129,7 +139,7 @@ func put(k int64) core.Transaction {
 
 // TestMirrorAppliesRuns: a mirror applies every record one socket read
 // delivered and acks them once, with the last version they reach; a run
-// record is one admission however many versions it covers, and every
+// record is one replay however many versions it covers, and every
 // record's bytes are kept for the promotion tail under its version span.
 func TestMirrorAppliesRuns(t *testing.T) {
 	var txs []core.Transaction
@@ -152,13 +162,13 @@ func TestMirrorAppliesRuns(t *testing.T) {
 		t.Fatalf("mirror applied %d records, want 5", got)
 	}
 	_, want := core.ApplySequential(database.New(FreshRep, "R"), txs)
-	if got := m.eng.Current(); !got.Equal(want) {
+	if got := m.db.Load(); !got.Equal(want) {
 		t.Fatalf("mirror holds %d tuples, the records make %d", got.TotalTuples(), want.TotalTuples())
 	}
-	if r, _ := m.eng.Current().RelationFast("R"); r.Rep() != relation.RepPaged {
+	if r, _ := m.db.Load().RelationFast("R"); r.Rep() != relation.RepPaged {
 		t.Fatalf("mirror relation is %v, want paged", r.Rep())
 	}
-	tail := m.freezeTail()
+	_, tail := m.freeze()
 	raws := append(raws1, raws2...)
 	spans := [][2]int64{{1, 1}, {2, 2}, {3, 3}, {4, 23}, {24, 24}}
 	if tail.from != 0 || tail.end() != 24 || len(tail.recs) != len(raws) {
@@ -187,10 +197,10 @@ func TestMirrorRunStopsAtGap(t *testing.T) {
 	if len(acks) != 1 || acks[0] != 2 {
 		t.Fatalf("acks %v, want [2]", acks)
 	}
-	if got := m.eng.Current().TotalTuples(); got != 2 {
+	if got := m.db.Load().TotalTuples(); got != 2 {
 		t.Fatalf("mirror holds %d tuples, want the 2 before the hole", got)
 	}
-	if tail := m.freezeTail(); len(tail.recs) != 2 {
+	if _, tail := m.freeze(); len(tail.recs) != 2 {
 		t.Fatalf("tail holds %d records, want the 2 applied", len(tail.recs))
 	}
 }
@@ -259,7 +269,7 @@ func TestLegacyRecordsShipToAMirror(t *testing.T) {
 			t.Fatalf("shipped a record of %d..%d in form %d, want the legacy record of one version", r.first, r.last, r.form)
 		}
 	}
-	m := newMirrorFromDB(1, start)
+	m := newMirror(1, start)
 	m.keepTail = true
 	acks, err := streamInto(t, m, chunk)
 	if !errors.Is(err, io.EOF) {
@@ -268,10 +278,10 @@ func TestLegacyRecordsShipToAMirror(t *testing.T) {
 	if m.version() != 100 || len(acks) != 1 || acks[0] != 100 {
 		t.Fatalf("mirror at %d acked %v, want 100 acked once", m.version(), acks)
 	}
-	if !m.eng.Current().Equal(recovered) {
-		t.Fatalf("mirror holds %d tuples, the archive %d", m.eng.Current().TotalTuples(), recovered.TotalTuples())
+	if !m.db.Load().Equal(recovered) {
+		t.Fatalf("mirror holds %d tuples, the archive %d", m.db.Load().TotalTuples(), recovered.TotalTuples())
 	}
-	if tail := m.freezeTail(); len(tail.recs) != 100 || tail.recs[99].form != archive.FormLegacy || !bytes.Equal(tail.recs[99].raw, recs[99].raw) {
+	if _, tail := m.freeze(); len(tail.recs) != 100 || tail.recs[99].form != archive.FormLegacy || !bytes.Equal(tail.recs[99].raw, recs[99].raw) {
 		t.Fatalf("the mirror's tail keeps %d records, not the legacy bytes shipped", len(tail.recs))
 	}
 }
@@ -319,13 +329,13 @@ func TestMirrorCatchesUpInsideARun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := newMirrorFromDB(1, at)
+	m := newMirror(1, at)
 	acks, err := streamInto(t, m, chunk)
 	if !errors.Is(err, io.EOF) || len(acks) != 1 || acks[0] != 503 {
 		t.Fatalf("stream ended with %v after acks %v, want io.EOF after [503]", err, acks)
 	}
-	if !m.eng.Current().Equal(e.Current()) || m.version() != e.Version() {
-		t.Fatalf("mirror at %d with %d tuples, the primary at %d with %d", m.version(), m.eng.Current().TotalTuples(), e.Version(), e.Current().TotalTuples())
+	if !m.db.Load().Equal(e.Current()) || m.version() != e.Version() {
+		t.Fatalf("mirror at %d with %d tuples, the primary at %d with %d", m.version(), m.db.Load().TotalTuples(), e.Version(), e.Current().TotalTuples())
 	}
 
 	// A promoted slot's frozen tail holding the whole run cuts it the same
@@ -367,7 +377,7 @@ func TestMirrorCatchesUpInsideARun(t *testing.T) {
 func BenchmarkMirrorApply(b *testing.B) {
 	for _, n := range []int{1, 64, 500} {
 		b.Run(fmt.Sprint(n), func(b *testing.B) {
-			m, _ := benchMirror()
+			m := benchMirror()
 			raw := benchRecord(b, n)
 			var dec archive.Decoder
 			var ms0, ms1 runtime.MemStats
@@ -389,5 +399,65 @@ func BenchmarkMirrorApply(b *testing.B) {
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/versions, "ns/version")
 			b.ReportMetric(float64(ms1.Mallocs-ms0.Mallocs)/versions, "allocs/version")
 		})
+	}
+}
+
+// TestPromotionFreezesTailAtBase: a promotion takes the mirror's version
+// and its record tail together, before it builds the takeover store, so a
+// record the stream goroutine applies while the store is built (it passed
+// its epoch check before the promotion took the slot table's lock) lands
+// in neither. The frozen tail ends at the promotion base, and a subscriber
+// it bridges continues from the base with the takeover store's own log.
+func TestPromotionFreezesTailAtBase(t *testing.T) {
+	const base = 5
+	var n *Node
+	n, err := New(Config{ // never started: no heartbeats, no replication dials
+		ID:        0,
+		Addrs:     []string{"127.0.0.1:1", "127.0.0.1:2", "127.0.0.1:3"},
+		Store:     newFakeStore(),
+		Relations: []string{"R"}, // node 1's
+		Failover:  &FailoverConfig{Lease: time.Hour},
+		Promote: func(slot int, _ uint64, db *database.Database) (LocalStore, error) {
+			m := n.mirrorRef(slot)
+			if err := applyTo(m, insertsAt(m.version()+1, put(99))); err != nil {
+				return nil, err
+			}
+			return &fakeStore{eng: core.NewEngine(db)}, nil
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(n.Close)
+	m := n.mirrorRef(1)
+	for v := int64(1); v <= base; v++ {
+		if err := applyTo(m, insertsAt(v, put(v))); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	tab := n.slots
+	tab.mu.Lock()
+	tab.promoteLocked(1, m)
+	promoted, tail, floor := tab.owners[1] == n.id, tab.tails[1], tab.bases[1]
+	tab.mu.Unlock()
+	if !promoted || floor != base {
+		t.Fatalf("promotion: owner is node 0 %v, base %d; want node 0 at base %d", promoted, floor, base)
+	}
+	if tail.end() != base {
+		t.Fatalf("promoted at base %d, but the frozen tail ends at %d", base, tail.end())
+	}
+	_, recs := subscribed(t, func(after int64, fn archive.TailFunc) (func(), error) {
+		_, cancel, err := n.SubscribeSlotLog(1, 2, after, func(first, last int64, _ uint64, ctx reqtrace.Ctx, form byte, raw []byte) {
+			fn(first, last, ctx, form, raw)
+		})
+		return cancel, err
+	}, 0)
+	var end int64
+	if len(recs) > 0 {
+		end = recs[len(recs)-1].last
+	}
+	if len(recs) != base || end != base {
+		t.Fatalf("a subscriber from 0 was handed %d records ending at %d; want the %d up to the base", len(recs), end, base)
 	}
 }

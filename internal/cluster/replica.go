@@ -5,12 +5,13 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"funcdb/internal/archive"
 	"funcdb/internal/core"
 	"funcdb/internal/database"
-	"funcdb/internal/eval"
+	"funcdb/internal/lenient"
 	"funcdb/internal/metrics"
 	"funcdb/internal/relation"
 	"funcdb/internal/reqtrace"
@@ -19,13 +20,14 @@ import (
 	"funcdb/internal/wire"
 )
 
-// mirror is this node's replica of one peer's relations: a plain engine
-// fed exclusively by the peer's log records, applied in version order.
-// The peer's log sequence IS the engine's version number — the mirror
-// starts from the same initial version (the peer's owned relations,
-// empty, version 0) and applies exactly the peer's committed writes — so
-// a read planned against the mirror carries the precise primary version
-// it reflects: the client's staleness bound.
+// mirror is this node's replica of one peer's relations: one published
+// version of the peer's database, advanced by the peer's log records
+// through archive.Replay — the function recovery replays a log with — in
+// version order. The peer's log sequence IS the mirror's version number —
+// the mirror starts from the same initial version (the peer's owned
+// relations, empty, version 0) and applies exactly the peer's committed
+// writes — so a read of the mirror carries the precise primary version it
+// reflects: the client's staleness bound.
 //
 // The relations a mirror starts with are FreshRep — paged B+-trees.
 // Nothing else here knows the shape, and it is not a mode of the cluster.
@@ -36,14 +38,16 @@ import (
 // peers' mirrors need not be).
 type mirror struct {
 	peer     int
-	eng      *core.Engine
+	db       atomic.Pointer[database.Database]
 	records  metrics.Counter // log records applied to this mirror
 	connects metrics.Counter // subscription (re)connects to the peer
 
 	// keepTail (set before Start on failover clusters) retains the raw
 	// bytes of recently applied records so that, after a promotion, the
 	// frozen tail can bridge subscribers below the takeover store's log
-	// floor. Bounded by failoverTailCap versions.
+	// floor. Bounded by failoverTailCap versions. tailMu also orders each
+	// publication of db with its record's push, so the tail always ends at
+	// the published version.
 	keepTail bool
 	tailMu   sync.Mutex
 	tail     recordTail
@@ -61,66 +65,69 @@ type mirror struct {
 // another shape reopens in that shape and a mixed cluster is legal.
 const FreshRep = relation.RepPaged
 
-func newMirror(peerIdx int, ownedRels []string) *mirror {
-	return newMirrorFromDB(peerIdx, database.New(FreshRep, ownedRels...))
-}
-
-// newMirrorFromDB starts a mirror at an explicit database version: the
-// rejoin path's self-mirror, rewound to the winner's promotion base.
-func newMirrorFromDB(peerIdx int, db *database.Database) *mirror {
-	return &mirror{peer: peerIdx, eng: core.NewEngine(db)}
+// newMirror starts a mirror of a peer at db: a fresh peer's owned
+// relations at version 0, or, on the rejoin path's self-mirror, the
+// database rewound to the winner's promotion base.
+func newMirror(peerIdx int, db *database.Database) *mirror {
+	m := &mirror{peer: peerIdx}
+	m.db.Store(db)
+	return m
 }
 
 // version is the newest primary sequence the mirror has applied.
-func (m *mirror) version() int64 { return m.eng.Version() }
+func (m *mirror) version() int64 { return m.db.Load().Version() }
 
-// apply installs one decoded log record with one engine admission: an
-// insert record through the engine's run path (core.Engine.ApplyRun), one
-// page build whatever the record's length; a delete or create as the write
-// it carries. raw is the record's bytes in form, which alias the stream's
+// apply replays one decoded log record onto the mirror's version and
+// publishes the result: an insert run as one relation.UpsertRun, one page
+// build whatever the record's length; a delete or create as the write it
+// carries. raw is the record's bytes in form, which alias the stream's
 // read buffer: a mirror that keeps its tail for promotion copies them here.
 // The record must continue the primary's order exactly — its first version
 // is applied+1. A hole means the stream skipped something the record form
 // cannot carry (a custom transaction on the primary): the record is refused
-// with errReplicationGap, rather than silently diverge, and so is one the
-// mirror's engine cannot apply.
+// with errReplicationGap, rather than silently diverge, and so is one that
+// does not replay onto the mirror's version. Only the mirror's one
+// subscription applies records, so a load and a store cannot interleave
+// with another apply's.
 func (m *mirror) apply(r *archive.Record, form byte, raw []byte) error {
-	if r.First != m.version()+1 {
+	db := m.db.Load()
+	if r.First != db.Version()+1 {
 		return errReplicationGap
 	}
-	if r.Kind == core.KindInsert {
-		if err := m.eng.ApplyRun(core.Run{Rel: r.Rel, Tuples: r.Tuples}); err != nil {
-			return errReplicationGap
-		}
+	next, err := archive.Replay(db, r)
+	if err != nil {
+		return errReplicationGap
+	}
+	if m.keepTail {
+		rec := tailRecord{first: r.First, last: r.Last(), form: form, raw: append([]byte(nil), raw...)}
+		m.tailMu.Lock()
+		m.db.Store(next)
+		m.tail.push(rec)
+		m.tailMu.Unlock()
 	} else {
-		m.eng.Submit(r.Txn(0)).Force()
-	}
-	if m.version() != r.Last() {
-		return errReplicationGap
+		m.db.Store(next)
 	}
 	m.records.Inc()
-	if m.keepTail {
-		m.tailMu.Lock()
-		m.tail.push(tailRecord{first: r.First, last: r.Last(), form: form, raw: append([]byte(nil), raw...)})
-		m.tailMu.Unlock()
-	}
 	return nil
 }
 
-// freezeTail snapshots the retained record tail at promotion time.
-func (m *mirror) freezeTail() *recordTail {
+// freeze reads the mirror's version and its retained record tail together,
+// at promotion time: the tail ends at the version returned, whatever the
+// stream applies afterwards.
+func (m *mirror) freeze() (*database.Database, *recordTail) {
 	m.tailMu.Lock()
 	defer m.tailMu.Unlock()
-	return &recordTail{from: m.tail.from, recs: append([]tailRecord(nil), m.tail.recs...)}
+	return m.db.Load(), &recordTail{from: m.tail.from, recs: append([]tailRecord(nil), m.tail.recs...)}
 }
 
-// ReplicaRead implements server.Cluster: serve a read-only
-// transaction version-stamped from the freshest local copy. A relation
-// owned elsewhere reads from its log-shipped mirror, stamped with the
-// mirror's applied version; a relation owned HERE reads from the primary
-// store itself, stamped with the store's version at plan time — zero
-// staleness, but the same contract, so a client's ExecReplica reports a
-// meaningful Version whichever node it happens to dial. ok=false when no
+// ReplicaRead implements server.Cluster: a read-only built-in statement
+// applied to one version of the freshest local copy, stamped with that
+// version and answered at once. A relation owned elsewhere reads its
+// log-shipped mirror's version; a relation in a slot this node serves
+// reads the store's Current() — zero staleness, but the same contract, so
+// a client's ExecReplica reports a meaningful Version whichever node it
+// happens to dial. Current() does not wait on a write taken from the
+// wire: every one is a built-in, evaluated at admission. ok=false when no
 // local copy can serve the read: this node's own slot while it may not
 // serve it (probation, or a demotion before rejoin installed its mirror).
 func (n *Node) ReplicaRead(tx core.Transaction) (*session.Future, bool) {
@@ -131,22 +138,17 @@ func (n *Node) ReplicaRead(tx core.Transaction) (*session.Future, bool) {
 	// The slot this node SERVES (own store or takeover) answers with zero
 	// staleness; anything else falls to its mirror — including this node's
 	// own former slot after a demotion.
+	var db *database.Database
 	if st, _, _, _ := n.slots.route(slot); st != nil {
-		return submitOne(st, stampedRead(tx)), true
-	}
-	m := n.mirrorRef(slot)
-	if m == nil {
+		db = st.Current()
+	} else if m := n.mirrorRef(slot); m != nil {
+		db = m.db.Load()
+	} else {
 		return nil, false
 	}
-	return m.eng.Submit(stampedRead(tx)), true
-}
-
-// submitOne admits a single pre-tagged transaction into sub (a store, or
-// in tests the node itself).
-func submitOne(sub session.Submitter, tx core.Transaction) *session.Future {
-	var fut [1]*session.Future
-	sub.SubmitTagged([]core.Transaction{tx}, fut[:])
-	return fut[0]
+	resp, _, _ := tx.Apply(nil, db, trace.None)
+	resp.Version = db.Version()
+	return lenient.Ready(resp), true
 }
 
 // ReplicaVersion reports the mirror's applied version for a peer, or -1
@@ -157,28 +159,6 @@ func (n *Node) ReplicaVersion(peerIdx int) int64 {
 		return -1
 	}
 	return m.version()
-}
-
-// stampedRead wraps a built-in read-only transaction so it runs against
-// one consistent mirror version and stamps that version into the
-// response. The wrapper is a custom transaction with the original's
-// declared read set: the engine gives its body a scoped view pinned at
-// plan time, whose Version() is exactly the replica's applied primary
-// sequence.
-func stampedRead(tx core.Transaction) core.Transaction {
-	inner := tx
-	return core.Transaction{
-		Origin: tx.Origin,
-		Seq:    tx.Seq,
-		Kind:   core.KindCustom,
-		Reads:  []string{tx.Rel},
-		Query:  tx.Query,
-		Custom: func(ctx *eval.Ctx, db *database.Database, after trace.TaskID) (core.Response, *database.Database, trace.Op) {
-			resp, _, op := inner.Apply(ctx, db, after)
-			resp.Version = db.Version()
-			return resp, db, op
-		},
-	}
 }
 
 // replicateFrom pulls one peer's log until the node closes: dial,

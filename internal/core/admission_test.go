@@ -207,10 +207,10 @@ func TestLaneEquivalenceDeterministic(t *testing.T) {
 			init := database.New(relation.RepList, "R", "S", "T")
 
 			type result struct {
-				name   string
-				resps  []Response
-				sweep  []Response
-				final  *database.Database
+				name  string
+				resps []Response
+				sweep []Response
+				final *database.Database
 			}
 			variants := []struct {
 				name string

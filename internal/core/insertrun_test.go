@@ -147,51 +147,6 @@ func TestInsertRunForcedByReader(t *testing.T) {
 	}
 }
 
-// TestApplyRun: a run applied as one admission leaves what its inserts
-// leave one at a time, on any representation; an observer sees one commit
-// covering its versions, each the sequential prefix; and a run into a
-// relation that does not exist admits nothing.
-func TestApplyRun(t *testing.T) {
-	for _, rel := range []string{"P", "A"} {
-		txs := inserts(rel, 30, 9)
-		run := Run{Rel: rel}
-		for i := range txs {
-			txs[i].Origin, txs[i].Seq = "m", 100+i
-			run.Tuples = append(run.Tuples, txs[i].Tuple)
-			run.Tags = append(run.Tags, Tag{Origin: "m", Seq: 100 + i})
-		}
-		initial := runDB()
-		var commits []Commit
-		e := NewEngine(initial, WithCommitObserver(func(c Commit) { commits = append(commits, c) }))
-		if err := e.ApplyRun(run); err != nil {
-			t.Fatal(err)
-		}
-		run.Tuples[0] = tup(999, "clobbered") // the engine kept its own copy
-		e.Barrier()
-		_, want := ApplySequential(initial, txs)
-		if !e.Current().Equal(want) || e.Version() != want.Version() {
-			t.Fatalf("%s: run applied to version %d, the sequential one is %d", rel, e.Version(), want.Version())
-		}
-		base := initial.Version()
-		if len(commits) != 1 || commits[0].First() != base+1 || commits[0].Seq != base+30 {
-			t.Fatalf("%s: %d commits, want one covering the run's 30 versions", rel, len(commits))
-		}
-		for i := range txs {
-			_, want := ApplySequential(initial, txs[:i+1])
-			if !commits[0].VersionAt(base + int64(i+1)).Equal(want) {
-				t.Fatalf("%s: version %d differs from the sequential prefix", rel, base+int64(i+1))
-			}
-			if tx := commits[0].Run.Txn(i); tx.Seq != txs[i].Seq || !tx.Tuple.Equal(txs[i].Tuple) {
-				t.Fatalf("%s: version %d carries %+v", rel, base+int64(i+1), tx)
-			}
-		}
-	}
-	e := NewEngine(runDB())
-	if err := e.ApplyRun(Run{Rel: "missing", Tuples: []value.Tuple{tup(1, "x")}}); err == nil || e.Version() != runDB().Version() {
-		t.Fatalf("a run into a missing relation: err %v, version %d", err, e.Version())
-	}
-}
-
 // TestInsertRunConcurrentReaders: lock-free readers load versions while
 // runs are admitted; every count they read is the database before or after
 // a whole run — never inside one — and never goes back. The -race target

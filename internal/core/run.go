@@ -1,9 +1,6 @@
 package core
 
 import (
-	"slices"
-	"time"
-
 	"funcdb/internal/eval"
 	"funcdb/internal/lenient"
 	"funcdb/internal/relation"
@@ -18,7 +15,7 @@ import (
 // version v to v+k. No other lane's commit can land inside the run, so the
 // run is a unit all the way down the stream: one commit for observers, one
 // record in the archive, one record on the replication stream, and one
-// admission on every mirror.
+// replay on every mirror.
 //
 // Readers see the database before the run or after it, never inside: a
 // valid serialization, since nothing else was admitted in between. The
@@ -50,41 +47,6 @@ func (r *Run) Txn(i int) Transaction {
 		tx.Origin, tx.Seq = r.Tags[i].Origin, r.Tags[i].Seq
 	}
 	return tx
-}
-
-// ApplyRun admits a run of inserts into one relation as one page build,
-// published as len(run.Tuples) consecutive versions in one
-// compare-and-swap, and returns once they are published. It is how a mirror
-// applies a log record: the primary committed the record's versions as one
-// run, and the mirror commits them the same way. The run's slices are not
-// retained. It fails, admitting nothing, when the relation does not exist.
-func (e *Engine) ApplyRun(run Run) error {
-	if len(run.Tuples) == 0 {
-		return nil
-	}
-	tx := Insert(run.Rel, run.Tuples[0])
-	ls := e.laneSetOf(tx)
-	var start time.Time
-	if e.metrics != nil {
-		start = time.Now()
-	}
-	e.lockLanes(ls)
-	p := planAgainst(e.snap.Load(), tx)
-	if p.err == nil {
-		var resp *lenient.Cell[Response]
-		if len(e.observers) > 0 {
-			// The commit outlives the call: it keeps its own copy.
-			run.Tuples, run.Tags = slices.Clone(run.Tuples), slices.Clone(run.Tags)
-			last := run.Txn(len(run.Tuples) - 1)
-			resp = lenient.Ready(Response{Origin: last.Origin, Seq: last.Seq, Kind: KindInsert, Tuple: last.Tuple})
-		}
-		e.admitRun(p, p.in.Force(), &run, resp)
-	}
-	e.unlockLanes(ls)
-	if e.metrics != nil {
-		e.metrics.Admit(ls, len(run.Tuples), time.Since(start))
-	}
-	return p.err
 }
 
 // insertStretch returns how many transactions at the head of txs are valid,

@@ -37,19 +37,19 @@ type Stage uint8
 // (recorded by traced load drivers), then the server request path, the
 // engine, the archive, and the cross-node hops.
 const (
-	StageClientDial Stage = iota // client: TCP dial + handshake
-	StageClientSend              // client: request sent → response decoded
-	StageConnRead                // server: blocking read of the request frame
-	StageDecode                  // server: frame payload → transactions
-	StageSessionQueue            // session: queued → flushed into one batch
-	StagePlan                    // engine: read/write-set planning under the lane locks
-	StageLaneWait                // engine: waiting to acquire the lane locks
-	StageLaneCommit              // engine: lane locks held → snapshot published
-	StageGroupCommitFsync        // archive: commit buffered → group flush (+fsync) done
-	StageEncode                  // server: response forced + encoded into the out buffer
-	StageFlush                   // server: out buffer handed to the socket
-	StageForwardHop              // gateway: forward frame sent → peer reply arrived
-	StageReplicaApply            // mirror: log record decoded → applied to the replica
+	StageClientDial       Stage = iota // client: TCP dial + handshake
+	StageClientSend                    // client: request sent → response decoded
+	StageConnRead                      // server: blocking read of the request frame
+	StageDecode                        // server: frame payload → transactions
+	StageSessionQueue                  // session: queued → flushed into one batch
+	StagePlan                          // engine: read/write-set planning under the lane locks
+	StageLaneWait                      // engine: waiting to acquire the lane locks
+	StageLaneCommit                    // engine: lane locks held → snapshot published
+	StageGroupCommitFsync              // archive: commit buffered → group flush (+fsync) done
+	StageEncode                        // server: response forced + encoded into the out buffer
+	StageFlush                         // server: out buffer handed to the socket
+	StageForwardHop                    // gateway: forward frame sent → peer reply arrived
+	StageReplicaApply                  // mirror: log record decoded → applied to the replica
 	numStages
 )
 
@@ -207,14 +207,14 @@ type Recorder struct {
 	ctr         atomic.Uint64
 	idState     atomic.Uint64
 
-	mu        sync.Mutex
-	ring      []*T // circular; newest at head-1
-	head      int
-	slowRing  []*T
-	slowHead  int
-	started   int64
-	sampled   int64
-	slow      int64
+	mu         sync.Mutex
+	ring       []*T // circular; newest at head-1
+	head       int
+	slowRing   []*T
+	slowHead   int
+	started    int64
+	sampled    int64
+	slow       int64
 	propagated int64
 }
 

@@ -194,14 +194,6 @@ func (s *Server) Serve() error {
 	}
 }
 
-// ListenAndServe is Listen followed by Serve.
-func (s *Server) ListenAndServe(addr string) error {
-	if err := s.Listen(addr); err != nil {
-		return err
-	}
-	return s.Serve()
-}
-
 // Shutdown drains the server: stop accepting, unblock every connection's
 // pending read so its handler can answer what it has fully read and
 // close, wait for all handlers, then barrier every host — with
