@@ -13,6 +13,7 @@ import (
 	"funcdb/internal/metrics"
 	"funcdb/internal/reqtrace"
 	"funcdb/internal/value"
+	"funcdb/internal/wire"
 )
 
 // ErrNoArchive reports a directory with no archive in it.
@@ -63,9 +64,10 @@ func Fsync(on bool) Option {
 // window. The commit path pays an in-memory copy instead of a syscall (and
 // instead of a per-commit fsync), multiplying durable-write throughput; the
 // cost is that a crash may lose the commits of the current window. Flush,
-// Sync, Snapshot, VersionAt and Close all flush the pending batch first,
-// so anything observed through the archive API is on disk. window <= 0
-// disables batching (the default: every append is written immediately).
+// Snapshot, VersionAt and Close all flush the pending batch first, so
+// anything observed through the archive API is on disk. window <= 0
+// disables batching (the default: each commit is a flush of its own,
+// written — and fsynced with Fsync on — before Append returns).
 func GroupCommit(window time.Duration) Option {
 	return func(c *config) { c.group = window }
 }
@@ -88,7 +90,7 @@ type Archive struct {
 	lastSeq   int64  // newest accepted sequence number (buffered or durable)
 	sinceSnap int    // versions logged since the last snapshot
 	failed    error  // sticky first failure; appends refuse after it
-	buf       []byte // group commit: framed records awaiting one write+fsync
+	buf       []byte // framed records awaiting the flush's one write (+fsync)
 	bufVers   int    // versions the records in buf cover
 	expect    int    // adaptive window: flush once bufVers reaches this (0 = no hint)
 
@@ -98,7 +100,7 @@ type Archive struct {
 	tails     map[uint64]TailFunc
 	nextSubID uint64
 
-	// Traced commits awaiting the group flush: each entry turns into a
+	// Traced commits awaiting the flush: each entry turns into a
 	// group-commit-fsync span when flushLocked lands the batch. Empty
 	// whenever tracing is off — appending costs nothing untraced.
 	pendingTr []pendingTrace
@@ -109,7 +111,7 @@ type Archive struct {
 	stopOnce  sync.Once
 }
 
-// pendingTrace is one traced commit buffered for group commit: the trace
+// pendingTrace is one traced commit awaiting the flush: the trace
 // handle and the buffering instant the fsync span starts at.
 type pendingTrace struct {
 	t  *reqtrace.T
@@ -202,30 +204,29 @@ func Open(dir string, opts ...Option) (*Archive, *database.Database, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	logPath := filepath.Join(dir, logName(rec.logBase))
-	if rec.logTorn {
-		if err := os.Truncate(logPath, rec.logLen); err != nil {
-			return nil, nil, fmt.Errorf("archive: truncating torn log tail: %w", err)
-		}
-	}
-	f, err := os.OpenFile(logPath, os.O_WRONLY|os.O_CREATE, 0o644)
-	if err != nil {
-		return nil, nil, fmt.Errorf("archive: %w", err)
-	}
 	if rec.logLen == 0 {
 		// The log segment never made it to disk (crash between snapshot
 		// and log creation): start it now.
-		hdr := appendRecord(nil, recHeader, headerPayload(FormRun, rec.logBase))
-		if _, err := f.Write(hdr); err != nil {
+		if err := a.startLog(rec.logBase); err != nil {
+			return nil, nil, fmt.Errorf("archive: %w", err)
+		}
+	} else {
+		logPath := filepath.Join(dir, logName(rec.logBase))
+		if rec.logTorn {
+			if err := os.Truncate(logPath, rec.logLen); err != nil {
+				return nil, nil, fmt.Errorf("archive: truncating torn log tail: %w", err)
+			}
+		}
+		f, err := os.OpenFile(logPath, os.O_WRONLY, 0o644)
+		if err != nil {
+			return nil, nil, fmt.Errorf("archive: %w", err)
+		}
+		if _, err := f.Seek(rec.logLen, 0); err != nil {
 			f.Close()
 			return nil, nil, fmt.Errorf("archive: %w", err)
 		}
-	} else if _, err := f.Seek(rec.logLen, 0); err != nil {
-		f.Close()
-		return nil, nil, fmt.Errorf("archive: %w", err)
+		a.log, a.logBase = f, rec.logBase
 	}
-	a.log = f
-	a.logBase = rec.logBase
 	a.lastSeq = rec.lastSeq
 	a.sinceSnap = int(rec.lastSeq - rec.logBase)
 	if a.cfg.metrics != nil {
@@ -255,16 +256,14 @@ const maxGroupVersions = 4096
 // high-water form a shortfall only delays the current batch's flush (the
 // timer still covers it); the next hint rebases and the machinery
 // recovers. Unhinted appends landing in between only make the flush
-// earlier. A no-op without group commit.
+// earlier. Without group commit every Append flushes anyway, so the hint
+// changes nothing.
 func (a *Archive) ExpectBatch(n int) {
 	if n <= 0 {
 		return
 	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if a.cfg.group <= 0 {
-		return
-	}
 	a.expect = a.bufVers + n
 }
 
@@ -284,10 +283,11 @@ func (a *Archive) Append(c core.Commit) error {
 		return err
 	}
 	a.lastSeq = c.Seq
-	// Adaptive window: once the buffer reaches the hinted high-water mark
-	// — the last append of a full admitted batch — flush without waiting
-	// for the timer. maxGroupVersions caps the buffer regardless of hints.
-	if (a.expect > 0 && a.bufVers >= a.expect) || a.bufVers >= maxGroupVersions {
+	// Without group commit every commit is a flush of its own. With it,
+	// the window timer flushes, or — the adaptive window — the buffer
+	// reaching the hinted high-water mark, the last append of a full
+	// admitted batch. maxGroupVersions caps the buffer regardless of hints.
+	if a.cfg.group <= 0 || (a.expect > 0 && a.bufVers >= a.expect) || a.bufVers >= maxGroupVersions {
 		return a.flushLocked()
 	}
 	return nil
@@ -295,8 +295,7 @@ func (a *Archive) Append(c core.Commit) error {
 
 func (a *Archive) append(c core.Commit) error {
 	if a.log == nil {
-		// Closed: refuse rather than buffer into a dead batch (the
-		// non-group path would surface this as a nil-file write error).
+		// Closed: refuse rather than buffer into a dead batch.
 		return fmt.Errorf("archive: append after Close (seq %d)", c.Seq)
 	}
 	if !encodable(c.Tx) {
@@ -307,13 +306,13 @@ func (a *Archive) append(c core.Commit) error {
 		}
 		return a.writeSnapshot(c.Version())
 	}
-	// The records are framed straight into the batch buffer: with group
-	// commit they stay there until the flush, without it the buffer holds
-	// only this one write. Log-shipping tail: subscribers see each
-	// record the moment it is framed (before its durable write — a replica
-	// can never be *ahead* of the primary's committed state, only of its
-	// fsync), together with the trace context of the commit that wrote it.
-	// They read its payload in the buffer, and may not retain it.
+	// The records are framed straight into the batch buffer, and stay
+	// there until the flush that writes them (Append's, without group
+	// commit). Log-shipping tail: subscribers see each record the moment
+	// it is framed (before its durable write — a replica can never be
+	// *ahead* of the primary's committed state, only of its fsync),
+	// together with the trace context of the commit that wrote it. They
+	// read its payload in the buffer, and may not retain it.
 	tr := c.Tx.Trace
 	start := len(a.buf)
 	buf := a.buf
@@ -332,36 +331,11 @@ func (a *Archive) append(c core.Commit) error {
 		}
 		i += n
 	}
-	if a.cfg.group > 0 {
-		// Group commit: the window timer, a full hinted batch
-		// (ExpectBatch), or an explicit Flush/Sync/Close issues the
-		// write+fsync. Bytes are counted at flush.
-		a.buf = buf
-		a.bufVers += versions
-		a.cfg.metrics.Buffered(versions)
-		if tr != nil {
-			a.pendingTr = append(a.pendingTr, pendingTrace{t: tr, at: time.Now().UnixNano()})
-		}
-	} else {
-		var t0 time.Time
-		if tr != nil {
-			t0 = time.Now()
-		}
-		a.buf = buf[:0]
-		if _, err := a.log.Write(buf); err != nil {
-			return fmt.Errorf("archive: append: %w", err)
-		}
-		if a.cfg.fsync {
-			if err := a.syncLog(); err != nil {
-				return fmt.Errorf("archive: fsync: %w", err)
-			}
-		}
-		if tr != nil {
-			// No group commit: the "group" is this one record, and its
-			// durability interval is the write (+fsync) just issued.
-			tr.Span(reqtrace.StageGroupCommitFsync, t0, time.Now())
-		}
-		a.cfg.metrics.Appended(versions, len(buf))
+	a.buf = buf
+	a.bufVers += versions
+	a.cfg.metrics.Buffered(versions)
+	if tr != nil {
+		a.pendingTr = append(a.pendingTr, pendingTrace{t: tr, at: time.Now().UnixNano()})
 	}
 	a.sinceSnap += versions
 	if a.cfg.snapshotEvery > 0 && a.sinceSnap >= a.cfg.snapshotEvery {
@@ -373,9 +347,9 @@ func (a *Archive) append(c core.Commit) error {
 	return nil
 }
 
-// flushLocked writes the pending group-commit batch to the log — one write
-// and, with Fsync on, one fsync for the whole batch. Must hold a.mu. A
-// failure is sticky.
+// flushLocked writes the pending batch to the log — one write and, with
+// Fsync on, one fsync for the whole batch. It is the only write of log
+// records. Must hold a.mu. A failure is sticky.
 func (a *Archive) flushLocked() error {
 	if a.failed != nil {
 		return a.failed
@@ -429,7 +403,8 @@ func (a *Archive) syncLog() error {
 }
 
 // Flush writes any pending group-commit batch to the log (and syncs it
-// when Fsync is on). A no-op without group commit or with an empty batch.
+// when Fsync is on). A no-op with an empty batch, which is always the case
+// without group commit.
 func (a *Archive) Flush() error {
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -527,14 +502,13 @@ func (a *Archive) SubscribeTxns(after int64, fn TailFunc) (cancel func(), err er
 // leaves the previous snapshot + log pair authoritative.
 func (a *Archive) writeSnapshot(db *database.Database) error {
 	seq := db.Version()
-	buf := appendRecord(nil, recHeader, headerPayload(recSnapshot, seq))
-	start := len(buf)
-	buf, err := database.AppendSnapshot(openRecord(buf, recSnapshot), db)
+	buf, mark := wire.BeginFrame(headerFrame(recSnapshot, seq), recSnapshot)
+	buf, err := database.AppendSnapshot(buf, db)
 	if err != nil {
 		return err
 	}
-	if buf, _, err = sealRecord(buf, start); err != nil {
-		return err
+	if buf, err = wire.SealFrame(buf, mark, maxRecordLen); err != nil {
+		return fmt.Errorf("archive: snapshot: %w", err)
 	}
 
 	path := filepath.Join(a.dir, snapName(seq))
@@ -568,18 +542,26 @@ func (a *Archive) writeSnapshot(db *database.Database) error {
 			return fmt.Errorf("archive: rotate: %w", err)
 		}
 	}
-	nf, err := os.OpenFile(filepath.Join(a.dir, logName(seq)), os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
+	if err := a.startLog(seq); err != nil {
 		return fmt.Errorf("archive: rotate: %w", err)
 	}
-	if _, err := nf.Write(appendRecord(nil, recHeader, headerPayload(FormRun, seq))); err != nil {
-		nf.Close()
-		return fmt.Errorf("archive: rotate: %w", err)
-	}
-	a.log = nf
-	a.logBase = seq
 	a.lastSeq = seq
 	a.sinceSnap = 0
+	return nil
+}
+
+// startLog creates log segment seq — the versions after snapshot seq —
+// with its file header, and makes it the append target.
+func (a *Archive) startLog(seq int64) error {
+	f, err := os.OpenFile(filepath.Join(a.dir, logName(seq)), os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
+		return err
+	}
+	if _, err := f.Write(headerFrame(FormRun, seq)); err != nil {
+		f.Close()
+		return err
+	}
+	a.log, a.logBase = f, seq
 	return nil
 }
 
@@ -600,21 +582,6 @@ func (a *Archive) Snapshot(db *database.Database) error {
 	if err := a.writeSnapshot(db); err != nil {
 		a.failed = err
 		return err
-	}
-	return nil
-}
-
-// Sync flushes any pending group-commit batch and fsyncs the log segment
-// to stable storage.
-func (a *Archive) Sync() error {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if err := a.flushLocked(); err != nil {
-		return err
-	}
-	if err := a.syncLog(); err != nil {
-		a.failed = fmt.Errorf("archive: fsync: %w", err)
-		return a.failed
 	}
 	return nil
 }

@@ -7,6 +7,7 @@ import (
 	"funcdb/internal/core"
 	"funcdb/internal/relation"
 	"funcdb/internal/value"
+	"funcdb/internal/wire"
 )
 
 // Log record codec. A log segment holds one record form, FormRun, written
@@ -135,14 +136,20 @@ func commitRecord(c *core.Commit, i int, one *[1]value.Tuple) (Record, int) {
 }
 
 // appendRunFrame appends r's framed FormRun record to dst, encoding the
-// payload in place (openRecord, sealRecord), so a log append builds no
+// payload in place behind wire.BeginFrame, so a log append builds no
 // intermediate slice. It returns the extended buffer and the payload's
 // bytes within it; on error dst comes back unextended.
 func appendRunFrame(dst []byte, r Record) (out, payload []byte, err error) {
-	if out, err = AppendRun(openRecord(dst, FormRun), r); err != nil {
+	out, mark := wire.BeginFrame(dst, FormRun)
+	start := len(out)
+	if out, err = AppendRun(out, r); err != nil {
 		return dst, nil, err
 	}
-	return sealRecord(out, len(dst))
+	end := len(out)
+	if out, err = wire.SealFrame(out, mark, maxRecordLen); err != nil {
+		return dst, nil, fmt.Errorf("archive: record: %w", err)
+	}
+	return out, out[start:end], nil
 }
 
 // RecordAfter hands fn what a subscriber positioned at version after still

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"funcdb/internal/core"
+	"funcdb/internal/metrics"
 	"funcdb/internal/reqtrace"
 	"funcdb/internal/value"
 )
@@ -199,8 +200,9 @@ func TestGroupCommitAdaptiveRecoversFromFailedHintedWrite(t *testing.T) {
 	}
 }
 
-// TestGroupCommitExpectBatchWithoutGroupCommit: the hint is a no-op when
-// group commit is off (every append is already written immediately).
+// TestGroupCommitExpectBatchWithoutGroupCommit: without group commit every
+// Append is a flush of its own, so the hint changes nothing — the hinted
+// batch's one append is on disk when Append returns.
 func TestGroupCommitExpectBatchWithoutGroupCommit(t *testing.T) {
 	dir := t.TempDir()
 	e, a := newEngineWithArchive(t, dir, initialDB("R"))
@@ -234,37 +236,115 @@ func TestGroupCommitVersionAtFlushes(t *testing.T) {
 }
 
 // TestAppendAllocGate: a log append frames its record straight into the
-// batch buffer, so once that buffer has grown a buffered append allocates
-// nothing — with or without a log-tail subscriber, who reads the same
-// bytes.
+// batch buffer and the flush writes it from there, so once that buffer has
+// grown an append allocates nothing — with group commit, and without it,
+// where every Append is a flush of its own — with a log-tail subscriber
+// reading the same bytes. The same commits cost both archives the same
+// Appends and Bytes; without group commit each Append is one flush.
 func TestAppendAllocGate(t *testing.T) {
-	a, err := Create(t.TempDir(), initialDB("R"), GroupCommit(time.Hour), Fsync(false))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer a.Close()
-	var tailed int
-	cancel, err := a.SubscribeTxns(0, func(_, _ int64, _ reqtrace.Ctx, _ byte, payload []byte) { tailed += len(payload) })
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cancel()
-
 	tx := core.Insert("R", value.NewTuple(value.Int(1), value.Str(strings.Repeat("v", 64))))
-	seq := int64(0)
-	appendOne := func() {
-		seq++
-		if err := a.Append(core.NewCommit(seq, tx, core.Response{}, nil)); err != nil {
+	var snaps []metrics.ArchiveSnapshot
+	for _, tc := range []struct {
+		name string
+		opts []Option
+	}{
+		{"group commit", []Option{GroupCommit(time.Hour)}},
+		{"no group commit", nil},
+	} {
+		m := new(metrics.Archive)
+		a, err := Create(t.TempDir(), initialDB("R"), append(tc.opts, Fsync(false), WithMetrics(m))...)
+		if err != nil {
 			t.Fatal(err)
 		}
+		defer a.Close()
+		var tailed int
+		cancel, err := a.SubscribeTxns(0, func(_, _ int64, _ reqtrace.Ctx, _ byte, payload []byte) { tailed += len(payload) })
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer cancel()
+
+		seq := int64(0)
+		appendOne := func() {
+			seq++
+			if err := a.Append(core.NewCommit(seq, tx, core.Response{}, nil)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < 2*maxGroupVersions; i++ { // grow the buffer to its cap and flush it once
+			appendOne()
+		}
+		if allocs := testing.AllocsPerRun(1000, appendOne); allocs > 0 {
+			t.Errorf("%s: Append = %.1f allocs, want 0", tc.name, allocs)
+		}
+		if tailed == 0 {
+			t.Errorf("%s: tail subscriber saw no payload bytes", tc.name)
+		}
+		if err := a.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		snaps = append(snaps, m.Snapshot())
+		if tc.opts == nil && snaps[1].Flushes != seq {
+			t.Errorf("%s: %d flushes for %d appends, want one each", tc.name, snaps[1].Flushes, seq)
+		}
 	}
-	for i := 0; i < 2*maxGroupVersions; i++ { // grow the buffer to its cap and flush it once
-		appendOne()
+	if g, n := snaps[0], snaps[1]; g.Appends != n.Appends || g.Bytes != n.Bytes {
+		t.Errorf("same commits, different accounting: group commit appends=%d bytes=%d, without appends=%d bytes=%d",
+			g.Appends, g.Bytes, n.Appends, n.Bytes)
 	}
-	if allocs := testing.AllocsPerRun(1000, appendOne); allocs > 0 {
-		t.Errorf("buffered Append = %.1f allocs, want 0", allocs)
+}
+
+// TestAppendTracedCommitSpan: a traced commit carries exactly one
+// group-commit-fsync span, recorded by the flush that writes it: Append's
+// own without group commit, and with a window that never fires, none until
+// Flush.
+func TestAppendTracedCommitSpan(t *testing.T) {
+	for _, tc := range []struct {
+		name        string
+		opts        []Option
+		beforeFlush int
+	}{
+		{"no group commit", nil, 1},
+		{"group commit", []Option{GroupCommit(time.Hour)}, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			a, err := Create(t.TempDir(), initialDB("R"), tc.opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer a.Close()
+			rec := reqtrace.New("n", reqtrace.Config{SampleEvery: 1})
+			tx := core.Insert("R", value.NewTuple(value.Int(1), value.Str("v")))
+			tx.Trace = rec.Start()
+			rec.Finish(tx.Trace) // publishes the handle; later spans still attach
+			if err := a.Append(core.NewCommit(1, tx, core.Response{}, nil)); err != nil {
+				t.Fatal(err)
+			}
+			if got := fsyncSpans(t, rec); got != tc.beforeFlush {
+				t.Fatalf("after Append: %d group-commit-fsync spans, want %d", got, tc.beforeFlush)
+			}
+			if err := a.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			if got := fsyncSpans(t, rec); got != 1 {
+				t.Fatalf("after Flush: %d group-commit-fsync spans, want 1", got)
+			}
+		})
 	}
-	if tailed == 0 {
-		t.Error("tail subscriber saw no payload bytes")
+}
+
+// fsyncSpans counts the group-commit-fsync spans of rec's one trace.
+func fsyncSpans(t *testing.T, rec *reqtrace.Recorder) int {
+	t.Helper()
+	traces := rec.Traces()
+	if len(traces) != 1 {
+		t.Fatalf("recorder holds %d traces, want 1", len(traces))
 	}
+	n := 0
+	for _, sp := range traces[0].Spans {
+		if sp.Stage == reqtrace.StageGroupCommitFsync.String() {
+			n++
+		}
+	}
+	return n
 }

@@ -26,8 +26,9 @@ import (
 	"funcdb/internal/wire"
 )
 
-// Records are wire frames (internal/wire): the same bytes, the same CRC,
-// read by the same wire.ReadFrame —
+// Records are wire frames (internal/wire), written by the wire's frame
+// writer (BeginFrame/SealFrame, AppendFrame) and read by wire.ReadFrame —
+// the same bytes, the same CRC —
 //
 //	record := type:uint8 length:uint32le payload crc:uint32le
 //
@@ -59,10 +60,6 @@ const (
 	// maxRecordLen caps a single record's payload (a full snapshot of a
 	// very large database is the biggest record we write).
 	maxRecordLen = 1 << 30
-	// frameHeader is what precedes a record's payload: type + length.
-	frameHeader = 1 + 4
-	// frameOverhead is the framing cost per record: header + CRC.
-	frameOverhead = frameHeader + 4
 )
 
 // ErrCorrupt reports an undecodable archive. A frame cut short by a crash
@@ -70,46 +67,6 @@ const (
 // that first and treat it as the end of the durable stream when it is
 // the final frame.
 var ErrCorrupt = errors.New("archive: corrupt record")
-
-// checkRecordLen rejects payloads the frame format cannot carry (and the
-// reader would refuse), before any bytes hit the disk.
-func checkRecordLen(payload []byte) error {
-	if len(payload) > maxRecordLen {
-		return fmt.Errorf("archive: record of %d bytes exceeds the %d-byte frame limit", len(payload), maxRecordLen)
-	}
-	return nil
-}
-
-// appendRecord appends one framed record to dst. Callers must bound the
-// payload with checkRecordLen first: the length field is 32-bit and the
-// reader refuses frames over maxRecordLen, so an unchecked oversized write
-// would succeed here and brick recovery later.
-func appendRecord(dst []byte, typ byte, payload []byte) []byte {
-	dst = append(dst, typ)
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(payload)))
-	dst = append(dst, payload...)
-	return binary.LittleEndian.AppendUint32(dst, wire.FrameCRC(typ, payload))
-}
-
-// openRecord appends the header of a record whose payload the caller then
-// encodes straight into the buffer, and sealRecord finishes it: framing in
-// place builds no payload slice to copy into the record.
-func openRecord(dst []byte, typ byte) []byte { return append(dst, typ, 0, 0, 0, 0) }
-
-// sealRecord finishes the record openRecord began at offset start of buf,
-// its payload encoded behind the header: it bounds the payload with
-// checkRecordLen, fills in the length field and appends the CRC. It returns
-// the extended buffer and the payload's bytes within it; on error the
-// buffer comes back cut to start.
-func sealRecord(buf []byte, start int) (out, payload []byte, err error) {
-	payload = buf[start+frameHeader:]
-	if err := checkRecordLen(payload); err != nil {
-		return buf[:start], nil, err
-	}
-	binary.LittleEndian.PutUint32(buf[start+1:], uint32(len(payload)))
-	out = binary.LittleEndian.AppendUint32(buf, wire.FrameCRC(buf[start], payload))
-	return out, out[start+frameHeader : len(out)-4], nil
-}
 
 // record is one decoded frame.
 type record struct {
@@ -140,7 +97,7 @@ func (rd *reader) next() (record, error) {
 	case err != nil:
 		return record{}, fmt.Errorf("archive: %w", err)
 	}
-	rd.off += int64(len(payload)) + frameOverhead
+	rd.off += int64(len(payload)) + wire.FrameOverhead
 	return record{typ: typ, payload: payload}, nil
 }
 
@@ -151,6 +108,12 @@ func (rd *reader) next() (record, error) {
 func headerPayload(kind byte, baseSeq int64) []byte {
 	out := append([]byte(magic), formatVersion, kind)
 	return binary.AppendVarint(out, baseSeq)
+}
+
+// headerFrame frames a file header: a dozen bytes, never over the limit.
+func headerFrame(kind byte, baseSeq int64) []byte {
+	out, _ := wire.AppendFrame(nil, recHeader, headerPayload(kind, baseSeq))
+	return out
 }
 
 // decodeHeader validates a header payload and returns the file kind and

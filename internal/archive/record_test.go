@@ -27,6 +27,15 @@ import (
 // recordCRC is the archive records' checksum: the wire's frame CRC.
 var recordCRC = wire.FrameCRC
 
+// appendRecord frames one record as the archive writes it: a wire frame.
+func appendRecord(dst []byte, typ byte, payload []byte) []byte {
+	out, err := wire.AppendFrame(dst, typ, payload)
+	if err != nil {
+		panic(err)
+	}
+	return out
+}
+
 func TestRecordRoundTrip(t *testing.T) {
 	payloads := [][]byte{nil, {}, {1}, bytes.Repeat([]byte{0xAB}, 1000)}
 	var buf []byte
@@ -442,7 +451,7 @@ func FuzzRunRecord(f *testing.F) {
 }
 
 // TestTxnFrameMatchesRecord: framing a record in place writes the bytes
-// appendRecord(AppendRun) writes — one frame format for every record — and
+// wire.AppendFrame(AppendRun) writes — one frame format for every record — and
 // a write with no record form leaves the buffer as it was.
 func TestTxnFrameMatchesRecord(t *testing.T) {
 	for _, typ := range []byte{recHeader, recSnapshot, FormLegacy, FormRun, 0, 255} {

@@ -107,32 +107,21 @@ func (e *Engine) Snapshot() EngineSnapshot {
 type Archive struct {
 	Appends      Counter   // versions (writes) appended to the log
 	Bytes        Counter   // bytes written to the log (records + snapshots)
-	Flushes      Counter   // group-commit window flushes
+	Flushes      Counter   // log writes: one per group-commit flush, or per commit without group commit
 	Snapshots    Counter   // durable snapshots written
-	FlushRecords Histogram // versions per group-commit window (occupancy)
+	FlushRecords Histogram // versions per log write (group-commit occupancy)
 	FsyncLatency Histogram // fsync duration, ns
 	RecoveryNS   Gauge     // duration of the last Open() replay, ns
 }
 
-// Appended records one log append of the given versions and bytes
-// (non-grouped path).
-func (a *Archive) Appended(versions, bytes int) {
-	if a == nil {
-		return
-	}
-	a.Appends.Add(int64(versions))
-	a.Bytes.Add(int64(bytes))
-}
-
-// Buffered records the given versions entering the group-commit window.
+// Buffered records the given versions entering the batch buffer.
 func (a *Archive) Buffered(versions int) {
 	if a != nil {
 		a.Appends.Add(int64(versions))
 	}
 }
 
-// Flushed records one group-commit window flush of recs versions and n
-// bytes.
+// Flushed records one log write of recs versions and n bytes.
 func (a *Archive) Flushed(recs, bytes int) {
 	if a == nil {
 		return
@@ -486,7 +475,7 @@ func (s Snapshot) Format() string {
 			fmt.Fprintf(&b, "  fsync latency:  %s\n", fmtLatency(a.FsyncLatency))
 		}
 		if a.FlushRecords.Count > 0 {
-			fmt.Fprintf(&b, "  window records: %s\n", fmtSizes(a.FlushRecords))
+			fmt.Fprintf(&b, "  versions/write: %s\n", fmtSizes(a.FlushRecords))
 		}
 	}
 	if sv := s.Server; sv != nil {

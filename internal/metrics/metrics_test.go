@@ -174,7 +174,6 @@ func TestNilSafety(t *testing.T) {
 		t.Error("nil engine recorded")
 	}
 	var a *Archive
-	a.Appended(1, 10)
 	a.Buffered(1)
 	a.Flushed(2, 100)
 	a.Fsync(time.Millisecond)

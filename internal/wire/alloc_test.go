@@ -135,7 +135,8 @@ func TestBeginEndFrameMatchesAppendFrame(t *testing.T) {
 // and the buffer comes back exactly as it was before BeginFrame — the
 // caller's batch stays well-formed. (Asserted on the mark arithmetic with
 // a fabricated length rather than a real 64 MiB payload: EndFrame's only
-// size input is len(dst)-mark.)
+// size input is len(dst)-mark.) SealFrame holds a limit of the caller's
+// own the same way, and a payload exactly at it seals and reads back.
 func TestEndFrameOversizeRemovesFrame(t *testing.T) {
 	prefix, err := AppendFrame(nil, FrameRequest, []byte("ok"))
 	if err != nil {
@@ -150,6 +151,27 @@ func TestEndFrameOversizeRemovesFrame(t *testing.T) {
 	}
 	if len(buf) != n {
 		t.Fatalf("oversize EndFrame left %d bytes, want the %d-byte prefix", len(buf), n)
+	}
+
+	const limit = 16
+	buf, mark = BeginFrame(prefix, FrameRequest)
+	buf = append(buf, make([]byte, limit+1)...)
+	buf, err = SealFrame(buf, mark, limit)
+	if !errors.Is(err, ErrTooLarge) {
+		t.Fatalf("SealFrame one byte over its limit: err = %v, want ErrTooLarge", err)
+	}
+	if !bytes.Equal(buf, prefix) {
+		t.Fatalf("oversize SealFrame left %x, want the prefix %x", buf, prefix)
+	}
+	payload := bytes.Repeat([]byte{0x5A}, limit)
+	buf, mark = BeginFrame(prefix, FrameRequest)
+	buf = append(buf, payload...)
+	if buf, err = SealFrame(buf, mark, limit); err != nil {
+		t.Fatalf("SealFrame at its limit: %v", err)
+	}
+	typ, got, err := ReadFrame(bytes.NewReader(buf[n:]), limit)
+	if err != nil || typ != FrameRequest || !bytes.Equal(got, payload) {
+		t.Fatalf("ReadFrame under the limit = type %#x, %x, %v; want %#x, %x", typ, got, err, FrameRequest, payload)
 	}
 }
 

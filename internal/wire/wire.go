@@ -2,9 +2,10 @@
 // fdbserver and cluster peers: the session layer's statement/response
 // stream, and the replication log, given a byte encoding.
 //
-// Every frame has the archive's record layout — the archive reads its
-// files with ReadFrame — so one discipline survives both torn writes and
-// corrupt links:
+// Every frame has the archive's record layout — the archive writes its
+// files with BeginFrame/SealFrame and AppendFrame and reads them with
+// ReadFrame — so one discipline survives both torn writes and corrupt
+// links:
 //
 //	frame := type:uint8 length:uint32le payload crc:uint32le
 //
@@ -59,7 +60,7 @@ import (
 )
 
 // Frame types. Values deliberately do not overlap the archive's record
-// types (1–3): a frame stream fed to an archive reader (or vice versa)
+// types (1–4): a frame stream fed to an archive reader (or vice versa)
 // fails fast on type, not just CRC. 0x12, 0x13, 0x18, 0x21, 0x22, 0x23,
 // 0x24, 0x25, 0x27 and 0x28 belonged to retired protocol revisions and are
 // never sent.
@@ -177,8 +178,8 @@ const (
 	// batch or scan response, small enough to bound what a corrupt
 	// length field can make a peer allocate.
 	MaxFrameLen = 1 << 26 // 64 MiB
-	// frameOverhead is the framing cost per frame: type + length + CRC.
-	frameOverhead = 1 + 4 + 4
+	// FrameOverhead is the framing cost per frame: type + length + CRC.
+	FrameOverhead = 1 + 4 + 4
 )
 
 // ErrCorrupt reports an undecodable frame or payload.
@@ -209,8 +210,7 @@ var typCRCSeed = func() (seeds [256]uint32) {
 
 // FrameCRC computes the frame checksum over the type byte and payload
 // against the IEEE table directly — no digest object, no temporary
-// []byte{typ}, nothing the steady state has to allocate. The archive
-// seals its records with it.
+// []byte{typ}, nothing the steady state has to allocate.
 func FrameCRC(typ byte, payload []byte) uint32 {
 	return crc32.Update(typCRCSeed[typ], crc32.IEEETable, payload)
 }
@@ -229,23 +229,29 @@ func AppendFrame(dst []byte, typ byte, payload []byte) ([]byte, error) {
 // BeginFrame opens a frame in dst: the type byte and a length placeholder
 // are appended, and the caller then appends the payload bytes directly —
 // no staging buffer, no payload copy. The returned mark is the frame's
-// offset in dst; seal it with EndFrame(dst, mark). Frames nest head to
-// tail: a caller may Begin/End several frames in one buffer and hand the
-// whole batch to a single Write.
+// offset in dst; seal it with EndFrame(dst, mark), or with SealFrame under
+// a limit of the caller's own. Frames nest head to tail: a caller may
+// Begin/End several frames in one buffer and hand the whole batch to a
+// single Write.
 func BeginFrame(dst []byte, typ byte) ([]byte, int) {
 	mark := len(dst)
 	dst = append(dst, typ, 0, 0, 0, 0)
 	return dst, mark
 }
 
-// EndFrame seals a frame opened by BeginFrame: everything appended to dst
-// since is the payload. The length field is patched in place and the CRC
-// appended. On error (payload over MaxFrameLen) the frame is removed from
-// dst — the returned slice is the buffer exactly as it was before
-// BeginFrame, so the caller's batch stays well-formed.
-func EndFrame(dst []byte, mark int) ([]byte, error) {
-	payload := dst[mark+frameOverhead-4:]
-	if len(payload) > MaxFrameLen {
+// EndFrame seals a frame opened by BeginFrame under the wire's limit:
+// SealFrame(dst, mark, MaxFrameLen).
+func EndFrame(dst []byte, mark int) ([]byte, error) { return SealFrame(dst, mark, MaxFrameLen) }
+
+// SealFrame seals a frame opened by BeginFrame: everything appended to dst
+// since is the payload, of at most limit bytes (the archive passes its own
+// record limit, as it does to ReadFrame). The length field is patched in
+// place and the CRC appended. On error (payload over limit) the frame is
+// removed from dst — the returned slice is the buffer exactly as it was
+// before BeginFrame, so the caller's batch stays well-formed.
+func SealFrame(dst []byte, mark, limit int) ([]byte, error) {
+	payload := dst[mark+FrameOverhead-4:]
+	if len(payload) > limit {
 		return dst[:mark], fmt.Errorf("%w: %d bytes", ErrTooLarge, len(payload))
 	}
 	binary.LittleEndian.PutUint32(dst[mark+1:], uint32(len(payload)))
