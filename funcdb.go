@@ -665,10 +665,12 @@ func (s *Store) Snapshot() error {
 // without an archive there is nothing to ship). Each record comes with the
 // versions first … last it covers and its form; each live record with the
 // trace context of the commit that wrote it, replayed history with the
-// zero context. The callback runs on the commit path under the archive
-// mutex: hand the record off (copy it; the slice is reused), never block or
-// call back into the store. Decode records with the archive's record codec;
-// cancel unregisters.
+// zero context. A subscriber below the oldest retained log segment is sent
+// that segment's base snapshot first, in pieces (see
+// archive.Archive.SubscribeTxns). The callback runs on the commit path
+// under the archive mutex: hand the record off (copy it; the slice is
+// reused), never block or call back into the store. Decode records with
+// the archive's record codec; cancel unregisters.
 func (s *Store) SubscribeLog(after int64, fn func(first, last int64, ctx TraceCtx, form byte, record []byte)) (cancel func(), err error) {
 	if s.archive == nil {
 		return nil, fmt.Errorf("funcdb: store has no archive to subscribe to (open with WithDurability)")

@@ -22,13 +22,12 @@ var ErrNoArchive = errors.New("archive: no archive in directory")
 // ErrExists reports creating an archive where one is already present.
 var ErrExists = errors.New("archive: archive already present")
 
-// ErrLogTrimmed reports a subscription starting below the retained log:
-// the records the subscriber needs no longer exist in record form, so
-// retrying cannot help — the subscriber must bootstrap from a snapshot
-// (the ROADMAP's elastic-membership item) or rewind to a retained
-// position. The sentinel crosses the wire by message text, which is why
-// the text is stable.
-var ErrLogTrimmed = errors.New("archive: subscribe predates the retained log")
+// ErrLogTrimmed reports a subscription starting below the retained log
+// whose oldest segment's base snapshot is missing or unreadable: nothing
+// the archive still holds can bring the subscriber up to its log, so
+// retrying cannot help. The sentinel crosses the wire by message text,
+// which is why the text is stable.
+var ErrLogTrimmed = errors.New("archive: no readable snapshot at the retained log's base")
 
 // config collects archive options.
 type config struct {
@@ -422,11 +421,14 @@ func (a *Archive) Observer() core.CommitObserver {
 // versions first … last it covers (one for a single write, a run's for an
 // insert run), the trace context of the commit that wrote it, its form and
 // its payload bytes (decode with DecodeRecord or a Decoder; do not mutate or
-// retain the slice past the call). A live record carries its commit's
-// context; a record replayed from disk carries the zero context, since
-// contexts are not archived. It runs under the archive mutex — on the
-// commit path — so it must only hand the record off (e.g. enqueue a copy),
-// never block or call back into the archive.
+// retain the slice past the call). A snapshot is instead the whole database
+// at version last (first == last): the payloads of any FormSnapshotPart
+// records and the FormSnapshot record that ends them, joined, decode with
+// database.DecodeSnapshot. A live record carries its commit's context; a
+// record read from disk carries the zero context, since contexts are not
+// archived. It runs under the archive mutex — on the commit path — so it
+// must only hand the record off (e.g. enqueue a copy), never block or call
+// back into the archive.
 type TailFunc func(first, last int64, ctx reqtrace.Ctx, form byte, payload []byte)
 
 // SubscribeTxns streams the committed log: every version after after, one
@@ -436,20 +438,37 @@ type TailFunc func(first, last int64, ctx reqtrace.Ctx, form byte, payload []byt
 // primary side of cluster log shipping: the archive's durability log is
 // the replication stream.
 //
-// Catch-up reads the log segments on disk, so after must be at or beyond
-// the base of the oldest retained segment (compaction can remove earlier
-// history; a subscriber that far behind needs a snapshot bootstrap, which
-// this API deliberately does not hide). Custom transactions have no
-// record form — they force snapshots instead — so they never appear in
-// the stream; a subscriber tracking contiguous versions detects the gap
-// and must resynchronize. Replayed records are handed out as the bytes the
-// segment holds, legacy ones included, checked for form and versions but
-// not decoded — except a run that after falls inside, whose remaining
-// versions are re-encoded as a run of their own (RecordAfter).
+// Catch-up reads the files on disk. A subscriber at or beyond the base of
+// the oldest retained segment is handed the records after after. One below
+// it — behind a compaction, or an archive that starts at a promotion base —
+// is first handed that base's snapshot — the snapshot file's checked
+// payload, cut into pieces of at most snapshotPiece bytes: FormSnapshotPart
+// records, then a FormSnapshot one — and then the log after the base;
+// without a readable snapshot there the subscription fails with
+// ErrLogTrimmed. Custom transactions have no record form — they force
+// snapshots instead — so they never appear in the stream; a subscriber
+// tracking contiguous versions detects the gap and must resynchronize.
+// Replayed records are handed out as the bytes the files hold, legacy ones
+// included, checked for form and versions but not decoded — except a run
+// that after falls inside, whose remaining versions are re-encoded as a
+// run of their own (recordAfter). A log record larger than one wire
+// LogRecord frame can carry fails the subscription with an error wrapping
+// wire.ErrTooLarge. A failed subscription registers nothing, and the
+// records it handed out before failing belong to no stream.
 //
 // cancel unregisters the subscription; it is safe to call more than once
 // and after Close.
 func (a *Archive) SubscribeTxns(after int64, fn TailFunc) (cancel func(), err error) {
+	return a.subscribe(after, wire.MaxLogRecord, fn)
+}
+
+// snapshotPiece is the most of a snapshot one catch-up record carries: a
+// stream never holds a frame larger than it, whatever the snapshot's size.
+const snapshotPiece = 64 << 10
+
+// subscribe is SubscribeTxns with the largest catch-up record it may hand
+// out as an argument; snapshot pieces are cut to fit it too.
+func (a *Archive) subscribe(after int64, limit int, fn TailFunc) (cancel func(), err error) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	if a.failed != nil {
@@ -458,25 +477,35 @@ func (a *Archive) SubscribeTxns(after int64, fn TailFunc) (cancel func(), err er
 	if err := a.flushLocked(); err != nil {
 		return nil, err
 	}
-	// Replay the durable history behind the tail. Segment bases are
-	// snapshot sequences: every record with seq > logs[0] lives in some
-	// retained segment, so the oldest base bounds how far back a
-	// subscriber may start.
+	// Segment bases are snapshot sequences: every record with seq >
+	// logs[0] lives in some retained segment, and snap-<logs[0]> stands in
+	// for everything up to it.
 	st, err := scanDir(a.dir)
 	if err != nil {
 		return nil, err
 	}
-	if len(st.logs) == 0 || after < st.logs[0] {
-		oldest := int64(-1)
-		if len(st.logs) > 0 {
-			oldest = st.logs[0]
+	if len(st.logs) == 0 {
+		return nil, fmt.Errorf("%w: %s has no log segment", ErrNoArchive, a.dir)
+	}
+	if base := st.logs[0]; after < base {
+		snap, err := snapshotPayload(a.dir, base)
+		if err != nil {
+			return nil, fmt.Errorf("%w: after %d, oldest segment base %d: %w", ErrLogTrimmed, after, base, err)
 		}
-		return nil, fmt.Errorf("%w: after %d (oldest segment base %d)", ErrLogTrimmed, after, oldest)
+		for piece := min(limit, snapshotPiece); len(snap) > piece; snap = snap[piece:] {
+			fn(base, base, reqtrace.Ctx{}, FormSnapshotPart, snap[:piece])
+		}
+		fn(base, base, reqtrace.Ctx{}, FormSnapshot, snap)
+		after = base
 	}
 	for _, seg := range st.logs {
 		_, err := scanLog(a.dir, seg, func(first, last int64, form byte, payload []byte) error {
-			return RecordAfter(after, first, last, form, payload, func(first int64, form byte, payload []byte) {
+			return recordAfter(after, first, last, form, payload, func(first int64, form byte, payload []byte) error {
+				if len(payload) > limit {
+					return fmt.Errorf("archive: catch-up record of versions %d..%d is %d bytes, over %d: %w", first, last, len(payload), limit, wire.ErrTooLarge)
+				}
 				fn(first, last, reqtrace.Ctx{}, form, payload)
+				return nil
 			})
 		})
 		if err != nil {
@@ -502,7 +531,7 @@ func (a *Archive) SubscribeTxns(after int64, fn TailFunc) (cancel func(), err er
 // leaves the previous snapshot + log pair authoritative.
 func (a *Archive) writeSnapshot(db *database.Database) error {
 	seq := db.Version()
-	buf, mark := wire.BeginFrame(headerFrame(recSnapshot, seq), recSnapshot)
+	buf, mark := wire.BeginFrame(headerFrame(FormSnapshot, seq), FormSnapshot)
 	buf, err := database.AppendSnapshot(buf, db)
 	if err != nil {
 		return err

@@ -152,18 +152,17 @@ func appendRunFrame(dst []byte, r Record) (out, payload []byte, err error) {
 	return out, out[start:end], nil
 }
 
-// RecordAfter hands fn what a subscriber positioned at version after still
+// recordAfter hands fn what a subscriber positioned at version after still
 // needs of the log record covering versions first … last: nothing when the
 // record ends by after, the record as it is when it starts past after, and
 // otherwise the versions after after, re-encoded as a FormRun run of their
 // own.
-func RecordAfter(after, first, last int64, form byte, payload []byte, fn func(first int64, form byte, payload []byte)) error {
+func recordAfter(after, first, last int64, form byte, payload []byte, fn func(first int64, form byte, payload []byte) error) error {
 	switch {
 	case last <= after:
 		return nil
 	case first > after:
-		fn(first, form, payload)
-		return nil
+		return fn(first, form, payload)
 	}
 	r, err := DecodeRecord(form, payload)
 	if err != nil {
@@ -175,8 +174,7 @@ func RecordAfter(after, first, last int64, form byte, payload []byte, fn func(fi
 	if err != nil {
 		return err
 	}
-	fn(after+1, FormRun, suffix)
-	return nil
+	return fn(after+1, FormRun, suffix)
 }
 
 // DecodeRecord decodes one log record of either form. Trailing bytes beyond

@@ -40,8 +40,10 @@ const (
 	// recHeader opens every archive file: magic, format version, and the
 	// base sequence number of the file.
 	recHeader byte = 1
-	// recSnapshot carries one full database version (snapshot files).
-	recSnapshot byte = 2
+	// FormSnapshot carries one full database version: a snapshot file's
+	// record, and the end of the snapshot that starts a log subscription
+	// below the oldest retained segment (SubscribeTxns).
+	FormSnapshot byte = 2
 	// FormLegacy carries one committed transaction and its source text. It
 	// is read-only: segments written before FormRun hold it, and only
 	// decodeLegacy reads it.
@@ -49,6 +51,9 @@ const (
 	// FormRun carries one run of consecutive versions of one relation, in
 	// structural form only (encode.go). Every log record written is one.
 	FormRun byte = 4
+	// FormSnapshotPart carries a leading piece of a subscription's
+	// snapshot, which a FormSnapshot record ends; no file holds one.
+	FormSnapshotPart byte = 5
 )
 
 const (
@@ -102,7 +107,7 @@ func (rd *reader) next() (record, error) {
 }
 
 // headerPayload encodes a file header: magic, format version, file kind
-// (recSnapshot, or a log form: FormRun for segments written now, FormLegacy
+// (FormSnapshot, or a log form: FormRun for segments written now, FormLegacy
 // for earlier ones, which FormRun records may follow once such an archive
 // reopens), and its base sequence number.
 func headerPayload(kind byte, baseSeq int64) []byte {

@@ -454,7 +454,7 @@ func FuzzRunRecord(f *testing.F) {
 // wire.AppendFrame(AppendRun) writes — one frame format for every record — and
 // a write with no record form leaves the buffer as it was.
 func TestTxnFrameMatchesRecord(t *testing.T) {
-	for _, typ := range []byte{recHeader, recSnapshot, FormLegacy, FormRun, 0, 255} {
+	for _, typ := range []byte{recHeader, FormSnapshot, FormLegacy, FormRun, 0, 255} {
 		body := []byte("payload bytes")
 		if got, want := recordCRC(typ, body), crc32.ChecksumIEEE(append([]byte{typ}, body...)); got != want {
 			t.Fatalf("recordCRC(%d) = %08x, IEEE over type+payload = %08x", typ, got, want)

@@ -58,6 +58,23 @@ func scanDir(dir string) (dirState, error) {
 
 // readSnapshot loads and decodes the snapshot file based at seq.
 func readSnapshot(dir string, seq int64) (*database.Database, error) {
+	payload, err := snapshotPayload(dir, seq)
+	if err != nil {
+		return nil, err
+	}
+	db, err := database.DecodeSnapshot(payload)
+	if err != nil {
+		return nil, fmt.Errorf("snapshot %d: %w", seq, err)
+	}
+	if db.Version() != seq {
+		return nil, fmt.Errorf("%w: snapshot %d claims version %d", ErrCorrupt, seq, db.Version())
+	}
+	return db, nil
+}
+
+// snapshotPayload reads the snapshot file based at seq and returns its
+// record's payload, checked by the frame CRC but not decoded.
+func snapshotPayload(dir string, seq int64) ([]byte, error) {
 	f, err := os.Open(filepath.Join(dir, snapName(seq)))
 	if err != nil {
 		return nil, fmt.Errorf("archive: %w", err)
@@ -75,24 +92,17 @@ func readSnapshot(dir string, seq int64) (*database.Database, error) {
 	if err != nil {
 		return nil, fmt.Errorf("snapshot %d: %w", seq, err)
 	}
-	if kind != recSnapshot || base != seq {
+	if kind != FormSnapshot || base != seq {
 		return nil, fmt.Errorf("%w: snapshot %d: header names %d/%d", ErrCorrupt, seq, kind, base)
 	}
 	rec, err := rd.next()
 	if err != nil {
 		return nil, fmt.Errorf("snapshot %d: %w", seq, err)
 	}
-	if rec.typ != recSnapshot {
+	if rec.typ != FormSnapshot {
 		return nil, fmt.Errorf("%w: snapshot %d: unexpected record type %d", ErrCorrupt, seq, rec.typ)
 	}
-	db, err := database.DecodeSnapshot(rec.payload)
-	if err != nil {
-		return nil, fmt.Errorf("snapshot %d: %w", seq, err)
-	}
-	if db.Version() != seq {
-		return nil, fmt.Errorf("%w: snapshot %d claims version %d", ErrCorrupt, seq, db.Version())
-	}
-	return db, nil
+	return rec.payload, nil
 }
 
 // logScan is what reading one log segment's frames found.

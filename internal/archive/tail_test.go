@@ -2,14 +2,19 @@ package archive
 
 import (
 	"bytes"
+	"errors"
+	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 	"time"
 
 	"funcdb/internal/core"
+	"funcdb/internal/database"
 	"funcdb/internal/reqtrace"
 	"funcdb/internal/trace"
 	"funcdb/internal/value"
+	"funcdb/internal/wire"
 )
 
 // tailCollector accumulates subscription records under a lock (TailFunc
@@ -178,11 +183,11 @@ func TestSubscribeTxnsReplayRebuildsState(t *testing.T) {
 	}
 }
 
-// TestSubscribeTxnsRefusesCompactedHistory: a subscription starting
-// before the oldest retained segment must fail loudly, not stream a
-// silently incomplete history.
-func TestSubscribeTxnsRefusesCompactedHistory(t *testing.T) {
-	dir := t.TempDir()
+// compacted writes 20 inserts with a snapshot every 5 into dir, compacts
+// it — leaving snap-20 and log-20 — and reopens it with one more insert
+// behind the snapshot. It returns the reopened archive and its version.
+func compacted(t *testing.T, dir string) (*Archive, *database.Database) {
+	t.Helper()
 	e, a := newEngineWithArchive(t, dir, initialDB("R"), SnapshotEvery(5))
 	for i := 0; i < 20; i++ {
 		e.Submit(core.Insert("R", value.NewTuple(value.Int(int64(i)), value.Str("v"))))
@@ -194,15 +199,146 @@ func TestSubscribeTxnsRefusesCompactedHistory(t *testing.T) {
 	if _, err := Compact(dir); err != nil {
 		t.Fatal(err)
 	}
-	a2, _, err := Open(dir)
+	a, db, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer a2.Close()
+	t.Cleanup(func() { a.Close() })
+	e = core.NewEngine(db, core.WithCommitObserver(a.Observer()))
+	e.Submit(core.Insert("R", value.NewTuple(value.Int(20), value.Str("v"))))
+	e.Barrier()
+	return a, e.Current()
+}
+
+// TestSubscribeTxnsCatchesUpFromSnapshot: a subscription starting below
+// the oldest retained segment is handed that segment's base snapshot — the
+// snapshot file's payload, not re-encoded — and then the log after it, and
+// the two rebuild the archive's current version.
+func TestSubscribeTxnsCatchesUpFromSnapshot(t *testing.T) {
+	dir := t.TempDir()
+	a, want := compacted(t, dir)
+	got, mu, cancel := collect(t, a, 3)
+	defer cancel()
+	mu.Lock()
+	defer mu.Unlock()
+	snap, rec := got[20], got[21]
+	if len(got) != 2 || snap.form != FormSnapshot || snap.last != 20 || rec.form != FormRun || rec.last != 21 {
+		t.Fatalf("catch-up from 3 handed out %d records; want the snapshot at 20, then the record of 21", len(got))
+	}
+	if file, err := snapshotPayload(dir, 20); err != nil || !bytes.Equal(snap.payload, file) {
+		t.Fatalf("the snapshot handed out is not snap-20's payload (%v)", err)
+	}
+	db, err := database.DecodeSnapshot(snap.payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := DecodeRecord(rec.form, rec.payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if db, err = Replay(db, &r); err != nil || !db.Equal(want) || db.Version() != want.Version() {
+		t.Fatalf("snapshot + log rebuilt version %d (%v), want %d", db.Version(), err, want.Version())
+	}
+}
+
+// TestSubscribeTxnsRefusesCompactedHistory: a subscription starting
+// before the oldest retained segment, whose base snapshot is gone, must
+// fail loudly with ErrLogTrimmed, not stream a silently incomplete
+// history; one at the segment's base still streams the log.
+func TestSubscribeTxnsRefusesCompactedHistory(t *testing.T) {
+	dir := t.TempDir()
+	a, _ := compacted(t, dir)
+	if err := os.Remove(filepath.Join(dir, snapName(20))); err != nil {
+		t.Fatal(err)
+	}
 	var col tailCollector
-	if cancel, err := a2.SubscribeTxns(0, col.fn); err == nil {
-		cancel()
-		t.Fatal("subscription from 0 succeeded over compacted history")
+	if cancel, err := a.SubscribeTxns(0, col.fn); !errors.Is(err, ErrLogTrimmed) {
+		if err == nil {
+			cancel()
+		}
+		t.Fatalf("subscription from 0 over compacted history without its snapshot: %v, want ErrLogTrimmed", err)
+	}
+	cancel, err := a.SubscribeTxns(20, col.fn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cancel()
+	if got := col.snapshot(); len(got) != 1 || got[0] != 21 {
+		t.Fatalf("subscription from the base delivered %v, want [21]", got)
+	}
+}
+
+// TestSubscribeTxnsSendsSnapshotInPieces: a snapshot larger than the
+// limit is handed out in pieces no larger than it — FormSnapshotPart ones,
+// then a FormSnapshot one — that join to the snapshot file's payload, and
+// the log after the base follows them.
+func TestSubscribeTxnsSendsSnapshotInPieces(t *testing.T) {
+	a, _ := compacted(t, t.TempDir())
+	snap, err := snapshotPayload(a.Dir(), 20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	limit := len(snap)/3 + 1 // three pieces
+	var forms []byte
+	var joined []byte
+	var col tailCollector
+	cancel, err := a.subscribe(0, limit, func(first, last int64, ctx reqtrace.Ctx, form byte, payload []byte) {
+		if form == FormRun {
+			col.fn(first, last, ctx, form, payload)
+			return
+		}
+		if first != 20 || last != 20 || len(payload) > limit {
+			t.Errorf("snapshot piece of versions %d..%d, %d bytes; want 20..20, at most %d", first, last, len(payload), limit)
+		}
+		forms = append(forms, form)
+		joined = append(joined, payload...)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cancel()
+	if want := []byte{FormSnapshotPart, FormSnapshotPart, FormSnapshot}; !bytes.Equal(forms, want) || !bytes.Equal(joined, snap) {
+		t.Fatalf("a %d-byte snapshot went out as forms %v joining to %d bytes; want forms %v joining to snap-20's payload", len(snap), forms, len(joined), want)
+	}
+	if got := col.snapshot(); len(got) != 1 || got[0] != 21 {
+		t.Fatalf("after the snapshot: log versions %v, want [21]", got)
+	}
+}
+
+// TestSubscribeTxnsRefusesOversizedCatchUp: a catch-up log record larger
+// than the limit — the largest record one wire frame carries — fails the
+// subscription with an error wrapping wire.ErrTooLarge, and registers
+// nothing; within the limit the same catch-up streams.
+func TestSubscribeTxnsRefusesOversizedCatchUp(t *testing.T) {
+	a, _ := compacted(t, t.TempDir())
+	got, mu, cancel := collect(t, a, 20)
+	cancel()
+	mu.Lock()
+	size := len(got[21].payload)
+	mu.Unlock()
+	discard := func(int64, int64, reqtrace.Ctx, byte, []byte) {}
+	for _, after := range []int64{0, 20} {
+		if cancel, err := a.subscribe(after, size-1, discard); !errors.Is(err, wire.ErrTooLarge) || errors.Is(err, ErrLogTrimmed) {
+			if err == nil {
+				cancel()
+			}
+			t.Fatalf("catch-up from %d over a %d-byte record with a limit one byte short: %v, want wire.ErrTooLarge", after, size, err)
+		}
+	}
+	a.mu.Lock()
+	subs := len(a.tails)
+	a.mu.Unlock()
+	if subs != 0 {
+		t.Fatalf("a refused subscription left %d registered", subs)
+	}
+	var col tailCollector
+	cancel, err := a.subscribe(20, size, col.fn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cancel()
+	if got := col.snapshot(); len(got) != 1 || got[0] != 21 {
+		t.Fatalf("catch-up within the limit delivered log versions %v, want [21]", got)
 	}
 }
 

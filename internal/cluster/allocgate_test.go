@@ -30,17 +30,14 @@ func benchRecord(t testing.TB, n int) []byte {
 	return raw
 }
 
-// benchMirror is a mirror of a 2 000-row relation R, keeping its tail as on
-// every failover cluster.
+// benchMirror is a mirror of a 2 000-row relation R.
 func benchMirror() *mirror {
 	const rows = 2000
 	tuples := make([]value.Tuple, rows)
 	for i := range tuples {
 		tuples[i] = value.NewTuple(value.Int(int64(i)), value.Str("v"))
 	}
-	m := newMirror(1, database.FromData(FreshRep, []string{"R"}, map[string][]value.Tuple{"R": tuples}))
-	m.keepTail = true
-	return m
+	return newMirror(1, database.FromData(FreshRep, []string{"R"}, map[string][]value.Tuple{"R": tuples}))
 }
 
 // pagesOf counts the pages replaying insert record r onto the mirror's
@@ -61,11 +58,11 @@ func pagesOf(m *mirror, r *archive.Record) float64 {
 
 // TestMirrorApplyAllocGate: applying one shipped insert to a mirror pays
 // for the pages its path copy creates plus a fixed handful per record (the
-// database version it publishes) and one copy of the record's bytes for
-// the retained tail, with keepTail on as on every failover cluster.
-// Measured: 6 allocations for the 3 pages a 2 000-row relation is deep (17
-// for 11 nodes when mirrors held AVL trees). A 500-version run record — decoded as the stream loop decodes
-// it, and replayed as one run — pays its decoded tuples and little else:
+// database version it publishes), and keeps no copy of the record's bytes.
+// Measured: 5 allocations for the 3 pages a 2 000-row relation is deep (17
+// for 11 nodes when mirrors held AVL trees). A 500-version run record —
+// decoded as the stream loop decodes it, and replayed as one run — pays
+// its decoded tuples and little else:
 // measured, 2.1 allocations per version beyond its pages, where applying
 // the same versions one record each cost 8.2. Every apply upserts keys
 // the relation holds, so each creates the same pages, counted once outside
@@ -82,11 +79,10 @@ func TestMirrorApplyAllocGate(t *testing.T) {
 	}
 	apply := func() {
 		r.First = m.version() + 1
-		if err := m.apply(&r, archive.FormRun, raw); err != nil {
+		if err := m.apply(&r); err != nil {
 			t.Fatal(err)
 		}
 	}
-	apply() // the tail slice's first growth steps
 	const runs = 500
 	pages := pagesOf(m, &r)
 	allocs := testing.AllocsPerRun(runs, apply)
@@ -94,13 +90,8 @@ func TestMirrorApplyAllocGate(t *testing.T) {
 	if allocs > pages+8 {
 		t.Errorf("mirror.apply = %.1f allocs with %.1f pages created, want <= pages+8", allocs, pages)
 	}
-	_, tail := m.freeze()
-	m.keepTail = false
-	if bare := testing.AllocsPerRun(runs, apply); allocs > bare+1 {
-		t.Errorf("retaining the tail costs %.1f allocs per record (%.1f with, %.1f without), want <= 1", allocs-bare, allocs, bare)
-	}
-	if want := int64(runs + 2); m.version() != 2*runs+3 || tail.end() != want || string(tail.recs[len(tail.recs)-1].raw) != string(raw) {
-		t.Fatalf("mirror at %d, retained tail ends at %d (want %d) or does not hold the record bytes", m.version(), tail.end(), want)
+	if m.version() != runs+1 {
+		t.Fatalf("mirror at %d after %d applies", m.version(), runs+1)
 	}
 
 	m = benchMirror()
@@ -113,7 +104,7 @@ func TestMirrorApplyAllocGate(t *testing.T) {
 			t.Fatal(err)
 		}
 		r.First = m.version() + 1
-		if err := m.apply(&r, archive.FormRun, run); err != nil {
+		if err := m.apply(&r); err != nil {
 			t.Fatal(err)
 		}
 	}

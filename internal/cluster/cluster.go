@@ -200,7 +200,6 @@ func New(cfg Config) (*Node, error) {
 		}
 		n.peers[i] = &peer{origin: n.origin, addr: addr, cm: n.m, dialFn: n.dial}
 		n.mirrors[i] = newMirror(i, database.New(FreshRep, OwnedRelations(cfg.Relations, i, len(n.addrs))...))
-		n.mirrors[i].keepTail = cfg.Failover != nil
 	}
 	var fc FailoverConfig // static: no lease, no ack gate
 	if cfg.Failover != nil {

@@ -8,7 +8,6 @@ import (
 	"sync"
 	"time"
 
-	"funcdb/internal/archive"
 	"funcdb/internal/core"
 	"funcdb/internal/database"
 	"funcdb/internal/reqtrace"
@@ -64,10 +63,6 @@ type FailoverConfig struct {
 const (
 	defaultHeartbeat    = 250 * time.Millisecond
 	defaultSyncReplicas = 1
-	// failoverTailCap bounds, in versions, the per-mirror tail of raw
-	// records kept for post-promotion catch-up of subscribers that are
-	// behind the takeover store's log floor.
-	failoverTailCap = 65536
 )
 
 func (c FailoverConfig) withDefaults(clusterSize int) FailoverConfig {
@@ -94,45 +89,6 @@ func (c FailoverConfig) withDefaults(clusterSize int) FailoverConfig {
 // placement and retry against the current owner.
 var ErrFenced = errors.New("cluster: fenced")
 
-// tailRecord is one retained log record: the versions it covers, its form
-// and its bytes.
-type tailRecord struct {
-	first, last int64
-	form        byte
-	raw         []byte
-}
-
-// recordTail is a run of raw log records keyed by the versions they cover:
-// versions (from, end()] in slot order. A mirror keeps one while it
-// applies, and freezes it at promotion, ending at the promotion base: the
-// takeover store's archive floor is the base, so a subscriber starting
-// below it is bridged from here.
-type recordTail struct {
-	from int64
-	recs []tailRecord
-}
-
-func (t *recordTail) end() int64 {
-	if len(t.recs) == 0 {
-		return t.from
-	}
-	return t.recs[len(t.recs)-1].last
-}
-
-// push retains one more record, dropping the oldest while the tail covers
-// more than failoverTailCap versions.
-func (t *recordTail) push(r tailRecord) {
-	if len(t.recs) == 0 {
-		t.from = r.first - 1
-	}
-	t.recs = append(t.recs, r)
-	for len(t.recs) > 1 && t.end()-t.from > failoverTailCap {
-		t.from = t.recs[0].last
-		t.recs[0] = tailRecord{}
-		t.recs = t.recs[1:]
-	}
-}
-
 // slotTable is one node's view of who serves each slot. All vector state
 // is per slot and guarded by mu; cond broadcasts on every state change and
 // every heartbeat tick, which is what wakes the write-ack gate.
@@ -158,7 +114,6 @@ type slotTable struct {
 	haveView []bool
 
 	takeovers map[int]LocalStore
-	tails     map[int]*recordTail
 	subs      map[int]map[int]int64 // slot → subscriber node → acked seq
 }
 
@@ -179,7 +134,6 @@ func newSlotTable(n *Node, cfg FailoverConfig) *slotTable {
 		views:     make([]wire.Heartbeat, size),
 		haveView:  make([]bool, size),
 		takeovers: make(map[int]LocalStore),
-		tails:     make(map[int]*recordTail),
 		subs:      make(map[int]map[int]int64),
 		serving:   !probation,
 		probation: probation,
@@ -338,7 +292,6 @@ func (tab *slotTable) adoptLocked(s int, epoch uint64, owner int, base int64) {
 	// A slot we had promoted was claimed by a higher epoch elsewhere:
 	// stop serving it (the store stays open until node Close).
 	delete(tab.takeovers, s)
-	delete(tab.tails, s)
 }
 
 // resolveProbationLocked ends the fresh-boot probation once a majority
@@ -491,16 +444,16 @@ func (tab *slotTable) maybePromote() {
 }
 
 // promoteLocked turns this node into slot s's serving owner: bump the
-// epoch, and take the mirror's version together with its record tail —
-// the version becomes the takeover store's initial one (its log floor is
-// the promotion base), and the tail, which ends at that base, lets
-// subscribers below the floor still catch up. Both are taken before the
-// takeover store is built, so a record the stream applies meanwhile lands
-// in neither. Runs under tab.mu: promotion is rare and must be atomic
-// against routing.
+// epoch, and take the mirror's version as the takeover store's initial one.
+// The store's archive starts with that version's snapshot and its log
+// floor is the promotion base, so a subscriber below the base catches up
+// from the snapshot. The version is taken before the takeover store is
+// built, so a record the stream applies meanwhile does not reach the
+// store. Runs under tab.mu: promotion is rare and must be atomic against
+// routing.
 func (tab *slotTable) promoteLocked(s int, m *mirror) {
 	epoch := tab.epochs[s] + 1
-	db, tail := m.freeze()
+	db := m.db.Load()
 	base := db.Version()
 	st, err := tab.n.promote(s, epoch, db)
 	if err != nil {
@@ -508,7 +461,6 @@ func (tab *slotTable) promoteLocked(s int, m *mirror) {
 		// let a later tick — or another candidate — retry.
 		return
 	}
-	tab.tails[s] = tail
 	tab.takeovers[s] = st
 	tab.epochs[s], tab.owners[s], tab.bases[s] = epoch, tab.n.id, base
 	tab.n.m.Promotions.Inc()
@@ -629,7 +581,6 @@ func (tab *slotTable) rejoin(base int64) {
 		}
 	}
 	m := newMirror(n.id, db)
-	m.keepTail = true
 	n.setMirror(n.id, m)
 	if n.closing.Load() {
 		return
@@ -677,14 +628,14 @@ func (n *Node) OwnerEpoch(rel string) uint64 {
 }
 
 // SubscribeSlotLog implements server.Cluster: a slot-addressed,
-// epoch-stamped log subscription for a slot this node serves, each record
-// handed over with its version span, its form and its commit's trace
-// context. A takeover slot serves its frozen pre-promotion tail first (for
-// subscribers behind the takeover store's log floor, with the zero context;
-// a retained run the subscriber's position falls inside is cut to the
-// versions after it), then the takeover store's log. Records are stamped
-// with the slot's serving epoch at subscribe time — if this node is later
-// deposed, subscribers see the stale epoch and drop the stream.
+// epoch-stamped log subscription for a slot this node serves — its own
+// store's log, or a takeover store's — each record handed over with its
+// version span, its form and its commit's trace context, under
+// archive.Archive.SubscribeTxns's contract: a subscriber below the store's
+// log floor (a compaction, or a takeover store's promotion base) is sent
+// the floor's snapshot first. Records are stamped with the slot's serving
+// epoch at subscribe time — if this node is later deposed, subscribers see
+// the stale epoch and drop the stream.
 //
 // The subscriber counts toward the slot's write-ack gate from the moment
 // it subscribes, at no acked sequence: ack reports that it has applied the
@@ -701,28 +652,13 @@ func (n *Node) SubscribeSlotLog(slot, sub int, after int64, fn func(first, last 
 		tab.mu.Unlock()
 		return nil, nil, fmt.Errorf("cluster: node %d does not serve slot %d (owner %d, epoch %d)", n.id, slot, owner, epoch)
 	}
-	st, tail := tab.takeovers[slot], tab.tails[slot]
+	st := tab.takeovers[slot]
 	if slot == n.id {
 		st = n.store
 	}
 	tab.mu.Unlock()
 	if st == nil {
 		return nil, nil, fmt.Errorf("cluster: slot %d has no serving store yet", slot)
-	}
-	if tail != nil && after < tail.end() {
-		if after < tail.from {
-			return nil, nil, fmt.Errorf("%w: takeover tail for slot %d starts at %d, subscriber wants %d",
-				archive.ErrLogTrimmed, slot, tail.from, after)
-		}
-		for _, rec := range tail.recs {
-			err := archive.RecordAfter(after, rec.first, rec.last, rec.form, rec.raw, func(first int64, form byte, raw []byte) {
-				fn(first, rec.last, epoch, reqtrace.Ctx{}, form, raw)
-			})
-			if err != nil {
-				return nil, nil, err
-			}
-		}
-		after = tail.end()
 	}
 	unsubscribe, err := st.SubscribeLog(after, func(first, last int64, ctx reqtrace.Ctx, form byte, record []byte) {
 		fn(first, last, epoch, ctx, form, record)

@@ -59,25 +59,7 @@ func startFailoverCluster(t testing.TB, o foOpts) *testCluster {
 	}
 	tc := &testCluster{addrs: addrs, nodes: make([]*funcdb.ClusterNode, o.n)}
 	for i := range lns {
-		cfg := funcdb.ClusterNodeConfig{
-			ID: i, Nodes: addrs, Listener: lns[i], Dir: o.dirs[i],
-			Relations: clusterRels, Lanes: o.lanes, Tracing: o.trace,
-			Failover: &cluster.FailoverConfig{Heartbeat: o.hb},
-			Durability: []funcdb.DurabilityOption{
-				funcdb.GroupCommit(2 * time.Millisecond),
-			},
-		}
-		if o.ft != nil {
-			name := fmt.Sprintf("node%d", i)
-			cfg.Dialer = o.ft.Dialer(name)
-			o.ft.Locate(name, addrs[i])
-		}
-		node, err := funcdb.OpenClusterNode(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		tc.nodes[i] = node
-		go node.Serve()
+		tc.nodes[i] = openFailoverNode(t, o, i, addrs, lns[i])
 	}
 	t.Cleanup(tc.shutdown)
 	for _, node := range tc.nodes {
@@ -86,6 +68,31 @@ func startFailoverCluster(t testing.TB, o foOpts) *testCluster {
 		}
 	}
 	return tc
+}
+
+// openFailoverNode opens and serves node i of a failover test cluster
+// shaped by o (its heartbeat and directories already filled in) on ln.
+func openFailoverNode(t testing.TB, o foOpts, i int, addrs []string, ln net.Listener) *funcdb.ClusterNode {
+	t.Helper()
+	cfg := funcdb.ClusterNodeConfig{
+		ID: i, Nodes: addrs, Listener: ln, Dir: o.dirs[i],
+		Relations: clusterRels, Lanes: o.lanes, Tracing: o.trace,
+		Failover: &cluster.FailoverConfig{Heartbeat: o.hb},
+		Durability: []funcdb.DurabilityOption{
+			funcdb.GroupCommit(2 * time.Millisecond),
+		},
+	}
+	if o.ft != nil {
+		name := fmt.Sprintf("node%d", i)
+		cfg.Dialer = o.ft.Dialer(name)
+		o.ft.Locate(name, addrs[i])
+	}
+	node, err := funcdb.OpenClusterNode(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	go node.Serve()
+	return node
 }
 
 // waitPromoted polls the given live nodes until every one of them agrees

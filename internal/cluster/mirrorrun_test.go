@@ -74,21 +74,14 @@ func insertsAt(first int64, txs ...core.Transaction) archive.Record {
 	return r
 }
 
-// applyTo encodes r as its peer would ship it and applies it to m.
-func applyTo(m *mirror, r archive.Record) error {
-	raw, err := archive.AppendRun(nil, r)
-	if err != nil {
-		return err
-	}
-	return m.apply(&r, archive.FormRun, raw)
-}
+// applyTo applies record r to m.
+func applyTo(m *mirror, r archive.Record) error { return m.apply(&r) }
 
 // streamCanned runs one subscription of a mirror of peer 1's relation R
 // over the canned chunks (a Welcome is prepended), and returns the mirror,
 // the SubAck sequences the subscription wrote, and the error it ended with.
 func streamCanned(t *testing.T, chunks ...[]byte) (*mirror, []int64, error) {
 	m := newMirror(1, database.New(FreshRep, "R"))
-	m.keepTail = true
 	acks, err := streamInto(t, m, chunks...)
 	return m, acks, err
 }
@@ -139,15 +132,14 @@ func put(k int64) core.Transaction {
 
 // TestMirrorAppliesRuns: a mirror applies every record one socket read
 // delivered and acks them once, with the last version they reach; a run
-// record is one replay however many versions it covers, and every
-// record's bytes are kept for the promotion tail under its version span.
+// record is one replay however many versions it covers.
 func TestMirrorAppliesRuns(t *testing.T) {
 	var txs []core.Transaction
 	for i := 0; i < 24; i++ {
 		txs = append(txs, put(int64((i*7)%20)))
 	}
-	first, raws1 := logChunk(t, insertsAt(1, txs[0]), insertsAt(2, txs[1]), insertsAt(3, txs[2]))
-	second, raws2 := logChunk(t, insertsAt(4, txs[3:23]...), insertsAt(24, txs[23]))
+	first, _ := logChunk(t, insertsAt(1, txs[0]), insertsAt(2, txs[1]), insertsAt(3, txs[2]))
+	second, _ := logChunk(t, insertsAt(4, txs[3:23]...), insertsAt(24, txs[23]))
 	m, acks, err := streamCanned(t, first, second)
 	if !errors.Is(err, io.EOF) {
 		t.Fatalf("stream ended with %v, want io.EOF", err)
@@ -167,18 +159,6 @@ func TestMirrorAppliesRuns(t *testing.T) {
 	}
 	if r, _ := m.db.Load().RelationFast("R"); r.Rep() != relation.RepPaged {
 		t.Fatalf("mirror relation is %v, want paged", r.Rep())
-	}
-	_, tail := m.freeze()
-	raws := append(raws1, raws2...)
-	spans := [][2]int64{{1, 1}, {2, 2}, {3, 3}, {4, 23}, {24, 24}}
-	if tail.from != 0 || tail.end() != 24 || len(tail.recs) != len(raws) {
-		t.Fatalf("tail (%d, %d] holds %d records, want (0, 24] holding %d", tail.from, tail.end(), len(tail.recs), len(raws))
-	}
-	for i := range raws {
-		rec := tail.recs[i]
-		if !bytes.Equal(rec.raw, raws[i]) || rec.form != archive.FormRun || rec.first != spans[i][0] || rec.last != spans[i][1] {
-			t.Fatalf("tail record %d covers %d..%d: not the record shipped for %v", i, rec.first, rec.last, spans[i])
-		}
 	}
 }
 
@@ -200,24 +180,29 @@ func TestMirrorRunStopsAtGap(t *testing.T) {
 	if got := m.db.Load().TotalTuples(); got != 2 {
 		t.Fatalf("mirror holds %d tuples, want the 2 before the hole", got)
 	}
-	if _, tail := m.freeze(); len(tail.recs) != 2 {
-		t.Fatalf("tail holds %d records, want the 2 applied", len(tail.recs))
-	}
+}
+
+// shipped is one record a subscription handed out: the versions it covers,
+// its form and a copy of its bytes.
+type shipped struct {
+	first, last int64
+	form        byte
+	raw         []byte
 }
 
 // subscribed frames every record a subscription from after hands out as
 // LogRecord frames in one chunk, and returns the chunk and each record's
 // span, form and bytes.
-func subscribed(t *testing.T, subscribe func(after int64, fn archive.TailFunc) (func(), error), after int64) ([]byte, []tailRecord) {
+func subscribed(t *testing.T, subscribe func(after int64, fn archive.TailFunc) (func(), error), after int64) ([]byte, []shipped) {
 	t.Helper()
 	var chunk []byte
-	var recs []tailRecord
+	var recs []shipped
 	var ferr error
 	cancel, err := subscribe(after, func(first, last int64, _ reqtrace.Ctx, form byte, raw []byte) {
 		if chunk, ferr = wire.AppendFrame(chunk, wire.FrameLogRecord, wire.AppendLogRecord(nil, 0, form, raw)); ferr != nil {
 			return
 		}
-		recs = append(recs, tailRecord{first: first, last: last, form: form, raw: append([]byte(nil), raw...)})
+		recs = append(recs, shipped{first: first, last: last, form: form, raw: append([]byte(nil), raw...)})
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -233,8 +218,7 @@ func subscribed(t *testing.T, subscribe func(after int64, fn archive.TailFunc) (
 // whose log holds FormLegacy records only, reopens, and a subscription from
 // version 0 ships those records as the segments hold them — form and all —
 // to a fresh mirror, which decodes them with the legacy decoder and applies
-// them one by one: it converges on the recovered archive, and keeps the
-// legacy bytes in its tail for a promoted slot's subscribers.
+// them one by one: it converges on the recovered archive.
 func TestLegacyRecordsShipToAMirror(t *testing.T) {
 	dir := t.TempDir()
 	const fixture = "../archive/testdata/archive-a872265"
@@ -270,7 +254,6 @@ func TestLegacyRecordsShipToAMirror(t *testing.T) {
 		}
 	}
 	m := newMirror(1, start)
-	m.keepTail = true
 	acks, err := streamInto(t, m, chunk)
 	if !errors.Is(err, io.EOF) {
 		t.Fatalf("stream ended with %v, want io.EOF", err)
@@ -281,15 +264,12 @@ func TestLegacyRecordsShipToAMirror(t *testing.T) {
 	if !m.db.Load().Equal(recovered) {
 		t.Fatalf("mirror holds %d tuples, the archive %d", m.db.Load().TotalTuples(), recovered.TotalTuples())
 	}
-	if _, tail := m.freeze(); len(tail.recs) != 100 || tail.recs[99].form != archive.FormLegacy || !bytes.Equal(tail.recs[99].raw, recs[99].raw) {
-		t.Fatalf("the mirror's tail keeps %d records, not the legacy bytes shipped", len(tail.recs))
-	}
 }
 
 // TestMirrorCatchesUpInsideARun: a subscriber whose position falls inside
-// a run — served from the archive's segments, or from a promoted slot's
-// frozen tail — is handed the run's remaining versions as a run of their
-// own, and a mirror at that position converges with no gap.
+// a run is handed the run's remaining versions from the archive's segments
+// as a run of their own, and a mirror at that position converges with no
+// gap.
 func TestMirrorCatchesUpInsideARun(t *testing.T) {
 	dir := t.TempDir()
 	initial := database.New(FreshRep, "R")
@@ -338,39 +318,10 @@ func TestMirrorCatchesUpInsideARun(t *testing.T) {
 		t.Fatalf("mirror at %d with %d tuples, the primary at %d with %d", m.version(), m.db.Load().TotalTuples(), e.Version(), e.Current().TotalTuples())
 	}
 
-	// A promoted slot's frozen tail holding the whole run cuts it the same
-	// way.
-	_, whole := subscribed(t, a.SubscribeTxns, 0)
-	n, err := New(Config{ID: 0, Addrs: []string{"127.0.0.1:1", "127.0.0.1:2"}, Store: newFakeStore()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(n.Close)
-	tab := n.slots
-	tab.mu.Lock()
-	tab.owners[1], tab.epochs[1] = 0, 1
-	tab.takeovers[1] = newFakeStore("R")
-	tab.tails[1] = &recordTail{recs: whole}
-	tab.mu.Unlock()
-	_, fromTail := subscribed(t, func(after int64, fn archive.TailFunc) (func(), error) {
-		_, cancel, err := n.SubscribeSlotLog(1, 1, after, func(first, last int64, _ uint64, ctx reqtrace.Ctx, form byte, raw []byte) {
-			fn(first, last, ctx, form, raw)
-		})
-		return cancel, err
-	}, after)
-	if len(fromTail) != len(recs) {
-		t.Fatalf("the frozen tail handed out %d records, the archive %d", len(fromTail), len(recs))
-	}
-	for i := range recs {
-		if fromTail[i].first != recs[i].first || fromTail[i].last != recs[i].last || !bytes.Equal(fromTail[i].raw, recs[i].raw) {
-			t.Fatalf("tail record %d covers %d..%d, the archive's %d..%d", i, fromTail[i].first, fromTail[i].last, recs[i].first, recs[i].last)
-		}
-	}
 }
 
 // BenchmarkMirrorApply is the replica-apply rung: a mirror of a 2 000-row
-// relation, keeping its tail as on every failover cluster, decodes and
-// applies one bench-shaped record (a 16-byte value, origin bench-w0) of 1,
+// relation decodes and applies one bench-shaped record (a 16-byte value, origin bench-w0) of 1,
 // 64 or 500 versions per iteration, as the stream loop does. It reports the
 // cost per version — per write replicated — so runs of every length, and a
 // stream of single-version records, compare on one scale.
@@ -389,7 +340,7 @@ func BenchmarkMirrorApply(b *testing.B) {
 					b.Fatal(err)
 				}
 				r.First = m.version() + 1
-				if err := m.apply(&r, archive.FormRun, raw); err != nil {
+				if err := m.apply(&r); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -402,15 +353,38 @@ func BenchmarkMirrorApply(b *testing.B) {
 	}
 }
 
-// TestPromotionFreezesTailAtBase: a promotion takes the mirror's version
-// and its record tail together, before it builds the takeover store, so a
-// record the stream goroutine applies while the store is built (it passed
-// its epoch check before the promotion took the slot table's lock) lands
-// in neither. The frozen tail ends at the promotion base, and a subscriber
-// it bridges continues from the base with the takeover store's own log.
-func TestPromotionFreezesTailAtBase(t *testing.T) {
+// archiveStore is a fakeStore whose commits reach an archive and whose log
+// subscriptions read it, as a takeover store funcdb builds does.
+type archiveStore struct {
+	*fakeStore
+	a *archive.Archive
+}
+
+func newArchiveStore(t *testing.T, db *database.Database) *archiveStore {
+	t.Helper()
+	a, err := archive.Create(t.TempDir(), db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { a.Close() })
+	return &archiveStore{fakeStore: &fakeStore{eng: core.NewEngine(db, core.WithCommitObserver(a.Observer()))}, a: a}
+}
+
+func (s *archiveStore) SubscribeLog(after int64, fn func(first, last int64, ctx reqtrace.Ctx, form byte, record []byte)) (func(), error) {
+	return s.a.SubscribeTxns(after, fn)
+}
+
+// TestPromotionServesBaseSnapshot: a promotion takes the mirror's version
+// before it builds the takeover store, so a record the stream goroutine
+// applies while the store is built (it passed its epoch check before the
+// promotion took the slot table's lock) lands in neither the store's base
+// snapshot nor its log. A subscriber from 0 is sent that snapshot, at the
+// promotion base, then the takeover store's own log, and a fresh mirror
+// fed that stream installs the snapshot and converges on the store.
+func TestPromotionServesBaseSnapshot(t *testing.T) {
 	const base = 5
 	var n *Node
+	var takeover *archiveStore
 	n, err := New(Config{ // never started: no heartbeats, no replication dials
 		ID:        0,
 		Addrs:     []string{"127.0.0.1:1", "127.0.0.1:2", "127.0.0.1:3"},
@@ -422,7 +396,8 @@ func TestPromotionFreezesTailAtBase(t *testing.T) {
 			if err := applyTo(m, insertsAt(m.version()+1, put(99))); err != nil {
 				return nil, err
 			}
-			return &fakeStore{eng: core.NewEngine(db)}, nil
+			takeover = newArchiveStore(t, db)
+			return takeover, nil
 		},
 	})
 	if err != nil {
@@ -430,7 +405,9 @@ func TestPromotionFreezesTailAtBase(t *testing.T) {
 	}
 	t.Cleanup(n.Close)
 	m := n.mirrorRef(1)
+	var txs []core.Transaction
 	for v := int64(1); v <= base; v++ {
+		txs = append(txs, put(v))
 		if err := applyTo(m, insertsAt(v, put(v))); err != nil {
 			t.Fatal(err)
 		}
@@ -439,25 +416,136 @@ func TestPromotionFreezesTailAtBase(t *testing.T) {
 	tab := n.slots
 	tab.mu.Lock()
 	tab.promoteLocked(1, m)
-	promoted, tail, floor := tab.owners[1] == n.id, tab.tails[1], tab.bases[1]
+	promoted, floor := tab.owners[1] == n.id, tab.bases[1]
 	tab.mu.Unlock()
 	if !promoted || floor != base {
 		t.Fatalf("promotion: owner is node 0 %v, base %d; want node 0 at base %d", promoted, floor, base)
 	}
-	if tail.end() != base {
-		t.Fatalf("promoted at base %d, but the frozen tail ends at %d", base, tail.end())
+	if r := takeover.eng.Submit(put(7)).Force(); r.Err != nil {
+		t.Fatal(r.Err)
 	}
-	_, recs := subscribed(t, func(after int64, fn archive.TailFunc) (func(), error) {
+	takeover.Barrier()
+	chunk, recs := subscribed(t, func(after int64, fn archive.TailFunc) (func(), error) {
 		_, cancel, err := n.SubscribeSlotLog(1, 2, after, func(first, last int64, _ uint64, ctx reqtrace.Ctx, form byte, raw []byte) {
 			fn(first, last, ctx, form, raw)
 		})
 		return cancel, err
 	}, 0)
-	var end int64
-	if len(recs) > 0 {
-		end = recs[len(recs)-1].last
+	if len(recs) != 2 || recs[0].form != archive.FormSnapshot || recs[0].first != base || recs[0].last != base ||
+		recs[1].form != archive.FormRun || recs[1].first != base+1 || recs[1].last != base+1 {
+		t.Fatalf("a subscriber from 0 was handed %d records; want the snapshot at %d, then the takeover's record of %d", len(recs), base, base+1)
 	}
-	if len(recs) != base || end != base {
-		t.Fatalf("a subscriber from 0 was handed %d records ending at %d; want the %d up to the base", len(recs), end, base)
+	snap, err := database.DecodeSnapshot(recs[0].raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, want := core.ApplySequential(database.New(FreshRep, "R"), txs); !snap.Equal(want) || snap.Version() != base {
+		t.Fatalf("the base snapshot holds %d tuples at version %d, want the %d applied before the promotion", snap.TotalTuples(), snap.Version(), base)
+	}
+	if r, err := archive.DecodeRecord(recs[1].form, recs[1].raw); err != nil || !r.Tuples[0].Equal(put(7).Tuple) {
+		t.Fatalf("the record after the base decodes to %+v, %v; want the takeover's own write", r, err)
+	}
+
+	fresh := newMirror(1, database.New(FreshRep, "R"))
+	acks, err := streamInto(t, fresh, chunk)
+	if !errors.Is(err, io.EOF) || len(acks) != 1 || acks[0] != base+1 {
+		t.Fatalf("stream ended with %v after acks %v, want io.EOF after [%d]", err, acks, base+1)
+	}
+	if !fresh.db.Load().Equal(takeover.Current()) || fresh.version() != takeover.Version() {
+		t.Fatalf("mirror at %d with %d tuples, the takeover store at %d with %d", fresh.version(), fresh.db.Load().TotalTuples(), takeover.Version(), takeover.Current().TotalTuples())
+	}
+}
+
+// TestMirrorStopsOnUnservableCatchUp: a subscription refused because the
+// owner has no snapshot to start the mirror from, or because the catch-up
+// does not fit a frame, ends with errReplicationGap — the mirror stops
+// instead of redialing forever — while any other refusal is retried.
+func TestMirrorStopsOnUnservableCatchUp(t *testing.T) {
+	for _, tc := range []struct {
+		refusal error
+		stop    bool
+	}{
+		{fmt.Errorf("%w: after 0, oldest segment base 40", archive.ErrLogTrimmed), true},
+		{fmt.Errorf("archive: catch-up record of versions 40..40 is 70000000 bytes: %w", wire.ErrTooLarge), true},
+		{errors.New("cluster: slot 1 has no serving store yet"), false},
+	} {
+		refusal, err := wire.AppendFrame(nil, wire.FrameError, wire.AppendErrorMsg(nil, 0, -1, tc.refusal.Error()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, _, err = streamCanned(t, refusal)
+		if stop := err == errReplicationGap; stop != tc.stop || err == nil {
+			t.Fatalf("refusal %q ended the stream with %v; want a stop: %v", tc.refusal, err, tc.stop)
+		}
+	}
+}
+
+// TestMirrorJoinsSnapshotPieces: a snapshot that reaches the mirror in
+// pieces — FormSnapshotPart frames, then a FormSnapshot one, over several
+// socket reads — is joined and installed whole, and the log after it
+// applies on top. A stream that ends between the pieces leaves the mirror
+// where it was, for the next subscription to start again.
+func TestMirrorJoinsSnapshotPieces(t *testing.T) {
+	_, db := core.ApplySequential(database.New(FreshRep, "R"), []core.Transaction{put(1), put(2), put(3)})
+	snap, err := database.AppendSnapshot(nil, db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cut := len(snap) / 3
+	var pieces [][]byte
+	for i, p := range [][]byte{snap[:cut], snap[cut : 2*cut], snap[2*cut:]} {
+		form := archive.FormSnapshotPart
+		if i == 2 {
+			form = archive.FormSnapshot
+		}
+		frame, err := wire.AppendFrame(nil, wire.FrameLogRecord, wire.AppendLogRecord(nil, 0, form, p))
+		if err != nil {
+			t.Fatal(err)
+		}
+		pieces = append(pieces, frame)
+	}
+	next, _ := logChunk(t, insertsAt(4, put(4)))
+
+	m, acks, err := streamCanned(t, append(append([]byte(nil), pieces[0]...), pieces[1]...), pieces[2], next)
+	if !errors.Is(err, io.EOF) || fmt.Sprint(acks) != "[3 4]" {
+		t.Fatalf("stream ended with %v after acks %v, want io.EOF after [3 4]", err, acks)
+	}
+	if _, want := core.ApplySequential(db, []core.Transaction{put(4)}); !m.db.Load().Equal(want) || m.version() != 4 {
+		t.Fatalf("mirror at version %d with %d tuples, want version 4 with %d", m.version(), m.db.Load().TotalTuples(), want.TotalTuples())
+	}
+
+	m, acks, err = streamCanned(t, pieces[0], pieces[1])
+	if !errors.Is(err, io.EOF) || len(acks) != 0 || m.version() != 0 {
+		t.Fatalf("stream cut between the pieces ended with %v after acks %v, mirror at %d; want io.EOF, no ack, version 0", err, acks, m.version())
+	}
+}
+
+// TestSnapshotInstallInvalidatesNewRelations: a mirror installs a snapshot
+// past its version as its version, and drops the cached statements on any
+// relation the snapshot brings that the mirror did not hold, as a create
+// record does; a snapshot at or below the mirror's version is a gap.
+func TestSnapshotInstallInvalidatesNewRelations(t *testing.T) {
+	n, _ := threeNode(t)
+	m := newMirror(1, database.New(FreshRep, "R"))
+	for _, q := range []string{"count R", "count Q"} {
+		if _, err := n.cache.Get(q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	snap, err := database.AppendSnapshot(nil, database.New(FreshRep, "R", "Q").AtVersion(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := n.installSnapshot(snap, m); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := m.db.Load().RelationFast("Q"); !ok || m.version() != 3 {
+		t.Fatalf("mirror at version %d without Q after installing the snapshot at 3", m.version())
+	}
+	if got := n.cache.Len(); got != 1 {
+		t.Fatalf("%d statements cached after the install, want only the one on R", got)
+	}
+	if err := n.installSnapshot(snap, m); err != errReplicationGap {
+		t.Fatalf("re-installing the snapshot at the mirror's version: %v, want errReplicationGap", err)
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"fmt"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -27,30 +26,22 @@ import (
 // the mirror starts from the same initial version (the peer's owned
 // relations, empty, version 0) and applies exactly the peer's committed
 // writes — so a read of the mirror carries the precise primary version it
-// reflects: the client's staleness bound.
+// reflects: the client's staleness bound. A mirror below the log floor of
+// the node it streams from — behind a compaction, or a promotion — is sent
+// that floor's snapshot first and installs it as its version.
 //
 // The relations a mirror starts with are FreshRep — paged B+-trees.
 // Nothing else here knows the shape, and it is not a mode of the cluster.
-// Relations that arrive as data — a create record from the peer, the
-// database a rejoin rewinds to — keep the representation they were written
-// with, so a mirror may hold a different shape than its primary (a primary
-// reopened from an archive written list- or AVL-backed stays that way; its
-// peers' mirrors need not be).
+// Relations that arrive as data — a create record from the peer, a
+// snapshot, the database a rejoin rewinds to — keep the representation
+// they were written with, so a mirror may hold a different shape than its
+// primary (a primary reopened from an archive written list- or AVL-backed
+// stays that way; its peers' mirrors need not be).
 type mirror struct {
 	peer     int
 	db       atomic.Pointer[database.Database]
 	records  metrics.Counter // log records applied to this mirror
 	connects metrics.Counter // subscription (re)connects to the peer
-
-	// keepTail (set before Start on failover clusters) retains the raw
-	// bytes of recently applied records so that, after a promotion, the
-	// frozen tail can bridge subscribers below the takeover store's log
-	// floor. Bounded by failoverTailCap versions. tailMu also orders each
-	// publication of db with its record's push, so the tail always ends at
-	// the published version.
-	keepTail bool
-	tailMu   sync.Mutex
-	tail     recordTail
 }
 
 // FreshRep is the representation a cluster's relations start in: a fresh
@@ -80,16 +71,14 @@ func (m *mirror) version() int64 { return m.db.Load().Version() }
 // apply replays one decoded log record onto the mirror's version and
 // publishes the result: an insert run as one relation.UpsertRun, one page
 // build whatever the record's length; a delete or create as the write it
-// carries. raw is the record's bytes in form, which alias the stream's
-// read buffer: a mirror that keeps its tail for promotion copies them here.
-// The record must continue the primary's order exactly — its first version
-// is applied+1. A hole means the stream skipped something the record form
-// cannot carry (a custom transaction on the primary): the record is refused
-// with errReplicationGap, rather than silently diverge, and so is one that
-// does not replay onto the mirror's version. Only the mirror's one
-// subscription applies records, so a load and a store cannot interleave
-// with another apply's.
-func (m *mirror) apply(r *archive.Record, form byte, raw []byte) error {
+// carries. The record must continue the primary's order exactly — its
+// first version is applied+1. A hole means the stream skipped something
+// the record form cannot carry (a custom transaction on the primary): the
+// record is refused with errReplicationGap, rather than silently diverge,
+// and so is one that does not replay onto the mirror's version. Only the
+// mirror's one subscription applies records, so a load and a store cannot
+// interleave with another apply's.
+func (m *mirror) apply(r *archive.Record) error {
 	db := m.db.Load()
 	if r.First != db.Version()+1 {
 		return errReplicationGap
@@ -98,26 +87,9 @@ func (m *mirror) apply(r *archive.Record, form byte, raw []byte) error {
 	if err != nil {
 		return errReplicationGap
 	}
-	if m.keepTail {
-		rec := tailRecord{first: r.First, last: r.Last(), form: form, raw: append([]byte(nil), raw...)}
-		m.tailMu.Lock()
-		m.db.Store(next)
-		m.tail.push(rec)
-		m.tailMu.Unlock()
-	} else {
-		m.db.Store(next)
-	}
+	m.db.Store(next)
 	m.records.Inc()
 	return nil
-}
-
-// freeze reads the mirror's version and its retained record tail together,
-// at promotion time: the tail ends at the version returned, whatever the
-// stream applies afterwards.
-func (m *mirror) freeze() (*database.Database, *recordTail) {
-	m.tailMu.Lock()
-	defer m.tailMu.Unlock()
-	return m.db.Load(), &recordTail{from: m.tail.from, recs: append([]tailRecord(nil), m.tail.recs...)}
 }
 
 // ReplicaRead implements server.Cluster: a read-only built-in statement
@@ -255,9 +227,10 @@ func (n *Node) applyStream(br *bufio.Reader, rd *wire.Reader, bw *bufio.Writer, 
 	// must follow it.
 	var tc reqtrace.Ctx
 	var hasTC bool
+	var snap []byte // the snapshot pieces received so far
 	// The loop reuses the Reader's body buffer across records: the Decoder
-	// copies what it extracts out of the payload, apply copies the bytes it
-	// keeps, and nothing decoded outlives its record's apply.
+	// and the snapshot decoder copy what they extract out of the payload,
+	// and nothing decoded outlives its record's apply.
 	for {
 		typ, payload, err := rd.Next()
 		if err == nil {
@@ -270,9 +243,9 @@ func (n *Node) applyStream(br *bufio.Reader, rd *wire.Reader, bw *bufio.Writer, 
 				switch {
 				case derr != nil:
 					err = derr
-				case strings.Contains(msg, "predates the retained log"):
-					// The owner's log floor is above our version and no tail
-					// can bridge it: this mirror cannot catch up by streaming.
+				case strings.Contains(msg, archive.ErrLogTrimmed.Error()), strings.Contains(msg, wire.ErrTooLarge.Error()):
+					// No snapshot to start this mirror from, or a catch-up log
+					// record over one frame: redialing cannot bring it up.
 					err = errReplicationGap
 				default:
 					err = fmt.Errorf("cluster: node %d refused subscription: %s", target, msg)
@@ -287,7 +260,7 @@ func (n *Node) applyStream(br *bufio.Reader, rd *wire.Reader, bw *bufio.Writer, 
 					rt = trRec.StartCtx(tc)
 				}
 				hasTC = false
-				err = n.applyRecord(payload, &dec, peerIdx, target, m, rt)
+				err = n.applyRecord(payload, &dec, &snap, peerIdx, target, m, rt)
 			}
 		}
 		if err == nil && br.Buffered() > 0 && m.version()-acked < maxUnacked {
@@ -311,11 +284,12 @@ func (n *Node) applyStream(br *bufio.Reader, rd *wire.Reader, bw *bufio.Writer, 
 }
 
 // applyRecord checks one LogRecord payload's epoch, decodes its record and
-// applies it to the mirror. rt, when non-nil, is the mirror's leg of a
-// sampled commit's trace: the apply is its replica-apply span. A relation
-// born on the peer invalidates the cached statements touching it, exactly
-// as after a local create.
-func (n *Node) applyRecord(payload []byte, dec *archive.Decoder, peerIdx, target int, m *mirror, rt *reqtrace.T) error {
+// applies it to the mirror — or, for a snapshot, joins its pieces in snap
+// and installs it once the last arrives. rt, when non-nil, is the mirror's
+// leg of a sampled commit's trace: the apply is its replica-apply span. A
+// relation born on the peer invalidates the cached statements touching it,
+// exactly as after a local create.
+func (n *Node) applyRecord(payload []byte, dec *archive.Decoder, snap *[]byte, peerIdx, target int, m *mirror, rt *reqtrace.T) error {
 	epoch, form, raw, err := wire.DecodeLogRecord(payload)
 	if err != nil {
 		return err
@@ -331,6 +305,16 @@ func (n *Node) applyRecord(payload []byte, dec *archive.Decoder, peerIdx, target
 		// node we dialed serves this epoch.
 		n.slots.noteStreamEpoch(peerIdx, target, epoch)
 	}
+	switch form {
+	case archive.FormSnapshotPart:
+		*snap = append(*snap, raw...)
+		return nil
+	case archive.FormSnapshot:
+		if len(*snap) > 0 {
+			raw, *snap = append(*snap, raw...), nil
+		}
+		return n.installSnapshot(raw, m)
+	}
 	r, err := dec.Decode(form, raw)
 	if err != nil {
 		return err
@@ -339,7 +323,7 @@ func (n *Node) applyRecord(payload []byte, dec *archive.Decoder, peerIdx, target
 	if rt != nil {
 		start = time.Now()
 	}
-	if err := m.apply(&r, form, raw); err != nil {
+	if err := m.apply(&r); err != nil {
 		return err
 	}
 	if rt != nil {
@@ -348,6 +332,30 @@ func (n *Node) applyRecord(payload []byte, dec *archive.Decoder, peerIdx, target
 	}
 	if r.Kind == core.KindCreate {
 		n.cache.InvalidateRel(r.Rel)
+	}
+	return nil
+}
+
+// installSnapshot decodes a snapshot record and publishes it as the
+// mirror's version: a version past the mirror's, since the mirror
+// subscribed from below it. Every relation the mirror did not hold before
+// is born here, so the cached statements touching it are invalidated, as
+// after a create record.
+func (n *Node) installSnapshot(raw []byte, m *mirror) error {
+	db, err := database.DecodeSnapshot(raw)
+	if err != nil {
+		return err
+	}
+	old := m.db.Load()
+	if db.Version() <= old.Version() {
+		return errReplicationGap
+	}
+	m.db.Store(db)
+	m.records.Inc()
+	for _, rel := range db.RelationNames() {
+		if _, ok := old.RelationFast(rel); !ok {
+			n.cache.InvalidateRel(rel)
+		}
 	}
 	return nil
 }

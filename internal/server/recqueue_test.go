@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 
+	"funcdb/internal/archive"
 	"funcdb/internal/reqtrace"
 	"funcdb/internal/wire"
 )
@@ -125,5 +126,37 @@ func TestRecQueueBoundClosesTheStream(t *testing.T) {
 		small.pop()
 	}); allocs != 0 {
 		t.Errorf("push and pop below the bound = %.1f allocs, want 0", allocs)
+	}
+}
+
+// TestRecQueueBoundKeepsSnapshotWhole: a snapshot's pieces are queued
+// whatever is queued already — a subscriber sent only part of a snapshot
+// could never advance by reconnecting — and the first record after them
+// that finds the queue past the bound closes it.
+func TestRecQueueBoundKeepsSnapshotWhole(t *testing.T) {
+	const pieceLen = 17 << 20 // four pieces queued are past the bound
+	q := &recQueue{buf: make([]byte, 0, 90<<20)}
+	q.cond.L = &q.mu
+	piece := bytes.Repeat([]byte("s"), pieceLen)
+	forms := []byte{archive.FormSnapshotPart, archive.FormSnapshotPart, archive.FormSnapshotPart, archive.FormSnapshotPart, archive.FormSnapshot}
+	for _, form := range forms {
+		q.push(reqtrace.Ctx{}, 1, form, piece)
+	}
+	queued := len(q.buf)
+	if q.closed || queued < len(forms)*pieceLen {
+		t.Fatalf("after a %d-byte snapshot: closed %v, %d bytes queued", len(forms)*pieceLen, q.closed, queued)
+	}
+	q.push(reqtrace.Ctx{}, 1, archive.FormRun, []byte("after"))
+	frames, open := q.pop()
+	if open || len(frames) != queued {
+		t.Fatalf("the record after the snapshot: %d bytes popped, open %v; want the %d queued, closed", len(frames), open, queued)
+	}
+	rd := wire.NewReader(bytes.NewReader(frames))
+	for i, want := range forms {
+		if _, payload, err := rd.Next(); err != nil {
+			t.Fatalf("snapshot piece %d: %v", i, err)
+		} else if _, form, rec, err := wire.DecodeLogRecord(payload); err != nil || form != want || len(rec) != pieceLen {
+			t.Fatalf("snapshot piece %d: form %d, %d bytes, %v; want form %d, %d bytes", i, form, len(rec), err, want, pieceLen)
+		}
 	}
 }

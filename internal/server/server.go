@@ -40,6 +40,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"funcdb/internal/archive"
 	"funcdb/internal/core"
 	"funcdb/internal/metrics"
 	"funcdb/internal/query"
@@ -929,6 +930,8 @@ func (s *Server) streamSlotLog(rd *wire.Reader, bw *bufio.Writer, cl Cluster, sl
 // closes the queue. The writer then sends what was queued and ends the
 // stream, cancel takes the subscriber off the ack gate, and the mirror
 // reconnects and catches up from the archive instead of pinning memory.
+// A snapshot's pieces are exempt: they are queued first, on subscribe, and
+// a subscriber sent only part of one could never advance by reconnecting.
 type recQueue struct {
 	mu     sync.Mutex
 	cond   sync.Cond // on mu: the buffer went from empty to non-empty, or closed
@@ -938,14 +941,15 @@ type recQueue struct {
 }
 
 // push frames one record — its trace context's frame first, for a sampled
-// commit — onto the queue. A record too large to frame ends the stream.
+// commit — onto the queue. A record too large to frame ends the stream; the
+// subscriber's next catch-up is refused with wire.ErrTooLarge instead.
 func (q *recQueue) push(tc reqtrace.Ctx, epoch uint64, form byte, record []byte) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	if q.closed {
 		return
 	}
-	if len(q.buf) > maxQueued {
+	if len(q.buf) > maxQueued && form != archive.FormSnapshotPart && form != archive.FormSnapshot {
 		q.closed = true
 		q.cond.Broadcast()
 		return

@@ -455,7 +455,8 @@ func DecodeSubAck(buf []byte) (seq int64, err error) {
 
 // AppendLogRecord encodes a FrameLogRecord payload: the serving epoch for
 // the streamed slot (0 without failover), the record's form (the archive's
-// record type), then the archive record bytes unchanged.
+// record type: a log record's, or a snapshot piece's for a catch-up that
+// starts below the log floor), then the archive record bytes unchanged.
 //
 //	logrecord := epoch:uvarint form:uint8 record
 func AppendLogRecord(dst []byte, epoch uint64, form byte, record []byte) []byte {
@@ -463,6 +464,10 @@ func AppendLogRecord(dst []byte, epoch uint64, form byte, record []byte) []byte 
 	dst = append(dst, form)
 	return append(dst, record...)
 }
+
+// MaxLogRecord is the largest archive record one FrameLogRecord carries:
+// the frame limit less the epoch and form ahead of the record.
+const MaxLogRecord = MaxFrameLen - binary.MaxVarintLen64 - 1
 
 // DecodeLogRecord splits a FrameLogRecord payload into its epoch, the
 // record's form and the record bytes (decoded by an archive.Decoder).

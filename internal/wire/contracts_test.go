@@ -145,8 +145,8 @@ func TestWireV3V4Equivalence(t *testing.T) {
 // an untraced sender writes, the context reads back unchanged, and a
 // context glued onto a payload (the retired suffix form) is refused.
 func TestWireV4V5Equivalence(t *testing.T) {
-	if Version != 9 {
-		t.Fatalf("wire.Version = %d, expected 9", Version)
+	if Version != 10 {
+		t.Fatalf("wire.Version = %d, expected 10", Version)
 	}
 	tc := sampleTraceCtx()
 

@@ -89,7 +89,7 @@ func sampleRequests() map[string][]byte {
 	}
 }
 
-// goldenFrames pins the version-9 encoding of every frame type. A traced
+// goldenFrames pins the version-10 encoding of every frame type. A traced
 // request is two frames: the TraceCtx, then the request it annotates.
 func goldenFrames() []goldenFrame {
 	resps := sampleResponses()
@@ -97,9 +97,9 @@ func goldenFrames() []goldenFrame {
 	traced := AppendTraceCtx(nil, sampleTraceCtx())
 	return []goldenFrame{
 		{"hello", []frame{{FrameHello, AppendHello(nil, Hello{Origin: "c0", Database: "aux"})}},
-			"100c000000664442770902633003617578688fa7e4"},
+			"100c000000664442770a026330036175788b88286a"},
 		{"welcome", []frame{{FrameWelcome, AppendWelcome(nil, Welcome{Lanes: 4, Durable: true, Origin: "conn1", Database: "main"})}},
-			"110e00000009080105636f6e6e31046d61696ec79fc537"},
+			"110e0000000a080105636f6e6e31046d61696e1cbaa44b"},
 		{"response", []frame{{FrameResponse, must(AppendSingleResponse(nil, 5, resps[1]))}},
 			"1414000000050263300201090000020102020677696467657401cd036f"},
 		{"batch-response", []frame{{FrameBatchResponse, must(AppendResponses(nil, 9, []core.Response{resps[4], resps[8], resps[9]}))}},
@@ -114,6 +114,8 @@ func goldenFrames() []goldenFrame {
 			"1a030000005204003d57b415"},
 		{"log-record", []frame{{FrameLogRecord, AppendLogRecord(nil, 3, 4, []byte("record"))}},
 			"1b0800000003047265636f7264c0d5aa98"},
+		{"log-record-snapshot", []frame{{FrameLogRecord, AppendLogRecord(nil, 3, 2, []byte("snapshot"))}},
+			"1b0a0000000302736e617073686f74baabfe6a"},
 		{"introspect", []frame{{FrameIntrospect, AppendIntrospect(nil, 42, IntrospectTraces)}},
 			"1c020000002a01b87f11f2"},
 		{"introspect-response", []frame{{FrameIntrospectResponse, AppendIntrospectResponse(nil, 42, []byte(`{"lanes":8}`))}},

@@ -96,8 +96,10 @@ const (
 	// an insert run's consecutive versions: the serving node's epoch for
 	// the streamed slot, the record's form, then the record's payload
 	// verbatim — the replication stream is the durability log, reframed for
-	// the wire, one frame per record. A subscriber that knows a higher
-	// epoch drops the stream.
+	// the wire, one frame per record. A subscriber behind the serving
+	// node's log floor is sent that floor's snapshot first, in pieces of
+	// the snapshot forms. A subscriber that knows a higher epoch drops the
+	// stream.
 	FrameLogRecord byte = 0x1b
 	// FrameIntrospect asks the server for an introspection document:
 	// request id, kind (IntrospectStats or IntrospectTraces).
@@ -172,8 +174,9 @@ const (
 	// Prepare/Prepared and dense statement ids, so a prepared statement is
 	// named by its text hash alone; 9 ships one LogRecord per archive
 	// record — an insert run is one — with the record's form ahead of its
-	// bytes.
-	Version = 9
+	// bytes; 10 adds the snapshot forms, whose pieces start the stream of
+	// a subscriber below the serving node's log floor.
+	Version = 10
 	// MaxFrameLen caps a frame's payload: large enough for any realistic
 	// batch or scan response, small enough to bound what a corrupt
 	// length field can make a peer allocate.
