@@ -11,37 +11,16 @@ import (
 	"funcdb/client"
 )
 
-// demo runs the netsim demo with discarded output and no signals.
-func demo(t *testing.T, args ...string) error {
-	t.Helper()
-	var out strings.Builder
-	return run(args, &out, nil, nil)
-}
-
-func TestRunHypercube(t *testing.T) {
-	if err := demo(t, "-hypercube", "2", "-clients", "2", "-ops", "10"); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestRunFullyConnected(t *testing.T) {
-	if err := demo(t, "-hypercube", "0", "-clients", "3", "-ops", "5"); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestRunPrimaryCopyModel(t *testing.T) {
-	if err := demo(t, "-model", "primarycopy", "-hypercube", "2", "-clients", "2", "-ops", "10"); err != nil {
-		t.Error(err)
-	}
-}
-
+// TestRunBadFlag: an unknown flag is refused, and so is a call without
+// --listen, which names the flag and the loopback demo to run instead.
 func TestRunBadFlag(t *testing.T) {
-	if err := demo(t, "-nope"); err == nil {
+	var out strings.Builder
+	if err := run([]string{"-nope"}, &out, nil, nil); err == nil {
 		t.Error("bad flag accepted")
 	}
-	if err := demo(t, "-model", "quorum"); err == nil {
-		t.Error("unknown model accepted")
+	err := run([]string{"--join", "127.0.0.1:4151"}, &out, nil, nil)
+	if err == nil || !strings.Contains(err.Error(), "--listen") || !strings.Contains(err.Error(), "examples/distributed") {
+		t.Errorf("no --listen: err = %v, want one naming --listen and examples/distributed", err)
 	}
 }
 

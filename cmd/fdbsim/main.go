@@ -3,10 +3,10 @@
 //
 // Usage:
 //
-//	fdbsim [-seed N] [-table 1|2|3|all] [-figure 2.1|2.2|2.3|all] [-ablations]
+//	fdbsim [-seed N] [-table 1|2|3|all] [-figure 2.1|2.2|2.3|3.1|all] [-ablations]
 //
-// With no flags it prints everything: Tables I-III, Figures 2-1/2-2/2-3 and
-// the ablation studies.
+// With no flags it prints everything: Tables I-III, Figures 2-1/2-2/2-3/3-1
+// and the ablation studies.
 package main
 
 import (
@@ -15,7 +15,6 @@ import (
 	"os"
 
 	"funcdb/internal/experiments"
-	"funcdb/internal/sched"
 	"funcdb/internal/topo"
 )
 
@@ -36,6 +35,16 @@ func run(args []string) error {
 	dot := fs.Bool("dot", false, "emit DOT for figure 2.1 instead of the summary")
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	switch *table {
+	case "", "1", "2", "3", "all":
+	default:
+		return fmt.Errorf("unknown -table %q (1, 2, 3 or all)", *table)
+	}
+	switch *figure {
+	case "", "2.1", "2.2", "2.3", "3.1", "all":
+	default:
+		return fmt.Errorf("unknown -figure %q (2.1, 2.2, 2.3, 3.1 or all)", *figure)
 	}
 
 	all := *table == "" && *figure == "" && !*ablations
@@ -176,6 +185,5 @@ func printAblations(seed int64) error {
 	for _, pt := range points {
 		fmt.Printf("  %3d PEs: speedup %6.2f\n", pt.PEs, pt.Speedup)
 	}
-	_ = sched.PolicyPressure
 	return nil
 }

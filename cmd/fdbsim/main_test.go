@@ -1,6 +1,9 @@
 package main
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
 func TestRunFigures(t *testing.T) {
 	// Each figure must run to completion (stdout goes to the test log).
@@ -40,5 +43,11 @@ func TestRunAblations(t *testing.T) {
 func TestRunBadFlag(t *testing.T) {
 	if err := run([]string{"-definitely-not-a-flag"}); err == nil {
 		t.Error("bad flag accepted")
+	}
+	if err := run([]string{"-table", "4"}); err == nil || !strings.Contains(err.Error(), "1, 2, 3 or all") {
+		t.Errorf("-table 4: err = %v, want one naming the valid tables", err)
+	}
+	if err := run([]string{"-figure", "9.9"}); err == nil || !strings.Contains(err.Error(), "2.1, 2.2, 2.3, 3.1 or all") {
+		t.Errorf("-figure 9.9: err = %v, want one naming the valid figures", err)
 	}
 }

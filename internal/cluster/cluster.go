@@ -400,7 +400,7 @@ func (n *Node) localSubmit(slot int, st LocalStore, run []core.Transaction, futs
 // routeOf places one transaction: the owning node index, n.id for local,
 // or -1 for a transaction the primary-copy model cannot route (a custom
 // transaction spanning relations with different owners — the
-// coordination the paper defers; see internal/primarycopy).
+// coordination the paper defers; TestCustomTransactionRouting pins it).
 func (n *Node) routeOf(tx core.Transaction) int {
 	if tx.Kind != core.KindCustom {
 		return OwnerIndex(tx.Rel, len(n.addrs))

@@ -410,8 +410,9 @@ func relOwnedBy(t *testing.T, tc *testCluster, node int) string {
 }
 
 // TestReplicaStaleness: a replica read is stamped with a version that
-// never exceeds the primary's, and after the primary settles the replica
-// catches up to the exact primary version and contents.
+// never exceeds the primary's, after the primary settles the replica
+// catches up to the exact primary version and contents, and a write
+// through the replica path is refused.
 func TestReplicaStaleness(t *testing.T) {
 	tc := startCluster(t, 3, clusterRels)
 	rel := relOwnedBy(t, tc, 2)
@@ -477,6 +478,10 @@ func TestReplicaStaleness(t *testing.T) {
 	}
 	if direct.Version != 0 {
 		t.Fatalf("primary read unexpectedly stamped version %d", direct.Version)
+	}
+	// A replica serves reads only: a write is refused before it is sent.
+	if _, err := cc.ExecReplica(fmt.Sprintf("insert (%d, \"v\") into %s", writes, rel)); err == nil {
+		t.Fatal("ExecReplica accepted a write")
 	}
 }
 

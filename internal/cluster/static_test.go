@@ -2,6 +2,7 @@ package cluster_test
 
 import (
 	"bufio"
+	"fmt"
 	"net"
 	"testing"
 	"time"
@@ -84,5 +85,43 @@ func TestStaticClusterSlotTable(t *testing.T) {
 		t.Fatalf("a static node answered a heartbeat with frame %#x", typ)
 	} else if ne, ok := err.(net.Error); ok && ne.Timeout() {
 		t.Fatal("a static node kept the heartbeat connection open")
+	}
+}
+
+// TestCrossRelationParallelismAcrossOwners: pipelined writes to one
+// owner's relation do not hold up a read of another owner's. Both
+// clients enter at the third node, so its forwards to the two owners
+// share one gateway; a count on node 1's relation answers 0 while 200
+// inserts into node 0's are in flight, and every insert lands.
+func TestCrossRelationParallelismAcrossOwners(t *testing.T) {
+	tc := startCluster(t, 3, clusterRels)
+	relA, relB := relOwnedBy(t, tc, 0), relOwnedBy(t, tc, 1)
+	ca, err := client.Dial(tc.addrs[2], client.WithOrigin("a"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ca.Close()
+	cb, err := client.Dial(tc.addrs[2], client.WithOrigin("b"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cb.Close()
+
+	pending := make([]*client.Pending, 200)
+	for i := range pending {
+		if pending[i], err = ca.ExecAsync(fmt.Sprintf("insert %d into %s", i, relA)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if resp, err := cb.Exec("count " + relB); err != nil || resp.Err != nil || resp.Count != 0 {
+		t.Fatalf("count %s = %+v, %v", relB, resp, err)
+	}
+	for i, p := range pending {
+		if resp, err := p.Force(); err != nil || resp.Err != nil {
+			t.Fatalf("insert %d: %v / %v", i, err, resp.Err)
+		}
+	}
+	if resp, err := tc.nodes[0].Store().Exec("count " + relA); err != nil || resp.Count != 200 {
+		t.Fatalf("count %s on its owner = %+v, %v; want 200", relA, resp, err)
 	}
 }

@@ -198,7 +198,8 @@ func (n *Network) Send(m Message) error {
 // waiting goroutines is bounded only by the number of requests in flight.
 // It covers dispatch's reply only: a handler that calls Site.Call or
 // Network.Send inline still blocks its loop on the medium and can rebuild
-// the cycle, which is why primarycopy's exec handler sends off-loop itself.
+// the cycle, so such a handler must send off-loop itself.
+// TestInlineRepliesUnderFlood holds the cycle shut for dispatch's reply.
 func (n *Network) sendOffLoop(m Message) {
 	select {
 	case <-n.done:
