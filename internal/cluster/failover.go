@@ -53,10 +53,10 @@ type FailoverConfig struct {
 	// peer is still presumed alive. Promotion happens only after the
 	// owner's lease expired AND a majority of the cluster is reachable.
 	Lease time.Duration
-	// SyncReplicas is the write-ack gate: a write is acknowledged only
-	// after at least this many live mirrors acked its record (0 disables
-	// the gate — acked writes may be lost if the primary dies before the
-	// stream drains). Clamped to cluster size − 1.
+	// SyncReplicas is the write-ack gate: a write is acknowledged only after
+	// at least this many live mirrors acked its record. 0 means 1; negative
+	// disables the gate (an acked write may be lost if the primary dies
+	// before the stream drains). Clamped to cluster size − 1.
 	SyncReplicas int
 }
 

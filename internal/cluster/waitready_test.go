@@ -61,3 +61,33 @@ func TestWaitReadyWakesOnMerge(t *testing.T) {
 		t.Fatal("probation resolved, but the node does not serve its slot")
 	}
 }
+
+// TestFailoverConfigDefaults pins how a node reads its FailoverConfig:
+// the zero SyncReplicas means the default gate of one mirror, only a
+// negative value turns the gate off, and the gate never asks for more
+// mirrors than the cluster has peers.
+func TestFailoverConfigDefaults(t *testing.T) {
+	for _, c := range []struct {
+		sync, size, want int
+	}{
+		{0, 3, 1},
+		{-1, 3, -1},
+		{1, 3, 1},
+		{2, 3, 2},
+		{5, 3, 2},
+		{0, 1, 0},
+		{-1, 1, -1},
+	} {
+		got := FailoverConfig{SyncReplicas: c.sync}.withDefaults(c.size)
+		if got.SyncReplicas != c.want {
+			t.Errorf("SyncReplicas %d on %d nodes: got %d, want %d", c.sync, c.size, got.SyncReplicas, c.want)
+		}
+	}
+	got := FailoverConfig{}.withDefaults(3)
+	if got.Heartbeat != defaultHeartbeat || got.Lease != 4*defaultHeartbeat {
+		t.Errorf("zero config: heartbeat %v lease %v, want %v and 4x", got.Heartbeat, got.Lease, defaultHeartbeat)
+	}
+	if got := (FailoverConfig{Heartbeat: time.Second, Lease: time.Minute}).withDefaults(3); got.Heartbeat != time.Second || got.Lease != time.Minute {
+		t.Errorf("explicit timings overridden: %+v", got)
+	}
+}

@@ -355,9 +355,11 @@ func fuzzFrameTypes(f *testing.F, types ...byte) {
 // each is FuzzFrames pinned to one frame type over the corpus checked in
 // under its name (from the codecs of retired revisions — T/E/Ex payloads
 // now exercise the plain frame's trailing-byte refusal, and the retired
-// statement frames' payloads are hostile input to FrameRequest), which is
-// also in testdata/fuzz/FuzzFrames. They survive only as the names those
-// inputs have run under; fuzz FuzzFrames, not them.
+// statement frames' payloads are hostile input to FrameRequest). Every
+// one of those inputs is also in testdata/fuzz/FuzzFrames under each frame
+// type its target pins, so FuzzFrames alone runs every check they run.
+// They survive only as the names those inputs have run under; fuzz
+// FuzzFrames, not them.
 
 func FuzzDecodeHello(f *testing.F)            { fuzzFrameTypes(f, FrameHello) }
 func FuzzDecodeResponse(f *testing.F)         { fuzzFrameTypes(f, FrameResponse, FrameBatchResponse) }

@@ -335,3 +335,64 @@ func TestTraceDisabledIsInvisible(t *testing.T) {
 		t.Errorf("wire Traces on an untraced node = %d traces, %v", len(ts), err)
 	}
 }
+
+// TestClusterClientStatsAndTracesAll: the cluster-wide introspection
+// sweeps. StatsAll answers one snapshot per dialed node; TracesAll
+// carries the owning node's fragment of a sampled write; and a node that
+// has shut down is reported in errs, not in the map.
+func TestClusterClientStatsAndTracesAll(t *testing.T) {
+	addrs, nodes := bootTracedCluster(t, 3)
+	cc, err := client.DialCluster(addrs, client.WithClusterOrigin("sweeper"),
+		client.WithClusterTracing(funcdb.TracingConfig{SampleEvery: 1}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cc.Close()
+
+	snaps, errs := cc.StatsAll()
+	if len(errs) != 0 || len(snaps) != len(addrs) {
+		t.Fatalf("StatsAll: %d snapshots, errs %v; want %d and none", len(snaps), errs, len(addrs))
+	}
+	for _, addr := range addrs {
+		if _, ok := snaps[addr]; !ok {
+			t.Errorf("StatsAll has no snapshot for %s", addr)
+		}
+	}
+
+	if resp, err := cc.Exec(`insert (1, "swept") into S`); err != nil || resp.Err != nil {
+		t.Fatalf("traced insert: %v %v", err, resp.Err)
+	}
+	local := cc.LocalTraces()
+	if len(local) != 1 {
+		t.Fatalf("cluster client recorded %d traces, want the one sampled write", len(local))
+	}
+	owner := fmt.Sprintf("node%d", core.LaneOf("S", len(addrs)))
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(20 * time.Millisecond) {
+		traces, errs := cc.TracesAll()
+		if len(errs) != 0 {
+			t.Fatalf("TracesAll errs: %v", errs)
+		}
+		found := false
+		for _, tr := range traces {
+			found = found || tr.ID == local[0].ID && tr.Node == owner
+		}
+		if found {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("TracesAll never carried %s's fragment of trace %s", owner, local[0].ID)
+		}
+	}
+
+	down := addrs[1]
+	if err := nodes[1].Shutdown(); err != nil {
+		t.Fatal(err)
+	}
+	snaps, errs = cc.StatsAll()
+	if _, ok := snaps[down]; ok || errs[down] == nil {
+		t.Fatalf("StatsAll after %s shut down: snapshot present %v, err %v; want it only in errs", down, ok, errs[down])
+	}
+	if len(snaps) != len(addrs)-1 || len(errs) != 1 {
+		t.Errorf("StatsAll after one shutdown: %d snapshots, errs %v; want %d and one", len(snaps), errs, len(addrs)-1)
+	}
+}
