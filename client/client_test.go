@@ -170,6 +170,40 @@ func TestServerAssignedOrigin(t *testing.T) {
 	}
 }
 
+// TestClusterClientsDefaultToDistinctOrigins: two cluster clients left at
+// the default origin tag their statements apart, so their (origin, seq)
+// tags never collide.
+func TestClusterClientsDefaultToDistinctOrigins(t *testing.T) {
+	store := funcdb.MustOpen(funcdb.WithRelations("R"))
+	defer store.Close()
+	srv := server.New(store)
+	if err := srv.Listen("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	go srv.Serve()
+	defer srv.Shutdown()
+
+	var origins []string
+	for range 2 {
+		cc, err := client.DialCluster([]string{srv.Addr().String()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer cc.Close()
+		if o := cc.Origin(); !strings.HasPrefix(o, "cluster-") || len(o) != len("cluster-")+16 {
+			t.Errorf("default origin %q, want cluster- and 16 hex digits", o)
+		}
+		resp, err := cc.Exec("count R")
+		if err != nil || resp.Origin != cc.Origin() {
+			t.Errorf("response origin %q, client origin %q (%v)", resp.Origin, cc.Origin(), err)
+		}
+		origins = append(origins, cc.Origin())
+	}
+	if origins[0] == origins[1] {
+		t.Errorf("two default cluster clients share the origin %q", origins[0])
+	}
+}
+
 // TestPipelinedForcedInReverse: 64 pipelined statements forced last to
 // first — the first Force reads all 64 replies, keeps the one it awaits and
 // parks the rest — still pair every response with its request.

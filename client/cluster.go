@@ -5,6 +5,8 @@
 package client
 
 import (
+	"crypto/rand"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"strings"
@@ -49,8 +51,9 @@ type ClusterClient struct {
 // ClusterOption configures DialCluster.
 type ClusterOption func(*ClusterClient)
 
-// WithClusterOrigin sets the tag stamped on the client's statements
-// (default "cluster").
+// WithClusterOrigin sets the tag stamped on the client's statements. The
+// default is "cluster-" and 16 random hex digits, so that two clients
+// left at the default never share an (origin, seq) tag.
 func WithClusterOrigin(origin string) ClusterOption {
 	return func(c *ClusterClient) { c.origin = origin }
 }
@@ -89,7 +92,7 @@ func DialCluster(addrs []string, opts ...ClusterOption) (*ClusterClient, error) 
 		return nil, errors.New("client: DialCluster needs at least one address")
 	}
 	c := &ClusterClient{
-		origin:    "cluster",
+		origin:    randomOrigin(),
 		addrs:     append([]string(nil), addrs...),
 		conns:     make(map[string]*Client),
 		placement: make(map[string]string),
@@ -107,6 +110,13 @@ func DialCluster(addrs []string, opts ...ClusterOption) (*ClusterClient, error) 
 
 // Origin returns the client's tag.
 func (c *ClusterClient) Origin() string { return c.origin }
+
+// randomOrigin is a ClusterClient's default tag.
+func randomOrigin() string {
+	var b [8]byte
+	_, _ = rand.Read(b[:]) // crypto/rand.Read never fails (it aborts the program instead)
+	return "cluster-" + hex.EncodeToString(b[:])
+}
 
 // startTrace opens a trace for one routed request when tracing is on,
 // returning the handle and the client-send span's start instant.

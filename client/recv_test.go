@@ -186,9 +186,10 @@ func TestRecvInOrderAllocGate(t *testing.T) {
 		}
 		id++
 	})
-	// A count response decodes to one string (its origin tag).
+	// A count response's one string, its origin tag, is a substring of
+	// the reply's one copy.
 	if allocs > 1 {
-		t.Errorf("recv of the awaited reply = %.1f allocs, want <= 1 (the decoded origin)", allocs)
+		t.Errorf("recv of the awaited reply = %.1f allocs, want <= 1 (the reply's one copy)", allocs)
 	}
 	if n := parked(c); n != 0 {
 		t.Errorf("%d replies parked by in-order receives", n)

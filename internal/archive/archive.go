@@ -53,7 +53,8 @@ func SnapshotEvery(n int) Option {
 // Fsync controls whether every appended record is fsynced before the
 // commit is reported durable. Off (the default) survives process crashes —
 // the records are in the OS page cache — but not power loss; on survives
-// both at a per-write fsync cost.
+// both at a per-write fsync cost, and syncs the directory whenever the
+// archive creates a file in it.
 func Fsync(on bool) Option {
 	return func(c *config) { c.fsync = on }
 }
@@ -171,6 +172,13 @@ func Create(dir string, initial *database.Database, opts ...Option) (*Archive, e
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("archive: %w", err)
+	}
+	if a.cfg.fsync {
+		// dir's own entry, which MkdirAll, or the caller just before,
+		// may have made.
+		if err := syncDir(filepath.Dir(dir)); err != nil {
+			return nil, fmt.Errorf("archive: %w", err)
+		}
 	}
 	st, err := scanDir(dir)
 	if err != nil {
@@ -580,7 +588,11 @@ func (a *Archive) writeSnapshot(db *database.Database) error {
 }
 
 // startLog creates log segment seq — the versions after snapshot seq —
-// with its file header, and makes it the append target.
+// with its file header, and makes it the append target. With Fsync on it
+// then syncs the directory: a log record's fsync makes its bytes durable
+// but not the segment's name, and without this a power loss could drop a
+// new segment with every acknowledged record in it. Under writeSnapshot
+// the one sync also covers the snapshot renamed into place just before.
 func (a *Archive) startLog(seq int64) error {
 	f, err := os.OpenFile(filepath.Join(a.dir, logName(seq)), os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
@@ -590,8 +602,34 @@ func (a *Archive) startLog(seq int64) error {
 		f.Close()
 		return err
 	}
+	if a.cfg.fsync {
+		if err := syncDir(a.dir); err != nil {
+			f.Close()
+			return err
+		}
+	}
 	a.log, a.logBase = f, seq
 	return nil
+}
+
+// syncDirHook, when a test sets it, sees every directory syncDir syncs.
+var syncDirHook func(dir string)
+
+// syncDir fsyncs directory dir, making the entries created, renamed or
+// removed in it durable.
+func syncDir(dir string) error {
+	if syncDirHook != nil {
+		syncDirHook(dir)
+	}
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // Snapshot forces a full snapshot of the given version (which must be the

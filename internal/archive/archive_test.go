@@ -518,3 +518,64 @@ func TestSnapshotEncodingsAcrossReps(t *testing.T) {
 		})
 	}
 }
+
+// TestDirectorySyncs: a file's fsync makes its bytes durable but not its
+// name. With Fsync on, the archive syncs a directory wherever it makes an
+// entry a power loss could drop: the data directory's parent at Create,
+// and the data directory after each new log segment (which also covers
+// the snapshot renamed in just before it), including the segment Open
+// starts when the newest snapshot has none. Compact, which has no
+// options, syncs after its removals either way. With Fsync off nothing
+// else is synced.
+func TestDirectorySyncs(t *testing.T) {
+	var synced []string
+	defer func() { syncDirHook = nil }()
+	for _, on := range []bool{true, false} {
+		parent := t.TempDir()
+		dir := filepath.Join(parent, "data")
+		syncDirHook = func(d string) {
+			if d == parent || d == dir {
+				synced = append(synced, d)
+			}
+		}
+		synced = nil
+		want := func(stage string, dirs ...string) {
+			t.Helper()
+			if !on && stage != "compact" {
+				dirs = nil
+			}
+			if fmt.Sprint(synced) != fmt.Sprint(dirs) {
+				t.Errorf("fsync %v, %s: synced %v, want %v", on, stage, synced, dirs)
+			}
+			synced = nil
+		}
+
+		e, a := newEngineWithArchive(t, dir, initialDB("R"), Fsync(on), SnapshotEvery(2))
+		want("create", parent, dir)
+		for i := 1; i <= 4; i++ {
+			e.Submit(core.Insert("R", value.NewTuple(value.Int(int64(i)))))
+		}
+		e.Barrier()
+		want("two rotations", dir, dir)
+		if err := a.Close(); err != nil {
+			t.Fatal(err)
+		}
+
+		if err := os.Remove(filepath.Join(dir, logName(4))); err != nil {
+			t.Fatal(err)
+		}
+		a, _, err := Open(dir, Fsync(on))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := a.Close(); err != nil {
+			t.Fatal(err)
+		}
+		want("open starting a missing segment", dir)
+
+		if removed, err := Compact(dir); err != nil || len(removed) == 0 {
+			t.Fatalf("compact removed %v, %v", removed, err)
+		}
+		want("compact", dir)
+	}
+}

@@ -490,5 +490,10 @@ func Compact(dir string) ([]string, error) {
 		}
 		removed = append(removed, name)
 	}
+	if len(removed) > 0 {
+		if err := syncDir(dir); err != nil {
+			return removed, fmt.Errorf("archive: compact: %w", err)
+		}
+	}
 	return removed, nil
 }

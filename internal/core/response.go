@@ -10,6 +10,12 @@ import (
 // Response is one element of the response stream: the result of one
 // transaction, tagged with the origin of the request so it can be routed
 // back (Section 2.4's tagging discipline).
+//
+// A Response decoded from a reply frame shares one copy of the frame with
+// every other response of that frame: its strings are substrings of the
+// copy and its tuples' fields slices of one item block. Keeping any part
+// of it — one tuple of a large range, one string — keeps the whole
+// frame's bytes alive.
 type Response struct {
 	Origin string
 	Seq    int

@@ -65,8 +65,19 @@ func AppendItem(dst []byte, it Item) ([]byte, error) {
 // DecodeItem decodes one item from the front of buf, returning it and the
 // remaining bytes.
 func DecodeItem(buf []byte) (Item, []byte, error) {
+	it, s, rest, err := decodeItem(buf)
+	if it.kind == KindString {
+		it.s = string(s)
+	}
+	return it, rest, err
+}
+
+// decodeItem is the item grammar: it decodes one item from the front of
+// buf, leaving a string item's bytes in s, a sub-slice of buf, for the
+// caller to make its text from.
+func decodeItem(buf []byte) (it Item, s, rest []byte, err error) {
 	if len(buf) == 0 {
-		return Item{}, buf, fmt.Errorf("%w: empty buffer", ErrCorrupt)
+		return Item{}, nil, buf, fmt.Errorf("%w: empty buffer", ErrCorrupt)
 	}
 	kind := Kind(buf[0])
 	buf = buf[1:]
@@ -74,18 +85,16 @@ func DecodeItem(buf []byte) (Item, []byte, error) {
 	case KindInt:
 		v, n := binary.Varint(buf)
 		if n <= 0 {
-			return Item{}, buf, fmt.Errorf("%w: bad varint", ErrCorrupt)
+			return Item{}, nil, buf, fmt.Errorf("%w: bad varint", ErrCorrupt)
 		}
-		return Int(v), buf[n:], nil
+		return Int(v), nil, buf[n:], nil
 	case KindString:
-		l, n := binary.Uvarint(buf)
-		if n <= 0 || uint64(len(buf)-n) < l {
-			return Item{}, buf, fmt.Errorf("%w: bad string length", ErrCorrupt)
+		if s, buf, err = DecodeStringBytes(buf); err != nil {
+			return Item{}, nil, buf, err
 		}
-		s := string(buf[n : n+int(l)])
-		return Str(s), buf[n+int(l):], nil
+		return Item{kind: KindString}, s, buf, nil
 	default:
-		return Item{}, buf, fmt.Errorf("%w: unknown kind %d", ErrCorrupt, kind)
+		return Item{}, nil, buf, fmt.Errorf("%w: unknown kind %d", ErrCorrupt, kind)
 	}
 }
 
@@ -102,28 +111,37 @@ func AppendTuple(dst []byte, t Tuple) ([]byte, error) {
 }
 
 // DecodeTuple decodes one tuple from the front of buf, returning it and
-// the remaining bytes.
+// the remaining bytes. The tuple owns its fields and strings, so it can
+// enter a long-lived relation version without keeping buf alive.
 func DecodeTuple(buf []byte) (Tuple, []byte, error) {
-	arity, n := binary.Uvarint(buf)
-	if n <= 0 {
-		return Tuple{}, buf, fmt.Errorf("%w: bad arity", ErrCorrupt)
+	arity, rest, err := decodeArity(buf)
+	if err != nil {
+		return Tuple{}, buf, err
 	}
-	if arity > uint64(len(buf)) {
-		// Each item needs at least one byte; an arity beyond the buffer
-		// length is corrupt (and guards allocation).
-		return Tuple{}, buf, fmt.Errorf("%w: arity %d exceeds buffer", ErrCorrupt, arity)
-	}
-	buf = buf[n:]
 	fields := make([]Item, 0, arity)
-	for i := uint64(0); i < arity; i++ {
+	for i := 0; i < arity; i++ {
 		var it Item
-		var err error
-		if it, buf, err = DecodeItem(buf); err != nil {
-			return Tuple{}, buf, err
+		if it, rest, err = DecodeItem(rest); err != nil {
+			return Tuple{}, rest, err
 		}
 		fields = append(fields, it)
 	}
-	return Tuple{fields: fields}, buf, nil
+	return Tuple{fields: fields}, rest, nil
+}
+
+// decodeArity decodes a tuple's arity from the front of buf. Each item
+// takes at least two bytes (a kind and a varint or a length), so an arity
+// beyond half of what follows is corrupt; the check guards allocation.
+func decodeArity(buf []byte) (int, []byte, error) {
+	arity, n := binary.Uvarint(buf)
+	if n <= 0 {
+		return 0, buf, fmt.Errorf("%w: bad arity", ErrCorrupt)
+	}
+	rest := buf[n:]
+	if arity > uint64(len(rest))/2 {
+		return 0, buf, fmt.Errorf("%w: arity %d exceeds buffer", ErrCorrupt, arity)
+	}
+	return int(arity), rest, nil
 }
 
 // EncodeTuples encodes a tuple stream (uvarint count then tuples).

@@ -235,15 +235,17 @@ func appendResponse(dst []byte, r core.Response) ([]byte, error) {
 	return dst, nil
 }
 
-// decodeResponse decodes one response from the front of buf, returning
-// the remaining bytes (responses concatenate inside a batch frame). A
-// flag announcing an empty section is corrupt: the encoder never sets one.
-func decodeResponse(buf []byte) (core.Response, []byte, error) {
+// decodeResponse decodes one response from the front of buf, a suffix of
+// b's payload, returning the remaining bytes (responses concatenate inside
+// a batch frame). left is how many responses the frame holds from this one
+// on, which sizes b's item block for a batch of one-tuple replies. A flag
+// announcing an empty section is corrupt: the encoder never sets one.
+func decodeResponse(b *value.Block, buf []byte, left int) (core.Response, []byte, error) {
 	fail := func(what string) (core.Response, []byte, error) {
 		return core.Response{}, buf, fmt.Errorf("%w: response: bad %s", ErrCorrupt, what)
 	}
 	var r core.Response
-	origin, buf, err := value.DecodeString(buf)
+	origin, buf, err := b.String(buf)
 	if err != nil {
 		return fail("origin")
 	}
@@ -272,7 +274,7 @@ func decodeResponse(buf []byte) (core.Response, []byte, error) {
 	buf = buf[n:]
 	r.Found = flags&respFound != 0
 	if flags&respTuple != 0 {
-		if r.Tuple, buf, err = value.DecodeTuple(buf); err != nil || r.Tuple.IsZero() {
+		if r.Tuple, buf, err = b.Tuple(buf, left); err != nil || r.Tuple.IsZero() {
 			return fail("tuple")
 		}
 	}
@@ -282,24 +284,22 @@ func decodeResponse(buf []byte) (core.Response, []byte, error) {
 			return fail("tuple count")
 		}
 		buf = buf[n:]
-		r.Tuples = make([]value.Tuple, 0, ntuples)
-		for i := uint64(0); i < ntuples; i++ {
-			var tu value.Tuple
-			if tu, buf, err = value.DecodeTuple(buf); err != nil {
+		r.Tuples = make([]value.Tuple, ntuples)
+		for i := range r.Tuples {
+			if r.Tuples[i], buf, err = b.Tuple(buf, len(r.Tuples)-i); err != nil {
 				return fail("tuples")
 			}
-			r.Tuples = append(r.Tuples, tu)
 		}
 	}
 	if flags&respErr != 0 {
 		var msg string
-		if msg, buf, err = value.DecodeString(buf); err != nil {
+		if msg, buf, err = b.String(buf); err != nil {
 			return fail("error")
 		}
 		r.Err = errors.New(msg)
 	}
 	if flags&respNote != 0 {
-		if r.Note, buf, err = value.DecodeString(buf); err != nil || r.Note == "" {
+		if r.Note, buf, err = b.String(buf); err != nil || r.Note == "" {
 			return fail("note")
 		}
 	}
@@ -312,13 +312,16 @@ func AppendSingleResponse(dst []byte, id uint64, r core.Response) ([]byte, error
 	return appendResponse(dst, r)
 }
 
-// DecodeSingleResponse decodes a FrameResponse payload.
+// DecodeSingleResponse decodes a FrameResponse payload. Its strings and
+// tuples share one copy of buf (see value.Block).
 func DecodeSingleResponse(buf []byte) (uint64, core.Response, error) {
 	id, n := binary.Uvarint(buf)
 	if n <= 0 {
 		return 0, core.Response{}, fmt.Errorf("%w: bad request id", ErrCorrupt)
 	}
-	r, rest, err := decodeResponse(buf[n:])
+	var b value.Block
+	b.Reset(buf)
+	r, rest, err := decodeResponse(&b, buf[n:], 1)
 	if err != nil {
 		return 0, core.Response{}, err
 	}
@@ -342,33 +345,34 @@ func AppendResponses(dst []byte, id uint64, resps []core.Response) ([]byte, erro
 	return dst, nil
 }
 
-// DecodeResponses decodes a FrameBatchResponse payload.
+// DecodeResponses decodes a FrameBatchResponse payload. The strings and
+// tuples of every response share one copy of buf (see value.Block).
 func DecodeResponses(buf []byte) (id uint64, resps []core.Response, err error) {
 	id, n := binary.Uvarint(buf)
 	if n <= 0 {
 		return 0, nil, fmt.Errorf("%w: bad request id", ErrCorrupt)
 	}
-	buf = buf[n:]
-	count, n := binary.Uvarint(buf)
+	rest := buf[n:]
+	count, n := binary.Uvarint(rest)
 	if n <= 0 {
 		return 0, nil, fmt.Errorf("%w: bad response count", ErrCorrupt)
 	}
-	buf = buf[n:]
+	rest = rest[n:]
 	// A response is at least 6 bytes; a count beyond that is corrupt (and
 	// the check guards allocation on corrupt counts).
-	if count > uint64(len(buf))/6+1 {
+	if count > uint64(len(rest))/6+1 {
 		return 0, nil, fmt.Errorf("%w: response count %d exceeds buffer", ErrCorrupt, count)
 	}
-	resps = make([]core.Response, 0, count)
-	for i := uint64(0); i < count; i++ {
-		var r core.Response
-		if r, buf, err = decodeResponse(buf); err != nil {
+	var b value.Block
+	b.Reset(buf)
+	resps = make([]core.Response, count)
+	for i := range resps {
+		if resps[i], rest, err = decodeResponse(&b, rest, len(resps)-i); err != nil {
 			return 0, nil, err
 		}
-		resps = append(resps, r)
 	}
-	if len(buf) != 0 {
-		return 0, nil, errTrailing(buf)
+	if len(rest) != 0 {
+		return 0, nil, errTrailing(rest)
 	}
 	return id, resps, nil
 }

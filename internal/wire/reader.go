@@ -26,7 +26,8 @@ const (
 // The payload returned by Next aliases the Reader's internal buffer and
 // is valid only until the next call to Next. Callers that keep payload
 // bytes past that point must copy them — every decoder in this package
-// and internal/value already copies what it extracts.
+// and internal/value already copies what it extracts (a reply frame's
+// decoders copy the whole payload once, into a value.Block).
 //
 // A Reader is not safe for concurrent use; each connection's read loop
 // owns one.

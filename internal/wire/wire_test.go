@@ -157,7 +157,9 @@ func TestExecBatchPayloads(t *testing.T) {
 	}
 }
 
-// sampleResponses covers every shape a response can take.
+// sampleResponses covers every shape a response can take, among them one
+// without a string, one with both an error and a note, and one whose
+// tuples' arities vary.
 func sampleResponses() []core.Response {
 	tup := value.NewTuple(value.Int(1), value.Str("widget"))
 	return []core.Response{
@@ -174,6 +176,14 @@ func sampleResponses() []core.Response {
 			Err: errors.New(`database: no such relation "NOPE"`)},
 		{Origin: "c2", Seq: 9, Kind: core.KindCustom, Note: "moved 3 tuples"},
 		{Origin: "c2", Seq: 10, Kind: core.KindScan, Version: 12},
+		{Kind: core.KindFind, Found: true, Tuple: value.NewTuple(value.Int(3), value.Int(-3))},
+		{Origin: "c3", Seq: 12, Kind: core.KindCustom, Err: errors.New("custom: refused"), Note: "half done"},
+		{Origin: "c3", Seq: 13, Kind: core.KindScan, Count: 4, Tuples: []value.Tuple{
+			value.NewTuple(value.Int(1)),
+			value.NewTuple(value.Int(2), value.Str("b"), value.Str("")),
+			value.NewTuple(value.Str("c"), value.Int(3)),
+			value.NewTuple(value.Int(4), value.Str("d"), value.Int(5), value.Str("e"), value.Int(6)),
+		}},
 	}
 }
 
@@ -183,7 +193,9 @@ func TestResponseRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("resp %d: %v", i, err)
 		}
-		got, rest, err := decodeResponse(buf)
+		var b value.Block
+		b.Reset(buf)
+		got, rest, err := decodeResponse(&b, buf, 1)
 		if err != nil || len(rest) != 0 {
 			t.Fatalf("resp %d: %v (%d trailing)", i, err, len(rest))
 		}
@@ -192,7 +204,7 @@ func TestResponseRoundTrip(t *testing.T) {
 		if got.String() != r.String() {
 			t.Errorf("resp %d: %q != %q", i, got.String(), r.String())
 		}
-		if got.Version != r.Version || got.Count != r.Count || got.Found != r.Found {
+		if got.Version != r.Version || got.Count != r.Count || got.Found != r.Found || got.Note != r.Note {
 			t.Errorf("resp %d fields: %+v vs %+v", i, got, r)
 		}
 	}
@@ -209,7 +221,7 @@ func TestResponsesBatchRoundTrip(t *testing.T) {
 		t.Fatalf("batch decode: id %d, %d resps, %v", id, len(got), err)
 	}
 	for i := range resps {
-		if got[i].String() != resps[i].String() {
+		if got[i].String() != resps[i].String() || got[i].Note != resps[i].Note {
 			t.Errorf("resp %d: %q != %q", i, got[i].String(), resps[i].String())
 		}
 	}
