@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"testing"
-	"time"
 
 	"funcdb"
 )
@@ -195,7 +194,7 @@ func TestGroupCommitStore(t *testing.T) {
 	dir := t.TempDir()
 	store, err := funcdb.Open(
 		funcdb.WithRelations("R"),
-		funcdb.WithDurability(dir, funcdb.GroupCommit(time.Hour), funcdb.SyncEveryWrite()))
+		funcdb.WithDurability(dir, funcdb.SyncEveryWrite()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,8 +204,8 @@ func TestGroupCommitStore(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Barrier flushes the pending batch: the durable listing must already
-	// hold every commit even though the window never fired.
+	// Each Exec returned once its write was flushed: the durable listing
+	// holds every commit.
 	infos, err := store.ArchivedVersions()
 	if err != nil {
 		t.Fatal(err)

@@ -10,7 +10,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"funcdb"
 	"funcdb/internal/core"
@@ -390,13 +389,6 @@ func BenchmarkDurableWrites(b *testing.B) {
 		}},
 		{"archive=fsync", func(dir string) []funcdb.Option {
 			return []funcdb.Option{funcdb.WithDurability(dir, funcdb.SyncEveryWrite())}
-		}},
-		{"archive=fsync/group=2ms", func(dir string) []funcdb.Option {
-			return []funcdb.Option{funcdb.WithDurability(dir,
-				funcdb.SyncEveryWrite(), funcdb.GroupCommit(2*time.Millisecond))}
-		}},
-		{"archive=on/group=2ms", func(dir string) []funcdb.Option {
-			return []funcdb.Option{funcdb.WithDurability(dir, funcdb.GroupCommit(2*time.Millisecond))}
 		}},
 	}
 	for _, tc := range cases {

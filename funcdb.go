@@ -199,11 +199,16 @@ func WithLanes(n int) Option {
 
 // WithDurability makes the version stream durable in dir: an initial
 // snapshot plus an append-only transaction log (internal/archive), written
-// from the engine's post-commit observer so durability rides the lenient
-// pipeline. If dir already holds an archive, the store recovers from it
-// (newest snapshot + log suffix) and any WithRelations/WithData/
-// WithDatabase options are superseded by the recovered version. Close the
-// store to flush and release the archive.
+// from the engine's post-commit notifier so durability rides the lenient
+// pipeline. The log is flushed once per notifier batch of commits — one
+// write, one fsync under SyncEveryWrite — as soon as the previous flush
+// returns, and a write is acknowledged only once its flush has returned:
+// Exec, ExecBatch, Stmt.Exec, Stmt.ExecBatch, Barrier and every network
+// reply wait for it. An ExecAsync future is the lenient value and resolves
+// before its write is durable. If dir already holds an archive, the store
+// recovers from it (newest snapshot + log suffix) and any WithRelations/
+// WithData/WithDatabase options are superseded by the recovered version.
+// Close the store to release the archive.
 func WithDurability(dir string, opts ...DurabilityOption) Option {
 	return func(e *cfgError, c *config) {
 		if dir == "" {
@@ -211,7 +216,11 @@ func WithDurability(dir string, opts ...DurabilityOption) Option {
 			return
 		}
 		c.dir = dir
-		c.archOpts = append(c.archOpts, opts...)
+		for _, o := range opts {
+			if o != nil { // a deprecated GroupCommit
+				c.archOpts = append(c.archOpts, o)
+			}
+		}
 	}
 }
 
@@ -234,17 +243,18 @@ func WithTracing(cfg TracingConfig) Option {
 // recovery replay time (and enabling compaction past old segments).
 func SnapshotEvery(n int) DurabilityOption { return archive.SnapshotEvery(n) }
 
-// SyncEveryWrite fsyncs the log on every committed write: durability
-// against power loss, not just process crashes, at a per-write fsync cost.
+// SyncEveryWrite fsyncs every log flush before the writes it carries are
+// acknowledged: durability against power loss, not just process crashes.
+// A flush carries every write committed while the previous one ran, so the
+// cost is one fsync per flush, not per write.
 func SyncEveryWrite() DurabilityOption { return archive.Fsync(true) }
 
-// GroupCommit batches durable log appends: committed records accumulate in
-// memory and are flushed — one write, and one fsync when SyncEveryWrite is
-// on — at least every window. Group commit multiplies durable-write
-// throughput at the cost that a crash may lose the commits of the current
-// window (the in-memory database is never affected). Barrier and Close
-// flush the pending batch.
-func GroupCommit(window time.Duration) DurabilityOption { return archive.GroupCommit(window) }
+// GroupCommit sets nothing: it returns nil, which WithDurability skips.
+//
+// Deprecated: the log is flushed once per batch of commits, as soon as the
+// previous flush returns, and a write is acknowledged only once its flush
+// has returned; there is no window left to set.
+func GroupCommit(time.Duration) DurabilityOption { return nil }
 
 // Store is a single-process functional database: one transaction stream,
 // one version stream. Its query surface (Exec, ExecAsync, ExecBatch) is a
@@ -334,7 +344,9 @@ func Open(opts ...Option) (*Store, error) {
 		s.archive = arch
 	}
 	if s.archive != nil {
-		engineOpts = append(engineOpts, core.WithCommitObserver(s.archive.Observer()))
+		engineOpts = append(engineOpts,
+			core.WithCommitObserver(s.archive.Observer()),
+			core.WithCommitFlush(s.archive.Flusher()))
 	}
 	if c.history >= 0 {
 		s.history = database.NewHistory(c.history)
@@ -422,41 +434,46 @@ func (s *Store) SubmitBatch(txs []Transaction) []*Future {
 // session owns the tag space, which is what makes a network connection's
 // response stream deterministic regardless of how other connections
 // interleave. A single transaction takes the engine's one-off path, so a
-// lone read keeps the lock-free fast path; a batch hints the archive's
-// adaptive group-commit window with its write count before admission.
-// The future of txs[i] is stored into futs[i] — the caller's slice, as
-// long as txs — so a single-statement flush allocates no result slice.
+// lone read keeps the lock-free fast path. The future of txs[i] is stored
+// into futs[i] — the caller's slice, as long as txs — so a
+// single-statement flush allocates no result slice.
 func (s *Store) SubmitTagged(txs []Transaction, futs []*Future) {
 	if len(txs) == 1 {
 		futs[0] = s.engine.Submit(txs[0])
 		return
 	}
-	if s.archive != nil {
-		writes := 0
-		for i := range txs {
-			if !txs[i].IsReadOnly() {
-				writes++
-			}
-		}
-		s.archive.ExpectBatch(writes)
-	}
 	copy(futs, s.engine.SubmitBatch(txs))
+}
+
+// AwaitDurable blocks until every version the store has published so far
+// is durable: call it after forcing a reply's futures, and the version it
+// reads bounds every write the reply carries, conservatively. It is how
+// Exec, ExecBatch and the network server acknowledge durability. Without
+// durability it returns at once; with nothing pending it is one atomic
+// load and allocates nothing.
+func (s *Store) AwaitDurable() {
+	if s.archive != nil {
+		s.engine.WaitNotified(s.engine.Version())
+	}
 }
 
 // ExecAsync translates and submits a symbolic query through the store's
 // session (cached statements, one exec path), returning the response
-// future.
+// future: the lenient value, which may resolve before a durable store has
+// made the write durable (Barrier waits for that).
 func (s *Store) ExecAsync(q string) (*Future, error) {
 	return s.session.ExecAsync(q)
 }
 
-// Exec translates, submits and waits.
+// Exec translates, submits and waits for the response — and, on a durable
+// store, for the write to be durable.
 func (s *Store) Exec(q string) (Response, error) {
 	return s.session.Exec(q)
 }
 
 // ExecBatch translates a slice of queries, submits them all in one merge
-// arbitration, and waits for every response. Translation is all-or-nothing:
+// arbitration, and waits for every response and, on a durable store, for
+// every write to be durable. Translation is all-or-nothing:
 // a syntax error in any query fails the whole batch before anything is
 // submitted, and the returned error is a *BatchError carrying the failing
 // statement's index.
@@ -520,17 +537,21 @@ func (st *Stmt) ExecAsync(args ...Item) (*Future, error) {
 	return st.store.Submit(tx), nil
 }
 
-// Exec binds, submits and waits.
+// Exec binds, submits and waits for the response and, on a durable store,
+// for the write to be durable.
 func (st *Stmt) Exec(args ...Item) (Response, error) {
 	fut, err := st.ExecAsync(args...)
 	if err != nil {
 		return Response{}, err
 	}
-	return fut.Force(), nil
+	resp := fut.Force()
+	st.store.AwaitDurable()
+	return resp, nil
 }
 
 // ExecBatch binds every argument set and submits the lot in one merge
-// arbitration, waiting for all responses. Binding is all-or-nothing.
+// arbitration, waiting for all responses and, on a durable store, for
+// every write to be durable. Binding is all-or-nothing.
 func (st *Stmt) ExecBatch(argSets ...[]Item) ([]Response, error) {
 	txs := make([]Transaction, len(argSets))
 	for i, args := range argSets {
@@ -545,6 +566,7 @@ func (st *Stmt) ExecBatch(argSets ...[]Item) ([]Response, error) {
 	for i, f := range futures {
 		out[i] = f.Force()
 	}
+	st.store.AwaitDurable()
 	return out, nil
 }
 
@@ -561,13 +583,11 @@ func (s *Store) Version() int64 { return s.engine.Version() }
 func (s *Store) Lanes() int { return s.engine.Lanes() }
 
 // Barrier waits for every submitted transaction to finish, including its
-// durable record: with group commit, the pending batch is flushed to the
-// log before Barrier returns.
+// durable record: every version published before the call is on disk (and
+// fsynced, under SyncEveryWrite) when Barrier returns. A flush failure is
+// sticky; DurabilityErr reports it.
 func (s *Store) Barrier() {
 	s.engine.Barrier()
-	if s.archive != nil {
-		_ = s.archive.Flush() // failures are sticky; DurabilityErr reports them
-	}
 }
 
 // History returns the retained version stream, or nil when history is
@@ -638,9 +658,9 @@ func (s *Store) ArchivedVersions() ([]VersionInfo, error) {
 		return nil, fmt.Errorf("funcdb: store has no archive (open with WithDurability)")
 	}
 	s.engine.Barrier()
-	// Flush the group-commit batch explicitly: a flush failure must fail
-	// the listing rather than silently omit the buffered versions.
-	if err := s.archive.Flush(); err != nil {
+	// A flush failure must fail the listing rather than silently omit the
+	// versions it lost.
+	if err := s.archive.Err(); err != nil {
 		return nil, err
 	}
 	return archive.Versions(s.archive.Dir())
@@ -667,9 +687,11 @@ func (s *Store) Snapshot() error {
 // trace context of the commit that wrote it, replayed history with the
 // zero context. A subscriber below the oldest retained log segment is sent
 // that segment's base snapshot first, in pieces (see
-// archive.Archive.SubscribeTxns). The callback runs on the commit path
-// under the archive mutex: hand the record off (copy it; the slice is
-// reused), never block or call back into the store. Decode records with
+// archive.Archive.SubscribeTxns). A live record is handed over once the
+// flush has made it durable, so a subscriber never holds a write this
+// store could lose. The callback runs on the flush path under the archive
+// mutex: hand the record off (copy it; the slice is reused), never block
+// or call back into the store. Decode records with
 // the archive's record codec; cancel unregisters.
 func (s *Store) SubscribeLog(after int64, fn func(first, last int64, ctx TraceCtx, form byte, record []byte)) (cancel func(), err error) {
 	if s.archive == nil {
@@ -776,8 +798,7 @@ type ClusterNodeConfig struct {
 	Relations []string
 	// Lanes sets the store's admission lane count (0 = default).
 	Lanes int
-	// Durability tunes the node's archive (group commit, fsync, snapshot
-	// cadence).
+	// Durability tunes the node's archive (fsync, snapshot cadence).
 	Durability []DurabilityOption
 	// Tracing enables request tracing on the node's store (see
 	// WithTracing): the node records its own spans for every request it

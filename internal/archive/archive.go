@@ -29,11 +29,17 @@ var ErrExists = errors.New("archive: archive already present")
 // which is why the text is stable.
 var ErrLogTrimmed = errors.New("archive: no readable snapshot at the retained log's base")
 
+// ErrAheadOfLog reports a subscription starting beyond the archive's last
+// durable version: the subscriber holds versions this archive does not,
+// which only a lost disk can cause once records ship from the flush. The
+// subscriber must start over from below the log floor. Like ErrLogTrimmed,
+// it crosses the wire by message text, which is why the text is stable.
+var ErrAheadOfLog = errors.New("archive: subscription starts beyond the log's last durable version")
+
 // config collects archive options.
 type config struct {
 	snapshotEvery int
 	fsync         bool
-	group         time.Duration
 	metrics       *metrics.Archive
 }
 
@@ -50,26 +56,13 @@ func SnapshotEvery(n int) Option {
 	return func(c *config) { c.snapshotEvery = n }
 }
 
-// Fsync controls whether every appended record is fsynced before the
-// commit is reported durable. Off (the default) survives process crashes —
-// the records are in the OS page cache — but not power loss; on survives
-// both at a per-write fsync cost, and syncs the directory whenever the
-// archive creates a file in it.
+// Fsync controls whether every flush is fsynced before its records count
+// as durable. Off (the default) survives process crashes — the records are
+// in the OS page cache — but not power loss; on survives both at one fsync
+// per flush, and syncs the directory whenever the archive creates a file in
+// it.
 func Fsync(on bool) Option {
 	return func(c *config) { c.fsync = on }
-}
-
-// GroupCommit batches log appends: records accumulate in memory and are
-// flushed — one write, and one fsync when Fsync is on — at least every
-// window. The commit path pays an in-memory copy instead of a syscall (and
-// instead of a per-commit fsync), multiplying durable-write throughput; the
-// cost is that a crash may lose the commits of the current window. Flush,
-// Snapshot, VersionAt and Close all flush the pending batch first, so
-// anything observed through the archive API is on disk. window <= 0
-// disables batching (the default: each commit is a flush of its own,
-// written — and fsynced with Fsync on — before Append returns).
-func GroupCommit(window time.Duration) Option {
-	return func(c *config) { c.group = window }
 }
 
 // WithMetrics records durability metrics into m: appends, bytes, flush
@@ -81,6 +74,12 @@ func WithMetrics(m *metrics.Archive) Option {
 
 // Archive is an open, appendable archive directory. One writer at a time;
 // methods are safe for concurrent use within a process.
+//
+// Append only frames records into a buffer; Flush writes the buffer — one
+// write, plus one fsync under Fsync(true) — and only then hands its records
+// to log-tail subscribers. A store flushes once per engine notifier batch
+// (core.WithCommitFlush), so everything appended while one flush runs lands
+// in the next: group commit with no timer.
 type Archive struct {
 	mu        sync.Mutex
 	dir       string
@@ -92,23 +91,28 @@ type Archive struct {
 	failed    error  // sticky first failure; appends refuse after it
 	buf       []byte // framed records awaiting the flush's one write (+fsync)
 	bufVers   int    // versions the records in buf cover
-	expect    int    // adaptive window: flush once bufVers reaches this (0 = no hint)
 
 	// Log-tail subscriptions (SubscribeTxns): each registered function
-	// receives every appended log record, in commit order, under a.mu.
-	// nextSubID keys cancellation.
+	// receives every log record, in commit order, under a.mu, once the
+	// flush has made it durable. nextSubID keys cancellation. recs indexes
+	// the records in buf for them — filled only while a subscription is
+	// registered, and reused flush to flush.
 	tails     map[uint64]TailFunc
 	nextSubID uint64
+	recs      []bufRecord
 
 	// Traced commits awaiting the flush: each entry turns into a
 	// group-commit-fsync span when flushLocked lands the batch. Empty
 	// whenever tracing is off — appending costs nothing untraced.
 	pendingTr []pendingTrace
+}
 
-	// Group-commit flusher goroutine lifecycle.
-	flushStop chan struct{}
-	flushDone chan struct{}
-	stopOnce  sync.Once
+// bufRecord locates one buffered log record for the tails: the versions it
+// covers, its commit's trace context and its payload's span in buf.
+type bufRecord struct {
+	first, last int64
+	ctx         reqtrace.Ctx
+	start, end  int
 }
 
 // pendingTrace is one traced commit awaiting the flush: the trace
@@ -116,41 +120,6 @@ type Archive struct {
 type pendingTrace struct {
 	t  *reqtrace.T
 	at int64 // unix nanoseconds
-}
-
-// startFlusher launches the group-commit window timer. Called once at
-// Create/Open when GroupCommit is configured.
-func (a *Archive) startFlusher() {
-	if a.cfg.group <= 0 {
-		return
-	}
-	a.flushStop = make(chan struct{})
-	a.flushDone = make(chan struct{})
-	go func() {
-		defer close(a.flushDone)
-		t := time.NewTicker(a.cfg.group)
-		defer t.Stop()
-		for {
-			select {
-			case <-t.C:
-				_ = a.Flush() // failures are sticky; Close reports them
-			case <-a.flushStop:
-				return
-			}
-		}
-	}()
-}
-
-// stopFlusher terminates the window timer and waits for it to exit. Safe
-// to call more than once, and a no-op without group commit.
-func (a *Archive) stopFlusher() {
-	if a.flushStop == nil {
-		return
-	}
-	a.stopOnce.Do(func() {
-		close(a.flushStop)
-		<-a.flushDone
-	})
 }
 
 func snapName(seq int64) string { return fmt.Sprintf("snap-%016d.fdba", seq) }
@@ -190,7 +159,6 @@ func Create(dir string, initial *database.Database, opts ...Option) (*Archive, e
 	if err := a.writeSnapshot(initial); err != nil {
 		return nil, err
 	}
-	a.startFlusher()
 	return a, nil
 }
 
@@ -239,46 +207,15 @@ func Open(dir string, opts ...Option) (*Archive, *database.Database, error) {
 	if a.cfg.metrics != nil {
 		a.cfg.metrics.Recovered(time.Since(recoverStart))
 	}
-	a.startFlusher()
 	return a, rec.db, nil
-}
-
-// maxGroupVersions caps the group-commit buffer: a window long enough to
-// hold records of more than this many versions flushes early, bounding both
-// the buffer's memory and the number of commits a crash can lose.
-const maxGroupVersions = 4096
-
-// ExpectBatch hints that a batch of n committed writes is about to reach
-// Append: the adaptive group-commit window. Once the buffer holds that many
-// more versions — the batch's records, however few a run makes them — the
-// pending batch is flushed immediately instead of waiting out the window
-// timer: a full admission batch is exactly the write the group-commit
-// machinery exists to coalesce, so there is nothing to gain by sleeping on
-// it.
-//
-// The hint is a high-water mark rebased on the current buffer (flush
-// when bufVers reaches bufVers-now + n), not a countdown: a hinted write
-// that errors before committing never reaches Append, and a countdown it
-// failed to decrement would wedge the adaptive flush forever. With the
-// high-water form a shortfall only delays the current batch's flush (the
-// timer still covers it); the next hint rebases and the machinery
-// recovers. Unhinted appends landing in between only make the flush
-// earlier. Without group commit every Append flushes anyway, so the hint
-// changes nothing.
-func (a *Archive) ExpectBatch(n int) {
-	if n <= 0 {
-		return
-	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	a.expect = a.bufVers + n
 }
 
 // Append records one committed write, or one insert run. Encodable commits
 // become log records — a run one record, or one per stretch of it under one
-// origin's consecutive sequence numbers; custom transactions (no record
-// form) force a full snapshot of the version they produced. It is the body
-// of the core.CommitObserver hook.
+// origin's consecutive sequence numbers — framed into the buffer the next
+// Flush writes; custom transactions (no record form) force a full snapshot
+// of the version they produced. It is the body of the core.CommitObserver
+// hook.
 func (a *Archive) Append(c core.Commit) error {
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -290,13 +227,6 @@ func (a *Archive) Append(c core.Commit) error {
 		return err
 	}
 	a.lastSeq = c.Seq
-	// Without group commit every commit is a flush of its own. With it,
-	// the window timer flushes, or — the adaptive window — the buffer
-	// reaching the hinted high-water mark, the last append of a full
-	// admitted batch. maxGroupVersions caps the buffer regardless of hints.
-	if a.cfg.group <= 0 || (a.expect > 0 && a.bufVers >= a.expect) || a.bufVers >= maxGroupVersions {
-		return a.flushLocked()
-	}
 	return nil
 }
 
@@ -314,14 +244,11 @@ func (a *Archive) append(c core.Commit) error {
 		return a.writeSnapshot(c.Version())
 	}
 	// The records are framed straight into the batch buffer, and stay
-	// there until the flush that writes them (Append's, without group
-	// commit). Log-shipping tail: subscribers see each record the moment
-	// it is framed (before its durable write — a replica can never be
-	// *ahead* of the primary's committed state, only of its fsync),
-	// together with the trace context of the commit that wrote it. They
-	// read its payload in the buffer, and may not retain it.
+	// there until the flush that writes them. With a log-tail subscriber,
+	// each is also indexed, with the trace context of the commit that
+	// wrote it, for the flush to hand to the tails once it is durable.
 	tr := c.Tx.Trace
-	start := len(a.buf)
+	start, nrecs := len(a.buf), len(a.recs)
 	buf := a.buf
 	versions := int(c.Seq - c.First() + 1)
 	var one [1]value.Tuple
@@ -330,11 +257,14 @@ func (a *Archive) append(c core.Commit) error {
 		var payload []byte
 		var err error
 		if buf, payload, err = appendRunFrame(buf, r); err != nil {
-			a.buf = buf[:start]
+			a.buf, a.recs = buf[:start], a.recs[:nrecs]
 			return err
 		}
-		for _, fn := range a.tails {
-			fn(r.First, r.Last(), tr.Ctx(), FormRun, payload)
+		if len(a.tails) > 0 {
+			// payload is buf[off:off+len(payload)], so its capacity
+			// places it.
+			off := cap(buf) - cap(payload)
+			a.recs = append(a.recs, bufRecord{first: r.First, last: r.Last(), ctx: tr.Ctx(), start: off, end: off + len(payload)})
 		}
 		i += n
 	}
@@ -355,8 +285,10 @@ func (a *Archive) append(c core.Commit) error {
 }
 
 // flushLocked writes the pending batch to the log — one write and, with
-// Fsync on, one fsync for the whole batch. It is the only write of log
-// records. Must hold a.mu. A failure is sticky.
+// Fsync on, one fsync for the whole batch — and then hands its records to
+// the log-tail subscribers: a mirror never holds a record this archive
+// could still lose. It is the only write of log records. Must hold a.mu. A
+// failure is sticky.
 func (a *Archive) flushLocked() error {
 	if a.failed != nil {
 		return a.failed
@@ -373,19 +305,24 @@ func (a *Archive) flushLocked() error {
 		return a.failed
 	}
 	a.cfg.metrics.Flushed(a.bufVers, len(a.buf))
-	a.buf = a.buf[:0]
-	a.bufVers = 0
-	a.expect = 0 // any flush serves every outstanding hint
 	if a.cfg.fsync {
 		if err := a.syncLog(); err != nil {
 			a.failed = fmt.Errorf("archive: fsync: %w", err)
 			return a.failed
 		}
 	}
-	// The batch is durable: close the group-commit-fsync span of every
-	// traced commit it carried. Recording after the response has already
-	// left the node is fine — the trace handle outlives the request and
-	// the recorder snapshots under its lock.
+	// The batch is durable: ship it. Subscribers read each payload in the
+	// buffer, and may not retain it.
+	for _, r := range a.recs {
+		for _, fn := range a.tails {
+			fn(r.first, r.last, r.ctx, FormRun, a.buf[r.start:r.end])
+		}
+	}
+	a.buf, a.recs = a.buf[:0], a.recs[:0]
+	a.bufVers = 0
+	// Close the group-commit-fsync span of every traced commit the batch
+	// carried. The store's replies wait for this flush, so the span ends
+	// before any of them is encoded.
 	if len(a.pendingTr) > 0 {
 		end := time.Now().UnixNano()
 		for _, p := range a.pendingTr {
@@ -409,9 +346,9 @@ func (a *Archive) syncLog() error {
 	return err
 }
 
-// Flush writes any pending group-commit batch to the log (and syncs it
-// when Fsync is on). A no-op with an empty batch, which is always the case
-// without group commit.
+// Flush writes the pending batch to the log (and syncs it when Fsync is
+// on), then hands its records to the log-tail subscribers. A no-op with an
+// empty batch.
 func (a *Archive) Flush() error {
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -425,6 +362,13 @@ func (a *Archive) Observer() core.CommitObserver {
 	return func(c core.Commit) { _ = a.Append(c) }
 }
 
+// Flusher adapts Flush to the engine's once-per-batch hook
+// (core.WithCommitFlush): the engine counts a batch notified only once its
+// records are durable. Failures are sticky, as for Observer.
+func (a *Archive) Flusher() func() {
+	return func() { _ = a.Flush() }
+}
+
 // TailFunc receives one log record from a log-tail subscription: the
 // versions first … last it covers (one for a single write, a run's for an
 // insert run), the trace context of the commit that wrote it, its form and
@@ -434,17 +378,21 @@ func (a *Archive) Observer() core.CommitObserver {
 // records and the FormSnapshot record that ends them, joined, decode with
 // database.DecodeSnapshot. A live record carries its commit's context; a
 // record read from disk carries the zero context, since contexts are not
-// archived. It runs under the archive mutex — on the commit path — so it
+// archived. A live record is handed over once the flush has made it
+// durable. It runs under the archive mutex — on the flush path — so it
 // must only hand the record off (e.g. enqueue a copy), never block or call
 // back into the archive.
 type TailFunc func(first, last int64, ctx reqtrace.Ctx, form byte, payload []byte)
 
-// SubscribeTxns streams the committed log: every version after after, one
+// SubscribeTxns streams the durable log: every version after after, one
 // record at a time, in order, with no gap between the durable history and
 // the live tail — the replay and the registration happen under one mutex
-// acquisition, after flushing any pending group-commit batch. It is the
-// primary side of cluster log shipping: the archive's durability log is
-// the replication stream.
+// acquisition, after flushing the pending batch. It is the primary side of
+// cluster log shipping: the archive's durability log is the replication
+// stream, and a record reaches it only once it is durable.
+//
+// A subscriber beyond the last durable version holds versions this archive
+// never made durable: the subscription fails with ErrAheadOfLog.
 //
 // Catch-up reads the files on disk. A subscriber at or beyond the base of
 // the oldest retained segment is handed the records after after. One below
@@ -484,6 +432,9 @@ func (a *Archive) subscribe(after int64, limit int, fn TailFunc) (cancel func(),
 	}
 	if err := a.flushLocked(); err != nil {
 		return nil, err
+	}
+	if after > a.lastSeq {
+		return nil, fmt.Errorf("%w: after %d, log ends at %d", ErrAheadOfLog, after, a.lastSeq)
 	}
 	// Segment bases are snapshot sequences: every record with seq >
 	// logs[0] lives in some retained segment, and snap-<logs[0]> stands in
@@ -653,7 +604,8 @@ func (a *Archive) Snapshot(db *database.Database) error {
 	return nil
 }
 
-// LastSeq returns the newest durable sequence number.
+// LastSeq returns the newest sequence number appended: durable once the
+// next flush returns.
 func (a *Archive) LastSeq() int64 {
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -667,11 +619,10 @@ func (a *Archive) Err() error {
 	return a.failed
 }
 
-// Close flushes the pending group-commit batch, syncs and closes the
-// archive. It returns the sticky append failure if one occurred, so
-// callers learn their store outlived its durability.
+// Close flushes the pending batch, syncs and closes the archive. It returns
+// the sticky append failure if one occurred, so callers learn their store
+// outlived its durability.
 func (a *Archive) Close() error {
-	a.stopFlusher() // before taking mu: the flusher takes mu to flush
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	if a.log != nil {
@@ -697,8 +648,8 @@ func (a *Archive) Dir() string { return a.dir }
 
 // VersionAt materializes the on-disk version numbered seq: time travel
 // against the durable stream, independent of any in-memory history. The
-// mutex excludes concurrent appends, and any pending group-commit batch is
-// flushed first; same-system reads then see every written byte through the
+// mutex excludes concurrent appends, and the pending batch is flushed
+// first; same-system reads then see every written byte through the
 // page cache, so no fsync is needed.
 func (a *Archive) VersionAt(seq int64) (*database.Database, error) {
 	a.mu.Lock()

@@ -23,7 +23,7 @@ func newEngineWithArchive(t *testing.T, dir string, initial *database.Database, 
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := core.NewEngine(initial, core.WithCommitObserver(a.Observer()))
+	e := core.NewEngine(initial, core.WithCommitObserver(a.Observer()), core.WithCommitFlush(a.Flusher()))
 	return e, a
 }
 

@@ -8,14 +8,13 @@ import (
 	"path/filepath"
 	"sync"
 	"testing"
-	"time"
 
 	"funcdb/internal/core"
 	"funcdb/internal/value"
 )
 
-// The crash-recovery matrix: a group-commit window is one contiguous
-// multi-frame write, and a kill can land at any byte of it. Each case
+// The crash-recovery matrix: a flush is one contiguous multi-frame write,
+// and a kill can land at any byte of it. Each case
 // below carves the log tail at a different offset — a clean frame
 // boundary, one byte into a frame, mid-payload, inside the trailing CRC,
 // or before any frame landed — and recovery must come back to a *prefix*
@@ -24,12 +23,13 @@ import (
 // torn or reordered state.
 
 // buildLaneArchive commits n writes from concurrent writers through a
-// sharded (4-lane) engine into a group-commit archive in dir, flushing the
-// whole window in one batch at Close. It returns the last durable version
+// sharded (4-lane) engine into an archive in dir. The engine gets the
+// archive's observer but not its flush, so the whole history stays
+// buffered and lands in one multi-frame write at Close. It returns the last durable version
 // number (== n: the sequencer re-serializes lane commits densely).
 func buildLaneArchive(t *testing.T, dir string, n int) int64 {
 	t.Helper()
-	a, err := Create(dir, initialDB("A", "B", "C", "D"), GroupCommit(time.Hour), Fsync(true))
+	a, err := Create(dir, initialDB("A", "B", "C", "D"), Fsync(true))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +52,7 @@ func buildLaneArchive(t *testing.T, dir string, n int) int64 {
 	}
 	wg.Wait()
 	e.Barrier()
-	if err := a.Close(); err != nil { // flushes the window: one multi-frame write
+	if err := a.Close(); err != nil { // flushes the buffer: one multi-frame write
 		t.Fatal(err)
 	}
 	return int64(n)

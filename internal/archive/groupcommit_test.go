@@ -2,8 +2,8 @@ package archive
 
 import (
 	"strings"
+	"sync"
 	"testing"
-	"time"
 
 	"funcdb/internal/core"
 	"funcdb/internal/metrics"
@@ -11,12 +11,11 @@ import (
 	"funcdb/internal/value"
 )
 
-// TestGroupCommitRoundTrip: buffered appends survive Close and recover to
-// the same database as unbatched appends.
+// TestGroupCommitRoundTrip: flushed appends survive Close and recover to
+// the engine's current version.
 func TestGroupCommitRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	e, a := newEngineWithArchive(t, dir, initialDB("R"),
-		GroupCommit(time.Hour), Fsync(true)) // window never fires: Close must flush
+	e, a := newEngineWithArchive(t, dir, initialDB("R"), Fsync(true))
 	for i := 0; i < 50; i++ {
 		e.Submit(core.Insert("R", value.NewTuple(value.Int(int64(i)), value.Str("v"))))
 	}
@@ -34,51 +33,137 @@ func TestGroupCommitRoundTrip(t *testing.T) {
 	}
 }
 
-// TestGroupCommitFlushMakesDurable: before Flush the batch is only in
-// memory; after Flush the records are recoverable without Close.
+// TestGroupCommitFlushMakesDurable: Append only buffers — the records are
+// in memory until Flush — and Flush makes them recoverable without Close.
 func TestGroupCommitFlushMakesDurable(t *testing.T) {
 	dir := t.TempDir()
-	e, a := newEngineWithArchive(t, dir, initialDB("R"), GroupCommit(time.Hour))
-	for i := 0; i < 10; i++ {
-		e.Submit(core.Insert("R", value.NewTuple(value.Int(int64(i)), value.Str("v"))))
-	}
-	e.Barrier() // all appends buffered, nothing guaranteed on disk yet
-
-	if err := a.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Recover(dir) // reads the files as a crashed process would
+	a, err := Create(dir, initialDB("R"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.TotalTuples() != 10 {
-		t.Fatalf("after Flush, recovery sees %d tuples, want 10", got.TotalTuples())
+	defer a.Close()
+	for i := 1; i <= 10; i++ {
+		tx := core.Insert("R", value.NewTuple(value.Int(int64(i)), value.Str("v")))
+		if err := a.Append(core.NewCommit(int64(i), tx, core.Response{}, nil)); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if err := a.Close(); err != nil {
+	got, err := Recover(dir) // reads the files as a crashed process would
+	if err != nil || got.TotalTuples() != 0 {
+		t.Fatalf("before Flush, recovery sees %d tuples (%v), want 0", got.TotalTuples(), err)
+	}
+	if err := a.Flush(); err != nil {
 		t.Fatal(err)
+	}
+	if got, err = Recover(dir); err != nil || got.TotalTuples() != 10 {
+		t.Fatalf("after Flush, recovery sees %d tuples (%v), want 10", got.TotalTuples(), err)
 	}
 }
 
-// TestGroupCommitWindowFlushes: with a short window, records land on disk
-// without any explicit flush call.
-func TestGroupCommitWindowFlushes(t *testing.T) {
+// TestCommitDurableBeforeReply: with the archive's flush on the engine's
+// notifier, a write whose response is forced and whose version the engine
+// has notified is on disk — no Flush, Barrier or Close call, and no timer.
+func TestCommitDurableBeforeReply(t *testing.T) {
 	dir := t.TempDir()
-	e, a := newEngineWithArchive(t, dir, initialDB("R"), GroupCommit(2*time.Millisecond))
+	e, a := newEngineWithArchive(t, dir, initialDB("R"))
 	defer a.Close()
-	for i := 0; i < 20; i++ {
-		e.Submit(core.Insert("R", value.NewTuple(value.Int(int64(i)), value.Str("v"))))
+	for i := 1; i <= 20; i++ {
+		if r := e.Submit(core.Insert("R", value.NewTuple(value.Int(int64(i)), value.Str("v")))).Force(); r.Err != nil {
+			t.Fatal(r.Err)
+		}
+		e.WaitNotified(e.Version()) // the reply's wait
+		got, err := Recover(dir)
+		if err != nil || got.TotalTuples() != i {
+			t.Fatalf("write %d replied with %d tuples on disk (%v)", i, got.TotalTuples(), err)
+		}
 	}
+}
+
+// TestFlushCoalescesCommitsQueuedDuringSlowFlush: commits that arrive
+// while a flush runs form the notifier's next batch and land in one write.
+// The first flush is held until 20 more commits from concurrent submitters
+// are queued behind it; the second then carries all 20.
+func TestFlushCoalescesCommitsQueuedDuringSlowFlush(t *testing.T) {
+	m := new(metrics.Archive)
+	initial := initialDB("R", "S", "T", "U")
+	a, err := Create(t.TempDir(), initial, WithMetrics(m))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	entered, release := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	flush := func() {
+		once.Do(func() {
+			close(entered)
+			<-release
+		})
+		_ = a.Flush()
+	}
+	e := core.NewEngine(initial, core.WithLanes(4), core.WithCommitObserver(a.Observer()), core.WithCommitFlush(flush))
+	e.Submit(core.Insert("R", value.NewTuple(value.Int(0), value.Str("v"))))
+	<-entered // the first batch's flush is running, and held
+
+	var wg sync.WaitGroup
+	for w, rel := range []string{"R", "S", "T", "U"} {
+		wg.Add(1)
+		go func(w int, rel string) {
+			defer wg.Done()
+			for i := 0; i < 5; i++ {
+				e.Submit(core.Insert(rel, value.NewTuple(value.Int(int64(10*w+i+1)), value.Str("v"))))
+			}
+		}(w, rel)
+	}
+	wg.Wait() // every commit is queued behind the held flush
+	close(release)
 	e.Barrier()
 
-	deadline := time.Now().Add(2 * time.Second)
-	for time.Now().Before(deadline) {
-		got, err := Recover(dir)
-		if err == nil && got.TotalTuples() == 20 {
-			return
-		}
-		time.Sleep(5 * time.Millisecond)
+	s := m.Snapshot()
+	if s.Appends != 21 || s.Flushes != 2 {
+		t.Fatalf("%d versions in %d flushes, want 21 in 2 (the first alone, then everything queued behind it)", s.Appends, s.Flushes)
 	}
-	t.Fatal("window flusher never made the batch durable")
+	if mean := s.FlushRecords.Mean(); mean <= 1 {
+		t.Fatalf("records per flush = %.1f, want > 1", mean)
+	}
+}
+
+// TestTailSeesOnlyDurableRecords: a log-tail subscriber is handed a live
+// record only by the flush that wrote it, and when it is, recovery from
+// the files — what a crash would leave — already holds the record.
+func TestTailSeesOnlyDurableRecords(t *testing.T) {
+	dir := t.TempDir()
+	a, err := Create(dir, initialDB("R"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	var seen []int64
+	var bad []string
+	cancel, err := a.SubscribeTxns(0, func(_, last int64, _ reqtrace.Ctx, _ byte, _ []byte) {
+		seen = append(seen, last)
+		if got, err := Recover(dir); err != nil || got.Version() < last {
+			bad = append(bad, "record handed out before the file held it")
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cancel()
+	for i := 1; i <= 5; i++ {
+		tx := core.Insert("R", value.NewTuple(value.Int(int64(i)), value.Str("v")))
+		if err := a.Append(core.NewCommit(int64(i), tx, core.Response{}, nil)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(seen) != 0 {
+		t.Fatalf("tail saw %v before any flush", seen)
+	}
+	if err := a.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if len(seen) != 5 || seen[4] != 5 || len(bad) > 0 {
+		t.Fatalf("after Flush the tail saw %v; %v", seen, bad)
+	}
 }
 
 // TestGroupCommitSnapshotRotation: snapshots (forced by snapshotEvery)
@@ -86,8 +171,7 @@ func TestGroupCommitWindowFlushes(t *testing.T) {
 // record is lost across the boundary.
 func TestGroupCommitSnapshotRotation(t *testing.T) {
 	dir := t.TempDir()
-	e, a := newEngineWithArchive(t, dir, initialDB("R"),
-		GroupCommit(time.Hour), SnapshotEvery(7))
+	e, a := newEngineWithArchive(t, dir, initialDB("R"), SnapshotEvery(7))
 	for i := 0; i < 40; i++ {
 		e.Submit(core.Insert("R", value.NewTuple(value.Int(int64(i)), value.Str("v"))))
 	}
@@ -105,127 +189,21 @@ func TestGroupCommitSnapshotRotation(t *testing.T) {
 	}
 }
 
-// TestGroupCommitAdaptiveBatchFlush: with ExpectBatch hinted, the batch
-// is durable as soon as its last append lands — the window timer (an hour
-// here) never fires, so only the adaptive flush can have written it.
-func TestGroupCommitAdaptiveBatchFlush(t *testing.T) {
-	dir := t.TempDir()
-	e, a := newEngineWithArchive(t, dir, initialDB("R"), GroupCommit(time.Hour))
-	defer a.Close()
-
-	const n = 20
-	a.ExpectBatch(n)
-	txs := make([]core.Transaction, n)
-	for i := range txs {
-		txs[i] = core.Insert("R", value.NewTuple(value.Int(int64(i)), value.Str("v")))
-	}
-	e.SubmitBatch(txs)
-	e.Barrier() // every observer append has run; the nth flushed the buffer
-
-	got, err := Recover(dir) // reads the files as a crashed process would
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.TotalTuples() != n {
-		t.Fatalf("after a full hinted batch, recovery sees %d tuples, want %d", got.TotalTuples(), n)
-	}
-}
-
-// TestGroupCommitAdaptivePartialBatchStaysBuffered: a hint larger than
-// what actually lands must not flush — the adaptive window only fires on
-// a complete batch (the remainder drains against later appends).
-func TestGroupCommitAdaptivePartialBatchStaysBuffered(t *testing.T) {
-	dir := t.TempDir()
-	e, a := newEngineWithArchive(t, dir, initialDB("R"), GroupCommit(time.Hour))
-	defer a.Close()
-
-	a.ExpectBatch(10)
-	for i := 0; i < 9; i++ {
-		e.Submit(core.Insert("R", value.NewTuple(value.Int(int64(i)), value.Str("v"))))
-	}
-	e.Barrier()
-	got, err := Recover(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.TotalTuples() != 0 {
-		t.Fatalf("partial batch flushed early: %d tuples on disk", got.TotalTuples())
-	}
-	// The 10th append completes the hinted batch and flushes.
-	e.Submit(core.Insert("R", value.NewTuple(value.Int(9), value.Str("v"))))
-	e.Barrier()
-	if got, err = Recover(dir); err != nil || got.TotalTuples() != 10 {
-		t.Fatalf("completed batch not durable: %d tuples, %v", got.TotalTuples(), err)
-	}
-}
-
-// TestGroupCommitAdaptiveRecoversFromFailedHintedWrite: a hinted write
-// that errors before committing (plan failure: unknown relation) never
-// reaches Append — the hint must not wedge the adaptive flush for later
-// batches. Regression test for the countdown formulation of the hint.
-func TestGroupCommitAdaptiveRecoversFromFailedHintedWrite(t *testing.T) {
-	dir := t.TempDir()
-	e, a := newEngineWithArchive(t, dir, initialDB("R"), GroupCommit(time.Hour))
-	defer a.Close()
-
-	// Batch 1: hinted 5, but one write fails at planning and never
-	// commits — only 4 records ever reach the buffer.
-	a.ExpectBatch(5)
-	batch1 := []core.Transaction{
-		core.Insert("R", value.NewTuple(value.Int(0), value.Str("v"))),
-		core.Insert("R", value.NewTuple(value.Int(1), value.Str("v"))),
-		core.Insert("NOPE", value.NewTuple(value.Int(2), value.Str("v"))), // error response, no commit
-		core.Insert("R", value.NewTuple(value.Int(3), value.Str("v"))),
-		core.Insert("R", value.NewTuple(value.Int(4), value.Str("v"))),
-	}
-	e.SubmitBatch(batch1)
-	e.Barrier()
-
-	// Batch 2: fully successful and hinted — it must flush adaptively
-	// even though batch 1's hint was never fully served.
-	a.ExpectBatch(5)
-	batch2 := make([]core.Transaction, 5)
-	for i := range batch2 {
-		batch2[i] = core.Insert("R", value.NewTuple(value.Int(int64(10+i)), value.Str("v")))
-	}
-	e.SubmitBatch(batch2)
-	e.Barrier()
-
-	got, err := Recover(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.TotalTuples() != 9 { // 4 from batch 1 + 5 from batch 2
-		t.Fatalf("adaptive flush wedged by failed hinted write: %d tuples durable, want 9", got.TotalTuples())
-	}
-}
-
-// TestGroupCommitExpectBatchWithoutGroupCommit: without group commit every
-// Append is a flush of its own, so the hint changes nothing — the hinted
-// batch's one append is on disk when Append returns.
-func TestGroupCommitExpectBatchWithoutGroupCommit(t *testing.T) {
-	dir := t.TempDir()
-	e, a := newEngineWithArchive(t, dir, initialDB("R"))
-	defer a.Close()
-	a.ExpectBatch(5)
-	e.Submit(core.Insert("R", value.NewTuple(value.Int(1), value.Str("v"))))
-	e.Barrier()
-	got, err := Recover(dir)
-	if err != nil || got.TotalTuples() != 1 {
-		t.Fatalf("unbatched append: %v, %d tuples", err, got.TotalTuples())
-	}
-}
-
 // TestGroupCommitVersionAtFlushes: on-disk time travel must observe
 // buffered commits (VersionAt flushes first).
 func TestGroupCommitVersionAtFlushes(t *testing.T) {
 	dir := t.TempDir()
-	e, a := newEngineWithArchive(t, dir, initialDB("R"), GroupCommit(time.Hour))
-	defer a.Close()
-	for i := 0; i < 5; i++ {
-		e.Submit(core.Insert("R", value.NewTuple(value.Int(int64(i)), value.Str("v"))))
+	a, err := Create(dir, initialDB("R"))
+	if err != nil {
+		t.Fatal(err)
 	}
-	e.Barrier()
+	defer a.Close()
+	for i := 1; i <= 5; i++ {
+		tx := core.Insert("R", value.NewTuple(value.Int(int64(i)), value.Str("v")))
+		if err := a.Append(core.NewCommit(int64(i), tx, core.Response{}, nil)); err != nil {
+			t.Fatal(err)
+		}
+	}
 	db, err := a.VersionAt(5)
 	if err != nil {
 		t.Fatal(err)
@@ -236,101 +214,97 @@ func TestGroupCommitVersionAtFlushes(t *testing.T) {
 }
 
 // TestAppendAllocGate: a log append frames its record straight into the
-// batch buffer and the flush writes it from there, so once that buffer has
-// grown an append allocates nothing — with group commit, and without it,
-// where every Append is a flush of its own — with a log-tail subscriber
-// reading the same bytes. The same commits cost both archives the same
-// Appends and Bytes; without group commit each Append is one flush.
+// batch buffer and the flush writes it from there, so once that buffer —
+// and the index of records the tails are handed — has grown, neither an
+// append nor a flush that ships its records to a log-tail subscriber
+// allocates. Each Flush is one write.
 func TestAppendAllocGate(t *testing.T) {
 	tx := core.Insert("R", value.NewTuple(value.Int(1), value.Str(strings.Repeat("v", 64))))
-	var snaps []metrics.ArchiveSnapshot
-	for _, tc := range []struct {
-		name string
-		opts []Option
-	}{
-		{"group commit", []Option{GroupCommit(time.Hour)}},
-		{"no group commit", nil},
-	} {
-		m := new(metrics.Archive)
-		a, err := Create(t.TempDir(), initialDB("R"), append(tc.opts, Fsync(false), WithMetrics(m))...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer a.Close()
-		var tailed int
-		cancel, err := a.SubscribeTxns(0, func(_, _ int64, _ reqtrace.Ctx, _ byte, payload []byte) { tailed += len(payload) })
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer cancel()
+	m := new(metrics.Archive)
+	a, err := Create(t.TempDir(), initialDB("R"), Fsync(false), WithMetrics(m))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	var tailed int
+	cancel, err := a.SubscribeTxns(0, func(_, _ int64, _ reqtrace.Ctx, _ byte, payload []byte) { tailed += len(payload) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cancel()
 
-		seq := int64(0)
-		appendOne := func() {
-			seq++
-			if err := a.Append(core.NewCommit(seq, tx, core.Response{}, nil)); err != nil {
-				t.Fatal(err)
-			}
+	seq := int64(0)
+	appendOne := func() {
+		seq++
+		if err := a.Append(core.NewCommit(seq, tx, core.Response{}, nil)); err != nil {
+			t.Fatal(err)
 		}
-		for i := 0; i < 2*maxGroupVersions; i++ { // grow the buffer to its cap and flush it once
-			appendOne()
-		}
-		if allocs := testing.AllocsPerRun(1000, appendOne); allocs > 0 {
-			t.Errorf("%s: Append = %.1f allocs, want 0", tc.name, allocs)
-		}
-		if tailed == 0 {
-			t.Errorf("%s: tail subscriber saw no payload bytes", tc.name)
-		}
+	}
+	flush := func() {
 		if err := a.Flush(); err != nil {
 			t.Fatal(err)
 		}
-		snaps = append(snaps, m.Snapshot())
-		if tc.opts == nil && snaps[1].Flushes != seq {
-			t.Errorf("%s: %d flushes for %d appends, want one each", tc.name, snaps[1].Flushes, seq)
-		}
 	}
-	if g, n := snaps[0], snaps[1]; g.Appends != n.Appends || g.Bytes != n.Bytes {
-		t.Errorf("same commits, different accounting: group commit appends=%d bytes=%d, without appends=%d bytes=%d",
-			g.Appends, g.Bytes, n.Appends, n.Bytes)
+	const runs = 1000
+	for i := 0; i < 2*runs; i++ { // grow the buffer and the index past what one measured run needs
+		appendOne()
+	}
+	flush()
+	if allocs := testing.AllocsPerRun(runs, appendOne); allocs > 0 {
+		t.Errorf("Append = %.1f allocs, want 0", allocs)
+	}
+	flush()
+	appendFlush := func() { appendOne(); appendOne(); flush() }
+	if allocs := testing.AllocsPerRun(runs, appendFlush); allocs > 0 {
+		t.Errorf("Append+Append+Flush with a tail = %.1f allocs, want 0", allocs)
+	}
+	if tailed == 0 {
+		t.Error("tail subscriber saw no payload bytes")
+	}
+	if s := m.Snapshot(); s.Appends != seq || s.Flushes != runs+3 {
+		t.Errorf("%d appends in %d flushes, want %d in %d", s.Appends, s.Flushes, seq, runs+3)
+	}
+}
+
+// TestReplyWaitAllocGate: the reply's wait for a version already durable
+// is one atomic load — no lock, no allocation.
+func TestReplyWaitAllocGate(t *testing.T) {
+	e, a := newEngineWithArchive(t, t.TempDir(), initialDB("R"))
+	defer a.Close()
+	e.Submit(core.Insert("R", value.NewTuple(value.Int(1), value.Str("v")))).Force()
+	e.Barrier()
+	if allocs := testing.AllocsPerRun(1000, func() { e.WaitNotified(e.Version()) }); allocs > 0 {
+		t.Errorf("WaitNotified on a durable version = %.1f allocs, want 0", allocs)
 	}
 }
 
 // TestAppendTracedCommitSpan: a traced commit carries exactly one
-// group-commit-fsync span, recorded by the flush that writes it: Append's
-// own without group commit, and with a window that never fires, none until
-// Flush.
+// group-commit-fsync span, recorded by the flush that writes it: none
+// after Append, one after Flush.
 func TestAppendTracedCommitSpan(t *testing.T) {
-	for _, tc := range []struct {
-		name        string
-		opts        []Option
-		beforeFlush int
-	}{
-		{"no group commit", nil, 1},
-		{"group commit", []Option{GroupCommit(time.Hour)}, 0},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			a, err := Create(t.TempDir(), initialDB("R"), tc.opts...)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer a.Close()
-			rec := reqtrace.New("n", reqtrace.Config{SampleEvery: 1})
-			tx := core.Insert("R", value.NewTuple(value.Int(1), value.Str("v")))
-			tx.Trace = rec.Start()
-			rec.Finish(tx.Trace) // publishes the handle; later spans still attach
-			if err := a.Append(core.NewCommit(1, tx, core.Response{}, nil)); err != nil {
-				t.Fatal(err)
-			}
-			if got := fsyncSpans(t, rec); got != tc.beforeFlush {
-				t.Fatalf("after Append: %d group-commit-fsync spans, want %d", got, tc.beforeFlush)
-			}
-			if err := a.Flush(); err != nil {
-				t.Fatal(err)
-			}
-			if got := fsyncSpans(t, rec); got != 1 {
-				t.Fatalf("after Flush: %d group-commit-fsync spans, want 1", got)
-			}
-		})
-	}
+	t.Run("group commit", func(t *testing.T) {
+		a, err := Create(t.TempDir(), initialDB("R"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer a.Close()
+		rec := reqtrace.New("n", reqtrace.Config{SampleEvery: 1})
+		tx := core.Insert("R", value.NewTuple(value.Int(1), value.Str("v")))
+		tx.Trace = rec.Start()
+		rec.Finish(tx.Trace) // publishes the handle; later spans still attach
+		if err := a.Append(core.NewCommit(1, tx, core.Response{}, nil)); err != nil {
+			t.Fatal(err)
+		}
+		if got := fsyncSpans(t, rec); got != 0 {
+			t.Fatalf("after Append: %d group-commit-fsync spans, want 0", got)
+		}
+		if err := a.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if got := fsyncSpans(t, rec); got != 1 {
+			t.Fatalf("after Flush: %d group-commit-fsync spans, want 1", got)
+		}
+	})
 }
 
 // fsyncSpans counts the group-commit-fsync spans of rec's one trace.

@@ -5,7 +5,6 @@ import (
 	"slices"
 	"sync"
 	"testing"
-	"time"
 
 	"funcdb/internal/core"
 	"funcdb/internal/database"
@@ -28,11 +27,11 @@ func TestRunsStayContiguousUnderLanes(t *testing.T) {
 	}
 	dir := t.TempDir()
 	initial := database.New(relation.RepPaged, runRel, oneRel)
-	a, err := Create(dir, initial, GroupCommit(time.Millisecond))
+	a, err := Create(dir, initial)
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := core.NewEngine(initial, core.WithLanes(2), core.WithCommitObserver(a.Observer()))
+	e := core.NewEngine(initial, core.WithLanes(2), core.WithCommitObserver(a.Observer()), core.WithCommitFlush(a.Flusher()))
 
 	var wg sync.WaitGroup
 	wg.Add(2)

@@ -7,7 +7,6 @@ import (
 	"path/filepath"
 	"sync"
 	"testing"
-	"time"
 
 	"funcdb/internal/core"
 	"funcdb/internal/database"
@@ -52,11 +51,11 @@ func (c *tailCollector) snapshot() []int64 {
 // the replay/live boundary.
 func TestSubscribeTxnsCatchUpAndLive(t *testing.T) {
 	dir := t.TempDir()
-	e, a := newEngineWithArchive(t, dir, initialDB("R"), GroupCommit(time.Hour))
+	e, a := newEngineWithArchive(t, dir, initialDB("R"))
 	for i := 0; i < 20; i++ {
 		e.Submit(core.Insert("R", value.NewTuple(value.Int(int64(i)), value.Str("v"))))
 	}
-	e.Barrier() // 20 commits, all still in the group-commit buffer
+	e.Barrier() // 20 commits, all flushed
 
 	var col tailCollector
 	cancel, err := a.SubscribeTxns(0, col.fn)
@@ -65,7 +64,7 @@ func TestSubscribeTxnsCatchUpAndLive(t *testing.T) {
 	}
 	defer cancel()
 
-	// Replay must have flushed the pending batch and delivered 1..20.
+	// Replay must have delivered 1..20 from the file.
 	got := col.snapshot()
 	if len(got) != 20 {
 		t.Fatalf("catch-up delivered %d records, want 20", len(got))
@@ -265,6 +264,53 @@ func TestSubscribeTxnsRefusesCompactedHistory(t *testing.T) {
 	cancel()
 	if got := col.snapshot(); len(got) != 1 || got[0] != 21 {
 		t.Fatalf("subscription from the base delivered %v, want [21]", got)
+	}
+}
+
+// TestSubscribeTxnsRefusesAheadOfLog: a subscriber beyond the last
+// durable version holds versions this archive never made durable — only a
+// lost disk causes that once records ship from the flush. The subscription
+// fails loudly with ErrAheadOfLog and registers nothing; one at the last
+// version streams the live tail, and one from below the log floor gets the
+// base snapshot, the subscriber's way back.
+func TestSubscribeTxnsRefusesAheadOfLog(t *testing.T) {
+	e, a := newEngineWithArchive(t, t.TempDir(), initialDB("R"))
+	defer a.Close()
+	insert := func(k int64) {
+		e.Submit(core.Insert("R", value.NewTuple(value.Int(k), value.Str("v"))))
+		e.Barrier()
+	}
+	for k := int64(1); k <= 5; k++ {
+		insert(k)
+	}
+	var col tailCollector
+	if cancel, err := a.SubscribeTxns(6, col.fn); !errors.Is(err, ErrAheadOfLog) {
+		if err == nil {
+			cancel()
+		}
+		t.Fatalf("subscription from 6 on a log ending at 5: %v, want ErrAheadOfLog", err)
+	}
+	insert(6)
+	if got := col.snapshot(); len(got) != 0 {
+		t.Fatalf("a refused subscription was handed %v", got)
+	}
+	cancel, err := a.SubscribeTxns(6, col.fn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	insert(7)
+	cancel()
+	if got := col.snapshot(); len(got) != 1 || got[0] != 7 {
+		t.Fatalf("subscription at the log's end delivered %v, want [7]", got)
+	}
+	var forms []byte
+	cancel, err = a.SubscribeTxns(-1, func(_, _ int64, _ reqtrace.Ctx, form byte, _ []byte) { forms = append(forms, form) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	cancel()
+	if len(forms) != 8 || forms[0] != FormSnapshot {
+		t.Fatalf("subscription from below the floor got forms %v, want the base snapshot and 7 records", forms)
 	}
 }
 

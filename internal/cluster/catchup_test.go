@@ -91,6 +91,97 @@ func TestMirrorCatchesUpAfterCompaction(t *testing.T) {
 	}
 }
 
+// TestMirrorAheadOfLostOwnerResyncs: node 0 of a 2-node static cluster
+// loses its disk — it is shut down and reopened on an empty directory —
+// while node 1's mirror of it holds three writes. The mirror's
+// subscription from version 3 is refused as ahead of the owner's log
+// (archive.ErrAheadOfLog): the mirror counts a resync, installs the
+// owner's snapshot at version 0 in place of its own version, and follows
+// the owner's new writes to the same rows.
+func TestMirrorAheadOfLostOwnerResyncs(t *testing.T) {
+	tc := startCluster(t, 2, clusterRels)
+	rel := relOwnedBy(t, tc, 0)
+	insert := func(origin string, keys ...int) {
+		t.Helper()
+		cc, err := client.DialCluster(tc.addrs, client.WithClusterOrigin(origin))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer cc.Close()
+		for _, k := range keys {
+			if resp, err := cc.Exec(fmt.Sprintf("insert (%d, \"%s\") into %s", k, origin, rel)); err != nil || resp.Err != nil {
+				t.Fatalf("insert %d: %v / %v", k, err, resp.Err)
+			}
+		}
+	}
+	insert("lost", 1, 2, 3)
+	waitReplica(t, tc.nodes[1], 0, 3, 5*time.Second)
+
+	if err := tc.nodes[0].Shutdown(); err != nil {
+		t.Fatal(err)
+	}
+	tc.nodes[0] = nil
+	var ln net.Listener
+	var err error
+	for deadline := time.Now().Add(5 * time.Second); ; {
+		if ln, err = net.Listen("tcp", tc.addrs[0]); err == nil {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal(err)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	if tc.nodes[0], err = funcdb.OpenClusterNode(funcdb.ClusterNodeConfig{
+		ID: 0, Nodes: tc.addrs, Listener: ln, Dir: t.TempDir(), Relations: clusterRels,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	go tc.nodes[0].Serve()
+
+	resyncs := func() int64 {
+		for _, p := range tc.nodes[1].MetricsSnapshot().Peers {
+			if p.Peer == 0 {
+				return p.ReplicaResyncs
+			}
+		}
+		return 0
+	}
+	for deadline := time.Now().Add(5 * time.Second); resyncs() == 0 || tc.nodes[1].ReplicaVersion(0) != 0; {
+		if time.Now().After(deadline) {
+			t.Fatalf("mirror at version %d after %d resyncs, want the owner's snapshot at 0", tc.nodes[1].ReplicaVersion(0), resyncs())
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	insert("new", 10, 11)
+	waitReplica(t, tc.nodes[1], 0, 2, 5*time.Second)
+
+	cc, err := client.DialCluster(tc.addrs, client.WithClusterOrigin("check"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cc.Close()
+	primary, err := cc.Exec("scan " + rel)
+	if err != nil || primary.Err != nil {
+		t.Fatalf("scan: %v / %v", err, primary.Err)
+	}
+	viaMirror, err := client.DialCluster(tc.addrs[1:2], client.WithClusterOrigin("check-replica"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer viaMirror.Close()
+	replica, err := viaMirror.ExecReplica("scan " + rel)
+	if err != nil || replica.Err != nil {
+		t.Fatalf("replica scan: %v / %v", err, replica.Err)
+	}
+	if got, want := fmt.Sprint(replica.Tuples), fmt.Sprint(primary.Tuples); got != want || len(primary.Tuples) != 2 {
+		t.Fatalf("the mirror serves %s, the owner %s", got, want)
+	}
+	if n := resyncs(); n != 1 {
+		t.Fatalf("%d resyncs, want 1", n)
+	}
+}
+
 // TestRestartBesidePromotedSlot: a node restarted next to a promoted slot
 // starts its mirror of the slot at 0, below the takeover store's log
 // floor, and catches up through the promotion base's snapshot. Its rows

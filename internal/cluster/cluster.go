@@ -63,9 +63,12 @@ type LocalStore interface {
 	Lanes() int
 	// Durable reports whether committed writes reach an archive.
 	Durable() bool
-	// Barrier waits for every admitted transaction and flushes pending
-	// durable records.
+	// Barrier waits for every admitted transaction, including its durable
+	// record.
 	Barrier()
+	// AwaitDurable waits until every version the store has published so
+	// far is durable (session.Session.AwaitDurable).
+	AwaitDurable()
 	// DurabilityErr reports the sticky durability failure, if any.
 	DurabilityErr() error
 	// Version reads the store's present version number: one atomic load,
@@ -274,6 +277,15 @@ func (n *Node) Lanes() int { return n.store.Lanes() }
 // Durable implements server.Host.
 func (n *Node) Durable() bool { return n.store.Durable() }
 
+// AwaitDurable makes the node a durable submitter for its sessions: it
+// waits until every version its own store, and every takeover store it
+// serves, has published so far is durable. A forwarded statement needs
+// nothing here: its owner waited before it replied.
+func (n *Node) AwaitDurable() {
+	n.store.AwaitDurable()
+	n.slots.awaitTakeovers()
+}
+
 // Barrier implements server.Host: it settles the local store (admission
 // and durability). Forwarded statements settle through their response
 // futures — a gateway acks a remote statement only after the owner
@@ -309,7 +321,7 @@ func (n *Node) MetricsSnapshot() metrics.Snapshot {
 		ps := metrics.PeerSnapshot{
 			Peer: i, Addr: n.addrs[i],
 			ForwardFrames: p.frames.Load(), Dials: p.dials.Load(),
-			ReplicaApplied: m.version(), ReplicaRecords: m.records.Load(), ReplicaConnects: m.connects.Load(),
+			ReplicaApplied: m.version(), ReplicaRecords: m.records.Load(), ReplicaConnects: m.connects.Load(), ReplicaResyncs: m.resyncs.Load(),
 		}
 		ps.HeartbeatAgeMs, ps.AppliedLag = n.heartbeatAge(i)
 		snap.Peers = append(snap.Peers, ps)

@@ -82,9 +82,6 @@ func startClusterIn(t testing.TB, dirs []string, relations []string) *testCluste
 			Listener:  lns[i],
 			Dir:       dirs[i],
 			Relations: relations,
-			Durability: []funcdb.DurabilityOption{
-				funcdb.GroupCommit(2 * time.Millisecond),
-			},
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -78,9 +78,6 @@ func openFailoverNode(t testing.TB, o foOpts, i int, addrs []string, ln net.List
 		ID: i, Nodes: addrs, Listener: ln, Dir: o.dirs[i],
 		Relations: clusterRels, Lanes: o.lanes, Tracing: o.trace,
 		Failover: &cluster.FailoverConfig{Heartbeat: o.hb},
-		Durability: []funcdb.DurabilityOption{
-			funcdb.GroupCommit(2 * time.Millisecond),
-		},
 	}
 	if o.ft != nil {
 		name := fmt.Sprintf("node%d", i)
@@ -187,9 +184,6 @@ func TestFailoverKillPrimary(t *testing.T) {
 			ID: i, Nodes: addrs, Listener: lns[i], Dir: dirs[i],
 			Relations: clusterRels,
 			Failover:  &cluster.FailoverConfig{Heartbeat: 50 * time.Millisecond},
-			Durability: []funcdb.DurabilityOption{
-				funcdb.GroupCommit(2 * time.Millisecond),
-			},
 		})
 		if err != nil {
 			t.Fatal(err)

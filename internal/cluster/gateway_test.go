@@ -161,7 +161,6 @@ func startGatewayCluster(t *testing.T, dial cluster.DialFunc, listen func(net.Li
 		cfg := &cfgs[i]
 		cfg.ID, cfg.Nodes, cfg.Dir = i, addrs, t.TempDir()
 		cfg.Relations = clusterRels
-		cfg.Durability = []funcdb.DurabilityOption{funcdb.GroupCommit(2 * time.Millisecond)}
 		if i == 1 {
 			cfg.Dialer = dial
 		}

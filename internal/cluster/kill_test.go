@@ -38,16 +38,20 @@ func TestClusterNodeHelper(t *testing.T) {
 		Dir:       os.Getenv("FDB_CLUSTER_DIR"),
 		Relations: clusterRels,
 	}
-	// Failover tests run the subprocess with leases on (heartbeat in ms)
-	// and group commit, so its acks carry the same durability contract as
-	// the in-process survivors it will be measured against.
+	// Failover tests run the subprocess with leases on (heartbeat in ms).
 	if hbEnv := os.Getenv("FDB_CLUSTER_FAILOVER_MS"); hbEnv != "" {
 		hb, err := strconv.Atoi(hbEnv)
 		if err != nil {
 			t.Fatal(err)
 		}
 		cfg.Failover = &cluster.FailoverConfig{Heartbeat: time.Duration(hb) * time.Millisecond}
-		cfg.Durability = []funcdb.DurabilityOption{funcdb.GroupCommit(2 * time.Millisecond)}
+	}
+	if gcEnv := os.Getenv("FDB_CLUSTER_GROUP_COMMIT"); gcEnv != "" {
+		window, err := time.ParseDuration(gcEnv)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.Durability = append(cfg.Durability, funcdb.GroupCommit(window))
 	}
 	if lanesEnv := os.Getenv("FDB_CLUSTER_LANES"); lanesEnv != "" {
 		lanes, err := strconv.Atoi(lanesEnv)
@@ -96,8 +100,7 @@ func TestKillNonPrimaryDurability(t *testing.T) {
 		}
 		node, err := funcdb.OpenClusterNode(funcdb.ClusterNodeConfig{
 			ID: i, Nodes: addrs, Listener: lns[i], Dir: dir,
-			Relations:  clusterRels,
-			Durability: []funcdb.DurabilityOption{funcdb.GroupCommit(2 * time.Millisecond)},
+			Relations: clusterRels,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -205,6 +208,150 @@ func TestKillNonPrimaryDurability(t *testing.T) {
 		if err != nil || !resp.Found {
 			t.Fatalf("acked insert %d missing from the primary's archive (err %v)", i, err)
 		}
+	}
+}
+
+// TestMirrorConvergesWithRestartedOwner: in a 2-node static cluster, node
+// 0 — the owner of S, a real subprocess — is SIGKILLed right after its
+// writes are acked and restarted on its directory. Its flush wrote every
+// acked write before the reply and before the record shipped, so the
+// restarted owner has lost nothing, node 1's mirror holds nothing the
+// owner lost, and the mirror converges with the owner on the writes that
+// follow: the same count and the same keys. Both nodes run
+// GroupCommit(5s), a window that would hold the acked writes in memory
+// past the kill if replies and records left before the flush.
+func TestMirrorConvergesWithRestartedOwner(t *testing.T) {
+	if testing.Short() {
+		t.Skip("subprocess test")
+	}
+	lns := make([]net.Listener, 2)
+	addrs := make([]string, 2)
+	for i := range lns {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		lns[i], addrs[i] = ln, ln.Addr().String()
+	}
+	lns[0].Close() // node 0's subprocess binds it
+
+	node1, err := funcdb.OpenClusterNode(funcdb.ClusterNodeConfig{
+		ID: 1, Nodes: addrs, Listener: lns[1], Dir: t.TempDir(),
+		Relations:  clusterRels,
+		Durability: []funcdb.DurabilityOption{funcdb.GroupCommit(5 * time.Second)},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	go node1.Serve()
+	defer node1.Shutdown()
+
+	dir0 := t.TempDir()
+	startOwner := func() *exec.Cmd {
+		cmd := exec.Command(os.Args[0], "-test.run=TestClusterNodeHelper$", "-test.v")
+		cmd.Env = append(os.Environ(),
+			"FDB_CLUSTER_NODES="+strings.Join(addrs, ","),
+			"FDB_CLUSTER_ID=0",
+			"FDB_CLUSTER_DIR="+dir0,
+			"FDB_CLUSTER_GROUP_COMMIT=5s",
+		)
+		if err := cmd.Start(); err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() {
+			cmd.Process.Kill()
+			cmd.Wait()
+		})
+		waitReachable(t, addrs[0])
+		return cmd
+	}
+	owner := startOwner()
+
+	tc := &testCluster{addrs: addrs}
+	rel, other := relOwnedBy(t, tc, 0), relOwnedBy(t, tc, 1)
+	do := func(cc *client.ClusterClient, q string) funcdb.Response {
+		t.Helper()
+		resp, err := cc.Exec(q)
+		if err != nil || resp.Err != nil {
+			t.Fatalf("%s: %v / %v", q, err, resp.Err)
+		}
+		return resp
+	}
+	mirrorAt := func(v int64) {
+		t.Helper()
+		deadline := time.Now().Add(10 * time.Second)
+		for node1.ReplicaVersion(0) != v {
+			if time.Now().After(deadline) {
+				t.Fatalf("node 1's mirror of node 0 stuck at %d, want %d", node1.ReplicaVersion(0), v)
+			}
+			time.Sleep(2 * time.Millisecond)
+		}
+	}
+	cc, err := client.DialCluster(addrs, client.WithClusterOrigin("before"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Once the mirror holds a first write, its subscription is live: the
+	// writes after it reach the mirror as the owner's log tail.
+	do(cc, fmt.Sprintf(`insert (0, "first") into %s`, rel))
+	mirrorAt(1)
+	do(cc, fmt.Sprintf(`insert (1, "lost-a") into %s`, rel))
+	do(cc, fmt.Sprintf(`insert (1, "a") into %s`, other))
+	do(cc, fmt.Sprintf(`insert (2, "lost-b") into %s`, rel))
+	do(cc, fmt.Sprintf(`insert (2, "b") into %s`, other))
+	cc.Close()
+	mirrorAt(3)
+
+	if err := owner.Process.Signal(syscall.SIGKILL); err != nil {
+		t.Fatal(err)
+	}
+	_, _ = owner.Process.Wait()
+	startOwner()
+
+	cc, err = client.DialCluster(addrs, client.WithClusterOrigin("after"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cc.Close()
+	for k := 3; k <= 5; k++ {
+		do(cc, fmt.Sprintf(`insert (%d, "new") into %s`, k, rel))
+	}
+	// A client anchored at node 1 reads its mirror of S.
+	rd, err := client.DialCluster([]string{addrs[1]}, client.WithClusterOrigin("mirror"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rd.Close()
+	keys := func(r funcdb.Response) []int64 {
+		var ks []int64
+		for _, tu := range r.Tuples {
+			ks = append(ks, tu.Field(0).AsInt())
+		}
+		return ks
+	}
+	var ownerKeys, mirrorKeys []int64
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		ownerKeys = keys(do(cc, "scan "+rel))
+		mr, err := rd.ExecReplica("scan " + rel)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mirrorKeys = keys(mr)
+		if fmt.Sprint(ownerKeys) == fmt.Sprint(mirrorKeys) {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("mirror never converged: owner holds keys %v (count %d), node 1's mirror %v (count %d)",
+				ownerKeys, len(ownerKeys), mirrorKeys, len(mirrorKeys))
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if got := fmt.Sprint(ownerKeys); got != "[0 1 2 3 4 5]" {
+		t.Fatalf("restarted owner holds keys %s, want [0 1 2 3 4 5]: an acked write was lost", got)
+	}
+	if resp, err := rd.ExecReplica("count " + rel); err != nil || resp.Count != 6 {
+		t.Fatalf("mirror count %d (%v), want 6", resp.Count, err)
 	}
 }
 

@@ -220,9 +220,6 @@ func TestPreparedFailoverPromotion(t *testing.T) {
 			ID: i, Nodes: addrs, Listener: lns[i], Dir: t.TempDir(),
 			Relations: clusterRels,
 			Failover:  &cluster.FailoverConfig{Heartbeat: 50 * time.Millisecond},
-			Durability: []funcdb.DurabilityOption{
-				funcdb.GroupCommit(2 * time.Millisecond),
-			},
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -28,7 +28,10 @@ import (
 // writes — so a read of the mirror carries the precise primary version it
 // reflects: the client's staleness bound. A mirror below the log floor of
 // the node it streams from — behind a compaction, or a promotion — is sent
-// that floor's snapshot first and installs it as its version.
+// that floor's snapshot first and installs it as its version. A mirror
+// ahead of the log — holding versions its owner lost with its disk — is
+// refused with archive.ErrAheadOfLog; it resubscribes from below the floor
+// and installs the snapshot in place of its own version.
 //
 // The relations a mirror starts with are FreshRep — paged B+-trees.
 // Nothing else here knows the shape, and it is not a mode of the cluster.
@@ -42,6 +45,11 @@ type mirror struct {
 	db       atomic.Pointer[database.Database]
 	records  metrics.Counter // log records applied to this mirror
 	connects metrics.Counter // subscription (re)connects to the peer
+	resyncs  metrics.Counter // refusals as ahead of the log, each answered by a resync
+	// resync marks a subscription started over from below the log floor:
+	// its snapshot replaces the mirror's version even where that is ahead.
+	// Only the mirror's one replication goroutine touches it.
+	resync bool
 }
 
 // FreshRep is the representation a cluster's relations start in: a fresh
@@ -137,7 +145,8 @@ func (n *Node) ReplicaVersion(peerIdx int) int64 {
 // subscribe from the mirror's version, apply records as they stream in,
 // and retry after transient failures (the peer restarting, the link
 // dropping). A replication gap is permanent for this mirror — it stops
-// rather than diverge.
+// rather than diverge. A mirror refused as ahead of the log resubscribes at
+// once, from below the log floor (mirror.resync).
 func (n *Node) replicateFrom(peerIdx int, m *mirror) {
 	defer n.wg.Done()
 	for !n.closing.Load() {
@@ -153,12 +162,21 @@ func (n *Node) replicateFrom(peerIdx int, m *mirror) {
 		if err == errReplicationGap {
 			return
 		}
+		if err == errAheadOfLog {
+			m.resync = true
+			m.resyncs.Inc()
+			continue
+		}
 		time.Sleep(replicaRetryDelay)
 	}
 }
 
 // errReplicationGap marks the unrecoverable stream discontinuity.
 var errReplicationGap = fmt.Errorf("cluster: replication gap")
+
+// errAheadOfLog marks a subscription refused because the mirror is ahead
+// of the peer's durable log.
+var errAheadOfLog = fmt.Errorf("cluster: mirror ahead of the peer's log")
 
 // errNodeClosing reports a dial that lost the race against Close.
 var errNodeClosing = fmt.Errorf("cluster: node closing")
@@ -197,7 +215,11 @@ func (n *Node) streamFrom(peerIdx int, m *mirror) error {
 		return fmt.Errorf("cluster: replication handshake with node %d: %w", target, err)
 	}
 	bw := bufio.NewWriterSize(conn, 4<<10)
-	if err := wire.WriteFrame(bw, wire.FrameSubscribe, wire.AppendSubscribe(nil, m.version(), peerIdx, n.id)); err != nil {
+	after := m.version()
+	if m.resync {
+		after = -1 // below any log floor: the peer starts with its snapshot
+	}
+	if err := wire.WriteFrame(bw, wire.FrameSubscribe, wire.AppendSubscribe(nil, after, peerIdx, n.id)); err != nil {
 		return err
 	}
 	if err := bw.Flush(); err != nil {
@@ -223,6 +245,9 @@ func (n *Node) applyStream(br *bufio.Reader, rd *wire.Reader, bw *bufio.Writer, 
 	var ack []byte // one SubAck payload, rewritten per ack
 	var dec archive.Decoder
 	acked := m.version()
+	if m.resync {
+		acked = -1 // the snapshot may put the mirror behind what it acked before
+	}
 	// tc is the context of a TraceCtx frame just read, for the record that
 	// must follow it.
 	var tc reqtrace.Ctx
@@ -247,6 +272,8 @@ func (n *Node) applyStream(br *bufio.Reader, rd *wire.Reader, bw *bufio.Writer, 
 					// No snapshot to start this mirror from, or a catch-up log
 					// record over one frame: redialing cannot bring it up.
 					err = errReplicationGap
+				case strings.Contains(msg, archive.ErrAheadOfLog.Error()):
+					err = errAheadOfLog
 				default:
 					err = fmt.Errorf("cluster: node %d refused subscription: %s", target, msg)
 				}
@@ -338,7 +365,8 @@ func (n *Node) applyRecord(payload []byte, dec *archive.Decoder, snap *[]byte, p
 
 // installSnapshot decodes a snapshot record and publishes it as the
 // mirror's version: a version past the mirror's, since the mirror
-// subscribed from below it. Every relation the mirror did not hold before
+// subscribed from below it — or, on a resync, whatever version the peer's
+// log floor holds. Every relation the mirror did not hold before
 // is born here, so the cached statements touching it are invalidated, as
 // after a create record.
 func (n *Node) installSnapshot(raw []byte, m *mirror) error {
@@ -347,9 +375,10 @@ func (n *Node) installSnapshot(raw []byte, m *mirror) error {
 		return err
 	}
 	old := m.db.Load()
-	if db.Version() <= old.Version() {
+	if db.Version() <= old.Version() && !m.resync {
 		return errReplicationGap
 	}
+	m.resync = false
 	m.db.Store(db)
 	m.records.Inc()
 	for _, rel := range db.RelationNames() {

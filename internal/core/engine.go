@@ -82,16 +82,19 @@ type Engine struct {
 	// Post-commit observation (observer.go): observers are notified of
 	// every committed write in version order by one notifier goroutine, so
 	// durability and history ride behind the pipeline instead of
-	// serializing it. The sequencer re-serializes lane commits into that
-	// one total order; everything below observers is guarded by seqMu.
+	// serializing it; flush runs once per notifier batch, after them. The
+	// sequencer re-serializes lane commits into that one total order;
+	// everything below flush is guarded by seqMu (notified is also read
+	// lock-free).
 	observers []CommitObserver
+	flush     func()
 	seqMu     sync.Mutex
 	seqNext   int64                   // next version to hand to the notifier
 	parked    map[int64]pendingCommit // commits published ahead of seqNext
 	queue     []pendingCommit         // version-ordered, awaiting the notifier
 	spare     []pendingCommit         // the notifier's drained batch, for reuse
 	notifying bool                    // a notifier goroutine is running
-	notified  int64                   // observers have run for every version <= this
+	notified  atomic.Int64            // observers and flush have run for every version <= this
 	caughtUp  sync.Cond               // on seqMu: notified advanced
 }
 
@@ -138,7 +141,7 @@ func NewEngine(initial *database.Database, opts ...EngineOption) *Engine {
 		version: initial.Version(),
 	})
 	e.seqNext = initial.Version() + 1
-	e.notified = initial.Version()
+	e.notified.Store(initial.Version())
 	e.caughtUp.L = &e.seqMu
 	return e
 }
@@ -553,13 +556,22 @@ func (e *Engine) Barrier() {
 	// one, and observers run in version order.
 	published := e.snap.Load().version
 	e.bodies.wait()
-	if len(e.observers) > 0 {
-		e.seqMu.Lock()
-		for e.notified < published {
-			e.caughtUp.Wait()
-		}
-		e.seqMu.Unlock()
+	e.WaitNotified(published)
+}
+
+// WaitNotified blocks until the observers, and the flush after them, have
+// run for every version up to v: with an archive's flush registered, until
+// v is durable. Without observers it returns at once. The fast path, v
+// already notified, is one atomic load.
+func (e *Engine) WaitNotified(v int64) {
+	if len(e.observers) == 0 || e.notified.Load() >= v {
+		return
 	}
+	e.seqMu.Lock()
+	for e.notified.Load() < v {
+		e.caughtUp.Wait()
+	}
+	e.seqMu.Unlock()
 }
 
 // inflight tracks spawned transaction bodies by generation: a body joins

@@ -94,6 +94,16 @@ func WithCommitObserver(fn CommitObserver) EngineOption {
 	return func(e *Engine) { e.observers = append(e.observers, fn) }
 }
 
+// WithCommitFlush registers fn to run on the notifier once per batch, after
+// the observers have seen every commit of it and before its versions count
+// as notified (WaitNotified, Barrier): the archive's flush, so a version is
+// notified only once it is durable. Commits that arrive while fn runs form
+// the next batch — group commit with no timer. It runs only on an engine
+// with a commit observer.
+func WithCommitFlush(fn func()) EngineOption {
+	return func(e *Engine) { e.flush = fn }
+}
+
 // pendingCommit is one published write waiting for its observers: parked
 // while an earlier version has not reached the sequencer yet, then queued
 // for the notifier. run and steps are set for an insert run.
@@ -161,8 +171,8 @@ const maxSpareCommits = 1024
 
 // notifyLoop is the notifier: it takes the whole queue, runs the observers
 // over it in order outside the lock — forcing each commit's response first,
-// which is where it waits for a spawned body — and exits when it finds the
-// queue empty.
+// which is where it waits for a spawned body — then the flush, and only
+// then marks the batch notified. It exits when it finds the queue empty.
 func (e *Engine) notifyLoop() {
 	e.seqMu.Lock()
 	for len(e.queue) > 0 {
@@ -177,6 +187,9 @@ func (e *Engine) notifyLoop() {
 				ob(c)
 			}
 		}
+		if e.flush != nil {
+			e.flush()
+		}
 		last := batch[len(batch)-1].snap.version
 		clear(batch) // drop the versions and tuples the batch pinned
 
@@ -184,7 +197,7 @@ func (e *Engine) notifyLoop() {
 		if cap(batch) <= maxSpareCommits {
 			e.spare = batch
 		}
-		e.notified = last
+		e.notified.Store(last)
 		e.caughtUp.Broadcast()
 	}
 	e.notifying = false

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"funcdb/internal/database"
 	"funcdb/internal/relation"
@@ -49,6 +50,62 @@ func TestObserverSeesCommitsInOrder(t *testing.T) {
 		if s != int64(i+1) {
 			t.Fatalf("commit %d has seq %d (out of order or gapped)", i, s)
 		}
+	}
+}
+
+// TestWaitNotifiedAcrossWaiters: concurrent writers each wait for their
+// own version while the notifier drains batches behind them. The observer
+// sees one dense version order, the flush runs after every batch it saw,
+// and a waiter returns only once the flush has covered its version.
+func TestWaitNotifiedAcrossWaiters(t *testing.T) {
+	var mu sync.Mutex
+	var seen, flushed int64
+	var bad []string
+	e := NewEngine(database.New(relation.RepList, "R", "S", "T", "U"), WithLanes(4),
+		WithCommitObserver(func(c Commit) {
+			mu.Lock()
+			if c.Seq != seen+1 {
+				bad = append(bad, fmt.Sprintf("observed %d after %d", c.Seq, seen))
+			}
+			seen = c.Seq
+			mu.Unlock()
+		}),
+		WithCommitFlush(func() {
+			mu.Lock()
+			at := seen
+			mu.Unlock()
+			time.Sleep(10 * time.Microsecond) // a write takes time: waiters must not overtake it
+			mu.Lock()
+			flushed = at
+			mu.Unlock()
+		}))
+
+	const workers, per = 8, 200
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			rel := []string{"R", "S", "T", "U"}[w%4]
+			for i := 0; i < per; i++ {
+				e.Submit(Insert(rel, value.NewTuple(value.Int(int64(w*per+i)))))
+				v := e.Version()
+				e.WaitNotified(v)
+				mu.Lock()
+				if flushed < v {
+					bad = append(bad, fmt.Sprintf("WaitNotified(%d) returned with the flush at %d", v, flushed))
+				}
+				mu.Unlock()
+			}
+		}(w)
+	}
+	wg.Wait()
+	e.Barrier()
+	if len(bad) > 0 {
+		t.Fatal(bad[0])
+	}
+	if seen != workers*per || flushed != seen {
+		t.Fatalf("observed %d versions, flushed through %d, want %d", seen, flushed, workers*per)
 	}
 }
 

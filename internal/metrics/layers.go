@@ -107,7 +107,7 @@ func (e *Engine) Snapshot() EngineSnapshot {
 type Archive struct {
 	Appends      Counter   // versions (writes) appended to the log
 	Bytes        Counter   // bytes written to the log (records + snapshots)
-	Flushes      Counter   // log writes: one per group-commit flush, or per commit without group commit
+	Flushes      Counter   // log writes: one per flush, and a store flushes once per engine notifier batch
 	Snapshots    Counter   // durable snapshots written
 	FlushRecords Histogram // versions per log write (group-commit occupancy)
 	FsyncLatency Histogram // fsync duration, ns
@@ -350,10 +350,13 @@ type PeerSnapshot struct {
 	// ReplicaApplied is the last primary sequence applied to the local
 	// mirror of this peer; primary seq − ReplicaApplied is the replication
 	// lag. ReplicaRecords counts log records applied; ReplicaConnects
-	// counts subscription (re)connects.
+	// counts subscription (re)connects; ReplicaResyncs counts the
+	// subscriptions refused as ahead of the peer's durable log, each
+	// answered by installing the peer's snapshot.
 	ReplicaApplied  int64 `json:"replica_applied"`
 	ReplicaRecords  int64 `json:"replica_records"`
 	ReplicaConnects int64 `json:"replica_connects"`
+	ReplicaResyncs  int64 `json:"replica_resyncs"`
 	// HeartbeatAgeMs is how long ago this peer's last heartbeat (or ack)
 	// arrived, in milliseconds; -1 when no heartbeat has ever been seen
 	// (or failover is off). Ages beyond the lease mean the peer is
@@ -506,8 +509,8 @@ func (s Snapshot) Format() string {
 		}
 	}
 	for _, p := range s.Peers {
-		fmt.Fprintf(&b, "  peer %d %s: fwd_frames=%d dials=%d replica_applied=%d records=%d connects=%d",
-			p.Peer, p.Addr, p.ForwardFrames, p.Dials, p.ReplicaApplied, p.ReplicaRecords, p.ReplicaConnects)
+		fmt.Fprintf(&b, "  peer %d %s: fwd_frames=%d dials=%d replica_applied=%d records=%d connects=%d resyncs=%d",
+			p.Peer, p.Addr, p.ForwardFrames, p.Dials, p.ReplicaApplied, p.ReplicaRecords, p.ReplicaConnects, p.ReplicaResyncs)
 		if p.HeartbeatAgeMs >= 0 {
 			fmt.Fprintf(&b, " hb_age=%.0fms lag=%d", p.HeartbeatAgeMs, p.AppliedLag)
 		}

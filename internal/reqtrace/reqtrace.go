@@ -321,10 +321,9 @@ func (r *Recorder) StartCtx(c Ctx) *T {
 
 // Finish completes the trace and runs admission: the slow reservoir for
 // anything at or over the threshold, the ring for head samples,
-// discard otherwise. Nil-safe on both receivers. Spans recorded after
-// Finish (the group-commit fsync completes after the response is on the
-// wire) still attach — the buffers hold the live handle and Traces()
-// snapshots under its lock.
+// discard otherwise. Nil-safe on both receivers. The buffers hold the
+// live handle and Traces() snapshots under its lock, so a span recorded
+// after Finish still attaches.
 func (r *Recorder) Finish(t *T) {
 	if r == nil || t == nil {
 		return

@@ -217,8 +217,8 @@ func TestFinishIdempotent(t *testing.T) {
 	}
 }
 
-// TestLateSpanAttaches records a span after Finish (the group-commit
-// fsync pattern) and checks a later snapshot carries it.
+// TestLateSpanAttaches records a span after Finish and checks a later
+// snapshot carries it.
 func TestLateSpanAttaches(t *testing.T) {
 	r := New("n0", Config{SampleEvery: 1, SlowThreshold: -1})
 	tr := r.Start()

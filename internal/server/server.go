@@ -24,10 +24,15 @@
 // behind its commit's TraceCtx frame — whose SubAcks feed the
 // subscription's write-ack gate).
 //
+// Every reply that answers statements leaves only once the writes it
+// carries are durable: the handler forces a flush's futures, waits once
+// for the session's store to have logged every version it published
+// (Session.AwaitDurable), and only then encodes the replies.
+//
 // Shutdown drains gracefully: stop accepting, unblock every connection's
 // pending read, let each handler answer what it has fully read, then
-// barrier the stores so every acked commit is durable before the process
-// exits.
+// barrier the stores so every admitted commit, acked or not, is durable
+// before the process exits.
 package server
 
 import (
@@ -197,10 +202,9 @@ func (s *Server) Serve() error {
 
 // Shutdown drains the server: stop accepting, unblock every connection's
 // pending read so its handler can answer what it has fully read and
-// close, wait for all handlers, then barrier every host — with
-// durability, the group-commit buffers are flushed, so every response a
-// client received is on disk when Shutdown returns. The stores themselves
-// stay open.
+// close, wait for all handlers, then barrier every host, so every
+// admitted write is on disk when Shutdown returns (every acked one was
+// before its reply left). The stores themselves stay open.
 func (s *Server) Shutdown() error {
 	s.draining.Store(true)
 	var err error
@@ -349,7 +353,7 @@ func (s *Server) handle(conn net.Conn) {
 			return true
 		}
 		sess.Flush()
-		err := rb.encode(pending)
+		err := rb.encode(pending, sess)
 		pending = pending[:0]
 		if err != nil {
 			return false
@@ -368,8 +372,8 @@ func (s *Server) handle(conn net.Conn) {
 		}
 		ok := bw.Flush() == nil
 		// The batch is on the wire: close each trace's flush span and run
-		// admission. A group-commit fsync span may still arrive later — the
-		// recorder holds the live handle, so it attaches.
+		// admission. Its writes were durable before it was encoded, so
+		// every group-commit-fsync span is already recorded.
 		if len(rb.trs) > 0 {
 			end := time.Now()
 			for _, t := range rb.trs {
@@ -528,15 +532,24 @@ type replyBuf struct {
 	resps []core.Response
 }
 
-// encode frames every pending reply into out, in request order, forcing
-// its futures. On an encode failure — a response over the frame limit —
-// it still forces every later reply's futures before reporting the
-// error: on a gateway, forcing a forwarded statement's future is what
-// reads its reply off the peer link, and an unread reply would stay
-// parked there for the node's lifetime.
-func (b *replyBuf) encode(pending []reply) error {
+// encode frames every pending reply into out, in request order. It first
+// forces every reply's futures — on a gateway, forcing a forwarded
+// statement's future is what reads its reply off the peer link, so even
+// a batch that fails to encode leaves no reply parked there — and then,
+// when any reply answers statements, waits once for the session's writes
+// to be durable: no reply of the batch is encoded before every write it
+// carries is on disk. A reply without statements (an error, a redirect,
+// a heartbeat ack, an introspection document) does not wait.
+func (b *replyBuf) encode(pending []reply, sess *session.Session) error {
 	b.out = b.out[:0]
 	b.trs = b.trs[:0]
+	stmts := false
+	for i := range pending {
+		stmts = pending[i].force() || stmts
+	}
+	if stmts {
+		sess.AwaitDurable()
+	}
 	for i := range pending {
 		rp := &pending[i]
 		var encStart time.Time
@@ -545,14 +558,9 @@ func (b *replyBuf) encode(pending []reply) error {
 		}
 		var err error
 		if b.out, err = b.frame(b.out, rp); err != nil {
-			for _, rest := range pending[i+1:] {
-				rest.force()
-			}
 			return err
 		}
 		if rp.tr != nil {
-			// Encode covers forcing the futures too: the wait for the
-			// engine's response is part of what the client experiences.
 			rp.tr.Span(reqtrace.StageEncode, encStart, time.Now())
 			b.trs = append(b.trs, rp.tr)
 		}
@@ -566,7 +574,7 @@ func (b *replyBuf) encode(pending []reply) error {
 	return nil
 }
 
-// frame appends rp's reply frame to out, forcing its futures.
+// frame appends rp's reply frame to out; its futures are already forced.
 func (b *replyBuf) frame(out []byte, rp *reply) ([]byte, error) {
 	var mark int
 	var err error
@@ -607,14 +615,15 @@ func (b *replyBuf) frame(out []byte, rp *reply) ([]byte, error) {
 	return wire.EndFrame(out, mark)
 }
 
-// force forces the reply's futures, if it has any.
-func (rp reply) force() {
+// force forces the reply's futures, reporting whether it has any.
+func (rp *reply) force() bool {
 	if rp.fut != nil {
 		rp.fut.Force()
 	}
 	for _, f := range rp.futs {
 		f.Force()
 	}
+	return rp.fut != nil || rp.futs != nil
 }
 
 // refuse answers a handshake or subscription the server will not serve:

@@ -54,6 +54,14 @@ type Submitter interface {
 	SubmitTagged(txs []core.Transaction, futs []*Future)
 }
 
+// durableSubmitter is a Submitter whose writes reach a log: AwaitDurable
+// blocks until every version it has published so far is durable.
+// funcdb.Store and a cluster node implement it; a submitter without it
+// acknowledges on the response alone.
+type durableSubmitter interface {
+	AwaitDurable()
+}
+
 // BatchError reports which statement of a batch failed to translate or
 // bind. Batches are all-or-nothing: nothing was submitted.
 type BatchError struct {
@@ -130,6 +138,7 @@ type pendingStmt struct {
 // statements queued concurrently flush together in queue order.
 type Session struct {
 	sub      Submitter
+	durable  durableSubmitter // sub, when it logs; nil otherwise
 	origin   string
 	nextSeqs func(n int) int
 	cache    *query.StmtCache
@@ -154,6 +163,7 @@ type Session struct {
 // New opens a session over a submitter.
 func New(sub Submitter, opts ...Option) *Session {
 	s := &Session{sub: sub, origin: "session"}
+	s.durable, _ = sub.(durableSubmitter)
 	for _, opt := range opts {
 		opt(s)
 	}
@@ -348,7 +358,8 @@ func (s *Session) flushLocked() {
 
 // ExecAsync translates and admits a single statement now (flushing any
 // queued pipeline with it — one arbitration), returning the response
-// future.
+// future: the lenient value, which may resolve before its write is durable
+// (AwaitDurable).
 func (s *Session) ExecAsync(q string) (*Future, error) {
 	tx, err := s.Translate(q)
 	if err != nil {
@@ -363,17 +374,33 @@ func (s *Session) ExecAsync(q string) (*Future, error) {
 	return fut, nil
 }
 
-// Exec translates, admits and waits.
+// Exec translates, admits and waits for the response and, when the
+// submitter logs, for the write to be durable.
 func (s *Session) Exec(q string) (core.Response, error) {
 	fut, err := s.ExecAsync(q)
 	if err != nil {
 		return core.Response{}, err
 	}
-	return fut.Force(), nil
+	resp := fut.Force()
+	s.AwaitDurable()
+	return resp, nil
+}
+
+// AwaitDurable blocks until every write the session's forced futures carry
+// is durable: call it after forcing them. It waits for the submitter's
+// whole published version, a conservative and monotone bound, and returns
+// at once when the submitter keeps no log. ExecAsync and Queue futures are
+// the lenient value; Exec, ExecBatch and the network server's replies wait
+// here before they acknowledge.
+func (s *Session) AwaitDurable() {
+	if s.durable != nil {
+		s.durable.AwaitDurable()
+	}
 }
 
 // ExecBatch translates a slice of queries, admits them all in one merge
-// arbitration, and waits for every response. Translation is
+// arbitration, and waits for every response and, when the submitter logs,
+// for every write to be durable. Translation is
 // all-or-nothing: a failure anywhere reports a *BatchError carrying the
 // failing statement's index, and nothing is submitted.
 func (s *Session) ExecBatch(queries []string) ([]core.Response, error) {
@@ -402,5 +429,6 @@ func (s *Session) ExecBatch(queries []string) ([]core.Response, error) {
 	for i := range stmts {
 		out[i] = stmts[i].fut.Force()
 	}
+	s.AwaitDurable()
 	return out, nil
 }

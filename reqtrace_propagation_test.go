@@ -12,6 +12,7 @@ import (
 	"funcdb/client"
 	"funcdb/internal/core"
 	"funcdb/internal/reqtrace"
+	"funcdb/internal/server"
 )
 
 // bootTracedCluster spins up an n-node loopback cluster with tracing on
@@ -46,6 +47,62 @@ func bootTracedCluster(t *testing.T, n int) ([]string, []*funcdb.ClusterNode) {
 		t.Cleanup(func() { node.Shutdown() })
 	}
 	return addrs, nodes
+}
+
+// TestDurableWriteFsyncSpanEndsBeforeEncode: a traced write to a durable
+// store is answered only after the flush that made it durable, so its
+// published trace holds the group-commit-fsync span, and that span ends at
+// or before the encode span starts.
+func TestDurableWriteFsyncSpanEndsBeforeEncode(t *testing.T) {
+	store, err := funcdb.Open(funcdb.WithRelations("R"),
+		funcdb.WithDurability(t.TempDir(), funcdb.SyncEveryWrite()),
+		funcdb.WithTracing(funcdb.TracingConfig{SampleEvery: 1, SlowThreshold: -1}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	srv := server.New(store)
+	if err := srv.Listen("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	go srv.Serve()
+	defer srv.Shutdown()
+	cl, err := client.Dial(srv.Addr().String(), client.WithOrigin("tracer"),
+		client.WithTracing(funcdb.TracingConfig{SampleEvery: 1}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	if resp, err := cl.Exec(`insert (1, "durable") into R`); err != nil || resp.Err != nil {
+		t.Fatalf("traced insert: %v %v", err, resp.Err)
+	}
+	id := cl.LocalTraces()[0].ID
+
+	// The server publishes the trace once the reply has left.
+	var fsync, encode *reqtrace.SpanInfo
+	for deadline := time.Now().Add(5 * time.Second); fsync == nil || encode == nil; {
+		if time.Now().After(deadline) {
+			t.Fatalf("the server's trace %s lacks a group-commit-fsync or encode span: %+v", id, store.Traces())
+		}
+		time.Sleep(time.Millisecond)
+		for _, tr := range store.Traces() {
+			if tr.ID != id {
+				continue
+			}
+			for i := range tr.Spans {
+				switch sp := &tr.Spans[i]; sp.Stage {
+				case reqtrace.StageGroupCommitFsync.String():
+					fsync = sp
+				case reqtrace.StageEncode.String():
+					encode = sp
+				}
+			}
+		}
+	}
+	if end := fsync.Start + fsync.Dur; end > encode.Start {
+		t.Fatalf("group-commit-fsync ends at %d, %d ns after encode starts at %d: the reply was encoded before its write was durable",
+			end, end-encode.Start, encode.Start)
+	}
 }
 
 // TestTracePropagationThreeNodes drives ONE sampled write through the
