@@ -202,10 +202,9 @@ func WithLanes(n int) Option {
 // from the engine's post-commit notifier so durability rides the lenient
 // pipeline. The log is flushed once per notifier batch of commits — one
 // write, one fsync under SyncEveryWrite — as soon as the previous flush
-// returns, and a write is acknowledged only once its flush has returned:
-// Exec, ExecBatch, Stmt.Exec, Stmt.ExecBatch, Barrier and every network
-// reply wait for it. An ExecAsync future is the lenient value and resolves
-// before its write is durable. If dir already holds an archive, the store
+// returns, and every response future is an acknowledgement: it resolves
+// only once the version it answers is on disk, and with an error when the
+// archive failed first (Submit). If dir already holds an archive, the store
 // recovers from it (newest snapshot + log suffix) and any WithRelations/
 // WithData/WithDatabase options are superseded by the recovered version.
 // Close the store to release the archive.
@@ -346,7 +345,7 @@ func Open(opts ...Option) (*Store, error) {
 	if s.archive != nil {
 		engineOpts = append(engineOpts,
 			core.WithCommitObserver(s.archive.Observer()),
-			core.WithCommitFlush(s.archive.Flusher()))
+			core.WithCommitFlush(s.archive.Flush))
 	}
 	if c.history >= 0 {
 		s.history = database.NewHistory(c.history)
@@ -401,6 +400,10 @@ func (s *Store) nextSeqs(n int) int {
 // its response future. The transaction's Origin/Seq are filled in when
 // empty. History and durability, when enabled, are appended from the
 // engine's post-commit observer — the write pipelines like any other.
+//
+// A durable store's response future is an acknowledgement: it resolves
+// only once the version it answers — the one a write produced, the one a
+// read read — is on disk, and with an error if the archive failed first.
 func (s *Store) Submit(tx Transaction) *Future {
 	if tx.Origin == "" {
 		tx.Origin = s.origin
@@ -445,35 +448,28 @@ func (s *Store) SubmitTagged(txs []Transaction, futs []*Future) {
 	copy(futs, s.engine.SubmitBatch(txs))
 }
 
-// AwaitDurable blocks until every version the store has published so far
-// is durable: call it after forcing a reply's futures, and the version it
-// reads bounds every write the reply carries, conservatively. It is how
-// Exec, ExecBatch and the network server acknowledge durability. Without
-// durability it returns at once; with nothing pending it is one atomic
-// load and allocates nothing.
-func (s *Store) AwaitDurable() {
-	if s.archive != nil {
-		s.engine.WaitNotified(s.engine.Version())
-	}
+// ReadStamped answers a read-only built-in transaction like Submit, stamping
+// the response with the number of the version it read (Response.Version).
+func (s *Store) ReadStamped(tx Transaction) *Future {
+	return s.engine.ReadStamped(tx)
 }
 
 // ExecAsync translates and submits a symbolic query through the store's
 // session (cached statements, one exec path), returning the response
-// future: the lenient value, which may resolve before a durable store has
-// made the write durable (Barrier waits for that).
+// future, an acknowledgement like every other (Submit).
 func (s *Store) ExecAsync(q string) (*Future, error) {
 	return s.session.ExecAsync(q)
 }
 
-// Exec translates, submits and waits for the response — and, on a durable
-// store, for the write to be durable.
+// Exec translates, submits and waits for the response — on a durable
+// store, for the answer to be on disk.
 func (s *Store) Exec(q string) (Response, error) {
 	return s.session.Exec(q)
 }
 
 // ExecBatch translates a slice of queries, submits them all in one merge
-// arbitration, and waits for every response and, on a durable store, for
-// every write to be durable. Translation is all-or-nothing:
+// arbitration, and waits for every response — on a durable store, for
+// every answer to be on disk. Translation is all-or-nothing:
 // a syntax error in any query fails the whole batch before anything is
 // submitted, and the returned error is a *BatchError carrying the failing
 // statement's index.
@@ -528,7 +524,7 @@ func (st *Stmt) Bind(args ...Item) (Transaction, error) {
 	return st.prep.Bind(args...)
 }
 
-// ExecAsync binds and submits, returning the response future.
+// ExecAsync binds and submits, returning the response future (Store.Submit).
 func (st *Stmt) ExecAsync(args ...Item) (*Future, error) {
 	tx, err := st.prep.Bind(args...)
 	if err != nil {
@@ -537,21 +533,19 @@ func (st *Stmt) ExecAsync(args ...Item) (*Future, error) {
 	return st.store.Submit(tx), nil
 }
 
-// Exec binds, submits and waits for the response and, on a durable store,
-// for the write to be durable.
+// Exec binds, submits and waits for the response — on a durable store, for
+// the answer to be on disk.
 func (st *Stmt) Exec(args ...Item) (Response, error) {
 	fut, err := st.ExecAsync(args...)
 	if err != nil {
 		return Response{}, err
 	}
-	resp := fut.Force()
-	st.store.AwaitDurable()
-	return resp, nil
+	return fut.Force(), nil
 }
 
 // ExecBatch binds every argument set and submits the lot in one merge
-// arbitration, waiting for all responses and, on a durable store, for
-// every write to be durable. Binding is all-or-nothing.
+// arbitration, waiting for all responses — on a durable store, for every
+// answer to be on disk. Binding is all-or-nothing.
 func (st *Stmt) ExecBatch(argSets ...[]Item) ([]Response, error) {
 	txs := make([]Transaction, len(argSets))
 	for i, args := range argSets {
@@ -566,7 +560,6 @@ func (st *Stmt) ExecBatch(argSets ...[]Item) ([]Response, error) {
 	for i, f := range futures {
 		out[i] = f.Force()
 	}
-	st.store.AwaitDurable()
 	return out, nil
 }
 
@@ -585,7 +578,8 @@ func (s *Store) Lanes() int { return s.engine.Lanes() }
 // Barrier waits for every submitted transaction to finish, including its
 // durable record: every version published before the call is on disk (and
 // fsynced, under SyncEveryWrite) when Barrier returns. A flush failure is
-// sticky; DurabilityErr reports it.
+// sticky; DurabilityErr reports it, and so does every response future of a
+// version it left off disk.
 func (s *Store) Barrier() {
 	s.engine.Barrier()
 }

@@ -348,7 +348,8 @@ func (a *Archive) syncLog() error {
 
 // Flush writes the pending batch to the log (and syncs it when Fsync is
 // on), then hands its records to the log-tail subscribers. A no-op with an
-// empty batch.
+// empty batch, unless the archive has failed: it reports the sticky failure
+// every time, so an engine flushing through it acks nothing after one.
 func (a *Archive) Flush() error {
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -360,13 +361,6 @@ func (a *Archive) Flush() error {
 // durable, the archive stops advancing rather than recording a gap.
 func (a *Archive) Observer() core.CommitObserver {
 	return func(c core.Commit) { _ = a.Append(c) }
-}
-
-// Flusher adapts Flush to the engine's once-per-batch hook
-// (core.WithCommitFlush): the engine counts a batch notified only once its
-// records are durable. Failures are sticky, as for Observer.
-func (a *Archive) Flusher() func() {
-	return func() { _ = a.Flush() }
 }
 
 // TailFunc receives one log record from a log-tail subscription: the

@@ -23,7 +23,7 @@ func newEngineWithArchive(t *testing.T, dir string, initial *database.Database, 
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := core.NewEngine(initial, core.WithCommitObserver(a.Observer()), core.WithCommitFlush(a.Flusher()))
+	e := core.NewEngine(initial, core.WithCommitObserver(a.Observer()), core.WithCommitFlush(a.Flush))
 	return e, a
 }
 

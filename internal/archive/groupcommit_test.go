@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"funcdb/internal/core"
+	"funcdb/internal/lenient"
 	"funcdb/internal/metrics"
 	"funcdb/internal/reqtrace"
 	"funcdb/internal/value"
@@ -61,8 +62,8 @@ func TestGroupCommitFlushMakesDurable(t *testing.T) {
 }
 
 // TestCommitDurableBeforeReply: with the archive's flush on the engine's
-// notifier, a write whose response is forced and whose version the engine
-// has notified is on disk — no Flush, Barrier or Close call, and no timer.
+// notifier, a write whose response cell has resolved is on disk — no Flush,
+// Barrier or Close call, no wait beside the cell, and no timer.
 func TestCommitDurableBeforeReply(t *testing.T) {
 	dir := t.TempDir()
 	e, a := newEngineWithArchive(t, dir, initialDB("R"))
@@ -71,7 +72,6 @@ func TestCommitDurableBeforeReply(t *testing.T) {
 		if r := e.Submit(core.Insert("R", value.NewTuple(value.Int(int64(i)), value.Str("v")))).Force(); r.Err != nil {
 			t.Fatal(r.Err)
 		}
-		e.WaitNotified(e.Version()) // the reply's wait
 		got, err := Recover(dir)
 		if err != nil || got.TotalTuples() != i {
 			t.Fatalf("write %d replied with %d tuples on disk (%v)", i, got.TotalTuples(), err)
@@ -93,12 +93,12 @@ func TestFlushCoalescesCommitsQueuedDuringSlowFlush(t *testing.T) {
 	defer a.Close()
 	entered, release := make(chan struct{}), make(chan struct{})
 	var once sync.Once
-	flush := func() {
+	flush := func() error {
 		once.Do(func() {
 			close(entered)
 			<-release
 		})
-		_ = a.Flush()
+		return a.Flush()
 	}
 	e := core.NewEngine(initial, core.WithLanes(4), core.WithCommitObserver(a.Observer()), core.WithCommitFlush(flush))
 	e.Submit(core.Insert("R", value.NewTuple(value.Int(0), value.Str("v"))))
@@ -266,15 +266,32 @@ func TestAppendAllocGate(t *testing.T) {
 	}
 }
 
-// TestReplyWaitAllocGate: the reply's wait for a version already durable
-// is one atomic load — no lock, no allocation.
+// TestReplyWaitAllocGate: the gated response cell's fast path — forcing
+// the cell of a version already durable — is one atomic load: no lock, no
+// allocation. The cell itself is the one allocation a ready cell would be.
 func TestReplyWaitAllocGate(t *testing.T) {
 	e, a := newEngineWithArchive(t, t.TempDir(), initialDB("R"))
 	defer a.Close()
 	e.Submit(core.Insert("R", value.NewTuple(value.Int(1), value.Str("v")))).Force()
 	e.Barrier()
-	if allocs := testing.AllocsPerRun(1000, func() { e.WaitNotified(e.Version()) }); allocs > 0 {
-		t.Errorf("WaitNotified on a durable version = %.1f allocs, want 0", allocs)
+	const runs = 1000
+	find := core.Find("R", value.Int(1))
+	cells := make([]*lenient.Cell[core.Response], runs+1) // AllocsPerRun runs once more to warm up
+	for i := range cells {
+		cells[i] = e.Submit(find)
+	}
+	next := 0
+	force := func() {
+		if r := cells[next].Force(); !r.Found || r.Err != nil {
+			t.Fatalf("find of a durable row = %+v", r)
+		}
+		next++
+	}
+	if allocs := testing.AllocsPerRun(runs, force); allocs > 0 {
+		t.Errorf("forcing the gated cell of a durable version = %.1f allocs, want 0", allocs)
+	}
+	if allocs := testing.AllocsPerRun(runs, func() { e.Submit(find) }); allocs > 1 {
+		t.Errorf("a gated find = %.1f allocs, want <= 1", allocs)
 	}
 }
 

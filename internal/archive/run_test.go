@@ -31,7 +31,7 @@ func TestRunsStayContiguousUnderLanes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := core.NewEngine(initial, core.WithLanes(2), core.WithCommitObserver(a.Observer()), core.WithCommitFlush(a.Flusher()))
+	e := core.NewEngine(initial, core.WithLanes(2), core.WithCommitObserver(a.Observer()), core.WithCommitFlush(a.Flush))
 
 	var wg sync.WaitGroup
 	wg.Add(2)

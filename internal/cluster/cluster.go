@@ -55,10 +55,15 @@ import (
 // LocalStore is the node-local store surface the cluster builds on.
 // *funcdb.Store satisfies it (the public OpenClusterNode constructs one);
 // tests may substitute lighter implementations.
+// Its response futures are acknowledgements — each resolves once the
+// version it answers is durable — so the node adds no wait of its own.
 type LocalStore interface {
 	// SubmitTagged admits pre-tagged transactions in one arbitration,
 	// storing the future of txs[i] into futs[i] (session.Submitter).
 	SubmitTagged(txs []core.Transaction, futs []*session.Future)
+	// ReadStamped answers a read-only built-in against the present
+	// version, stamped with its number (Response.Version).
+	ReadStamped(tx core.Transaction) *session.Future
 	// Lanes reports the store's admission lane count.
 	Lanes() int
 	// Durable reports whether committed writes reach an archive.
@@ -66,9 +71,6 @@ type LocalStore interface {
 	// Barrier waits for every admitted transaction, including its durable
 	// record.
 	Barrier()
-	// AwaitDurable waits until every version the store has published so
-	// far is durable (session.Session.AwaitDurable).
-	AwaitDurable()
 	// DurabilityErr reports the sticky durability failure, if any.
 	DurabilityErr() error
 	// Version reads the store's present version number: one atomic load,
@@ -276,15 +278,6 @@ func (n *Node) Lanes() int { return n.store.Lanes() }
 
 // Durable implements server.Host.
 func (n *Node) Durable() bool { return n.store.Durable() }
-
-// AwaitDurable makes the node a durable submitter for its sessions: it
-// waits until every version its own store, and every takeover store it
-// serves, has published so far is durable. A forwarded statement needs
-// nothing here: its owner waited before it replied.
-func (n *Node) AwaitDurable() {
-	n.store.AwaitDurable()
-	n.slots.awaitTakeovers()
-}
 
 // Barrier implements server.Host: it settles the local store (admission
 // and durability). Forwarded statements settle through their response

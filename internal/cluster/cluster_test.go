@@ -41,9 +41,11 @@ func (f *fakeStore) SubmitTagged(txs []core.Transaction, futs []*session.Future)
 func (f *fakeStore) Lanes() int           { return 1 }
 func (f *fakeStore) Durable() bool        { return false }
 func (f *fakeStore) Barrier()             { f.eng.Barrier() }
-func (f *fakeStore) AwaitDurable()        {}
 func (f *fakeStore) DurabilityErr() error { return nil }
 func (f *fakeStore) Version() int64       { return f.eng.Version() }
+func (f *fakeStore) ReadStamped(tx core.Transaction) *session.Future {
+	return f.eng.ReadStamped(tx)
+}
 func (f *fakeStore) Current() *database.Database {
 	f.currents.Add(1)
 	return f.eng.Current()

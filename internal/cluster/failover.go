@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"net"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"funcdb/internal/core"
@@ -116,10 +115,6 @@ type slotTable struct {
 
 	takeovers map[int]LocalStore
 	subs      map[int]map[int]int64 // slot → subscriber node → acked seq
-
-	// promoted is set at the first promotion and never cleared: until
-	// then awaitTakeovers has no store to wait on and takes no lock.
-	promoted atomic.Bool
 }
 
 // newSlotTable builds the boot table: epoch 0, slot s served by node s. A
@@ -467,7 +462,6 @@ func (tab *slotTable) promoteLocked(s int, m *mirror) {
 		return
 	}
 	tab.takeovers[s] = st
-	tab.promoted.Store(true)
 	tab.epochs[s], tab.owners[s], tab.bases[s] = epoch, tab.n.id, base
 	tab.n.m.Promotions.Inc()
 }
@@ -496,25 +490,6 @@ func (tab *slotTable) route(slot int) (st LocalStore, owner int, epoch uint64, e
 		return nil, owner, epoch, fmt.Errorf("%w: no takeover store for slot %d yet", ErrFenced, slot)
 	}
 	return tab.takeovers[slot], owner, epoch, nil
-}
-
-// awaitTakeovers waits until every version the takeover stores have
-// published so far is durable: a reply carrying a write to an adopted
-// slot is released only then, as one to the node's own store is.
-func (tab *slotTable) awaitTakeovers() {
-	if !tab.promoted.Load() {
-		return
-	}
-	var held [8]LocalStore
-	sts := held[:0]
-	tab.mu.Lock()
-	for _, st := range tab.takeovers {
-		sts = append(sts, st)
-	}
-	tab.mu.Unlock()
-	for _, st := range sts {
-		st.AwaitDurable()
-	}
 }
 
 // gatedWrite is a write's response behind the replication-ack gate. It is

@@ -102,12 +102,12 @@ func (m *mirror) apply(r *archive.Record) error {
 
 // ReplicaRead implements server.Cluster: a read-only built-in statement
 // applied to one version of the freshest local copy, stamped with that
-// version and answered at once. A relation owned elsewhere reads its
-// log-shipped mirror's version; a relation in a slot this node serves
-// reads the store's Current() — zero staleness, but the same contract, so
-// a client's ExecReplica reports a meaningful Version whichever node it
-// happens to dial. Current() does not wait on a write taken from the
-// wire: every one is a built-in, evaluated at admission. ok=false when no
+// version. A relation owned elsewhere reads its log-shipped mirror's
+// version — only records its owner made durable — and is answered at once.
+// A relation in a slot this node serves is read through the store
+// (ReadStamped), whose future resolves once that version is durable: zero
+// staleness, but the same contract, so a client's ExecReplica reports a
+// meaningful Version whichever node it happens to dial. ok=false when no
 // local copy can serve the read: this node's own slot while it may not
 // serve it (probation, or a demotion before rejoin installed its mirror).
 func (n *Node) ReplicaRead(tx core.Transaction) (*session.Future, bool) {
@@ -118,14 +118,14 @@ func (n *Node) ReplicaRead(tx core.Transaction) (*session.Future, bool) {
 	// The slot this node SERVES (own store or takeover) answers with zero
 	// staleness; anything else falls to its mirror — including this node's
 	// own former slot after a demotion.
-	var db *database.Database
 	if st, _, _, _ := n.slots.route(slot); st != nil {
-		db = st.Current()
-	} else if m := n.mirrorRef(slot); m != nil {
-		db = m.db.Load()
-	} else {
+		return st.ReadStamped(tx), true
+	}
+	m := n.mirrorRef(slot)
+	if m == nil {
 		return nil, false
 	}
+	db := m.db.Load()
 	resp, _, _ := tx.Apply(nil, db, trace.None)
 	resp.Version = db.Version()
 	return lenient.Ready(resp), true

@@ -84,10 +84,10 @@ type Engine struct {
 	// durability and history ride behind the pipeline instead of
 	// serializing it; flush runs once per notifier batch, after them. The
 	// sequencer re-serializes lane commits into that one total order;
-	// everything below flush is guarded by seqMu (notified is also read
-	// lock-free).
+	// everything below flush is guarded by seqMu (notified and durable are
+	// also read lock-free).
 	observers []CommitObserver
-	flush     func()
+	flush     func() error
 	seqMu     sync.Mutex
 	seqNext   int64                   // next version to hand to the notifier
 	parked    map[int64]pendingCommit // commits published ahead of seqNext
@@ -95,6 +95,8 @@ type Engine struct {
 	spare     []pendingCommit         // the notifier's drained batch, for reuse
 	notifying bool                    // a notifier goroutine is running
 	notified  atomic.Int64            // observers and flush have run for every version <= this
+	durable   atomic.Int64            // notified and flushed without error: on disk
+	flushErr  error                   // the flush's first failure
 	caughtUp  sync.Cond               // on seqMu: notified advanced
 }
 
@@ -142,6 +144,7 @@ func NewEngine(initial *database.Database, opts ...EngineOption) *Engine {
 	})
 	e.seqNext = initial.Version() + 1
 	e.notified.Store(initial.Version())
+	e.durable.Store(initial.Version())
 	e.caughtUp.L = &e.seqMu
 	return e
 }
@@ -171,7 +174,8 @@ func (e *Engine) Plan(tx Transaction) Plan {
 	return planAgainst(e.snap.Load(), tx)
 }
 
-// Submit admits tx into the merged stream and returns its response future.
+// Submit admits tx into the merged stream and returns its response future,
+// an acknowledgement on an engine with a commit flush (WithCommitFlush).
 // The call is brief: the merge arbitration plus, for a built-in whose input
 // relation is already a value, the body itself (a few microseconds on a
 // tree). Any other body runs in its own goroutine, demand-synchronized with
@@ -325,9 +329,10 @@ func (e *Engine) admitLocked(p Plan) *lenient.Cell[Response] {
 			cells = append(cells, newCell)
 			return &snapshot{dir: cur.dir.With(p.tx.Rel), cells: cells, version: cur.version + 1}
 		})
-		resp := lenient.Ready(Response{Origin: p.tx.Origin, Seq: p.tx.Seq, Kind: p.tx.Kind})
-		e.notifyCommit(pendingCommit{tx: p.tx, resp: resp, snap: ns})
-		return resp
+		pc := pendingCommit{tx: p.tx, snap: ns}
+		pc.resp = Response{Origin: p.tx.Origin, Seq: p.tx.Seq, Kind: p.tx.Kind}
+		e.notifyCommit(pc)
+		return e.respond(pc.answer, ns.version)
 	}
 
 	// Replace the written cells: later transactions on these relations
@@ -344,7 +349,7 @@ func (e *Engine) admitLocked(p Plan) *lenient.Cell[Response] {
 		// lookup in the output projection.
 		i, _ := s.dir.Index(p.tx.Rel)
 		var wcell *lenient.Cell[relation.Relation]
-		var resp *lenient.Cell[Response]
+		pc := pendingCommit{tx: p.tx}
 		if rel, ok := p.in.Poll(); ok {
 			// The input is a value, so there is nothing to be lenient
 			// about: evaluate here. The body is pure — the cells hold what
@@ -354,7 +359,7 @@ func (e *Engine) admitLocked(p Plan) *lenient.Cell[Response] {
 			if o.hasNewRel {
 				wcell = lenient.Ready(o.newRel)
 			}
-			resp = lenient.Ready(o.resp)
+			pc.resp = o.resp
 		} else {
 			out, in := e.spawnBuiltin(p), p.in
 			wcell = lenient.Map(out, func(o txnOut) relation.Relation {
@@ -363,10 +368,11 @@ func (e *Engine) admitLocked(p Plan) *lenient.Cell[Response] {
 				}
 				return in.Force()
 			})
-			resp = lenient.Map(out, func(o txnOut) Response { return o.resp })
+			pc.fut = lenient.Map(out, func(o txnOut) Response { return o.resp })
 		}
-		e.notifyCommit(pendingCommit{tx: p.tx, resp: resp, snap: e.publishCell(i, wcell, 1)})
-		return resp
+		pc.snap = e.publishCell(i, wcell, 1)
+		e.notifyCommit(pc)
+		return e.respond(pc.answer, pc.snap.version)
 	}
 
 	out := e.spawnCustom(p)
@@ -383,7 +389,7 @@ func (e *Engine) admitLocked(p Plan) *lenient.Cell[Response] {
 			return in.Force() // miss (e.g. delete of absent key): old value
 		})
 	}
-	resp := lenient.Map(out, func(o txnOut) Response { return o.resp })
+	a := answer{fut: lenient.Map(out, func(o txnOut) Response { return o.resp })}
 	ns := e.publish(func(cur *snapshot) *snapshot {
 		cells := make([]*lenient.Cell[relation.Relation], len(cur.cells))
 		copy(cells, cur.cells)
@@ -392,8 +398,8 @@ func (e *Engine) admitLocked(p Plan) *lenient.Cell[Response] {
 		}
 		return &snapshot{dir: cur.dir, cells: cells, version: cur.version + 1}
 	})
-	e.notifyCommit(pendingCommit{tx: p.tx, resp: resp, snap: ns})
-	return resp
+	e.notifyCommit(pendingCommit{tx: p.tx, answer: a, snap: ns})
+	return e.respond(a, ns.version)
 }
 
 // publish installs a successor snapshot by compare-and-swap on the
@@ -428,20 +434,31 @@ func (e *Engine) publishCell(i int, cell *lenient.Cell[relation.Relation], n int
 
 // launchRead runs a read-only plan: no cells are installed, so no lock is
 // needed. A built-in read whose input cell has already resolved is answered
-// inline — no goroutine, no future machinery, just the lookup.
+// inline — no goroutine, no future machinery, just the lookup. The answer
+// is the planned version's.
 func (e *Engine) launchRead(p Plan) *lenient.Cell[Response] {
 	if p.err != nil {
 		return p.errResponse()
 	}
+	var a answer
 	if p.tx.Kind == KindCustom {
-		out := e.spawnCustom(p)
-		return lenient.Map(out, func(o txnOut) Response { return o.resp })
+		a.fut = lenient.Map(e.spawnCustom(p), func(o txnOut) Response { return o.resp })
+	} else if rel, ok := p.in.Poll(); ok {
+		a.resp = applyToRelation(e.ctx(), p.tx, rel).resp
+	} else {
+		a.fut = lenient.Map(e.spawnBuiltin(p), func(o txnOut) Response { return o.resp })
 	}
-	if rel, ok := p.in.Poll(); ok {
-		return lenient.Ready(applyToRelation(e.ctx(), p.tx, rel).resp)
-	}
-	out := e.spawnBuiltin(p)
-	return lenient.Map(out, func(o txnOut) Response { return o.resp })
+	return e.respond(a, p.snap.version)
+}
+
+// ReadStamped answers a read-only transaction against the present version,
+// like Submit, stamping the response with that version's number
+// (Response.Version).
+func (e *Engine) ReadStamped(tx Transaction) *lenient.Cell[Response] {
+	s := e.snap.Load()
+	resp, _, _ := tx.Apply(e.ctx(), s.materialize(), trace.None)
+	resp.Version = s.version
+	return e.respond(answer{resp: resp}, s.version)
 }
 
 // spawnBuiltin starts the future for a single-relation built-in body whose
@@ -556,22 +573,7 @@ func (e *Engine) Barrier() {
 	// one, and observers run in version order.
 	published := e.snap.Load().version
 	e.bodies.wait()
-	e.WaitNotified(published)
-}
-
-// WaitNotified blocks until the observers, and the flush after them, have
-// run for every version up to v: with an archive's flush registered, until
-// v is durable. Without observers it returns at once. The fast path, v
-// already notified, is one atomic load.
-func (e *Engine) WaitNotified(v int64) {
-	if len(e.observers) == 0 || e.notified.Load() >= v {
-		return
-	}
-	e.seqMu.Lock()
-	for e.notified.Load() < v {
-		e.caughtUp.Wait()
-	}
-	e.seqMu.Unlock()
+	_ = e.awaitNotified(published) // a failed flush is the hook's to report
 }
 
 // inflight tracks spawned transaction bodies by generation: a body joins

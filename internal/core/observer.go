@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"slices"
 
 	"funcdb/internal/database"
@@ -10,10 +11,9 @@ import (
 // Commit describes one committed write: the transaction, its response, and
 // the database version it produced — or, for an insert run (run.go), the
 // run and the consecutive versions it produced in one publication.
-// Observers receive commits in engine sequence order, after the write's own
-// response has resolved, on the engine's notifier goroutine — unlike a
-// Force in Submit, an observer never delays the merge or the transactions
-// behind it.
+// Observers receive commits in engine sequence order, with the write's raw
+// answer, on the engine's notifier goroutine — unlike a Force in Submit, an
+// observer never delays the merge or the transactions behind it.
 type Commit struct {
 	// Seq is the engine's version number after this commit (the value
 	// Database.Version() reports for the resulting version): a run's last.
@@ -95,24 +95,89 @@ func WithCommitObserver(fn CommitObserver) EngineOption {
 }
 
 // WithCommitFlush registers fn to run on the notifier once per batch, after
-// the observers have seen every commit of it and before its versions count
-// as notified (WaitNotified, Barrier): the archive's flush, so a version is
-// notified only once it is durable. Commits that arrive while fn runs form
-// the next batch — group commit with no timer. It runs only on an engine
-// with a commit observer.
-func WithCommitFlush(fn func()) EngineOption {
+// the observers: the archive's flush. Commits that arrive while fn runs form
+// the next batch — group commit with no timer. Every response cell is then
+// an acknowledgement: it resolves only once the version it answers — the
+// one a write produced, the one a read read — has been flushed, or with Err
+// wrapping fn's first error when that flush or an earlier one failed.
+// Without a commit observer there is no notifier, so nothing waits.
+func WithCommitFlush(fn func() error) EngineOption {
 	return func(e *Engine) { e.flush = fn }
+}
+
+// answer is a transaction's raw response: resp, computed at admission, or
+// fut's value when a spawned body computes it.
+type answer struct {
+	resp Response
+	fut  *lenient.Cell[Response]
+}
+
+func (a *answer) value() Response {
+	if a.fut != nil {
+		return a.fut.Force()
+	}
+	return a.resp
 }
 
 // pendingCommit is one published write waiting for its observers: parked
 // while an earlier version has not reached the sequencer yet, then queued
 // for the notifier. run and steps are set for an insert run.
 type pendingCommit struct {
-	tx    Transaction
-	resp  *lenient.Cell[Response]
+	tx Transaction
+	answer
 	snap  *snapshot
 	run   *Run
 	steps []insertStep
+}
+
+// gatedResponse is an engine's response cell under a commit flush: the
+// answer for version v, once v is durable. It is its own future, so it costs
+// the one allocation of the ready cell it replaces.
+type gatedResponse struct {
+	cell lenient.Cell[Response]
+	e    *Engine
+	v    int64
+	answer
+}
+
+// Eval implements lenient.Thunk.
+func (g *gatedResponse) Eval() Response {
+	r := g.value()
+	if err := g.e.awaitNotified(g.v); err != nil && r.Err == nil {
+		r.Err = err
+	}
+	return r
+}
+
+// respond returns the response cell for a, the answer for version v: gated
+// on v's flush when the engine has one.
+func (e *Engine) respond(a answer, v int64) *lenient.Cell[Response] {
+	switch {
+	case e.flush != nil:
+		g := &gatedResponse{e: e, v: v, answer: a}
+		return g.cell.Suspend(g)
+	case a.fut != nil:
+		return a.fut
+	}
+	return lenient.Ready(a.resp)
+}
+
+// awaitNotified blocks until the observers and the flush have run for every
+// version up to v, and reports an error unless v is durable. The fast path,
+// v already durable, is one atomic load.
+func (e *Engine) awaitNotified(v int64) error {
+	if len(e.observers) == 0 || e.durable.Load() >= v {
+		return nil
+	}
+	e.seqMu.Lock()
+	defer e.seqMu.Unlock()
+	for e.notified.Load() < v {
+		e.caughtUp.Wait()
+	}
+	if e.durable.Load() >= v {
+		return nil
+	}
+	return fmt.Errorf("core: version %d is not durable: %w", v, e.flushErr)
 }
 
 // notifyCommit schedules the post-commit notification for a write that was
@@ -170,9 +235,10 @@ func (e *Engine) notifyCommit(pc pendingCommit) {
 const maxSpareCommits = 1024
 
 // notifyLoop is the notifier: it takes the whole queue, runs the observers
-// over it in order outside the lock — forcing each commit's response first,
-// which is where it waits for a spawned body — then the flush, and only
-// then marks the batch notified. It exits when it finds the queue empty.
+// over it in order outside the lock — taking each commit's raw answer
+// first, which is where it waits for a spawned body — then the flush, and
+// only then marks the batch notified (and durable). It exits when it finds
+// the queue empty.
 func (e *Engine) notifyLoop() {
 	e.seqMu.Lock()
 	for len(e.queue) > 0 {
@@ -182,13 +248,14 @@ func (e *Engine) notifyLoop() {
 
 		for i := range batch {
 			pc := &batch[i]
-			c := Commit{Seq: pc.snap.version, Tx: pc.tx, Resp: pc.resp.Force(), Run: pc.run, snap: pc.snap, steps: pc.steps}
+			c := Commit{Seq: pc.snap.version, Tx: pc.tx, Resp: pc.value(), Run: pc.run, snap: pc.snap, steps: pc.steps}
 			for _, ob := range e.observers {
 				ob(c)
 			}
 		}
+		var err error
 		if e.flush != nil {
-			e.flush()
+			err = e.flush()
 		}
 		last := batch[len(batch)-1].snap.version
 		clear(batch) // drop the versions and tuples the batch pinned
@@ -197,7 +264,13 @@ func (e *Engine) notifyLoop() {
 		if cap(batch) <= maxSpareCommits {
 			e.spare = batch
 		}
+		if err != nil && e.flushErr == nil {
+			e.flushErr = err
+		}
 		e.notified.Store(last)
+		if e.flushErr == nil {
+			e.durable.Store(last)
+		}
 		e.caughtUp.Broadcast()
 	}
 	e.notifying = false

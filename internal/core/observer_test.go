@@ -53,13 +53,15 @@ func TestObserverSeesCommitsInOrder(t *testing.T) {
 	}
 }
 
-// TestWaitNotifiedAcrossWaiters: concurrent writers each wait for their
-// own version while the notifier drains batches behind them. The observer
-// sees one dense version order, the flush runs after every batch it saw,
-// and a waiter returns only once the flush has covered its version.
+// TestWaitNotifiedAcrossWaiters: concurrent writers each force their own
+// response cell while the notifier drains batches behind them. The
+// observer sees one dense version order, the flush runs after every batch
+// it saw, and a write's cell resolves only once the flush has covered the
+// version the write produced.
 func TestWaitNotifiedAcrossWaiters(t *testing.T) {
 	var mu sync.Mutex
 	var seen, flushed int64
+	versionOf := map[Tag]int64{}
 	var bad []string
 	e := NewEngine(database.New(relation.RepList, "R", "S", "T", "U"), WithLanes(4),
 		WithCommitObserver(func(c Commit) {
@@ -68,9 +70,10 @@ func TestWaitNotifiedAcrossWaiters(t *testing.T) {
 				bad = append(bad, fmt.Sprintf("observed %d after %d", c.Seq, seen))
 			}
 			seen = c.Seq
+			versionOf[Tag{c.Tx.Origin, c.Tx.Seq}] = c.Seq
 			mu.Unlock()
 		}),
-		WithCommitFlush(func() {
+		WithCommitFlush(func() error {
 			mu.Lock()
 			at := seen
 			mu.Unlock()
@@ -78,6 +81,7 @@ func TestWaitNotifiedAcrossWaiters(t *testing.T) {
 			mu.Lock()
 			flushed = at
 			mu.Unlock()
+			return nil
 		}))
 
 	const workers, per = 8, 200
@@ -87,13 +91,17 @@ func TestWaitNotifiedAcrossWaiters(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			rel := []string{"R", "S", "T", "U"}[w%4]
+			origin := fmt.Sprint("w", w)
 			for i := 0; i < per; i++ {
-				e.Submit(Insert(rel, value.NewTuple(value.Int(int64(w*per+i)))))
-				v := e.Version()
-				e.WaitNotified(v)
+				tx := Insert(rel, value.NewTuple(value.Int(int64(w*per+i))))
+				tx.Origin, tx.Seq = origin, i
+				if r := e.Submit(tx).Force(); r.Err != nil {
+					t.Error(r.Err)
+					return
+				}
 				mu.Lock()
-				if flushed < v {
-					bad = append(bad, fmt.Sprintf("WaitNotified(%d) returned with the flush at %d", v, flushed))
+				if v, ok := versionOf[Tag{origin, i}]; !ok || flushed < v {
+					bad = append(bad, fmt.Sprintf("the response of version %d (observed %v) resolved with the flush at %d", v, ok, flushed))
 				}
 				mu.Unlock()
 			}

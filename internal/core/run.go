@@ -68,7 +68,7 @@ func insertStretch(txs []Transaction) int {
 // admitting nothing, unless the relation's input cell already holds a paged
 // relation: a run is one page build, which other representations cannot
 // make, so the caller admits their stretches one transaction at a time.
-// Every insert's response is ready at once (it does not depend on the
+// Every insert's answer is known at once (it does not depend on the
 // relation). The caller must hold the relation's lane lock.
 func (e *Engine) admitInsertRun(txs []Transaction, out []*lenient.Cell[Response]) bool {
 	p := planAgainst(e.snap.Load(), txs[0])
@@ -92,22 +92,25 @@ func (e *Engine) admitInsertRun(txs []Transaction, out []*lenient.Cell[Response]
 		if run.Tags != nil {
 			run.Tags[k] = Tag{Origin: tx.Origin, Seq: tx.Seq}
 		}
-		out[k] = lenient.Ready(Response{Origin: tx.Origin, Seq: tx.Seq, Kind: KindInsert, Tuple: tx.Tuple})
 	}
-	e.admitRun(p, rel, run, out[len(out)-1])
+	first := firstOf(e.admitRun(p, rel, run), run)
+	for k := range txs {
+		tx := &txs[k]
+		out[k] = e.respond(answer{resp: Response{Origin: tx.Origin, Seq: tx.Seq, Kind: KindInsert, Tuple: tx.Tuple}}, first+int64(k))
+	}
 	return true
 }
 
 // admitRun publishes run as the next len(run.Tuples) versions of the
 // relation p planned, whose input value is rel: the last version is built
 // here — one path copy for a run of one, one UpsertRun otherwise — and
-// published in one compare-and-swap. resp is the commit's response, the
-// run's last insert's. With observers, each version before the last becomes
-// a suspended insert on its predecessor, one slab for the whole run, and
-// the run is notified as one commit; without any, nothing can ever ask for
-// those versions, so none is made. The caller must hold the relation's lane
-// lock.
-func (e *Engine) admitRun(p Plan, rel relation.Relation, run *Run, resp *lenient.Cell[Response]) {
+// published in one compare-and-swap; admitRun returns that version's
+// number. With observers, each version before the last becomes a suspended
+// insert on its predecessor, one slab for the whole run, and the run is
+// notified as one commit, its response the run's last insert's; without
+// any, nothing can ever ask for those versions, so none is made. The caller
+// must hold the relation's lane lock.
+func (e *Engine) admitRun(p Plan, rel relation.Relation, run *Run) int64 {
 	k := len(run.Tuples)
 	var final relation.Relation
 	if k == 1 {
@@ -118,7 +121,7 @@ func (e *Engine) admitRun(p Plan, rel relation.Relation, run *Run, resp *lenient
 	i, _ := p.snap.dir.Index(run.Rel)
 	ns := e.publishCell(i, lenient.Ready(final), int64(k))
 	if len(e.observers) == 0 {
-		return
+		return ns.version
 	}
 	steps := make([]insertStep, k-1)
 	prev := p.in
@@ -126,7 +129,10 @@ func (e *Engine) admitRun(p Plan, rel relation.Relation, run *Run, resp *lenient
 		steps[j] = insertStep{prev: prev, tu: run.Tuples[j], ctx: e.ctx()}
 		prev = steps[j].cell.Suspend(&steps[j])
 	}
-	e.notifyCommit(pendingCommit{tx: run.Txn(k - 1), resp: resp, snap: ns, run: run, steps: steps})
+	tx := run.Txn(k - 1)
+	resp := Response{Origin: tx.Origin, Seq: tx.Seq, Kind: KindInsert, Tuple: tx.Tuple}
+	e.notifyCommit(pendingCommit{tx: tx, answer: answer{resp: resp}, snap: ns, run: run, steps: steps})
+	return ns.version
 }
 
 // insertStep is one version inside an insert run: its predecessor's

@@ -40,7 +40,7 @@ func TestFlushFailureForcesEveryLaterFuture(t *testing.T) {
 		{id: 4, index: -1, qerr: errors.New("refused")},
 	}
 	rb := replyBuf{out: make([]byte, 0, wire.MaxFrameLen+(2<<20))}
-	if err := rb.encode(pending, session.New(nil)); !errors.Is(err, wire.ErrTooLarge) {
+	if err := rb.encode(pending); !errors.Is(err, wire.ErrTooLarge) {
 		t.Fatalf("encode = %v, want ErrTooLarge", err)
 	}
 	if got, want := fmt.Sprint(forced), fmt.Sprint([]int{0, 2, 3, 4}); got != want {

@@ -24,10 +24,10 @@
 // behind its commit's TraceCtx frame — whose SubAcks feed the
 // subscription's write-ack gate).
 //
-// Every reply that answers statements leaves only once the writes it
-// carries are durable: the handler forces a flush's futures, waits once
-// for the session's store to have logged every version it published
-// (Session.AwaitDurable), and only then encodes the replies.
+// Every reply that answers statements leaves only once its answers are
+// durable: a durable store's response futures resolve only once the
+// version they answer is on disk, and the handler forces a flush's futures
+// before it encodes the replies.
 //
 // Shutdown drains gracefully: stop accepting, unblock every connection's
 // pending read, let each handler answer what it has fully read, then
@@ -353,7 +353,7 @@ func (s *Server) handle(conn net.Conn) {
 			return true
 		}
 		sess.Flush()
-		err := rb.encode(pending, sess)
+		err := rb.encode(pending)
 		pending = pending[:0]
 		if err != nil {
 			return false
@@ -535,20 +535,20 @@ type replyBuf struct {
 // encode frames every pending reply into out, in request order. It first
 // forces every reply's futures — on a gateway, forcing a forwarded
 // statement's future is what reads its reply off the peer link, so even
-// a batch that fails to encode leaves no reply parked there — and then,
-// when any reply answers statements, waits once for the session's writes
-// to be durable: no reply of the batch is encoded before every write it
-// carries is on disk. A reply without statements (an error, a redirect,
-// a heartbeat ack, an introspection document) does not wait.
-func (b *replyBuf) encode(pending []reply, sess *session.Session) error {
+// a batch that fails to encode leaves no reply parked there — and that is
+// also the durability wait: a durable store's future resolves only once
+// its answer is on disk, so no reply of the batch is encoded before then.
+func (b *replyBuf) encode(pending []reply) error {
 	b.out = b.out[:0]
 	b.trs = b.trs[:0]
-	stmts := false
 	for i := range pending {
-		stmts = pending[i].force() || stmts
-	}
-	if stmts {
-		sess.AwaitDurable()
+		rp := &pending[i]
+		if rp.fut != nil {
+			rp.fut.Force()
+		}
+		for _, f := range rp.futs {
+			f.Force()
+		}
 	}
 	for i := range pending {
 		rp := &pending[i]
@@ -613,17 +613,6 @@ func (b *replyBuf) frame(out []byte, rp *reply) ([]byte, error) {
 		}
 	}
 	return wire.EndFrame(out, mark)
-}
-
-// force forces the reply's futures, reporting whether it has any.
-func (rp *reply) force() bool {
-	if rp.fut != nil {
-		rp.fut.Force()
-	}
-	for _, f := range rp.futs {
-		f.Force()
-	}
-	return rp.fut != nil || rp.futs != nil
 }
 
 // refuse answers a handshake or subscription the server will not serve:

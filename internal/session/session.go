@@ -54,14 +54,6 @@ type Submitter interface {
 	SubmitTagged(txs []core.Transaction, futs []*Future)
 }
 
-// durableSubmitter is a Submitter whose writes reach a log: AwaitDurable
-// blocks until every version it has published so far is durable.
-// funcdb.Store and a cluster node implement it; a submitter without it
-// acknowledges on the response alone.
-type durableSubmitter interface {
-	AwaitDurable()
-}
-
 // BatchError reports which statement of a batch failed to translate or
 // bind. Batches are all-or-nothing: nothing was submitted.
 type BatchError struct {
@@ -138,7 +130,6 @@ type pendingStmt struct {
 // statements queued concurrently flush together in queue order.
 type Session struct {
 	sub      Submitter
-	durable  durableSubmitter // sub, when it logs; nil otherwise
 	origin   string
 	nextSeqs func(n int) int
 	cache    *query.StmtCache
@@ -163,7 +154,6 @@ type Session struct {
 // New opens a session over a submitter.
 func New(sub Submitter, opts ...Option) *Session {
 	s := &Session{sub: sub, origin: "session"}
-	s.durable, _ = sub.(durableSubmitter)
 	for _, opt := range opts {
 		opt(s)
 	}
@@ -358,8 +348,8 @@ func (s *Session) flushLocked() {
 
 // ExecAsync translates and admits a single statement now (flushing any
 // queued pipeline with it — one arbitration), returning the response
-// future: the lenient value, which may resolve before its write is durable
-// (AwaitDurable).
+// future: the submitter's, so over a durable store it resolves once the
+// answer is on disk.
 func (s *Session) ExecAsync(q string) (*Future, error) {
 	tx, err := s.Translate(q)
 	if err != nil {
@@ -374,33 +364,17 @@ func (s *Session) ExecAsync(q string) (*Future, error) {
 	return fut, nil
 }
 
-// Exec translates, admits and waits for the response and, when the
-// submitter logs, for the write to be durable.
+// Exec translates, admits and waits for the response.
 func (s *Session) Exec(q string) (core.Response, error) {
 	fut, err := s.ExecAsync(q)
 	if err != nil {
 		return core.Response{}, err
 	}
-	resp := fut.Force()
-	s.AwaitDurable()
-	return resp, nil
-}
-
-// AwaitDurable blocks until every write the session's forced futures carry
-// is durable: call it after forcing them. It waits for the submitter's
-// whole published version, a conservative and monotone bound, and returns
-// at once when the submitter keeps no log. ExecAsync and Queue futures are
-// the lenient value; Exec, ExecBatch and the network server's replies wait
-// here before they acknowledge.
-func (s *Session) AwaitDurable() {
-	if s.durable != nil {
-		s.durable.AwaitDurable()
-	}
+	return fut.Force(), nil
 }
 
 // ExecBatch translates a slice of queries, admits them all in one merge
-// arbitration, and waits for every response and, when the submitter logs,
-// for every write to be durable. Translation is
+// arbitration, and waits for every response. Translation is
 // all-or-nothing: a failure anywhere reports a *BatchError carrying the
 // failing statement's index, and nothing is submitted.
 func (s *Session) ExecBatch(queries []string) ([]core.Response, error) {
@@ -429,6 +403,5 @@ func (s *Session) ExecBatch(queries []string) ([]core.Response, error) {
 	for i := range stmts {
 		out[i] = stmts[i].fut.Force()
 	}
-	s.AwaitDurable()
 	return out, nil
 }
