@@ -542,8 +542,9 @@ func BenchmarkSubmitBatch(b *testing.B) {
 		b.ResetTimer()
 		b.RunParallel(func(pb *testing.PB) {
 			txns := mkTxns(names[int(wid.Add(1))%len(names)])
+			futs := make([]*funcdb.Future, len(txns))
 			for pb.Next() {
-				futs := eng.SubmitBatch(txns)
+				eng.SubmitBatch(txns, futs)
 				futs[len(futs)-1].Force()
 			}
 		})

@@ -436,20 +436,15 @@ func (s *Store) SubmitBatch(txs []Transaction) []*Future {
 // feeds. Unlike Submit/SubmitBatch it never rewrites Origin or Seq — the
 // session owns the tag space, which is what makes a network connection's
 // response stream deterministic regardless of how other connections
-// interleave. A single transaction takes the engine's one-off path, so a
-// lone read keeps the lock-free fast path. The future of txs[i] is stored
-// into futs[i] — the caller's slice, as long as txs — so a
-// single-statement flush allocates no result slice.
+// interleave. The future of txs[i] is stored into futs[i] — the caller's
+// slice, as long as txs — so a flush allocates no result slice.
 func (s *Store) SubmitTagged(txs []Transaction, futs []*Future) {
-	if len(txs) == 1 {
-		futs[0] = s.engine.Submit(txs[0])
-		return
-	}
-	copy(futs, s.engine.SubmitBatch(txs))
+	s.engine.SubmitBatch(txs, futs)
 }
 
-// ReadStamped answers a read-only built-in transaction like Submit, stamping
-// the response with the number of the version it read (Response.Version).
+// ReadStamped answers a read-only built-in transaction like Submit —
+// lock-free, forcing only the relation it reads — stamping the response
+// with the number of the version it read (Response.Version).
 func (s *Store) ReadStamped(tx Transaction) *Future {
 	return s.engine.ReadStamped(tx)
 }

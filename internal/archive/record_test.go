@@ -18,6 +18,7 @@ import (
 
 	"funcdb/internal/core"
 	"funcdb/internal/database"
+	"funcdb/internal/lenient"
 	"funcdb/internal/query"
 	"funcdb/internal/relation"
 	"funcdb/internal/value"
@@ -242,7 +243,7 @@ func TestTxnRecordRoundTrip(t *testing.T) {
 	}
 	var commits []core.Commit
 	e := core.NewEngine(database.New(relation.RepPaged, "P"), core.WithCommitObserver(func(c core.Commit) { commits = append(commits, c) }))
-	e.SubmitBatch(batch)
+	e.SubmitBatch(batch, make([]*lenient.Cell[core.Response], len(batch)))
 	e.Barrier()
 	if len(commits) != 1 || commits[0].Run == nil {
 		t.Fatalf("%d commits for one run", len(commits))

@@ -8,6 +8,7 @@ import (
 
 	"funcdb/internal/core"
 	"funcdb/internal/database"
+	"funcdb/internal/lenient"
 	"funcdb/internal/relation"
 	"funcdb/internal/value"
 )
@@ -43,7 +44,7 @@ func TestRunsStayContiguousUnderLanes(t *testing.T) {
 				txs[i] = core.Insert(runRel, value.NewTuple(value.Int(int64((b*per+i)*7%900)), value.Str("run")))
 				txs[i].Origin, txs[i].Seq = "runs", b*per+i
 			}
-			e.SubmitBatch(txs)
+			e.SubmitBatch(txs, make([]*lenient.Cell[core.Response], len(txs)))
 		}
 	}()
 	go func() {

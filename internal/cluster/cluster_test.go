@@ -35,7 +35,7 @@ func (f *fakeStore) SubmitTagged(txs []core.Transaction, futs []*session.Future)
 	cp := make([]core.Transaction, len(txs))
 	copy(cp, txs)
 	f.batches = append(f.batches, cp)
-	copy(futs, f.eng.SubmitBatch(txs))
+	f.eng.SubmitBatch(txs, futs)
 }
 
 func (f *fakeStore) Lanes() int           { return 1 }

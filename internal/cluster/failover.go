@@ -515,17 +515,15 @@ func (tab *slotTable) gated(slot int, st LocalStore, fut *session.Future) *sessi
 }
 
 // Eval implements lenient.Thunk for the gated future.
-func (g *gatedWrite) Eval() core.Response {
-	r := g.inner.Force()
-	if r.Err != nil {
-		return r
+func (g *gatedWrite) Eval(r *core.Response) {
+	if *r = g.inner.Force(); r.Err != nil {
+		return
 	}
 	// The store's current version bounds this write's commit sequence
 	// from above: waiting for it is conservative and monotone.
 	if err := g.tab.waitAcked(g.slot, g.st.Version()); err != nil {
 		r.Err = err
 	}
-	return r
 }
 
 // waitAcked blocks until SyncReplicas live subscribers of the slot have

@@ -17,6 +17,7 @@ import (
 	"funcdb/internal/database"
 	"funcdb/internal/relation"
 	"funcdb/internal/reqtrace"
+	"funcdb/internal/session"
 	"funcdb/internal/value"
 	"funcdb/internal/wire"
 )
@@ -284,7 +285,7 @@ func TestMirrorCatchesUpInsideARun(t *testing.T) {
 		batch[i] = put(int64(i * 7 % 300))
 		batch[i].Origin, batch[i].Seq = "c", i
 	}
-	e.SubmitBatch(batch)
+	e.SubmitBatch(batch, make([]*session.Future, len(batch)))
 	for i := 0; i < 3; i++ {
 		e.Submit(put(int64(1000 + i)))
 	}

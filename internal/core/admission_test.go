@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"funcdb/internal/database"
 	"funcdb/internal/eval"
@@ -134,7 +135,9 @@ func TestPropertyBatchEquivalentToSubmit(t *testing.T) {
 		force := forceAll
 
 		batchResp, batchFinal := run(func(e *Engine) []Response {
-			return force(e.SubmitBatch(txns))
+			futs := make([]*lenient.Cell[Response], len(txns))
+			e.SubmitBatch(txns, futs)
+			return force(futs)
 		})
 		oneResp, oneFinal := run(func(e *Engine) []Response {
 			futs := make([]*lenient.Cell[Response], len(txns))
@@ -151,7 +154,9 @@ func TestPropertyBatchEquivalentToSubmit(t *testing.T) {
 			return force(futs)
 		}, WithSerializedReads())
 		lanedResp, lanedFinal := run(func(e *Engine) []Response {
-			return force(e.SubmitBatch(txns))
+			futs := make([]*lenient.Cell[Response], len(txns))
+			e.SubmitBatch(txns, futs)
+			return force(futs)
 		}, WithLanes(4))
 
 		if !batchFinal.Equal(oneFinal) || !batchFinal.Equal(serFinal) || !batchFinal.Equal(lanedFinal) {
@@ -478,16 +483,44 @@ func TestConcurrentReadersAndWriters(t *testing.T) {
 	}
 }
 
+// TestBatchReadTakesNoLane: a read that starts a batch is the lone read's
+// lock-free read — planned against the published snapshot, it locks
+// nothing — so it answers while its relation's lane is held.
+func TestBatchReadTakesNoLane(t *testing.T) {
+	e := NewEngine(seedDB())
+	lane := &e.lanes[LaneOf("R", e.Lanes())]
+	lane.Lock()
+	defer lane.Unlock()
+	out := make([]*lenient.Cell[Response], 2)
+	done := make(chan struct{})
+	go func() {
+		e.SubmitBatch([]Transaction{Find("R", value.Int(2)), Count("R")}, out)
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("a batch of reads of R blocked on R's lane")
+	}
+	if r := out[0].Force(); !r.Found || r.Tuple.Field(1).AsString() != "b" {
+		t.Errorf("find in a batch = %+v, want (2, \"b\")", r)
+	}
+	if r := out[1].Force(); r.Count != 2 {
+		t.Errorf("count in a batch = %+v, want 2", r)
+	}
+}
+
 // TestSubmitBatchCreateThenUse: a batch may create a relation and use it
 // later in the same batch — directory membership is strict at merge time.
 func TestSubmitBatchCreateThenUse(t *testing.T) {
 	e := NewEngine(database.New(relation.RepList))
-	futs := e.SubmitBatch([]Transaction{
+	futs := make([]*lenient.Cell[Response], 4)
+	e.SubmitBatch([]Transaction{
 		Create("X", relation.RepAVL),
 		Insert("X", tup(1, "a")),
 		Find("X", value.Int(1)),
 		Count("X"),
-	})
+	}, futs)
 	if resp := futs[2].Force(); !resp.Found {
 		t.Error("find in batch-created relation missed")
 	}

@@ -41,13 +41,13 @@ import (
 // yet, its future forces — the earlier one's output cell.
 //
 // Read-only transactions never install anything, so they skip the merge
-// entirely: Submit loads the published snapshot and runs the read against
-// it lock-free — the paper's read-only transactions "don't lock out each
-// other" (Section 6), now with no mutex either. A fast-path read observes
-// the newest version published at some instant during the call, reads are
-// monotonic (the snapshot pointer only advances), and a client always sees
-// its own earlier writes (a write's snapshot is published before its Submit
-// returns).
+// entirely, in a batch too unless they follow a write there: a read loads
+// the published snapshot and runs against it lock-free — the paper's
+// read-only transactions "don't lock out each other" (Section 6), now with
+// no mutex either. A fast-path read observes the newest version published
+// at some instant during the call, reads are monotonic (the snapshot
+// pointer only advances), and a client always sees its own earlier writes
+// (a write's snapshot is published before its Submit returns).
 //
 // The merge point itself is sharded into admission lanes (lanes.go): a
 // write locks only the lanes its access set hashes into, so writes to
@@ -141,6 +141,7 @@ func NewEngine(initial *database.Database, opts ...EngineOption) *Engine {
 		dir:     database.NewDirectory(names...),
 		cells:   cells,
 		version: initial.Version(),
+		e:       e,
 	})
 	e.seqNext = initial.Version() + 1
 	e.notified.Store(initial.Version())
@@ -174,82 +175,40 @@ func (e *Engine) Plan(tx Transaction) Plan {
 	return planAgainst(e.snap.Load(), tx)
 }
 
-// Submit admits tx into the merged stream and returns its response future,
-// an acknowledgement on an engine with a commit flush (WithCommitFlush).
-// The call is brief: the merge arbitration plus, for a built-in whose input
-// relation is already a value, the body itself (a few microseconds on a
-// tree). Any other body runs in its own goroutine, demand-synchronized with
-// its neighbors through the relation cells, so Submit never waits on a
-// predecessor. Read-only transactions skip the merge: they are planned
-// against the published snapshot and launched lock-free. Writes lock only
-// the admission lanes their access set hashes into, so writes on disjoint
-// lanes admit concurrently.
+// Submit admits tx and returns its response future, an acknowledgement on
+// an engine with a commit flush (WithCommitFlush): a batch of one
+// (SubmitBatch). The call is brief: the merge arbitration plus, for a
+// built-in whose input relation is already a value, the body itself (a few
+// microseconds on a tree). Any other body runs in its own goroutine,
+// demand-synchronized with its neighbors through the relation cells, so
+// Submit never waits on a predecessor.
 func (e *Engine) Submit(tx Transaction) *lenient.Cell[Response] {
-	if !e.serializedReads && tx.IsReadOnly() {
-		e.metrics.Read()
-		if tx.Trace != nil {
-			// Reads skip the merge, so planning is the only engine stage
-			// a read's timeline gets.
-			t0 := time.Now()
-			p := planAgainst(e.snap.Load(), tx)
-			tx.Trace.Span(reqtrace.StagePlan, t0, time.Now())
-			return e.launchRead(p)
-		}
-		return e.launchRead(planAgainst(e.snap.Load(), tx))
-	}
-	ls := e.laneSetOf(tx)
-	var start time.Time
-	if e.metrics != nil || tx.Trace != nil {
-		start = time.Now()
-		if e.metrics != nil && len(ls) > 1 {
-			e.metrics.CrossLaneAcq()
-		}
-	}
-	e.lockLanes(ls)
-	// Clock reads for the trace brackets happen inside the locked region,
-	// but the span *records* (a mutex'd array write on the handle) wait
-	// until the lanes are released.
-	var locked, planned time.Time
-	if tx.Trace != nil {
-		locked = time.Now()
-	}
-	p := planAgainst(e.snap.Load(), tx)
-	if tx.Trace != nil {
-		planned = time.Now()
-	}
-	out := e.admitLocked(p)
-	e.unlockLanes(ls)
-	if tx.Trace != nil {
-		end := time.Now()
-		tx.Trace.Span(reqtrace.StageLaneWait, start, locked)
-		tx.Trace.Span(reqtrace.StagePlan, locked, planned)
-		tx.Trace.Span(reqtrace.StageLaneCommit, planned, end)
-	}
-	if e.metrics != nil {
-		e.metrics.Admit(ls, 1, time.Since(start))
-	}
-	return out
+	var out [1]*lenient.Cell[Response]
+	e.SubmitBatch([]Transaction{tx}, out[:])
+	return out[0]
 }
 
-// SubmitBatch admits a slice of transactions and returns their response
-// futures in order. It is equivalent to submitting each transaction in
-// sequence, but lane locks are amortized: the batch is split into maximal
-// consecutive runs whose lane sets fit under one set of held locks, and
-// each run pays a single multi-lane acquisition. A batch confined to one
-// lane never blocks writers on other lanes. Inside a run, a stretch of at
-// least a page's worth (ptree.DefaultPageCap) of consecutive inserts into
-// one paged relation is admitted as one insert run (run.go): one page build,
-// its versions published together and notified as one commit.
-func (e *Engine) SubmitBatch(txs []Transaction) []*lenient.Cell[Response] {
-	out := make([]*lenient.Cell[Response], len(txs))
-	sets := make([]laneSet, len(txs))
-	for i := range txs {
-		sets[i] = e.laneSetOf(txs[i])
-	}
+// SubmitBatch, the engine's one admission path, admits txs in order, as if
+// one at a time, storing the response future of txs[i] into out[i]; it
+// keeps neither slice. A read locks nothing: it joins the run of a write it
+// follows, and is otherwise planned against the published snapshot and
+// launched lock-free. Writes are split into maximal consecutive runs whose
+// lane sets fit under one set of held locks, each paying one acquisition,
+// so a batch confined to one lane never blocks writers on other lanes.
+// Inside a run, a stretch of at least a page's worth (ptree.DefaultPageCap)
+// of inserts into one paged relation is admitted as one insert run
+// (run.go): one page build, its versions published together and notified
+// as one commit.
+func (e *Engine) SubmitBatch(txs []Transaction, out []*lenient.Cell[Response]) {
 	for i := 0; i < len(txs); {
-		ls := sets[i]
+		ls := e.laneSetOf(txs[i])
+		if ls == nil {
+			out[i] = e.read(txs[i], false)
+			i++
+			continue
+		}
 		j := i + 1
-		for j < len(txs) && sets[j].subsetOf(ls) {
+		for j < len(txs) && e.laneSetOf(txs[j]).subsetOf(ls) {
 			j++
 		}
 		// A batch is one request, so its transactions share one trace
@@ -257,11 +216,8 @@ func (e *Engine) SubmitBatch(txs []Transaction) []*lenient.Cell[Response] {
 		// run mixing distinct traces attributes to the earliest, which
 		// only a hand-built batch can produce).
 		var tr *reqtrace.T
-		for k := i; k < j; k++ {
-			if txs[k].Trace != nil {
-				tr = txs[k].Trace
-				break
-			}
+		for k := i; k < j && tr == nil; k++ {
+			tr = txs[k].Trace
 		}
 		var start time.Time
 		if e.metrics != nil || tr != nil {
@@ -275,11 +231,16 @@ func (e *Engine) SubmitBatch(txs []Transaction) []*lenient.Cell[Response] {
 		if tr != nil {
 			locked = time.Now()
 		}
+		writes := j - i
 		for k := i; k < j; {
 			n := insertStretch(txs[k:j])
 			if n < ptree.DefaultPageCap || !e.admitInsertRun(txs[k:k+n], out[k:k+n]) {
 				n = max(n, 1)
 				for m := k; m < k+n; m++ {
+					if txs[m].IsReadOnly() {
+						writes--
+						e.metrics.Read()
+					}
 					out[m] = e.admitLocked(planAgainst(e.snap.Load(), txs[m]))
 				}
 			}
@@ -295,11 +256,10 @@ func (e *Engine) SubmitBatch(txs []Transaction) []*lenient.Cell[Response] {
 		}
 		if e.metrics != nil {
 			e.metrics.Run(j - i)
-			e.metrics.Admit(ls, j-i, time.Since(start))
+			e.metrics.Admit(ls, writes, time.Since(start))
 		}
 		i = j
 	}
-	return out
 }
 
 // admitLocked runs the admission stage for one plan: install the write's
@@ -310,10 +270,10 @@ func (e *Engine) SubmitBatch(txs []Transaction) []*lenient.Cell[Response] {
 // publication.
 func (e *Engine) admitLocked(p Plan) *lenient.Cell[Response] {
 	if p.err != nil {
-		return p.errResponse()
+		return p.errResponse(0)
 	}
 	if p.ReadOnly() {
-		return e.launchRead(p)
+		return e.launchRead(p, false)
 	}
 	s := p.snap
 
@@ -332,7 +292,7 @@ func (e *Engine) admitLocked(p Plan) *lenient.Cell[Response] {
 		pc := pendingCommit{tx: p.tx, snap: ns}
 		pc.resp = Response{Origin: p.tx.Origin, Seq: p.tx.Seq, Kind: p.tx.Kind}
 		e.notifyCommit(pc)
-		return e.respond(pc.answer, ns.version)
+		return e.respond(pc.answer, ns)
 	}
 
 	// Replace the written cells: later transactions on these relations
@@ -368,11 +328,11 @@ func (e *Engine) admitLocked(p Plan) *lenient.Cell[Response] {
 				}
 				return in.Force()
 			})
-			pc.fut = lenient.Map(out, func(o txnOut) Response { return o.resp })
+			pc.fut = lenient.Map(out, respAt(0))
 		}
 		pc.snap = e.publishCell(i, wcell, 1)
 		e.notifyCommit(pc)
-		return e.respond(pc.answer, pc.snap.version)
+		return e.respond(pc.answer, pc.snap)
 	}
 
 	out := e.spawnCustom(p)
@@ -389,7 +349,7 @@ func (e *Engine) admitLocked(p Plan) *lenient.Cell[Response] {
 			return in.Force() // miss (e.g. delete of absent key): old value
 		})
 	}
-	a := answer{fut: lenient.Map(out, func(o txnOut) Response { return o.resp })}
+	a := answer{fut: lenient.Map(out, respAt(0))}
 	ns := e.publish(func(cur *snapshot) *snapshot {
 		cells := make([]*lenient.Cell[relation.Relation], len(cur.cells))
 		copy(cells, cur.cells)
@@ -399,7 +359,7 @@ func (e *Engine) admitLocked(p Plan) *lenient.Cell[Response] {
 		return &snapshot{dir: cur.dir, cells: cells, version: cur.version + 1}
 	})
 	e.notifyCommit(pendingCommit{tx: p.tx, answer: a, snap: ns})
-	return e.respond(a, ns.version)
+	return e.respond(a, ns)
 }
 
 // publish installs a successor snapshot by compare-and-swap on the
@@ -414,6 +374,7 @@ func (e *Engine) publish(build func(cur *snapshot) *snapshot) *snapshot {
 	for {
 		cur := e.snap.Load()
 		ns := build(cur)
+		ns.e = e
 		if e.snap.CompareAndSwap(cur, ns) {
 			return ns
 		}
@@ -432,33 +393,59 @@ func (e *Engine) publishCell(i int, cell *lenient.Cell[relation.Relation], n int
 	})
 }
 
+// read answers a read-only transaction against the published snapshot:
+// it skips the merge and takes no lock. stamp sets Response.Version to the
+// version read.
+func (e *Engine) read(tx Transaction, stamp bool) *lenient.Cell[Response] {
+	e.metrics.Read()
+	if tx.Trace == nil {
+		return e.launchRead(planAgainst(e.snap.Load(), tx), stamp)
+	}
+	// Planning is the only engine stage a read's timeline gets.
+	t0 := time.Now()
+	p := planAgainst(e.snap.Load(), tx)
+	tx.Trace.Span(reqtrace.StagePlan, t0, time.Now())
+	return e.launchRead(p, stamp)
+}
+
 // launchRead runs a read-only plan: no cells are installed, so no lock is
 // needed. A built-in read whose input cell has already resolved is answered
 // inline — no goroutine, no future machinery, just the lookup. The answer
-// is the planned version's.
-func (e *Engine) launchRead(p Plan) *lenient.Cell[Response] {
+// is the planned version's, stamped with its number when stamp is set.
+func (e *Engine) launchRead(p Plan, stamp bool) *lenient.Cell[Response] {
+	var v int64
+	if stamp {
+		v = p.snap.version
+	}
 	if p.err != nil {
-		return p.errResponse()
+		return p.errResponse(v)
 	}
 	var a answer
 	if p.tx.Kind == KindCustom {
-		a.fut = lenient.Map(e.spawnCustom(p), func(o txnOut) Response { return o.resp })
+		a.fut = lenient.Map(e.spawnCustom(p), respAt(0))
 	} else if rel, ok := p.in.Poll(); ok {
 		a.resp = applyToRelation(e.ctx(), p.tx, rel).resp
+		a.resp.Version = v
 	} else {
-		a.fut = lenient.Map(e.spawnBuiltin(p), func(o txnOut) Response { return o.resp })
+		a.fut = lenient.Map(e.spawnBuiltin(p), respAt(v))
 	}
-	return e.respond(a, p.snap.version)
+	return e.respond(a, p.snap)
 }
 
-// ReadStamped answers a read-only transaction against the present version,
-// like Submit, stamping the response with that version's number
-// (Response.Version).
+// respAt projects a body's output onto its response, stamped with version
+// v unless v is 0.
+func respAt(v int64) func(txnOut) Response {
+	if v == 0 {
+		return func(o txnOut) Response { return o.resp }
+	}
+	return func(o txnOut) Response { o.resp.Version = v; return o.resp }
+}
+
+// ReadStamped answers a read-only transaction against the present version
+// like a lone read — lock-free, forcing only the relation it reads —
+// stamping the response with that version's number (Response.Version).
 func (e *Engine) ReadStamped(tx Transaction) *lenient.Cell[Response] {
-	s := e.snap.Load()
-	resp, _, _ := tx.Apply(e.ctx(), s.materialize(), trace.None)
-	resp.Version = s.version
-	return e.respond(answer{resp: resp}, s.version)
+	return e.read(tx, true)
 }
 
 // spawnBuiltin starts the future for a single-relation built-in body whose
@@ -632,7 +619,8 @@ func (e *Engine) Version() int64 {
 // with ApplySequential for the serializability tests.
 func ApplyStreamPipelined(initial *database.Database, txns []Transaction, opts ...EngineOption) ([]Response, *database.Database) {
 	e := NewEngine(initial, opts...)
-	futures := e.SubmitBatch(txns)
+	futures := make([]*lenient.Cell[Response], len(txns))
+	e.SubmitBatch(txns, futures)
 	responses := make([]Response, 0, len(futures))
 	for _, f := range futures {
 		responses = append(responses, f.Force())

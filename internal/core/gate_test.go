@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -73,7 +74,10 @@ func TestResponseCellsWaitForTheFlush(t *testing.T) {
 	cells := []*lenient.Cell[Response]{e.Submit(Insert("A", tup(3, "b")))}
 	<-h.entered
 	cells = append(cells, e.Submit(Find("A", value.Int(3))))
-	cells = append(cells, e.SubmitBatch(inserts("P", ptree.DefaultPageCap, 1))...)
+	run := inserts("P", ptree.DefaultPageCap, 1)
+	runCells := make([]*lenient.Cell[Response], len(run))
+	e.SubmitBatch(run, runCells)
+	cells = append(cells, runCells...)
 	if r, ok := durable.Poll(); ok || r.Err != nil {
 		// A gated cell is lazy: it has not been forced yet.
 		t.Fatalf("the gated cell resolved before it was forced: %+v", r)
@@ -106,7 +110,8 @@ func TestFailedFlushAnswersWithItsError(t *testing.T) {
 	h.err.Store(&errDisk)
 	write := e.Submit(Insert("A", tup(3, "b")))
 	read := e.Submit(Find("A", value.Int(1)))
-	run := e.SubmitBatch(inserts("P", ptree.DefaultPageCap, 1))
+	run := make([]*lenient.Cell[Response], ptree.DefaultPageCap)
+	e.SubmitBatch(inserts("P", ptree.DefaultPageCap, 1), run)
 	e.Barrier()
 	for name, c := range map[string]*lenient.Cell[Response]{"write": write, "read": read, "run insert": run[len(run)-1]} {
 		if r := c.Force(); !errors.Is(r.Err, errDisk) {
@@ -115,5 +120,30 @@ func TestFailedFlushAnswersWithItsError(t *testing.T) {
 	}
 	if r := before.Force(); r.Err != nil {
 		t.Fatalf("a write flushed before the failure answered %v", r.Err)
+	}
+}
+
+// TestGatedCellBytesAllocGate: a gated response holds its answer once, in its
+// cell, so a find on an engine with a commit flush allocates no more bytes
+// than one on an engine without — the ready cell it replaces, one size
+// class.
+func TestGatedCellBytesAllocGate(t *testing.T) {
+	bytesPerFind := func(e *Engine) uint64 {
+		find := Find("R", value.Int(7))
+		e.Submit(find).Force()
+		const n = 1000
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < n; i++ {
+			e.Submit(find).Force()
+		}
+		runtime.ReadMemStats(&after)
+		return (after.TotalAlloc - before.TotalAlloc) / n
+	}
+	ready := bytesPerFind(avlEngine(100))
+	gated := bytesPerFind(avlEngine(100, WithCommitObserver(func(Commit) {}), WithCommitFlush(func() error { return nil })))
+	t.Logf("bytes per find: ready cell %d, gated cell %d", ready, gated)
+	if gated > ready {
+		t.Errorf("a gated find = %d bytes, want at most the ready cell's %d", gated, ready)
 	}
 }

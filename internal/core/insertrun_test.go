@@ -8,6 +8,7 @@ import (
 
 	"funcdb/internal/database"
 	"funcdb/internal/eval"
+	"funcdb/internal/lenient"
 	"funcdb/internal/relation"
 	"funcdb/internal/reqtrace"
 	"funcdb/internal/value"
@@ -70,7 +71,8 @@ func TestInsertRunMatchesSequential(t *testing.T) {
 	initial := runDB()
 	var commits []Commit
 	e := NewEngine(initial, WithLanes(1), WithCommitObserver(func(c Commit) { commits = append(commits, c) }))
-	futs := e.SubmitBatch(batch)
+	futs := make([]*lenient.Cell[Response], len(batch))
+	e.SubmitBatch(batch, futs)
 	e.Barrier()
 	// The two paged stretches of 20 are one commit each; everything else
 	// commits on its own.
@@ -129,7 +131,7 @@ func TestInsertRunForcedByReader(t *testing.T) {
 	batch := inserts("P", 40, 7)
 	var commits []Commit
 	e := NewEngine(initial, WithCommitObserver(func(c Commit) { commits = append(commits, c) }))
-	e.SubmitBatch(batch)
+	e.SubmitBatch(batch, make([]*lenient.Cell[Response], len(batch)))
 	e.Barrier()
 	base := initial.Version()
 	if len(commits) != 1 || commits[0].First() != base+1 || commits[0].Seq != base+40 {
@@ -181,7 +183,7 @@ func TestInsertRunConcurrentReaders(t *testing.T) {
 		for i := range txs {
 			txs[i] = Insert("P", tup(int64(b*per+i), "v"))
 		}
-		e.SubmitBatch(txs)
+		e.SubmitBatch(txs, make([]*lenient.Cell[Response], len(txs)))
 	}
 	close(done)
 	wg.Wait()
@@ -191,8 +193,8 @@ func TestInsertRunConcurrentReaders(t *testing.T) {
 }
 
 // TestSubmitBatchInsertAllocGate: looking for a run costs a one-insert
-// batch nothing — it allocates what Submit does plus the batch's own two
-// slices — and inside a run an insert costs its ready response and nothing
+// batch nothing — Submit is a batch of one, so it allocates exactly what
+// Submit does — and inside a run an insert costs its ready response and nothing
 // else: the run's tuples, tags and suspended versions are one slab each, and
 // its versions are published in one snapshot, with the pages of the one
 // page build shared out among the run.
@@ -210,19 +212,22 @@ func TestSubmitBatchInsertAllocGate(t *testing.T) {
 		return Insert("P", tup(key, "w"))
 	}
 	one := []Transaction{next()}
-	e.SubmitBatch(one)[0].Force() // warm the notifier's queue buffers
+	out := make([]*lenient.Cell[Response], 1)
+	e.SubmitBatch(one, out) // warm the notifier's queue buffers
+	out[0].Force()
 	e.Barrier()
 	const runs = 500
 	submit := testing.AllocsPerRun(runs, func() {
 		e.Submit(one[0]).Force()
 	})
 	batch := testing.AllocsPerRun(runs, func() {
-		e.SubmitBatch(one)[0].Force()
+		e.SubmitBatch(one, out)
+		out[0].Force()
 	})
 	e.Barrier()
 	t.Logf("Submit %.2f, one-insert SubmitBatch %.2f", submit, batch)
-	if batch > submit+2 {
-		t.Errorf("one-insert SubmitBatch = %.1f allocs, Submit = %.1f: want at most the batch's two slices more", batch, submit)
+	if batch != submit {
+		t.Errorf("one-insert SubmitBatch = %.1f allocs, Submit = %.1f: want the same", batch, submit)
 	}
 
 	long := make([]Transaction, 500)
@@ -230,8 +235,9 @@ func TestSubmitBatchInsertAllocGate(t *testing.T) {
 		long[i] = next()
 	}
 	before := stats.Created.Load()
+	futs := make([]*lenient.Cell[Response], len(long))
 	perRun := testing.AllocsPerRun(20, func() {
-		futs := e.SubmitBatch(long)
+		e.SubmitBatch(long, futs)
 		futs[len(futs)-1].Force()
 	})
 	e.Barrier()

@@ -86,11 +86,15 @@ type laneSet []int
 
 // laneSetOf computes the lanes tx's admission must lock, from the
 // transaction's syntactic access set (ReadSet/WriteSet — no snapshot or
-// lock needed). A custom transaction with no declared sets touches the
-// whole directory, so it locks every lane: the full-barrier case. The
+// lock needed). A read installs nothing, so it locks none (nil) unless
+// WithSerializedReads. A custom transaction with no declared sets touches
+// the whole directory, so it locks every lane: the full-barrier case. The
 // common single-relation case returns a precomputed singleton, so the
 // submission hot path allocates nothing for lane bookkeeping.
 func (e *Engine) laneSetOf(tx Transaction) laneSet {
+	if !e.serializedReads && tx.IsReadOnly() {
+		return nil
+	}
 	if e.nlanes == 1 {
 		return e.allLanes
 	}

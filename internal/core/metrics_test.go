@@ -6,6 +6,7 @@ import (
 
 	"funcdb/internal/core"
 	"funcdb/internal/database"
+	"funcdb/internal/lenient"
 	"funcdb/internal/metrics"
 	"funcdb/internal/relation"
 	"funcdb/internal/reqtrace"
@@ -65,6 +66,26 @@ func TestMetricsEquivalence(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestAdmittedCountsWrites: Admitted counts writes and Reads counts reads,
+// whichever path a read takes — lone, at the head of a batch, or inside a
+// write's run.
+func TestAdmittedCountsWrites(t *testing.T) {
+	var m metrics.Engine
+	e := core.NewEngine(database.New(relation.RepAVL, "R"), core.WithEngineMetrics(&m))
+	e.Submit(core.Find("R", value.Int(1)))
+	e.Submit(core.Insert("R", value.NewTuple(value.Int(1))))
+	txs := []core.Transaction{
+		core.Count("R"),
+		core.Insert("R", value.NewTuple(value.Int(2))),
+		core.Find("R", value.Int(2)),
+	}
+	futs := make([]*lenient.Cell[core.Response], len(txs))
+	e.SubmitBatch(txs, futs)
+	if s := m.Snapshot(); s.Admitted != 2 || s.Reads != 3 {
+		t.Errorf("admitted %d, reads %d: want 2 writes and 3 reads", s.Admitted, s.Reads)
 	}
 }
 

@@ -130,36 +130,45 @@ type pendingCommit struct {
 	steps []insertStep
 }
 
-// gatedResponse is an engine's response cell under a commit flush: the
-// answer for version v, once v is durable. It is its own future, so it costs
-// the one allocation of the ready cell it replaces.
-type gatedResponse struct {
+// respond returns the response cell for a, the answer for version s. On an
+// engine with a flush the cell holds the answer until s is durable: a
+// ready answer is held in the cell alone, released by s (Eval), so gating
+// costs the one allocation of the ready cell it replaces, at its size.
+// Until it is forced, the cell keeps s reachable.
+func (e *Engine) respond(a answer, s *snapshot) *lenient.Cell[Response] {
+	switch {
+	case e.flush == nil && a.fut != nil:
+		return a.fut
+	case e.flush == nil:
+		return lenient.Ready(a.resp)
+	case a.fut != nil:
+		g := &gatedFuture{s: s, fut: a.fut}
+		return g.cell.Suspend(g)
+	}
+	return new(lenient.Cell[Response]).Hold(a.resp, s)
+}
+
+// Eval implements lenient.Thunk for a response held until this version is
+// durable: it releases r then, or amends it with the error of a failed
+// flush.
+func (s *snapshot) Eval(r *Response) {
+	if err := s.e.awaitNotified(s.version); err != nil && r.Err == nil {
+		r.Err = err
+	}
+}
+
+// gatedFuture is a gated response that a spawned body computes: its own
+// future, forcing the body's and then waiting for version s.
+type gatedFuture struct {
 	cell lenient.Cell[Response]
-	e    *Engine
-	v    int64
-	answer
+	s    *snapshot
+	fut  *lenient.Cell[Response]
 }
 
 // Eval implements lenient.Thunk.
-func (g *gatedResponse) Eval() Response {
-	r := g.value()
-	if err := g.e.awaitNotified(g.v); err != nil && r.Err == nil {
-		r.Err = err
-	}
-	return r
-}
-
-// respond returns the response cell for a, the answer for version v: gated
-// on v's flush when the engine has one.
-func (e *Engine) respond(a answer, v int64) *lenient.Cell[Response] {
-	switch {
-	case e.flush != nil:
-		g := &gatedResponse{e: e, v: v, answer: a}
-		return g.cell.Suspend(g)
-	case a.fut != nil:
-		return a.fut
-	}
-	return lenient.Ready(a.resp)
+func (g *gatedFuture) Eval(r *Response) {
+	*r = g.fut.Force()
+	g.s.Eval(r)
 }
 
 // awaitNotified blocks until the observers and the flush have run for every

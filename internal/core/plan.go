@@ -18,6 +18,7 @@ type snapshot struct {
 	dir     *database.Directory
 	cells   []*lenient.Cell[relation.Relation] // parallel to dir.Names()
 	version int64
+	e       *Engine // the publisher, whose flush gates the responses of this version
 }
 
 // cell resolves a relation's cell by name.
@@ -137,7 +138,8 @@ func planAgainst(s *snapshot, tx Transaction) Plan {
 	}
 }
 
-// errResponse builds the immediate error response for an inadmissible plan.
-func (p Plan) errResponse() *lenient.Cell[Response] {
-	return lenient.Ready(Response{Origin: p.tx.Origin, Seq: p.tx.Seq, Kind: p.tx.Kind, Err: p.err})
+// errResponse builds the immediate error response for an inadmissible plan,
+// stamped with version v unless v is 0.
+func (p Plan) errResponse(v int64) *lenient.Cell[Response] {
+	return lenient.Ready(Response{Origin: p.tx.Origin, Seq: p.tx.Seq, Kind: p.tx.Kind, Err: p.err, Version: v})
 }

@@ -93,10 +93,12 @@ func (e *Engine) admitInsertRun(txs []Transaction, out []*lenient.Cell[Response]
 			run.Tags[k] = Tag{Origin: tx.Origin, Seq: tx.Seq}
 		}
 	}
-	first := firstOf(e.admitRun(p, rel, run), run)
+	// Each insert is answered for the run's last version: the run is
+	// notified as one commit, so its versions are durable together.
+	s := e.admitRun(p, rel, run)
 	for k := range txs {
 		tx := &txs[k]
-		out[k] = e.respond(answer{resp: Response{Origin: tx.Origin, Seq: tx.Seq, Kind: KindInsert, Tuple: tx.Tuple}}, first+int64(k))
+		out[k] = e.respond(answer{resp: Response{Origin: tx.Origin, Seq: tx.Seq, Kind: KindInsert, Tuple: tx.Tuple}}, s)
 	}
 	return true
 }
@@ -105,12 +107,12 @@ func (e *Engine) admitInsertRun(txs []Transaction, out []*lenient.Cell[Response]
 // relation p planned, whose input value is rel: the last version is built
 // here — one path copy for a run of one, one UpsertRun otherwise — and
 // published in one compare-and-swap; admitRun returns that version's
-// number. With observers, each version before the last becomes a suspended
+// snapshot. With observers, each version before the last becomes a suspended
 // insert on its predecessor, one slab for the whole run, and the run is
 // notified as one commit, its response the run's last insert's; without
 // any, nothing can ever ask for those versions, so none is made. The caller
 // must hold the relation's lane lock.
-func (e *Engine) admitRun(p Plan, rel relation.Relation, run *Run) int64 {
+func (e *Engine) admitRun(p Plan, rel relation.Relation, run *Run) *snapshot {
 	k := len(run.Tuples)
 	var final relation.Relation
 	if k == 1 {
@@ -121,7 +123,7 @@ func (e *Engine) admitRun(p Plan, rel relation.Relation, run *Run) int64 {
 	i, _ := p.snap.dir.Index(run.Rel)
 	ns := e.publishCell(i, lenient.Ready(final), int64(k))
 	if len(e.observers) == 0 {
-		return ns.version
+		return ns
 	}
 	steps := make([]insertStep, k-1)
 	prev := p.in
@@ -132,7 +134,7 @@ func (e *Engine) admitRun(p Plan, rel relation.Relation, run *Run) int64 {
 	tx := run.Txn(k - 1)
 	resp := Response{Origin: tx.Origin, Seq: tx.Seq, Kind: KindInsert, Tuple: tx.Tuple}
 	e.notifyCommit(pendingCommit{tx: tx, answer: answer{resp: resp}, snap: ns, run: run, steps: steps})
-	return ns.version
+	return ns
 }
 
 // insertStep is one version inside an insert run: its predecessor's
@@ -145,8 +147,7 @@ type insertStep struct {
 	ctx  *eval.Ctx
 }
 
-func (s *insertStep) Eval() relation.Relation {
-	nr, _ := s.prev.Force().Insert(s.ctx, s.tu, trace.None)
+func (s *insertStep) Eval(v *relation.Relation) {
+	*v, _ = s.prev.Force().Insert(s.ctx, s.tu, trace.None)
 	s.prev = nil // the predecessor's version is no longer needed here
-	return nr
 }

@@ -194,6 +194,39 @@ func TestSubmitNeverWaitsOnUnresolvedInput(t *testing.T) {
 	e.Barrier()
 }
 
+// TestReadStampedForcesOnlyItsRelation: ReadStamped is a lone read: a
+// find in R answers, stamped with the version it read, while a body on S
+// is held, and a find in S behind that body resolves once it is released,
+// stamped too.
+func TestReadStampedForcesOnlyItsRelation(t *testing.T) {
+	e := NewEngine(seedDB())
+	release := make(chan struct{})
+	e.Submit(stall("S", release))
+	v := e.Version()
+
+	done := make(chan Response, 1)
+	go func() { done <- e.ReadStamped(Find("R", value.Int(1))).Force() }()
+	select {
+	case r := <-done:
+		if !r.Found || r.Tuple.Field(1).AsString() != "a" || r.Version != v {
+			t.Errorf("ReadStamped(find in R) = %+v, want (1, \"a\") at version %d", r, v)
+		}
+	case <-time.After(5 * time.Second):
+		close(release)
+		t.Fatal("ReadStamped of R blocked behind a held body on S")
+	}
+
+	held := e.ReadStamped(Find("S", value.Int(10)))
+	if _, ok := held.Poll(); ok {
+		t.Fatal("ReadStamped of S resolved before the body it reads was released")
+	}
+	close(release)
+	if r := held.Force(); !r.Found || r.Version != v {
+		t.Errorf("ReadStamped(find in S) = %+v, want key 10 at version %d", r, v)
+	}
+	e.Barrier()
+}
+
 // TestBarrierConcurrentWithSubmit: Barrier on one goroutine while others
 // submit must not panic (the sync.WaitGroup it used to wait on did, when
 // Add raced Wait from zero), and a Barrier issued after a Submit returned

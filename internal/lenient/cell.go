@@ -36,18 +36,20 @@ type Cell[T any] struct {
 }
 
 // Thunk is a suspended computation of a T: what a lazy cell holds until
-// its first demand. A struct that already carries the computation's
-// inputs implements it directly and embeds its own Cell (see Suspend),
-// where a closure would be a second object.
+// its first demand, when Eval stores the value through v. v starts as the
+// zero T, or as the value a held cell holds (Hold), which Eval then only
+// releases — it may amend it. A struct that already carries the
+// computation's inputs implements Thunk directly and embeds its own Cell
+// (see Suspend), where a closure would be a second object.
 type Thunk[T any] interface {
-	Eval() T
+	Eval(v *T)
 }
 
 // thunkFunc is the func() T form of a Thunk. A func value is a pointer,
 // so the conversion to the interface allocates nothing.
 type thunkFunc[T any] func() T
 
-func (f thunkFunc[T]) Eval() T { return f() }
+func (f thunkFunc[T]) Eval(v *T) { *v = f() }
 
 // Lazy returns a cell that computes fn on first demand (call-by-need).
 func Lazy[T any](fn func() T) *Cell[T] {
@@ -68,6 +70,16 @@ func (c *Cell[T]) Suspend(th Thunk[T]) *Cell[T] {
 	}
 	c.th = th
 	return c
+}
+
+// Hold makes the zero cell c hold v, released on first demand by th: a
+// value known before it may be observed — a reply waiting for its flush —
+// stored once, in the cell. th.Eval gets v in place, blocks until it may
+// be seen, and may amend it; until then Poll reports nothing. c must not
+// have been forced or handed out yet.
+func (c *Cell[T]) Hold(v T, th Thunk[T]) *Cell[T] {
+	c.val = v
+	return c.Suspend(th)
 }
 
 // Ready returns an already-computed cell holding v.
@@ -93,7 +105,7 @@ func Spawn[T any](fn func() T) *Cell[T] {
 // another goroutine is already computing it.
 func (c *Cell[T]) Force() T {
 	c.once.Do(func() {
-		c.val = c.th.Eval()
+		c.th.Eval(&c.val)
 		c.th = nil // release the thunk and anything it captured
 		c.done.Store(true)
 	})

@@ -45,9 +45,9 @@ type selfThunk struct {
 	calls int
 }
 
-func (s *selfThunk) Eval() int {
+func (s *selfThunk) Eval(v *int) {
 	s.calls++
-	return s.in * 2
+	*v = s.in * 2
 }
 
 func TestSuspendInPlace(t *testing.T) {
@@ -71,6 +71,31 @@ func TestSuspendInPlace(t *testing.T) {
 		}
 	}()
 	new(Cell[int]).Suspend(nil)
+}
+
+// gate is a thunk that only releases a held value, doubled.
+type gate struct{ released chan int }
+
+func (g gate) Eval(v *int) {
+	*v *= 2
+	g.released <- *v
+}
+
+// TestHoldReleasesItsValue: a held cell stores its value itself and hands
+// it to its thunk on first demand — not before: Poll sees nothing until
+// then — and Force returns what the thunk left there.
+func TestHoldReleasesItsValue(t *testing.T) {
+	g := gate{released: make(chan int, 1)}
+	c := new(Cell[int]).Hold(21, g)
+	if v, ok := c.Poll(); ok {
+		t.Fatalf("a held cell polled %d before its first demand", v)
+	}
+	if got := c.Force(); got != 42 || <-g.released != 42 {
+		t.Errorf("Force = %d, want the held 21 released doubled", got)
+	}
+	if got, ok := c.Poll(); !ok || got != 42 || c.Force() != 42 || len(g.released) != 0 {
+		t.Errorf("after Force: Poll = %d, %v, or the thunk ran twice", got, ok)
+	}
 }
 
 // TestThunkNoAlloc: a lazy cell costs the cell. A func() T becomes the

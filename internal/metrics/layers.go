@@ -11,13 +11,13 @@ import (
 // hot path of the whole system. All methods are nil-receiver-safe so an
 // uninstrumented engine pays one pointer comparison per commit.
 type Engine struct {
-	Reads         Counter   // fast-path read-only submissions
-	Admitted      Counter   // committed write transactions
+	Reads         Counter   // read-only transactions, whichever path admitted them
+	Admitted      Counter   // write transactions admitted under the lanes (reads excluded)
 	CASRetries    Counter   // snapshot publications that lost the CAS race
 	CrossLane     Counter   // admissions that locked more than one lane
-	CommitLatency Histogram // lock-acquire → snapshot-published, ns
-	BatchRuns     Histogram // same-lane-set run lengths from SubmitBatch
-	LaneCommits   []Counter // per-lane committed transaction counts
+	CommitLatency Histogram // lock-acquire → snapshot-published, ns, per run
+	BatchRuns     Histogram // lengths of the runs admitted under one lane acquisition (a lone write's is 1)
+	LaneCommits   []Counter // per-lane committed write counts
 }
 
 // SizeLanes allocates the per-lane counters for n lanes.
@@ -27,14 +27,14 @@ func (e *Engine) SizeLanes(n int) {
 	}
 }
 
-// Read records a fast-path read-only submission.
+// Read records one read-only transaction.
 func (e *Engine) Read() {
 	if e != nil {
 		e.Reads.Inc()
 	}
 }
 
-// Admit records n transactions committed under the lane set ls, with the
+// Admit records a run of n writes committed under the lane set ls, with the
 // lock-to-publish latency d.
 func (e *Engine) Admit(ls []int, n int, d time.Duration) {
 	if e == nil {

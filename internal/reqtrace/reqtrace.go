@@ -42,7 +42,7 @@ const (
 	StageConnRead                      // server: blocking read of the request frame
 	StageDecode                        // server: frame payload → transactions
 	StageSessionQueue                  // session: queued → flushed into one batch
-	StagePlan                          // engine: read/write-set planning under the lane locks
+	StagePlan                          // engine: a lock-free read's planning (a write's is inside lane-commit)
 	StageLaneWait                      // engine: waiting to acquire the lane locks
 	StageLaneCommit                    // engine: lane locks held → snapshot published
 	StageGroupCommitFsync              // archive: commit buffered → group flush (+fsync) done

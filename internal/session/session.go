@@ -249,7 +249,7 @@ func (s *Session) queueLocked(tx core.Transaction, tagged bool) *Future {
 // Eval implements lenient.Thunk for a queued statement's future: admit
 // the pipeline if this statement is still in it, then wait for the
 // engine's response.
-func (ps *pendingStmt) Eval() core.Response {
+func (ps *pendingStmt) Eval(r *core.Response) {
 	s := ps.s
 	s.mu.Lock()
 	if ps.fut == nil {
@@ -257,7 +257,7 @@ func (ps *pendingStmt) Eval() core.Response {
 	}
 	fut := ps.fut
 	s.mu.Unlock()
-	return fut.Force()
+	*r = fut.Force()
 }
 
 // Pending returns the number of queued, not yet admitted statements.

@@ -28,7 +28,7 @@ func (es *engineSubmitter) SubmitTagged(txs []core.Transaction, futs []*Future) 
 	copy(cp, txs)
 	es.batches = append(es.batches, cp)
 	es.mu.Unlock()
-	copy(futs, es.e.SubmitBatch(txs))
+	es.e.SubmitBatch(txs, futs)
 }
 
 func newSession(t *testing.T, opts ...Option) (*Session, *engineSubmitter) {
