@@ -136,8 +136,8 @@ func WithRelations(names ...string) Option {
 	return func(_ *cfgError, c *config) { c.names = append(c.names, names...) }
 }
 
-// WithRepresentation selects the relation representation (default list,
-// the paper's experimental choice).
+// WithRepresentation selects the relation representation (default
+// RepPaged; RepList is the paper's experimental choice).
 func WithRepresentation(rep Rep) Option {
 	return func(_ *cfgError, c *config) { c.rep = rep }
 }
@@ -282,7 +282,7 @@ type Store struct {
 
 // Open creates a store.
 func Open(opts ...Option) (*Store, error) {
-	c := config{rep: RepList, history: -1, origin: "local"}
+	c := config{rep: relation.DefaultRep, history: -1, origin: "local"}
 	var ce cfgError
 	for _, opt := range opts {
 		opt(&ce, &c)

@@ -178,7 +178,7 @@ func TestWithLanes(t *testing.T) {
 	}
 
 	// The same queries through 1-lane and 8-lane stores (with history on,
-	// so the sequencer feeds the version stream) agree on responses, final
+	// so the notifier feeds the version stream) agree on responses, final
 	// contents, and the retained history length.
 	queries := []string{
 		"insert (1, \"a\") into R", "insert (2, \"b\") into S",

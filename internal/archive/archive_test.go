@@ -435,7 +435,7 @@ func TestAppendDirectCommits(t *testing.T) {
 		}
 		cur = next.AtVersion(int64(i))
 		pinned := cur
-		if err := a.Append(core.NewCommit(int64(i), tx, core.Response{}, func() *database.Database { return pinned })); err != nil {
+		if err := a.Append(core.NewCommit(int64(i), tx, func() *database.Database { return pinned })); err != nil {
 			t.Fatal(err)
 		}
 	}

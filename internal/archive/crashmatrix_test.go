@@ -26,7 +26,7 @@ import (
 // sharded (4-lane) engine into an archive in dir. The engine gets the
 // archive's observer but not its flush, so the whole history stays
 // buffered and lands in one multi-frame write at Close. It returns the last durable version
-// number (== n: the sequencer re-serializes lane commits densely).
+// number (== n: the notifier delivers lane commits in dense version order).
 func buildLaneArchive(t *testing.T, dir string, n int) int64 {
 	t.Helper()
 	a, err := Create(dir, initialDB("A", "B", "C", "D"), Fsync(true))

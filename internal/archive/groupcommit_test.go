@@ -45,7 +45,7 @@ func TestGroupCommitFlushMakesDurable(t *testing.T) {
 	defer a.Close()
 	for i := 1; i <= 10; i++ {
 		tx := core.Insert("R", value.NewTuple(value.Int(int64(i)), value.Str("v")))
-		if err := a.Append(core.NewCommit(int64(i), tx, core.Response{}, nil)); err != nil {
+		if err := a.Append(core.NewCommit(int64(i), tx, nil)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -151,7 +151,7 @@ func TestTailSeesOnlyDurableRecords(t *testing.T) {
 	defer cancel()
 	for i := 1; i <= 5; i++ {
 		tx := core.Insert("R", value.NewTuple(value.Int(int64(i)), value.Str("v")))
-		if err := a.Append(core.NewCommit(int64(i), tx, core.Response{}, nil)); err != nil {
+		if err := a.Append(core.NewCommit(int64(i), tx, nil)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -200,7 +200,7 @@ func TestGroupCommitVersionAtFlushes(t *testing.T) {
 	defer a.Close()
 	for i := 1; i <= 5; i++ {
 		tx := core.Insert("R", value.NewTuple(value.Int(int64(i)), value.Str("v")))
-		if err := a.Append(core.NewCommit(int64(i), tx, core.Response{}, nil)); err != nil {
+		if err := a.Append(core.NewCommit(int64(i), tx, nil)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -236,7 +236,7 @@ func TestAppendAllocGate(t *testing.T) {
 	seq := int64(0)
 	appendOne := func() {
 		seq++
-		if err := a.Append(core.NewCommit(seq, tx, core.Response{}, nil)); err != nil {
+		if err := a.Append(core.NewCommit(seq, tx, nil)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -309,7 +309,7 @@ func TestAppendTracedCommitSpan(t *testing.T) {
 		tx := core.Insert("R", value.NewTuple(value.Int(1), value.Str("v")))
 		tx.Trace = rec.Start()
 		rec.Finish(tx.Trace) // publishes the handle; later spans still attach
-		if err := a.Append(core.NewCommit(1, tx, core.Response{}, nil)); err != nil {
+		if err := a.Append(core.NewCommit(1, tx, nil)); err != nil {
 			t.Fatal(err)
 		}
 		if got := fsyncSpans(t, rec); got != 0 {

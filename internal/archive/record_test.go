@@ -166,7 +166,7 @@ func sameWrite(got, tx core.Transaction) bool {
 // writeRecord encodes the record of one committed write at version seq.
 func writeRecord(t testing.TB, seq int64, tx core.Transaction) []byte {
 	t.Helper()
-	c := core.NewCommit(seq, tx, core.Response{}, nil)
+	c := core.NewCommit(seq, tx, nil)
 	var one [1]value.Tuple
 	r, n := commitRecord(&c, 0, &one)
 	if n != 1 {

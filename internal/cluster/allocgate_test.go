@@ -11,6 +11,7 @@ import (
 	"funcdb/internal/lenient"
 	"funcdb/internal/relation"
 	"funcdb/internal/reqtrace"
+	"funcdb/internal/session"
 	"funcdb/internal/trace"
 	"funcdb/internal/value"
 )
@@ -125,12 +126,14 @@ func TestMirrorApplyAllocGate(t *testing.T) {
 	}
 }
 
-// TestGatedAckedAllocGate: a write whose replicas have already acked pays
-// the gate one object — the gate is its own future — and asks the store
-// for a number, never for a database.
-func TestGatedAckedAllocGate(t *testing.T) {
+// ackGateNode returns a failover node over a fake store holding S, never
+// started — no heartbeats, no replication dials — and inside its boot
+// grace, so its silent peers count as alive: a node whose ack gate waits
+// for one mirror.
+func ackGateNode(t *testing.T) (*Node, *fakeStore) {
+	t.Helper()
 	fs := newFakeStore("S")
-	n, err := New(Config{ // never started: no heartbeats, no replication dials
+	n, err := New(Config{
 		ID:       0,
 		Addrs:    []string{"127.0.0.1:1", "127.0.0.1:2", "127.0.0.1:3"},
 		Store:    fs,
@@ -144,11 +147,18 @@ func TestGatedAckedAllocGate(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(n.Close)
-	tab := n.slots
-	tab.mu.Lock()
-	tab.started = time.Now() // inside the boot grace: the silent peers count as alive
-	tab.mu.Unlock()
+	n.slots.mu.Lock()
+	n.slots.started = time.Now()
+	n.slots.mu.Unlock()
+	return n, fs
+}
 
+// TestGatedAckedAllocGate: a write whose replicas have already acked pays
+// the gate one object — the gate is its own future — and never
+// materializes the store.
+func TestGatedAckedAllocGate(t *testing.T) {
+	n, fs := ackGateNode(t)
+	tab := n.slots
 	fs.eng.Submit(core.Insert("S", value.NewTuple(value.Int(1), value.Str("a")))).Force()
 	ack, cancel, err := n.SubscribeSlotLog(0, 1, 0, func(int64, int64, uint64, reqtrace.Ctx, byte, []byte) {})
 	if err != nil {
@@ -159,7 +169,7 @@ func TestGatedAckedAllocGate(t *testing.T) {
 	committed := lenient.Ready(core.Response{Kind: core.KindInsert})
 
 	allocs := testing.AllocsPerRun(1000, func() {
-		if r := tab.gated(0, fs, committed).Force(); r.Err != nil {
+		if r := tab.gated(0, fs.Version(), committed).Force(); r.Err != nil {
 			t.Fatal(r.Err)
 		}
 	})
@@ -168,6 +178,36 @@ func TestGatedAckedAllocGate(t *testing.T) {
 	}
 	if c := fs.currents.Load(); c != 0 {
 		t.Errorf("the ack gate materialized the store %d times; it needs only Version()", c)
+	}
+}
+
+// TestGatedWriteWaitsForItsRunsVersion: the ack gate waits for the version
+// of the write's own run, read when the run was admitted — not for the
+// store's version when the response is forced, which under load is a later
+// write's. A mirror acked at the run's version releases the write although
+// the store has moved on.
+func TestGatedWriteWaitsForItsRunsVersion(t *testing.T) {
+	n, fs := ackGateNode(t)
+	futs := make([]*session.Future, 1)
+	n.localSubmit(0, fs, []core.Transaction{core.Insert("S", value.NewTuple(value.Int(1), value.Str("a")))}, futs)
+	v := fs.Version()
+	fs.eng.Submit(core.Insert("S", value.NewTuple(value.Int(2), value.Str("b")))).Force() // admitted after the run, never acked
+	ack, cancel, err := n.SubscribeSlotLog(0, 1, 0, func(int64, int64, uint64, reqtrace.Ctx, byte, []byte) {})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cancel()
+	ack(v)
+
+	done := make(chan core.Response, 1)
+	go func() { done <- futs[0].Force() }()
+	select {
+	case r := <-done:
+		if r.Err != nil {
+			t.Fatal(r.Err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatalf("the write of version %d still waits with its mirror acked at %d and the store at %d", v, v, fs.Version())
 	}
 }
 

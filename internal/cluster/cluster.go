@@ -390,13 +390,17 @@ func (n *Node) SubmitTagged(txs []core.Transaction, out []*session.Future) {
 // localSubmit admits a run into st, the store this node serves the slot
 // from (its own store, or a takeover store), filling futs. With an ack
 // gate, write futures are wrapped in it so an acknowledged commit is
-// guaranteed to survive a subsequent crash of this node.
+// guaranteed to survive a subsequent crash of this node. Every write of
+// the run is published when SubmitTagged returns, so the store's version
+// read right then bounds each one's commit from above, and a write waits
+// for no write admitted after its run.
 func (n *Node) localSubmit(slot int, st LocalStore, run []core.Transaction, futs []*session.Future) {
 	st.SubmitTagged(run, futs)
 	if n.slots.cfg.SyncReplicas > 0 {
+		v := st.Version()
 		for k := range futs {
 			if !run[k].IsReadOnly() {
-				futs[k] = n.slots.gated(slot, st, futs[k])
+				futs[k] = n.slots.gated(slot, v, futs[k])
 			}
 		}
 	}

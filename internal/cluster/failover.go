@@ -499,18 +499,18 @@ type gatedWrite struct {
 	cell  session.Future
 	tab   *slotTable
 	slot  int
-	st    LocalStore
+	v     int64
 	inner *session.Future
 }
 
 // gated wraps a write future in the replication-ack gate: the response
-// is surfaced only after SyncReplicas live mirrors acked a sequence at
-// or beyond the write's commit. If the node loses its quorum while
-// waiting, the write is answered with ErrFenced — it applied locally,
-// but the winner's history will not contain it, and an un-acked write is
-// allowed to vanish.
-func (tab *slotTable) gated(slot int, st LocalStore, fut *session.Future) *session.Future {
-	g := &gatedWrite{tab: tab, slot: slot, st: st, inner: fut}
+// is surfaced only after SyncReplicas live mirrors acked sequence v, a
+// version at or beyond the write's commit. If the node loses its quorum
+// while waiting, the write is answered with ErrFenced — it applied
+// locally, but the winner's history will not contain it, and an un-acked
+// write is allowed to vanish.
+func (tab *slotTable) gated(slot int, v int64, fut *session.Future) *session.Future {
+	g := &gatedWrite{tab: tab, slot: slot, v: v, inner: fut}
 	return g.cell.Suspend(g)
 }
 
@@ -519,9 +519,7 @@ func (g *gatedWrite) Eval(r *core.Response) {
 	if *r = g.inner.Force(); r.Err != nil {
 		return
 	}
-	// The store's current version bounds this write's commit sequence
-	// from above: waiting for it is conservative and monotone.
-	if err := g.tab.waitAcked(g.slot, g.st.Version()); err != nil {
+	if err := g.tab.waitAcked(g.slot, g.v); err != nil {
 		r.Err = err
 	}
 }

@@ -54,15 +54,16 @@ type mirror struct {
 
 // FreshRep is the representation a cluster's relations start in: a fresh
 // node's primary store (funcdb.OpenClusterNode reads it from here), every
-// mirror, and so every takeover store a mirror is promoted into. The paper
-// ran its experiments on linked lists "for simplicity" (Section 4) but
-// argues that trees share "all but a proportion (log n)/n of a relation"
-// (Section 2.2) and that the tree node should be "one physical page"
-// (Section 3.3): a replicated write pays its path copy once per copy, and a
-// page-wide path is ~3 objects where a binary one is ~10. It is a constant,
-// not a setting: the representation is data, so an archive written in
-// another shape reopens in that shape and a mixed cluster is legal.
-const FreshRep = relation.RepPaged
+// mirror, and so every takeover store a mirror is promoted into. It is the
+// engine's default, relation.DefaultRep. The paper ran its experiments on
+// linked lists "for simplicity" (Section 4) but argues that trees share
+// "all but a proportion (log n)/n of a relation" (Section 2.2) and that the
+// tree node should be "one physical page" (Section 3.3): a replicated write
+// pays its path copy once per copy, and a page-wide path is ~3 objects
+// where a binary one is ~10. It is a constant, not a setting: the
+// representation is data, so an archive written in another shape reopens
+// in that shape and a mixed cluster is legal.
+const FreshRep = relation.DefaultRep
 
 // newMirror starts a mirror of a peer at db: a fresh peer's owned
 // relations at version 0, or, on the rejoin path's self-mirror, the

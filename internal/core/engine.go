@@ -53,9 +53,11 @@ import (
 // write locks only the lanes its access set hashes into, so writes to
 // disjoint lanes admit concurrently, and the successor snapshot is
 // published by compare-and-swap on the epoch-stamped pointer rather than
-// under any global lock. Commit observers still see one total version
-// order: publication assigns dense version numbers, and a sequencer
-// (observer.go) re-serializes lane commits before notifying.
+// under any global lock. That compare-and-swap is the one place the total
+// order is decided: publication assigns dense version numbers, and on an
+// engine with commit observers each snapshot links back to the one it
+// replaced, so the chain of published snapshots is the queue the notifier
+// (observer.go) delivers in that order.
 type Engine struct {
 	nlanes     int
 	lanes      []sync.Mutex             // the sharded merge point
@@ -80,24 +82,19 @@ type Engine struct {
 	serializedReads bool
 
 	// Post-commit observation (observer.go): observers are notified of
-	// every committed write in version order by one notifier goroutine, so
-	// durability and history ride behind the pipeline instead of
-	// serializing it; flush runs once per notifier batch, after them. The
-	// sequencer re-serializes lane commits into that one total order;
-	// everything below flush is guarded by seqMu (notified and durable are
-	// also read lock-free).
+	// every committed write in version order by one notifier goroutine,
+	// which walks the chain of published snapshots, so durability and
+	// history ride behind the pipeline instead of serializing it; flush
+	// runs once per notifier batch, after them. seqMu guards flushErr and
+	// the caughtUp wait; notified and durable are also read lock-free.
 	observers []CommitObserver
 	flush     func() error
+	notifying atomic.Bool  // a notifier goroutine is running
+	notified  atomic.Int64 // observers and flush have run for every version <= this
+	durable   atomic.Int64 // notified and flushed without error: on disk
 	seqMu     sync.Mutex
-	seqNext   int64                   // next version to hand to the notifier
-	parked    map[int64]pendingCommit // commits published ahead of seqNext
-	queue     []pendingCommit         // version-ordered, awaiting the notifier
-	spare     []pendingCommit         // the notifier's drained batch, for reuse
-	notifying bool                    // a notifier goroutine is running
-	notified  atomic.Int64            // observers and flush have run for every version <= this
-	durable   atomic.Int64            // notified and flushed without error: on disk
-	flushErr  error                   // the flush's first failure
-	caughtUp  sync.Cond               // on seqMu: notified advanced
+	flushErr  error     // the flush's first failure
+	caughtUp  sync.Cond // on seqMu: notified advanced
 }
 
 // EngineOption configures NewEngine.
@@ -143,7 +140,6 @@ func NewEngine(initial *database.Database, opts ...EngineOption) *Engine {
 		version: initial.Version(),
 		e:       e,
 	})
-	e.seqNext = initial.Version() + 1
 	e.notified.Store(initial.Version())
 	e.durable.Store(initial.Version())
 	e.caughtUp.L = &e.seqMu
@@ -263,11 +259,10 @@ func (e *Engine) SubmitBatch(txs []Transaction, out []*lenient.Cell[Response]) {
 }
 
 // admitLocked runs the admission stage for one plan: install the write's
-// output cells, publish the successor snapshot, and schedule the
-// post-commit notification. The caller must hold every lane lock covering
-// p's access set, and p must have been planned under those locks — the
-// locks pin the plan's input cells, so the plan cannot go stale before
-// publication.
+// output cells and publish the successor snapshot, which carries the write
+// to the notifier. The caller must hold every lane lock covering p's access
+// set, and p must have been planned under those locks — the locks pin the
+// plan's input cells, so the plan cannot go stale before publication.
 func (e *Engine) admitLocked(p Plan) *lenient.Cell[Response] {
 	if p.err != nil {
 		return p.errResponse(0)
@@ -275,7 +270,7 @@ func (e *Engine) admitLocked(p Plan) *lenient.Cell[Response] {
 	if p.ReadOnly() {
 		return e.launchRead(p, false)
 	}
-	s := p.snap
+	s, c := p.snap, commitLink{tx: p.tx}
 
 	if p.create {
 		// The relation's contents (empty) are ready immediately; only the
@@ -283,16 +278,12 @@ func (e *Engine) admitLocked(p Plan) *lenient.Cell[Response] {
 		// current: directories only ever append, so concurrently created
 		// relations in other lanes keep their positions.
 		newCell := lenient.Ready(relation.New(p.tx.Rep))
-		ns := e.publish(func(cur *snapshot) *snapshot {
+		ns := e.publish(c, func(cur, ns *snapshot) {
 			cells := make([]*lenient.Cell[relation.Relation], len(cur.cells), len(cur.cells)+1)
 			copy(cells, cur.cells)
-			cells = append(cells, newCell)
-			return &snapshot{dir: cur.dir.With(p.tx.Rel), cells: cells, version: cur.version + 1}
+			ns.dir, ns.cells, ns.version = cur.dir.With(p.tx.Rel), append(cells, newCell), cur.version+1
 		})
-		pc := pendingCommit{tx: p.tx, snap: ns}
-		pc.resp = Response{Origin: p.tx.Origin, Seq: p.tx.Seq, Kind: p.tx.Kind}
-		e.notifyCommit(pc)
-		return e.respond(pc.answer, ns)
+		return e.respond(answer{resp: Response{Origin: p.tx.Origin, Seq: p.tx.Seq, Kind: p.tx.Kind}}, ns)
 	}
 
 	// Replace the written cells: later transactions on these relations
@@ -309,7 +300,7 @@ func (e *Engine) admitLocked(p Plan) *lenient.Cell[Response] {
 		// lookup in the output projection.
 		i, _ := s.dir.Index(p.tx.Rel)
 		var wcell *lenient.Cell[relation.Relation]
-		pc := pendingCommit{tx: p.tx}
+		var a answer
 		if rel, ok := p.in.Poll(); ok {
 			// The input is a value, so there is nothing to be lenient
 			// about: evaluate here. The body is pure — the cells hold what
@@ -319,7 +310,7 @@ func (e *Engine) admitLocked(p Plan) *lenient.Cell[Response] {
 			if o.hasNewRel {
 				wcell = lenient.Ready(o.newRel)
 			}
-			pc.resp = o.resp
+			a.resp = o.resp
 		} else {
 			out, in := e.spawnBuiltin(p), p.in
 			wcell = lenient.Map(out, func(o txnOut) relation.Relation {
@@ -328,11 +319,9 @@ func (e *Engine) admitLocked(p Plan) *lenient.Cell[Response] {
 				}
 				return in.Force()
 			})
-			pc.fut = lenient.Map(out, respAt(0))
+			a.fut = lenient.Map(out, respAt(0))
 		}
-		pc.snap = e.publishCell(i, wcell, 1)
-		e.notifyCommit(pc)
-		return e.respond(pc.answer, pc.snap)
+		return e.respond(a, e.publishCell(c, i, wcell, 1))
 	}
 
 	out := e.spawnCustom(p)
@@ -349,33 +338,50 @@ func (e *Engine) admitLocked(p Plan) *lenient.Cell[Response] {
 			return in.Force() // miss (e.g. delete of absent key): old value
 		})
 	}
-	a := answer{fut: lenient.Map(out, respAt(0))}
-	ns := e.publish(func(cur *snapshot) *snapshot {
+	ns := e.publish(c, func(cur, ns *snapshot) {
 		cells := make([]*lenient.Cell[relation.Relation], len(cur.cells))
 		copy(cells, cur.cells)
 		for j, i := range widx {
 			cells[i] = wcells[j]
 		}
-		return &snapshot{dir: cur.dir, cells: cells, version: cur.version + 1}
+		ns.dir, ns.cells, ns.version = cur.dir, cells, cur.version+1
 	})
-	e.notifyCommit(pendingCommit{tx: p.tx, answer: a, snap: ns})
-	return e.respond(a, ns)
+	return e.respond(answer{fut: lenient.Map(out, respAt(0))}, ns)
 }
 
 // publish installs a successor snapshot by compare-and-swap on the
 // epoch-stamped pointer, retrying on concurrent publications from other
-// lanes. build must derive the successor from the snapshot it is given —
-// on a retry it runs again against the new current snapshot — and must
-// only replace cells whose lanes the caller has locked. Version numbers
-// come out dense: every successful publication is exactly cur.version+1 —
-// cur.version+k for an insert run of k — which is what lets the commit
-// sequencer re-serialize lane commits into one total order.
-func (e *Engine) publish(build func(cur *snapshot) *snapshot) *snapshot {
+// lanes. build sets the successor's directory, cells and version from the
+// snapshot it is given — on a retry it runs again against the new current
+// snapshot — and must only replace cells whose lanes the caller has locked.
+// Version numbers come out dense: every successful publication is exactly
+// cur.version+1 — cur.version+k for an insert run of k.
+//
+// On an engine with commit observers the successor also carries c, the
+// commit that produced it, linked back to cur: the compare-and-swap that
+// decides the version order also queues the commit for the notifier
+// (notifyLoop). The publication then starts the notifier unless one is
+// running — one atomic load, and a compare-and-swap when it is idle — so
+// no lock is taken, and an idle engine has no goroutine at all.
+func (e *Engine) publish(c commitLink, build func(cur, ns *snapshot)) *snapshot {
+	var ns *snapshot
+	if len(e.observers) == 0 {
+		ns = &snapshot{e: e}
+	} else {
+		ls := &linkedSnapshot{snap: snapshot{e: e}, link: c}
+		ls.snap.link = &ls.link
+		ns = &ls.snap
+	}
 	for {
 		cur := e.snap.Load()
-		ns := build(cur)
-		ns.e = e
+		build(cur, ns)
+		if ns.link != nil {
+			ns.link.prev = cur
+		}
 		if e.snap.CompareAndSwap(cur, ns) {
+			if ns.link != nil && !e.notifying.Load() && e.notifying.CompareAndSwap(false, true) {
+				go e.notifyLoop()
+			}
 			return ns
 		}
 		e.metrics.CASRetry()
@@ -384,12 +390,12 @@ func (e *Engine) publish(build func(cur *snapshot) *snapshot) *snapshot {
 
 // publishCell publishes the successor snapshot, n versions on, in which the
 // relation at directory index i holds cell.
-func (e *Engine) publishCell(i int, cell *lenient.Cell[relation.Relation], n int64) *snapshot {
-	return e.publish(func(cur *snapshot) *snapshot {
+func (e *Engine) publishCell(c commitLink, i int, cell *lenient.Cell[relation.Relation], n int64) *snapshot {
+	return e.publish(c, func(cur, ns *snapshot) {
 		cells := make([]*lenient.Cell[relation.Relation], len(cur.cells))
 		copy(cells, cur.cells)
 		cells[i] = cell
-		return &snapshot{dir: cur.dir, cells: cells, version: cur.version + n}
+		ns.dir, ns.cells, ns.version = cur.dir, cells, cur.version+n
 	})
 }
 

@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+	"weak"
 
 	"funcdb/internal/lenient"
 	"funcdb/internal/ptree"
@@ -145,5 +146,27 @@ func TestGatedCellBytesAllocGate(t *testing.T) {
 	t.Logf("bytes per find: ready cell %d, gated cell %d", ready, gated)
 	if gated > ready {
 		t.Errorf("a gated find = %d bytes, want at most the ready cell's %d", gated, ready)
+	}
+}
+
+// TestHeldCellPinsNoHistory: an unforced response cell keeps its own
+// version's snapshot reachable, and nothing older — the notifier cuts each
+// version's link to its predecessor once it has delivered it, so neither a
+// held cell nor the head pins the versions behind them.
+func TestHeldCellPinsNoHistory(t *testing.T) {
+	e := NewEngine(runDB(), WithCommitObserver(func(Commit) {}), WithCommitFlush(func() error { return nil }))
+	e.Submit(Insert("A", tup(1))).Force()
+	first := weak.Make(e.snap.Load())
+	for k := int64(2); k <= 10; k++ {
+		e.Submit(Insert("A", tup(k))).Force()
+	}
+	held := e.Submit(Insert("A", tup(11)))
+	e.Barrier()
+	runtime.GC()
+	if first.Value() != nil {
+		t.Error("the first write's snapshot is still reachable ten versions later")
+	}
+	if r := held.Force(); r.Err != nil {
+		t.Fatal(r.Err)
 	}
 }

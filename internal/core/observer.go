@@ -8,20 +8,18 @@ import (
 	"funcdb/internal/lenient"
 )
 
-// Commit describes one committed write: the transaction, its response, and
-// the database version it produced — or, for an insert run (run.go), the
-// run and the consecutive versions it produced in one publication.
-// Observers receive commits in engine sequence order, with the write's raw
-// answer, on the engine's notifier goroutine — unlike a Force in Submit, an
-// observer never delays the merge or the transactions behind it.
+// Commit describes one committed write: the transaction and the database
+// version it produced — or, for an insert run (run.go), the run and the
+// consecutive versions it produced in one publication. Observers receive
+// commits in engine sequence order on the engine's notifier goroutine —
+// unlike a Force in Submit, an observer never delays the merge or the
+// transactions behind it.
 type Commit struct {
 	// Seq is the engine's version number after this commit (the value
 	// Database.Version() reports for the resulting version): a run's last.
 	Seq int64
 	// Tx is the committed transaction; for a run, its last insert.
 	Tx Transaction
-	// Resp is the transaction's response; for a run, its last insert's.
-	Resp Response
 	// Run is the insert run the commit published, nil for a single write.
 	// A run's commit covers versions First() … Seq, version First()+i
 	// holding Run.Tuples[i] under Run.Tags[i].
@@ -37,15 +35,11 @@ type Commit struct {
 
 // First returns the first version the commit produced: Seq, unless the
 // commit is a run.
-func (c Commit) First() int64 { return firstOf(c.Seq, c.Run) }
-
-// firstOf returns the first version of a commit whose last version is last:
-// last itself, unless the commit published run.
-func firstOf(last int64, run *Run) int64 {
-	if run == nil {
-		return last
+func (c Commit) First() int64 {
+	if c.Run == nil {
+		return c.Seq
 	}
-	return last - int64(len(run.Tuples)) + 1
+	return c.Seq - int64(len(c.Run.Tuples)) + 1
 }
 
 // Version materializes the database version this commit produced (a run's
@@ -77,8 +71,8 @@ func (c Commit) VersionAt(v int64) *database.Database {
 // NewCommit assembles a Commit from explicit parts: for tests, and for
 // feeding commit consumers (an archive, a history) outside an engine —
 // e.g. bulk imports that bypass transaction processing.
-func NewCommit(seq int64, tx Transaction, resp Response, version func() *database.Database) Commit {
-	return Commit{Seq: seq, Tx: tx, Resp: resp, version: version}
+func NewCommit(seq int64, tx Transaction, version func() *database.Database) Commit {
+	return Commit{Seq: seq, Tx: tx, version: version}
 }
 
 // CommitObserver is a post-commit hook. Observers run sequentially (in
@@ -89,7 +83,9 @@ type CommitObserver func(Commit)
 
 // WithCommitObserver registers a post-commit observer on the engine. It is
 // the durability hook: the archive subsystem logs the version stream from
-// here, and Store history rides it too.
+// here, and Store history rides it too. With an observer, every published
+// snapshot links back to its predecessor until the notifier has delivered
+// it; an engine without one links nothing.
 func WithCommitObserver(fn CommitObserver) EngineOption {
 	return func(e *Engine) { e.observers = append(e.observers, fn) }
 }
@@ -112,22 +108,25 @@ type answer struct {
 	fut  *lenient.Cell[Response]
 }
 
-func (a *answer) value() Response {
-	if a.fut != nil {
-		return a.fut.Force()
-	}
-	return a.resp
-}
-
-// pendingCommit is one published write waiting for its observers: parked
-// while an earlier version has not reached the sequencer yet, then queued
-// for the notifier. run and steps are set for an insert run.
-type pendingCommit struct {
-	tx Transaction
-	answer
-	snap  *snapshot
+// commitLink is what a published snapshot carries to the notifier on an
+// engine with observers: the commit that produced it — its transaction,
+// and for an insert run the run and its steps — and prev, the snapshot it
+// replaced. The links run backward only, from the newest version to the
+// last one notified, and the notifier clears them once it has delivered
+// the commit, so a snapshot kept by an unforced response cell pins no
+// history.
+type commitLink struct {
+	prev  *snapshot
+	tx    Transaction
 	run   *Run
 	steps []insertStep
+}
+
+// linkedSnapshot allocates a snapshot and its link together, so queueing a
+// commit for the notifier costs a write no allocation of its own.
+type linkedSnapshot struct {
+	snap snapshot
+	link commitLink
 }
 
 // respond returns the response cell for a, the answer for version s. On an
@@ -189,75 +188,36 @@ func (e *Engine) awaitNotified(v int64) error {
 	return fmt.Errorf("core: version %d is not durable: %w", v, e.flushErr)
 }
 
-// notifyCommit schedules the post-commit notification for a write that was
-// just admitted, called right after the write's successor snapshot pc.snap
-// won publication. The snapshot pins the exact version this commit
-// produced — a capture of cell pointers, O(relations) regardless of size —
-// even if later transactions are published behind it before the
-// notification runs.
+// notifyLoop is the notifier. It walks the chain of published snapshots
+// back from the head to the last version it notified, runs the observers
+// over the commits it found, oldest first, then the flush, and only then
+// clears what it delivered — cutting each link — and marks the batch
+// notified (and durable). Commits published meanwhile form the next batch.
+// Observers therefore see the one total version order the publications'
+// compare-and-swaps decided, no matter how many lanes produced it — the
+// archive's group commit and the store's history depend on that.
 //
-// Lane commits are re-serialized here: lanes publish versions in CAS
-// order, but the goroutines racing through this function may arrive out of
-// order. Versions are dense (publish hands out cur.version+1 on every
-// successful CAS, cur.version+k for a run of k), so the sequencer queues a
-// commit whose first version is v only once versions up to v-1 have been
-// queued. Observers therefore see the one total version
-// order no matter how many lanes produced it — the archive's group commit
-// and the store's history depend on that.
-//
-// The queue is drained by at most one notifier goroutine, started here when
-// the queue goes non-empty with none running. Enqueueing and the notifier's
-// decision to exit happen under seqMu, so a commit is never left queued
-// with nobody to deliver it, and an idle engine has no goroutine at all.
-func (e *Engine) notifyCommit(pc pendingCommit) {
-	if len(e.observers) == 0 {
-		return
-	}
-	e.seqMu.Lock()
-	defer e.seqMu.Unlock()
-	if first := firstOf(pc.snap.version, pc.run); first != e.seqNext {
-		if e.parked == nil {
-			e.parked = make(map[int64]pendingCommit)
-		}
-		e.parked[first] = pc
-		return
-	}
-	e.queue = append(e.queue, pc)
-	e.seqNext = pc.snap.version + 1
-	for {
-		next, ok := e.parked[e.seqNext]
-		if !ok {
-			break
-		}
-		delete(e.parked, e.seqNext)
-		e.queue = append(e.queue, next)
-		e.seqNext = next.snap.version + 1
-	}
-	if !e.notifying {
-		e.notifying = true
-		go e.notifyLoop()
-	}
-}
-
-// maxSpareCommits bounds the drained batch the notifier keeps for reuse, so
-// a burst queued behind a stalled observer does not pin its buffer forever.
-const maxSpareCommits = 1024
-
-// notifyLoop is the notifier: it takes the whole queue, runs the observers
-// over it in order outside the lock — taking each commit's raw answer
-// first, which is where it waits for a spawned body — then the flush, and
-// only then marks the batch notified (and durable). It exits when it finds
-// the queue empty.
+// It exits when it finds the head notified. A publisher that found the
+// flag still set left its version to this notifier, so after clearing the
+// flag the notifier looks at the head once more and carries on unless
+// another notifier has started.
 func (e *Engine) notifyLoop() {
-	e.seqMu.Lock()
-	for len(e.queue) > 0 {
-		batch := e.queue
-		e.queue, e.spare = e.spare[:0], nil
-		e.seqMu.Unlock()
-
-		for i := range batch {
-			pc := &batch[i]
-			c := Commit{Seq: pc.snap.version, Tx: pc.tx, Resp: pc.value(), Run: pc.run, snap: pc.snap, steps: pc.steps}
+	var buf [64]*snapshot // a batch of up to 64 commits costs no allocation
+	batch := buf[:0]
+	for {
+		last, head := e.notified.Load(), e.snap.Load()
+		if head.version == last {
+			e.notifying.Store(false)
+			if e.snap.Load().version == last || !e.notifying.CompareAndSwap(false, true) {
+				return
+			}
+			continue
+		}
+		for s := head; s.version > last; s = s.link.prev {
+			batch = append(batch, s)
+		}
+		for _, s := range slices.Backward(batch) {
+			c := Commit{Seq: s.version, Tx: s.link.tx, Run: s.link.run, snap: s, steps: s.link.steps}
 			for _, ob := range e.observers {
 				ob(c)
 			}
@@ -266,22 +226,21 @@ func (e *Engine) notifyLoop() {
 		if e.flush != nil {
 			err = e.flush()
 		}
-		last := batch[len(batch)-1].snap.version
-		clear(batch) // drop the versions and tuples the batch pinned
+		for _, s := range batch {
+			*s.link = commitLink{} // drop the history, tuples and steps it pinned
+		}
+		clear(batch)
+		batch = batch[:0]
 
 		e.seqMu.Lock()
-		if cap(batch) <= maxSpareCommits {
-			e.spare = batch
-		}
 		if err != nil && e.flushErr == nil {
 			e.flushErr = err
 		}
-		e.notified.Store(last)
+		e.notified.Store(head.version)
 		if e.flushErr == nil {
-			e.durable.Store(last)
+			e.durable.Store(head.version)
 		}
 		e.caughtUp.Broadcast()
+		e.seqMu.Unlock()
 	}
-	e.notifying = false
-	e.seqMu.Unlock()
 }

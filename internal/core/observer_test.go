@@ -8,7 +8,11 @@ import (
 	"time"
 
 	"funcdb/internal/database"
+	"funcdb/internal/eval"
+	"funcdb/internal/lenient"
+	"funcdb/internal/ptree"
 	"funcdb/internal/relation"
+	"funcdb/internal/trace"
 	"funcdb/internal/value"
 )
 
@@ -119,7 +123,7 @@ func TestWaitNotifiedAcrossWaiters(t *testing.T) {
 
 // TestObserverReserializesLaneCommits is TestObserverSeesCommitsInOrder
 // with the merge point sharded: writers commit concurrently on distinct
-// lanes, publication order is decided by CAS races, and the sequencer must
+// lanes, publication order is decided by CAS races, and the notifier must
 // still hand observers one dense, gap-free total version order. This is
 // the property the archive's group commit and the store's history rely on.
 func TestObserverReserializesLaneCommits(t *testing.T) {
@@ -195,8 +199,9 @@ func TestObserverVersionIsExact(t *testing.T) {
 	}
 }
 
-// TestObserverCoversAllWriteKinds checks create, delete (including a
-// miss), and custom writes all notify with correct responses.
+// TestObserverCoversAllWriteKinds checks create, insert and delete
+// (including a miss) all notify, each with its transaction and the version
+// it produced.
 func TestObserverCoversAllWriteKinds(t *testing.T) {
 	var commits []Commit
 	var mu sync.Mutex
@@ -208,7 +213,7 @@ func TestObserverCoversAllWriteKinds(t *testing.T) {
 		}))
 	e.Submit(Create("S", relation.RepAVL))
 	e.Submit(Insert("R", value.NewTuple(value.Int(1))))
-	e.Submit(Delete("R", value.Int(99))) // miss: still a commit
+	miss := e.Submit(Delete("R", value.Int(99))) // miss: still a commit
 	e.Barrier()
 
 	if len(commits) != 3 {
@@ -217,8 +222,8 @@ func TestObserverCoversAllWriteKinds(t *testing.T) {
 	if commits[0].Tx.Kind != KindCreate || commits[1].Tx.Kind != KindInsert || commits[2].Tx.Kind != KindDelete {
 		t.Fatalf("kinds: %v %v %v", commits[0].Tx.Kind, commits[1].Tx.Kind, commits[2].Tx.Kind)
 	}
-	if commits[2].Resp.Found {
-		t.Error("delete miss reported Found")
+	if miss.Force().Found || commits[2].Tx.Key != value.Int(99) {
+		t.Errorf("delete miss: Found %v, commit of key %v", miss.Force().Found, commits[2].Tx.Key)
 	}
 	if v := commits[2].Version(); v.Version() != 3 || v.TotalTuples() != 1 {
 		t.Errorf("post-miss version %d with %d tuples", v.Version(), v.TotalTuples())
@@ -267,5 +272,124 @@ func TestNoObserverNoOverhead(t *testing.T) {
 	e.Barrier()
 	if !notifierIdle(e) {
 		t.Error("notification state grew without observers")
+	}
+}
+
+// pairInsert is a custom write of tuple k into two relations.
+func pairInsert(a, b string, k int64) Transaction {
+	return Custom(func(ctx *eval.Ctx, db *database.Database, after trace.TaskID) (Response, *database.Database, trace.Op) {
+		next, _, err := db.Insert(ctx, a, tup(k, "pair"), after)
+		if err == nil {
+			next, _, err = next.Insert(ctx, b, tup(k, "pair"), after)
+		}
+		if err != nil {
+			return Response{Err: err}, db, trace.Op{}
+		}
+		return Response{}, next, trace.Op{}
+	}, []string{a, b}, []string{a, b})
+}
+
+// TestObserverChainUnderLaneRaces: on eight lanes, writers race creates,
+// deletes, single inserts, insert runs and customs writing two relations on
+// distinct lanes. The observers see every version once, dense and
+// ascending; each commit covers exactly the versions of the write — or the
+// run — it carries, under the tags it was submitted with; and every version
+// a commit answers for, VersionAt inside a run included, holds what the
+// sequential replay of the commit order holds.
+func TestObserverChainUnderLaneRaces(t *testing.T) {
+	const lanes, workers, rounds = 8, 8, 6
+	names := namesOnDistinctLanes(t, workers, lanes)
+	initial := database.New(relation.RepPaged, names...)
+	var commits []Commit // appended by the notifier alone, read after Barrier
+	e := NewEngine(initial, WithLanes(lanes), WithCommitObserver(func(c Commit) { commits = append(commits, c) }))
+
+	origins := make([]string, workers)
+	submitted := make([]map[int]Transaction, workers) // per worker: tag seq → write
+	var wg sync.WaitGroup
+	for w := range workers {
+		origins[w], submitted[w] = fmt.Sprint("w", w), map[int]Transaction{}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			mine, next := names[w], names[(w+1)%workers]
+			tag := func(tx Transaction) Transaction {
+				tx.Origin, tx.Seq = origins[w], len(submitted[w])
+				submitted[w][tx.Seq] = tx
+				return tx
+			}
+			for r := range rounds {
+				key := int64(w*1000 + r*100)
+				run := make([]Transaction, ptree.DefaultPageCap+r)
+				for i := range run {
+					run[i] = tag(Insert(mine, tup(key+int64(i), "run")))
+				}
+				e.SubmitBatch(run, make([]*lenient.Cell[Response], len(run)))
+				e.Submit(tag(Insert(mine, tup(key+99, "one"))))
+				e.Submit(tag(Delete(mine, value.Int(key+int64(r))))) // a hit
+				e.Submit(tag(Delete(mine, value.Int(-key-1))))       // a miss
+				e.Submit(tag(Create(fmt.Sprintf("%s.%d", origins[w], r), relation.RepPaged)))
+				e.Submit(tag(pairInsert(mine, next, key+50)))
+			}
+		}()
+	}
+	wg.Wait()
+	e.Barrier()
+
+	byOrigin := map[string]map[int]Transaction{}
+	for w, o := range origins {
+		byOrigin[o] = submitted[w]
+	}
+	next, runs := initial.Version()+1, 0
+	var order []Transaction // the commits' writes in version order
+	for n, c := range commits {
+		if c.First() != next {
+			t.Fatalf("commit %d covers versions %d..%d after version %d", n, c.First(), c.Seq, next-1)
+		}
+		next = c.Seq + 1
+		txs := []Transaction{c.Tx}
+		if c.Run != nil {
+			runs++
+			txs = txs[:0]
+			for i := range c.Run.Tuples {
+				txs = append(txs, c.Run.Txn(i))
+			}
+			if last := txs[len(txs)-1]; last.Tag() != c.Tx.Tag() {
+				t.Fatalf("run commit %d carries %s, its last insert is %s", n, c.Tx.Tag(), last.Tag())
+			}
+		}
+		for _, tx := range txs {
+			want, ok := byOrigin[tx.Origin][tx.Seq]
+			if !ok {
+				t.Fatalf("commit %d carries %s, not submitted or delivered twice", n, tx.Tag())
+			}
+			delete(byOrigin[tx.Origin], tx.Seq)
+			if tx.Kind != want.Kind || tx.Rel != want.Rel || !tx.Tuple.Equal(want.Tuple) || tx.Key != want.Key {
+				t.Fatalf("commit %d carries %v %s %v under %s, submitted as %v %s %v", n, tx.Kind, tx.Rel, tx.Tuple, tx.Tag(), want.Kind, want.Rel, want.Tuple)
+			}
+			order = append(order, want) // the submitted custom carries its body
+		}
+	}
+	if next-1 != e.Version() {
+		t.Fatalf("observed versions through %d, the engine published %d", next-1, e.Version())
+	}
+	for o, left := range byOrigin {
+		if len(left) > 0 {
+			t.Fatalf("%d writes of %s never observed", len(left), o)
+		}
+	}
+	if runs == 0 {
+		t.Fatal("no insert run was admitted")
+	}
+
+	db, i := initial, 0
+	for n, c := range commits {
+		for v := c.First(); v <= c.Seq; v++ {
+			_, db = ApplySequential(db, order[i:i+1])
+			i++
+			if got := c.VersionAt(v); !got.Equal(db) || got.Version() != v {
+				t.Fatalf("version %d of commit %d holds %d tuples at version %d, the sequential replay %d",
+					v, n, got.TotalTuples(), got.Version(), db.TotalTuples())
+			}
+		}
 	}
 }

@@ -19,6 +19,11 @@ type snapshot struct {
 	cells   []*lenient.Cell[relation.Relation] // parallel to dir.Names()
 	version int64
 	e       *Engine // the publisher, whose flush gates the responses of this version
+
+	// link is set on an engine with commit observers (observer.go): the
+	// commit that published this version, for the notifier. Nil on the
+	// initial version and on an engine without observers.
+	link *commitLink
 }
 
 // cell resolves a relation's cell by name.

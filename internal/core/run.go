@@ -109,9 +109,9 @@ func (e *Engine) admitInsertRun(txs []Transaction, out []*lenient.Cell[Response]
 // published in one compare-and-swap; admitRun returns that version's
 // snapshot. With observers, each version before the last becomes a suspended
 // insert on its predecessor, one slab for the whole run, and the run is
-// notified as one commit, its response the run's last insert's; without
-// any, nothing can ever ask for those versions, so none is made. The caller
-// must hold the relation's lane lock.
+// published as one commit, carrying those steps, its transaction the run's
+// last insert; without any, nothing can ever ask for those versions, so
+// none is made. The caller must hold the relation's lane lock.
 func (e *Engine) admitRun(p Plan, rel relation.Relation, run *Run) *snapshot {
 	k := len(run.Tuples)
 	var final relation.Relation
@@ -120,21 +120,17 @@ func (e *Engine) admitRun(p Plan, rel relation.Relation, run *Run) *snapshot {
 	} else {
 		final = relation.UpsertRun(e.ctx(), rel, run.Tuples)
 	}
+	c := commitLink{run: run}
+	if len(e.observers) > 0 {
+		c.tx, c.steps = run.Txn(k-1), make([]insertStep, k-1)
+		prev := p.in
+		for j := range c.steps {
+			c.steps[j] = insertStep{prev: prev, tu: run.Tuples[j], ctx: e.ctx()}
+			prev = c.steps[j].cell.Suspend(&c.steps[j])
+		}
+	}
 	i, _ := p.snap.dir.Index(run.Rel)
-	ns := e.publishCell(i, lenient.Ready(final), int64(k))
-	if len(e.observers) == 0 {
-		return ns
-	}
-	steps := make([]insertStep, k-1)
-	prev := p.in
-	for j := range steps {
-		steps[j] = insertStep{prev: prev, tu: run.Tuples[j], ctx: e.ctx()}
-		prev = steps[j].cell.Suspend(&steps[j])
-	}
-	tx := run.Txn(k - 1)
-	resp := Response{Origin: tx.Origin, Seq: tx.Seq, Kind: KindInsert, Tuple: tx.Tuple}
-	e.notifyCommit(pendingCommit{tx: tx, answer: answer{resp: resp}, snap: ns, run: run, steps: steps})
-	return ns
+	return e.publishCell(c, i, lenient.Ready(final), int64(k))
 }
 
 // insertStep is one version inside an insert run: its predecessor's

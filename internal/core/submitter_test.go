@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -34,12 +35,23 @@ func stall(rel string, release <-chan struct{}) Transaction {
 	}, []string{rel}, []string{rel})
 }
 
-// notifierIdle reports whether the engine holds no commit awaiting its
-// observers and runs no notifier goroutine.
+// notifierIdle reports whether the engine runs no notifier goroutine and
+// holds no commit for one: every published version has been notified (an
+// engine without observers notifies none), and the head snapshot links to
+// no delivered predecessor and carries no delivered commit. A notifier
+// that has just marked its last batch notified exits a moment later, so
+// notifierIdle gives it a second to do so.
 func notifierIdle(e *Engine) bool {
-	e.seqMu.Lock()
-	defer e.seqMu.Unlock()
-	return !e.notifying && len(e.queue) == 0 && len(e.parked) == 0
+	for deadline := time.Now().Add(time.Second); e.notifying.Load(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			return false
+		}
+	}
+	notified, head := e.notified.Load(), e.snap.Load()
+	if len(e.observers) == 0 {
+		return head.link == nil
+	}
+	return notified == head.version && (head.link == nil || reflect.ValueOf(*head.link).IsZero())
 }
 
 // TestSubmitInsertAllocGate: an untraced write whose input is resolved pays
@@ -51,7 +63,7 @@ func TestSubmitInsertAllocGate(t *testing.T) {
 	e := avlEngine(2000, WithStats(stats), WithCommitObserver(func(Commit) {}))
 	tx := Insert("R", value.NewTuple(value.Int(0), value.Str("w")))
 	key := int64(0)
-	e.Submit(tx).Force() // warm the notifier's queue buffers
+	e.Submit(tx).Force() // warm up
 	e.Barrier()
 	const runs = 500
 	before := stats.Created.Load()
@@ -112,7 +124,7 @@ func TestResolvedReadsRunInline(t *testing.T) {
 // TestObserverOrderInlineAndSpawned interleaves the two evaluation paths:
 // writers hammer eight relations while one of them is periodically stalled
 // behind a blocked custom, so commits evaluated on their submitter and
-// commits evaluated by spawned futures reach the sequencer mixed together.
+// commits evaluated by spawned futures reach the notifier mixed together.
 // The one notifier must still deliver every version exactly once, dense
 // and ascending.
 func TestObserverOrderInlineAndSpawned(t *testing.T) {

@@ -252,7 +252,7 @@ func translate(src string, prep *Prepared) (core.Transaction, error) {
 		if err != nil {
 			return core.Transaction{}, err
 		}
-		rep := relation.RepList
+		rep := relation.DefaultRep
 		if p.peek().kind == tokWord && p.peek().text == "using" {
 			p.next()
 			rep, err = p.rep()

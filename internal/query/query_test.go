@@ -63,8 +63,13 @@ func TestTranslateValidQueries(t *testing.T) {
 			}
 		}},
 		{"create T", core.KindCreate, "T", func(t *testing.T, tx core.Transaction) {
+			if tx.Rep != relation.DefaultRep {
+				t.Errorf("default rep = %v, want %v", tx.Rep, relation.DefaultRep)
+			}
+		}},
+		{"create T using list", core.KindCreate, "T", func(t *testing.T, tx core.Transaction) {
 			if tx.Rep != relation.RepList {
-				t.Errorf("default rep = %v", tx.Rep)
+				t.Errorf("rep = %v", tx.Rep)
 			}
 		}},
 		{"create T using avl", core.KindCreate, "T", func(t *testing.T, tx core.Transaction) {

@@ -37,6 +37,13 @@ const (
 	RepPaged
 )
 
+// DefaultRep is the representation a relation gets when none is named: a
+// store opened without a representation, "create R" without "using", and
+// every relation of a cluster node. A paged write copies one path of
+// page-wide nodes (Section 3.3), where a list write copies the list's
+// prefix, O(n).
+const DefaultRep = RepPaged
+
 // String returns the representation name.
 func (r Rep) String() string {
 	switch r {
