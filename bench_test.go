@@ -441,59 +441,48 @@ func BenchmarkRecovery(b *testing.B) {
 }
 
 // BenchmarkReadFastPath measures read-only throughput while writers are
-// continuously committing: the lock-free snapshot fast path against the
-// serialized (mutex) read path on the same engine and workload. This is
-// the acceptance number for the admission pipeline — reads must not queue
-// behind the merge.
+// continuously committing: a read loads the published snapshot and takes
+// no lock, so it must not queue behind the merge.
 func BenchmarkReadFastPath(b *testing.B) {
-	modes := []struct {
-		name string
-		opts []core.EngineOption
-	}{
-		{"fastpath", nil},
-		{"mutex", []core.EngineOption{core.WithSerializedReads()}},
-	}
-	for _, mode := range modes {
-		b.Run(mode.name, func(b *testing.B) {
-			names := []string{"R", "W"}
-			data := map[string][]value.Tuple{"W": nil}
-			var tuples []value.Tuple
-			for i := 0; i < 1024; i++ {
-				tuples = append(tuples, value.NewTuple(value.Int(int64(i)), value.Str("v")))
-			}
-			data["R"] = tuples
-			eng := core.NewEngine(database.FromData(relation.RepAVL, names, data), mode.opts...)
+	b.Run("fastpath", func(b *testing.B) {
+		names := []string{"R", "W"}
+		data := map[string][]value.Tuple{"W": nil}
+		var tuples []value.Tuple
+		for i := 0; i < 1024; i++ {
+			tuples = append(tuples, value.NewTuple(value.Int(int64(i)), value.Str("v")))
+		}
+		data["R"] = tuples
+		eng := core.NewEngine(database.FromData(relation.RepAVL, names, data))
 
-			stop := make(chan struct{})
-			var wwg sync.WaitGroup
-			for w := 0; w < 4; w++ {
-				wwg.Add(1)
-				go func(w int) {
-					defer wwg.Done()
-					for i := 0; ; i++ {
-						select {
-						case <-stop:
-							return
-						default:
-						}
-						eng.Submit(core.Insert("W", value.NewTuple(value.Int(int64(w*1_000_000+i%4096)), value.Str("x"))))
+		stop := make(chan struct{})
+		var wwg sync.WaitGroup
+		for w := 0; w < 4; w++ {
+			wwg.Add(1)
+			go func(w int) {
+				defer wwg.Done()
+				for i := 0; ; i++ {
+					select {
+					case <-stop:
+						return
+					default:
 					}
-				}(w)
-			}
-			var key atomic.Int64
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				for pb.Next() {
-					k := key.Add(1) % 1024
-					eng.Submit(core.Find("R", value.Int(k))).Force()
+					eng.Submit(core.Insert("W", value.NewTuple(value.Int(int64(w*1_000_000+i%4096)), value.Str("x"))))
 				}
-			})
-			b.StopTimer()
-			close(stop)
-			wwg.Wait()
-			eng.Barrier()
+			}(w)
+		}
+		var key atomic.Int64
+		b.ResetTimer()
+		b.RunParallel(func(pb *testing.PB) {
+			for pb.Next() {
+				k := key.Add(1) % 1024
+				eng.Submit(core.Find("R", value.Int(k))).Force()
+			}
 		})
-	}
+		b.StopTimer()
+		close(stop)
+		wwg.Wait()
+		eng.Barrier()
+	})
 }
 
 // BenchmarkSubmitBatch measures merge arbitration under contention: each

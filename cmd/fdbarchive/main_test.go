@@ -7,6 +7,10 @@ import (
 	"testing"
 
 	"funcdb"
+	"funcdb/internal/core"
+	"funcdb/internal/database"
+	"funcdb/internal/eval"
+	"funcdb/internal/trace"
 )
 
 // buildArchive writes a small durable store and returns its directory.
@@ -68,6 +72,45 @@ func TestVersionsCommand(t *testing.T) {
 	// Snapshotted versions carry the * marker.
 	if !strings.Contains(out, "* version 6") {
 		t.Fatalf("versions output misses snapshot marker:\n%s", out)
+	}
+}
+
+// TestVersionsCommandRendersCustomEffect: a custom commit is listed from
+// its log record's structure — each relation it changed, with the tuples
+// it inserted or replaced and the keys it deleted — and is no snapshot.
+func TestVersionsCommandRendersCustomEffect(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "data")
+	store, err := funcdb.Open(funcdb.WithDurability(dir), funcdb.WithRelations("R", "S"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i <= 3; i++ {
+		if _, err := store.Exec(fmt.Sprintf("insert (%d, %d) into R", i, i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Replace 1, add 4, delete 2; S is declared but left as it was.
+	body := func(ctx *eval.Ctx, db *database.Database, after trace.TaskID) (core.Response, *database.Database, trace.Op) {
+		db, _, _ = db.Insert(ctx, "R", funcdb.NewTuple(funcdb.Int(1), funcdb.Int(100)), after)
+		db, _, _ = db.Insert(ctx, "R", funcdb.NewTuple(funcdb.Int(4), funcdb.Int(4)), after)
+		db, _, _, _ = db.Delete(ctx, "R", funcdb.Int(2), after)
+		return core.Response{}, db, trace.Op{}
+	}
+	if resp := store.Submit(core.Custom(body, []string{"R"}, []string{"R", "S"})).Force(); resp.Err != nil {
+		t.Fatal(resp.Err)
+	}
+	if err := store.Close(); err != nil {
+		t.Fatal(err)
+	}
+	out, err := runCmd(t, "versions", dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(out, "  version 4: custom   custom R +2 -1\n") {
+		t.Fatalf("versions output does not render the custom commit's effect:\n%s", out)
+	}
+	if strings.Count(out, "*") != 1 {
+		t.Fatalf("versions output marks a snapshot besides version 0:\n%s", out)
 	}
 }
 

@@ -16,7 +16,9 @@ import (
 	"funcdb/client"
 	"funcdb/internal/archive"
 	"funcdb/internal/core"
+	"funcdb/internal/eval"
 	"funcdb/internal/server"
+	"funcdb/internal/trace"
 )
 
 func TestDurableRoundTrip(t *testing.T) {
@@ -178,6 +180,89 @@ func TestDurableCustomAndSnapshotForce(t *testing.T) {
 	defer again.Close()
 	if !again.Current().Equal(want) {
 		t.Fatal("snapshot-forced state lost")
+	}
+}
+
+// transfer is examples/banking's custom transaction: read two balances,
+// write two, against one database version; declined without funds.
+func transfer(from, to, amount int64) funcdb.Transaction {
+	return core.Custom(func(ctx *eval.Ctx, db *funcdb.Database, after trace.TaskID) (core.Response, *funcdb.Database, trace.Op) {
+		src, okS, _, err := db.Find(ctx, "accounts", funcdb.Int(from), after)
+		if err != nil || !okS {
+			return core.Response{Err: fmt.Errorf("missing account %d", from)}, db, trace.Op{}
+		}
+		dst, okD, _, err := db.Find(ctx, "accounts", funcdb.Int(to), after)
+		if err != nil || !okD {
+			return core.Response{Err: fmt.Errorf("missing account %d", to)}, db, trace.Op{}
+		}
+		if src.Field(1).AsInt() < amount {
+			return core.Response{Note: "declined"}, db, trace.Op{}
+		}
+		db, _, _ = db.Insert(ctx, "accounts", funcdb.NewTuple(funcdb.Int(from), funcdb.Int(src.Field(1).AsInt()-amount)), after)
+		db, op, _ := db.Insert(ctx, "accounts", funcdb.NewTuple(funcdb.Int(to), funcdb.Int(dst.Field(1).AsInt()+amount)), after)
+		return core.Response{Note: "ok"}, db, op
+	}, []string{"accounts"}, []string{"accounts"})
+}
+
+// TestDurableTransfersWriteNoSnapshots: a durable store with no
+// SnapshotEvery commits 150 custom transfers, from three tellers at once.
+// Each is one log record of its effect, so the directory still holds only
+// the initial snapshot, and recovery returns the same balances.
+func TestDurableTransfersWriteNoSnapshots(t *testing.T) {
+	dir := t.TempDir()
+	opts := []funcdb.Option{funcdb.WithDurability(dir)}
+	for i := int64(0); i < 8; i++ {
+		opts = append(opts, funcdb.WithData("accounts", funcdb.NewTuple(funcdb.Int(i), funcdb.Int(100))))
+	}
+	store, err := funcdb.Open(opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 3)
+	for tlr := int64(0); tlr < 3; tlr++ {
+		go func() {
+			for i := int64(0); i < 50; i++ {
+				tx := transfer((tlr+i)%8, (tlr*3+i*5+1)%8, 1+i%40)
+				tx.Origin = fmt.Sprintf("teller%d", tlr)
+				if resp := store.Submit(tx).Force(); resp.Err != nil {
+					done <- resp.Err
+					return
+				}
+			}
+			done <- nil
+		}()
+	}
+	for range 3 {
+		if err := <-done; err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := store.Current()
+	if want.Version() != 150 {
+		t.Fatalf("store at version %d after 150 transfers", want.Version())
+	}
+	if err := store.Close(); err != nil {
+		t.Fatal(err)
+	}
+	snaps, _ := filepath.Glob(filepath.Join(dir, "snap-*"))
+	if len(snaps) != 1 || filepath.Base(snaps[0]) != "snap-0000000000000000.fdba" {
+		t.Fatalf("snapshot files %v, want only snap-0", snaps)
+	}
+	got, err := archive.Recover(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotRel, _ := got.RelationFast("accounts")
+	wantRel, _ := want.RelationFast("accounts")
+	if got.Version() != 150 || fmt.Sprint(gotRel.Tuples()) != fmt.Sprint(wantRel.Tuples()) {
+		t.Fatalf("recovered version %d with balances %v, want 150 with %v", got.Version(), gotRel.Tuples(), wantRel.Tuples())
+	}
+	total := int64(0)
+	for _, tu := range gotRel.Tuples() {
+		total += tu.Field(1).AsInt()
+	}
+	if total != 800 {
+		t.Fatalf("recovered balances total %d, want 800", total)
 	}
 }
 

@@ -240,6 +240,9 @@ func WithTracing(cfg TracingConfig) Option {
 
 // SnapshotEvery snapshots the full version every n logged writes, bounding
 // recovery replay time (and enabling compaction past old segments).
+// Without it a store's archive holds the one snapshot it was created with
+// (and those Snapshot takes): every commit, a custom transaction's too, is
+// a log record.
 func SnapshotEvery(n int) DurabilityOption { return archive.SnapshotEvery(n) }
 
 // SyncEveryWrite fsyncs every log flush before the writes it carries are

@@ -50,8 +50,7 @@ type Option func(*config)
 // once n versions have been logged since the last one (a run counts each
 // of its versions; the snapshot is taken at the end of the commit that
 // reaches n). Snapshots bound recovery replay time and are the granularity
-// of Compact; n <= 0 (the default) snapshots only when forced (custom
-// transactions, whose bodies have no wire form).
+// of Compact; n <= 0 (the default) snapshots only when Snapshot is called.
 func SnapshotEvery(n int) Option {
 	return func(c *config) { c.snapshotEvery = n }
 }
@@ -210,12 +209,12 @@ func Open(dir string, opts ...Option) (*Archive, *database.Database, error) {
 	return a, rec.db, nil
 }
 
-// Append records one committed write, or one insert run. Encodable commits
-// become log records — a run one record, or one per stretch of it under one
-// origin's consecutive sequence numbers — framed into the buffer the next
-// Flush writes; custom transactions (no record form) force a full snapshot
-// of the version they produced. It is the body of the core.CommitObserver
-// hook.
+// Append records one committed write, one insert run, or one custom commit
+// as log records — a run one record, or one per stretch of it under one
+// origin's consecutive sequence numbers; a custom commit one record of its
+// effect — framed into the buffer the next Flush writes. It is the body of
+// the core.CommitObserver hook, and a custom commit's effect is diffed from
+// the version before it there, while the notifier still links to it.
 func (a *Archive) Append(c core.Commit) error {
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -235,14 +234,6 @@ func (a *Archive) append(c core.Commit) error {
 		// Closed: refuse rather than buffer into a dead batch.
 		return fmt.Errorf("archive: append after Close (seq %d)", c.Seq)
 	}
-	if !encodable(c.Tx) {
-		// A snapshot rotates the log; the pending batch must land in the
-		// old segment first.
-		if err := a.flushLocked(); err != nil {
-			return err
-		}
-		return a.writeSnapshot(c.Version())
-	}
 	// The records are framed straight into the batch buffer, and stay
 	// there until the flush that writes them. With a log-tail subscriber,
 	// each is also indexed, with the trace context of the commit that
@@ -253,10 +244,12 @@ func (a *Archive) append(c core.Commit) error {
 	versions := int(c.Seq - c.First() + 1)
 	var one [1]value.Tuple
 	for i := 0; i < versions; {
-		r, n := commitRecord(&c, i, &one)
+		r, n, err := commitRecord(&c, i, &one)
 		var payload []byte
-		var err error
-		if buf, payload, err = appendRunFrame(buf, r); err != nil {
+		if err == nil {
+			buf, payload, err = appendRunFrame(buf, r)
+		}
+		if err != nil {
 			a.buf, a.recs = buf[:start], a.recs[:nrecs]
 			return err
 		}
@@ -395,9 +388,8 @@ type TailFunc func(first, last int64, ctx reqtrace.Ctx, form byte, payload []byt
 // payload, cut into pieces of at most snapshotPiece bytes: FormSnapshotPart
 // records, then a FormSnapshot one — and then the log after the base;
 // without a readable snapshot there the subscription fails with
-// ErrLogTrimmed. Custom transactions have no record form — they force
-// snapshots instead — so they never appear in the stream; a subscriber
-// tracking contiguous versions detects the gap and must resynchronize.
+// ErrLogTrimmed. Every commit is a log record — a custom one as its
+// effect — so the stream covers every version after after, without a gap.
 // Replayed records are handed out as the bytes the files hold, legacy ones
 // included, checked for form and versions but not decoded — except a run
 // that after falls inside, whose remaining versions are re-encoded as a

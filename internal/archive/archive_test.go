@@ -142,27 +142,36 @@ func TestSnapshotRotationAndVersionAt(t *testing.T) {
 	}
 }
 
-func TestCustomCommitForcesSnapshot(t *testing.T) {
-	dir := t.TempDir()
-	e, a := newEngineWithArchive(t, dir, initialDB("R"))
-	e.Submit(core.Insert("R", value.NewTuple(value.Int(1), value.Int(10))))
-	// A custom transaction has no wire form: the archive must snapshot the
-	// version it produces.
-	double := func(ctx *eval.Ctx, db *database.Database, after trace.TaskID) (core.Response, *database.Database, trace.Op) {
-		rel, _, err := db.Relation(ctx, "R", after)
-		if err != nil {
-			return core.Response{Err: err}, db, trace.Op{}
-		}
-		next := db
-		for _, tu := range rel.Tuples() {
-			doubled := tu.WithField(1, value.Int(2*tu.Field(1).AsInt()))
-			next, _, _ = next.Insert(ctx, "R", doubled, after)
-		}
-		return core.Response{}, next, trace.Op{}
+// doubleAndDrop is a custom transaction body: it doubles the second field
+// of every tuple in R and deletes key 2 — a commit with upserts and a
+// delete, which no built-in write makes in one version.
+func doubleAndDrop(ctx *eval.Ctx, db *database.Database, after trace.TaskID) (core.Response, *database.Database, trace.Op) {
+	rel, _, err := db.Relation(ctx, "R", after)
+	if err != nil {
+		return core.Response{Err: err}, db, trace.Op{}
 	}
-	e.Submit(core.Custom(double, []string{"R"}, []string{"R"}))
+	next := db
+	for _, tu := range rel.Tuples() {
+		doubled := tu.WithField(1, value.Int(2*tu.Field(1).AsInt()))
+		next, _, _ = next.Insert(ctx, "R", doubled, after)
+	}
+	next, _, _, _ = next.Delete(ctx, "R", value.Int(2), after)
+	return core.Response{}, next, trace.Op{}
+}
+
+// TestCustomCommitIsOneLogRecord: a custom commit is logged as its effect,
+// one record of one version, and forces no snapshot: the directory keeps
+// only the initial snapshot, the log lists the commit from its structure,
+// and recovery and every version replay it.
+func TestCustomCommitIsOneLogRecord(t *testing.T) {
+	dir := t.TempDir()
+	e, a := newEngineWithArchive(t, dir, initialDB("R", "S"))
+	e.Submit(core.Insert("R", value.NewTuple(value.Int(1), value.Int(10))))
 	e.Submit(core.Insert("R", value.NewTuple(value.Int(2), value.Int(5))))
+	e.Submit(core.Custom(doubleAndDrop, []string{"R"}, []string{"R", "S"}))
+	e.Submit(core.Insert("R", value.NewTuple(value.Int(3), value.Int(5))))
 	e.Barrier()
+	want := e.Current()
 	if err := a.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -171,19 +180,45 @@ func TestCustomCommitForcesSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(st.snaps) != 2 || st.snaps[1] != 2 {
-		t.Fatalf("snapshots at %v, want [0 2]", st.snaps)
+	if fmt.Sprint(st.snaps, st.logs) != "[0] [0]" {
+		t.Fatalf("snapshots %v and segments %v, want only the initial pair", st.snaps, st.logs)
+	}
+	var recs []Record
+	if _, err := scanLog(dir, 0, func(_, _ int64, form byte, payload []byte) error {
+		r, err := DecodeRecord(form, payload)
+		recs = append(recs, r)
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != 4 || recs[2].Kind != core.KindCustom || recs[2].First != 3 || recs[2].Count() != 1 {
+		t.Fatalf("log holds %+v", recs)
+	}
+	wantEffect := []Effect{{Rel: "R", Upserts: []value.Tuple{value.NewTuple(value.Int(1), value.Int(20))}, Deletes: []value.Item{value.Int(2)}}}
+	if !sameRecord(recs[2], Record{First: 3, Kind: core.KindCustom, Effects: wantEffect}) {
+		t.Fatalf("custom commit logged as %+v, want the effect %+v", recs[2], wantEffect)
 	}
 	got, err := Recover(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tu, found, _ := mustRel(t, got, "R").Find(nil, value.Int(1), trace.None)
-	if !found || tu.Field(1).AsInt() != 20 {
-		t.Fatalf("custom effect lost: %v (found %v)", tu, found)
+	if !got.Equal(want) || got.Version() != 4 {
+		t.Fatalf("recovered version %d with %d tuples, want version 4 with %d", got.Version(), got.TotalTuples(), want.TotalTuples())
 	}
-	if got.Version() != 3 || got.TotalTuples() != 2 {
-		t.Fatalf("version %d, %d tuples", got.Version(), got.TotalTuples())
+	atCustom, err := VersionAt(dir, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tu, found, _ := mustRel(t, atCustom, "R").Find(nil, value.Int(1), trace.None)
+	if _, gone, _ := mustRel(t, atCustom, "R").Find(nil, value.Int(2), trace.None); !found || tu.Field(1).AsInt() != 20 || gone {
+		t.Fatalf("version 3 holds R %v", mustRel(t, atCustom, "R").Tuples())
+	}
+	infos, err := Versions(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(infos) != 5 || infos[3].Kind != "custom" || infos[3].Detail != "custom R +1 -1" {
+		t.Fatalf("versions list %+v", infos)
 	}
 }
 
@@ -290,20 +325,24 @@ func TestRecoveryFallsBackToOlderSnapshot(t *testing.T) {
 	}
 }
 
-// TestRecoveryReportsUnbridgeableCustomGap corrupts a snapshot that was
-// the only record of a custom commit: recovery must fail loudly, not
-// silently drop the commit.
-func TestRecoveryReportsUnbridgeableCustomGap(t *testing.T) {
+// TestRecoveryBridgesALostSnapshotPastACustomCommit: every commit is in
+// the log, a custom one too, so with the snapshot taken right after a
+// custom commit unreadable, recovery falls back to the one before and
+// replays forward across the rotation to the same version. A segment that
+// does not start where the versions before it end is corrupt: recovery
+// refuses it rather than return a shortened history.
+func TestRecoveryBridgesALostSnapshotPastACustomCommit(t *testing.T) {
 	dir := t.TempDir()
 	e, a := newEngineWithArchive(t, dir, initialDB("R"))
-	e.Submit(core.Insert("R", value.NewTuple(value.Int(1))))
-	noop := func(ctx *eval.Ctx, db *database.Database, after trace.TaskID) (core.Response, *database.Database, trace.Op) {
-		next, _, _ := db.Insert(ctx, "R", value.NewTuple(value.Int(99)), after)
-		return core.Response{}, next, trace.Op{}
-	}
-	e.Submit(core.Custom(noop, []string{"R"}, []string{"R"})) // snapshot at 2
-	e.Submit(core.Insert("R", value.NewTuple(value.Int(3))))
+	e.Submit(core.Insert("R", value.NewTuple(value.Int(1), value.Int(1))))
+	e.Submit(core.Custom(doubleAndDrop, []string{"R"}, []string{"R"}))
 	e.Barrier()
+	if err := a.Snapshot(e.Current()); err != nil { // snapshot at 2
+		t.Fatal(err)
+	}
+	e.Submit(core.Insert("R", value.NewTuple(value.Int(3), value.Int(3))))
+	e.Barrier()
+	want := e.Current()
 	if err := a.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -315,8 +354,19 @@ func TestRecoveryReportsUnbridgeableCustomGap(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, snapName(2)), buf, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Recover(dir); err == nil {
-		t.Fatal("recovery silently dropped a custom commit")
+	got, err := Recover(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !got.Equal(want) || got.Version() != 3 {
+		t.Fatalf("recovered version %d with R %v, want version 3 with %v", got.Version(), mustRel(t, got, "R").Tuples(), mustRel(t, want, "R").Tuples())
+	}
+
+	if err := os.Remove(filepath.Join(dir, logName(0))); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Recover(dir); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("recovery across a missing segment: %v, want ErrCorrupt", err)
 	}
 }
 

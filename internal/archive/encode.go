@@ -11,9 +11,9 @@ import (
 )
 
 // Log record codec. A log segment holds one record form, FormRun, written
-// for every encodable commit; segments written before it may also hold
-// FormLegacy records, which only legacy.go reads. A FormRun payload is
-// structural only — no source text:
+// for every commit; segments written before it may also hold FormLegacy
+// records, which only legacy.go reads. A FormRun payload is structural
+// only — no source text:
 //
 //	run := first:varint     version the record's first write produced
 //	       count:uvarint    versions it covers: first … first+count-1
@@ -22,29 +22,44 @@ import (
 //	                        first+i carries oseq+i (the sequences are
 //	                        delta-encoded against the versions)
 //	       kind:uint8
-//	       rel:string
+//	       rel:string       absent in a custom record
 //	       items:           insert: count tuples, in admission order
 //	                        delete: key   (count is 1)
 //	                        create: rep   (count is 1)
+//	                        custom: rels:uvarint, then per relation
+//	                                rel:string ups:uvarint tuple*
+//	                                dels:uvarint key*   (count is 1)
 //
 // An insert run the engine committed as one publication is one record, or
 // several where its tags break — another origin, or sequence numbers that
 // do not step by one — so every version keeps its tag exactly. A single
-// write is a run of one. Replay applies the structural fields: translate
-// ran once, on the node that admitted the statement, and the record
-// carries its result.
+// write is a run of one. A custom commit — a Go closure, which has no
+// record form of its own — is logged as its effect: per relation it
+// changed, the tuples it inserted or replaced and the keys it deleted,
+// which is all the next version needs of it. Replay applies the structural
+// fields: translate, or the closure, ran once, on the node that admitted
+// the statement, and the record carries its result.
 
 // Record is one decoded log record: versions First … Last() of one
-// relation, written by Origin under the sequence numbers Seq, Seq+1, ….
+// relation, written by Origin under the sequence numbers Seq, Seq+1, …; or,
+// for a custom commit, one version's effect on each relation it changed.
 type Record struct {
-	First  int64
-	Origin string
-	Seq    int
-	Kind   core.Kind
-	Rel    string
-	Tuples []value.Tuple // insert: one per version, in admission order
-	Key    value.Item    // delete
-	Rep    relation.Rep  // create
+	First   int64
+	Origin  string
+	Seq     int
+	Kind    core.Kind
+	Rel     string
+	Tuples  []value.Tuple // insert: one per version, in admission order
+	Key     value.Item    // delete
+	Rep     relation.Rep  // create
+	Effects []Effect      // custom
+}
+
+// Effect is what a custom commit did to one relation.
+type Effect struct {
+	Rel     string
+	Upserts []value.Tuple // inserted or replaced, in key order
+	Deletes []value.Item  // keys removed, in key order
 }
 
 // Count returns how many versions the record covers.
@@ -75,6 +90,9 @@ func AppendRun(dst []byte, r Record) ([]byte, error) {
 	dst = value.AppendString(dst, r.Origin)
 	dst = binary.AppendVarint(dst, int64(r.Seq))
 	dst = append(dst, byte(r.Kind))
+	if r.Kind == core.KindCustom {
+		return appendEffects(dst, r.Effects)
+	}
 	dst = value.AppendString(dst, r.Rel)
 	switch r.Kind {
 	case core.KindInsert:
@@ -94,33 +112,46 @@ func AppendRun(dst []byte, r Record) ([]byte, error) {
 	}
 }
 
-// encodable reports whether a committed transaction has a record form.
-// Custom transactions carry arbitrary Go closures, which have none — the
-// archive snapshots the version they produced instead, and they never
-// appear in a subscription stream.
-func encodable(tx core.Transaction) bool {
-	switch tx.Kind {
-	case core.KindInsert, core.KindDelete, core.KindCreate:
-		return true
-	default:
-		return false
+// appendEffects encodes a custom record's items.
+func appendEffects(dst []byte, effects []Effect) ([]byte, error) {
+	dst = binary.AppendUvarint(dst, uint64(len(effects)))
+	var err error
+	for _, e := range effects {
+		dst = value.AppendString(dst, e.Rel)
+		dst = binary.AppendUvarint(dst, uint64(len(e.Upserts)))
+		for _, tu := range e.Upserts {
+			if dst, err = value.AppendTuple(dst, tu); err != nil {
+				return dst, err
+			}
+		}
+		dst = binary.AppendUvarint(dst, uint64(len(e.Deletes)))
+		for _, k := range e.Deletes {
+			if dst, err = value.AppendItem(dst, k); err != nil {
+				return dst, err
+			}
+		}
 	}
+	return dst, nil
 }
 
 // commitRecord returns the record of commit c that starts at its i-th
 // version and how many versions it covers: for a single write the one
-// record (one backs its tuple, so framing a write allocates nothing), and
-// for a run the longest stretch from i written by one origin under
-// consecutive sequence numbers.
-func commitRecord(c *core.Commit, i int, one *[1]value.Tuple) (Record, int) {
+// record (one backs its tuple, so framing a write allocates nothing), for a
+// custom commit its effect (customEffects), and for a run the longest
+// stretch from i written by one origin under consecutive sequence numbers.
+func commitRecord(c *core.Commit, i int, one *[1]value.Tuple) (Record, int, error) {
 	if c.Run == nil {
 		tx := &c.Tx
 		r := Record{First: c.Seq, Origin: tx.Origin, Seq: tx.Seq, Kind: tx.Kind, Rel: tx.Rel, Key: tx.Key, Rep: tx.Rep}
-		if tx.Kind == core.KindInsert {
+		var err error
+		switch tx.Kind {
+		case core.KindInsert:
 			one[0] = tx.Tuple
 			r.Tuples = one[:]
+		case core.KindCustom:
+			r.Effects, err = customEffects(c)
 		}
-		return r, 1
+		return r, 1, err
 	}
 	run := c.Run
 	n := len(run.Tuples) - i
@@ -132,7 +163,31 @@ func commitRecord(c *core.Commit, i int, one *[1]value.Tuple) (Record, int) {
 			n++
 		}
 	}
-	return Record{First: c.First() + int64(i), Origin: tag.Origin, Seq: tag.Seq, Kind: core.KindInsert, Rel: run.Rel, Tuples: run.Tuples[i : i+n]}, n
+	return Record{First: c.First() + int64(i), Origin: tag.Origin, Seq: tag.Seq, Kind: core.KindInsert, Rel: run.Rel, Tuples: run.Tuples[i : i+n]}, n, nil
+}
+
+// customEffects diffs each relation a custom commit wrote against the
+// version before the commit (core.Commit.Written, relation.Diff): one
+// Effect per relation the commit changed, none for one it left as it was.
+func customEffects(c *core.Commit) ([]Effect, error) {
+	var effects []Effect
+	ok := c.Written(func(rel string, before, after relation.Relation) {
+		e := Effect{Rel: rel}
+		relation.Diff(before, after, func(old, next value.Tuple) {
+			if next.IsZero() {
+				e.Deletes = append(e.Deletes, old.Key())
+			} else {
+				e.Upserts = append(e.Upserts, next)
+			}
+		})
+		if len(e.Upserts) > 0 || len(e.Deletes) > 0 {
+			effects = append(effects, e)
+		}
+	})
+	if !ok {
+		return nil, fmt.Errorf("archive: custom commit of version %d has no version before it to diff against", c.Seq)
+	}
+	return effects, nil
 }
 
 // appendRunFrame appends r's framed FormRun record to dst, encoding the
@@ -271,15 +326,21 @@ func (d *Decoder) decodeRun(payload []byte) (Record, error) {
 		return fail("kind")
 	}
 	kind := core.Kind(payload[0])
-	rel, payload, err := value.DecodeStringBytes(payload[1:])
-	if err != nil {
-		return fail("relation name")
-	}
-	r := Record{First: first, Seq: int(oseq), Kind: kind, Rel: d.name(rel)}
 	if kind != core.KindInsert && count != 1 {
 		return fail("count")
 	}
-	payload, what := d.decodeItems(&r, count, payload)
+	r := Record{First: first, Seq: int(oseq), Kind: kind}
+	var what string
+	if kind == core.KindCustom {
+		payload, what = d.decodeEffects(&r, payload[1:])
+	} else {
+		var rel []byte
+		if rel, payload, err = value.DecodeStringBytes(payload[1:]); err != nil {
+			return fail("relation name")
+		}
+		r.Rel = d.name(rel)
+		payload, what = d.decodeItems(&r, count, payload)
+	}
 	if what != "" {
 		return fail(what)
 	}
@@ -328,6 +389,61 @@ func (d *Decoder) decodeItems(r *Record, count int, payload []byte) (rest []byte
 		return nil, "kind"
 	}
 	return payload, ""
+}
+
+// decodeEffects decodes a custom record's items into r and returns the bytes
+// that follow them; what names the item that did not decode, "" when all
+// did. No count is trusted beyond the bytes left (countOf), and every
+// relation, tuple and key takes bytes of its own, so a hostile count fails
+// before it sizes anything.
+func (d *Decoder) decodeEffects(r *Record, payload []byte) (rest []byte, what string) {
+	rels, payload, ok := countOf(payload)
+	if !ok {
+		return nil, "relation count"
+	}
+	for range rels {
+		name, rest, err := value.DecodeStringBytes(payload)
+		if err != nil {
+			return nil, "relation name"
+		}
+		e := Effect{Rel: d.name(name)}
+		n, rest, ok := countOf(rest)
+		if !ok {
+			return nil, "upsert count"
+		}
+		if n > 0 {
+			e.Upserts = make([]value.Tuple, n)
+		}
+		for i := range e.Upserts {
+			if e.Upserts[i], rest, err = value.DecodeTuple(rest); err != nil || e.Upserts[i].IsZero() {
+				return nil, "tuple"
+			}
+		}
+		if n, rest, ok = countOf(rest); !ok {
+			return nil, "delete count"
+		}
+		if n > 0 {
+			e.Deletes = make([]value.Item, n)
+		}
+		for i := range e.Deletes {
+			if e.Deletes[i], rest, err = value.DecodeItem(rest); err != nil {
+				return nil, "key"
+			}
+		}
+		r.Effects = append(r.Effects, e)
+		payload = rest
+	}
+	return payload, ""
+}
+
+// countOf reads a count from the head of payload, refusing one larger than
+// the bytes that follow it: every item counted takes at least a byte.
+func countOf(payload []byte) (n int, rest []byte, ok bool) {
+	c, k := binary.Uvarint(payload)
+	if k <= 0 || c > uint64(len(payload)-k) {
+		return 0, nil, false
+	}
+	return int(c), payload[k:], true
 }
 
 // decodeRep decodes a create record's representation byte.

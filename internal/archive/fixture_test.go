@@ -48,17 +48,17 @@ func fixtureHistory() (*database.Database, []core.Transaction) {
 	return database.FromRelations(names, rels, 0), txns
 }
 
-// copyFixture copies the fixture archive into a fresh directory, which
+// copyFixture copies a fixture archive into a fresh directory, which
 // opening it for appending may then change.
-func copyFixture(t *testing.T) string {
+func copyFixture(t *testing.T, src string) string {
 	t.Helper()
 	dir := t.TempDir()
-	files, err := os.ReadDir(fixtureDir)
+	files, err := os.ReadDir(src)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, f := range files {
-		b, err := os.ReadFile(filepath.Join(fixtureDir, f.Name()))
+		b, err := os.ReadFile(filepath.Join(src, f.Name()))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -106,7 +106,7 @@ func fixtureLegacyRecords(t testing.TB) [][]byte {
 // is the prefix of its history, through the one decoder that reads legacy
 // records.
 func TestEarlierArchiveAnswersEveryVersion(t *testing.T) {
-	dir := copyFixture(t)
+	dir := copyFixture(t, fixtureDir)
 	initial, txns := fixtureHistory()
 	for v := 0; v <= len(txns); v++ {
 		got, err := VersionAt(dir, int64(v))
@@ -132,7 +132,7 @@ func TestEarlierArchiveAnswersEveryVersion(t *testing.T) {
 // the version its history makes; each of its snapshots re-encodes to the
 // very bytes on disk; and it reopens for appending.
 func TestEarlierArchiveOpens(t *testing.T) {
-	dir := copyFixture(t)
+	dir := copyFixture(t, fixtureDir)
 	initial, txns := fixtureHistory()
 	e := core.NewEngine(initial)
 	for _, tx := range txns {
@@ -193,5 +193,72 @@ func TestEarlierArchiveOpens(t *testing.T) {
 	}
 	if got, err = Recover(dir); err != nil || !got.Equal(want) {
 		t.Fatalf("after one more write: recovered %v, err %v", got.TotalTuples(), err)
+	}
+}
+
+// customFixtureDir holds an archive written at commit 9c292ac, when a
+// custom commit had no record form and forced a snapshot and a new log
+// segment instead: customFixtureHistory through a store on
+// WithDurability, then Close. Its snapshots are at 0 and at the two custom
+// commits, 4 and 7.
+const customFixtureDir = "testdata/archive-9c292ac-custom"
+
+// customFixtureHistory is the history the custom fixture holds: paged
+// relations R and S, and nine writes, two of them doubleAndDrop.
+func customFixtureHistory() (*database.Database, []core.Transaction) {
+	tu := func(k, v int64) value.Tuple { return value.NewTuple(value.Int(k), value.Int(v)) }
+	custom := core.Custom(doubleAndDrop, []string{"R"}, []string{"R"})
+	return database.New(relation.RepPaged, "R", "S"), []core.Transaction{
+		core.Insert("R", tu(1, 10)), core.Insert("R", tu(2, 20)), core.Insert("R", tu(3, 30)),
+		custom,
+		core.Insert("R", tu(4, 40)), core.Insert("S", tu(1, 7)),
+		custom,
+		core.Insert("R", tu(5, 50)), core.Delete("S", value.Int(1)),
+	}
+}
+
+// TestForcedSnapshotArchiveRecovers: an archive whose custom commits were
+// recorded as forced snapshots still answers every version and recovers to
+// the version its history makes; reopened, it logs further custom commits
+// as records and takes no snapshot for them.
+func TestForcedSnapshotArchiveRecovers(t *testing.T) {
+	dir := copyFixture(t, customFixtureDir)
+	initial, txns := customFixtureHistory()
+	for v := 0; v <= len(txns); v++ {
+		got, err := VersionAt(dir, int64(v))
+		if err != nil {
+			t.Fatalf("VersionAt(%d): %v", v, err)
+		}
+		_, want := core.ApplySequential(initial, txns[:v])
+		if !got.Equal(want) || got.Version() != int64(v) {
+			t.Fatalf("version %d holds %d tuples at version %d, its history %d", v, got.TotalTuples(), got.Version(), want.TotalTuples())
+		}
+	}
+	a, db, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, want := core.ApplySequential(initial, txns)
+	if !db.Equal(want) || db.Version() != 9 {
+		t.Fatalf("opened at version %d with %d tuples, want version 9 with %d", db.Version(), db.TotalTuples(), want.TotalTuples())
+	}
+	e := core.NewEngine(db, core.WithCommitObserver(a.Observer()), core.WithCommitFlush(a.Flush))
+	e.Submit(txns[3])
+	e.Submit(core.Insert("S", value.NewTuple(value.Int(2), value.Int(2))))
+	e.Barrier()
+	want = e.Current()
+	if err := a.Close(); err != nil {
+		t.Fatal(err)
+	}
+	got, err := Recover(dir)
+	if err != nil || !got.Equal(want) || got.Version() != 11 {
+		t.Fatalf("after two more commits: recovered %v, err %v", got, err)
+	}
+	st, err := scanDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(st.snaps) != "[0 4 7]" {
+		t.Fatalf("snapshots %v after a custom commit, want the fixture's [0 4 7]", st.snaps)
 	}
 }

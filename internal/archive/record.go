@@ -9,7 +9,8 @@
 //
 //	snap-<seq>.fdba   one full database version (the version numbered seq)
 //	log-<seq>.fdba    log records of the versions after seq, in order: one
-//	                  per write, or per insert run (encode.go)
+//	                  per write, per insert run, or per custom commit's
+//	                  effect (encode.go)
 //
 // Every file is a stream of framed records; every snapshot starts a new log
 // segment. Recovery loads the newest decodable snapshot and replays the

@@ -148,8 +148,29 @@ func sameRecord(a, b Record) bool {
 	if a.Key.IsValid() && !a.Key.Equal(b.Key) {
 		return false
 	}
-	for i := range a.Tuples {
-		if !a.Tuples[i].Equal(b.Tuples[i]) {
+	if !sameTuples(a.Tuples, b.Tuples) || len(a.Effects) != len(b.Effects) {
+		return false
+	}
+	for i, e := range a.Effects {
+		f := b.Effects[i]
+		if e.Rel != f.Rel || !sameTuples(e.Upserts, f.Upserts) || len(e.Deletes) != len(f.Deletes) {
+			return false
+		}
+		for j, k := range e.Deletes {
+			if k.Kind() != f.Deletes[j].Kind() || !k.Equal(f.Deletes[j]) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+func sameTuples(a, b []value.Tuple) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if !a[i].Equal(b[i]) {
 			return false
 		}
 	}
@@ -168,7 +189,10 @@ func writeRecord(t testing.TB, seq int64, tx core.Transaction) []byte {
 	t.Helper()
 	c := core.NewCommit(seq, tx, nil)
 	var one [1]value.Tuple
-	r, n := commitRecord(&c, 0, &one)
+	r, n, err := commitRecord(&c, 0, &one)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if n != 1 {
 		t.Fatalf("a single write made a record of %d versions", n)
 	}
@@ -201,8 +225,9 @@ func legacyPayload(seq int64, tx core.Transaction, text string) []byte {
 }
 
 // TestTxnRecordRoundTrip: every write has one record form — a single write
-// is a run of one — which decodes back to the write, tag included, and a
-// custom transaction has none. An insert run the engine committed as one
+// is a run of one — which decodes back to the write, tag included; a custom
+// commit's is its effect, one version's upserts and deletes per relation,
+// which decodes back to itself. An insert run the engine committed as one
 // publication is one record wherever its tags step by one under one origin,
 // and splits exactly where they do not.
 func TestTxnRecordRoundTrip(t *testing.T) {
@@ -222,8 +247,16 @@ func TestTxnRecordRoundTrip(t *testing.T) {
 			t.Fatalf("txn %d: round trip %+v -> %+v", i, tx, got)
 		}
 	}
-	if _, err := AppendRun(nil, Record{Kind: core.KindCustom, Rel: "R"}); err == nil {
-		t.Error("custom transaction encoded")
+	custom := Record{First: 5, Origin: "t", Seq: 9, Kind: core.KindCustom, Effects: []Effect{
+		{Rel: "R", Upserts: []value.Tuple{value.NewTuple(value.Int(1), value.Str("a")), value.NewTuple(value.Int(4))}, Deletes: []value.Item{value.Int(3)}},
+		{Rel: "S", Deletes: []value.Item{value.Str("k")}},
+	}}
+	payload, err := AppendRun(nil, custom)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := dec.Decode(FormRun, payload); err != nil || !sameRecord(got, custom) || got.Count() != 1 {
+		t.Fatalf("custom effect: round trip %+v -> %+v, %v", custom, got, err)
 	}
 
 	// One run of 40 whose tags break twice: another origin after 15, and a
@@ -253,7 +286,10 @@ func TestTxnRecordRoundTrip(t *testing.T) {
 	v := int64(1)
 	for i := 0; i < len(batch); {
 		var one [1]value.Tuple
-		r, n := commitRecord(&c, i, &one)
+		r, n, err := commitRecord(&c, i, &one)
+		if err != nil {
+			t.Fatal(err)
+		}
 		payload, err := AppendRun(nil, r)
 		if err != nil {
 			t.Fatal(err)
@@ -378,8 +414,9 @@ func FuzzReadRecord(f *testing.F) {
 
 // FuzzRunRecord is the record codec's fuzz target, for both forms:
 //
-//   - decoding any bytes never panics, and a hostile count cannot make it
-//     allocate more than a small multiple of the payload — a count longer
+//   - decoding any bytes never panics, and a hostile count — a run's, or a
+//     custom record's count of relations, upserts or deletes — cannot make
+//     it allocate more than a small multiple of the payload: a count longer
 //     than the payload could hold is refused before anything is sized by
 //     it;
 //   - a warm decoder accepts exactly what a fresh one accepts, and decodes
@@ -390,8 +427,10 @@ func FuzzReadRecord(f *testing.F) {
 //     payload re-encodes to itself, or strictly shorter when it used a
 //     non-minimal varint that internal/value accepts.
 //
-// The seeds are runs of every kind and the FormLegacy records of the
-// archive written at commit a872265.
+// The seeds are runs of every kind, custom records of zero, one and
+// several relations — upserts only, deletes only, and both — and with
+// hostile counts (the checked-in custom-* corpus files), and the
+// FormLegacy records of the archive written at commit a872265.
 func FuzzRunRecord(f *testing.F) {
 	tu := func(k int64, s string) value.Tuple { return value.NewTuple(value.Int(k), value.Str(s)) }
 	for _, r := range []Record{
@@ -467,6 +506,7 @@ func TestTxnFrameMatchesRecord(t *testing.T) {
 		{First: 2, Kind: core.KindDelete, Rel: "R", Key: value.Int(1)},
 		{First: 3, Kind: core.KindCreate, Rel: "S", Rep: 2},
 		{First: 4, Origin: "repl", Seq: 3, Kind: core.KindInsert, Rel: "R", Tuples: []value.Tuple{value.NewTuple(value.Int(7)), value.NewTuple(value.Int(8))}},
+		{First: 6, Origin: "t", Seq: 1, Kind: core.KindCustom, Effects: []Effect{{Rel: "R", Upserts: []value.Tuple{value.NewTuple(value.Int(7))}, Deletes: []value.Item{value.Int(8)}}}},
 	} {
 		payload, err := AppendRun(nil, r)
 		if err != nil {
@@ -484,9 +524,9 @@ func TestTxnFrameMatchesRecord(t *testing.T) {
 			t.Errorf("record %d: payload view %x, want %x", i, gotPayload, payload)
 		}
 	}
-	got, _, err := appendRunFrame(prefix, Record{Kind: core.KindCustom, Rel: "R"})
+	got, _, err := appendRunFrame(prefix, Record{Kind: core.KindFind, Rel: "R"})
 	if err == nil || !bytes.Equal(got, prefix) {
-		t.Errorf("custom transaction: err %v, buffer %q", err, got)
+		t.Errorf("a read: err %v, buffer %q", err, got)
 	}
 }
 
@@ -546,6 +586,35 @@ func TestDecodeRecordAllocGate(t *testing.T) {
 	})
 	if warm != tuple {
 		t.Errorf("decoding on a warm decoder = %.1f allocs, want the tuple's own %.1f", warm, tuple)
+	}
+}
+
+// TestCustomRecordRefusesHostileCounts: a custom record whose count of
+// relations, upserts or deletes is longer than the bytes left could hold
+// is corrupt, and is refused before anything is sized by the count.
+func TestCustomRecordRefusesHostileCounts(t *testing.T) {
+	head, err := AppendRun(nil, Record{First: 1, Origin: "c", Kind: core.KindCustom})
+	if err != nil {
+		t.Fatal(err)
+	}
+	head = head[:len(head)-1] // everything before the relation count
+	withCount := func(b []byte, n uint64) []byte { return binary.AppendUvarint(append([]byte(nil), b...), n) }
+	oneRel := value.AppendString(withCount(head, 1), "R")
+	for name, payload := range map[string][]byte{
+		"relations": withCount(head, 1<<40),
+		"upserts":   withCount(oneRel, 1<<40),
+		"deletes":   withCount(withCount(oneRel, 0), 1<<40),
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := DecodeRecord(FormRun, payload)
+		runtime.ReadMemStats(&after)
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1024 {
+			t.Errorf("%s: a hostile count made the decoder allocate %d bytes", name, grew)
+		}
+		if !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: a hostile count decoded: %v", name, err)
+		}
 	}
 }
 
@@ -609,7 +678,7 @@ func TestStructuralReplayIsTextReplay(t *testing.T) {
 	writes := 0
 	for _, src := range srcs {
 		tx, err := query.Translate(src)
-		if err != nil || !encodable(tx) {
+		if err != nil || tx.IsReadOnly() {
 			continue
 		}
 		writes++

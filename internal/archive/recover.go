@@ -217,21 +217,36 @@ func replayLog(dir string, seg int64, db *database.Database, upTo int64) (*datab
 }
 
 // Replay applies one log record to db — a run of several inserts as one
-// relation.UpsertRun, any other record as the write it carries — and pins
+// relation.UpsertRun, a custom commit's effect as one UpsertRun and its
+// deletes per relation, any other record as the write it carries — and pins
 // the result to the record's last version: the function from one version of
 // the database to the next that recovery, time travel and every replication
 // mirror apply a log with. It fails when the record does not apply to db
 // (a relation it names is missing, or one it creates exists).
 func Replay(db *database.Database, r *Record) (*database.Database, error) {
 	var err error
-	if r.Count() > 1 {
+	switch {
+	case r.Kind == core.KindCustom:
+		for _, e := range r.Effects {
+			rel, ok := db.RelationFast(e.Rel)
+			if !ok {
+				err = fmt.Errorf("%w: %q", database.ErrNoRelation, e.Rel)
+				break
+			}
+			rel = relation.UpsertRun(nil, rel, e.Upserts)
+			for _, k := range e.Deletes {
+				rel, _, _ = rel.Delete(nil, k, trace.None)
+			}
+			db, _, _ = db.ReplaceRelation(nil, e.Rel, rel, trace.None)
+		}
+	case r.Count() > 1:
 		rel, ok := db.RelationFast(r.Rel)
 		if !ok {
 			err = fmt.Errorf("%w: %q", database.ErrNoRelation, r.Rel)
 		} else {
 			db, _, err = db.ReplaceRelation(nil, r.Rel, relation.UpsertRun(nil, rel, r.Tuples), trace.None)
 		}
-	} else {
+	default:
 		var resp core.Response
 		resp, db, _ = r.Txn(0).Apply(nil, db, trace.None)
 		err = resp.Err
@@ -255,11 +270,10 @@ type recovered struct {
 // segments behind it. Normally that is the newest snapshot and its single
 // log suffix; if the newest snapshot is undecodable (bit rot, partial
 // write), recovery falls back to an older one and chains forward through
-// the intervening segments — every encodable transaction is logged even
-// across rotations, so older snapshot + logs reproduce the same stream.
-// The one unbridgeable gap is a rotation forced by a custom transaction
-// (its body has no wire form; the lost snapshot was its only record),
-// which fails with a clear error rather than a silently shortened history.
+// the intervening segments — every commit is logged even across
+// rotations, so older snapshot + logs reproduce the same stream. A segment
+// that does not start at the version recovered so far is corrupt: recovery
+// fails rather than return a silently shortened history.
 func recoverState(dir string) (recovered, error) {
 	st, err := scanDir(dir)
 	if err != nil {
@@ -294,12 +308,7 @@ func recoverState(dir string) (recovered, error) {
 			continue // pre-snapshot history: time travel only
 		}
 		if seg != db.Version() {
-			if snapErr == nil {
-				snapErr = fmt.Errorf("%w: segment log-%d has no preceding snapshot", ErrCorrupt, seg)
-			}
-			return recovered{}, fmt.Errorf(
-				"archive: cannot bridge to segment log-%d from version %d (snapshot %d lost with its custom commit): %w",
-				seg, db.Version(), seg, snapErr)
+			return recovered{}, fmt.Errorf("%w: segment log-%d does not start at recovered version %d", ErrCorrupt, seg, db.Version())
 		}
 		var sc logScan
 		if db, sc, err = replayLog(dir, seg, db, -1); err != nil {
@@ -419,7 +428,7 @@ func Versions(dir string) ([]VersionInfo, error) {
 					continue
 				}
 				seen[v] = true
-				out = append(out, VersionInfo{Seq: v, Kind: r.Kind.String(), Detail: describeTxn(r.Txn(int(v - first))), Snapshotted: snapSet[v]})
+				out = append(out, VersionInfo{Seq: v, Kind: r.Kind.String(), Detail: describe(&r, int(v-first)), Snapshotted: snapSet[v]})
 			}
 			return nil
 		})
@@ -438,8 +447,29 @@ func Versions(dir string) ([]VersionInfo, error) {
 	return out, nil
 }
 
-// describeTxn renders a logged write in query syntax, from its structure:
-// records carry no source text.
+// describe renders the i-th version of a record from its structure, since
+// records carry no source text: a write in query syntax, a custom commit as
+// its effect on each relation it changed — "custom R +2 -1": two tuples
+// inserted or replaced, one key deleted.
+func describe(r *Record, i int) string {
+	if r.Kind != core.KindCustom {
+		return describeTxn(r.Txn(i))
+	}
+	var b strings.Builder
+	b.WriteString("custom")
+	for j, e := range r.Effects {
+		if j > 0 {
+			b.WriteByte(',')
+		}
+		fmt.Fprintf(&b, " %s +%d -%d", e.Rel, len(e.Upserts), len(e.Deletes))
+	}
+	if len(r.Effects) == 0 {
+		b.WriteString(" (no change)")
+	}
+	return b.String()
+}
+
+// describeTxn renders a logged write in query syntax.
 func describeTxn(tx core.Transaction) string {
 	switch tx.Kind {
 	case core.KindInsert:

@@ -478,7 +478,7 @@ func TestCatchUpHandsOutLiveBytes(t *testing.T) {
 // TestCatchUpHandsOutFixtureBytes: catching up over the archive written at
 // commit a872265 hands out every record exactly as the segments store it.
 func TestCatchUpHandsOutFixtureBytes(t *testing.T) {
-	dir := copyFixture(t)
+	dir := copyFixture(t, fixtureDir)
 	stored := fixtureLegacyRecords(t)
 	a, _, err := Open(dir)
 	if err != nil {

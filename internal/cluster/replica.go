@@ -79,14 +79,14 @@ func (m *mirror) version() int64 { return m.db.Load().Version() }
 
 // apply replays one decoded log record onto the mirror's version and
 // publishes the result: an insert run as one relation.UpsertRun, one page
-// build whatever the record's length; a delete or create as the write it
-// carries. The record must continue the primary's order exactly — its
-// first version is applied+1. A hole means the stream skipped something
-// the record form cannot carry (a custom transaction on the primary): the
-// record is refused with errReplicationGap, rather than silently diverge,
-// and so is one that does not replay onto the mirror's version. Only the
-// mirror's one subscription applies records, so a load and a store cannot
-// interleave with another apply's.
+// build whatever the record's length; a custom commit as its effect; a
+// delete or create as the write it carries. The record must continue the
+// primary's order exactly — its first version is applied+1. Every commit
+// is a record, so a hole is a fault — in the stream or in the primary's
+// log — and the record is refused with errReplicationGap rather than
+// silently diverge, as is one that does not replay onto the mirror's
+// version. Only the mirror's one subscription applies records, so a load
+// and a store cannot interleave with another apply's.
 func (m *mirror) apply(r *archive.Record) error {
 	db := m.db.Load()
 	if r.First != db.Version()+1 {
@@ -145,9 +145,10 @@ func (n *Node) ReplicaVersion(peerIdx int) int64 {
 // replicateFrom pulls one peer's log until the node closes: dial,
 // subscribe from the mirror's version, apply records as they stream in,
 // and retry after transient failures (the peer restarting, the link
-// dropping). A replication gap is permanent for this mirror — it stops
-// rather than diverge. A mirror refused as ahead of the log resubscribes at
-// once, from below the log floor (mirror.resync).
+// dropping). A replication gap — a fault, since every commit the peer makes
+// is a log record — is permanent for this mirror: it stops rather than
+// diverge. A mirror refused as ahead of the log resubscribes at once, from
+// below the log floor (mirror.resync).
 func (n *Node) replicateFrom(peerIdx int, m *mirror) {
 	defer n.wg.Done()
 	for !n.closing.Load() {

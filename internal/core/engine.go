@@ -76,11 +76,6 @@ type Engine struct {
 	// guarded here so an uninstrumented engine never touches time.Now.
 	metrics *metrics.Engine
 
-	// serializedReads routes read-only transactions through the merge
-	// mutex (the pre-pipeline behavior): a baseline for benchmarks and a
-	// diagnostic escape hatch.
-	serializedReads bool
-
 	// Post-commit observation (observer.go): observers are notified of
 	// every committed write in version order by one notifier goroutine,
 	// which walks the chain of published snapshots, so durability and
@@ -108,13 +103,6 @@ func WithStats(s *eval.Stats) EngineOption {
 // WithEngineMetrics records admission metrics into m.
 func WithEngineMetrics(m *metrics.Engine) EngineOption {
 	return func(e *Engine) { e.metrics = m }
-}
-
-// WithSerializedReads disables the lock-free read fast path: read-only
-// transactions take the merge mutex like writes. This is the baseline the
-// fast path is measured against; there is no correctness reason to use it.
-func WithSerializedReads() EngineOption {
-	return func(e *Engine) { e.serializedReads = true }
 }
 
 // NewEngine starts an engine over an initial database version.

@@ -86,13 +86,13 @@ type laneSet []int
 
 // laneSetOf computes the lanes tx's admission must lock, from the
 // transaction's syntactic access set (ReadSet/WriteSet — no snapshot or
-// lock needed). A read installs nothing, so it locks none (nil) unless
-// WithSerializedReads. A custom transaction with no declared sets touches
-// the whole directory, so it locks every lane: the full-barrier case. The
-// common single-relation case returns a precomputed singleton, so the
-// submission hot path allocates nothing for lane bookkeeping.
+// lock needed). A read installs nothing, so it locks none (nil) — a custom
+// transaction that declares no writes included, even one that reads the
+// whole directory. The common single-relation case returns a precomputed
+// singleton, so the submission hot path allocates nothing for lane
+// bookkeeping.
 func (e *Engine) laneSetOf(tx Transaction) laneSet {
-	if !e.serializedReads && tx.IsReadOnly() {
+	if tx.IsReadOnly() {
 		return nil
 	}
 	if e.nlanes == 1 {
@@ -102,9 +102,6 @@ func (e *Engine) laneSetOf(tx Transaction) laneSet {
 		// Built-ins touch exactly one relation (possibly invalid/empty,
 		// which still serializes fine on lane 0's singleton).
 		return e.laneSingle[LaneOf(tx.Rel, e.nlanes)]
-	}
-	if len(tx.Reads) == 0 && len(tx.Writes) == 0 {
-		return e.allLanes
 	}
 	var set laneSet
 	add := func(name string) {

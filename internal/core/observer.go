@@ -6,6 +6,7 @@ import (
 
 	"funcdb/internal/database"
 	"funcdb/internal/lenient"
+	"funcdb/internal/relation"
 )
 
 // Commit describes one committed write: the transaction and the database
@@ -66,6 +67,27 @@ func (c Commit) VersionAt(v int64) *database.Database {
 	s := &snapshot{dir: c.snap.dir, cells: slices.Clone(c.snap.cells), version: v}
 	s.cells[i] = &c.steps[v-c.First()].cell
 	return s.materialize()
+}
+
+// Written calls fn for each relation a custom commit's transaction declares
+// it writes, in that order: as the version before the commit held it and as
+// the commit left it. The version before is the snapshot the commit's link
+// points back to — the link the notifier walked to find the commit — so
+// Written is for an observer, during its call, and costs a built-in write
+// nothing. It reports false, calling nothing, for a commit NewCommit
+// assembled, which has no version before, and after the call, once the
+// notifier has cut the link.
+func (c Commit) Written(fn func(rel string, before, after relation.Relation)) bool {
+	if c.snap == nil || c.snap.link.prev == nil {
+		return false
+	}
+	prev := c.snap.link.prev
+	for _, w := range c.Tx.Writes {
+		before, _ := prev.cell(w)
+		after, _ := c.snap.cell(w)
+		fn(w, before.Force(), after.Force())
+	}
+	return true
 }
 
 // NewCommit assembles a Commit from explicit parts: for tests, and for

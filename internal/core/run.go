@@ -105,21 +105,16 @@ func (e *Engine) admitInsertRun(txs []Transaction, out []*lenient.Cell[Response]
 
 // admitRun publishes run as the next len(run.Tuples) versions of the
 // relation p planned, whose input value is rel: the last version is built
-// here — one path copy for a run of one, one UpsertRun otherwise — and
-// published in one compare-and-swap; admitRun returns that version's
-// snapshot. With observers, each version before the last becomes a suspended
-// insert on its predecessor, one slab for the whole run, and the run is
-// published as one commit, carrying those steps, its transaction the run's
-// last insert; without any, nothing can ever ask for those versions, so
-// none is made. The caller must hold the relation's lane lock.
+// here, by one UpsertRun, and published in one compare-and-swap; admitRun
+// returns that version's snapshot. With observers, each version before the
+// last becomes a suspended insert on its predecessor, one slab for the
+// whole run, and the run is published as one commit, carrying those steps,
+// its transaction the run's last insert; without any, nothing can ever ask
+// for those versions, so none is made. The caller must hold the relation's
+// lane lock.
 func (e *Engine) admitRun(p Plan, rel relation.Relation, run *Run) *snapshot {
 	k := len(run.Tuples)
-	var final relation.Relation
-	if k == 1 {
-		final, _ = rel.Insert(e.ctx(), run.Tuples[0], trace.None)
-	} else {
-		final = relation.UpsertRun(e.ctx(), rel, run.Tuples)
-	}
+	final := relation.UpsertRun(e.ctx(), rel, run.Tuples)
 	c := commitLink{run: run}
 	if len(e.observers) > 0 {
 		c.tx, c.steps = run.Txn(k-1), make([]insertStep, k-1)

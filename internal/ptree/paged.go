@@ -680,6 +680,88 @@ func (t Paged) SharedPagesWith(other Paged) int {
 	return n
 }
 
+// Diff calls visit, in key order, for every key whose tuple differs between
+// t and next: with t's tuple and next's, the zero Tuple standing in for the
+// one a version lacks. It walks both trees from the root and skips every
+// subtree whose page the two versions share. The paper's "If an insertion
+// or modification affects only a few pages, then all other pages can be
+// shared" (Section 2.2) makes that an algorithm: a diff opens the pages
+// that changed and the directories above them, O(pages changed × height),
+// not O(n). Every page it opens counts as a visit on ctx.
+func (t Paged) Diff(ctx *eval.Ctx, next Paged, visit func(old, new value.Tuple)) {
+	a, b := diffCursor{stack: []*page{t.root}}, diffCursor{stack: []*page{next.root}}
+	for {
+		pa, pb := a.unopened(), b.unopened()
+		switch {
+		case pa != nil && pa == pb:
+			// The same page holds the same tuples in both versions.
+			a.stack, b.stack = a.stack[:len(a.stack)-1], b.stack[:len(b.stack)-1]
+		case pa != nil && (pb == nil || pa.pages >= pb.pages):
+			// A page never contains one with as many pages as itself, so
+			// opening the larger of two never opens a page the other side
+			// could share.
+			ctx.VisitedN(1)
+			a.open()
+		case pb != nil:
+			ctx.VisitedN(1)
+			b.open()
+		case len(a.tuples) == 0 && len(b.tuples) == 0:
+			return
+		default:
+			a.tuples, b.tuples = DiffStep(a.tuples, b.tuples, visit)
+		}
+	}
+}
+
+// DiffStep is one step of a diff of two key-sorted runs of tuples, a and b,
+// not both empty: it takes the least key at their heads, from one run or
+// from both, visits it as Diff does unless both hold the same tuple, and
+// returns what is left of each run.
+func DiffStep(a, b []value.Tuple, visit func(old, new value.Tuple)) ([]value.Tuple, []value.Tuple) {
+	switch {
+	case len(b) == 0 || len(a) > 0 && a[0].Key().Compare(b[0].Key()) < 0:
+		visit(a[0], value.Tuple{})
+		return a[1:], b
+	case len(a) == 0 || b[0].Key().Compare(a[0].Key()) < 0:
+		visit(value.Tuple{}, b[0])
+		return a, b[1:]
+	}
+	if !a[0].Equal(b[0]) {
+		visit(a[0], b[0])
+	}
+	return a[1:], b[1:]
+}
+
+// diffCursor reads one version for Diff: tuples is the rest of the data
+// page being read, and stack the subtrees after it, the next one last.
+type diffCursor struct {
+	stack  []*page
+	tuples []value.Tuple
+}
+
+// unopened returns the subtree the cursor reads next, or nil while it is
+// inside a data page or once it has read everything.
+func (c *diffCursor) unopened() *page {
+	if len(c.tuples) > 0 || len(c.stack) == 0 {
+		return nil
+	}
+	return c.stack[len(c.stack)-1]
+}
+
+// open replaces the next subtree by its children, or a data page by its
+// tuples.
+func (c *diffCursor) open() {
+	p := c.stack[len(c.stack)-1]
+	c.stack = c.stack[:len(c.stack)-1]
+	if p.leaf {
+		c.tuples = p.tuples
+		return
+	}
+	for i := len(p.kids) - 1; i >= 0; i-- {
+		c.stack = append(c.stack, p.kids[i])
+	}
+}
+
 // checkInvariants verifies page shape by walking the whole tree: sorted
 // leaves, correct separator bounds, capacity limits, and that the tuple and
 // page counts every page carries are those of its subtree; used by tests.

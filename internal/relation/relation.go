@@ -15,6 +15,7 @@ import (
 
 	"funcdb/internal/eval"
 	"funcdb/internal/plist"
+	"funcdb/internal/ptree"
 	"funcdb/internal/trace"
 	"funcdb/internal/value"
 )
@@ -141,4 +142,21 @@ func (r listRelation) Delete(ctx *eval.Ctx, key value.Item, after trace.TaskID) 
 
 func (r listRelation) Range(ctx *eval.Ctx, lo, hi value.Item, after trace.TaskID, visit func(value.Tuple)) trace.TaskID {
 	return r.l.Range(ctx, lo, hi, after, visit)
+}
+
+// Diff calls visit, in key order, for every key whose tuple differs between
+// two versions of a relation: with old's tuple and next's, the zero Tuple
+// standing in for the one a version lacks. Two paged versions are walked
+// page by page, skipping every page they share (ptree.Paged.Diff); any
+// other pair is merged from two ordered scans.
+func Diff(old, next Relation, visit func(old, new value.Tuple)) {
+	if po, ok := Paged(old); ok {
+		if pn, ok := Paged(next); ok {
+			po.Diff(nil, pn, visit)
+			return
+		}
+	}
+	for a, b := old.Tuples(), next.Tuples(); len(a) > 0 || len(b) > 0; {
+		a, b = ptree.DiffStep(a, b, visit)
+	}
 }
